@@ -1142,7 +1142,7 @@ impl<T: Copy + Send + Sync + Default + 'static> SharedEngine<T> {
             n: p.len(),
             armed: true,
         };
-        let built = self.construct_plan(p);
+        let built = self.construct_plan(p, key.fingerprint);
         guard.armed = false;
         match built {
             Ok(plan) => {
@@ -1175,7 +1175,9 @@ impl<T: Copy + Send + Sync + Default + 'static> SharedEngine<T> {
     /// to the store. Every arm ends in a [`Backend::prepare`] on the
     /// engine's backend — the γ decision only picks the *route*, gated
     /// by what the backend can execute ([`Backend::capabilities`]).
-    fn construct_plan(&self, p: &Permutation) -> Result<PermutePlan<T>> {
+    /// `fingerprint` is the cache key's, so a miss hashes `p` once and
+    /// the store is looked up under the same key the cache uses.
+    fn construct_plan(&self, p: &Permutation, fingerprint: u64) -> Result<PermutePlan<T>> {
         let backend = &*self.core.backend;
         let caps = backend.capabilities();
         let gamma = distribution(p, self.core.width);
@@ -1184,7 +1186,7 @@ impl<T: Copy + Send + Sync + Default + 'static> SharedEngine<T> {
         }
         if let Some(store) = &self.core.store {
             let key = StoreKey {
-                fingerprint: (self.core.fingerprint_fn)(p),
+                fingerprint,
                 n: p.len(),
                 width: self.core.width,
             };
@@ -1999,7 +2001,7 @@ mod tests {
     #[test]
     fn fingerprint_distinguishes_permutations() {
         // The engine keys by the shared `Permutation::fingerprint`; the
-        // FNV-1a properties themselves are tested in hmm-perm.
+        // hash's properties themselves are tested in hmm-perm.
         let n = 1 << 10;
         let a = default_fingerprint(&families::random(n, 1));
         let b = default_fingerprint(&families::random(n, 2));

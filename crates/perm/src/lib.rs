@@ -14,7 +14,10 @@
 //!   (or `r × 2r`) matrix the scheduled algorithm operates on, and the
 //!   affine bit-matrix [`Bmmc`] family (with the
 //!   [`Permutation::as_bmmc`] recognizer) behind the structured-plan
-//!   fast paths in `hmm-plan`.
+//!   fast paths in `hmm-plan`;
+//! * the workspace's one word-wise [`hash`], behind
+//!   [`Permutation::fingerprint`] and the plan-file and wire-frame
+//!   checksums.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -22,6 +25,7 @@
 pub mod distribution;
 pub mod error;
 pub mod families;
+pub mod hash;
 pub mod matrix;
 pub mod permutation;
 pub mod tensor;

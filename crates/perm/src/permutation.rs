@@ -348,26 +348,18 @@ impl Permutation {
         Ok(acc)
     }
 
-    /// A 64-bit FNV-1a fingerprint of the permutation: the hash of the
-    /// destination map mixed with the length. This is the shared identity
-    /// used by the plan cache, the on-disk plan store, and the plan codec
+    /// A 64-bit fingerprint of the permutation:
+    /// [`hash_bytes`](crate::hash::hash_bytes) over the destination map
+    /// written as little-endian `u64`s, so it is the same on every
+    /// platform, and the length is mixed in. It is computed word by word,
+    /// without writing those bytes. This is the shared identity used by
+    /// the plan cache, the on-disk plan store, and the plan codec
     /// (`hmm-plan`), so every layer keys the same permutation the same
     /// way. Two distinct permutations colliding on both fingerprint *and*
     /// length is a ~2⁻⁶⁴ event — and every consumer verifies the full
     /// image on use, so a collision costs a rebuild, never a wrong answer.
     pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        for &d in &self.map {
-            let mut v = d as u64;
-            for _ in 0..8 {
-                h ^= v & 0xff;
-                h = h.wrapping_mul(PRIME);
-                v >>= 8;
-            }
-        }
-        h ^ (self.map.len() as u64).wrapping_mul(PRIME)
+        crate::hash::hash_words(&self.map)
     }
 }
 

@@ -18,8 +18,17 @@
 //! kind 1:  descriptor ×3 (gather order g1, g2, g3), each:
 //!                     u32 col_bits, u32 offset, u64 mask count,
 //!                     then that many u32 masks
-//! checksum   u64      FNV-1a over every preceding byte
+//! checksum   u64      over every preceding byte (see the table below)
 //! ```
+//!
+//! The version picks the checksum, and decode checks it before it
+//! interprets any other field:
+//!
+//! | version | sections | checksum | written |
+//! |---|---|---|---|
+//! | 1 | full maps, no `kind` field | FNV-1a | no, still read |
+//! | 2 | `kind` 0 or 1 | FNV-1a | no, still read |
+//! | 3 | `kind` 0 or 1 | [`hmm_perm::hash::hash_bytes`] | yes |
 //!
 //! The gather maps are *not* serialised: they are per-row inverses of the
 //! steps and are re-derived on decode, which keeps files smaller and means
@@ -28,21 +37,22 @@
 //! closed form ([`crate::AffineStep`]), so the file stores the three
 //! descriptors — O(log² n) bytes instead of 3 × O(n) maps — and the maps
 //! are rebuilt on decode by the same Gray-style walk that verified the
-//! fit. Version-1 files (always full maps, no `kind` field) still decode.
-//! Decoding never panics: truncation, a flipped byte, an unknown version
-//! or kind, inconsistent section lengths, out-of-range descriptors, or
-//! non-permutation rows all surface as [`PlanError::Codec`].
+//! fit. Decoding never panics: truncation, a flipped byte, an unknown
+//! version or kind, inconsistent section lengths, out-of-range
+//! descriptors, or non-permutation rows all surface as
+//! [`PlanError::Codec`].
 
 use crate::affine::AffineStep;
 use crate::error::{PlanError, Result};
 use crate::ir::PlanIr;
+use hmm_perm::hash::{hash_bytes, Hasher};
 use hmm_perm::MatrixShape;
 use std::io::Write;
 
-/// Current wire-format version. Bump on any layout change; decoders reject
-/// versions they do not know (older versions this build still reads are
-/// special-cased in [`decode`]).
-pub const FORMAT_VERSION: u32 = 2;
+/// Current wire-format version. Bump on any layout or checksum change;
+/// decoders reject versions they do not know (older versions this build
+/// still reads are special-cased in [`decode`]).
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Section kind: three full step-map sections follow the header.
 const KIND_FULL: u32 = 0;
@@ -53,21 +63,21 @@ const KIND_COMPACT: u32 = 1;
 pub const MAGIC: [u8; 8] = *b"HMMPLAN\0";
 
 /// FNV-1a offset basis — the initial state [`fnv1a_update`] folds bytes
-/// into. Public alongside the helpers so incremental (streaming) hashers
-/// outside this crate start from the standard seed.
+/// into.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// FNV-1a's 64-bit prime.
+pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// FNV-1a over a byte slice — the codec's integrity checksum (the same
-/// hash family as the permutation fingerprint; collision-resistance
-/// against *accidents*, which is all a checksum promises). Public so the
-/// other wire formats in the workspace (the `hmm-server` TCP framing)
-/// seal their frames with the same hash instead of growing a second one.
+/// FNV-1a over a byte slice: the checksum that sealed version-1 and -2
+/// plan files. Nothing writes it any more; it stays so data written
+/// before [`hmm_perm::hash`] replaced it (those files, and protocol-v1
+/// frames in `hmm-server`) still verifies.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     fnv1a_update(FNV_OFFSET, bytes)
 }
 
-/// One incremental FNV-1a step, so streaming writers can hash on the fly.
+/// One incremental FNV-1a step, for checking legacy data that arrives in
+/// pieces.
 pub fn fnv1a_update(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
@@ -144,7 +154,7 @@ pub fn encode(ir: &PlanIr) -> Vec<u8> {
         for step in affine {
             out.extend_from_slice(&descriptor_bytes(step));
         }
-        let checksum = fnv1a(&out);
+        let checksum = hash_bytes(&out);
         out.extend_from_slice(&checksum.to_le_bytes());
         return out;
     }
@@ -157,22 +167,22 @@ pub fn encode(ir: &PlanIr) -> Vec<u8> {
         out.resize(start + 4 * section.len(), 0);
         fill_le_u32(&mut out[start..], section);
     }
-    let checksum = fnv1a(&out);
+    let checksum = hash_bytes(&out);
     out.extend_from_slice(&checksum.to_le_bytes());
     out
 }
 
 /// Stream a plan's encoding into `w`, producing exactly the bytes of
 /// [`encode`] without materialising them: sections are converted through a
-/// fixed 64 KiB buffer and the FNV-1a checksum is folded in on the fly.
+/// fixed 64 KiB buffer and the checksum is folded in on the fly.
 /// This is what [`crate::store::PlanStore::save`] uses, so persisting a
 /// 4M-element plan (~48 MiB on disk) costs one buffer, not a second copy
 /// of the plan in memory.
 pub fn encode_to<W: Write>(ir: &PlanIr, w: &mut W) -> std::io::Result<()> {
     const CHUNK: usize = 16 * 1024; // u32 entries per flush: 64 KiB
-    let mut hash = FNV_OFFSET;
+    let mut hash = Hasher::new();
     let mut put = |w: &mut W, bytes: &[u8]| -> std::io::Result<()> {
-        hash = fnv1a_update(hash, bytes);
+        hash.update(bytes);
         w.write_all(bytes)
     };
     put(w, &header_bytes(ir))?;
@@ -194,8 +204,7 @@ pub fn encode_to<W: Write>(ir: &PlanIr, w: &mut W) -> std::io::Result<()> {
             }
         }
     }
-    let checksum = hash;
-    w.write_all(&checksum.to_le_bytes())
+    w.write_all(&hash.finish().to_le_bytes())
 }
 
 /// A bounds-checked little-endian reader over the input bytes.
@@ -255,15 +264,27 @@ fn check_no_trailing(cur: &Cursor<'_>) -> Result<()> {
 /// the one the caller wants: verify with [`PlanIr::matches`] before use.
 pub fn decode(bytes: &[u8]) -> Result<PlanIr> {
     // Checksum first: it covers everything, so random corruption is caught
-    // before any field is interpreted.
+    // before any field is interpreted. The version field only picks which
+    // checksum to compute.
     if bytes.len() < MAGIC.len() + 4 + 8 {
         return Err(PlanError::Codec {
             reason: format!("{} bytes is too short for a plan file", bytes.len()),
         });
     }
+    let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
     let (body, tail) = bytes.split_at(bytes.len() - 8);
+    let computed = match version {
+        1 | 2 => fnv1a(body),
+        FORMAT_VERSION => hash_bytes(body),
+        _ => {
+            return Err(PlanError::Codec {
+                reason: format!(
+                    "unknown format version {version} (this build reads 1..={FORMAT_VERSION})"
+                ),
+            })
+        }
+    };
     let stored = u64::from_le_bytes(tail.try_into().unwrap());
-    let computed = fnv1a(body);
     if stored != computed {
         return Err(PlanError::Codec {
             reason: format!("checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"),
@@ -279,14 +300,7 @@ pub fn decode(bytes: &[u8]) -> Result<PlanIr> {
             reason: "bad magic: not a plan file".into(),
         });
     }
-    let version = cur.u32("version")?;
-    if version != FORMAT_VERSION && version != 1 {
-        return Err(PlanError::Codec {
-            reason: format!(
-                "unknown format version {version} (this build reads 1..={FORMAT_VERSION})"
-            ),
-        });
-    }
+    cur.u32("version")?; // checked with the checksum above
     let width = cur.usize("width")?;
     let rows = cur.usize("rows")?;
     let cols = cur.usize("cols")?;
@@ -502,10 +516,27 @@ mod tests {
         bytes[8..12].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
         // Re-seal so the version check, not the checksum, fires.
         let body_len = bytes.len() - 8;
-        let sum = fnv1a(&bytes[..body_len]);
+        let sum = hash_bytes(&bytes[..body_len]);
         bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
         let err = decode(&bytes).unwrap_err();
         assert!(err.to_string().contains("version"), "{err}");
+    }
+
+    #[test]
+    fn the_version_field_picks_the_checksum() {
+        // Stamping an older version onto a current file makes decode check
+        // the older (FNV-1a) checksum, which the file does not carry.
+        for ir in [
+            sample(256, 3),
+            PlanIr::build(&families::shuffle(1 << 10).unwrap(), W).unwrap(),
+        ] {
+            for old in [1u32, 2] {
+                let mut bytes = encode(&ir);
+                bytes[8..12].copy_from_slice(&old.to_le_bytes());
+                let err = decode(&bytes).unwrap_err();
+                assert!(err.to_string().contains("checksum"), "v{old}: {err}");
+            }
+        }
     }
 
     #[test]
@@ -514,7 +545,7 @@ mod tests {
         let mut bytes = encode(&ir);
         bytes[0] = b'X';
         let body_len = bytes.len() - 8;
-        let sum = fnv1a(&bytes[..body_len]);
+        let sum = hash_bytes(&bytes[..body_len]);
         bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
         assert!(matches!(decode(&bytes), Err(PlanError::Codec { .. })));
     }
@@ -528,7 +559,7 @@ mod tests {
         let first_entry = 8 + 4 + 5 * 8 + 4 + 8;
         bytes[first_entry..first_entry + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         let body_len = bytes.len() - 8;
-        let sum = fnv1a(&bytes[..body_len]);
+        let sum = hash_bytes(&bytes[..body_len]);
         bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
         assert!(matches!(decode(&bytes), Err(PlanError::Codec { .. })));
     }
@@ -570,7 +601,7 @@ mod tests {
         let kind_at = 8 + 4 + 5 * 8;
         bytes[kind_at..kind_at + 4].copy_from_slice(&7u32.to_le_bytes());
         let body_len = bytes.len() - 8;
-        let sum = fnv1a(&bytes[..body_len]);
+        let sum = hash_bytes(&bytes[..body_len]);
         bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
         let err = decode(&bytes).unwrap_err();
         assert!(err.to_string().contains("kind"), "{err}");
@@ -597,7 +628,7 @@ mod tests {
         let bytes = encode(&ir);
         let reseal = |mut b: Vec<u8>| {
             let body_len = b.len() - 8;
-            let sum = fnv1a(&b[..body_len]);
+            let sum = hash_bytes(&b[..body_len]);
             b[body_len..].copy_from_slice(&sum.to_le_bytes());
             b
         };

@@ -12,7 +12,8 @@
 //!   simulator (`hmm-offperm`) and the CPU backend (`hmm-native`) both
 //!   build *from* it instead of each re-deriving the coloring.
 //! * [`codec`] — a versioned, std-only binary format (length-prefixed
-//!   sections, FNV-1a checksum) that never panics on hostile bytes.
+//!   sections, a checksum from `hmm_perm::hash`; older files sealed with
+//!   FNV-1a still decode) that never panics on hostile bytes.
 //! * [`PlanStore`] — a directory of encoded plans keyed by
 //!   `(fingerprint, n, width)`: the cross-process cache tier that lets a
 //!   cold process skip the König build entirely. Loads are verified —
@@ -32,7 +33,8 @@ pub mod store;
 
 pub use affine::AffineStep;
 pub use codec::{
-    compact_encoded_len, decode, encode, encode_to, fnv1a, fnv1a_update, FNV_OFFSET, FORMAT_VERSION,
+    compact_encoded_len, decode, encode, encode_to, fnv1a, fnv1a_update, FNV_OFFSET, FNV_PRIME,
+    FORMAT_VERSION,
 };
 pub use error::{PlanError, Result};
 pub use ir::{PassLayout, PlanIr};

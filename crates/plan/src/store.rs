@@ -22,6 +22,13 @@
 //! maps, with the maps rebuilt on load by the verified Gray-style walk.
 //! A store mixing structured and König plans therefore mixes ~300-byte
 //! and ~12n-byte files; [`PlanStore::prune`] sizes both from disk.
+//!
+//! Files are named by the fingerprint, so a change of fingerprint
+//! function orphans every file filed under the old one. Codec version 3
+//! moved `Permutation::fingerprint` from FNV-1a to `hmm_perm::hash`:
+//! entries saved before that are never looked up again. The first cold
+//! start after the upgrade rebuilds and re-saves each plan it needs, and
+//! [`PlanStore::prune`] reclaims the orphans.
 
 use crate::codec;
 use crate::error::{PlanError, Result};

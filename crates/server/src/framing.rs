@@ -9,9 +9,9 @@
 use std::io::{self, Read, Write};
 
 use crate::proto::{
-    Frame, ProtoError, CHECKSUM_LEN, HEADER_LEN, MAGIC, MAX_BODY, PROTOCOL_VERSION,
+    checksum, speaks, Frame, ProtoError, CHECKSUM_LEN, HEADER_LEN, MAGIC, MAX_BODY,
+    PROTOCOL_VERSION,
 };
-use hmm_plan::{fnv1a_update, FNV_OFFSET};
 
 fn io_err(context: &'static str) -> impl FnOnce(io::Error) -> ProtoError {
     move |e| ProtoError::Io {
@@ -20,20 +20,38 @@ fn io_err(context: &'static str) -> impl FnOnce(io::Error) -> ProtoError {
     }
 }
 
-/// Write one complete frame and flush.
+/// Write one complete frame at [`PROTOCOL_VERSION`] and flush.
 pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> Result<(), ProtoError> {
-    w.write_all(&frame.encode())
+    write_frame_versioned(w, frame, PROTOCOL_VERSION)
+}
+
+/// Write one complete frame at protocol `version` and flush.
+///
+/// # Panics
+/// Panics if this build does not speak `version`.
+pub fn write_frame_versioned<W: Write>(
+    w: &mut W,
+    frame: &Frame,
+    version: u8,
+) -> Result<(), ProtoError> {
+    w.write_all(&frame.encode_version(version))
         .map_err(io_err("write frame"))?;
     w.flush().map_err(io_err("flush frame"))
 }
 
-/// Read one complete frame.
+/// Read one complete frame of any version this build speaks.
 ///
 /// A clean close (EOF before the first header byte) returns
 /// [`ProtoError::Closed`]; EOF anywhere inside a frame is an
 /// [`ProtoError::Io`] with `UnexpectedEof` — the distinction lets a
 /// server tell "client finished" from "client died mid-payload".
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Frame, ProtoError> {
+    read_frame_versioned(r).map(|(frame, _)| frame)
+}
+
+/// [`read_frame`], also returning the frame's protocol version so a
+/// server can answer in it.
+pub fn read_frame_versioned<R: Read>(r: &mut R) -> Result<(Frame, u8), ProtoError> {
     let mut header = [0u8; HEADER_LEN];
     // First byte separately: 0 bytes here is a clean between-frames close.
     let got = r.read(&mut header[..1]).map_err(io_err("read header"))?;
@@ -46,8 +64,9 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Frame, ProtoError> {
     if header[..4] != MAGIC {
         return Err(ProtoError::BadMagic);
     }
-    if header[4] != PROTOCOL_VERSION {
-        return Err(ProtoError::BadVersion { got: header[4] });
+    let version = header[4];
+    if !speaks(version) {
+        return Err(ProtoError::BadVersion { got: version });
     }
     let kind = header[5];
     let body_len = u32::from_le_bytes(header[6..10].try_into().unwrap()) as usize;
@@ -65,9 +84,9 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Frame, ProtoError> {
     r.read_exact(&mut sum).map_err(io_err("read checksum"))?;
 
     let stored = u64::from_le_bytes(sum);
-    let computed = fnv1a_update(fnv1a_update(FNV_OFFSET, &header), &body);
+    let computed = checksum(version, &header, &body);
     if stored != computed {
         return Err(ProtoError::ChecksumMismatch { stored, computed });
     }
-    Frame::decode_body(kind, &body)
+    Ok((Frame::decode_body(kind, &body)?, version))
 }

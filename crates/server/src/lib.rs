@@ -10,10 +10,11 @@
 //! Layering (all `std`, no async runtime — the workspace's
 //! vendored-deps constraint):
 //!
-//! * [`proto`] — the v1 frame grammar: length-prefixed bodies, FNV-1a
-//!   checksums (the same hash as `hmm-plan` plan files), typed
-//!   [`ErrCode`]s. Decoding never panics and never allocates more than
-//!   [`proto::MAX_BODY`] on hostile input.
+//! * [`proto`] — the v2 frame grammar: length-prefixed bodies,
+//!   checksums from `hmm_perm::hash` (the hash that seals `hmm-plan`
+//!   plan files; v1 frames sealed with FNV-1a are still read and
+//!   answered), typed [`ErrCode`]s. Decoding never panics and never
+//!   allocates more than [`proto::MAX_BODY`] on hostile input.
 //! * [`framing`] — streaming frame I/O over `Read`/`Write`.
 //! * [`admission`] — per-session quotas (registered plans, in-flight
 //!   jobs), layered above the queue's global backpressure.
@@ -45,7 +46,7 @@ pub mod server;
 
 pub use admission::{AdmissionConfig, AdmissionError};
 pub use client::{Client, ClientError, PlanHandle};
-pub use framing::{read_frame, write_frame};
+pub use framing::{read_frame, read_frame_versioned, write_frame, write_frame_versioned};
 pub use proto::{
     bytes_to_elems, elems_to_bytes, Elem, ErrCode, Frame, PermRepr, ProtoError, ServerStats,
     MAX_BATCH, MAX_BODY, MAX_ERR_MSG, PROTOCOL_VERSION,

@@ -1,18 +1,27 @@
-//! Protocol v1: frame grammar, typed errors, and the std-only codec.
+//! Protocol v2: frame grammar, typed errors, and the std-only codec.
 //!
 //! Every message on the wire is one *frame*:
 //!
 //! ```text
-//! +--------+---------+------+--------------+--------+------------+
-//! | magic  | version | kind | body_len u32 | body   | fnv1a u64  |
-//! | "HMMS" |   u8    |  u8  |  (LE)        | bytes  | (LE)       |
-//! +--------+---------+------+--------------+--------+------------+
+//! +--------+---------+------+--------------+--------+--------------+
+//! | magic  | version | kind | body_len u32 | body   | checksum u64 |
+//! | "HMMS" |   u8    |  u8  |  (LE)        | bytes  | (LE)         |
+//! +--------+---------+------+--------------+--------+--------------+
 //! |<----------- checksummed region ----------->|
 //! ```
 //!
-//! The checksum is FNV-1a over everything before it (header + body),
-//! reusing the exact hash the `hmm-plan` codec uses for plan files, so
-//! one corruption model covers both the disk tier and the wire tier.
+//! The checksum covers everything before it (header + body), and the
+//! version byte picks its function:
+//!
+//! | version | checksum |
+//! |---|---|
+//! | 2 (written) | `hmm_perm::hash`, the hash that also seals plan files |
+//! | 1 (still read) | FNV-1a (`hmm_plan::fnv1a`) |
+//!
+//! The grammar is otherwise the same in both versions. A server answers
+//! each frame in the version it arrived in, so clients built for v1 keep
+//! working; their `REGISTER` claims are FNV-1a fingerprints, and the
+//! server checks them as such.
 //!
 //! Hostile-input posture, mirroring the plan codec:
 //!
@@ -27,13 +36,34 @@
 
 use std::fmt;
 
-use hmm_plan::fnv1a;
+use hmm_perm::hash::Hasher;
+use hmm_plan::{fnv1a_update, FNV_OFFSET};
 
 /// Leading magic of every frame.
 pub const MAGIC: [u8; 4] = *b"HMMS";
 
-/// Protocol version this build speaks.
-pub const PROTOCOL_VERSION: u8 = 1;
+/// Protocol version this build writes.
+pub const PROTOCOL_VERSION: u8 = 2;
+
+/// Oldest protocol version this build still reads and answers in.
+const MIN_PROTOCOL_VERSION: u8 = 1;
+
+/// Whether this build reads (and can answer) frames of `version`.
+pub(crate) fn speaks(version: u8) -> bool {
+    (MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version)
+}
+
+/// The checksum sealing a frame of `version` (one this build speaks)
+/// over its header and body; see the module table.
+pub(crate) fn checksum(version: u8, header: &[u8], body: &[u8]) -> u64 {
+    if version == 1 {
+        return fnv1a_update(fnv1a_update(FNV_OFFSET, header), body);
+    }
+    let mut h = Hasher::new();
+    h.update(header);
+    h.update(body);
+    h.finish()
+}
 
 /// Fixed header length: magic + version + kind + body length.
 pub const HEADER_LEN: usize = 4 + 1 + 1 + 4;
@@ -228,7 +258,8 @@ impl fmt::Display for ProtoError {
             ProtoError::BadVersion { got } => {
                 write!(
                     f,
-                    "unsupported protocol version {got} (speak {PROTOCOL_VERSION})"
+                    "unsupported protocol version {got} \
+                     (speak {MIN_PROTOCOL_VERSION}..={PROTOCOL_VERSION})"
                 )
             }
             ProtoError::BadKind { got } => write!(f, "unknown frame kind {got}"),
@@ -534,17 +565,28 @@ impl Frame {
         }
     }
 
-    /// Encode the complete frame: header, body, trailing checksum.
+    /// Encode the complete frame at [`PROTOCOL_VERSION`]: header, body,
+    /// trailing checksum.
     pub fn encode(&self) -> Vec<u8> {
+        self.encode_version(PROTOCOL_VERSION)
+    }
+
+    /// Encode the complete frame at `version`: how a server answers a
+    /// client in the version the client spoke.
+    ///
+    /// # Panics
+    /// Panics if this build does not speak `version`.
+    pub fn encode_version(&self, version: u8) -> Vec<u8> {
+        assert!(speaks(version), "cannot encode protocol version {version}");
         let body = self.encode_body();
         debug_assert!(body.len() <= MAX_BODY, "encoder produced oversized body");
         let mut out = Vec::with_capacity(HEADER_LEN + body.len() + CHECKSUM_LEN);
         out.extend_from_slice(&MAGIC);
-        out.push(PROTOCOL_VERSION);
+        out.push(version);
         out.push(self.kind());
         put_u32(&mut out, body.len() as u32);
         out.extend_from_slice(&body);
-        let sum = fnv1a(&out);
+        let sum = checksum(version, &out[..HEADER_LEN], &out[HEADER_LEN..]);
         put_u64(&mut out, sum);
         out
     }
@@ -647,8 +689,9 @@ impl Frame {
         if bytes[..4] != MAGIC {
             return Err(ProtoError::BadMagic);
         }
-        if bytes[4] != PROTOCOL_VERSION {
-            return Err(ProtoError::BadVersion { got: bytes[4] });
+        let version = bytes[4];
+        if !speaks(version) {
+            return Err(ProtoError::BadVersion { got: version });
         }
         let kind = bytes[5];
         let body_len = u32::from_le_bytes(bytes[6..10].try_into().unwrap()) as usize;
@@ -675,7 +718,7 @@ impl Frame {
         }
         let sum_at = HEADER_LEN + body_len;
         let stored = u64::from_le_bytes(bytes[sum_at..].try_into().unwrap());
-        let computed = fnv1a(&bytes[..sum_at]);
+        let computed = checksum(version, &bytes[..HEADER_LEN], &bytes[HEADER_LEN..sum_at]);
         if stored != computed {
             return Err(ProtoError::ChecksumMismatch { stored, computed });
         }

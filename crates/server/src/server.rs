@@ -38,12 +38,13 @@ use std::time::Duration;
 
 use hmm_native::{JobError, SharedEngine};
 use hmm_perm::{Bmmc, Permutation};
+use hmm_plan::{fnv1a_update, FNV_OFFSET, FNV_PRIME};
 
 use crate::admission::AdmissionConfig;
-use crate::framing::{read_frame, write_frame};
+use crate::framing::{read_frame_versioned, write_frame, write_frame_versioned};
 use crate::proto::{
     bytes_to_elems, elems_to_bytes, Elem, ErrCode, Frame, PermRepr, ProtoError, ServerStats,
-    MAX_BMMC_BITS,
+    MAX_BMMC_BITS, PROTOCOL_VERSION,
 };
 
 /// Server construction / runtime errors.
@@ -366,10 +367,17 @@ fn session_loop(shared: Arc<Shared>, stream: TcpStream) {
     };
     let mut reader = BufReader::new(reader_stream);
     let mut writer = BufWriter::new(stream);
+    // Every reply goes out in the protocol version of the frame it
+    // answers; errors raised before a frame decodes use the version the
+    // session last spoke.
+    let mut version = PROTOCOL_VERSION;
 
     loop {
-        let frame = match read_frame(&mut reader) {
-            Ok(f) => f,
+        let frame = match read_frame_versioned(&mut reader) {
+            Ok((f, v)) => {
+                version = v;
+                f
+            }
             // The idle reap: no complete frame arrived within the
             // timeout. Diagnose with a typed ERR (best effort), count
             // it, and release the handler thread.
@@ -378,7 +386,7 @@ fn session_loop(shared: Arc<Shared>, stream: TcpStream) {
                 ..
             }) if shared.idle_timeout.is_some() => {
                 shared.idle_disconnects.fetch_add(1, Ordering::Relaxed);
-                let _ = write_frame(
+                let _ = write_frame_versioned(
                     &mut writer,
                     &Frame::Err {
                         code: ErrCode::IdleTimeout,
@@ -387,6 +395,7 @@ fn session_loop(shared: Arc<Shared>, stream: TcpStream) {
                             shared.idle_timeout.unwrap_or_default()
                         ),
                     },
+                    version,
                 );
                 break;
             }
@@ -403,24 +412,26 @@ fn session_loop(shared: Arc<Shared>, stream: TcpStream) {
                 | ProtoError::ChecksumMismatch { .. }
                 | ProtoError::Oversized { .. }),
             ) => {
-                let _ = write_frame(
+                let _ = write_frame_versioned(
                     &mut writer,
                     &Frame::Err {
                         code: ErrCode::BadFrame,
                         message: e.to_string(),
                     },
+                    version,
                 );
                 break;
             }
             // Body-level violation: the frame was fully consumed, the
             // stream is still aligned — diagnose and keep serving.
             Err(e) => {
-                if write_frame(
+                if write_frame_versioned(
                     &mut writer,
                     &Frame::Err {
                         code: ErrCode::Malformed,
                         message: e.to_string(),
                     },
+                    version,
                 )
                 .is_err()
                 {
@@ -435,13 +446,13 @@ fn session_loop(shared: Arc<Shared>, stream: TcpStream) {
         // binary's main thread) can exit the process.
         if matches!(frame, Frame::Drain) {
             shared.flush_for_drain();
-            let _ = write_frame(&mut writer, &Frame::DrainOk);
+            let _ = write_frame_versioned(&mut writer, &Frame::DrainOk, version);
             shared.mark_drained();
             break;
         }
 
-        let (reply, after) = respond(&shared, &mut session, frame);
-        if write_frame(&mut writer, &reply).is_err() {
+        let (reply, after) = respond(&shared, &mut session, frame, version);
+        if write_frame_versioned(&mut writer, &reply, version).is_err() {
             break;
         }
         if matches!(after, After::Close) {
@@ -465,14 +476,14 @@ fn err(code: ErrCode, message: impl Into<String>) -> (Frame, After) {
     )
 }
 
-fn respond(shared: &Shared, session: &mut Session, frame: Frame) -> (Frame, After) {
+fn respond(shared: &Shared, session: &mut Session, frame: Frame, version: u8) -> (Frame, After) {
     match frame {
         Frame::Register {
             fingerprint,
             n,
             elem_width,
             perm,
-        } => register(shared, session, fingerprint, n, elem_width, perm),
+        } => register(shared, session, fingerprint, version, n, elem_width, perm),
         Frame::Permute { handle, payload } => {
             permute(shared, session, handle, vec![payload], false)
         }
@@ -489,10 +500,21 @@ fn respond(shared: &Shared, session: &mut Session, frame: Frame) -> (Frame, Afte
     }
 }
 
+/// The fingerprint protocol-v1 clients claim in `REGISTER`: FNV-1a over
+/// the map's entries as little-endian `u64`s, the length mixed in last —
+/// `Permutation::fingerprint` before `hmm_perm::hash` replaced it.
+fn legacy_fingerprint(p: &Permutation) -> u64 {
+    let h = p.as_slice().iter().fold(FNV_OFFSET, |h, &d| {
+        fnv1a_update(h, &(d as u64).to_le_bytes())
+    });
+    h ^ (p.len() as u64).wrapping_mul(FNV_PRIME)
+}
+
 fn register(
     shared: &Shared,
     session: &mut Session,
     fingerprint: u64,
+    version: u8,
     n: u64,
     elem_width: u8,
     perm: PermRepr,
@@ -523,9 +545,13 @@ fn register(
         Err((code, msg)) => return err(code, msg),
     };
     // Server-side integrity check: a nonzero claim must match what the
-    // bytes actually decode to (the same fingerprint the engine keys
-    // its verified cache on).
-    let computed = p.fingerprint();
+    // bytes actually decode to. v2 claims are the fingerprint the engine
+    // keys its verified cache on; v1 clients claim the FNV-1a one.
+    let computed = if version == 1 {
+        legacy_fingerprint(&p)
+    } else {
+        p.fingerprint()
+    };
     if fingerprint != 0 && fingerprint != computed {
         return err(
             ErrCode::FingerprintMismatch,

@@ -147,7 +147,7 @@ fn unknown_kind_is_typed() {
     let mut bytes = Frame::Stats.encode();
     bytes[5] = 77;
     let sum_at = bytes.len() - CHECKSUM_LEN;
-    let sum = hmm_plan::fnv1a(&bytes[..sum_at]);
+    let sum = hmm_perm::hash::hash_bytes(&bytes[..sum_at]);
     bytes[sum_at..].copy_from_slice(&sum.to_le_bytes());
     assert_eq!(Frame::decode(&bytes), Err(ProtoError::BadKind { got: 77 }));
 }

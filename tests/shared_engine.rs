@@ -298,6 +298,51 @@ fn renamed_store_file_is_rejected_not_trusted() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A miss hashes the permutation once: the cache key's fingerprint also
+/// names the store file to load, so the `set_fingerprint_fn` seam drives
+/// both lookups and runs once per miss. A store file under the seam's
+/// key that holds another permutation's plan is rejected, never applied.
+#[test]
+fn miss_fingerprints_once_and_keys_the_store_lookup_with_it() {
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    const KEY: u64 = 0x5eed;
+    let n = 1 << 12;
+    let dir = temp_store_dir("fingerprint-once");
+    let p1 = families::random(n, 31);
+    let p2 = families::random(n, 32);
+    let src: Vec<u32> = (0..n as u32).collect();
+    let mut dst = vec![0u32; n];
+
+    // File p1's plan under the key the seam below returns for everything.
+    let warm: SharedEngine<u32> = SharedEngine::with_store(W, &dir).unwrap();
+    warm.permute(&p1, &src, &mut dst).unwrap();
+    std::fs::rename(
+        dir.join(format!("plan-{:016x}-n{n}-w{W}.hmmplan", p1.fingerprint())),
+        dir.join(format!("plan-{KEY:016x}-n{n}-w{W}.hmmplan")),
+    )
+    .unwrap();
+
+    let mut engine: SharedEngine<u32> = SharedEngine::with_store(W, &dir).unwrap();
+    engine.set_fingerprint_fn(|_| {
+        CALLS.fetch_add(1, Ordering::Relaxed);
+        KEY
+    });
+    engine.permute(&p2, &src, &mut dst).unwrap();
+    assert_eq!(
+        dst,
+        reference(&p2, &src),
+        "wrong plan must never be applied"
+    );
+    assert_eq!(CALLS.load(Ordering::Relaxed), 1, "one fingerprint per miss");
+    let stats = engine.stats();
+    assert_eq!(
+        stats.store_rejects, 1,
+        "the store was read under the seam's key"
+    );
+    assert_eq!(stats.builds, 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Concurrent cold start against a warm store: many threads race the
 /// single-flight slot, exactly one of them performs the disk load, and
 /// nobody colors.
