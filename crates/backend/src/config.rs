@@ -2,10 +2,10 @@
 //!
 //! The seed hard-coded the staging-buffer budget (256 KB) and the
 //! transpose tile side (64) for one cache size, and its inner loops were
-//! scalar. This module centralises those constants, adds the
-//! double-buffering depth and the SIMD/prefetch toggles, and gives every
-//! front door (the native executor, the engines, the queue drainers, and
-//! every [`crate::traits::Backend`]) one place to read them from:
+//! scalar. This module centralises those constants, adds the SIMD and
+//! computed-index toggles, and gives every front door (the native
+//! executor, the engines, the queue drainers, and every
+//! [`crate::traits::Backend`]) one place to read them from:
 //!
 //! * [`KernelConfig::default`] — the seed's values, SIMD on;
 //! * [`KernelConfig::from_env`] — the default with [`SIMD_ENV`]
@@ -16,11 +16,15 @@
 //! * [`KernelConfig::global`] — the process-wide snapshot engines use
 //!   unless a caller threads an explicit config through;
 //! * [`KernelConfig::scalar`] — the always-available scalar reference:
-//!   no SIMD, no prefetch, single staging buffer. The differential suite
+//!   scalar kernel tiers and map-loaded indices. The differential suite
 //!   uses it as the correctness oracle for every other config point.
 //!
+//! The kernels stage through one buffer and issue no software prefetch:
+//! an A/B (EXPERIMENTS.md, "Knob ablation") showed neither a second
+//! staging buffer nor gather-map prefetch beating run-to-run noise.
+//!
 //! The config is backend-neutral on purpose: the CPU executor reads
-//! `stage_bytes`/`depth`/`simd`/`prefetch`, while the sweep-kernel IR
+//! `stage_bytes`/`simd`/`computed_index`, while the sweep-kernel IR
 //! lowering ([`crate::sweep::SweepIr`]) reads `tile` as the tiled
 //! transpose's side — so a calibrated tile travels to the WGSL codegen
 //! and the interpreter unchanged.
@@ -53,41 +57,26 @@ pub const DEFAULT_STAGE_BYTES: usize = 262_144;
 /// 64×64 u32 tiles are 16 KB, comfortably L1/L2-resident.
 pub const DEFAULT_TILE: usize = 64;
 
-/// Default staging-buffer count per worker: two, so block *k+1* streams
-/// into one buffer while block *k* transposes out of the other.
-pub const DEFAULT_STAGING_DEPTH: usize = 2;
-
 /// Tuning parameters for the three fused sweep kernels.
 ///
 /// All fields are plain data; a config is cheap to copy and carries no
 /// invariants beyond "non-zero where zero makes no sense" — the kernels
-/// clamp degenerate values (`tile` to ≥ 8, `depth` to 1..=2,
-/// `stage_bytes` to at least one input row) instead of panicking.
+/// clamp degenerate values (`tile` to ≥ 8, `stage_bytes` to at least one
+/// input row) instead of panicking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelConfig {
     /// Per-worker staging-buffer budget in bytes. Bounds how many input
-    /// rows one gather block stages before transposing out;
-    /// `HMM_NATIVE_CALIBRATE=1` replaces the default with a measured
-    /// value.
+    /// rows one gather block stages before transposing out.
     pub stage_bytes: usize,
     /// Blocked-transpose tile side in elements. Also the tile side the
     /// sweep-kernel IR lowers into [`crate::sweep::SweepKernel`]'s tiled
     /// transpose (clamped there to the matrix's smaller dimension).
     pub tile: usize,
-    /// Staging buffers per worker: `2` double-buffers the gather and
-    /// transpose stages, `1` degenerates to the strict
-    /// gather-then-transpose alternation (a config point the
-    /// differential suite exercises). Values outside `1..=2` are
-    /// clamped.
-    pub depth: usize,
     /// Enable the vectorized kernel tiers: the width-specialized
     /// no-bounds-check chunked paths everywhere, plus the `core::arch`
     /// AVX2 paths on x86-64 hosts that support them (runtime-detected).
     /// `false` selects the scalar reference kernels.
     pub simd: bool,
-    /// Software-prefetch the gather map one block ahead while the
-    /// current block is being gathered.
-    pub prefetch: bool,
     /// Compute gather indices in registers (the affine XOR-fold) for
     /// plans that carry verified descriptors, instead of loading the
     /// materialized map alongside the data. Plans without descriptors
@@ -100,20 +89,20 @@ impl Default for KernelConfig {
         KernelConfig {
             stage_bytes: DEFAULT_STAGE_BYTES,
             tile: DEFAULT_TILE,
-            depth: DEFAULT_STAGING_DEPTH,
             simd: true,
-            prefetch: true,
             computed_index: true,
         }
     }
 }
 
 impl KernelConfig {
-    /// The default config with [`SIMD_ENV`] applied: a disabling value
-    /// (`0`/`off`/`false`) turns both the SIMD tiers and the prefetch
-    /// hints off (the full scalar reference pipeline), an enabling value
-    /// (`1`/`on`/`true`) or unset keeps the default, and anything else
-    /// warns once (via [`crate::env::parse_env`]) and keeps the default.
+    /// The default config with [`SIMD_ENV`] and [`COMPUTED_INDEX_ENV`]
+    /// applied. For [`SIMD_ENV`], a disabling value (`0`/`off`/`false`)
+    /// selects the scalar kernel tiers and nothing else, an enabling
+    /// value (`1`/`on`/`true`) or unset keeps the default, and anything
+    /// else warns once (via [`crate::env::parse_env`]) and keeps the
+    /// default. [`COMPUTED_INDEX_ENV`] follows the same rules for
+    /// [`KernelConfig::computed_index`].
     pub fn from_env() -> Self {
         let mut cfg = Self::default();
         if let Some(simd) = parse_env(
@@ -122,7 +111,6 @@ impl KernelConfig {
             parse_simd_override,
         ) {
             cfg.simd = simd;
-            cfg.prefetch = simd;
         }
         if let Some(computed) = parse_env(
             COMPUTED_INDEX_ENV,
@@ -142,16 +130,15 @@ impl KernelConfig {
         *GLOBAL.get_or_init(Self::from_env)
     }
 
-    /// The scalar reference configuration: no SIMD, no prefetch, one
-    /// staging buffer, map-loaded indices (no computed-index fold).
+    /// The scalar reference configuration: scalar kernel tiers and
+    /// map-loaded indices (no computed-index fold), default block and
+    /// tile sizes.
     /// This is the correctness oracle every vectorized or computed
     /// config point is differentially tested against, and the "before"
     /// side of the bench's `engine_simd_off` rows.
     pub fn scalar() -> Self {
         KernelConfig {
             simd: false,
-            prefetch: false,
-            depth: 1,
             computed_index: false,
             ..Self::default()
         }
@@ -181,9 +168,7 @@ mod tests {
         let cfg = KernelConfig::default();
         assert_eq!(cfg.stage_bytes, 262_144);
         assert_eq!(cfg.tile, 64);
-        assert_eq!(cfg.depth, 2);
         assert!(cfg.simd);
-        assert!(cfg.prefetch);
         assert!(cfg.computed_index);
     }
 
@@ -191,9 +176,8 @@ mod tests {
     fn scalar_is_the_reference_point() {
         let cfg = KernelConfig::scalar();
         assert!(!cfg.simd);
-        assert!(!cfg.prefetch);
         assert!(!cfg.computed_index);
-        assert_eq!(cfg.depth, 1);
+        assert_eq!(cfg.tile, DEFAULT_TILE);
         assert_eq!(cfg.stage_bytes, DEFAULT_STAGE_BYTES);
     }
 

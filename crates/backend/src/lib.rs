@@ -44,10 +44,7 @@ pub mod sweep;
 pub mod traits;
 pub mod wgsl;
 
-pub use config::{
-    KernelConfig, COMPUTED_INDEX_ENV, DEFAULT_STAGE_BYTES, DEFAULT_STAGING_DEPTH, DEFAULT_TILE,
-    SIMD_ENV,
-};
+pub use config::{KernelConfig, COMPUTED_INDEX_ENV, DEFAULT_STAGE_BYTES, DEFAULT_TILE, SIMD_ENV};
 pub use interp::InterpBackend;
 pub use sweep::{BufferId, GatherMap, IndexSource, SweepIr, SweepKernel, SweepStep};
 pub use traits::{Backend, Capabilities, ExecPlan, Executable, Route};

@@ -3,10 +3,10 @@
 //! substitution for the paper's GPU measurements).
 //!
 //! Four experiment groups:
-//! * **kernels** — scatter / gather / fused 3-sweep scheduled / unfused
-//!   5-pass scheduled / copy, per family and size;
-//! * **plan cache** — steady-state `Engine::permute` (plan cached, pooled
-//!   scratch) versus rebuilding the plan on every call;
+//! * **kernels** — scatter / gather / fused 3-sweep scheduled / copy, per
+//!   family and size;
+//! * **plan cache** — steady-state `SharedEngine::permute` (plan cached,
+//!   pooled scratch) versus rebuilding the plan on every call;
 //! * **plan store** — cold König build-and-save versus a cold engine
 //!   loading the same plan from a warm on-disk store (the cross-process
 //!   path: decode + verify instead of coloring);
@@ -26,8 +26,8 @@
 use crate::tables::{size_label, TextTable};
 use hmm_native::par::worker_threads;
 use hmm_native::{
-    copy_baseline, gather_permute, scatter_permute, Engine, ExecPlan, KernelConfig,
-    NativeScheduled, SharedEngine,
+    copy_baseline, gather_permute, scatter_permute, ExecPlan, KernelConfig, NativeScheduled,
+    SharedEngine,
 };
 use hmm_offperm::Result;
 use hmm_perm::families::{self, Family};
@@ -64,22 +64,19 @@ pub struct NativeRow {
     pub gather: Duration,
     /// Fused three-sweep scheduled permutation (scratch reused).
     pub scheduled: Duration,
-    /// Unfused five-pass scheduled permutation (the seed execution).
-    pub unfused: Duration,
     /// Plain parallel copy (bandwidth ceiling).
     pub copy: Duration,
 }
 
 /// One row of the per-sweep kernel comparison: the three fused sweeps of
 /// the scheduled path timed individually (`NativeScheduled::
-/// run_sweeps_timed`), once with the vectorized double-buffered pipeline
-/// and once with the scalar reference config, over the same plan.
+/// run_sweeps_timed`), once with the vectorized pipeline and once with the scalar reference config, over the same plan.
 #[derive(Debug, Clone)]
 pub struct SweepRow {
     /// Array size (family: random — the scheduled backend's workload).
     pub n: usize,
     /// `[gather-transpose 1, gather-transpose 2, row pass]` with the
-    /// default (SIMD, double-buffered, prefetching) config.
+    /// default (SIMD) config.
     pub simd_on: [Duration; 3],
     /// The same sweeps with `KernelConfig::scalar()`.
     pub simd_off: [Duration; 3],
@@ -138,7 +135,7 @@ pub struct PlanCacheRow {
     pub n: usize,
     /// One plan build (König coloring + gather maps).
     pub build: Duration,
-    /// Steady-state `Engine::permute` (cache hit, pooled scratch).
+    /// Steady-state `SharedEngine::permute` (cache hit, pooled scratch).
     pub cached: Duration,
     /// Rebuild-per-call: plan build + one run, no cache.
     pub rebuild: Duration,
@@ -654,7 +651,6 @@ pub fn run(sizes: &[usize], reps: usize) -> Result<Vec<NativeRow>> {
             let scheduled = median_time(reps, || {
                 sched.run_with_scratch(&src, &mut dst, &mut scratch)
             });
-            let unfused = median_time(reps, || sched.run_unfused(&src, &mut dst));
             let copy = median_time(reps, || copy_baseline(&src, &mut dst));
             rows.push(NativeRow {
                 family: fam.name(),
@@ -662,7 +658,6 @@ pub fn run(sizes: &[usize], reps: usize) -> Result<Vec<NativeRow>> {
                 scatter,
                 gather,
                 scheduled,
-                unfused,
                 copy,
             });
         }
@@ -682,7 +677,8 @@ pub fn plan_cache(sizes: &[usize], reps: usize) -> Result<Vec<PlanCacheRow>> {
             let plan = NativeScheduled::build(&p, W).unwrap();
             std::hint::black_box(&plan);
         });
-        let mut engine: Engine<u32> = Engine::new(W);
+        let engine: SharedEngine<u32> =
+            SharedEngine::with_shards(W, 1, hmm_native::plan::DEFAULT_CAPACITY);
         engine.permute(&p, &src, &mut dst)?; // warm the cache
         let cached = median_time(reps, || engine.permute(&p, &src, &mut dst).unwrap());
         let rebuild = median_time(reps.min(3), || {
@@ -820,7 +816,6 @@ pub fn render(rows: &[NativeRow]) -> String {
         "scatter",
         "gather",
         "sched(fused)",
-        "sched(5-pass)",
         "copy",
     ]);
     for r in rows {
@@ -830,7 +825,6 @@ pub fn render(rows: &[NativeRow]) -> String {
             format!("{:.2?}", r.scatter),
             format!("{:.2?}", r.gather),
             format!("{:.2?}", r.scheduled),
-            format!("{:.2?}", r.unfused),
             format!("{:.2?}", r.copy),
         ]);
     }
@@ -1123,7 +1117,6 @@ pub fn to_json(report: &NativeReport) -> String {
             ("scatter", r.scatter),
             ("gather", r.gather),
             ("scheduled", r.scheduled),
-            ("scheduled_unfused", r.unfused),
             ("copy", r.copy),
         ] {
             if !first {
@@ -1343,15 +1336,15 @@ mod tests {
         assert!(sweep_table.contains("row-pass"));
         assert!(sweep_table.contains("total"));
         let json = to_json(&report);
-        // 5 families x 5 backends + 8 sweep rows + 3 plan-cache rows
+        // 5 families x 4 backends + 8 sweep rows + 3 plan-cache rows
         // + 2 plan-store rows + 2 plan-build rows + 2 contended rows
         // + 2 queued rows.
-        assert_eq!(json.matches("\"backend\"").count(), 44);
+        assert_eq!(json.matches("\"backend\"").count(), 39);
         for key in [
             "\"bench\": \"native\"",
             "\"threads\"",
             "\"elements_per_sec\"",
-            "\"scheduled_unfused\"",
+            "\"backend\": \"scheduled\"",
             "\"sweep_gather\"",
             "\"sweep_transpose_scalar\"",
             "\"sweep_row\"",
@@ -1431,7 +1424,7 @@ mod tests {
             twice.matches("\"backend\": \"computed_").count(),
             "re-merging must not duplicate computed rows"
         );
-        assert!(once.contains("\"scheduled_unfused\""));
+        assert!(once.contains("\"backend\": \"scheduled\""));
         assert_eq!(twice.matches('{').count(), twice.matches('}').count());
 
         // A fresh document (no prior native run) is still well formed.
@@ -1465,7 +1458,7 @@ mod tests {
             once.matches("\"backend\"").count(),
             "non-backend rows must survive the merge"
         );
-        assert!(once.contains("\"scheduled_unfused\""));
+        assert!(once.contains("\"backend\": \"scheduled\""));
         assert_eq!(twice.matches('{').count(), twice.matches('}').count());
     }
 }

@@ -18,8 +18,7 @@
 //!   fallback (optionally calibrated per host, `HMM_NATIVE_CALIBRATE=1`),
 //!   and an optional tier-2 on-disk plan store
 //!   ([`plan::SharedEngine::with_store`]) so a cold process skips the
-//!   König coloring — [`plan::Engine`] keeps the original single-threaded
-//!   API as a thin wrapper over one shard;
+//!   König coloring;
 //! * [`queue`] — asynchronous queued submission on top of the engine:
 //!   [`plan::SharedEngine::submit`] / [`plan::SharedEngine::submit_batch`]
 //!   enqueue jobs on a bounded MPMC queue and return [`queue::JobHandle`]s
@@ -32,8 +31,8 @@
 //!   engines dispatch every execution through the trait, and
 //!   `HMM_BACKEND=interp` redirects a whole process without a recompile;
 //! * [`config::KernelConfig`] — the sweep-kernel tuning seam (staging
-//!   block size, double-buffer depth, SIMD and prefetch switches,
-//!   `HMM_NATIVE_SIMD=0` to force the scalar reference; re-exported from
+//!   block size, tile side, SIMD and computed-index switches,
+//!   `HMM_NATIVE_SIMD=0` to select the scalar kernel tiers; re-exported from
 //!   `hmm-backend`, where the strict warn-once env parsing lives) threaded
 //!   through every front door: blocking calls, the shared engine, and the
 //!   queue drainers;
@@ -73,7 +72,7 @@ pub use config::{KernelConfig, COMPUTED_INDEX_ENV, SIMD_ENV};
 pub use hmm_backend::{Backend, Capabilities, ExecPlan, Executable, InterpBackend, Route};
 pub use hmm_plan::{PlanIr, PlanStore, StoreKey};
 pub use par::THREADS_ENV;
-pub use plan::{Engine, EngineStats, PermutePlan, SharedEngine, CALIBRATE_ENV};
+pub use plan::{EngineStats, PermutePlan, SharedEngine, CALIBRATE_ENV};
 pub use queue::{BatchHandle, JobError, JobHandle, JobReport, DEFAULT_QUEUE_CAPACITY};
 pub use scatter::{copy_baseline, gather_permute, scatter_permute};
 pub use scheduled::NativeScheduled;

@@ -8,18 +8,15 @@
 //! LRU keyed by a 64-bit fingerprint of the permutation, and keeps a small
 //! pool of scratch buffers so steady-state calls allocate nothing.
 //!
-//! Two front doors share that machinery:
-//!
-//! * [`SharedEngine`] — the concurrent plan service: usable as `&self`
-//!   from any number of threads, with a **sharded** `RwLock` LRU (readers
-//!   never contend across shards), **single-flight** plan construction
-//!   (N threads requesting the same uncached permutation pay one König
-//!   coloring; the rest wait on that build, not on the cache), a
-//!   **lock-free** scratch-buffer pool, and [`EngineStats`] counters kept
-//!   on atomics so they are readable without locking.
-//! * [`Engine`] — the original single-threaded front door, kept as a thin
-//!   wrapper over a one-shard [`SharedEngine`] so existing call sites and
-//!   the exact LRU semantics are unchanged.
+//! The front door is [`SharedEngine`], the concurrent plan service:
+//! usable as `&self` from any number of threads, with a **sharded**
+//! `RwLock` LRU (readers never contend across shards), **single-flight**
+//! plan construction (N threads requesting the same uncached permutation
+//! pay one König coloring; the rest wait on that build, not on the
+//! cache), a **lock-free** scratch-buffer pool, and [`EngineStats`]
+//! counters kept on atomics so they are readable without locking.
+//! `SharedEngine::with_shards(width, 1, capacity)` is one global LRU of
+//! `capacity` plans.
 //!
 //! Every cache hit verifies the stored permutation against the requested
 //! one (an O(n) memcmp, trivial next to the run): a 64-bit fingerprint
@@ -65,8 +62,7 @@ use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering}
 use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError, RwLock, Weak};
 use std::time::{Duration, Instant};
 
-/// Default per-shard LRU capacity (plans held at once per shard; the
-/// single-shard [`Engine`] therefore defaults to 8 plans total).
+/// Default per-shard LRU capacity (plans held at once per shard).
 pub const DEFAULT_CAPACITY: usize = 8;
 
 /// Default shard count for [`SharedEngine::new`].
@@ -170,49 +166,6 @@ fn measured_crossover(
     Some(crossover.clamp(1.0, width as f64))
 }
 
-/// Time the scheduled route over a small grid of staging-block budgets
-/// and return the fastest, or `None` when the width cannot be scheduled
-/// at the probe size or the backend has no scheduled route. Candidates
-/// bracket the default 256 KB: hosts with small private caches win at
-/// 64–128 KB, large-L2 parts at 512 KB. Each candidate is a fresh
-/// [`Backend::prepare`], so the measurement exercises exactly the
-/// executable the engine would build at that config.
-fn measured_stage_bytes(
-    backend: &dyn Backend<u32>,
-    width: usize,
-    base: KernelConfig,
-) -> Option<usize> {
-    if !backend.capabilities().scheduled {
-        return None;
-    }
-    let n = width
-        .saturating_mul(width)
-        .next_power_of_two()
-        .clamp(1 << 16, 1 << 22);
-    let p = families::random(n, 0x57a9e);
-    let ir = PlanIr::build_par(&p, width, crate::par::worker_threads()).ok()?;
-    let src: Vec<u32> = (0..n as u32).collect();
-    let mut dst = vec![0u32; n];
-    let mut best: Option<(Duration, usize)> = None;
-    for stage_bytes in [1 << 16, 1 << 17, 1 << 18, 1 << 19] {
-        let tuned = backend
-            .prepare(
-                ExecPlan::Scheduled(&ir),
-                KernelConfig {
-                    stage_bytes,
-                    ..base
-                },
-            )
-            .ok()?;
-        let mut scratch = vec![0u32; tuned.scratch_len()];
-        let t = min_time(3, || tuned.run(&src, &mut dst, &mut scratch));
-        if best.is_none_or(|(bt, _)| t < bt) {
-            best = Some((t, stage_bytes));
-        }
-    }
-    best.map(|(_, stage_bytes)| stage_bytes)
-}
-
 /// Cache key: permutation fingerprint + length + schedule width.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct PlanKey {
@@ -275,8 +228,8 @@ impl<T: Copy + Send + Sync + Default + 'static> PermutePlan<T> {
     }
 
     /// [`from_ir`](Self::from_ir) with an explicit kernel config — the
-    /// seam through which the engines thread their (possibly calibrated
-    /// or caller-overridden) config into every scheduled execution,
+    /// seam through which the engines thread their (possibly
+    /// caller-overridden) config into every scheduled execution,
     /// whichever front door ran it: blocking `permute`, `permute_batch`,
     /// or the queue drainers behind `submit`.
     pub fn from_ir_with(ir: &PlanIr, config: KernelConfig) -> Result<Self> {
@@ -435,8 +388,8 @@ pub struct EngineStats {
     /// the static default with a measured crossover.
     pub calibrated: bool,
     /// Staging-block budget (bytes) of the kernel config scheduled plans
-    /// are built with at snapshot time — the default, a calibrated value,
-    /// or a [`SharedEngine::set_kernel_config`] override.
+    /// are built with at snapshot time — the default or a
+    /// [`SharedEngine::set_kernel_config`] override.
     pub kernel_stage_bytes: usize,
     /// Whether the kernel config enables the vectorized sweep tiers.
     pub kernel_simd: bool,
@@ -696,8 +649,8 @@ impl<T> QueueRuntime<T> {
     }
 }
 
-/// The concurrent plan service: a thread-safe [`Engine`] usable as `&self`
-/// from any number of threads.
+/// The concurrent plan service: an LRU plan cache plus a scratch-buffer
+/// pool, usable as `&self` from any number of threads.
 ///
 /// * **Sharded LRU** — entries are distributed over [`SharedEngine::shards`]
 ///   independent `RwLock`ed maps by fingerprint, so lookups from different
@@ -811,8 +764,8 @@ impl<T: Copy + Send + Sync + Default + 'static> SharedEngine<T> {
     }
 
     /// Engine with explicit sharding: `shards` independent LRU maps of
-    /// `per_shard_capacity` plans each (both ≥ 1). One shard reproduces
-    /// the single-threaded [`Engine`]'s global LRU exactly.
+    /// `per_shard_capacity` plans each (both ≥ 1). One shard is a single
+    /// global LRU.
     pub fn with_shards(width: usize, shards: usize, per_shard_capacity: usize) -> Self {
         Self::with_parts(
             width,
@@ -899,13 +852,7 @@ impl<T: Copy + Send + Sync + Default + 'static> SharedEngine<T> {
     /// `a + b·γ`, and solves for the break-even γ, clamped to
     /// `[1, width]`. Falls back to the default when the measurement is
     /// degenerate (e.g. the width cannot be scheduled, or timer noise
-    /// swamps the slope).
-    ///
-    /// The calibration also tunes the sweep kernels' staging-block size:
-    /// it times the fused path over a small grid of `stage_bytes`
-    /// candidates and adopts the fastest into this engine's
-    /// [`KernelConfig`] (surfaced as [`EngineStats::kernel_stage_bytes`]),
-    /// leaving every other kernel knob untouched.
+    /// swamps the slope). The kernel config is left untouched.
     ///
     /// Off by default — construction runs it automatically only when the
     /// environment variable [`CALIBRATE_ENV`] (`HMM_NATIVE_CALIBRATE`)
@@ -921,19 +868,12 @@ impl<T: Copy + Send + Sync + Default + 'static> SharedEngine<T> {
         let t = measured_crossover(&*probe, self.core.width, self.kernel_config())
             .unwrap_or(DEFAULT_GAMMA_THRESHOLD);
         self.set_gamma_threshold(t);
-        if let Some(stage_bytes) =
-            measured_stage_bytes(&*probe, self.core.width, self.kernel_config())
-        {
-            let mut cfg = self.kernel_config();
-            cfg.stage_bytes = stage_bytes;
-            self.set_kernel_config(cfg);
-        }
         self.core.calibrated.store(true, Ordering::Relaxed);
         t
     }
 
     /// Override the kernel config scheduled plans are built with (block
-    /// size, staging depth, SIMD/prefetch). Affects plans built after the
+    /// size, tile, SIMD, computed-index). Affects plans built after the
     /// call; already-cached plans keep the config they were built with.
     pub fn set_kernel_config(&self, config: KernelConfig) {
         *self
@@ -1678,163 +1618,6 @@ fn queue_drainer_loop<T: Copy + Send + Sync + Default + 'static>(
     }
 }
 
-/// The single-threaded throughput front door: an LRU plan cache plus a
-/// scratch-buffer pool. A thin wrapper over a one-shard [`SharedEngine`]
-/// (same cache, same LRU order, same counters) kept so existing `&mut
-/// self` call sites compile unchanged; new concurrent callers should use
-/// [`SharedEngine`] directly.
-///
-/// ```
-/// use hmm_native::Engine;
-/// use hmm_perm::families;
-///
-/// let mut engine: Engine<u32> = Engine::new(32);
-/// let p = families::random(1 << 12, 1);
-/// let src: Vec<u32> = (0..1u32 << 12).collect();
-/// let mut dst = vec![0u32; 1 << 12];
-/// engine.permute(&p, &src, &mut dst).unwrap(); // builds + caches the plan
-/// engine.permute(&p, &src, &mut dst).unwrap(); // cache hit, no allocation
-/// assert_eq!(engine.stats().hits, 1);
-/// ```
-pub struct Engine<T> {
-    inner: SharedEngine<T>,
-}
-
-impl<T: Copy + Send + Sync + Default + 'static> Engine<T> {
-    /// Engine with the given schedule width and default capacity/threshold.
-    pub fn new(width: usize) -> Self {
-        Self::with_capacity(width, DEFAULT_CAPACITY)
-    }
-
-    /// Engine with an explicit LRU capacity (≥ 1).
-    pub fn with_capacity(width: usize, capacity: usize) -> Self {
-        Engine {
-            inner: SharedEngine::with_shards(width, 1, capacity),
-        }
-    }
-
-    /// Engine with an on-disk tier-2 plan store (see
-    /// [`SharedEngine::with_store`]).
-    pub fn with_store(width: usize, dir: impl Into<PathBuf>) -> Result<Self> {
-        let mut inner = SharedEngine::with_shards(width, 1, DEFAULT_CAPACITY);
-        inner.set_store(PlanStore::open(dir)?);
-        Ok(Engine { inner })
-    }
-
-    /// Measure and adopt this host's γ_w crossover (see
-    /// [`SharedEngine::calibrate_gamma_threshold`]).
-    pub fn calibrate_gamma_threshold(&mut self) -> f64 {
-        self.inner.calibrate_gamma_threshold()
-    }
-
-    /// The attached on-disk plan store, if any.
-    pub fn store(&self) -> Option<&PlanStore> {
-        self.inner.store()
-    }
-
-    /// Override the γ_w crossover below which scatter is chosen. Set to
-    /// `0.0` to force the scheduled backend, `f64::INFINITY` to force
-    /// scatter. Affects plans built after the call.
-    pub fn set_gamma_threshold(&mut self, threshold: f64) {
-        self.inner.set_gamma_threshold(threshold);
-    }
-
-    /// Override the kernel config scheduled plans are built with (see
-    /// [`SharedEngine::set_kernel_config`]).
-    pub fn set_kernel_config(&mut self, config: KernelConfig) {
-        self.inner.set_kernel_config(config);
-    }
-
-    /// The kernel config scheduled plans are currently built with.
-    pub fn kernel_config(&self) -> KernelConfig {
-        self.inner.kernel_config()
-    }
-
-    /// Test seam: replace the fingerprint function (see
-    /// [`SharedEngine::set_fingerprint_fn`]).
-    pub fn set_fingerprint_fn(&mut self, f: fn(&Permutation) -> u64) {
-        self.inner.set_fingerprint_fn(f);
-    }
-
-    /// The schedule width plans are built with.
-    pub fn width(&self) -> usize {
-        self.inner.width()
-    }
-
-    /// Counters since construction.
-    pub fn stats(&self) -> EngineStats {
-        self.inner.stats()
-    }
-
-    /// Number of plans currently cached.
-    pub fn cached_plans(&self) -> usize {
-        self.inner.cached_plans()
-    }
-
-    /// Scratch buffers currently parked in the pool.
-    pub fn pooled_scratch_buffers(&self) -> usize {
-        self.inner.pooled_scratch_buffers()
-    }
-
-    /// The shared engine backing this wrapper, for callers migrating to
-    /// the concurrent `&self` API.
-    pub fn shared(&self) -> &SharedEngine<T> {
-        &self.inner
-    }
-
-    /// Consume the wrapper, keeping the cache and counters.
-    pub fn into_shared(self) -> SharedEngine<T> {
-        self.inner
-    }
-
-    /// Fetch (or build and cache) the plan for `p`.
-    pub fn plan(&mut self, p: &Permutation) -> Result<Arc<PermutePlan<T>>> {
-        self.inner.plan(p)
-    }
-
-    /// Execute `dst[P[i]] = src[i]` through the cache: plan lookup (or
-    /// build), pooled scratch, backend dispatch.
-    ///
-    /// # Panics
-    /// Panics if `src.len() != dst.len()` or either differs from `p.len()`.
-    pub fn permute(&mut self, p: &Permutation, src: &[T], dst: &mut [T]) -> Result<()> {
-        self.inner.permute(p, src, dst)
-    }
-
-    /// Fetch (or build and cache) one plan for a whole permutation chain
-    /// in application order (see [`SharedEngine::plan_fused`]).
-    pub fn plan_fused(&mut self, chain: &[&Permutation]) -> Result<Arc<PermutePlan<T>>> {
-        self.inner.plan_fused(chain)
-    }
-
-    /// Execute a permutation chain in one pass (see
-    /// [`SharedEngine::permute_fused`]).
-    pub fn permute_fused(
-        &mut self,
-        chain: &[&Permutation],
-        src: &[T],
-        dst: &mut [T],
-    ) -> Result<()> {
-        self.inner.permute_fused(chain, src, dst)
-    }
-
-    /// Apply one permutation to many `(src, dst)` pairs: one plan lookup,
-    /// jobs dispatched across the worker pool (see
-    /// [`SharedEngine::permute_batch`]).
-    pub fn permute_batch<'a, I>(&mut self, p: &Permutation, jobs: I) -> Result<()>
-    where
-        I: IntoIterator<Item = (&'a [T], &'a mut [T])>,
-        T: 'a,
-    {
-        self.inner.permute_batch(p, jobs)
-    }
-
-    /// Execute an already-fetched plan with pooled scratch.
-    pub fn run_plan(&mut self, plan: &PermutePlan<T>, src: &[T], dst: &mut [T]) {
-        self.inner.run_plan(plan, src, dst);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1852,14 +1635,14 @@ mod tests {
     fn engines_are_send_and_sync() {
         fn assert_sync_send<X: Sync + Send>() {}
         assert_sync_send::<SharedEngine<u32>>();
-        assert_sync_send::<Engine<u64>>();
+        assert_sync_send::<SharedEngine<u64>>();
     }
 
     #[test]
     fn engine_is_correct_for_all_families() {
         let n = 1 << 12;
         let src: Vec<u32> = (0..n as u32).map(|v| v ^ 0xdead_beef).collect();
-        let mut engine: Engine<u32> = Engine::new(W);
+        let engine: SharedEngine<u32> = SharedEngine::with_shards(W, 1, DEFAULT_CAPACITY);
         for fam in families::Family::ALL {
             let p = fam.build(n, 3).unwrap();
             let mut dst = vec![0u32; n];
@@ -1874,7 +1657,7 @@ mod tests {
         let p = families::random(n, 11);
         let src: Vec<u32> = (0..n as u32).collect();
         let mut dst = vec![0u32; n];
-        let mut engine: Engine<u32> = Engine::new(W);
+        let engine: SharedEngine<u32> = SharedEngine::with_shards(W, 1, DEFAULT_CAPACITY);
         for _ in 0..5 {
             engine.permute(&p, &src, &mut dst).unwrap();
         }
@@ -1889,7 +1672,7 @@ mod tests {
     #[test]
     fn lru_evicts_the_least_recently_used() {
         let n = 1 << 10;
-        let mut engine: Engine<u32> = Engine::with_capacity(W, 2);
+        let engine: SharedEngine<u32> = SharedEngine::with_shards(W, 1, 2);
         let perms: Vec<Permutation> = (0..3).map(|s| families::random(n, 100 + s)).collect();
         let src: Vec<u32> = (0..n as u32).collect();
         let mut dst = vec![0u32; n];
@@ -1911,7 +1694,7 @@ mod tests {
     #[test]
     fn gamma_decision_picks_backends_like_table_ii() {
         let n = 1 << 12;
-        let mut engine: Engine<u32> = Engine::new(W);
+        let engine: SharedEngine<u32> = SharedEngine::with_shards(W, 1, DEFAULT_CAPACITY);
         let ident = engine.plan(&families::identical(n)).unwrap();
         assert_eq!(ident.route(), Route::Scatter);
         assert!(ident.gamma() <= 2.0);
@@ -1929,13 +1712,13 @@ mod tests {
         let src: Vec<u32> = (0..n as u32).collect();
         let mut dst = vec![0u32; n];
 
-        let mut force_scatter: Engine<u32> = Engine::new(W);
+        let force_scatter: SharedEngine<u32> = SharedEngine::with_shards(W, 1, DEFAULT_CAPACITY);
         force_scatter.set_gamma_threshold(f64::INFINITY);
         force_scatter.permute(&p, &src, &mut dst).unwrap();
         assert_eq!(force_scatter.stats().scatter_runs, 1);
         assert_eq!(dst, reference(&p, &src));
 
-        let mut force_sched: Engine<u32> = Engine::new(W);
+        let force_sched: SharedEngine<u32> = SharedEngine::with_shards(W, 1, DEFAULT_CAPACITY);
         force_sched.set_gamma_threshold(0.0);
         force_sched.permute(&p, &src, &mut dst).unwrap();
         assert_eq!(force_sched.stats().scheduled_runs, 1);
@@ -1946,7 +1729,7 @@ mod tests {
     fn kernel_config_threads_through_plans() {
         let n = 1 << 10;
         let p = families::random(n, 44);
-        let mut engine: Engine<u32> = Engine::new(W);
+        let engine: SharedEngine<u32> = SharedEngine::with_shards(W, 1, DEFAULT_CAPACITY);
         engine.set_gamma_threshold(0.0); // force the scheduled backend
         let cfg = KernelConfig {
             stage_bytes: 8192,
@@ -1977,7 +1760,7 @@ mod tests {
             .map(|k| (0..n as u32).map(|v| v.wrapping_add(k)).collect())
             .collect();
         let mut dsts: Vec<Vec<u32>> = vec![vec![0u32; n]; 4];
-        let mut engine: Engine<u32> = Engine::new(W);
+        let engine: SharedEngine<u32> = SharedEngine::with_shards(W, 1, DEFAULT_CAPACITY);
         engine
             .permute_batch(
                 &p,
@@ -2024,7 +1807,7 @@ mod tests {
         let n = 1 << 10;
         let src: Vec<u32> = (0..n as u32).collect();
         let mut dst = vec![0u32; n];
-        let mut engine: Engine<u32> = Engine::new(W);
+        let mut engine: SharedEngine<u32> = SharedEngine::with_shards(W, 1, DEFAULT_CAPACITY);
         engine.set_fingerprint_fn(|_| 0xdead_beef);
         let p1 = families::random(n, 1);
         let p2 = families::random(n, 2);
@@ -2050,7 +1833,7 @@ mod tests {
         let p = families::random(n, 33); // high γ -> scheduled -> scratch
         let src: Vec<u32> = (0..n as u32).collect();
         let mut dst = vec![0u32; n];
-        let mut engine: Engine<u32> = Engine::new(W);
+        let engine: SharedEngine<u32> = SharedEngine::with_shards(W, 1, DEFAULT_CAPACITY);
         for _ in 0..10 {
             engine.permute(&p, &src, &mut dst).unwrap();
         }
@@ -2066,7 +1849,7 @@ mod tests {
         let n = 1 << 12;
         let src: Vec<u32> = (0..n as u32).collect();
         let mut dst = vec![0u32; n];
-        let mut engine: Engine<u32> = Engine::new(W);
+        let engine: SharedEngine<u32> = SharedEngine::with_shards(W, 1, DEFAULT_CAPACITY);
         engine.set_gamma_threshold(f64::INFINITY); // force scatter
         for seed in 0..4 {
             let p = families::random(n, seed);

@@ -15,10 +15,8 @@
 //! per-element target hints *lose* 1.4–5× on cache-resident families and
 //! win nothing on miss-heavy ones — the out-of-order window already
 //! extracts the available memory-level parallelism from the simple loop,
-//! and the hint's address computation is pure overhead on top. (The
-//! sweep kernels in `scheduled` prefetch their *sequential* gather-map
-//! rows one block ahead, which is a different access pattern and does
-//! pay.)
+//! and the hint's address computation is pure overhead on top. The sweep
+//! kernels in `scheduled` do not prefetch either.
 
 use crate::config::KernelConfig;
 use crate::par::{par_chunks_mut, par_ranges};

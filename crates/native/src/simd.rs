@@ -81,32 +81,6 @@ pub(crate) fn select<T>(simd: bool) -> Tier {
     Tier::Unrolled
 }
 
-/// Hint the cache to pull every line of `data` toward L1. Used to stream
-/// the next block's slice of the gather map in while the current block
-/// is being processed; a no-op off x86-64.
-pub(crate) fn prefetch_lines<T>(data: &[T]) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        const LINE: usize = 64;
-        let bytes = core::mem::size_of_val(data);
-        let base = data.as_ptr() as *const i8;
-        let mut off = 0;
-        while off < bytes {
-            // SAFETY: `base + off` stays inside `data` (off < bytes);
-            // prefetch is a hint and never faults regardless.
-            #[allow(unsafe_code)]
-            unsafe {
-                arch::_mm_prefetch::<{ arch::_MM_HINT_T0 }>(base.add(off))
-            };
-            off += LINE;
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = data;
-    }
-}
-
 /// Per-pass state for computed-index gathers: the plan descriptor's
 /// in-row masks plus the inclusive XOR-prefix table that drives the
 /// sequential walk. Incrementing the in-row position `j → j+1` flips
@@ -834,17 +808,31 @@ mod tests {
 
     #[test]
     fn transpose_strided_matches_scalar_when_it_applies() {
-        // Deliberately ragged: 19×13 window inside larger strides.
-        let (nr, nc, ss, ds) = (19usize, 13usize, 23usize, 29usize);
-        let src: Vec<u32> = (0..(nr * ss) as u32).collect();
-        for tier in tiers() {
-            let mut dst = vec![u32::MAX; nc * ds + nr];
-            if !transpose_strided(tier, &src, 0, ss, &mut dst, 0, ds, nr, nc) {
-                continue;
-            }
-            for r in 0..nr {
-                for c in 0..nc {
-                    assert_eq!(dst[c * ds + r], src[r * ss + c], "({r},{c}) {tier:?}");
+        // (rows, cols, src stride, dst stride): a deliberately ragged
+        // 19×13 window inside larger strides, then whole matrices —
+        // square, both rectangles, multi-tile, and odd sides on both axes.
+        for (nr, nc, ss, ds) in [
+            (19usize, 13usize, 23usize, 29usize),
+            (64, 64, 64, 64),
+            (64, 128, 128, 64),
+            (128, 64, 64, 128),
+            (192, 320, 320, 192),
+            (33, 57, 57, 33),
+        ] {
+            let src: Vec<u32> = (0..(nr * ss) as u32).collect();
+            for tier in tiers() {
+                let mut dst = vec![u32::MAX; nc * ds + nr];
+                if !transpose_strided(tier, &src, 0, ss, &mut dst, 0, ds, nr, nc) {
+                    continue;
+                }
+                for r in 0..nr {
+                    for c in 0..nc {
+                        assert_eq!(
+                            dst[c * ds + r],
+                            src[r * ss + c],
+                            "({r},{c}) {nr}x{nc} {tier:?}"
+                        );
+                    }
                 }
             }
         }
@@ -968,13 +956,5 @@ mod tests {
             gather_row_affine(tier, &in_row, &aff, 0, 0, &mut out);
             assert_eq!(out, &in_row[..], "{tier:?}");
         }
-    }
-
-    #[test]
-    fn prefetch_is_a_safe_no_op_semantically() {
-        let data: Vec<u32> = (0..4096).collect();
-        prefetch_lines(&data);
-        prefetch_lines(&data[..1]);
-        prefetch_lines::<u32>(&[]);
     }
 }

@@ -1,4 +1,4 @@
-//! Per-thread staging buffers for the double-buffered sweep pipeline.
+//! Per-thread staging buffers for the sweep pipeline.
 //!
 //! The seed allocated (and, worse, *copied into*) a fresh `Vec` per band
 //! per sweep: `input[..block * out_rows].to_vec()` cloned data the gather

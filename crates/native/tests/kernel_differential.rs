@@ -1,10 +1,10 @@
-//! Kernel differential suite: the double-buffered, vectorized sweep
-//! pipeline against the retained scalar reference, across every config
-//! point the seams expose.
+//! Kernel differential suite: the vectorized sweep pipeline against the
+//! retained scalar reference, across every config point the seams
+//! expose.
 //!
 //! The contract under test is the one DESIGN.md's determinism argument
 //! makes: for a fixed plan, **every** kernel config — SIMD on or off,
-//! staging depth 1 or 2, any block size or tile — produces output
+//! any block size or tile — produces output
 //! byte-identical to the `Permutation::permute` oracle, over all five
 //! paper families × element widths {u32, u64, [u8; 16]} × ragged shapes
 //! (non-multiple bands, block tails, n smaller than one block). Every
@@ -13,10 +13,9 @@
 //! forces routes through — so the native fused pipeline and the sweep-IR
 //! interpreter are pinned to the oracle at once.
 //!
-//! CI runs this suite under `HMM_NATIVE_SIMD={0,1}` ×
-//! `HMM_NATIVE_THREADS={1,4}`, so the process-global config path and the
-//! band-parallel splits get the same coverage as the explicit
-//! per-config `Backend::prepare` seam exercised here.
+//! The scalar and SIMD points are iterated in process, so CI runs this
+//! suite only under `HMM_NATIVE_THREADS={1,4}`: the band-parallel splits
+//! get the same coverage as the single-worker path.
 
 use hmm_native::{backend_names, by_name, ExecPlan, KernelConfig, PlanIr};
 use hmm_perm::{families, Permutation};
@@ -32,13 +31,6 @@ fn config_points() -> Vec<(&'static str, KernelConfig)> {
         ("scalar", KernelConfig::scalar()),
         ("default", KernelConfig::default()),
         (
-            "simd-depth1",
-            KernelConfig {
-                depth: 1,
-                ..KernelConfig::default()
-            },
-        ),
-        (
             // Tiny staging budget: every band runs many blocks with a
             // ragged tail; tile 8 forces non-multiple tile edges too.
             "simd-tiny-blocks",
@@ -53,17 +45,6 @@ fn config_points() -> Vec<(&'static str, KernelConfig)> {
             "simd-tile48",
             KernelConfig {
                 tile: 48,
-                ..KernelConfig::default()
-            },
-        ),
-        (
-            // Double-buffered but scalar inner loops (prefetch still on):
-            // isolates the pipeline restructure from the vector paths.
-            "scalar-depth2",
-            KernelConfig {
-                simd: false,
-                depth: 2,
-                prefetch: true,
                 ..KernelConfig::default()
             },
         ),
@@ -146,7 +127,7 @@ fn all_families_16_byte_elements() {
 #[test]
 fn n_smaller_than_one_block() {
     // With the default 256 KB budget a whole 2^10-element matrix fits in
-    // one staging block: depth collapses to 1 regardless of the config.
+    // one staging block: each band runs a single gather/transpose pair.
     let n = 1 << 10;
     let p = families::random(n, 99);
     check_all_configs(&p, "random-small", |i| i as u32);

@@ -104,8 +104,7 @@ pub fn compact_encoded_len(n: usize) -> usize {
     8 + 4 + 5 * 8 + 4 + 3 * (4 + 4 + 8 + 4 * k) + 8
 }
 
-/// The fixed header bytes (everything before the three sections), shared by
-/// [`encode`] and [`encode_to`] so the two paths cannot drift.
+/// The fixed header bytes (everything before the three sections).
 fn header_bytes(ir: &PlanIr) -> [u8; 8 + 4 + 5 * 8] {
     let mut h = [0u8; 8 + 4 + 5 * 8];
     h[..8].copy_from_slice(&MAGIC);
@@ -143,38 +142,19 @@ fn descriptor_bytes(step: &AffineStep) -> Vec<u8> {
     out
 }
 
-/// Encode a plan into its on-disk byte representation. Plans carrying
-/// verified affine descriptors ([`PlanIr::affine`]) encode compact (kind
-/// 1, O(log² n) bytes); everything else encodes its full step maps.
+/// Encode a plan into its on-disk byte representation: [`encode_to`]
+/// into a `Vec`. Plans carrying verified affine descriptors
+/// ([`PlanIr::affine`]) encode compact (kind 1, O(log² n) bytes);
+/// everything else encodes its full step maps.
 pub fn encode(ir: &PlanIr) -> Vec<u8> {
-    if let Some(affine) = ir.affine() {
-        let mut out = Vec::with_capacity(compact_encoded_len(ir.len()));
-        out.extend_from_slice(&header_bytes(ir));
-        out.extend_from_slice(&KIND_COMPACT.to_le_bytes());
-        for step in affine {
-            out.extend_from_slice(&descriptor_bytes(step));
-        }
-        let checksum = hash_bytes(&out);
-        out.extend_from_slice(&checksum.to_le_bytes());
-        return out;
-    }
-    let mut out = Vec::with_capacity(encoded_len(ir.len()));
-    out.extend_from_slice(&header_bytes(ir));
-    out.extend_from_slice(&KIND_FULL.to_le_bytes());
-    for section in [ir.step1(), ir.step2(), ir.step3()] {
-        out.extend_from_slice(&(section.len() as u64).to_le_bytes());
-        let start = out.len();
-        out.resize(start + 4 * section.len(), 0);
-        fill_le_u32(&mut out[start..], section);
-    }
-    let checksum = hash_bytes(&out);
-    out.extend_from_slice(&checksum.to_le_bytes());
+    let mut out = Vec::new();
+    encode_to(ir, &mut out).expect("writing into a Vec cannot fail");
     out
 }
 
-/// Stream a plan's encoding into `w`, producing exactly the bytes of
-/// [`encode`] without materialising them: sections are converted through a
-/// fixed 64 KiB buffer and the checksum is folded in on the fly.
+/// Stream a plan's encoding into `w` without materialising it: sections
+/// are converted through a fixed 64 KiB buffer and the checksum is folded
+/// in on the fly.
 /// This is what [`crate::store::PlanStore::save`] uses, so persisting a
 /// 4M-element plan (~48 MiB on disk) costs one buffer, not a second copy
 /// of the plan in memory.
@@ -442,17 +422,22 @@ mod tests {
 
     #[test]
     fn streaming_encoder_matches_buffered_encoder_exactly() {
-        // `encode_to` is the store's hot path; it must emit byte-for-byte
-        // what `encode` emits (header, sections, and the on-the-fly
-        // checksum), including at sizes that straddle its chunk boundary.
+        // `encode_to` is the one serializer (`encode` collects it into a
+        // Vec): at sizes that straddle its chunk boundary it must emit
+        // exactly the documented length and a file that decodes back.
         for n in [64usize, 1 << 10, 1 << 15] {
             for fam in families::Family::ALL {
                 let p = fam.build(n, 23).unwrap();
                 let ir = PlanIr::build(&p, W).unwrap();
-                let buffered = encode(&ir);
                 let mut streamed = Vec::new();
                 encode_to(&ir, &mut streamed).unwrap();
-                assert_eq!(streamed, buffered, "{} n={n}", fam.name());
+                let want_len = if ir.affine().is_some() {
+                    compact_encoded_len(n)
+                } else {
+                    encoded_len(n)
+                };
+                assert_eq!(streamed.len(), want_len, "{} n={n}", fam.name());
+                assert_eq!(streamed, encode(&ir), "{} n={n}", fam.name());
                 assert_eq!(decode(&streamed).unwrap(), ir);
             }
         }

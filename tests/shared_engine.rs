@@ -8,8 +8,9 @@
 //! worker-side failures resolving handles instead of hanging them,
 //! cancellation, and batch/single interleaving).
 
+use hmm_native::plan::DEFAULT_CAPACITY;
 use hmm_native::pool::WorkerPool;
-use hmm_native::{Engine, JobError, SharedEngine};
+use hmm_native::{JobError, SharedEngine};
 use hmm_perm::families;
 use hmm_perm::Permutation;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -139,13 +140,14 @@ fn shared_engine_detects_injected_fingerprint_collision() {
     assert_eq!(stats.misses, 2);
 }
 
-/// Same collision injection through the single-threaded `Engine` wrapper.
+/// Same collision injection through a one-shard engine (one global LRU):
+/// the replacement plan takes the colliding key.
 #[test]
-fn engine_wrapper_detects_injected_fingerprint_collision() {
+fn one_shard_engine_detects_injected_fingerprint_collision() {
     let n = 1 << 10;
     let src: Vec<u32> = (0..n as u32).collect();
     let mut dst = vec![0u32; n];
-    let mut engine: Engine<u32> = Engine::new(W);
+    let mut engine: SharedEngine<u32> = SharedEngine::with_shards(W, 1, DEFAULT_CAPACITY);
     engine.set_fingerprint_fn(|_| 1);
     let p1 = families::random(n, 3);
     let p2 = families::random(n, 4);

@@ -16,7 +16,10 @@
 //!   pays six, with identical bytes.
 //! * **Corruption rejection** — a bit-flipped gather map is refused with
 //!   a typed error at every front door: `decode`, `PlanStore::load`, and
-//!   `NativeScheduled::from_plan`.
+//!   `NativeScheduled::from_plan`; a compact (descriptor-form) store
+//!   entry truncated, bit-flipped or re-sealed on disk is a typed
+//!   `PlanStore::load` error, and an engine over that store counts the
+//!   reject, rebuilds, and still matches the oracle.
 
 use hmm_native::{as_native_scheduled, NativeScheduled, Route, SharedEngine};
 use hmm_perm::{families, Permutation};
@@ -281,5 +284,105 @@ fn corrupted_plans_are_rejected_at_every_front_door() {
     std::fs::write(&path, &on_disk).unwrap();
     let err = store.load(&key).unwrap_err();
     assert!(matches!(err, PlanError::Codec { .. }), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A compact (descriptor-form) store entry damaged on disk: truncated at
+/// every section boundary, one byte flipped in each header field, the
+/// kind, a mask and the checksum, or re-sealed around an out-of-range
+/// mask. `PlanStore::load` must return a typed error for each — never
+/// panic, never a plan — and an engine over the damaged store must count
+/// one `store_rejects`, rebuild through the structured path, re-save a
+/// good entry, and produce the oracle's output.
+#[test]
+fn corrupted_compact_store_entries_are_rejected_through_load_and_rebuilt() {
+    let n: usize = 1 << 10;
+    let k = n.trailing_zeros() as usize;
+    // High γ_w, so the engine takes the scheduled route (and the store).
+    let p = families::bit_reversal(n).unwrap();
+    let ir = PlanIr::build(&p, W).unwrap();
+    assert!(
+        ir.affine().is_some(),
+        "bit-reversal plans carry descriptors"
+    );
+    let src = input(n);
+    let want = naive_reference(&p, &src);
+
+    let dir = std::env::temp_dir().join(format!("hmm-compact-corrupt-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = PlanStore::open(&dir).unwrap();
+    let key = StoreKey::of(&ir);
+    let path = store.save(&ir).unwrap();
+    let good = std::fs::read(&path).unwrap();
+    assert_eq!(good.len(), hmm_plan::compact_encoded_len(n));
+
+    // Layout (codec module docs): magic 8, version 4, width/rows/cols/
+    // gamma/fingerprint 8 each, kind 4, then per descriptor col_bits 4,
+    // offset 4, mask count 8, k masks of 4; checksum 8.
+    let kind_at = 8 + 4 + 5 * 8;
+    let first_mask = kind_at + 4 + 4 + 4 + 8;
+    let mut boundaries = vec![0, 8, 12, 20, 28, 36, 44, kind_at, kind_at + 4];
+    let mut at = kind_at + 4;
+    for _ in 0..3 {
+        for len in [4, 4, 8, 4 * k] {
+            at += len;
+            boundaries.push(at);
+        }
+    }
+    assert_eq!(
+        at,
+        good.len() - 8,
+        "descriptors end where the checksum starts"
+    );
+    boundaries.push(good.len() - 1);
+
+    let mut cases: Vec<(String, Vec<u8>)> = boundaries
+        .iter()
+        .map(|&cut| (format!("truncated at {cut}"), good[..cut].to_vec()))
+        .collect();
+    let flips = [
+        ("magic", 0),
+        ("version", 8),
+        ("width", 12),
+        ("rows", 20),
+        ("cols", 28),
+        ("gamma", 36),
+        ("fingerprint", 44),
+        ("kind", kind_at),
+        ("mask", first_mask),
+        ("checksum", good.len() - 8),
+        ("checksum tail", good.len() - 1),
+    ];
+    for (field, pos) in flips {
+        let mut bytes = good.clone();
+        bytes[pos] ^= 0x10;
+        cases.push((format!("flipped {field} byte at {pos}"), bytes));
+    }
+    let mut resealed = good.clone();
+    resealed[first_mask..first_mask + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    let body = resealed.len() - 8;
+    let sum = hmm_perm::hash::hash_bytes(&resealed[..body]);
+    resealed[body..].copy_from_slice(&sum.to_le_bytes());
+    cases.push(("re-sealed out-of-range mask".to_string(), resealed));
+
+    for (label, bytes) in cases {
+        std::fs::write(&path, &bytes).unwrap();
+        let err = store.load(&key).unwrap_err();
+        assert!(matches!(err, PlanError::Codec { .. }), "{label}: {err}");
+
+        let engine: SharedEngine<u32> = SharedEngine::with_store(W, &dir).unwrap();
+        let mut dst = vec![0u32; n];
+        engine.permute(&p, &src, &mut dst).unwrap();
+        assert_eq!(dst, want, "{label}: output must match the oracle");
+        let s = engine.stats();
+        assert_eq!(s.store_rejects, 1, "{label}: the damaged file is counted");
+        assert_eq!(s.store_hits, 0, "{label}");
+        assert_eq!(s.plans_structured, 1, "{label}: rebuilt in closed form");
+        assert_eq!(
+            store.load(&key).unwrap().as_ref(),
+            Some(&ir),
+            "{label}: the rebuild re-saved a good entry"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
