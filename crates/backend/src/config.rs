@@ -4,8 +4,8 @@
 //! transpose tile side (64) for one cache size, and its inner loops were
 //! scalar. This module centralises those constants, adds the SIMD and
 //! computed-index toggles, and gives every front door (the native
-//! executor, the engines, the queue drainers, and every
-//! [`crate::traits::Backend`]) one place to read them from:
+//! executor, the engines, the queue drainers, and every backend) one
+//! place to read them from:
 //!
 //! * [`KernelConfig::default`] — the seed's values, SIMD on;
 //! * [`KernelConfig::from_env`] — the default with [`SIMD_ENV`]

@@ -1,9 +1,9 @@
 //! The deterministic CPU interpreter — the IR's reference consumer and
 //! the second registered backend.
 //!
-//! [`InterpBackend`] prepares scheduled plans by lowering them to
-//! [`SweepIr`] and then *interpreting* the five steps literally: single
-//! thread, no SIMD, the tiled transpose staged through an explicit
+//! [`InterpExec`] prepares a scheduled plan by lowering it to [`SweepIr`]
+//! and then *interprets* the five steps literally: single thread, no
+//! SIMD, the tiled transpose staged through an explicit
 //! `(tile + pad) × tile` buffer with the same layout a GPU's shared
 //! memory tile would have. It exists to be read and trusted, not to be
 //! fast — the conformance suite pins it byte-identical against the
@@ -12,69 +12,68 @@
 //! (the shaders encode the same IR this module executes).
 //!
 //! Scatter plans interpret as the one-line serial loop
-//! (`dst[p[i]] = src[i]`), so the backend covers both routes and can be
-//! dropped into every engine test unchanged.
+//! ([`serial_scatter`]: `dst[p[i]] = src[i]`), so the interpreter covers
+//! both routes and can be dropped into every engine test unchanged.
+//! Neither form depends on the element type: one prepared executable
+//! runs any `T` per call.
 
 use crate::config::KernelConfig;
 use crate::sweep::{BufferId, IndexSource, SweepIr, SweepKernel, SweepStep};
-use crate::traits::{Backend, Capabilities, ExecPlan, Executable, Route};
 use hmm_perm::Permutation;
-use hmm_plan::Result;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Registry name of the interpreter backend.
-pub const INTERP_BACKEND_NAME: &str = "interp";
-
-/// The interpreter backend: zero-sized, both routes supported.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct InterpBackend;
-
-impl<T: Copy + Default + Send + Sync + 'static> Backend<T> for InterpBackend {
-    fn name(&self) -> &'static str {
-        INTERP_BACKEND_NAME
-    }
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities::all()
-    }
-
-    fn prepare(&self, plan: ExecPlan<'_>, config: KernelConfig) -> Result<Box<dyn Executable<T>>> {
-        match plan {
-            ExecPlan::Scatter(p) => Ok(Box::new(InterpScatterExec {
-                perm: p.clone(),
-                config,
-                runs: AtomicU64::new(0),
-            })),
-            ExecPlan::Scheduled(ir) => {
-                ir.validate()?;
-                Ok(Box::new(InterpExec {
-                    ir: SweepIr::lower(ir, &config),
-                    config,
-                    runs: AtomicU64::new(0),
-                }))
-            }
-        }
-    }
-}
+use hmm_plan::{PlanIr, Result};
 
 /// A prepared scheduled plan: the lowered program plus the config it was
 /// lowered under.
+#[derive(Debug)]
 pub struct InterpExec {
     ir: SweepIr,
     config: KernelConfig,
-    runs: AtomicU64,
 }
 
 impl InterpExec {
+    /// Validate `ir` (a corrupt IR is a typed error, never executed) and
+    /// lower it under `config`.
+    pub fn new(ir: &PlanIr, config: KernelConfig) -> Result<Self> {
+        ir.validate()?;
+        Ok(InterpExec {
+            ir: SweepIr::lower(ir, &config),
+            config,
+        })
+    }
+
     /// The lowered program this executable interprets — the seam the
     /// snapshot tests and the WGSL generator share.
     pub fn sweep_ir(&self) -> &SweepIr {
         &self.ir
     }
-}
 
-impl<T: Copy + Default + Send + Sync + 'static> Executable<T> for InterpExec {
-    fn run(&self, src: &[T], dst: &mut [T], scratch: &mut [T]) {
+    /// The kernel config the plan was lowered under.
+    pub fn kernel_config(&self) -> KernelConfig {
+        self.config
+    }
+
+    /// Number of elements one run permutes.
+    pub fn len(&self) -> usize {
+        self.ir.len()
+    }
+
+    /// True for the empty permutation.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Scratch elements [`InterpExec::run`] requires: `2n`, because the
+    /// five unfused steps ping-pong between two temporaries.
+    pub fn scratch_len(&self) -> usize {
+        2 * self.ir.len()
+    }
+
+    /// Execute `dst[P[i]] = src[i]` with `scratch` of exactly
+    /// [`InterpExec::scratch_len`] elements.
+    ///
+    /// # Panics
+    /// Panics when `src`/`dst`/`scratch` lengths disagree with the plan.
+    pub fn run<T: Copy + Default>(&self, src: &[T], dst: &mut [T], scratch: &mut [T]) {
         let n = self.ir.len();
         assert_eq!(src.len(), n, "src length mismatch");
         assert_eq!(dst.len(), n, "dst length mismatch");
@@ -94,82 +93,20 @@ impl<T: Copy + Default + Send + Sync + 'static> Executable<T> for InterpExec {
                 }
             }
         }
-        self.runs.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn scratch_len(&self) -> usize {
-        2 * self.ir.len()
-    }
-
-    fn len(&self) -> usize {
-        self.ir.len()
-    }
-
-    fn route(&self) -> Route {
-        Route::Scheduled
-    }
-
-    fn backend_name(&self) -> &'static str {
-        INTERP_BACKEND_NAME
-    }
-
-    fn kernel_config(&self) -> KernelConfig {
-        self.config
-    }
-
-    fn runs(&self) -> u64 {
-        self.runs.load(Ordering::Relaxed)
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
     }
 }
 
-/// A prepared scatter plan: the serial reference loop.
-pub struct InterpScatterExec {
-    perm: Permutation,
-    config: KernelConfig,
-    runs: AtomicU64,
-}
-
-impl<T: Copy + Default + Send + Sync + 'static> Executable<T> for InterpScatterExec {
-    fn run(&self, src: &[T], dst: &mut [T], _scratch: &mut [T]) {
-        let n = self.perm.len();
-        assert_eq!(src.len(), n, "src length mismatch");
-        assert_eq!(dst.len(), n, "dst length mismatch");
-        for (i, &d) in self.perm.as_slice().iter().enumerate() {
-            dst[d] = src[i];
-        }
-        self.runs.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn scratch_len(&self) -> usize {
-        0
-    }
-
-    fn len(&self) -> usize {
-        self.perm.len()
-    }
-
-    fn route(&self) -> Route {
-        Route::Scatter
-    }
-
-    fn backend_name(&self) -> &'static str {
-        INTERP_BACKEND_NAME
-    }
-
-    fn kernel_config(&self) -> KernelConfig {
-        self.config
-    }
-
-    fn runs(&self) -> u64 {
-        self.runs.load(Ordering::Relaxed)
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
+/// The interpreter's scatter route: the serial reference loop
+/// `dst[p[i]] = src[i]`.
+///
+/// # Panics
+/// Panics when `src` or `dst` length differs from `p.len()`.
+pub fn serial_scatter<T: Copy>(p: &Permutation, src: &[T], dst: &mut [T]) {
+    let n = p.len();
+    assert_eq!(src.len(), n, "src length mismatch");
+    assert_eq!(dst.len(), n, "dst length mismatch");
+    for (i, &d) in p.as_slice().iter().enumerate() {
+        dst[d] = src[i];
     }
 }
 
@@ -261,7 +198,6 @@ fn tiled_transpose<T: Copy + Default>(
 mod tests {
     use super::*;
     use hmm_perm::families;
-    use hmm_plan::PlanIr;
 
     fn naive_reference(p: &Permutation, src: &[u32]) -> Vec<u32> {
         let mut out = vec![0u32; src.len()];
@@ -273,15 +209,12 @@ mod tests {
 
     fn run_scheduled(p: &Permutation, cfg: KernelConfig) -> Vec<u32> {
         let ir = PlanIr::build(p, 32).unwrap();
-        let exec: Box<dyn Executable<u32>> = InterpBackend
-            .prepare(ExecPlan::Scheduled(&ir), cfg)
-            .unwrap();
+        let exec = InterpExec::new(&ir, cfg).unwrap();
         let n = p.len();
         let src: Vec<u32> = (0..n as u32).collect();
         let mut dst = vec![0u32; n];
         let mut scratch = vec![0u32; exec.scratch_len()];
         exec.run(&src, &mut dst, &mut scratch);
-        assert_eq!(exec.runs(), 1);
         assert_eq!(dst, naive_reference(p, &src));
         dst
     }
@@ -333,10 +266,7 @@ mod tests {
     fn computed_index_executions_really_lower_map_free() {
         let p = families::bit_reversal(1 << 12).unwrap();
         let ir = PlanIr::build(&p, 32).unwrap();
-        let exec: Box<dyn Executable<u32>> = InterpBackend
-            .prepare(ExecPlan::Scheduled(&ir), KernelConfig::default())
-            .unwrap();
-        let exec = exec.as_any().downcast_ref::<InterpExec>().unwrap();
+        let exec = InterpExec::new(&ir, KernelConfig::default()).unwrap();
         assert!(exec.sweep_ir().affine().is_some(), "descriptors carried");
         for which in [
             crate::sweep::GatherMap::G1,
@@ -350,20 +280,14 @@ mod tests {
     #[test]
     fn scatter_interpretation_matches_the_naive_reference() {
         let p = families::random(1 << 10, 9);
-        let exec: Box<dyn Executable<u64>> = InterpBackend
-            .prepare(ExecPlan::Scatter(&p), KernelConfig::default())
-            .unwrap();
-        assert_eq!(exec.scratch_len(), 0);
-        assert_eq!(exec.route(), Route::Scatter);
         let src: Vec<u64> = (0..1u64 << 10).map(|v| v.wrapping_mul(0x9E37)).collect();
         let mut dst = vec![0u64; src.len()];
-        exec.run(&src, &mut dst, &mut []);
+        serial_scatter(&p, &src, &mut dst);
         let mut want = vec![0u64; src.len()];
         for (i, &d) in p.as_slice().iter().enumerate() {
             want[d] = src[i];
         }
         assert_eq!(dst, want);
-        assert_eq!(exec.runs(), 1);
     }
 
     #[test]

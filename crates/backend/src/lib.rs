@@ -5,14 +5,11 @@
 //! hardwired to the CPU executor inside `hmm-native`. This crate is the
 //! seam that unhardwires it, split into three layers (DESIGN.md §13):
 //!
-//! 1. **Traits** — [`Backend`] turns a backend-neutral plan
-//!    ([`ExecPlan`]: a scatter permutation or a scheduled
-//!    [`hmm_plan::PlanIr`]) plus a [`KernelConfig`] into a boxed
-//!    [`Executable`]; the engines in `hmm-native` dispatch every
-//!    execution through these two traits and never name a concrete
-//!    executor again. [`Capabilities`] lets a backend opt out of a route
-//!    (a GPU backend with no scatter kernel, say) and
-//!    [`Executable::runs`] is the per-executable stats hook.
+//! 1. **Plans** — [`ExecPlan`] is the backend-neutral input every
+//!    backend prepares from (a scatter permutation or a scheduled
+//!    [`hmm_plan::PlanIr`]), and [`Route`] names its two arms. The
+//!    backend registry itself lives in `hmm-native`, a closed enum over
+//!    the native executors and this crate's interpreter.
 //! 2. **Sweep-kernel IR** — [`SweepIr`] lowers a validated `PlanIr` +
 //!    its pass layouts into five steps of three kernel kinds
 //!    ([`SweepKernel`]: row-local gather, tiled transpose with an
@@ -21,8 +18,8 @@
 //!    parameters, not executor folklore.
 //! 3. **Consumers** — [`wgsl::module_wgsl`] emits WGSL compute-shader
 //!    text from the IR (kubecl-style monomorphised lowering,
-//!    golden-snapshot tested), and [`InterpBackend`] interprets the same
-//!    IR deterministically on the CPU — a second registered backend the
+//!    golden-snapshot tested), and [`InterpExec`] interprets the same
+//!    IR deterministically on the CPU — the `interp` backend the
 //!    conformance suite pins byte-identical against `hmm-native` and
 //!    the naive reference.
 //!
@@ -40,12 +37,12 @@
 pub mod config;
 pub mod env;
 pub mod interp;
+pub mod route;
 pub mod sweep;
-pub mod traits;
 pub mod wgsl;
 
 pub use config::{KernelConfig, COMPUTED_INDEX_ENV, DEFAULT_STAGE_BYTES, DEFAULT_TILE, SIMD_ENV};
-pub use interp::InterpBackend;
+pub use interp::{serial_scatter, InterpExec};
+pub use route::{ExecPlan, Route};
 pub use sweep::{BufferId, GatherMap, IndexSource, SweepIr, SweepKernel, SweepStep};
-pub use traits::{Backend, Capabilities, ExecPlan, Executable, Route};
 pub use wgsl::{kernel_wgsl, module_wgsl, WgslElem};

@@ -887,7 +887,7 @@ impl BackendRow {
 }
 
 /// Execute one scheduled plan on **every registered backend** through the
-/// `Backend` registry and time each prepared executable. Each backend's
+/// backend registry and time each prepared executable. Each backend's
 /// output is asserted byte-identical to the `Permutation::permute`
 /// reference before timing, so a row can never report the speed of a
 /// wrong answer. The interpreter is a serial correctness oracle, not a
@@ -901,7 +901,7 @@ pub fn backends(sizes: &[usize], reps: usize) -> Result<Vec<BackendRow>> {
         let mut want = vec![0u32; n];
         p.permute(&src, &mut want).expect("reference permute");
         for name in hmm_native::backend_names() {
-            let backend = hmm_native::by_name::<u32>(name).expect("registered backend");
+            let backend = hmm_native::by_name(name).expect("registered backend");
             let exec = backend.prepare(ExecPlan::Scheduled(&ir), KernelConfig::default())?;
             let mut dst = vec![0u32; n];
             let mut scratch = vec![0u32; exec.scratch_len()];

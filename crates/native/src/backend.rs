@@ -1,200 +1,191 @@
-//! The native backend and the process backend registry.
+//! The backend registry and the width-free executable.
 //!
-//! [`NativeBackend`] wraps this crate's two executors — the fused
-//! three-sweep [`NativeScheduled`] and the parallel scatter kernel — as
-//! one registered [`Backend`], so the engines in [`crate::plan`] dispatch
-//! every execution through `hmm_backend`'s traits and never name a
-//! concrete executor. The registry ([`by_name`], [`backend_names`]) also
-//! carries [`InterpBackend`], the deterministic sweep-IR interpreter from
-//! `hmm-backend`, which the conformance suite pins byte-identical against
-//! this backend.
+//! A backend is *which implementation executes* a plan: [`Backend::Native`]
+//! runs this crate's fused three-sweep [`NativeScheduled`] and parallel
+//! scatter kernel, [`Backend::Interp`] the deterministic sweep-IR
+//! interpreter from `hmm-backend`, which the conformance suite pins
+//! byte-identical against native. [`Backend::prepare`] turns a
+//! backend-neutral [`ExecPlan`] into an [`Executable`]: a closed enum over
+//! the four executors. None of them depends on the element type — the
+//! paper derives its schedule from `P` alone — so an executable is
+//! prepared once and [`Executable::run`] is generic per call: one cached
+//! plan serves u32, u64 and 16-byte payloads alike.
 //!
 //! [`default_backend`] honours the `HMM_BACKEND` environment variable
 //! (strict, warn-once via [`hmm_backend::env::parse_env`]) so a whole
 //! process — tests, benches, the CLI — can be pointed at a different
-//! backend without a recompile; unset or invalid selects `"native"`.
+//! backend without a recompile; unset or invalid selects `native`.
 
+use crate::scatter::scatter_permute;
 use crate::scheduled::NativeScheduled;
 use hmm_backend::env::parse_env;
-use hmm_backend::{
-    Backend, Capabilities, ExecPlan, Executable, InterpBackend, KernelConfig, Route,
-};
+use hmm_backend::{serial_scatter, ExecPlan, InterpExec, KernelConfig, Route};
 use hmm_perm::Permutation;
 use hmm_plan::Result;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Environment variable selecting the process-default backend by registry
 /// name (`native`, `interp`). Invalid names warn once and keep the
 /// default, matching `HMM_NATIVE_SIMD`/`HMM_NATIVE_THREADS` strictness.
 pub const BACKEND_ENV: &str = "HMM_BACKEND";
 
-/// Registry name of [`NativeBackend`].
-pub const NATIVE_BACKEND_NAME: &str = "native";
+/// A registered execution backend.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Backend {
+    /// The CPU-parallel backend: scheduled plans execute as
+    /// [`NativeScheduled`]'s three fused sweeps, scatter plans as the
+    /// parallel scatter kernel.
+    Native,
+    /// The serial sweep-IR interpreter: scheduled plans execute as the
+    /// five literal steps of [`hmm_backend::SweepIr`], scatter plans as
+    /// the one-line reference loop.
+    Interp,
+}
 
-/// The CPU-parallel backend: scheduled plans execute as
-/// [`NativeScheduled`]'s three fused sweeps, scatter plans as the
-/// parallel scatter kernel.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NativeBackend;
+impl Backend {
+    /// Every registered backend, in preference order.
+    pub const ALL: [Backend; 2] = [Backend::Native, Backend::Interp];
 
-impl<T: Copy + Send + Sync + Default + 'static> Backend<T> for NativeBackend {
-    fn name(&self) -> &'static str {
-        NATIVE_BACKEND_NAME
-    }
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities::all()
-    }
-
-    fn prepare(&self, plan: ExecPlan<'_>, config: KernelConfig) -> Result<Box<dyn Executable<T>>> {
-        match plan {
-            ExecPlan::Scatter(p) => Ok(Box::new(NativeScatterExec {
-                perm: p.clone(),
-                config,
-                runs: AtomicU64::new(0),
-            })),
-            // `from_plan_with` validates the IR; a corrupt plan is a
-            // typed error here, never a mis-gather at run time.
-            ExecPlan::Scheduled(ir) => Ok(Box::new(NativeExec {
-                sched: NativeScheduled::from_plan_with(ir, config)?,
-                runs: AtomicU64::new(0),
-            })),
+    /// Stable registry name — what `HMM_BACKEND` selects and what
+    /// `EngineStats::backend` reports.
+    pub fn name(self) -> &'static str {
+        match self {
+            Backend::Native => "native",
+            Backend::Interp => "interp",
         }
     }
-}
 
-/// A prepared scheduled plan on the native backend. Non-generic (the
-/// sweeps are generic per call), so [`as_native_scheduled`] can downcast
-/// to it for any element type.
-pub struct NativeExec {
-    sched: NativeScheduled,
-    runs: AtomicU64,
-}
-
-impl NativeExec {
-    /// The underlying fused executor — the seam backend-specific tooling
-    /// (the bench's per-sweep timer) reaches through [`as_native_scheduled`].
-    pub fn scheduled(&self) -> &NativeScheduled {
-        &self.sched
+    /// Compile `plan` into an executable under `config`. Scheduled plans
+    /// are validated first: a corrupt IR is a typed error here, never a
+    /// mis-gather at run time.
+    pub fn prepare(self, plan: ExecPlan<'_>, config: KernelConfig) -> Result<Executable> {
+        Ok(match (self, plan) {
+            (Backend::Native, ExecPlan::Scatter(p)) => Executable::NativeScatter(p.clone()),
+            (Backend::Interp, ExecPlan::Scatter(p)) => Executable::InterpScatter(p.clone()),
+            (Backend::Native, ExecPlan::Scheduled(ir)) => {
+                Executable::Native(NativeScheduled::from_plan_with(ir, config)?)
+            }
+            (Backend::Interp, ExecPlan::Scheduled(ir)) => {
+                Executable::Interp(InterpExec::new(ir, config)?)
+            }
+        })
     }
 }
 
-impl<T: Copy + Send + Sync + Default + 'static> Executable<T> for NativeExec {
-    fn run(&self, src: &[T], dst: &mut [T], scratch: &mut [T]) {
-        self.sched.run_with_scratch(src, dst, scratch);
-        self.runs.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn scratch_len(&self) -> usize {
-        self.sched.scratch_len()
-    }
-
-    fn len(&self) -> usize {
-        self.sched.len()
-    }
-
-    fn route(&self) -> Route {
-        Route::Scheduled
-    }
-
-    fn backend_name(&self) -> &'static str {
-        NATIVE_BACKEND_NAME
-    }
-
-    fn kernel_config(&self) -> KernelConfig {
-        self.sched.kernel_config()
-    }
-
-    fn runs(&self) -> u64 {
-        self.runs.load(Ordering::Relaxed)
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
+/// A prepared, immutable, reusable execution of one plan on one backend,
+/// for any element type.
+///
+/// [`Executable::run`] is `&self` and thread-safe: the engines call it
+/// concurrently from many threads with distinct buffer triples.
+#[derive(Debug)]
+pub enum Executable {
+    /// Native fused three-sweep executor.
+    Native(NativeScheduled),
+    /// Native parallel scatter kernel over this permutation.
+    NativeScatter(Permutation),
+    /// Sweep-IR interpreter.
+    Interp(InterpExec),
+    /// Interpreter's serial scatter loop over this permutation.
+    InterpScatter(Permutation),
 }
 
-/// A prepared scatter plan on the native backend: the parallel
-/// single-pass scatter kernel, no scratch.
-pub struct NativeScatterExec {
-    perm: Permutation,
-    config: KernelConfig,
-    runs: AtomicU64,
-}
-
-impl<T: Copy + Send + Sync + Default + 'static> Executable<T> for NativeScatterExec {
-    fn run(&self, src: &[T], dst: &mut [T], _scratch: &mut [T]) {
-        crate::scatter::scatter_permute(src, &self.perm, dst);
-        self.runs.fetch_add(1, Ordering::Relaxed);
+impl Executable {
+    /// Execute `dst[P[i]] = src[i]`. `scratch` must be exactly
+    /// [`Executable::scratch_len`] elements; its contents on entry are
+    /// irrelevant and on exit unspecified.
+    ///
+    /// # Panics
+    /// Panics when `src`/`dst`/`scratch` lengths disagree with the plan —
+    /// the engines validate before calling.
+    pub fn run<T: Copy + Send + Sync + Default>(
+        &self,
+        src: &[T],
+        dst: &mut [T],
+        scratch: &mut [T],
+    ) {
+        match self {
+            Executable::Native(s) => s.run_with_scratch(src, dst, scratch),
+            Executable::NativeScatter(p) => scatter_permute(src, p, dst),
+            Executable::Interp(e) => e.run(src, dst, scratch),
+            Executable::InterpScatter(p) => serial_scatter(p, src, dst),
+        }
     }
 
-    fn scratch_len(&self) -> usize {
-        0
+    /// Scratch elements `run` requires: 0 for scatter executables, `n`
+    /// for the native fused executor, `2n` for the IR interpreter.
+    pub fn scratch_len(&self) -> usize {
+        match self {
+            Executable::Native(s) => s.scratch_len(),
+            Executable::Interp(e) => e.scratch_len(),
+            Executable::NativeScatter(_) | Executable::InterpScatter(_) => 0,
+        }
     }
 
-    fn len(&self) -> usize {
-        self.perm.len()
+    /// Number of elements one run permutes.
+    pub fn len(&self) -> usize {
+        match self {
+            Executable::Native(s) => s.len(),
+            Executable::Interp(e) => e.len(),
+            Executable::NativeScatter(p) | Executable::InterpScatter(p) => p.len(),
+        }
     }
 
-    fn route(&self) -> Route {
-        Route::Scatter
+    /// True for the empty permutation.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 
-    fn backend_name(&self) -> &'static str {
-        NATIVE_BACKEND_NAME
+    /// The route this executable implements.
+    pub fn route(&self) -> Route {
+        match self {
+            Executable::Native(_) | Executable::Interp(_) => Route::Scheduled,
+            Executable::NativeScatter(_) | Executable::InterpScatter(_) => Route::Scatter,
+        }
     }
 
-    fn kernel_config(&self) -> KernelConfig {
-        self.config
+    /// The backend that prepared this executable.
+    pub fn backend(&self) -> Backend {
+        match self {
+            Executable::Native(_) | Executable::NativeScatter(_) => Backend::Native,
+            Executable::Interp(_) | Executable::InterpScatter(_) => Backend::Interp,
+        }
     }
 
-    fn runs(&self) -> u64 {
-        self.runs.load(Ordering::Relaxed)
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
+    /// The kernel config a scheduled executable was prepared with; `None`
+    /// for scatter executables, which read no config.
+    pub fn kernel_config(&self) -> Option<KernelConfig> {
+        match self {
+            Executable::Native(s) => Some(s.kernel_config()),
+            Executable::Interp(e) => Some(e.kernel_config()),
+            Executable::NativeScatter(_) | Executable::InterpScatter(_) => None,
+        }
     }
 }
 
 /// Every registered backend name, in preference order.
 pub fn backend_names() -> [&'static str; 2] {
-    [
-        NATIVE_BACKEND_NAME,
-        hmm_backend::interp::INTERP_BACKEND_NAME,
-    ]
+    Backend::ALL.map(Backend::name)
 }
 
-/// Resolve a registry name to a backend handle. `None` for unknown names.
-pub fn by_name<T: Copy + Send + Sync + Default + 'static>(
-    name: &str,
-) -> Option<Arc<dyn Backend<T>>> {
-    match name {
-        NATIVE_BACKEND_NAME => Some(Arc::new(NativeBackend)),
-        hmm_backend::interp::INTERP_BACKEND_NAME => Some(Arc::new(InterpBackend)),
-        _ => None,
-    }
+/// Resolve a registry name to a backend. `None` for unknown names.
+pub fn by_name(name: &str) -> Option<Backend> {
+    Backend::ALL.into_iter().find(|b| b.name() == name)
 }
 
 /// The process-default backend: `HMM_BACKEND` when set to a registered
 /// name (an unknown name warns once and is ignored), else native.
-pub fn default_backend<T: Copy + Send + Sync + Default + 'static>() -> Arc<dyn Backend<T>> {
-    parse_env(BACKEND_ENV, "one of: native, interp", |v| {
-        by_name::<T>(v.trim())
-    })
-    .unwrap_or_else(|| Arc::new(NativeBackend))
+pub fn default_backend() -> Backend {
+    parse_env(BACKEND_ENV, "one of: native, interp", |v| by_name(v.trim()))
+        .unwrap_or(Backend::Native)
 }
 
-/// Engine on the default backend with the γ threshold pinned so every
+/// Engine on the native backend with the γ threshold pinned so every
 /// plan takes `route` — the forcing seam the conformance, structured,
-/// and differential suites previously each hand-rolled.
+/// and differential suites share.
 pub fn forced_engine<T: Copy + Send + Sync + Default + 'static>(
     width: usize,
     route: Route,
 ) -> crate::plan::SharedEngine<T> {
-    forced_engine_on(NATIVE_BACKEND_NAME, width, route)
-        .expect("the native backend is always registered")
+    forced_engine_on("native", width, route).expect("the native backend is always registered")
 }
 
 /// [`forced_engine`] on a named registry backend; `None` for unknown
@@ -204,7 +195,7 @@ pub fn forced_engine_on<T: Copy + Send + Sync + Default + 'static>(
     width: usize,
     route: Route,
 ) -> Option<crate::plan::SharedEngine<T>> {
-    let engine = crate::plan::SharedEngine::with_backend(width, by_name::<T>(name)?);
+    let engine = crate::plan::SharedEngine::with_backend(width, by_name(name)?);
     engine.set_gamma_threshold(match route {
         Route::Scheduled => 0.0,
         Route::Scatter => f64::INFINITY,
@@ -212,14 +203,14 @@ pub fn forced_engine_on<T: Copy + Send + Sync + Default + 'static>(
     Some(engine)
 }
 
-/// Downcast a plan's executable to the native fused executor, when the
-/// plan is a scheduled plan prepared by [`NativeBackend`]. `None` for
-/// scatter plans and for other backends' executables.
+/// The native fused executor behind a plan, when the plan is a scheduled
+/// plan prepared by [`Backend::Native`]. `None` for scatter plans and for
+/// other backends' executables.
 pub fn as_native_scheduled<T>(plan: &crate::plan::PermutePlan<T>) -> Option<&NativeScheduled> {
-    plan.executable()
-        .as_any()
-        .downcast_ref::<NativeExec>()
-        .map(NativeExec::scheduled)
+    match plan.executable() {
+        Executable::Native(s) => Some(s),
+        _ => None,
+    }
 }
 
 #[cfg(test)]
@@ -231,11 +222,10 @@ mod tests {
     #[test]
     fn registry_resolves_every_listed_name() {
         for name in backend_names() {
-            let b = by_name::<u32>(name).unwrap_or_else(|| panic!("{name} not resolvable"));
+            let b = by_name(name).unwrap_or_else(|| panic!("{name} not resolvable"));
             assert_eq!(b.name(), name);
-            assert!(b.capabilities().scatter && b.capabilities().scheduled);
         }
-        assert!(by_name::<u32>("no-such-backend").is_none());
+        assert!(by_name("no-such-backend").is_none());
     }
 
     #[test]
@@ -246,25 +236,24 @@ mod tests {
         let mut want = vec![0u32; n];
         p.permute(&src, &mut want).unwrap();
 
-        let backend = NativeBackend;
-        let scatter: Box<dyn Executable<u32>> = backend
+        let backend = Backend::Native;
+        let scatter = backend
             .prepare(ExecPlan::Scatter(&p), KernelConfig::default())
             .unwrap();
         let mut dst = vec![0u32; n];
         scatter.run(&src, &mut dst, &mut []);
         assert_eq!(dst, want);
         assert_eq!(scatter.scratch_len(), 0);
-        assert_eq!(scatter.runs(), 1);
 
         let ir = PlanIr::build(&p, 32).unwrap();
-        let sched: Box<dyn Executable<u32>> = backend
+        let sched = backend
             .prepare(ExecPlan::Scheduled(&ir), KernelConfig::default())
             .unwrap();
         let mut scratch = vec![0u32; sched.scratch_len()];
         dst.fill(0);
         sched.run(&src, &mut dst, &mut scratch);
         assert_eq!(dst, want);
-        assert_eq!(sched.backend_name(), "native");
+        assert_eq!(sched.backend(), Backend::Native);
         assert_eq!(sched.route(), Route::Scheduled);
     }
 

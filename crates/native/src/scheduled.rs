@@ -58,7 +58,7 @@
 //! loops kept as the always-available reference ([`crate::simd`] — the
 //! only module that touches `core::arch`). The unfused five-pass
 //! reference is the `hmm-backend` sweep-IR interpreter
-//! ([`hmm_backend::InterpBackend`]).
+//! ([`hmm_backend::InterpExec`]).
 
 use crate::config::KernelConfig;
 use crate::par::{par_chunks_mut, par_chunks_mut_exact, worker_threads};
@@ -542,7 +542,7 @@ mod tests {
     #[test]
     fn fused_matches_unfused_for_all_families() {
         // The unfused five-pass reference is the sweep-IR interpreter.
-        use hmm_backend::{Backend, ExecPlan, InterpBackend};
+        use hmm_backend::InterpExec;
         let n = 1 << 13;
         let src: Vec<u32> = (0..n as u32).map(|v| v.rotate_left(7)).collect();
         for fam in families::Family::ALL {
@@ -551,9 +551,7 @@ mod tests {
             let sched = NativeScheduled::from_plan(&ir).unwrap();
             let mut fused = vec![0u32; n];
             sched.run(&src, &mut fused);
-            let interp = InterpBackend
-                .prepare(ExecPlan::Scheduled(&ir), sched.kernel_config())
-                .unwrap();
+            let interp = InterpExec::new(&ir, sched.kernel_config()).unwrap();
             let mut unfused = vec![0u32; n];
             let mut scratch = vec![0u32; interp.scratch_len()];
             interp.run(&src, &mut unfused, &mut scratch);

@@ -9,7 +9,7 @@
 //! paper families × element widths {u32, u64, [u8; 16]} × ragged shapes
 //! (non-multiple bands, block tails, n smaller than one block). Every
 //! (config, plan) cell runs on **every registered backend** through the
-//! `hmm_backend::Backend` registry — the same seam the conformance suite
+//! `hmm_native::Backend` registry — the same seam the conformance suite
 //! forces routes through — so the native fused pipeline and the sweep-IR
 //! interpreter are pinned to the oracle at once.
 //!
@@ -58,7 +58,7 @@ fn exec_scheduled<T>(backend: &str, ir: &PlanIr, cfg: KernelConfig, src: &[T]) -
 where
     T: Copy + Send + Sync + Default + 'static,
 {
-    let b = by_name::<T>(backend).expect("registered backend");
+    let b = by_name(backend).expect("registered backend");
     let exec = b.prepare(ExecPlan::Scheduled(ir), cfg).unwrap();
     let mut dst = vec![T::default(); src.len()];
     let mut scratch = vec![T::default(); exec.scratch_len()];

@@ -349,12 +349,12 @@ pub enum PermRepr {
     },
 }
 
-/// Server-wide counters reported by `STATS_REPORT`: both engines'
-/// [`EngineStats`](hmm_native::EngineStats) summed, plus the front
-/// door's own gauges.
+/// Server-wide counters reported by `STATS_REPORT`: the engine's
+/// [`EngineStats`](hmm_native::EngineStats) (one snapshot covers both
+/// element widths), plus the front door's own gauges.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServerStats {
-    /// Plan-cache hits (both element widths).
+    /// Plan-cache hits (either element width).
     pub hits: u64,
     /// Plan-cache misses.
     pub misses: u64,

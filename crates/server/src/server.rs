@@ -1,13 +1,14 @@
-//! The server: a thread-per-connection accept loop draining into the
-//! two `SharedEngine` queues (one per element width).
+//! The server: a thread-per-connection accept loop draining into one
+//! engine's submission queue.
 //!
 //! Shape of the thing:
 //!
-//! * [`Server::bind`] binds a `TcpListener`, builds one
-//!   `SharedEngine<u32>` and one `SharedEngine<u64>` (optionally
-//!   sharing a single on-disk [`PlanStore`](hmm_plan::PlanStore)
-//!   directory — `PlanIr` is element-agnostic, so both widths reuse
-//!   the same plan files), and spawns the accept thread.
+//! * [`Server::bind`] binds a `TcpListener`, builds one engine core
+//!   (optionally over an on-disk [`PlanStore`](hmm_plan::PlanStore)
+//!   directory) with a `SharedEngine<u32>` handle and a
+//!   `SharedEngine<u64>` view of it, and spawns the accept thread. Plans
+//!   are element-agnostic, so a permutation registered at both widths is
+//!   planned and cached once, and one stats snapshot covers both.
 //! * Each accepted connection gets its own handler thread and its own
 //!   *session*: a private handle namespace mapping `u64` handles to
 //!   registered permutations. Handles never leak across connections,
@@ -20,8 +21,8 @@
 //!   partial frame surfaces as an I/O error and the handler just reaps
 //!   the connection.
 //! * `DRAIN` (or [`Server::drain`]) stops the accept loop, waits for
-//!   `submitted == completed + cancelled` on both engines, then
-//!   answers `DRAIN_OK` and closes.
+//!   `submitted == completed + cancelled` on the engine, then answers
+//!   `DRAIN_OK` and closes.
 //!
 //! [`SharedEngine::submit`]: hmm_native::SharedEngine::submit
 //! [`submit_batch`]: hmm_native::SharedEngine::submit_batch
@@ -76,12 +77,12 @@ impl From<std::io::Error> for ServerError {
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Schedule width `w` for both engines (the paper's warp width).
+    /// Schedule width `w` for the engine (the paper's warp width).
     pub width: usize,
     /// Per-session quotas.
     pub admission: AdmissionConfig,
-    /// Optional `PlanStore` directory shared by both engines; restarts
-    /// against a warm store complete registrations with `builds == 0`.
+    /// Optional `PlanStore` directory behind the engine; restarts against
+    /// a warm store complete registrations with `builds == 0`.
     pub store_dir: Option<PathBuf>,
     /// Close connections that send no complete frame for this long
     /// (`None` disables the reap). A tripped timeout is answered with a
@@ -113,7 +114,9 @@ impl Default for ServerConfig {
 /// owning [`Server`] handle.
 struct Shared {
     addr: SocketAddr,
-    engine_u32: SharedEngine<u32>,
+    /// The engine, seen through a u32 handle; `engine_u64` is a view of
+    /// the same core.
+    engine: SharedEngine<u32>,
     engine_u64: SharedEngine<u64>,
     admission: AdmissionConfig,
     idle_timeout: Option<Duration>,
@@ -130,20 +133,19 @@ struct Shared {
 
 impl Shared {
     fn stats(&self) -> ServerStats {
-        let a = self.engine_u32.stats();
-        let b = self.engine_u64.stats();
+        let e = self.engine.stats();
         ServerStats {
-            hits: a.hits + b.hits,
-            misses: a.misses + b.misses,
-            builds: a.builds + b.builds,
-            plans_structured: a.plans_structured + b.plans_structured,
-            plans_affine: a.plans_affine + b.plans_affine,
-            store_hits: a.store_hits + b.store_hits,
-            store_rejects: a.store_rejects + b.store_rejects,
-            submitted: a.submitted + b.submitted,
-            completed: a.completed + b.completed,
-            cancelled: a.cancelled + b.cancelled,
-            admission_rejects: a.admission_rejects + b.admission_rejects,
+            hits: e.hits,
+            misses: e.misses,
+            builds: e.builds,
+            plans_structured: e.plans_structured,
+            plans_affine: e.plans_affine,
+            store_hits: e.store_hits,
+            store_rejects: e.store_rejects,
+            submitted: e.submitted,
+            completed: e.completed,
+            cancelled: e.cancelled,
+            admission_rejects: e.admission_rejects,
             idle_disconnects: self.idle_disconnects.load(Ordering::Relaxed),
             conn_rejects: self.conn_rejects.load(Ordering::Relaxed),
             registered_plans: self.registered_plans.load(Ordering::Relaxed),
@@ -152,7 +154,7 @@ impl Shared {
         }
     }
 
-    /// Stop accepting, then block until both engine queues have fully
+    /// Stop accepting, then block until the engine queue has fully
     /// flushed (`submitted == completed + cancelled`). Idempotent; safe
     /// to call from a handler thread (it joins the *accept* thread, not
     /// itself). Does NOT signal [`Server::wait_drained`] — callers do
@@ -172,8 +174,7 @@ impl Shared {
         {
             let _ = handle.join();
         }
-        self.engine_u32.drain();
-        self.engine_u64.drain();
+        self.engine.drain();
     }
 
     /// Wake [`Server::wait_drained`] waiters. Only call after
@@ -196,25 +197,21 @@ pub struct Server {
 }
 
 impl Server {
-    /// Bind `addr` (use port 0 for an OS-assigned port), build both
-    /// engines, and start accepting.
+    /// Bind `addr` (use port 0 for an OS-assigned port), build the
+    /// engine, and start accepting.
     pub fn bind(addr: impl ToSocketAddrs, config: ServerConfig) -> Result<Server, ServerError> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let (engine_u32, engine_u64) = match &config.store_dir {
-            Some(dir) => (
-                SharedEngine::with_store(config.width, dir.clone()).map_err(ServerError::Plan)?,
-                SharedEngine::with_store(config.width, dir.clone()).map_err(ServerError::Plan)?,
-            ),
-            None => (
-                SharedEngine::new(config.width),
-                SharedEngine::new(config.width),
-            ),
+        let engine: SharedEngine<u32> = match &config.store_dir {
+            Some(dir) => {
+                SharedEngine::with_store(config.width, dir.clone()).map_err(ServerError::Plan)?
+            }
+            None => SharedEngine::new(config.width),
         };
         let shared = Arc::new(Shared {
             addr,
-            engine_u32,
-            engine_u64,
+            engine_u64: engine.view(),
+            engine,
             admission: config.admission,
             idle_timeout: config.idle_timeout,
             max_connections: config.max_connections.max(1),
@@ -249,7 +246,7 @@ impl Server {
         self.shared.stats()
     }
 
-    /// Graceful shutdown: stop accepting, flush both queues, then
+    /// Graceful shutdown: stop accepting, flush the queue, then
     /// return. Equivalent to a client sending `DRAIN`.
     pub fn drain(&self) {
         self.shared.flush_for_drain();
@@ -528,15 +525,8 @@ fn register(
             format!("element width {elem_width} (serve 4 and 8)"),
         );
     }
-    let note_reject = || {
-        if elem_width == 4 {
-            shared.engine_u32.note_admission_reject();
-        } else {
-            shared.engine_u64.note_admission_reject();
-        }
-    };
     if let Err(e) = shared.admission.admit_plan(session.plans.len()) {
-        note_reject();
+        shared.engine.note_admission_reject();
         return err(e.code(), e.to_string());
     }
 
@@ -561,11 +551,8 @@ fn register(
 
     // Warm the verified plan cache now, so the first PERMUTE is pure
     // execution and registration errors surface at registration time.
-    let planned = match elem_width {
-        4 => shared.engine_u32.plan(&p).map(|_| ()),
-        _ => shared.engine_u64.plan(&p).map(|_| ()),
-    };
-    if let Err(e) = planned {
+    // Plans are element-agnostic: one entry serves both widths.
+    if let Err(e) = shared.engine.plan(&p) {
         return err(ErrCode::Plan, e.to_string());
     }
 
@@ -636,17 +623,13 @@ fn permute(
         }
     };
     if let Err(e) = shared.admission.admit_jobs(payloads.len()) {
-        if registered.elem_width == 4 {
-            shared.engine_u32.note_admission_reject();
-        } else {
-            shared.engine_u64.note_admission_reject();
-        }
+        shared.engine.note_admission_reject();
         return err(e.code(), e.to_string());
     }
 
     let perm = Arc::clone(&registered.perm);
     let outcome = if registered.elem_width == 4 {
-        run_jobs::<u32>(&shared.engine_u32, &perm, payloads)
+        run_jobs::<u32>(&shared.engine, &perm, payloads)
     } else {
         run_jobs::<u64>(&shared.engine_u64, &perm, payloads)
     };

@@ -6,12 +6,12 @@
 //! This is the suite that makes the IR trustworthy as a codegen source:
 //! [`hmm_backend::SweepIr`]'s five-step unfused program (gather,
 //! transpose, gather, transpose, row-permute) is executed literally by
-//! [`hmm_backend::InterpBackend`], so any divergence between what the
+//! [`hmm_backend::InterpExec`], so any divergence between what the
 //! WGSL generator *says* a kernel does and what the plan *means* shows up
 //! here as a byte mismatch long before a GPU is involved.
 
 use hmm_backend::{GatherMap, SweepIr};
-use hmm_native::{as_native_scheduled, forced_engine_on, InterpBackend, PlanIr, Route};
+use hmm_native::{as_native_scheduled, forced_engine_on, Backend, PlanIr, Route};
 use hmm_perm::{families, Permutation};
 
 const W: usize = 32;
@@ -113,11 +113,10 @@ fn lowered_sweep_ir_has_the_documented_shape() {
     assert_eq!(lowered.map(GatherMap::G1).len(), n);
     assert_eq!(lowered.map(GatherMap::G2).len(), n);
     assert_eq!(lowered.map(GatherMap::G3).len(), n);
-    // The same lowering is what `InterpBackend::prepare` executes.
-    let engine =
-        hmm_native::SharedEngine::<u32>::with_backend(W, std::sync::Arc::new(InterpBackend));
+    // The same lowering is what `Backend::Interp.prepare` executes.
+    let engine = hmm_native::SharedEngine::<u32>::with_backend(W, Backend::Interp);
     engine.set_gamma_threshold(0.0);
     let plan = engine.plan(&p).unwrap();
-    assert_eq!(plan.executable().backend_name(), "interp");
+    assert_eq!(plan.executable().backend(), Backend::Interp);
     assert_eq!(plan.scratch_len(), 2 * n, "interp needs two scratch arrays");
 }

@@ -14,12 +14,17 @@
 //! * every registered backend (`native`, `interp`) × both routes, each
 //!   **forced** via [`hmm_native::forced_engine_on`] (γ threshold `0.0` →
 //!   scheduled, `∞` → scatter) so the γ decision cannot quietly collapse
-//!   the matrix onto one kernel.
+//!   the matrix onto one kernel;
+//! * u32 elements through the engine and u64 elements through a
+//!   [`SharedEngine::view`] of the same engine, so the u64 cells run the
+//!   plans the u32 cells cached.
 //!
 //! Every run also asserts the plan actually executed on the forced route
 //! and backend, so a regression in the forcing seam itself cannot hide.
+//! The whole matrix, the unforced γ decision included, iterates the
+//! backends in process: no cell depends on `HMM_BACKEND`.
 
-use hmm_native::{backend_names, forced_engine_on, Route, SharedEngine};
+use hmm_native::{backend_names, by_name, forced_engine_on, Route, SharedEngine};
 use hmm_perm::{families, Permutation};
 use std::sync::Arc;
 
@@ -47,10 +52,29 @@ fn paper_families(n: usize) -> Vec<(&'static str, Permutation)> {
     ]
 }
 
+/// Element types the matrix runs at.
+trait Elem: Copy + Send + Sync + Default + PartialEq + std::fmt::Debug + 'static {
+    /// Widen a u32 ramp value; u64 cells also set high bits, so a
+    /// truncating kernel would show.
+    fn from_u32(v: u32) -> Self;
+}
+
+impl Elem for u32 {
+    fn from_u32(v: u32) -> Self {
+        v
+    }
+}
+
+impl Elem for u64 {
+    fn from_u32(v: u32) -> Self {
+        (u64::from(v) << 32) | u64::from(!v)
+    }
+}
+
 /// Naive reference: the definition applied with a plain loop,
 /// `b[P[i]] = a[i]` — no shared code with any code path under test.
-fn naive_reference(p: &Permutation, a: &[u32]) -> Vec<u32> {
-    let mut b = vec![0u32; a.len()];
+fn naive_reference<T: Elem>(p: &Permutation, a: &[T]) -> Vec<T> {
+    let mut b = vec![T::default(); a.len()];
     for (i, &pi) in p.as_slice().iter().enumerate() {
         b[pi] = a[i];
     }
@@ -58,42 +82,43 @@ fn naive_reference(p: &Permutation, a: &[u32]) -> Vec<u32> {
 }
 
 /// Input that is not the identity ramp, so index/value confusions show.
-fn input(n: usize) -> Vec<u32> {
+/// `salt` varies the batch members.
+fn input<T: Elem>(n: usize, salt: u32) -> Vec<T> {
     (0..n as u32)
-        .map(|v| v.wrapping_mul(0x9e37_79b9) ^ 0x5eed)
+        .map(|v| T::from_u32((v.wrapping_mul(0x9e37_79b9) ^ 0x5eed).wrapping_add(salt)))
         .collect()
 }
 
 /// Differential check of all three front doors for one (family, n,
-/// backend, route) cell, on one shared engine so the plan is built once.
-fn check_cell(engine: &SharedEngine<u32>, name: &str, p: &Permutation, route: Route) {
+/// backend, route, element type) cell, on one shared engine so the plan
+/// is built once.
+fn check_cell<T: Elem>(engine: &SharedEngine<T>, name: &str, p: &Permutation, route: Route) {
     let n = p.len();
-    let src = input(n);
+    let src = input::<T>(n, 0);
     let want = naive_reference(p, &src);
     let ctx = format!(
-        "{name} n={n} backend={} route={route:?}",
-        engine.backend_name()
+        "{name} n={n} backend={:?} route={route:?} elem={}",
+        engine.backend(),
+        std::any::type_name::<T>()
     );
 
     // The plan must actually execute on the forced backend and route.
     let plan = engine.plan(p).unwrap();
     assert_eq!(plan.route(), route, "{ctx}: forcing seam regressed");
     assert_eq!(
-        plan.executable().backend_name(),
-        engine.backend_name(),
+        plan.executable().backend(),
+        engine.backend(),
         "{ctx}: plan prepared off-backend"
     );
 
     // Front door 1: blocking permute.
-    let mut dst = vec![0u32; n];
+    let mut dst = vec![T::default(); n];
     engine.permute(p, &src, &mut dst).unwrap();
     assert_eq!(dst, want, "{ctx}: permute diverged from naive reference");
 
     // Front door 2: blocking permute_batch (queue-routed members).
-    let srcs: Vec<Vec<u32>> = (0..3)
-        .map(|k| src.iter().map(|v| v.wrapping_add(k)).collect())
-        .collect();
-    let mut dsts: Vec<Vec<u32>> = vec![vec![0u32; n]; srcs.len()];
+    let srcs: Vec<Vec<T>> = (0..3).map(|k| input::<T>(n, k)).collect();
+    let mut dsts: Vec<Vec<T>> = vec![vec![T::default(); n]; srcs.len()];
     engine
         .permute_batch(
             p,
@@ -111,9 +136,9 @@ fn check_cell(engine: &SharedEngine<u32>, name: &str, p: &Permutation, route: Ro
     }
 
     // Front door 3: queued submit.
-    let shared: Arc<[u32]> = src.clone().into();
+    let shared: Arc<[T]> = src.clone().into();
     let report = engine
-        .submit(p, Arc::clone(&shared), vec![0u32; n])
+        .submit(p, Arc::clone(&shared), vec![T::default(); n])
         .wait()
         .unwrap();
     assert_eq!(report.route, route, "{ctx}: queued job ran off-route");
@@ -123,13 +148,16 @@ fn check_cell(engine: &SharedEngine<u32>, name: &str, p: &Permutation, route: Ro
     );
 }
 
-/// Full family × size sweep for one (backend name, route) pair.
+/// Full family × size sweep for one (backend name, route) pair, at u32
+/// and — through a view of the same engine — at u64.
 fn run_route(backend: &str, route: Route) {
     for n in SIZES {
         let engine = forced_engine_on::<u32>(backend, W, route)
             .unwrap_or_else(|| panic!("backend {backend} not registered"));
+        let wide = engine.view::<u64>();
         for (name, p) in paper_families(n) {
             check_cell(&engine, name, &p, route);
+            check_cell(&wide, name, &p, route);
         }
     }
 }
@@ -153,18 +181,25 @@ fn conformance_scheduled_route_all_backends_all_families_all_sizes() {
     }
 }
 
-/// The γ decision itself (no forcing): whatever route the engine picks,
-/// outputs still match the naive reference for every family and size.
+/// The γ decision itself (no forcing), on every registered backend:
+/// whatever route the engine picks, outputs still match the naive
+/// reference for every family and size.
 #[test]
 fn conformance_default_gamma_decision_is_correct() {
-    for n in SIZES {
-        let engine: SharedEngine<u32> = SharedEngine::new(W);
-        for (name, p) in paper_families(n) {
-            let src = input(n);
-            let want = naive_reference(&p, &src);
-            let mut dst = vec![0u32; n];
-            engine.permute(&p, &src, &mut dst).unwrap();
-            assert_eq!(dst, want, "{name} n={n}: default γ decision diverged");
+    for backend in backend_names() {
+        for n in SIZES {
+            let engine: SharedEngine<u32> =
+                SharedEngine::with_backend(W, by_name(backend).unwrap());
+            for (name, p) in paper_families(n) {
+                let src = input::<u32>(n, 0);
+                let want = naive_reference(&p, &src);
+                let mut dst = vec![0u32; n];
+                engine.permute(&p, &src, &mut dst).unwrap();
+                assert_eq!(
+                    dst, want,
+                    "{name} n={n} backend={backend}: default γ decision diverged"
+                );
+            }
         }
     }
 }

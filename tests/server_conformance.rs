@@ -242,8 +242,9 @@ fn server_restart_over_plan_store_completes_with_zero_builds() {
 
     // Leg 2: a *new process* over the same store. Same registration,
     // same payload, byte-identical output — and zero builds: the plan
-    // comes verified off disk. Both element widths share the store
-    // (PlanIr is element-agnostic).
+    // comes verified off disk once, and the u64 registration is a memory
+    // hit on that plan (plans are element-agnostic, so both widths share
+    // one cache entry).
     {
         let server = ServerProc::spawn(&["--store", &dir_arg]);
         let mut client = server.client();
@@ -259,11 +260,44 @@ fn server_restart_over_plan_store_completes_with_zero_builds() {
         let stats = client.stats().unwrap();
         assert_eq!(stats.builds, 0, "warm restart must not rebuild: {stats:?}");
         assert!(
-            stats.store_hits >= 2,
-            "both widths should load from the store: {stats:?}"
+            stats.store_hits == 1 && stats.hits >= 1,
+            "one store load, then a cache hit for the other width: {stats:?}"
         );
         server.drain_and_wait();
     }
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn registering_one_permutation_at_both_widths_plans_it_once() {
+    let server = ServerProc::spawn(&[]);
+    let mut client = server.client();
+    let n = 1 << 12;
+    let p = families::random(n, 0x51de);
+    let h32 = client.register::<u32>(&p).unwrap();
+    let h64 = client.register::<u64>(&p).unwrap();
+    let src32 = input::<u32>(n);
+    let src64 = input::<u64>(n);
+    assert_eq!(
+        client.permute(&h32, &src32).unwrap(),
+        naive_reference(&p, &src32)
+    );
+    assert_eq!(
+        client.permute(&h64, &src64).unwrap(),
+        naive_reference(&p, &src64)
+    );
+
+    let stats = client.stats().unwrap();
+    assert_eq!(stats.misses, 1, "both widths share one plan: {stats:?}");
+    assert!(
+        stats.hits >= 1,
+        "the second width is a cache hit: {stats:?}"
+    );
+    assert_eq!(
+        stats.submitted, 2,
+        "one queue carries both widths: {stats:?}"
+    );
+    assert_eq!(stats.completed, 2, "{stats:?}");
+    server.drain_and_wait();
 }
