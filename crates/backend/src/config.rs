@@ -7,14 +7,9 @@
 //! executor, the engines, the queue drainers, and every backend) one
 //! place to read them from:
 //!
-//! * [`KernelConfig::default`] — the seed's values, SIMD on;
-//! * [`KernelConfig::from_env`] — the default with [`SIMD_ENV`]
-//!   (`HMM_NATIVE_SIMD`) and [`COMPUTED_INDEX_ENV`]
-//!   (`HMM_NATIVE_COMPUTED_INDEX`) applied, so a deployment can force
-//!   the scalar reference path or the materialized-map gather path
-//!   without recompiling;
-//! * [`KernelConfig::global`] — the process-wide snapshot engines use
-//!   unless a caller threads an explicit config through;
+//! * [`KernelConfig::default`] — the seed's values with SIMD and
+//!   computed indices on: what every engine starts with until a caller
+//!   threads another config through (`SharedEngine::set_kernel_config`);
 //! * [`KernelConfig::scalar`] — the always-available scalar reference:
 //!   scalar kernel tiers and map-loaded indices. The differential suite
 //!   uses it as the correctness oracle for every other config point.
@@ -28,25 +23,6 @@
 //! lowering ([`crate::sweep::SweepIr`]) reads `tile` as the tiled
 //! transpose's side — so a calibrated tile travels to the WGSL codegen
 //! and the interpreter unchanged.
-
-use crate::env::parse_env;
-use std::sync::OnceLock;
-
-/// Environment variable: set to `0`/`off`/`false` to disable the SIMD
-/// kernel tiers process-wide, `1`/`on`/`true` to leave them enabled
-/// (also the unset default; the `core::arch` tier additionally requires
-/// runtime CPU support). Anything else is loudly ignored — like
-/// `HMM_NATIVE_THREADS`, a typo'd override must never silently select
-/// the wrong kernels.
-pub const SIMD_ENV: &str = "HMM_NATIVE_SIMD";
-
-/// Environment variable: set to `0`/`off`/`false` to disable the
-/// computed-index (affine-fold) kernel path for structured plans —
-/// forcing every gather sweep back onto materialized map loads — or
-/// `1`/`on`/`true` to leave it enabled (also the unset default). Parsed
-/// with the same strict warn-once rules as [`SIMD_ENV`]: a typo'd value
-/// never silently selects a kernel path.
-pub const COMPUTED_INDEX_ENV: &str = "HMM_NATIVE_COMPUTED_INDEX";
 
 /// Default per-worker staging-buffer budget in bytes (the seed's
 /// `262_144`): one gathered input block must fit in the last-level
@@ -96,40 +72,6 @@ impl Default for KernelConfig {
 }
 
 impl KernelConfig {
-    /// The default config with [`SIMD_ENV`] and [`COMPUTED_INDEX_ENV`]
-    /// applied. For [`SIMD_ENV`], a disabling value (`0`/`off`/`false`)
-    /// selects the scalar kernel tiers and nothing else, an enabling
-    /// value (`1`/`on`/`true`) or unset keeps the default, and anything
-    /// else warns once (via [`crate::env::parse_env`]) and keeps the
-    /// default. [`COMPUTED_INDEX_ENV`] follows the same rules for
-    /// [`KernelConfig::computed_index`].
-    pub fn from_env() -> Self {
-        let mut cfg = Self::default();
-        if let Some(simd) = parse_env(
-            SIMD_ENV,
-            "0/1/on/off/true/false; keeping SIMD enabled",
-            parse_simd_override,
-        ) {
-            cfg.simd = simd;
-        }
-        if let Some(computed) = parse_env(
-            COMPUTED_INDEX_ENV,
-            "0/1/on/off/true/false; keeping computed-index enabled",
-            parse_simd_override,
-        ) {
-            cfg.computed_index = computed;
-        }
-        cfg
-    }
-
-    /// The process-wide config: [`KernelConfig::from_env`] evaluated
-    /// once, at first use. Callers that need a different config per
-    /// plan thread one through explicitly instead.
-    pub fn global() -> Self {
-        static GLOBAL: OnceLock<KernelConfig> = OnceLock::new();
-        *GLOBAL.get_or_init(Self::from_env)
-    }
-
     /// The scalar reference configuration: scalar kernel tiers and
     /// map-loaded indices (no computed-index fold), default block and
     /// tile sizes.
@@ -142,20 +84,6 @@ impl KernelConfig {
             computed_index: false,
             ..Self::default()
         }
-    }
-}
-
-/// Parse an `HMM_NATIVE_SIMD` override: `1`/`on`/`true` enable,
-/// `0`/`off`/`false` disable (ASCII case-insensitive, surrounding
-/// whitespace ignored); anything else is invalid and yields `None`.
-/// Factored out of [`KernelConfig::from_env`] so the parse rules are
-/// testable without racing on the process-global environment (the same
-/// split `HMM_NATIVE_THREADS` uses).
-fn parse_simd_override(v: &str) -> Option<bool> {
-    match v.trim().to_ascii_lowercase().as_str() {
-        "1" | "on" | "true" => Some(true),
-        "0" | "off" | "false" => Some(false),
-        _ => None,
     }
 }
 
@@ -179,22 +107,5 @@ mod tests {
         assert!(!cfg.computed_index);
         assert_eq!(cfg.tile, DEFAULT_TILE);
         assert_eq!(cfg.stage_bytes, DEFAULT_STAGE_BYTES);
-    }
-
-    #[test]
-    fn simd_override_parse_matrix() {
-        // Disabling spellings — the old code only honored the literal "0",
-        // so "off"/"false" silently *enabled* SIMD.
-        for v in ["0", "off", "false", "OFF", "False", " 0 ", "\toff\n"] {
-            assert_eq!(parse_simd_override(v), Some(false), "{v:?}");
-        }
-        for v in ["1", "on", "true", "ON", "True", " 1 "] {
-            assert_eq!(parse_simd_override(v), Some(true), "{v:?}");
-        }
-        // Invalid values are rejected (from_env warns and keeps the
-        // default) rather than being treated as "enable".
-        for v in ["", "2", "yes", "no", "garbage", "0x1", "-1"] {
-            assert_eq!(parse_simd_override(v), None, "{v:?}");
-        }
     }
 }

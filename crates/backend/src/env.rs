@@ -1,11 +1,7 @@
-//! Strict, warn-once environment-override parsing — one helper for every
-//! `HMM_*` knob.
-//!
-//! PR 7 made `HMM_NATIVE_SIMD` strict (a typo'd override must never
-//! silently select the wrong kernels) but left `HMM_NATIVE_THREADS` with
-//! its own ad-hoc copy of the same policy, minus the warn-once guard.
-//! This module is the shared implementation both now use, along with
-//! `HMM_BACKEND`:
+//! Strict, warn-once environment-override parsing — the policy
+//! `hmm-native` reads `HMM_NATIVE_THREADS` with. The worker pool is
+//! process-global, so its size is the one execution knob that stays in
+//! the environment:
 //!
 //! * **Strict** — the caller supplies the parse function; anything it
 //!   rejects is treated as absent (the caller keeps its default), never

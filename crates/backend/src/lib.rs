@@ -24,9 +24,10 @@
 //!    the naive reference.
 //!
 //! The crate also owns the strict environment-override helper
-//! ([`env::parse_env`]): every `HMM_*` knob (`HMM_NATIVE_SIMD`,
-//! `HMM_NATIVE_THREADS`, `HMM_BACKEND`) parses strictly and warns once
-//! per variable on garbage instead of silently guessing.
+//! ([`env::parse_env`]) that `hmm-native` parses `HMM_NATIVE_THREADS`
+//! with: a bad value warns once and keeps the default instead of
+//! silently guessing. Kernel configs are never read from the
+//! environment; callers thread a [`KernelConfig`] through.
 //!
 //! No `unsafe` anywhere in this crate: the interpreter is the *reference*
 //! executor, so it stays trivially auditable.
@@ -41,7 +42,7 @@ pub mod route;
 pub mod sweep;
 pub mod wgsl;
 
-pub use config::{KernelConfig, COMPUTED_INDEX_ENV, DEFAULT_STAGE_BYTES, DEFAULT_TILE, SIMD_ENV};
+pub use config::{KernelConfig, DEFAULT_STAGE_BYTES, DEFAULT_TILE};
 pub use interp::{serial_scatter, InterpExec};
 pub use route::{ExecPlan, Route};
 pub use sweep::{BufferId, GatherMap, IndexSource, SweepIr, SweepKernel, SweepStep};

@@ -437,4 +437,25 @@ mod tests {
             }
         }
     }
+
+    /// Structural pin of the lowering itself: the sweep IR an interp
+    /// executable holds has exactly the five-step shape DESIGN §13
+    /// documents, and its gather maps are the plan's own (transposed for
+    /// pass 2).
+    #[test]
+    fn lowered_sweep_ir_has_the_documented_shape() {
+        let n = 1 << 12;
+        let p = families::random(n, 31);
+        let ir = PlanIr::build(&p, 32).unwrap();
+        let lowered = SweepIr::lower(&ir, &KernelConfig::default());
+        assert_eq!(lowered.rows() * lowered.cols(), n);
+        assert_eq!(lowered.steps().len(), 5);
+        assert_eq!(lowered.map(GatherMap::G1).len(), n);
+        assert_eq!(lowered.map(GatherMap::G2).len(), n);
+        assert_eq!(lowered.map(GatherMap::G3).len(), n);
+        // The same lowering is what the `interp` backend executes.
+        let exec = crate::InterpExec::new(&ir, KernelConfig::default()).unwrap();
+        assert_eq!(exec.sweep_ir(), &lowered);
+        assert_eq!(exec.scratch_len(), 2 * n, "interp needs two scratch arrays");
+    }
 }

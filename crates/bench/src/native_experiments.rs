@@ -26,8 +26,8 @@
 use crate::tables::{size_label, TextTable};
 use hmm_native::par::worker_threads;
 use hmm_native::{
-    copy_baseline, gather_permute, scatter_permute, ExecPlan, KernelConfig, NativeScheduled,
-    SharedEngine,
+    copy_baseline, gather_permute, scatter_permute, Backend, ExecPlan, KernelConfig,
+    NativeScheduled, SharedEngine,
 };
 use hmm_offperm::Result;
 use hmm_perm::families::{self, Family};
@@ -900,8 +900,8 @@ pub fn backends(sizes: &[usize], reps: usize) -> Result<Vec<BackendRow>> {
         let src: Vec<u32> = (0..n as u32).collect();
         let mut want = vec![0u32; n];
         p.permute(&src, &mut want).expect("reference permute");
-        for name in hmm_native::backend_names() {
-            let backend = hmm_native::by_name(name).expect("registered backend");
+        for backend in Backend::ALL {
+            let name = backend.name();
             let exec = backend.prepare(ExecPlan::Scheduled(&ir), KernelConfig::default())?;
             let mut dst = vec![0u32; n];
             let mut scratch = vec![0u32; exec.scratch_len()];
@@ -1389,7 +1389,7 @@ mod tests {
     #[test]
     fn backends_measures_every_registered_backend() {
         let rows = backends(&[1 << 12], 1).unwrap();
-        assert_eq!(rows.len(), hmm_native::backend_names().len());
+        assert_eq!(rows.len(), Backend::ALL.len());
         for r in &rows {
             assert!(r.elements_per_sec() > 0.0, "{}", r.name);
         }

@@ -11,22 +11,15 @@
 //! prepared once and [`Executable::run`] is generic per call: one cached
 //! plan serves u32, u64 and 16-byte payloads alike.
 //!
-//! [`default_backend`] honours the `HMM_BACKEND` environment variable
-//! (strict, warn-once via [`hmm_backend::env::parse_env`]) so a whole
-//! process — tests, benches, the CLI — can be pointed at a different
-//! backend without a recompile; unset or invalid selects `native`.
+//! Engines run on [`Backend::Native`] unless built with
+//! `SharedEngine::with_backend`; tests and benches iterate
+//! [`Backend::ALL`] in process.
 
 use crate::scatter::scatter_permute;
 use crate::scheduled::NativeScheduled;
-use hmm_backend::env::parse_env;
 use hmm_backend::{serial_scatter, ExecPlan, InterpExec, KernelConfig, Route};
 use hmm_perm::Permutation;
 use hmm_plan::Result;
-
-/// Environment variable selecting the process-default backend by registry
-/// name (`native`, `interp`). Invalid names warn once and keep the
-/// default, matching `HMM_NATIVE_SIMD`/`HMM_NATIVE_THREADS` strictness.
-pub const BACKEND_ENV: &str = "HMM_BACKEND";
 
 /// A registered execution backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,8 +38,7 @@ impl Backend {
     /// Every registered backend, in preference order.
     pub const ALL: [Backend; 2] = [Backend::Native, Backend::Interp];
 
-    /// Stable registry name — what `HMM_BACKEND` selects and what
-    /// `EngineStats::backend` reports.
+    /// Stable registry name — what `EngineStats::backend` reports.
     pub fn name(self) -> &'static str {
         match self {
             Backend::Native => "native",
@@ -161,46 +153,20 @@ impl Executable {
     }
 }
 
-/// Every registered backend name, in preference order.
-pub fn backend_names() -> [&'static str; 2] {
-    Backend::ALL.map(Backend::name)
-}
-
-/// Resolve a registry name to a backend. `None` for unknown names.
-pub fn by_name(name: &str) -> Option<Backend> {
-    Backend::ALL.into_iter().find(|b| b.name() == name)
-}
-
-/// The process-default backend: `HMM_BACKEND` when set to a registered
-/// name (an unknown name warns once and is ignored), else native.
-pub fn default_backend() -> Backend {
-    parse_env(BACKEND_ENV, "one of: native, interp", |v| by_name(v.trim()))
-        .unwrap_or(Backend::Native)
-}
-
-/// Engine on the native backend with the γ threshold pinned so every
-/// plan takes `route` — the forcing seam the conformance, structured,
-/// and differential suites share.
+/// Engine on `backend` with the γ threshold pinned so every plan takes
+/// `route` — the forcing seam the conformance, structured, and
+/// differential suites share.
 pub fn forced_engine<T: Copy + Send + Sync + Default + 'static>(
+    backend: Backend,
     width: usize,
     route: Route,
 ) -> crate::plan::SharedEngine<T> {
-    forced_engine_on("native", width, route).expect("the native backend is always registered")
-}
-
-/// [`forced_engine`] on a named registry backend; `None` for unknown
-/// names.
-pub fn forced_engine_on<T: Copy + Send + Sync + Default + 'static>(
-    name: &str,
-    width: usize,
-    route: Route,
-) -> Option<crate::plan::SharedEngine<T>> {
-    let engine = crate::plan::SharedEngine::with_backend(width, by_name(name)?);
+    let engine = crate::plan::SharedEngine::with_backend(width, backend);
     engine.set_gamma_threshold(match route {
         Route::Scheduled => 0.0,
         Route::Scatter => f64::INFINITY,
     });
-    Some(engine)
+    engine
 }
 
 /// The native fused executor behind a plan, when the plan is a scheduled
@@ -218,15 +184,6 @@ mod tests {
     use super::*;
     use hmm_perm::families;
     use hmm_plan::PlanIr;
-
-    #[test]
-    fn registry_resolves_every_listed_name() {
-        for name in backend_names() {
-            let b = by_name(name).unwrap_or_else(|| panic!("{name} not resolvable"));
-            assert_eq!(b.name(), name);
-        }
-        assert!(by_name("no-such-backend").is_none());
-    }
 
     #[test]
     fn native_executables_match_the_reference_on_both_routes() {
@@ -264,28 +221,28 @@ mod tests {
         let src: Vec<u32> = (0..n as u32).collect();
         let mut want = vec![0u32; n];
         p.permute(&src, &mut want).unwrap();
-        for name in backend_names() {
+        for backend in Backend::ALL {
             for route in [Route::Scatter, Route::Scheduled] {
-                let engine = forced_engine_on::<u32>(name, 32, route).unwrap();
+                let engine = forced_engine::<u32>(backend, 32, route);
                 let plan = engine.plan(&p).unwrap();
-                assert_eq!(plan.route(), route, "{name}");
+                assert_eq!(plan.route(), route, "{backend:?}");
+                assert_eq!(plan.executable().backend(), backend);
                 let mut dst = vec![0u32; n];
                 engine.run_plan(&plan, &src, &mut dst);
-                assert_eq!(dst, want, "{name} {route:?}");
+                assert_eq!(dst, want, "{backend:?} {route:?}");
             }
         }
-        assert!(forced_engine_on::<u32>("bogus", 32, Route::Scatter).is_none());
     }
 
     #[test]
     fn native_scheduled_plans_downcast_and_interp_plans_do_not() {
         let n = 1 << 10;
         let p = families::random(n, 8);
-        let native = forced_engine::<u32>(32, Route::Scheduled);
+        let native = forced_engine::<u32>(Backend::Native, 32, Route::Scheduled);
         assert!(as_native_scheduled(&native.plan(&p).unwrap()).is_some());
-        let scatter = forced_engine::<u32>(32, Route::Scatter);
+        let scatter = forced_engine::<u32>(Backend::Native, 32, Route::Scatter);
         assert!(as_native_scheduled(&scatter.plan(&p).unwrap()).is_none());
-        let interp = forced_engine_on::<u32>("interp", 32, Route::Scheduled).unwrap();
+        let interp = forced_engine::<u32>(Backend::Interp, 32, Route::Scheduled);
         assert!(as_native_scheduled(&interp.plan(&p).unwrap()).is_none());
     }
 }

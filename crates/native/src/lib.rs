@@ -31,14 +31,15 @@
 //! * [`backend`] — the backend registry: [`Backend::Native`] (this
 //!   crate's kernels) and [`Backend::Interp`] (the `hmm-backend` sweep-IR
 //!   interpreter) each prepare a width-free [`Executable`] whose `run` is
-//!   generic per call, and `HMM_BACKEND=interp` redirects a whole process
-//!   without a recompile;
+//!   generic per call; [`forced_engine`] pins an engine to one backend
+//!   and route, the seam the test suites iterate [`Backend::ALL`] with;
 //! * [`config::KernelConfig`] — the sweep-kernel tuning seam (staging
-//!   block size, tile side, SIMD and computed-index switches,
-//!   `HMM_NATIVE_SIMD=0` to select the scalar kernel tiers; re-exported from
-//!   `hmm-backend`, where the strict warn-once env parsing lives) threaded
-//!   through every front door: blocking calls, the shared engine, and the
-//!   queue drainers;
+//!   block size, tile side, SIMD and computed-index switches; re-exported
+//!   from `hmm-backend`) threaded through every front door: blocking
+//!   calls, the shared engine
+//!   ([`plan::SharedEngine::set_kernel_config`]), and the queue drainers.
+//!   Kernel configs are never read from the environment; only the
+//!   worker-pool size is (`HMM_NATIVE_THREADS`, see [`par`]);
 //! * [`pool`] / [`par`] — a persistent worker pool (created once per
 //!   process) and the chunked parallel-for primitives built on it
 //!   (`rayon` is not on this reproduction's offline dependency list).
@@ -62,7 +63,6 @@
 pub mod backend;
 mod cache;
 mod calibrate;
-pub mod config;
 pub mod par;
 pub mod plan;
 pub mod pool;
@@ -74,12 +74,9 @@ mod simd;
 mod stage;
 mod stats;
 
-pub use backend::{
-    as_native_scheduled, backend_names, by_name, default_backend, forced_engine, forced_engine_on,
-    Backend, Executable, BACKEND_ENV,
-};
-pub use config::{KernelConfig, COMPUTED_INDEX_ENV, SIMD_ENV};
-pub use hmm_backend::{ExecPlan, Route};
+pub use backend::{as_native_scheduled, forced_engine, Backend, Executable};
+pub use hmm_backend::config;
+pub use hmm_backend::{ExecPlan, KernelConfig, Route};
 pub use hmm_plan::{PlanIr, PlanStore, StoreKey};
 pub use par::THREADS_ENV;
 pub use plan::{PermutePlan, SharedEngine, CALIBRATE_ENV};

@@ -13,9 +13,10 @@ use std::num::NonZeroUsize;
 
 /// Environment variable overriding the worker-thread count: a positive
 /// integer, read once when the global pool is first constructed. Invalid
-/// values warn once and fall back to hardware parallelism — the same
-/// strict, warn-once policy [`hmm_backend::env::parse_env`] applies to
-/// `HMM_NATIVE_SIMD` and `HMM_BACKEND`.
+/// values warn once and fall back to hardware parallelism, through the
+/// strict, warn-once [`hmm_backend::env::parse_env`]. The pool is
+/// process-global, so this is the one execution knob that cannot be set
+/// per engine.
 pub const THREADS_ENV: &str = "HMM_NATIVE_THREADS";
 
 /// Number of worker threads the pool was (or will be) built with: the

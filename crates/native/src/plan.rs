@@ -164,13 +164,13 @@ impl<T> std::fmt::Debug for PermutePlan<T> {
 
 impl<T> PermutePlan<T> {
     /// Wrap an already-built backend-neutral [`PlanIr`] as a scheduled
-    /// plan on the process-default backend with an explicit kernel
+    /// plan on the native backend with an explicit kernel
     /// config — no König coloring happens here, and no cache is touched.
     /// Fails with a typed error when the IR violates its contract
     /// (`PlanIr::validate`).
     pub fn from_ir_with(ir: &PlanIr, config: KernelConfig) -> Result<Self> {
         Ok(PermutePlan {
-            plan: Plan::scheduled(crate::backend::default_backend(), ir, config)?,
+            plan: Plan::scheduled(Backend::Native, ir, config)?,
             _elem: PhantomData,
         })
     }
@@ -487,8 +487,8 @@ impl<T: Copy + Send + Sync + Default + 'static> SharedEngine<T> {
         Self::with_shards(width, DEFAULT_SHARDS, DEFAULT_CAPACITY)
     }
 
-    /// Engine on an explicit execution backend (see
-    /// [`crate::backend::by_name`] for the registry) with the default
+    /// Engine on an explicit execution backend (see [`Backend::ALL`]
+    /// for the registry) with the default
     /// shard count and per-shard capacity. Plans cached by this engine
     /// are prepared — and therefore executed — by `backend`.
     pub fn with_backend(width: usize, backend: Backend) -> Self {
@@ -499,12 +499,7 @@ impl<T: Copy + Send + Sync + Default + 'static> SharedEngine<T> {
     /// `per_shard_capacity` plans each (both ≥ 1). One shard is a single
     /// global LRU.
     pub fn with_shards(width: usize, shards: usize, per_shard_capacity: usize) -> Self {
-        Self::with_parts(
-            width,
-            shards,
-            per_shard_capacity,
-            crate::backend::default_backend(),
-        )
+        Self::with_parts(width, shards, per_shard_capacity, Backend::Native)
     }
 
     fn with_parts(
@@ -524,7 +519,7 @@ impl<T: Copy + Send + Sync + Default + 'static> SharedEngine<T> {
                 per_shard_capacity,
                 gamma_threshold: AtomicU64::new(DEFAULT_GAMMA_THRESHOLD.to_bits()),
                 calibrated: AtomicBool::new(false),
-                kernel: Mutex::new(KernelConfig::global()),
+                kernel: Mutex::new(KernelConfig::default()),
                 fingerprint_fn: default_fingerprint,
                 store: None,
                 clock: AtomicU64::new(0),
@@ -1219,8 +1214,7 @@ mod tests {
         let stats = engine.stats();
         assert_eq!(stats.kernel_stage_bytes, 8192);
         assert!(!stats.kernel_simd);
-        // The snapshot names whatever backend the engine resolved
-        // (HMM_BACKEND can redirect a whole test run).
+        // The snapshot names the backend the plan was prepared on.
         assert_eq!(stats.backend, plan.executable().backend().name());
         let src: Vec<u32> = (0..n as u32).collect();
         let mut dst = vec![0u32; n];

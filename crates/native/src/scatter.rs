@@ -7,10 +7,9 @@
 //! the casual round of the conventional GPU algorithm.
 //!
 //! Both kernels are allocation-free (they never stage through a temporary
-//! buffer — audited for this PR's staging cleanup). The gather side runs
-//! the clamped tiers from `crate::simd` under the process-wide
-//! [`KernelConfig`]: `HMM_NATIVE_SIMD=0` restores the seed's plain
-//! bounds-checked loops, which the tests pin against the default path.
+//! buffer). The gather side runs the fastest clamped tier `crate::simd`
+//! selects for the host; the scalar tier is the scheduled kernels'
+//! reference point (`KernelConfig::scalar`) and is not used here.
 //! Neither kernel software-prefetches: an A/B on these loops showed
 //! per-element target hints *lose* 1.4–5× on cache-resident families and
 //! win nothing on miss-heavy ones — the out-of-order window already
@@ -18,7 +17,6 @@
 //! and the hint's address computation is pure overhead on top. The sweep
 //! kernels in `scheduled` do not prefetch either.
 
-use crate::config::KernelConfig;
 use crate::par::{par_chunks_mut, par_ranges};
 use crate::simd;
 use hmm_perm::Permutation;
@@ -78,7 +76,7 @@ pub fn gather_permute<T: Copy + Send + Sync>(src: &[T], q: &Permutation, dst: &m
         return;
     }
     let map = q.as_slice();
-    let tier = simd::select::<T>(KernelConfig::global().simd);
+    let tier = simd::select::<T>(true);
     par_chunks_mut(dst, MIN_CHUNK, |start, chunk| {
         simd::gather_map_usize(tier, src, &map[start..start + chunk.len()], chunk);
     });

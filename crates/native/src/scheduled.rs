@@ -99,7 +99,7 @@ impl NativeScheduled {
     /// Build from a permutation; `width` is the tiling constraint handed to
     /// the decomposition (any power of two dividing both matrix dimensions
     /// — 32 matches the GPU schedule and is always safe here). Kernels run
-    /// with the process-wide [`KernelConfig::global`].
+    /// with [`KernelConfig::default`].
     pub fn build(p: &Permutation, width: usize) -> Result<Self> {
         let ir = PlanIr::build_par(p, width, worker_threads())?;
         Self::from_plan(&ir)
@@ -116,12 +116,12 @@ impl NativeScheduled {
     }
 
     /// Build from an existing plan IR (shared with a simulator run, or
-    /// loaded from the on-disk plan store) with the process-wide
-    /// [`KernelConfig::global`]. The IR already carries the flat gather
+    /// loaded from the on-disk plan store) with
+    /// [`KernelConfig::default`]. The IR already carries the flat gather
     /// maps, so this is a validation pass plus three copies — no
     /// coloring, no per-row inversion.
     pub fn from_plan(ir: &PlanIr) -> Result<Self> {
-        Self::from_plan_with(ir, KernelConfig::global())
+        Self::from_plan_with(ir, KernelConfig::default())
     }
 
     /// Build from an existing plan IR with an explicit kernel config —
@@ -774,6 +774,6 @@ mod tests {
         let cfg = sched.kernel_config();
         let scalar = sched.clone().with_config(KernelConfig::scalar());
         assert_eq!(scalar.kernel_config(), KernelConfig::scalar());
-        assert_eq!(cfg.tile, KernelConfig::global().tile);
+        assert_eq!(cfg, KernelConfig::default());
     }
 }

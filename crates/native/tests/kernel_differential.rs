@@ -4,20 +4,20 @@
 //!
 //! The contract under test is the one DESIGN.md's determinism argument
 //! makes: for a fixed plan, **every** kernel config — SIMD on or off,
-//! any block size or tile — produces output
+//! computed or map-loaded indices, any block size or tile — produces output
 //! byte-identical to the `Permutation::permute` oracle, over all five
 //! paper families × element widths {u32, u64, [u8; 16]} × ragged shapes
 //! (non-multiple bands, block tails, n smaller than one block). Every
-//! (config, plan) cell runs on **every registered backend** through the
-//! `hmm_native::Backend` registry — the same seam the conformance suite
-//! forces routes through — so the native fused pipeline and the sweep-IR
+//! (config, plan) cell runs on **every registered backend** in
+//! [`Backend::ALL`] — the same registry the conformance suite forces
+//! routes through — so the native fused pipeline and the sweep-IR
 //! interpreter are pinned to the oracle at once.
 //!
-//! The scalar and SIMD points are iterated in process, so CI runs this
-//! suite only under `HMM_NATIVE_THREADS={1,4}`: the band-parallel splits
-//! get the same coverage as the single-worker path.
+//! All four `(simd, computed_index)` points are iterated in process; the
+//! structured families carry affine descriptors, so both index forms run.
+//! Only the worker count (`HMM_NATIVE_THREADS`) varies between CI legs.
 
-use hmm_native::{backend_names, by_name, ExecPlan, KernelConfig, PlanIr};
+use hmm_native::{Backend, ExecPlan, KernelConfig, PlanIr};
 use hmm_perm::{families, Permutation};
 use proptest::prelude::*;
 
@@ -30,6 +30,20 @@ fn config_points() -> Vec<(&'static str, KernelConfig)> {
     vec![
         ("scalar", KernelConfig::scalar()),
         ("default", KernelConfig::default()),
+        (
+            "simd-map-load",
+            KernelConfig {
+                computed_index: false,
+                ..KernelConfig::default()
+            },
+        ),
+        (
+            "scalar-computed",
+            KernelConfig {
+                computed_index: true,
+                ..KernelConfig::scalar()
+            },
+        ),
         (
             // Tiny staging budget: every band runs many blocks with a
             // ragged tail; tile 8 forces non-multiple tile edges too.
@@ -51,15 +65,14 @@ fn config_points() -> Vec<(&'static str, KernelConfig)> {
     ]
 }
 
-/// Prepare a scheduled plan on a named registry backend at config `cfg`
-/// and run it once — the shared per-config seam (no test names a
-/// concrete executor type).
-fn exec_scheduled<T>(backend: &str, ir: &PlanIr, cfg: KernelConfig, src: &[T]) -> Vec<T>
+/// Prepare a scheduled plan on a registry backend at config `cfg` and
+/// run it once — the shared per-config seam (no test names a concrete
+/// executor type).
+fn exec_scheduled<T>(backend: Backend, ir: &PlanIr, cfg: KernelConfig, src: &[T]) -> Vec<T>
 where
     T: Copy + Send + Sync + Default + 'static,
 {
-    let b = by_name(backend).expect("registered backend");
-    let exec = b.prepare(ExecPlan::Scheduled(ir), cfg).unwrap();
+    let exec = backend.prepare(ExecPlan::Scheduled(ir), cfg).unwrap();
     let mut dst = vec![T::default(); src.len()];
     let mut scratch = vec![T::default(); exec.scratch_len()];
     exec.run(src, &mut dst, &mut scratch);
@@ -77,12 +90,12 @@ where
     let mut want = vec![T::default(); n];
     p.permute(&src, &mut want).unwrap();
     let ir = PlanIr::build(p, W).unwrap();
-    for backend in backend_names() {
+    for backend in Backend::ALL {
         for (name, cfg) in config_points() {
             let dst = exec_scheduled(backend, &ir, cfg, &src);
             assert!(
                 dst == want,
-                "{backend}/{name} diverged from the oracle: {label}, n = {n}"
+                "{backend:?}/{name} diverged from the oracle: {label}, n = {n}"
             );
         }
     }
@@ -144,10 +157,10 @@ fn tiny_matrices_every_width() {
         let mut want = vec![0u32; n];
         p.permute(&src, &mut want).unwrap();
         let ir = PlanIr::build(&p, 8).unwrap();
-        for backend in backend_names() {
+        for backend in Backend::ALL {
             for (name, cfg) in config_points() {
                 let dst = exec_scheduled(backend, &ir, cfg, &src);
-                assert_eq!(dst, want, "{backend}/{name}, n = {n}");
+                assert_eq!(dst, want, "{backend:?}/{name}, n = {n}");
             }
         }
     }
@@ -171,10 +184,10 @@ proptest! {
         let mut want = vec![0u32; n];
         p.permute(&src, &mut want).unwrap();
         let ir = PlanIr::build(&p, W).unwrap();
-        for backend in backend_names() {
+        for backend in Backend::ALL {
             for (name, cfg) in config_points() {
                 let dst = exec_scheduled(backend, &ir, cfg, &src);
-                prop_assert_eq!(&dst, &want, "{}/{}, {}, n = {}", backend, name, fam.name(), n);
+                prop_assert_eq!(&dst, &want, "{:?}/{}, {}, n = {}", backend, name, fam.name(), n);
             }
         }
     }
@@ -191,7 +204,7 @@ proptest! {
         let p = families::random(n, seed);
         let src: Vec<u64> = (0..n as u64).map(|v| v.rotate_left((seed % 63) as u32)).collect();
         let ir = PlanIr::build(&p, W).unwrap();
-        let outs: Vec<Vec<u64>> = backend_names()
+        let outs: Vec<Vec<u64>> = Backend::ALL
             .into_iter()
             .flat_map(|backend| {
                 config_points()

@@ -13,7 +13,8 @@
 //!
 //! `serve` prints exactly one `LISTENING <addr>` line once the port is
 //! bound (machine-readable: spawners parse it to learn the OS-assigned
-//! port), then blocks until a `DRAIN` arrives and prints `DRAINED`.
+//! port), then blocks until a `DRAIN` arrives from a loopback peer and
+//! prints `DRAINED`.
 //!
 //! `bench-client` registers one family permutation, verifies the first
 //! response against the naive `b[P[i]] = a[i]` reference, then streams

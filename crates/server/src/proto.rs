@@ -446,6 +446,7 @@ pub enum Frame {
     /// Stats snapshot response.
     StatsReport(ServerStats),
     /// Graceful shutdown: stop accepting, flush the queue, then close.
+    /// Servers honour it only from a loopback peer.
     Drain,
     /// Drain completed; the connection closes after this frame.
     DrainOk,

@@ -22,7 +22,9 @@
 //!   the connection.
 //! * `DRAIN` (or [`Server::drain`]) stops the accept loop, waits for
 //!   `submitted == completed + cancelled` on the engine, then answers
-//!   `DRAIN_OK` and closes.
+//!   `DRAIN_OK` and closes. Over the wire it is honoured only from a
+//!   loopback peer; any other peer gets a typed `ERR unsupported` and
+//!   its session keeps serving.
 //!
 //! [`SharedEngine::submit`]: hmm_native::SharedEngine::submit
 //! [`submit_batch`]: hmm_native::SharedEngine::submit_batch
@@ -338,10 +340,11 @@ struct Session {
     next_handle: u64,
 }
 
-/// What the dispatcher decided to do with the connection after a reply.
-enum After {
-    KeepOpen,
-    Close,
+/// Whether a `DRAIN` frame from `peer` may stop the server: only a
+/// loopback peer (IPv4-mapped IPv6 included) can, so a remote client
+/// cannot shut down a server it merely reaches.
+fn drain_allowed(peer: SocketAddr) -> bool {
+    peer.ip().to_canonical().is_loopback()
 }
 
 fn session_loop(shared: Arc<Shared>, stream: TcpStream) {
@@ -349,6 +352,7 @@ fn session_loop(shared: Arc<Shared>, stream: TcpStream) {
         plans: HashMap::new(),
         next_handle: 1,
     };
+    let may_drain = stream.peer_addr().is_ok_and(drain_allowed);
     // The read timeout is a socket-level option, shared with the clone
     // below; a tripped timeout surfaces from `read_frame` as an I/O
     // error with `WouldBlock`/`TimedOut` (platform-dependent which).
@@ -440,19 +444,17 @@ fn session_loop(shared: Arc<Shared>, stream: TcpStream) {
 
         // DRAIN is special-cased so the `DRAIN_OK` is flushed to the
         // socket *before* `wait_drained` waiters (e.g. the `serve`
-        // binary's main thread) can exit the process.
-        if matches!(frame, Frame::Drain) {
+        // binary's main thread) can exit the process. A DRAIN from a
+        // non-loopback peer falls through to `respond`'s refusal.
+        if may_drain && matches!(frame, Frame::Drain) {
             shared.flush_for_drain();
             let _ = write_frame_versioned(&mut writer, &Frame::DrainOk, version);
             shared.mark_drained();
             break;
         }
 
-        let (reply, after) = respond(&shared, &mut session, frame, version);
+        let reply = respond(&shared, &mut session, frame, version);
         if write_frame_versioned(&mut writer, &reply, version).is_err() {
-            break;
-        }
-        if matches!(after, After::Close) {
             break;
         }
     }
@@ -463,17 +465,14 @@ fn session_loop(shared: Arc<Shared>, stream: TcpStream) {
     shared.active_clients.fetch_sub(1, Ordering::Relaxed);
 }
 
-fn err(code: ErrCode, message: impl Into<String>) -> (Frame, After) {
-    (
-        Frame::Err {
-            code,
-            message: message.into(),
-        },
-        After::KeepOpen,
-    )
+fn err(code: ErrCode, message: impl Into<String>) -> Frame {
+    Frame::Err {
+        code,
+        message: message.into(),
+    }
 }
 
-fn respond(shared: &Shared, session: &mut Session, frame: Frame, version: u8) -> (Frame, After) {
+fn respond(shared: &Shared, session: &mut Session, frame: Frame, version: u8) -> Frame {
     match frame {
         Frame::Register {
             fingerprint,
@@ -487,9 +486,13 @@ fn respond(shared: &Shared, session: &mut Session, frame: Frame, version: u8) ->
         Frame::PermuteBatch { handle, payloads } => {
             permute(shared, session, handle, payloads, true)
         }
-        Frame::Stats => (Frame::StatsReport(shared.stats()), After::KeepOpen),
-        // Handled in `session_loop` (reply-ordering constraint).
-        Frame::Drain => (Frame::DrainOk, After::Close),
+        Frame::Stats => Frame::StatsReport(shared.stats()),
+        // A loopback peer's DRAIN is handled in `session_loop`
+        // (reply-ordering constraint); anyone else's is refused.
+        Frame::Drain => err(
+            ErrCode::Unsupported,
+            "DRAIN is accepted only from a loopback peer",
+        ),
         other => err(
             ErrCode::Malformed,
             format!("unexpected {} frame from client", other.kind_name()),
@@ -515,7 +518,7 @@ fn register(
     n: u64,
     elem_width: u8,
     perm: PermRepr,
-) -> (Frame, After) {
+) -> Frame {
     if shared.draining.load(Ordering::SeqCst) {
         return err(ErrCode::Draining, "server is draining");
     }
@@ -566,7 +569,7 @@ fn register(
         },
     );
     shared.registered_plans.fetch_add(1, Ordering::Relaxed);
-    (Frame::Registered { handle }, After::KeepOpen)
+    Frame::Registered { handle }
 }
 
 fn build_permutation(n: u64, perm: PermRepr) -> Result<Permutation, (ErrCode, String)> {
@@ -609,7 +612,7 @@ fn permute(
     handle: u64,
     payloads: Vec<Vec<u8>>,
     batch: bool,
-) -> (Frame, After) {
+) -> Frame {
     if shared.draining.load(Ordering::SeqCst) {
         return err(ErrCode::Draining, "server is draining");
     }
@@ -636,14 +639,11 @@ fn permute(
     match outcome {
         Ok(mut outputs) => {
             if batch {
-                (Frame::PermutedBatch { payloads: outputs }, After::KeepOpen)
+                Frame::PermutedBatch { payloads: outputs }
             } else {
-                (
-                    Frame::Permuted {
-                        payload: outputs.pop().unwrap_or_default(),
-                    },
-                    After::KeepOpen,
-                )
+                Frame::Permuted {
+                    payload: outputs.pop().unwrap_or_default(),
+                }
             }
         }
         Err((code, msg)) => err(code, msg),
@@ -700,4 +700,55 @@ fn run_jobs<T: Elem>(
         outputs.push(elems_to_bytes(&report.map_err(job_err)?.dst));
     }
     Ok(outputs)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Client;
+    use hmm_perm::families;
+
+    #[test]
+    fn drain_is_allowed_only_from_loopback_peers() {
+        for (addr, allowed) in [
+            ("127.0.0.1:9", true),
+            ("[::1]:9", true),
+            ("[::ffff:127.0.0.1]:9", true),
+            ("192.0.2.7:9", false),
+            ("[2001:db8::7]:9", false),
+        ] {
+            let peer: SocketAddr = addr.parse().unwrap();
+            assert_eq!(drain_allowed(peer), allowed, "{addr}");
+        }
+    }
+
+    #[test]
+    fn refused_drain_is_a_typed_error_and_the_server_keeps_serving() {
+        let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+        let mut session = Session {
+            plans: HashMap::new(),
+            next_handle: 1,
+        };
+        // What a non-loopback peer's DRAIN gets once `session_loop` lets
+        // it fall through.
+        let reply = respond(&server.shared, &mut session, Frame::Drain, PROTOCOL_VERSION);
+        assert!(
+            matches!(
+                reply,
+                Frame::Err {
+                    code: ErrCode::Unsupported,
+                    ..
+                }
+            ),
+            "{reply:?}"
+        );
+        assert!(!server.shared.draining.load(Ordering::SeqCst));
+
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        let p = families::bit_reversal(1 << 10).unwrap();
+        let handle = client.register::<u32>(&p).unwrap();
+        let src: Vec<u32> = (0..1u32 << 10).collect();
+        let out = client.permute(&handle, &src).unwrap();
+        assert_eq!(out[p.apply(3)], src[3]);
+    }
 }

@@ -11,20 +11,26 @@
 //! * the five paper permutation families — identity, shuffle, transpose,
 //!   bit-reversal, random — plus a seeded random invertible BMMC;
 //! * n ∈ {1K, 64K, 256K};
-//! * every registered backend (`native`, `interp`) × both routes, each
-//!   **forced** via [`hmm_native::forced_engine_on`] (γ threshold `0.0` →
+//! * every registered backend ([`Backend::ALL`]) × both routes, each
+//!   **forced** via [`hmm_native::forced_engine`] (γ threshold `0.0` →
 //!   scheduled, `∞` → scatter) so the γ decision cannot quietly collapse
 //!   the matrix onto one kernel;
+//! * on native scheduled cells, all four `(simd, computed_index)` kernel
+//!   configs, set on a fresh engine before its first plan. Interp and
+//!   scatter cells run once: scatter reads no kernel config, and the
+//!   interpreter has no SIMD tier (its map-load lowering is pinned by
+//!   `kernel_differential`);
 //! * u32 elements through the engine and u64 elements through a
 //!   [`SharedEngine::view`] of the same engine, so the u64 cells run the
 //!   plans the u32 cells cached.
 //!
-//! Every run also asserts the plan actually executed on the forced route
-//! and backend, so a regression in the forcing seam itself cannot hide.
-//! The whole matrix, the unforced γ decision included, iterates the
-//! backends in process: no cell depends on `HMM_BACKEND`.
+//! Every run also asserts the plan actually executed on the forced route,
+//! backend and kernel config, and that structured families were planned
+//! with affine descriptors, so a regression in the forcing seams cannot
+//! hide. The whole matrix runs in one process; only the worker-pool size
+//! (`HMM_NATIVE_THREADS`) is left to the environment.
 
-use hmm_native::{backend_names, by_name, forced_engine_on, Route, SharedEngine};
+use hmm_native::{forced_engine, Backend, KernelConfig, Route, SharedEngine};
 use hmm_perm::{families, Permutation};
 use std::sync::Arc;
 
@@ -89,26 +95,66 @@ fn input<T: Elem>(n: usize, salt: u32) -> Vec<T> {
         .collect()
 }
 
+/// The four `(simd, computed_index)` kernel configs native scheduled
+/// cells run at; the other fields keep their defaults.
+fn kernel_configs() -> [KernelConfig; 4] {
+    [(true, true), (true, false), (false, true), (false, false)].map(|(simd, computed_index)| {
+        KernelConfig {
+            simd,
+            computed_index,
+            ..KernelConfig::default()
+        }
+    })
+}
+
+/// The `(backend, kernel config)` points one route runs at: native
+/// scheduled at every kernel config, every other cell once at the
+/// default config.
+fn points(route: Route) -> Vec<(Backend, KernelConfig)> {
+    let mut points = Vec::new();
+    for backend in Backend::ALL {
+        if backend == Backend::Native && route == Route::Scheduled {
+            points.extend(kernel_configs().map(|cfg| (backend, cfg)));
+        } else {
+            points.push((backend, KernelConfig::default()));
+        }
+    }
+    points
+}
+
 /// Differential check of all three front doors for one (family, n,
-/// backend, route, element type) cell, on one shared engine so the plan
-/// is built once.
-fn check_cell<T: Elem>(engine: &SharedEngine<T>, name: &str, p: &Permutation, route: Route) {
+/// backend, route, kernel config, element type) cell, on one shared
+/// engine so the plan is built once.
+fn check_cell<T: Elem>(
+    engine: &SharedEngine<T>,
+    name: &str,
+    p: &Permutation,
+    route: Route,
+    config: KernelConfig,
+) {
     let n = p.len();
     let src = input::<T>(n, 0);
     let want = naive_reference(p, &src);
     let ctx = format!(
-        "{name} n={n} backend={:?} route={route:?} elem={}",
+        "{name} n={n} backend={:?} route={route:?} config={config:?} elem={}",
         engine.backend(),
         std::any::type_name::<T>()
     );
 
-    // The plan must actually execute on the forced backend and route.
+    // The plan must actually execute on the forced backend, route and
+    // kernel config (scatter executables read no config).
     let plan = engine.plan(p).unwrap();
     assert_eq!(plan.route(), route, "{ctx}: forcing seam regressed");
     assert_eq!(
         plan.executable().backend(),
         engine.backend(),
         "{ctx}: plan prepared off-backend"
+    );
+    let want_config = (route == Route::Scheduled).then_some(config);
+    assert_eq!(
+        plan.executable().kernel_config(),
+        want_config,
+        "{ctx}: plan prepared off-config"
     );
 
     // Front door 1: blocking permute.
@@ -148,37 +194,47 @@ fn check_cell<T: Elem>(engine: &SharedEngine<T>, name: &str, p: &Permutation, ro
     );
 }
 
-/// Full family × size sweep for one (backend name, route) pair, at u32
-/// and — through a view of the same engine — at u64.
-fn run_route(backend: &str, route: Route) {
-    for n in SIZES {
-        let engine = forced_engine_on::<u32>(backend, W, route)
-            .unwrap_or_else(|| panic!("backend {backend} not registered"));
-        let wide = engine.view::<u64>();
-        for (name, p) in paper_families(n) {
-            check_cell(&engine, name, &p, route);
-            check_cell(&wide, name, &p, route);
+/// Full family × size sweep for one route at every `(backend, kernel
+/// config)` point: each cell on a fresh forced engine, at u32 and —
+/// through a view of the same engine — at u64.
+fn run_route(route: Route) {
+    for (backend, config) in points(route) {
+        for n in SIZES {
+            for (name, p) in paper_families(n) {
+                let engine = forced_engine::<u32>(backend, W, route);
+                engine.set_kernel_config(config);
+                check_cell(&engine, name, &p, route, config);
+                check_cell(&engine.view::<u64>(), name, &p, route, config);
+                if route == Route::Scheduled {
+                    // Structured families must plan with affine
+                    // descriptors, or the computed-index axis would run
+                    // the map-load kernels at every point.
+                    let affine = engine.stats().plans_affine;
+                    if name == "random" {
+                        assert_eq!(affine, 0, "{name} n={n} {backend:?}: König plan");
+                    } else {
+                        assert!(affine > 0, "{name} n={n} {backend:?}: no descriptors");
+                    }
+                }
+            }
         }
     }
 }
 
-/// Scatter route on every registered backend: all five families ×
+/// Scatter route on every registered backend: all six families ×
 /// {1K, 64K, 256K} × three front doors against the naive reference.
 #[test]
 fn conformance_scatter_route_all_backends_all_families_all_sizes() {
-    for backend in backend_names() {
-        run_route(backend, Route::Scatter);
-    }
+    run_route(Route::Scatter);
 }
 
 /// Scheduled route, same matrix: γ threshold 0 forces the three-pass
-/// König-scheduled plan even for identity/shuffle — executed as the fused
-/// sweeps on `native` and as the five-step sweep IR on `interp`.
+/// scheduled plan even for identity/shuffle — executed as the fused
+/// sweeps on `native` at all four kernel configs and as the five-step
+/// sweep IR on `interp`.
 #[test]
 fn conformance_scheduled_route_all_backends_all_families_all_sizes() {
-    for backend in backend_names() {
-        run_route(backend, Route::Scheduled);
-    }
+    run_route(Route::Scheduled);
 }
 
 /// The γ decision itself (no forcing), on every registered backend:
@@ -186,10 +242,9 @@ fn conformance_scheduled_route_all_backends_all_families_all_sizes() {
 /// reference for every family and size.
 #[test]
 fn conformance_default_gamma_decision_is_correct() {
-    for backend in backend_names() {
+    for backend in Backend::ALL {
         for n in SIZES {
-            let engine: SharedEngine<u32> =
-                SharedEngine::with_backend(W, by_name(backend).unwrap());
+            let engine: SharedEngine<u32> = SharedEngine::with_backend(W, backend);
             for (name, p) in paper_families(n) {
                 let src = input::<u32>(n, 0);
                 let want = naive_reference(&p, &src);
@@ -197,7 +252,7 @@ fn conformance_default_gamma_decision_is_correct() {
                 engine.permute(&p, &src, &mut dst).unwrap();
                 assert_eq!(
                     dst, want,
-                    "{name} n={n} backend={backend}: default γ decision diverged"
+                    "{name} n={n} backend={backend:?}: default γ decision diverged"
                 );
             }
         }

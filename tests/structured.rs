@@ -21,7 +21,7 @@
 //!   `PlanStore::load` error, and an engine over that store counts the
 //!   reject, rebuilds, and still matches the oracle.
 
-use hmm_native::{as_native_scheduled, NativeScheduled, Route, SharedEngine};
+use hmm_native::{as_native_scheduled, Backend, NativeScheduled, Route, SharedEngine};
 use hmm_perm::{families, Permutation};
 use hmm_plan::{PlanError, PlanIr, PlanStore, StoreKey};
 
@@ -54,7 +54,7 @@ fn input(n: usize) -> Vec<u32> {
 
 /// Route-forcing through the shared registry seam ([`hmm_native::forced_engine`]).
 fn forced_engine(route: Route) -> SharedEngine<u32> {
-    hmm_native::forced_engine::<u32>(W, route)
+    hmm_native::forced_engine::<u32>(Backend::Native, W, route)
 }
 
 /// Structured families × sizes × both forced routes: the fast-path
