@@ -21,8 +21,8 @@
 //! The config is backend-neutral on purpose: the CPU executor reads
 //! `stage_bytes`/`simd`/`computed_index`, while the sweep-kernel IR
 //! lowering ([`crate::sweep::SweepIr`]) reads `tile` as the tiled
-//! transpose's side — so a calibrated tile travels to the WGSL codegen
-//! and the interpreter unchanged.
+//! transpose's side — so a tile set through `KernelConfig` reaches the
+//! WGSL codegen and the interpreter unchanged.
 
 /// Default per-worker staging-buffer budget in bytes (the seed's
 /// `262_144`): one gathered input block must fit in the last-level

@@ -18,8 +18,6 @@
 //!                           # backend registry: native vs sweep-IR interpreter
 //! repro computed [--full] [--json]
 //!                           # computed-index kernels vs gather-map loads
-//! repro serve [--clients N] [--full] [--json]
-//!                           # TCP front door: N real client processes vs one server
 //! repro plan build [--n N] [--family F] [--seed S] [--width W]
 //! repro plan save  --dir DIR [--n N] [--family F] [--seed S] [--width W]
 //! repro plan load  --dir DIR [--n N] [--family F] [--seed S] [--width W] [--assert-cold]
@@ -60,7 +58,6 @@ struct Args {
     queued: Option<usize>,
     plan_threads: Option<usize>,
     count: Option<usize>,
-    clients: Option<usize>,
     n: Option<usize>,
     csv_dir: Option<std::path::PathBuf>,
     dir: Option<std::path::PathBuf>,
@@ -95,7 +92,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
         queued: None,
         plan_threads: None,
         count: None,
-        clients: None,
         n: None,
         csv_dir: None,
         dir: None,
@@ -141,14 +137,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
                         .ok_or("--count needs a value")?
                         .parse()
                         .map_err(|e| format!("--count: {e}"))?,
-                )
-            }
-            "--clients" => {
-                out.clients = Some(
-                    it.next()
-                        .ok_or("--clients needs a process count")?
-                        .parse()
-                        .map_err(|e| format!("--clients: {e}"))?,
                 )
             }
             "--n" => {
@@ -200,7 +188,7 @@ fn main() -> ExitCode {
         None => {
             eprintln!(
                 "usage: repro <all|table1|table2|table3|fig3|fig4|fig5|fig6|smallperm|ablation|\
-                 sweep|apps|heatmap|native|backends|computed|serve|structured|plan> [--full] [--f64] [--no-cache] [--json] \
+                 sweep|apps|heatmap|native|backends|computed|structured|plan> [--full] [--f64] [--no-cache] [--json] \
                  [--count K] [--n N] [--csv DIR] [--contended T] [--queued T] \
                  [--plan-threads T]\n       \
                  repro plan <build|save|load|stats> [--dir DIR] [--n N] [--family F] \
@@ -551,37 +539,6 @@ fn run(cmd: &str, args: &Args) -> Result<(), Box<dyn std::error::Error>> {
                     native_experiments::merge_computed_json(existing.as_deref(), &rows),
                 )?;
                 println!("\n(merged computed_* rows into {})", path.display());
-            }
-        }
-        "serve" => {
-            // N real client processes against one server: the network
-            // front door measured end to end (protocol, sockets, queue).
-            let clients = args.clients.unwrap_or(4);
-            let sizes: Vec<usize> = if args.full {
-                vec![1 << 16, 1 << 18, 1 << 20]
-            } else {
-                vec![1 << 14, 1 << 16]
-            };
-            let reps = if args.full { 16 } else { 8 };
-            println!("=== Permutation-as-a-service: {clients} client processes, one server ===\n");
-            let rows = hmm_bench::serve_experiments::serve(clients, &sizes, reps)?;
-            print!("{}", hmm_bench::serve_experiments::render_serve(&rows));
-            println!(
-                "\n(Each client is a spawned `hmm-server bench-client` process; its first\n\
-                 response is verified against the naive reference before any timing.\n\
-                 On a 1-core container the clients timeshare one CPU, so these rows\n\
-                 measure protocol + queue overhead, not parallel speedup.)"
-            );
-            if args.json {
-                let dir = std::path::Path::new("results");
-                std::fs::create_dir_all(dir)?;
-                let path = dir.join("BENCH_native.json");
-                let existing = std::fs::read_to_string(&path).ok();
-                std::fs::write(
-                    &path,
-                    hmm_bench::serve_experiments::merge_serve_json(existing.as_deref(), &rows),
-                )?;
-                println!("\n(merged server_{clients}c rows into {})", path.display());
             }
         }
         "structured" => {

@@ -21,5 +21,4 @@
 
 pub mod experiments;
 pub mod native_experiments;
-pub mod serve_experiments;
 pub mod tables;

@@ -514,7 +514,7 @@ const QUEUED_CHUNK: usize = 2;
 /// engine, plans pre-warmed, `threads` submitters each pushing
 /// `jobs_per_thread` jobs of a mixed-family working set. The blocking
 /// mode is restricted by its API to sequential convoys: one
-/// `permute_batch` of [`QUEUED_CHUNK`] jobs at a time, the submitter
+/// `permute_batch` of `QUEUED_CHUNK` jobs at a time, the submitter
 /// parked until the whole chunk lands before it may issue the next, a
 /// fresh permutation hand-off per call. The queued mode exploits the
 /// asynchronous API: each submitter fires its entire workload in a

@@ -22,7 +22,7 @@
 //! — block `k` *is* color class `k` — and one sequential pass converts
 //! blocks into the per-edge color array. Temporaries (CSR adjacency,
 //! visited flags, Hierholzer stack, matching state) live in a reusable
-//! [`ColorScratch`], so the ~`2Δ` recursion nodes perform no per-level
+//! `ColorScratch`, so the ~`2Δ` recursion nodes perform no per-level
 //! `O(E)` allocations.
 //!
 //! Because the two halves of a split are disjoint sub-slices, they can be

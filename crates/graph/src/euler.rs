@@ -9,10 +9,10 @@
 //! exploited by the scheduled permutation, whose graphs have degree
 //! `√n / something` that is always a power of two.
 //!
-//! The worker is [`euler_split_in_place`]: it partitions a slice of edge
+//! The worker is `euler_split_in_place`: it partitions a slice of edge
 //! ids in place (first half, then second half) and draws every temporary —
 //! CSR adjacency, visited flags, Hierholzer stack — from a reusable
-//! [`EulerScratch`], so the coloring recursion performs no per-level
+//! `EulerScratch`, so the coloring recursion performs no per-level
 //! allocations. The public [`euler_split`] keeps the original allocating
 //! signature as a thin wrapper.
 

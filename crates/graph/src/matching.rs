@@ -6,9 +6,9 @@
 //! [`crate::coloring::edge_color`] checks and reports as an internal error
 //! if violated.
 //!
-//! The worker is [`hopcroft_karp_core`]: it runs on a CSR adjacency and
+//! The worker is `hopcroft_karp_core`: it runs on a CSR adjacency and
 //! draws the BFS queue, the layer vector, and both pairing vectors from a
-//! reusable [`MatchScratch`], so repeated peels (one per odd-degree
+//! reusable `MatchScratch`, so repeated peels (one per odd-degree
 //! stratum of the coloring recursion) perform no allocations after the
 //! first. The public [`hopcroft_karp`] keeps the original `Vec<Vec<_>>`
 //! signature as a thin wrapper.

@@ -15,8 +15,8 @@
 //!   plan service (`&self` from any number of threads) with a sharded LRU
 //!   cache, single-flight plan construction, verified (collision-proof)
 //!   hits, a lock-free scratch pool, a distribution-based scatter
-//!   fallback (optionally calibrated per host, `HMM_NATIVE_CALIBRATE=1`),
-//!   and an optional tier-2 on-disk plan store
+//!   fallback (the paper's γ_w crossover at a fixed threshold), and an
+//!   optional tier-2 on-disk plan store
 //!   ([`plan::SharedEngine::with_store`]) so a cold process skips the
 //!   König coloring. The engine core is element-agnostic — one cache,
 //!   queue and stats for every element type — and `SharedEngine<T>` is a
@@ -38,8 +38,8 @@
 //!   from `hmm-backend`) threaded through every front door: blocking
 //!   calls, the shared engine
 //!   ([`plan::SharedEngine::set_kernel_config`]), and the queue drainers.
-//!   Kernel configs are never read from the environment; only the
-//!   worker-pool size is (`HMM_NATIVE_THREADS`, see [`par`]);
+//!   Nothing but the worker-pool size is read from the environment
+//!   (`HMM_NATIVE_THREADS`, see [`par`]);
 //! * [`pool`] / [`par`] — a persistent worker pool (created once per
 //!   process) and the chunked parallel-for primitives built on it
 //!   (`rayon` is not on this reproduction's offline dependency list).
@@ -62,7 +62,6 @@
 
 pub mod backend;
 mod cache;
-mod calibrate;
 pub mod par;
 pub mod plan;
 pub mod pool;
@@ -79,7 +78,7 @@ pub use hmm_backend::config;
 pub use hmm_backend::{ExecPlan, KernelConfig, Route};
 pub use hmm_plan::{PlanIr, PlanStore, StoreKey};
 pub use par::THREADS_ENV;
-pub use plan::{PermutePlan, SharedEngine, CALIBRATE_ENV};
+pub use plan::{PermutePlan, SharedEngine};
 pub use queue::{BatchHandle, JobError, JobHandle, JobReport, DEFAULT_QUEUE_CAPACITY};
 pub use scatter::{copy_baseline, gather_permute, scatter_permute};
 pub use scheduled::NativeScheduled;

@@ -50,14 +50,11 @@
 //! three-sweep rewrite can beat one sweep. The same crossover exists on the
 //! CPU with cache lines in place of address groups, so plans are built with
 //! a measured-γ decision: `γ_w(P) ≤ threshold` → scatter, else scheduled.
-//! The threshold defaults to the static [`DEFAULT_GAMMA_THRESHOLD`]; set
-//! `HMM_NATIVE_CALIBRATE=1` (or call
-//! [`SharedEngine::calibrate_gamma_threshold`]) to replace it with a
-//! crossover measured on the running host.
+//! The threshold is the fixed [`DEFAULT_GAMMA_THRESHOLD`];
+//! [`SharedEngine::set_gamma_threshold`] overrides it per engine.
 
 use crate::backend::{Backend, Executable};
 use crate::cache::Shard;
-use crate::calibrate::measured_crossover;
 use crate::config::KernelConfig;
 use crate::queue::{
     BatchHandle, Bounded, ErasedJob, Job, JobError, JobHandle, JobReport, JobState, Payload,
@@ -73,7 +70,7 @@ use std::collections::HashMap;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock, Weak};
 use std::time::Duration;
 
@@ -90,12 +87,6 @@ pub const DEFAULT_SHARDS: usize = 8;
 /// Table II shape (scatter wins for identical/rotation/shuffle classes,
 /// scheduled for random/bit-reversal/transpose).
 pub const DEFAULT_GAMMA_THRESHOLD: f64 = 4.0;
-
-/// Environment variable: set to `1` to run
-/// [`SharedEngine::calibrate_gamma_threshold`] automatically at engine
-/// construction, replacing [`DEFAULT_GAMMA_THRESHOLD`] with a crossover
-/// measured on this host.
-pub const CALIBRATE_ENV: &str = "HMM_NATIVE_CALIBRATE";
 
 /// The engine's default fingerprint: [`Permutation::fingerprint`] — the
 /// one identity shared by the in-memory cache, the on-disk store, the
@@ -337,9 +328,6 @@ pub(crate) struct EngineCore {
     pub(crate) per_shard_capacity: usize,
     /// γ_w crossover, stored as `f64` bits so it is settable via `&self`.
     gamma_threshold: AtomicU64,
-    /// True once the threshold came from a measurement rather than the
-    /// static default.
-    calibrated: AtomicBool,
     /// Kernel config scheduled plans are built with. A plain mutex — it
     /// is read once per plan *build*, never on the run path.
     kernel: Mutex<KernelConfig>,
@@ -511,14 +499,13 @@ impl<T: Copy + Send + Sync + Default + 'static> SharedEngine<T> {
         assert!(width > 0, "width must be positive");
         assert!(shards > 0, "shards must be positive");
         assert!(per_shard_capacity > 0, "capacity must be positive");
-        let engine = SharedEngine {
+        SharedEngine {
             core: Arc::new(EngineCore {
                 width,
                 backend,
                 shards: (0..shards).map(|_| RwLock::new(HashMap::new())).collect(),
                 per_shard_capacity,
                 gamma_threshold: AtomicU64::new(DEFAULT_GAMMA_THRESHOLD.to_bits()),
-                calibrated: AtomicBool::new(false),
                 kernel: Mutex::new(KernelConfig::default()),
                 fingerprint_fn: default_fingerprint,
                 store: None,
@@ -527,11 +514,7 @@ impl<T: Copy + Send + Sync + Default + 'static> SharedEngine<T> {
                 queue: QueueRuntime::new(),
             }),
             scratch: Arc::new(ScratchPool::new()),
-        };
-        if std::env::var(CALIBRATE_ENV).as_deref() == Ok("1") {
-            engine.calibrate_gamma_threshold();
         }
-        engine
     }
 
     /// A handle of element type `U` on this engine's core: the same plan
@@ -581,29 +564,6 @@ impl<T: Copy + Send + Sync + Default + 'static> SharedEngine<T> {
     /// The attached on-disk plan store, if any.
     pub fn store(&self) -> Option<&PlanStore> {
         self.core.store.as_ref()
-    }
-
-    /// Measure the scatter/scheduled crossover on *this* host and adopt
-    /// it as the engine's γ_w threshold, replacing the static
-    /// [`DEFAULT_GAMMA_THRESHOLD`]. The measurement times one fused
-    /// three-sweep run (its cost is γ-independent) against scattered
-    /// runs at a low-γ and a high-γ point, fits the affine scatter cost
-    /// `a + b·γ`, and solves for the break-even γ, clamped to
-    /// `[1, width]`. Falls back to the default when the measurement is
-    /// degenerate (e.g. the width cannot be scheduled, or timer noise
-    /// swamps the slope). The kernel config is left untouched.
-    ///
-    /// Off by default — construction runs it automatically only when the
-    /// environment variable [`CALIBRATE_ENV`] (`HMM_NATIVE_CALIBRATE`)
-    /// is set to `1`. Returns the threshold now in effect; the result is
-    /// surfaced as [`EngineStats::gamma_threshold`] /
-    /// [`EngineStats::calibrated`]. Affects plans built after the call.
-    pub fn calibrate_gamma_threshold(&self) -> f64 {
-        let t = measured_crossover(self.core.backend, self.core.width, self.kernel_config())
-            .unwrap_or(DEFAULT_GAMMA_THRESHOLD);
-        self.set_gamma_threshold(t);
-        self.core.calibrated.store(true, Ordering::Relaxed);
-        t
     }
 
     /// Override the kernel config scheduled plans are built with (block
@@ -661,7 +621,6 @@ impl<T: Copy + Send + Sync + Default + 'static> SharedEngine<T> {
     pub fn stats(&self) -> EngineStats {
         self.core.stats.snapshot(
             self.core.gamma_threshold(),
-            self.core.calibrated.load(Ordering::Relaxed),
             self.queue_depth() as u64,
             self.kernel_config(),
             self.core.backend.name(),
@@ -1092,7 +1051,7 @@ fn queue_drainer_loop(
 mod tests {
     use super::*;
     use crate::scratch::SCRATCH_POOL_CAP;
-    use hmm_perm::families;
+    use hmm_perm::families::{self, Family};
 
     const W: usize = 32;
 
@@ -1174,6 +1133,22 @@ mod tests {
         assert!(rand.gamma() > DEFAULT_GAMMA_THRESHOLD);
         let bitrev = engine.plan(&families::bit_reversal(n).unwrap()).unwrap();
         assert_eq!(bitrev.route(), Route::Scheduled);
+
+        // The fixed default routes the end-to-end bench shapes (W = 32,
+        // n = 64K) as the paper's Table II does: shuffle stays on the
+        // one scattered pass, the rest take the three sweeps.
+        let engine: SharedEngine<u32> = SharedEngine::new(W);
+        assert_eq!(engine.stats().gamma_threshold, DEFAULT_GAMMA_THRESHOLD);
+        let n = 1 << 16;
+        let route = |p: &Permutation| engine.plan(p).unwrap().route();
+        assert_eq!(route(&families::shuffle(n).unwrap()), Route::Scatter);
+        for p in [
+            Family::Transpose.build(n, 0).unwrap(),
+            families::random(n, 7),
+            families::bit_reversal(n).unwrap(),
+        ] {
+            assert_eq!(route(&p), Route::Scheduled);
+        }
     }
 
     #[test]
@@ -1194,6 +1169,17 @@ mod tests {
         force_sched.permute(&p, &src, &mut dst).unwrap();
         assert_eq!(force_sched.stats().scheduled_runs, 1);
         assert_eq!(dst, reference(&p, &src));
+    }
+
+    #[test]
+    fn threshold_overrides_show_in_stats_through_every_handle() {
+        let engine: SharedEngine<u32> = SharedEngine::new(W);
+        let wide = engine.view::<u64>();
+        for t in [0.0, 12.5, f64::INFINITY] {
+            engine.set_gamma_threshold(t);
+            assert_eq!(engine.stats().gamma_threshold, t);
+            assert_eq!(wide.stats().gamma_threshold, t, "one core, one threshold");
+        }
     }
 
     #[test]
@@ -1583,24 +1569,6 @@ mod tests {
         assert_eq!(third.stats().store_hits, 1);
         assert_eq!(third.stats().builds, 0);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn calibration_sets_threshold_and_flag() {
-        let engine: SharedEngine<u32> = SharedEngine::new(W);
-        // A fresh engine is uncalibrated — unless the suite itself runs
-        // under HMM_NATIVE_CALIBRATE=1, which auto-calibrates at creation.
-        let env_calibrated = std::env::var(CALIBRATE_ENV).as_deref() == Ok("1");
-        let before = engine.stats();
-        assert_eq!(before.calibrated, env_calibrated);
-        if !env_calibrated {
-            assert_eq!(before.gamma_threshold, DEFAULT_GAMMA_THRESHOLD);
-        }
-        let t = engine.calibrate_gamma_threshold();
-        assert!((1.0..=W as f64).contains(&t) || t == DEFAULT_GAMMA_THRESHOLD);
-        let after = engine.stats();
-        assert!(after.calibrated);
-        assert_eq!(after.gamma_threshold, t);
     }
 
     #[test]

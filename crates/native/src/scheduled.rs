@@ -25,9 +25,9 @@
 //! # The two-stage block pipeline
 //!
 //! Each gather-transpose worker processes its output band in *input-row
-//! blocks* through one per-thread staging buffer ([`crate::stage`] —
-//! pooled for the life of the worker, replacing the seed's per-band
-//! `to_vec()` copy-allocation):
+//! blocks* through one per-thread staging buffer (the private `stage`
+//! module — pooled for the life of the worker, replacing the seed's
+//! per-band `to_vec()` copy-allocation):
 //!
 //! ```text
 //! input ── gather block k ──► staging buffer ── transpose block k ──► output band
@@ -55,8 +55,8 @@
 //! The inner loops are vectorized per [`KernelConfig::simd`]: clamped,
 //! unrolled width-specialized paths by default and `core::arch` AVX2
 //! gathers/tile-transposes behind runtime detection, with the scalar
-//! loops kept as the always-available reference ([`crate::simd`] — the
-//! only module that touches `core::arch`). The unfused five-pass
+//! loops kept as the always-available reference (the private `simd`
+//! module, the only one that touches `core::arch`). The unfused five-pass
 //! reference is the `hmm-backend` sweep-IR interpreter
 //! ([`hmm_backend::InterpExec`]).
 

@@ -76,11 +76,10 @@ pub struct EngineStats {
     /// Jobs sitting in the submission queue at snapshot time — a gauge,
     /// not a counter (in-flight jobs a worker has claimed are excluded).
     pub queue_depth: u64,
-    /// The γ_w scatter/scheduled crossover in effect at snapshot time.
+    /// The γ_w scatter/scheduled crossover in effect at snapshot time —
+    /// [`crate::plan::DEFAULT_GAMMA_THRESHOLD`] or a
+    /// [`crate::plan::SharedEngine::set_gamma_threshold`] override.
     pub gamma_threshold: f64,
-    /// True once [`crate::plan::SharedEngine::calibrate_gamma_threshold`] has replaced
-    /// the static default with a measured crossover.
-    pub calibrated: bool,
     /// Staging-block budget (bytes) of the kernel config scheduled plans
     /// are built with at snapshot time — the default or a
     /// [`crate::plan::SharedEngine::set_kernel_config`] override.
@@ -124,7 +123,6 @@ impl AtomicStats {
     pub(crate) fn snapshot(
         &self,
         gamma_threshold: f64,
-        calibrated: bool,
         queue_depth: u64,
         kernel: KernelConfig,
         backend: &'static str,
@@ -148,7 +146,6 @@ impl AtomicStats {
             admission_rejects: self.admission_rejects.load(Ordering::Relaxed),
             queue_depth,
             gamma_threshold,
-            calibrated,
             kernel_stage_bytes: kernel.stage_bytes,
             kernel_simd: kernel.simd,
             kernel_computed_index: kernel.computed_index,

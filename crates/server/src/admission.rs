@@ -12,8 +12,8 @@
 //!   may claim at once (a `PERMUTE_BATCH` of `k` payloads counts `k`).
 //!
 //! Rejections are typed ([`Frame::Err`](crate::proto::Frame::Err) with
-//! [`ErrCode::AdmissionPlans`](crate::proto::ErrCode::AdmissionPlans) /
-//! [`ErrCode::AdmissionInFlight`](crate::proto::ErrCode::AdmissionInFlight))
+//! [`crate::proto::ErrCode::AdmissionPlans`] /
+//! [`crate::proto::ErrCode::AdmissionInFlight`])
 //! and counted in
 //! [`EngineStats::admission_rejects`](hmm_native::EngineStats::admission_rejects),
 //! so an operator can see quota pressure in the same snapshot as queue

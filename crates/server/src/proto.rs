@@ -399,8 +399,9 @@ const STATS_FIELDS: u8 = 16;
 pub enum Frame {
     /// Register a permutation and receive a session-scoped handle.
     Register {
-        /// Client-computed [`Permutation::fingerprint`]
-        /// (`hmm_perm::Permutation::fingerprint`); `0` means "no claim"
+        /// Client-computed
+        /// [`Permutation::fingerprint`](hmm_perm::Permutation::fingerprint);
+        /// `0` means "no claim"
         /// (used for BMMC registrations, where the client never
         /// materializes the index map). A nonzero claim is verified
         /// server-side.

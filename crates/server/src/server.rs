@@ -200,8 +200,15 @@ pub struct Server {
 
 impl Server {
     /// Bind `addr` (use port 0 for an OS-assigned port), build the
-    /// engine, and start accepting.
+    /// engine, and start accepting. A zero `config.width` is refused as
+    /// [`std::io::ErrorKind::InvalidInput`] before anything is bound.
     pub fn bind(addr: impl ToSocketAddrs, config: ServerConfig) -> Result<Server, ServerError> {
+        if config.width == 0 {
+            return Err(ServerError::Io(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "width must be positive",
+            )));
+        }
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let engine: SharedEngine<u32> = match &config.store_dir {

@@ -2,7 +2,8 @@
 //! hostile bytes on a live socket, slow readers, `DRAIN` racing an
 //! in-flight batch, and admission rejections — each pinned against the
 //! engine-stats ledger (`submitted == completed + cancelled`) so a
-//! leaked queue slot cannot hide.
+//! leaked queue slot cannot hide — plus a config the engine cannot
+//! build, refused by `Server::bind` with an error instead of a panic.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -12,6 +13,7 @@ use hmm_perm::families;
 use hmm_server::proto::{elems_to_bytes, Frame, ServerStats};
 use hmm_server::{
     read_frame, write_frame, AdmissionConfig, Client, ClientError, ErrCode, Server, ServerConfig,
+    ServerError,
 };
 
 fn server() -> Server {
@@ -462,4 +464,17 @@ fn requests_after_drain_are_refused_as_draining() {
     // STATS still answers (observability survives the drain).
     let stats = client.stats().unwrap();
     assert!(stats.draining);
+}
+
+#[test]
+fn zero_width_is_a_typed_bind_error_not_a_panic() {
+    let config = ServerConfig {
+        width: 0,
+        ..ServerConfig::default()
+    };
+    match Server::bind("127.0.0.1:0", config) {
+        Err(ServerError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput),
+        Err(other) => panic!("expected InvalidInput, got {other}"),
+        Ok(_) => panic!("a zero-width server must not bind"),
+    }
 }

@@ -301,3 +301,19 @@ fn registering_one_permutation_at_both_widths_plans_it_once() {
     assert_eq!(stats.completed, 2, "{stats:?}");
     server.drain_and_wait();
 }
+
+#[test]
+fn serve_refuses_zero_width_with_an_error_not_a_panic() {
+    let out = Command::new(env!("CARGO_BIN_EXE_hmm-server"))
+        .args(["serve", "--width", "0"])
+        .output()
+        .expect("run hmm-server");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "a zero-width server must not start");
+    assert!(out.stdout.is_empty(), "nothing was bound: {:?}", out.stdout);
+    assert!(
+        stderr.starts_with("hmm-server serve:") && stderr.contains("width must be positive"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
