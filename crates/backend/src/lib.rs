@@ -23,11 +23,8 @@
 //!    conformance suite pins byte-identical against `hmm-native` and
 //!    the naive reference.
 //!
-//! The crate also owns the strict environment-override helper
-//! ([`env::parse_env`]) that `hmm-native` parses `HMM_NATIVE_THREADS`
-//! with: a bad value warns once and keeps the default instead of
-//! silently guessing. Kernel configs are never read from the
-//! environment; callers thread a [`KernelConfig`] through.
+//! Kernel configs are never read from the environment; callers thread a
+//! [`KernelConfig`] through.
 //!
 //! No `unsafe` anywhere in this crate: the interpreter is the *reference*
 //! executor, so it stays trivially auditable.
@@ -36,7 +33,6 @@
 #![forbid(unsafe_code)]
 
 pub mod config;
-pub mod env;
 pub mod interp;
 pub mod route;
 pub mod sweep;

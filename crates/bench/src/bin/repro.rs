@@ -12,8 +12,8 @@
 //! repro apps [--n N]        # which application permutations need scheduling
 //! repro generations         # crossover size across GPU-generation presets
 //! repro heatmap [--n N]     # access-pattern heatmaps (trace support)
-//! repro native [--full] [--json] [--contended T] [--queued T] [--plan-threads T]
-//!                           # wall-clock CPU backend comparison
+//! repro native [--full] [--json] [--plan-threads T]
+//!                           # wall-clock CPU kernel comparison
 //! repro backends [--full] [--json]
 //!                           # backend registry: native vs sweep-IR interpreter
 //! repro computed [--full] [--json]
@@ -27,12 +27,9 @@
 //! `--full` uses the paper's sizes (256K–4M); expect minutes of simulation.
 //! `--csv DIR` additionally writes each table as `DIR/<table>.csv`.
 //! `--json` (native only) writes `results/BENCH_native.json` with
-//! elements/sec per backend, per size, per family — including the
-//! contended `SharedEngine` rows. `--contended T` (native only) sets the
-//! thread count of the contended measurement (default 4; oversubscribing
-//! a small machine is fine and still exercises the claiming logic).
-//! `--queued T` (native only) sets the submitter count of the queued-vs-
-//! blocking submission measurement (default 4; `0` skips it).
+//! elements/sec per kernel, per size, per family, plus the per-sweep and
+//! plan-compiler rows. The engine paths above the kernels are measured
+//! end to end by `bench-e2e`, not by `repro`.
 //! `--plan-threads T` (native only) sets the thread budget of the parallel
 //! plan-compiler measurement, emitting `plan_build_1t` / `plan_build_{T}t`
 //! rows (default 4; `0` skips it). The two builds are asserted
@@ -54,8 +51,6 @@ struct Args {
     f64_elems: bool,
     no_cache: bool,
     json: bool,
-    contended: Option<usize>,
-    queued: Option<usize>,
     plan_threads: Option<usize>,
     count: Option<usize>,
     n: Option<usize>,
@@ -88,8 +83,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
         f64_elems: false,
         no_cache: false,
         json: false,
-        contended: None,
-        queued: None,
         plan_threads: None,
         count: None,
         n: None,
@@ -107,22 +100,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
             "--f64" => out.f64_elems = true,
             "--no-cache" => out.no_cache = true,
             "--json" => out.json = true,
-            "--contended" => {
-                out.contended = Some(
-                    it.next()
-                        .ok_or("--contended needs a thread count")?
-                        .parse()
-                        .map_err(|e| format!("--contended: {e}"))?,
-                )
-            }
-            "--queued" => {
-                out.queued = Some(
-                    it.next()
-                        .ok_or("--queued needs a submitter count")?
-                        .parse()
-                        .map_err(|e| format!("--queued: {e}"))?,
-                )
-            }
             "--plan-threads" => {
                 out.plan_threads = Some(
                     it.next()
@@ -189,8 +166,7 @@ fn main() -> ExitCode {
             eprintln!(
                 "usage: repro <all|table1|table2|table3|fig3|fig4|fig5|fig6|smallperm|ablation|\
                  sweep|apps|heatmap|native|backends|computed|structured|plan> [--full] [--f64] [--no-cache] [--json] \
-                 [--count K] [--n N] [--csv DIR] [--contended T] [--queued T] \
-                 [--plan-threads T]\n       \
+                 [--count K] [--n N] [--csv DIR] [--plan-threads T]\n       \
                  repro plan <build|save|load|stats> [--dir DIR] [--n N] [--family F] \
                  [--seed S] [--width W] [--assert-cold]"
             );
@@ -440,38 +416,17 @@ fn run(cmd: &str, args: &Args) -> Result<(), Box<dyn std::error::Error>> {
                 vec![1 << 16, 1 << 20]
             };
             println!("=== Native CPU backend: wall-clock (median of 5) ===\n");
-            let contended_threads = args.contended.unwrap_or(4);
-            let queued_threads = args.queued.unwrap_or(4);
             let plan_threads = args.plan_threads.unwrap_or(4);
-            let report = native_experiments::report(
-                &sizes,
-                5,
-                contended_threads,
-                queued_threads,
-                plan_threads,
-            )?;
+            let report = native_experiments::report(&sizes, 5, plan_threads)?;
             print!("{}", native_experiments::render(&report.rows));
             println!("\n=== Per-sweep: SIMD pipeline vs scalar (random) ===\n");
             print!("{}", native_experiments::render_sweeps(&report.sweep_rows));
-            println!("\n=== Plan cache: cached SharedEngine::permute vs rebuild-per-call ===\n");
-            print!("{}", native_experiments::render_plan(&report.plan_rows));
-            println!("\n=== Plan store: cold build+save vs cold-engine load ===\n");
-            print!("{}", native_experiments::render_store(&report.store_rows));
             if !report.plan_build_rows.is_empty() {
                 println!("\n=== Plan compiler: sequential vs parallel König build ===\n");
                 print!(
                     "{}",
                     native_experiments::render_plan_build(&report.plan_build_rows)
                 );
-            }
-            println!("\n=== Contended SharedEngine: mixed families, warm cache ===\n");
-            print!(
-                "{}",
-                native_experiments::render_contended(&report.contended_rows)
-            );
-            if !report.queued_rows.is_empty() {
-                println!("\n=== Queued submission vs blocking batch convoy ===\n");
-                print!("{}", native_experiments::render_queued(&report.queued_rows));
             }
             if args.json {
                 let dir = std::path::Path::new("results");

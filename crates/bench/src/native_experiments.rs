@@ -2,22 +2,19 @@
 //! real time instead of model time (see DESIGN.md §2 — this is the
 //! substitution for the paper's GPU measurements).
 //!
-//! Four experiment groups:
+//! `repro native` measures three groups, all at the kernel layer:
 //! * **kernels** — scatter / gather / fused 3-sweep scheduled / copy, per
 //!   family and size;
-//! * **plan cache** — steady-state `SharedEngine::permute` (plan cached,
-//!   pooled scratch) versus rebuilding the plan on every call;
-//! * **plan store** — cold König build-and-save versus a cold engine
-//!   loading the same plan from a warm on-disk store (the cross-process
-//!   path: decode + verify instead of coloring);
-//! * **contended** — one `SharedEngine` hammered by T threads over a mix
-//!   of permutation families (the concurrent plan-service workload:
-//!   warm cache, per-thread outputs, aggregate throughput);
-//! * **queued** — T submitters pushing the same job mix through the
-//!   bounded submission queue (one `submit_batch` per submitter, every
-//!   job in flight at once, handles waited at the end) against the
-//!   blocking `permute_batch` convoy (sequential chunks, the submitter
-//!   parked until each chunk fully lands).
+//! * **per-sweep** — each of the three fused sweeps, SIMD pipeline
+//!   against the scalar reference config;
+//! * **plan compiler** — the sequential König build against the parallel
+//!   one.
+//!
+//! `repro backends`, `repro computed` and `repro structured` use the
+//! backend, computed-index, structured-planner and fusion measurements
+//! below. The engine paths above the kernels (plan cache, plan store,
+//! contention, the submission queue, the wire) are measured end to end
+//! by the `bench-e2e` workloads, not here.
 //!
 //! [`to_json`] serialises a full report as `BENCH_native.json` (flat rows
 //! of `{family, n, backend, seconds, elements_per_sec}` — the format
@@ -32,7 +29,6 @@ use hmm_native::{
 use hmm_offperm::Result;
 use hmm_perm::families::{self, Family};
 use hmm_perm::Permutation;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Schedule width used throughout (matches the GPU warp).
@@ -126,19 +122,6 @@ pub fn sweeps(sizes: &[usize], reps: usize) -> Result<Vec<SweepRow>> {
         });
     }
     Ok(rows)
-}
-
-/// One row of the plan-cache comparison.
-#[derive(Debug, Clone)]
-pub struct PlanCacheRow {
-    /// Array size (family: random, the cache's target workload).
-    pub n: usize,
-    /// One plan build (König coloring + gather maps).
-    pub build: Duration,
-    /// Steady-state `SharedEngine::permute` (cache hit, pooled scratch).
-    pub cached: Duration,
-    /// Rebuild-per-call: plan build + one run, no cache.
-    pub rebuild: Duration,
 }
 
 /// One row of the plan-compiler scaling measurement: the sequential König
@@ -389,228 +372,6 @@ pub fn computed_index(sizes: &[usize], reps: usize) -> Result<Vec<ComputedRow>> 
     Ok(rows)
 }
 
-/// One row of the plan-store comparison: the same scheduled plan produced
-/// by a cold König build (and persisted) versus materialised by a *cold
-/// engine* from a warm on-disk store — the cross-process reuse the store
-/// exists for.
-#[derive(Debug, Clone)]
-pub struct PlanStoreRow {
-    /// Array size (family: random).
-    pub n: usize,
-    /// Cold store: König coloring + gather maps + encode + atomic write.
-    pub build_and_save: Duration,
-    /// Warm store, fresh engine: read + checksum + decode + full-image
-    /// verification + gather-map derivation. No coloring.
-    pub cold_load: Duration,
-}
-
-/// Measure the plan store: build-and-save against a cold-engine load at
-/// each size. Every load is asserted to be a verified store hit (zero
-/// König builds) before its time is reported.
-pub fn plan_store(sizes: &[usize], reps: usize) -> Result<Vec<PlanStoreRow>> {
-    let dir = std::env::temp_dir().join(format!("hmm-bench-plan-store-{}", std::process::id()));
-    let mut rows = Vec::new();
-    for &n in sizes {
-        let p = hmm_perm::families::random(n, 5);
-        let build_and_save = median_time(reps.min(3), || {
-            let _ = std::fs::remove_dir_all(&dir);
-            let engine: SharedEngine<u32> = SharedEngine::with_store(W, &dir).unwrap();
-            let plan = engine.plan(&p).unwrap();
-            std::hint::black_box(&plan);
-            assert_eq!(engine.stats().builds, 1, "cold store must build");
-        });
-        let cold_load = median_time(reps.min(3), || {
-            let engine: SharedEngine<u32> = SharedEngine::with_store(W, &dir).unwrap();
-            let plan = engine.plan(&p).unwrap();
-            std::hint::black_box(&plan);
-            let stats = engine.stats();
-            assert_eq!(stats.builds, 0, "warm store must not re-color");
-            assert_eq!(stats.store_hits, 1, "warm store must hit");
-        });
-        rows.push(PlanStoreRow {
-            n,
-            build_and_save,
-            cold_load,
-        });
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-    Ok(rows)
-}
-
-/// One row of the contended `SharedEngine` throughput measurement.
-#[derive(Debug, Clone)]
-pub struct ContendedRow {
-    /// Concurrent caller threads sharing the engine.
-    pub threads: usize,
-    /// Array size.
-    pub n: usize,
-    /// Total permutes completed across all threads.
-    pub total_runs: usize,
-    /// Wall-clock for the whole contended phase (cache pre-warmed).
-    pub seconds: Duration,
-}
-
-impl ContendedRow {
-    /// Aggregate elements permuted per second across all threads.
-    pub fn elements_per_sec(&self) -> f64 {
-        let secs = self.seconds.as_secs_f64();
-        if secs > 0.0 {
-            (self.total_runs * self.n) as f64 / secs
-        } else {
-            0.0
-        }
-    }
-}
-
-/// One row of the queued-vs-blocking submission comparison: the same
-/// `threads × jobs` workload pushed through `SharedEngine::submit_batch`
-/// (every job in flight at once, waited via the returned handles) and
-/// through blocking `SharedEngine::permute_batch` calls (sequential
-/// convoys per submitter thread).
-#[derive(Debug, Clone)]
-pub struct QueuedRow {
-    /// Concurrent submitter threads sharing the engine.
-    pub threads: usize,
-    /// Array size per job.
-    pub n: usize,
-    /// Total jobs across all submitters.
-    pub total_jobs: usize,
-    /// Wall-clock with queued submission (`submit` + wait-all).
-    pub queued: Duration,
-    /// Wall-clock with blocking `permute_batch` per submitter.
-    pub blocking: Duration,
-}
-
-impl QueuedRow {
-    /// Aggregate elements permuted per second for one mode's wall-clock.
-    fn eps(&self, d: Duration) -> f64 {
-        let secs = d.as_secs_f64();
-        if secs > 0.0 {
-            (self.total_jobs * self.n) as f64 / secs
-        } else {
-            0.0
-        }
-    }
-
-    /// Aggregate throughput of the queued-submission mode.
-    pub fn queued_elements_per_sec(&self) -> f64 {
-        self.eps(self.queued)
-    }
-
-    /// Aggregate throughput of the blocking-batch mode.
-    pub fn blocking_elements_per_sec(&self) -> f64 {
-        self.eps(self.blocking)
-    }
-}
-
-/// Jobs per chunk in the queued-vs-blocking measurement: each submitter
-/// thread issues its jobs as a sequence of chunks this big, the shape
-/// under which the two modes genuinely differ (see [`queued`]): every
-/// chunk boundary is a full convoy drain for the blocking mode and a
-/// seamless hand-off for the queued mode.
-const QUEUED_CHUNK: usize = 2;
-
-/// Measure queued submission against the blocking batch convoy: one
-/// engine, plans pre-warmed, `threads` submitters each pushing
-/// `jobs_per_thread` jobs of a mixed-family working set. The blocking
-/// mode is restricted by its API to sequential convoys: one
-/// `permute_batch` of `QUEUED_CHUNK` jobs at a time, the submitter
-/// parked until the whole chunk lands before it may issue the next, a
-/// fresh permutation hand-off per call. The queued mode exploits the
-/// asynchronous API: each submitter fires its entire workload in a
-/// single `submit_batch` (one permutation hand-off, every job in
-/// flight at once, interleaving with all other submitters on the
-/// shared queue) and waits the handles at the end.
-pub fn queued(
-    sizes: &[usize],
-    threads: usize,
-    jobs_per_thread: usize,
-    reps: usize,
-) -> Result<Vec<QueuedRow>> {
-    let threads = threads.max(1);
-    let chunks = jobs_per_thread.div_ceil(QUEUED_CHUNK).max(1);
-    let chunk = jobs_per_thread.clamp(1, QUEUED_CHUNK);
-    let mut rows = Vec::new();
-    for &n in sizes {
-        let engine: SharedEngine<u32> = SharedEngine::new(W);
-        let perms = contended_mix(n)?;
-        for p in &perms {
-            engine.plan(p)?; // warm: measure serving, not building
-        }
-        let src: Vec<u32> = (0..n as u32).collect();
-        let shared: Arc<[u32]> = src.clone().into();
-        let run_blocking = || {
-            std::thread::scope(|s| {
-                for t in 0..threads {
-                    let engine = &engine;
-                    let p = &perms[t % perms.len()];
-                    let src = &src;
-                    s.spawn(move || {
-                        for _ in 0..chunks {
-                            let mut dsts: Vec<Vec<u32>> = vec![vec![0u32; n]; chunk];
-                            engine
-                                .permute_batch(
-                                    p,
-                                    std::iter::repeat_n(src.as_slice(), chunk)
-                                        .zip(dsts.iter_mut().map(Vec::as_mut_slice)),
-                                )
-                                .expect("blocking batch");
-                        }
-                    });
-                }
-            });
-        };
-        let run_queued = || {
-            std::thread::scope(|s| {
-                for t in 0..threads {
-                    let engine = &engine;
-                    let p = &perms[t % perms.len()];
-                    let shared = &shared;
-                    s.spawn(move || {
-                        let b = engine.submit_batch(
-                            p,
-                            (0..chunks * chunk).map(|_| (Arc::clone(shared), vec![0u32; n])),
-                        );
-                        for outcome in b.wait() {
-                            outcome.expect("queued job");
-                        }
-                    });
-                }
-            });
-        };
-        // Interleave the reps with alternating order so slow clock drift
-        // (thermal or hypervisor throttling over a long repro run) cannot
-        // systematically punish whichever mode is measured second.
-        let time_once = |f: &dyn Fn()| {
-            let t = Instant::now();
-            f();
-            t.elapsed()
-        };
-        let r = reps.clamp(1, 3);
-        let mut bt = Vec::with_capacity(r);
-        let mut qt = Vec::with_capacity(r);
-        for i in 0..r {
-            if i % 2 == 0 {
-                bt.push(time_once(&run_blocking));
-                qt.push(time_once(&run_queued));
-            } else {
-                qt.push(time_once(&run_queued));
-                bt.push(time_once(&run_blocking));
-            }
-        }
-        bt.sort();
-        qt.sort();
-        rows.push(QueuedRow {
-            threads,
-            n,
-            total_jobs: threads * chunks * chunk,
-            queued: qt[r / 2],
-            blocking: bt[r / 2],
-        });
-    }
-    Ok(rows)
-}
-
 /// Everything `repro native` measures, plus the environment it ran in.
 #[derive(Debug, Clone)]
 pub struct NativeReport {
@@ -622,17 +383,8 @@ pub struct NativeReport {
     pub rows: Vec<NativeRow>,
     /// Per-sweep SIMD on/off rows.
     pub sweep_rows: Vec<SweepRow>,
-    /// Plan-cache comparison rows.
-    pub plan_rows: Vec<PlanCacheRow>,
-    /// Plan-store comparison rows (cold build+save vs cold-engine load).
-    pub store_rows: Vec<PlanStoreRow>,
     /// Plan-compiler scaling rows (sequential vs `plan_threads`).
     pub plan_build_rows: Vec<PlanBuildRow>,
-    /// Contended `SharedEngine` rows (1 thread and T threads, for the
-    /// scaling comparison).
-    pub contended_rows: Vec<ContendedRow>,
-    /// Queued-vs-blocking submission rows.
-    pub queued_rows: Vec<QueuedRow>,
 }
 
 /// Measure all kernels for every family at the given sizes.
@@ -665,131 +417,10 @@ pub fn run(sizes: &[usize], reps: usize) -> Result<Vec<NativeRow>> {
     Ok(rows)
 }
 
-/// Measure the plan cache at the given sizes (random permutations — the
-/// high-γ workload the scheduled backend exists for).
-pub fn plan_cache(sizes: &[usize], reps: usize) -> Result<Vec<PlanCacheRow>> {
-    let mut rows = Vec::new();
-    for &n in sizes {
-        let p = hmm_perm::families::random(n, 5);
-        let src: Vec<u32> = (0..n as u32).collect();
-        let mut dst = vec![0u32; n];
-        let build = median_time(reps.min(3), || {
-            let plan = NativeScheduled::build(&p, W).unwrap();
-            std::hint::black_box(&plan);
-        });
-        let engine: SharedEngine<u32> =
-            SharedEngine::with_shards(W, 1, hmm_native::plan::DEFAULT_CAPACITY);
-        engine.permute(&p, &src, &mut dst)?; // warm the cache
-        let cached = median_time(reps, || engine.permute(&p, &src, &mut dst).unwrap());
-        let rebuild = median_time(reps.min(3), || {
-            let plan = NativeScheduled::build(&p, W).unwrap();
-            plan.run(&src, &mut dst);
-        });
-        rows.push(PlanCacheRow {
-            n,
-            build,
-            cached,
-            rebuild,
-        });
-    }
-    Ok(rows)
-}
-
-/// The permutation mix the contended benchmark cycles through: two
-/// low-γ (scatter-backed) and two high-γ (scheduled-backed) families,
-/// so the measurement exercises both backends and several cache keys.
-fn contended_mix(n: usize) -> Result<Vec<Permutation>> {
-    Ok(vec![
-        families::identical(n),
-        families::shuffle(n)?,
-        families::random(n, 5),
-        families::bit_reversal(n)?,
-    ])
-}
-
-/// Hammer one [`SharedEngine`] from `threads` concurrent callers over a
-/// mixed-family working set: plans are pre-warmed (steady-state cache),
-/// then every thread runs `runs_per_thread` permutes, cycling through the
-/// mix from a per-thread offset. Returns one row per size.
-pub fn contended(
-    sizes: &[usize],
-    threads: usize,
-    runs_per_thread: usize,
-) -> Result<Vec<ContendedRow>> {
-    let threads = threads.max(1);
-    let mut rows = Vec::new();
-    for &n in sizes {
-        let engine: SharedEngine<u32> = SharedEngine::new(W);
-        let perms = contended_mix(n)?;
-        for p in &perms {
-            engine.plan(p)?; // warm: measure serving, not building
-        }
-        let src: Vec<u32> = (0..n as u32).collect();
-        let start = Instant::now();
-        std::thread::scope(|s| {
-            for t in 0..threads {
-                let engine = &engine;
-                let perms = &perms;
-                let src = &src;
-                s.spawn(move || {
-                    let mut dst = vec![0u32; n];
-                    for r in 0..runs_per_thread {
-                        let p = &perms[(t + r) % perms.len()];
-                        engine.permute(p, src, &mut dst).expect("contended permute");
-                    }
-                });
-            }
-        });
-        rows.push(ContendedRow {
-            threads,
-            n,
-            total_runs: threads * runs_per_thread,
-            seconds: start.elapsed(),
-        });
-    }
-    Ok(rows)
-}
-
-/// Largest size the contended phase runs at — the working set is capped so
-/// the contended rows stay cheap next to the kernel sweeps.
-const CONTENDED_MAX_N: usize = 1 << 20;
-
 /// Run all experiment groups and package them with the environment.
-/// Contended rows are measured at 1 thread and at `contended_threads`
-/// (sizes capped at 1M elements), so the JSON records a scaling pair.
-/// Queued rows are measured at `queued_threads` submitters over the same
-/// capped sizes (`0` skips the queued group). Plan-compiler rows pair the
-/// sequential builder with `plan_threads` threads at every size (`0`
-/// skips the group).
-pub fn report(
-    sizes: &[usize],
-    reps: usize,
-    contended_threads: usize,
-    queued_threads: usize,
-    plan_threads: usize,
-) -> Result<NativeReport> {
-    let csizes: Vec<usize> = {
-        let kept: Vec<usize> = sizes
-            .iter()
-            .copied()
-            .filter(|&n| n <= CONTENDED_MAX_N)
-            .collect();
-        if kept.is_empty() {
-            sizes.iter().copied().min().into_iter().collect()
-        } else {
-            kept
-        }
-    };
-    let runs_per_thread = 16;
-    let mut contended_rows = contended(&csizes, 1, runs_per_thread)?;
-    if contended_threads > 1 {
-        contended_rows.extend(contended(&csizes, contended_threads, runs_per_thread)?);
-    }
-    let queued_rows = if queued_threads > 0 {
-        queued(&csizes, queued_threads, runs_per_thread, reps)?
-    } else {
-        Vec::new()
-    };
+/// Plan-compiler rows pair the sequential builder with `plan_threads`
+/// threads at every size (`0` skips the group).
+pub fn report(sizes: &[usize], reps: usize, plan_threads: usize) -> Result<NativeReport> {
     let plan_build_rows = if plan_threads > 0 {
         plan_build_scaling(sizes, reps, plan_threads)?
     } else {
@@ -800,11 +431,7 @@ pub fn report(
         reps,
         rows: run(sizes, reps)?,
         sweep_rows: sweeps(sizes, reps)?,
-        plan_rows: plan_cache(sizes, reps)?,
-        store_rows: plan_store(sizes, reps)?,
         plan_build_rows,
-        contended_rows,
-        queued_rows,
     })
 }
 
@@ -936,43 +563,6 @@ pub fn render_backends(rows: &[BackendRow]) -> String {
     t.render()
 }
 
-/// Render the plan-cache comparison table.
-pub fn render_plan(rows: &[PlanCacheRow]) -> String {
-    let mut t = TextTable::new(vec![
-        "n",
-        "plan build",
-        "cached run",
-        "rebuild+run",
-        "speedup",
-    ]);
-    for r in rows {
-        let speedup = r.rebuild.as_secs_f64() / r.cached.as_secs_f64().max(1e-12);
-        t.row(vec![
-            size_label(r.n),
-            format!("{:.2?}", r.build),
-            format!("{:.2?}", r.cached),
-            format!("{:.2?}", r.rebuild),
-            format!("{speedup:.1}x"),
-        ]);
-    }
-    t.render()
-}
-
-/// Render the plan-store comparison table.
-pub fn render_store(rows: &[PlanStoreRow]) -> String {
-    let mut t = TextTable::new(vec!["n", "build+save", "cold load", "speedup"]);
-    for r in rows {
-        let speedup = r.build_and_save.as_secs_f64() / r.cold_load.as_secs_f64().max(1e-12);
-        t.row(vec![
-            size_label(r.n),
-            format!("{:.2?}", r.build_and_save),
-            format!("{:.2?}", r.cold_load),
-            format!("{speedup:.1}x"),
-        ]);
-    }
-    t.render()
-}
-
 /// Render the plan-compiler scaling table.
 pub fn render_plan_build(rows: &[PlanBuildRow]) -> String {
     let mut t = TextTable::new(vec!["n", "threads", "seq build", "par build", "speedup"]);
@@ -1044,74 +634,23 @@ pub fn render_fused(rows: &[FusedRow]) -> String {
     t.render()
 }
 
-/// Render the contended `SharedEngine` throughput table.
-pub fn render_contended(rows: &[ContendedRow]) -> String {
-    let mut t = TextTable::new(vec![
-        "n",
-        "threads",
-        "permutes",
-        "wall",
-        "aggregate Melem/s",
-    ]);
-    for r in rows {
-        t.row(vec![
-            size_label(r.n),
-            r.threads.to_string(),
-            r.total_runs.to_string(),
-            format!("{:.2?}", r.seconds),
-            format!("{:.1}", r.elements_per_sec() / 1e6),
-        ]);
-    }
-    t.render()
-}
-
-/// Render the queued-vs-blocking submission table.
-pub fn render_queued(rows: &[QueuedRow]) -> String {
-    let mut t = TextTable::new(vec![
-        "n",
-        "submitters",
-        "jobs",
-        "queued wall",
-        "batch wall",
-        "queued Melem/s",
-        "batch Melem/s",
-    ]);
-    for r in rows {
-        t.row(vec![
-            size_label(r.n),
-            r.threads.to_string(),
-            r.total_jobs.to_string(),
-            format!("{:.2?}", r.queued),
-            format!("{:.2?}", r.blocking),
-            format!("{:.1}", r.queued_elements_per_sec() / 1e6),
-            format!("{:.1}", r.blocking_elements_per_sec() / 1e6),
-        ]);
-    }
-    t.render()
-}
-
-fn json_row_raw(out: &mut String, family: &str, n: usize, backend: &str, secs: f64, eps: f64) {
-    out.push_str(&format!(
-        "    {{\"family\": \"{family}\", \"n\": {n}, \"backend\": \"{backend}\", \
-         \"seconds\": {secs:.9}, \"elements_per_sec\": {eps:.1}}}"
-    ));
-}
-
-fn json_row(out: &mut String, family: &str, n: usize, backend: &str, d: Duration) {
+/// One `BENCH_native.json` row object, on one line.
+fn json_row(family: &str, n: usize, backend: &str, d: Duration) -> String {
     let secs = d.as_secs_f64();
     let eps = if secs > 0.0 { n as f64 / secs } else { 0.0 };
-    json_row_raw(out, family, n, backend, secs, eps);
+    format!(
+        "    {{\"family\": \"{family}\", \"n\": {n}, \"backend\": \"{backend}\", \
+         \"seconds\": {secs:.9}, \"elements_per_sec\": {eps:.1}}}"
+    )
 }
 
 /// Serialise a report as the `BENCH_native.json` document (hand-rolled —
 /// serde is not on the offline dependency list).
 pub fn to_json(report: &NativeReport) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"native\",\n");
-    out.push_str(&format!("  \"threads\": {},\n", report.threads));
-    out.push_str(&format!("  \"reps\": {},\n", report.reps));
-    out.push_str("  \"rows\": [\n");
-    let mut first = true;
+    let mut rows = Vec::new();
+    let mut row = |family: &str, n: usize, backend: &str, d: Duration| {
+        rows.push(json_row(family, n, backend, d));
+    };
     for r in &report.rows {
         for (backend, d) in [
             ("scatter", r.scatter),
@@ -1119,11 +658,7 @@ pub fn to_json(report: &NativeReport) -> String {
             ("scheduled", r.scheduled),
             ("copy", r.copy),
         ] {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            json_row(&mut out, r.family, r.n, backend, d);
+            row(r.family, r.n, backend, d);
         }
     }
     for r in &report.sweep_rows {
@@ -1137,92 +672,24 @@ pub fn to_json(report: &NativeReport) -> String {
             ("engine_simd_on", r.total_on()),
             ("engine_simd_off", r.total_off()),
         ] {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            json_row(&mut out, "random", r.n, backend, d);
-        }
-    }
-    for r in &report.plan_rows {
-        for (backend, d) in [
-            ("plan_build", r.build),
-            ("engine_cached", r.cached),
-            ("rebuild_per_call", r.rebuild),
-        ] {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            json_row(&mut out, "random", r.n, backend, d);
-        }
-    }
-    for r in &report.store_rows {
-        for (backend, d) in [
-            ("plan_store_build", r.build_and_save),
-            ("plan_store_cold", r.cold_load),
-        ] {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            json_row(&mut out, "random", r.n, backend, d);
+            row("random", r.n, backend, d);
         }
     }
     for r in &report.plan_build_rows {
-        // Thread count in the backend name, like the contended rows; the
+        // Thread count in the backend name (the schema stays flat); the
         // sequential arm is always reported as `plan_build_1t` so a pair
         // exists even when `threads` == 1 collapses them.
-        let mut arms = vec![("plan_build_1t".to_string(), r.seq)];
+        row("random", r.n, "plan_build_1t", r.seq);
         if r.threads > 1 {
-            arms.push((format!("plan_build_{}t", r.threads), r.par));
-        }
-        for (backend, d) in arms {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            json_row(&mut out, "random", r.n, &backend, d);
+            row("random", r.n, &format!("plan_build_{}t", r.threads), r.par);
         }
     }
-    for r in &report.contended_rows {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        // Aggregate throughput across all contending threads; the thread
-        // count is encoded in the backend name (schema stays flat).
-        json_row_raw(
-            &mut out,
-            "mixed",
-            r.n,
-            &format!("engine_contended_{}t", r.threads),
-            r.seconds.as_secs_f64(),
-            r.elements_per_sec(),
-        );
-    }
-    for r in &report.queued_rows {
-        for (backend, d, eps) in [
-            (
-                format!("engine_queued_{}t", r.threads),
-                r.queued,
-                r.queued_elements_per_sec(),
-            ),
-            (
-                format!("engine_batch_blocking_{}t", r.threads),
-                r.blocking,
-                r.blocking_elements_per_sec(),
-            ),
-        ] {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            json_row_raw(&mut out, "mixed", r.n, &backend, d.as_secs_f64(), eps);
-        }
-    }
-    out.push_str("\n  ]\n}\n");
-    out
+    format!(
+        "{{\n  \"bench\": \"native\",\n  \"threads\": {},\n  \"reps\": {},\n  \"rows\": [\n{}\n  ]\n}}\n",
+        report.threads,
+        report.reps,
+        rows.join(",\n")
+    )
 }
 
 /// Merge backend-comparison rows into an existing `BENCH_native.json`
@@ -1235,11 +702,7 @@ pub fn to_json(report: &NativeReport) -> String {
 pub fn merge_backends_json(existing: Option<&str>, rows: &[BackendRow]) -> String {
     let new_rows: Vec<String> = rows
         .iter()
-        .map(|r| {
-            let mut s = String::new();
-            json_row(&mut s, "random", r.n, &r.label(), r.seconds);
-            s
-        })
+        .map(|r| json_row("random", r.n, &r.label(), r.seconds))
         .collect();
     merge_rows_json(existing, "\"backend\": \"backend_", new_rows)
 }
@@ -1252,9 +715,7 @@ pub fn merge_computed_json(existing: Option<&str>, rows: &[ComputedRow]) -> Stri
     let mut new_rows = Vec::new();
     for r in rows {
         for (backend, d) in [("computed_on", r.computed), ("computed_off", r.map_load)] {
-            let mut s = String::new();
-            json_row(&mut s, r.family, r.n, backend, d);
-            new_rows.push(s);
+            new_rows.push(json_row(r.family, r.n, backend, d));
         }
     }
     merge_rows_json(existing, "\"backend\": \"computed_", new_rows)
@@ -1310,36 +771,20 @@ mod tests {
 
     #[test]
     fn plan_cache_rows_and_json_shape() {
-        let report = report(&[1 << 12], 1, 2, 2, 2).unwrap();
-        assert_eq!(report.plan_rows.len(), 1);
+        let report = report(&[1 << 12], 1, 2).unwrap();
         // Plan-compiler pair: sequential + 2-thread arms at the single size.
         assert_eq!(report.plan_build_rows.len(), 1);
         assert_eq!(report.plan_build_rows[0].threads, 2);
         let build_table = render_plan_build(&report.plan_build_rows);
         assert!(build_table.contains("par build"));
-        let plan_table = render_plan(&report.plan_rows);
-        assert!(plan_table.contains("rebuild"));
-        // Contended pair: 1 thread and 2 threads at the single size.
-        assert_eq!(report.contended_rows.len(), 2);
-        assert_eq!(report.contended_rows[0].threads, 1);
-        assert_eq!(report.contended_rows[1].threads, 2);
-        let contended_table = render_contended(&report.contended_rows);
-        assert!(contended_table.contains("threads"));
-        // Queued pair at the single size: queued + blocking modes.
-        assert_eq!(report.queued_rows.len(), 1);
-        assert_eq!(report.queued_rows[0].threads, 2);
-        let queued_table = render_queued(&report.queued_rows);
-        assert!(queued_table.contains("submitters"));
         // Per-sweep rows: one SweepRow at the single size.
         assert_eq!(report.sweep_rows.len(), 1);
         let sweep_table = render_sweeps(&report.sweep_rows);
         assert!(sweep_table.contains("row-pass"));
         assert!(sweep_table.contains("total"));
         let json = to_json(&report);
-        // 5 families x 4 backends + 8 sweep rows + 3 plan-cache rows
-        // + 2 plan-store rows + 2 plan-build rows + 2 contended rows
-        // + 2 queued rows.
-        assert_eq!(json.matches("\"backend\"").count(), 39);
+        // 5 families x 4 backends + 8 sweep rows + 2 plan-build rows.
+        assert_eq!(json.matches("\"backend\"").count(), 30);
         for key in [
             "\"bench\": \"native\"",
             "\"threads\"",
@@ -1350,40 +795,13 @@ mod tests {
             "\"sweep_row\"",
             "\"engine_simd_on\"",
             "\"engine_simd_off\"",
-            "\"engine_cached\"",
-            "\"rebuild_per_call\"",
-            "\"plan_store_build\"",
-            "\"plan_store_cold\"",
             "\"plan_build_1t\"",
             "\"plan_build_2t\"",
-            "\"engine_contended_1t\"",
-            "\"engine_contended_2t\"",
-            "\"engine_queued_2t\"",
-            "\"engine_batch_blocking_2t\"",
         ] {
             assert!(json.contains(key), "missing {key}");
         }
         // Must be parseable by eye and by simple tooling: balanced braces.
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-    }
-
-    #[test]
-    fn queued_rows_complete_and_report_throughput() {
-        let rows = queued(&[1 << 12], 2, 4, 1).unwrap();
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].threads, 2);
-        assert_eq!(rows[0].total_jobs, 8);
-        assert!(rows[0].queued_elements_per_sec() > 0.0);
-        assert!(rows[0].blocking_elements_per_sec() > 0.0);
-    }
-
-    #[test]
-    fn contended_runs_complete_and_report_throughput() {
-        let rows = contended(&[1 << 12], 3, 4).unwrap();
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].threads, 3);
-        assert_eq!(rows[0].total_runs, 12);
-        assert!(rows[0].elements_per_sec() > 0.0);
     }
 
     #[test]
@@ -1410,7 +828,7 @@ mod tests {
         assert!(table.contains("bit-reversal"));
         assert!(table.contains("map-load"));
 
-        let report = report(&[1 << 12], 1, 0, 0, 0).unwrap();
+        let report = report(&[1 << 12], 1, 0).unwrap();
         let base = to_json(&report);
         let once = merge_computed_json(Some(&base), &rows);
         let twice = merge_computed_json(Some(&once), &rows);
@@ -1444,7 +862,7 @@ mod tests {
 
         // Merging into a full report keeps every non-backend row and
         // replaces stale backend rows instead of duplicating them.
-        let report = report(&[1 << 12], 1, 0, 0, 0).unwrap();
+        let report = report(&[1 << 12], 1, 0).unwrap();
         let base = to_json(&report);
         let once = merge_backends_json(Some(&base), &rows);
         let twice = merge_backends_json(Some(&once), &rows);

@@ -50,9 +50,8 @@
 //! splitter (`par::SliceParts`), the seed-initialized per-thread staging
 //! arena (`stage`), the clamped-index vector kernels (`simd` — the one
 //! module allowed to touch `core::arch`), the scratch pool's owned
-//! pointers (`scratch`), the queue's borrowed batch payloads (`queue`),
-//! and the typed face of a cached plan (`plan::PermutePlan`, a
-//! `repr(transparent)` cast of the cached `Arc`).
+//! pointers (`scratch`), and the typed face of a cached plan
+//! (`plan::PermutePlan`, a `repr(transparent)` cast of the cached `Arc`).
 //!
 //! The criterion benches in `hmm-bench` compare the approaches across the
 //! paper's permutation families and sizes.

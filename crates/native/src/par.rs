@@ -12,11 +12,10 @@ use crate::pool::WorkerPool;
 use std::num::NonZeroUsize;
 
 /// Environment variable overriding the worker-thread count: a positive
-/// integer, read once when the global pool is first constructed. Invalid
-/// values warn once and fall back to hardware parallelism, through the
-/// strict, warn-once [`hmm_backend::env::parse_env`]. The pool is
-/// process-global, so this is the one execution knob that cannot be set
-/// per engine.
+/// integer, read once when the global pool is first constructed. An
+/// invalid value prints one warning and falls back to hardware
+/// parallelism. The pool is process-global, so this is the one execution
+/// knob that cannot be set per engine.
 pub const THREADS_ENV: &str = "HMM_NATIVE_THREADS";
 
 /// Number of worker threads the pool was (or will be) built with: the
@@ -40,18 +39,23 @@ fn parse_thread_override(v: &str) -> Option<usize> {
 
 /// Thread count read from the environment/machine — used once, when the
 /// global pool is first constructed. An *invalid* override is loudly
-/// ignored, once per process (a typo'd benchmark run must not silently
-/// measure hardware parallelism instead of the intended thread count).
+/// ignored (a typo'd benchmark run must not silently measure hardware
+/// parallelism instead of the intended thread count).
 pub(crate) fn configured_threads() -> usize {
-    hmm_backend::env::parse_env(
-        THREADS_ENV,
-        "a positive integer; using hardware parallelism",
-        parse_thread_override,
-    )
-    .unwrap_or_else(|| {
+    let hardware = || {
         std::thread::available_parallelism()
             .map(NonZeroUsize::get)
             .unwrap_or(1)
+    };
+    let Ok(v) = std::env::var(THREADS_ENV) else {
+        return hardware();
+    };
+    parse_thread_override(&v).unwrap_or_else(|| {
+        eprintln!(
+            "warning: ignoring invalid {THREADS_ENV}={v:?} \
+             (expected a positive integer; using hardware parallelism)"
+        );
+        hardware()
     })
 }
 

@@ -57,8 +57,8 @@ use crate::backend::{Backend, Executable};
 use crate::cache::Shard;
 use crate::config::KernelConfig;
 use crate::queue::{
-    BatchHandle, Bounded, ErasedJob, Job, JobError, JobHandle, JobReport, JobState, Payload,
-    QueuedJob, DEFAULT_QUEUE_CAPACITY,
+    BatchHandle, Bounded, ErasedJob, Job, JobError, JobHandle, JobReport, JobState, QueuedJob,
+    DEFAULT_QUEUE_CAPACITY,
 };
 use crate::scratch::ScratchPool;
 use crate::stats::{AtomicStats, EngineStats};
@@ -714,23 +714,15 @@ impl<T: Copy + Send + Sync + Default + 'static> SharedEngine<T> {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Apply one permutation to many `(src, dst)` pairs.
-    ///
-    /// The members are routed through the **submission queue** (see
-    /// [`SharedEngine::submit`]) and this call blocks until every one has
-    /// resolved — so concurrent `permute_batch` calls and [`submit`]ters
-    /// interleave their jobs across the same drainer threads instead of
-    /// convoying behind one caller's batch. Plan resolution happens once
-    /// under the single-flight machinery no matter how many members the
-    /// batch has. Called from inside a worker-pool task, the jobs run
-    /// inline instead (waiting on the queue there could deadlock the
-    /// pool's dispatch lock).
-    ///
-    /// [`submit`]: SharedEngine::submit
+    /// Apply one permutation to many `(src, dst)` pairs on the calling
+    /// thread: the plan is resolved once, then every member runs through
+    /// [`run_plan`](SharedEngine::run_plan). An empty batch plans nothing.
+    /// For members that should run while the caller keeps going, use
+    /// [`submit_batch`](SharedEngine::submit_batch).
     ///
     /// # Panics
     /// Panics if any job's `src.len()` or `dst.len()` differs from
-    /// `p.len()`, or if a queued member's execution panics.
+    /// `p.len()`.
     pub fn permute_batch<'a, I>(&self, p: &Permutation, jobs: I) -> Result<()>
     where
         I: IntoIterator<Item = (&'a [T], &'a mut [T])>,
@@ -740,54 +732,17 @@ impl<T: Copy + Send + Sync + Default + 'static> SharedEngine<T> {
         if jobs.is_empty() {
             return Ok(());
         }
-        // Validate every member before any pointer is enqueued, so the
-        // borrowed payloads below never outlive a panicking caller.
         for (src, dst) in &jobs {
             assert!(
                 src.len() == p.len() && dst.len() == p.len(),
                 "permute_batch: job buffers must match the permutation length"
             );
         }
-        if crate::pool::in_pool_task() {
-            // Blocking on queue drainers from inside a pool task would
-            // deadlock the pool's run lock; run the members inline.
-            let plan = self.plan(p)?;
-            for (src, dst) in jobs {
-                self.run_plan(&plan, src, dst);
-            }
-            return Ok(());
+        let plan = self.plan(p)?;
+        for (src, dst) in jobs {
+            self.run_plan(&plan, src, dst);
         }
-        let p = Arc::new(p.clone());
-        let handles: Vec<JobHandle<T>> = jobs
-            .into_iter()
-            .map(|(src, dst)| {
-                self.submit_payload(
-                    Arc::clone(&p),
-                    Payload::Borrowed {
-                        src: src.as_ptr(),
-                        dst: dst.as_mut_ptr(),
-                        len: src.len(),
-                    },
-                )
-            })
-            .collect();
-        // Wait for EVERY member before returning — even after an error —
-        // because the queue holds raw pointers into the caller's slices
-        // until each job resolves.
-        let mut first_err: Option<JobError> = None;
-        for h in handles {
-            if let Err(e) = h.wait() {
-                first_err.get_or_insert(e);
-            }
-        }
-        match first_err {
-            None => Ok(()),
-            Some(JobError::Plan(e)) => Err(e),
-            Some(JobError::Panicked(msg)) => panic!("queued batch job panicked: {msg}"),
-            // Cancelled/ShutDown/AlreadyRetrieved cannot reach these
-            // private handles while `&self` keeps the engine alive.
-            Some(other) => panic!("unexpected queued batch outcome: {other}"),
-        }
+        Ok(())
     }
 
     /// Configure the submission queue **before its first use**: `capacity`
@@ -899,13 +854,7 @@ impl<T: Copy + Send + Sync + Default + 'static> SharedEngine<T> {
     /// assert_eq!(report.dst, expect);
     /// ```
     pub fn submit(&self, p: &Permutation, src: impl Into<Arc<[T]>>, dst: Vec<T>) -> JobHandle<T> {
-        self.submit_payload(
-            Arc::new(p.clone()),
-            Payload::Owned {
-                src: src.into(),
-                dst,
-            },
-        )
+        self.submit_job(Arc::new(p.clone()), src.into(), dst)
     }
 
     /// Enqueue one permutation applied to many `(src, dst)` pairs and
@@ -923,19 +872,19 @@ impl<T: Copy + Send + Sync + Default + 'static> SharedEngine<T> {
         let p = Arc::new(p.clone());
         BatchHandle::new(
             jobs.into_iter()
-                .map(|(src, dst)| self.submit_payload(Arc::clone(&p), Payload::Owned { src, dst }))
+                .map(|(src, dst)| self.submit_job(Arc::clone(&p), src, dst))
                 .collect(),
         )
     }
 
     /// Common submission path: count the job, validate sizes, enqueue.
-    fn submit_payload(&self, p: Arc<Permutation>, payload: Payload<T>) -> JobHandle<T> {
+    fn submit_job(&self, p: Arc<Permutation>, src: Arc<[T]>, dst: Vec<T>) -> JobHandle<T> {
         let stats = &self.core.stats;
         let id = self.core.queue.next_job_id.fetch_add(1, Ordering::Relaxed);
         stats.submitted.fetch_add(1, Ordering::Relaxed);
         let state = JobState::new();
         let handle = JobHandle::new(Arc::clone(&state), Arc::clone(stats), id);
-        let (src_len, dst_len) = (payload.src_len(), payload.dst_len());
+        let (src_len, dst_len) = (src.len(), dst.len());
         if src_len != p.len() || dst_len != p.len() {
             // Resolve without a queue round-trip; counters stay balanced
             // (`submitted == completed + cancelled`).
@@ -950,7 +899,8 @@ impl<T: Copy + Send + Sync + Default + 'static> SharedEngine<T> {
         }
         let job = Box::new(QueuedJob {
             p,
-            payload,
+            src,
+            dst,
             state,
             scratch: Arc::clone(&self.scratch),
         });
@@ -966,30 +916,20 @@ impl<T: Copy + Send + Sync + Default + 'static> SharedEngine<T> {
     /// it, and resolve the handle — with panics caught so a failed build
     /// (or an injected fingerprint panic) resolves waiters instead of
     /// stranding them, and the drainer thread keeps serving.
-    fn execute_job(&self, p: &Permutation, payload: Payload<T>, state: &JobState<T>) {
+    fn execute_job(&self, p: &Permutation, src: Arc<[T]>, mut dst: Vec<T>, state: &JobState<T>) {
         if !state.begin() {
             // Cancelled while queued; `cancel()` already counted it.
             return;
         }
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
+        // `move`: the input is released before `finish` wakes the waiter,
+        // so a submitter's next request never overlaps this one's buffer.
+        let outcome = catch_unwind(AssertUnwindSafe(move || {
             let plan = self.plan(p)?;
-            let route = plan.route();
-            let dst = match payload {
-                Payload::Owned { src, mut dst } => {
-                    self.run_plan(&plan, &src, &mut dst);
-                    dst
-                }
-                Payload::Borrowed { src, dst, len } => {
-                    // SAFETY: the `permute_batch` caller that erased these
-                    // borrows blocks until this job's state resolves, and
-                    // each member's dst slice is exclusive to one job.
-                    let src = unsafe { std::slice::from_raw_parts(src, len) };
-                    let dst = unsafe { std::slice::from_raw_parts_mut(dst, len) };
-                    self.run_plan(&plan, src, dst);
-                    Vec::new()
-                }
-            };
-            Ok(JobReport { dst, route })
+            self.run_plan(&plan, &src, &mut dst);
+            Ok(JobReport {
+                dst,
+                route: plan.route(),
+            })
         }));
         let result = match outcome {
             Ok(done) => done,
@@ -1022,11 +962,12 @@ impl<T: Copy + Send + Sync + Default + 'static> Job for QueuedJob<T> {
             Some(core) => {
                 let QueuedJob {
                     p,
-                    payload,
+                    src,
+                    dst,
                     state,
                     scratch,
                 } = *self;
-                SharedEngine { core, scratch }.execute_job(&p, payload, &state);
+                SharedEngine { core, scratch }.execute_job(&p, src, dst, &state);
             }
             None => self.resolve_shutdown(stats),
         }
@@ -1210,13 +1151,23 @@ mod tests {
 
     #[test]
     fn batch_reuses_one_plan_lookup() {
+        // One cache lookup per batch, whatever its width, every member run
+        // on the calling thread (nothing through the queue), and no lookup
+        // at all for an empty batch.
         let n = 1 << 11;
         let p = families::random(n, 21);
+        let engine: SharedEngine<u32> = SharedEngine::with_shards(W, 1, DEFAULT_CAPACITY);
+        let lookups = || {
+            let s = engine.stats();
+            s.hits + s.misses
+        };
+        engine.permute_batch(&p, std::iter::empty()).unwrap();
+        assert_eq!(lookups(), 0, "an empty batch plans nothing");
+
         let srcs: Vec<Vec<u32>> = (0..4)
             .map(|k| (0..n as u32).map(|v| v.wrapping_add(k)).collect())
             .collect();
         let mut dsts: Vec<Vec<u32>> = vec![vec![0u32; n]; 4];
-        let engine: SharedEngine<u32> = SharedEngine::with_shards(W, 1, DEFAULT_CAPACITY);
         engine
             .permute_batch(
                 &p,
@@ -1225,16 +1176,40 @@ mod tests {
                     .zip(dsts.iter_mut().map(|d| d.as_mut_slice())),
             )
             .unwrap();
-        let stats = engine.stats();
-        // Queue-routed members each call plan(), but single-flight plus
-        // the cache keep the build count at one.
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.scheduled_runs + stats.scatter_runs, 4);
-        assert_eq!(stats.submitted, 4, "batch members route through the queue");
-        assert_eq!(stats.completed, 4);
+        assert_eq!(lookups(), 1, "one lookup for the u32 batch");
         for (src, dst) in srcs.iter().zip(&dsts) {
             assert_eq!(dst, &reference(&p, src));
         }
+
+        let wide = engine.view::<u64>();
+        let srcs64: Vec<Vec<u64>> = srcs
+            .iter()
+            .map(|s| {
+                s.iter()
+                    .map(|&v| u64::from(v) << 32 | u64::from(v))
+                    .collect()
+            })
+            .collect();
+        let mut dsts64: Vec<Vec<u64>> = vec![vec![0u64; n]; 4];
+        wide.permute_batch(
+            &p,
+            srcs64
+                .iter()
+                .map(|s| s.as_slice())
+                .zip(dsts64.iter_mut().map(|d| d.as_mut_slice())),
+        )
+        .unwrap();
+        assert_eq!(lookups(), 2, "one lookup for the u64 batch");
+        for (src, dst) in srcs64.iter().zip(&dsts64) {
+            let mut want = vec![0u64; n];
+            p.permute(src, &mut want).unwrap();
+            assert_eq!(dst, &want);
+        }
+
+        let stats = engine.stats();
+        assert_eq!((stats.misses, stats.hits), (1, 1), "one plan, both widths");
+        assert_eq!(stats.scheduled_runs + stats.scatter_runs, 8);
+        assert_eq!(stats.submitted, 0, "batch members bypass the queue");
     }
 
     #[test]
@@ -1311,7 +1286,7 @@ mod tests {
 
     #[test]
     fn mixed_width_traffic_keeps_scratch_per_view_and_one_queue() {
-        // u32 permute, u64 submit and u32 permute_batch alternate on views
+        // u32 permute, u64 submit and u32 submit_batch alternate on views
         // of one core. Every output must match the reference, the one
         // queue must balance, and each view must reuse its own buffers:
         // buffers are allocated per concurrent user, never per request.
@@ -1339,12 +1314,15 @@ mod tests {
                 "round {round}: u64 submit"
             );
 
-            let mut dsts = vec![vec![0u32; n]; 3];
-            engine
-                .permute_batch(&p, dsts.iter_mut().map(|d| (&src32[..], &mut d[..])))
-                .unwrap();
-            for d in &dsts {
-                assert_eq!(d, &reference(&p, &src32), "round {round}: u32 batch");
+            let shared32: Arc<[u32]> = src32.as_slice().into();
+            let batch =
+                engine.submit_batch(&p, (0..3).map(|_| (Arc::clone(&shared32), vec![0u32; n])));
+            for outcome in batch.wait() {
+                assert_eq!(
+                    outcome.unwrap().dst,
+                    reference(&p, &src32),
+                    "round {round}: u32 batch"
+                );
             }
 
             // No parked buffer is ever dropped and replaced: what a view

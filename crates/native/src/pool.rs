@@ -88,15 +88,6 @@ thread_local! {
     static IN_POOL: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
-/// True while the current thread is executing pool tasks — a worker for
-/// its whole lifetime, or a dispatching thread during its own `run`.
-/// Callers that would otherwise block on *other* threads' pool dispatches
-/// (e.g. the plan engine waiting on queue drainers) use this to fall back
-/// to an inline path instead of deadlocking on `run_lock`.
-pub(crate) fn in_pool_task() -> bool {
-    IN_POOL.with(|c| c.get())
-}
-
 impl WorkerPool {
     /// Build a pool with `threads` total participants (`threads - 1`
     /// workers are spawned; the dispatching thread is the last one).

@@ -106,67 +106,10 @@ impl From<PlanError> for JobError {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobReport<T> {
     /// The permuted output buffer (`dst[P[i]] = src[i]`), returned to the
-    /// submitter. Empty for internal borrowed-slice jobs
-    /// (`permute_batch` members), whose output landed in the caller's
-    /// slice directly.
+    /// submitter.
     pub dst: Vec<T>,
     /// The route (scatter or scheduled) the plan executed with.
     pub route: Route,
-}
-
-/// Job payload: the buffers a queue worker reads and writes.
-///
-/// `Owned` is the public [`submit`](crate::plan::SharedEngine::submit)
-/// path. `Borrowed` carries lifetime-erased slices for the blocking
-/// `permute_batch`, which routes its members through the queue so they
-/// interleave with other submitters' jobs.
-///
-/// # Safety contract (`Borrowed`)
-/// The pointers must stay valid until the job's state resolves
-/// (`Done`/`Cancelled`/shutdown). `permute_batch` guarantees this by
-/// blocking until **every** member handle resolves before its borrows
-/// end, and workers never touch the pointers after `finish`.
-pub(crate) enum Payload<T> {
-    /// Caller-owned buffers; `dst` is returned through the report.
-    Owned {
-        /// Input, shared so many jobs can read one source cheaply.
-        src: Arc<[T]>,
-        /// Output buffer, moved back out on completion.
-        dst: Vec<T>,
-    },
-    /// Lifetime-erased slices borrowed from a blocked `permute_batch`.
-    Borrowed {
-        /// Input slice base pointer.
-        src: *const T,
-        /// Output slice base pointer (exclusive to this job).
-        dst: *mut T,
-        /// Length of both slices.
-        len: usize,
-    },
-}
-
-// SAFETY: `Owned` buffers are plainly sendable; `Borrowed` pointers come
-// from a `permute_batch` caller that stays blocked (keeping the referents
-// alive and unaliased) until the job resolves, so moving the pointers to
-// a worker thread is safe whenever `T` itself is `Send`.
-unsafe impl<T: Send> Send for Payload<T> {}
-
-impl<T> Payload<T> {
-    /// Length of the job's source buffer.
-    pub(crate) fn src_len(&self) -> usize {
-        match self {
-            Payload::Owned { src, .. } => src.len(),
-            Payload::Borrowed { len, .. } => *len,
-        }
-    }
-
-    /// Length of the job's destination buffer.
-    pub(crate) fn dst_len(&self) -> usize {
-        match self {
-            Payload::Owned { dst, .. } => dst.len(),
-            Payload::Borrowed { len, .. } => *len,
-        }
-    }
 }
 
 /// Where a job is in its life. See the module docs for the transitions.
@@ -252,8 +195,10 @@ impl<T> JobState<T> {
 pub(crate) struct QueuedJob<T> {
     /// The permutation to apply; shared so batches clone it once.
     pub(crate) p: Arc<Permutation>,
-    /// The buffers.
-    pub(crate) payload: Payload<T>,
+    /// Input, shared so many jobs can read one source cheaply.
+    pub(crate) src: Arc<[T]>,
+    /// Output buffer, moved back out through the [`JobReport`].
+    pub(crate) dst: Vec<T>,
     /// Completion state shared with the handle.
     pub(crate) state: Arc<JobState<T>>,
     /// Scratch of the handle that submitted the job, so a drainer never
@@ -669,10 +614,8 @@ mod tests {
         stats.submitted.fetch_add(1, Ordering::Relaxed);
         let pushed = q.push(QueuedJob {
             p: Arc::new(Permutation::identity(4)),
-            payload: Payload::Owned {
-                src,
-                dst: vec![0u32; 4],
-            },
+            src,
+            dst: vec![0u32; 4],
             state: Arc::clone(&state),
             scratch: Arc::new(ScratchPool::new()),
         });

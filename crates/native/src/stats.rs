@@ -54,10 +54,9 @@ pub struct EngineStats {
     /// file and falls through to a fresh build.
     pub store_rejects: u64,
     /// Jobs accepted by [`crate::plan::SharedEngine::submit`] /
-    /// [`crate::plan::SharedEngine::submit_batch`] — queue-routed
-    /// [`crate::plan::SharedEngine::permute_batch`] members included. Every submitted
-    /// job eventually lands in exactly one of [`EngineStats::completed`]
-    /// or [`EngineStats::cancelled`].
+    /// [`crate::plan::SharedEngine::submit_batch`]. Every submitted job
+    /// eventually lands in exactly one of [`EngineStats::completed`] or
+    /// [`EngineStats::cancelled`].
     pub submitted: u64,
     /// Queued jobs resolved by a worker — successfully or with an error
     /// (failed build, panic, shutdown). `submitted == completed +

@@ -7,6 +7,9 @@
 //!                  [--idle-timeout-ms MS] [--max-conns N]
 //! ```
 //!
+//! Every flag takes one value; an unknown flag, or a flag with no value,
+//! exits 1 before anything is bound.
+//!
 //! `serve` prints exactly one `LISTENING <addr>` line once the port is
 //! bound (machine-readable: spawners parse it to learn the OS-assigned
 //! port), then blocks until a `DRAIN` arrives from a loopback peer and
@@ -30,16 +33,43 @@ fn main() -> ExitCode {
     }
 }
 
-/// Minimal `--flag value` lookup.
-fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
+/// The flags `serve` accepts, each followed by one value.
+const FLAGS: [&str; 7] = [
+    "--addr",
+    "--width",
+    "--store",
+    "--max-plans",
+    "--max-inflight",
+    "--idle-timeout-ms",
+    "--max-conns",
+];
+
+/// Split `args` into `--flag value` pairs, refusing an unknown flag and a
+/// flag with no value (either would otherwise start a server on defaults).
+fn parse_flags(args: &[String]) -> Result<Vec<(&str, &str)>, String> {
+    let mut pairs = Vec::new();
+    let mut it = args.iter();
+    while let Some(flag) = it.next() {
+        if !FLAGS.contains(&flag.as_str()) {
+            return Err(format!("unknown flag {flag}"));
+        }
+        let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
+        pairs.push((flag.as_str(), value.as_str()));
+    }
+    Ok(pairs)
 }
 
-fn parse<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result<T, String> {
-    match flag_value(args, name) {
+/// The value given for `name`, if any.
+fn flag_value<'a>(flags: &[(&str, &'a str)], name: &str) -> Option<&'a str> {
+    flags.iter().find(|(f, _)| *f == name).map(|&(_, v)| v)
+}
+
+fn parse<T: std::str::FromStr>(
+    flags: &[(&str, &str)],
+    name: &str,
+    default: T,
+) -> Result<T, String> {
+    match flag_value(flags, name) {
         None => Ok(default),
         Some(raw) => raw
             .parse()
@@ -49,6 +79,7 @@ fn parse<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Resul
 
 fn serve(args: &[String]) -> ExitCode {
     let run = || -> Result<(), String> {
+        let args = &parse_flags(args)?;
         let addr = flag_value(args, "--addr")
             .unwrap_or("127.0.0.1:0")
             .to_string();

@@ -2,7 +2,7 @@
 //!
 //! The paper defines offline permutation as `b[P[i]] = a[i]` (equivalently
 //! `b[i] = a[P⁻¹[i]]`); this suite pins all three engine entry points —
-//! blocking [`SharedEngine::permute`], blocking (queue-routed)
+//! blocking [`SharedEngine::permute`], blocking
 //! [`SharedEngine::permute_batch`], and asynchronous
 //! [`SharedEngine::submit`] — against a naive index-loop reference that
 //! shares no code with the permutation layer, the plan builder, or the
@@ -162,7 +162,7 @@ fn check_cell<T: Elem>(
     engine.permute(p, &src, &mut dst).unwrap();
     assert_eq!(dst, want, "{ctx}: permute diverged from naive reference");
 
-    // Front door 2: blocking permute_batch (queue-routed members).
+    // Front door 2: blocking permute_batch (one plan, members inline).
     let srcs: Vec<Vec<T>> = (0..3).map(|k| input::<T>(n, k)).collect();
     let mut dsts: Vec<Vec<T>> = vec![vec![T::default(); n]; srcs.len()];
     engine

@@ -317,3 +317,36 @@ fn serve_refuses_zero_width_with_an_error_not_a_panic() {
     );
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
+
+/// A mistyped flag, or a flag with no value, must stop `serve` before it
+/// binds instead of starting a server on defaults.
+#[test]
+fn serve_refuses_unknown_and_valueless_flags() {
+    for (args, want) in [
+        (&["serve", "--max-conn", "4"][..], "unknown flag --max-conn"),
+        (&["serve", "--width"][..], "--width needs a value"),
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_hmm-server"))
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("run hmm-server");
+        let mut first = String::new();
+        BufReader::new(child.stdout.take().expect("piped stdout"))
+            .read_line(&mut first)
+            .expect("read stdout");
+        if !first.is_empty() {
+            child.kill().ok();
+            child.wait().ok();
+            panic!("{args:?} started a server: {first:?}");
+        }
+        let out = child.wait_with_output().expect("wait for hmm-server");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.starts_with("hmm-server serve:") && stderr.contains(want),
+            "{args:?}: {stderr}"
+        );
+    }
+}
