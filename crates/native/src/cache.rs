@@ -1,6 +1,7 @@
 //! The plan cache over an engine core: a sharded `RwLock` LRU of
 //! width-free plans keyed `(fingerprint, n, width)`, single-flight
-//! construction, and verified hits.
+//! construction, and verified hits (a pointer check when the caller
+//! passes the plan's own storage, a full image compare otherwise).
 
 use crate::plan::{EngineCore, Plan};
 use hmm_perm::Permutation;
@@ -163,7 +164,9 @@ impl EngineCore {
             let (outcome, waited) = slot.wait();
             match outcome {
                 Ok(plan) => {
-                    if plan.permutation.as_slice() == p.as_slice() {
+                    // Shared storage verifies by pointer; anything else
+                    // compares the full image.
+                    if plan.permutation == *p {
                         let counter = if waited {
                             &self.stats.builds_deduped
                         } else {

@@ -28,10 +28,14 @@
 //! `capacity` plans.
 //!
 //! Every cache hit verifies the stored permutation against the requested
-//! one (an O(n) memcmp, trivial next to the run): a 64-bit fingerprint
-//! collision is therefore *detected* rather than silently applying the
-//! wrong plan — the mismatch counts as [`EngineStats::collisions`] and the
-//! entry is rebuilt for the requested permutation.
+//! one: a pointer check when the caller passes the storage the plan was
+//! built from (a [`Permutation`] clone shares it), a full image compare
+//! otherwise. A 64-bit fingerprint collision is therefore *detected*
+//! rather than silently applying the wrong plan — the mismatch counts as
+//! [`EngineStats::collisions`] and the entry is rebuilt for the requested
+//! permutation. The default fingerprint is memoized per storage, so a hit
+//! with the planning caller's object hashes nothing and compares nothing
+//! element by element.
 //!
 //! Below the in-memory LRU sits an optional **tier-2 on-disk store**
 //! ([`SharedEngine::with_store`]): scheduled plans are serialized through
@@ -98,13 +102,28 @@ fn default_fingerprint(p: &Permutation) -> u64 {
     p.fingerprint()
 }
 
+/// Refuse a freshly built IR that does not realise `p`, so a faulty
+/// builder surfaces as a typed error on its own miss call instead of
+/// being served and cached.
+fn check_built(ir: &PlanIr, p: &Permutation, builder: &str) -> Result<()> {
+    if ir.matches(p) {
+        Ok(())
+    } else {
+        Err(PlanError::Invalid {
+            reason: format!("the {builder} build does not realise the requested permutation"),
+        })
+    }
+}
+
 /// A built, cached execution plan for one permutation, with no element
 /// type: the γ_w route decision plus the [`Executable`] a [`Backend`]
 /// prepared for it. One plan serves every typed handle on a core.
 pub(crate) struct Plan {
     gamma: f64,
     exec: Executable,
-    /// Kept for hit verification and for callers that want it back.
+    /// Kept for hit verification and for callers that want it back. It
+    /// shares the storage of the permutation the plan was built for, so
+    /// a hit with that object (or any clone of it) verifies by pointer.
     pub(crate) permutation: Permutation,
 }
 
@@ -120,15 +139,20 @@ impl Plan {
     }
 
     /// Prepare a scheduled plan for this IR — no König coloring happens
-    /// here. The permutation the plan answers for is recomposed from the
-    /// IR's own three passes, so the plan is correct for exactly the
-    /// permutation the IR encodes, wherever the IR came from (a fresh
-    /// build, another engine, or a plan-store file).
-    fn scheduled(backend: Backend, ir: &PlanIr, config: KernelConfig) -> Result<Self> {
+    /// here. `permutation` must be the one the IR realises: the engine
+    /// passes the planning caller's own value after `ir.matches(p)`, so
+    /// the plan shares the caller's storage and a later hit with that
+    /// object verifies by pointer.
+    fn scheduled(
+        backend: Backend,
+        ir: &PlanIr,
+        config: KernelConfig,
+        permutation: Permutation,
+    ) -> Result<Self> {
         Ok(Plan {
             gamma: ir.gamma(),
             exec: backend.prepare(ExecPlan::Scheduled(ir), config)?,
-            permutation: ir.recompose(),
+            permutation,
         })
     }
 }
@@ -158,10 +182,13 @@ impl<T> PermutePlan<T> {
     /// plan on the native backend with an explicit kernel
     /// config — no König coloring happens here, and no cache is touched.
     /// Fails with a typed error when the IR violates its contract
-    /// (`PlanIr::validate`).
+    /// (`PlanIr::validate`). The plan's [`permutation`] is recomposed
+    /// from the IR's own three passes.
+    ///
+    /// [`permutation`]: PermutePlan::permutation
     pub fn from_ir_with(ir: &PlanIr, config: KernelConfig) -> Result<Self> {
         Ok(PermutePlan {
-            plan: Plan::scheduled(Backend::Native, ir, config)?,
+            plan: Plan::scheduled(Backend::Native, ir, config, ir.recompose())?,
             _elem: PhantomData,
         })
     }
@@ -197,7 +224,10 @@ impl<T> PermutePlan<T> {
         self.len() == 0
     }
 
-    /// The permutation this plan was built for.
+    /// The permutation this plan was built for. For a plan the engine
+    /// cached, this is the planning caller's own value (its storage is
+    /// shared, not copied), so cloning it hands out the identity a later
+    /// hit verifies by pointer.
     pub fn permutation(&self) -> &Permutation {
         &self.plan.permutation
     }
@@ -265,10 +295,12 @@ impl QueueRuntime {
 ///   same permutation wait on that slot (counted in
 ///   [`EngineStats::builds_deduped`]) instead of duplicating the König
 ///   coloring, and requests for *other* permutations proceed unimpeded.
-/// * **Verified hits** — every hit compares the cached plan's full
-///   permutation image with the requested one; a fingerprint collision is
-///   counted ([`EngineStats::collisions`]) and treated as a miss that
-///   replaces the entry, so the output is always correct.
+/// * **Verified hits** — every hit checks the cached plan's permutation
+///   against the requested one: by pointer when both share storage (the
+///   plan holds the planning caller's permutation), by a full image
+///   compare otherwise. A fingerprint collision is counted
+///   ([`EngineStats::collisions`]) and treated as a miss that replaces
+///   the entry, so the output is always correct.
 /// * **One core for every element type** — plans carry no `T`, so
 ///   [`SharedEngine::view`] opens a handle of another element type on the
 ///   same cache, queue and stats, with its own typed scratch pool.
@@ -374,6 +406,12 @@ impl EngineCore {
     /// engine's backend. `fingerprint` is the cache key's, so a miss
     /// hashes `p` once and the store is looked up under the same key the
     /// cache uses.
+    ///
+    /// Every scheduled arm checks its IR against `p` once (`ir.matches`)
+    /// and the plan then holds `p` itself — a clone sharing the caller's
+    /// storage — rather than a map recomposed from the IR. A built IR
+    /// that does not realise `p` fails with [`PlanError::Invalid`]
+    /// instead of being cached.
     pub(crate) fn construct_plan(&self, p: &Permutation, fingerprint: u64) -> Result<Plan> {
         let gamma = distribution(p, self.width);
         if gamma <= self.gamma_threshold() {
@@ -389,7 +427,7 @@ impl EngineCore {
                 Ok(Some(ir)) if ir.matches(p) => {
                     self.stats.store_hits.fetch_add(1, Ordering::Relaxed);
                     self.note_affine(&ir);
-                    return Plan::scheduled(self.backend, &ir, self.kernel_config());
+                    return Plan::scheduled(self.backend, &ir, self.kernel_config(), p.clone());
                 }
                 Ok(None) => {}
                 // A decodable plan for a *different* permutation (a
@@ -412,6 +450,7 @@ impl EngineCore {
             PlanIr::build_structured_par(p, self.width, crate::par::worker_threads())
         {
             let ir = built?;
+            check_built(&ir, p, "structured")?;
             self.stats.plans_structured.fetch_add(1, Ordering::Relaxed);
             self.note_affine(&ir);
             if let Some(store) = &self.store {
@@ -419,7 +458,7 @@ impl EngineCore {
                 // stay store-driven for every family.
                 let _ = store.save(&ir);
             }
-            return Plan::scheduled(self.backend, &ir, self.kernel_config());
+            return Plan::scheduled(self.backend, &ir, self.kernel_config(), p.clone());
         }
         // Cold build: route through the parallel plan compiler on the
         // engine's thread budget. Output is byte-identical to the
@@ -427,12 +466,13 @@ impl EngineCore {
         // freshly-built plans can never disagree. (Detection above
         // already said no, so this is always a genuine coloring.)
         let ir = PlanIr::build_par(p, self.width, crate::par::worker_threads())?;
+        check_built(&ir, p, "König")?;
         self.stats.builds.fetch_add(1, Ordering::Relaxed);
         if let Some(store) = &self.store {
             // Best effort: a failed save must never fail the permute.
             let _ = store.save(&ir);
         }
-        Plan::scheduled(self.backend, &ir, self.kernel_config())
+        Plan::scheduled(self.backend, &ir, self.kernel_config(), p.clone())
     }
 
     /// Count a prepared IR that carries affine descriptors
@@ -854,7 +894,7 @@ impl<T: Copy + Send + Sync + Default + 'static> SharedEngine<T> {
     /// assert_eq!(report.dst, expect);
     /// ```
     pub fn submit(&self, p: &Permutation, src: impl Into<Arc<[T]>>, dst: Vec<T>) -> JobHandle<T> {
-        self.submit_job(Arc::new(p.clone()), src.into(), dst)
+        self.submit_job(p.clone(), src.into(), dst)
     }
 
     /// Enqueue one permutation applied to many `(src, dst)` pairs and
@@ -869,16 +909,15 @@ impl<T: Copy + Send + Sync + Default + 'static> SharedEngine<T> {
     where
         I: IntoIterator<Item = (Arc<[T]>, Vec<T>)>,
     {
-        let p = Arc::new(p.clone());
         BatchHandle::new(
             jobs.into_iter()
-                .map(|(src, dst)| self.submit_job(Arc::clone(&p), src, dst))
+                .map(|(src, dst)| self.submit_job(p.clone(), src, dst))
                 .collect(),
         )
     }
 
     /// Common submission path: count the job, validate sizes, enqueue.
-    fn submit_job(&self, p: Arc<Permutation>, src: Arc<[T]>, dst: Vec<T>) -> JobHandle<T> {
+    fn submit_job(&self, p: Permutation, src: Arc<[T]>, dst: Vec<T>) -> JobHandle<T> {
         let stats = &self.core.stats;
         let id = self.core.queue.next_job_id.fetch_add(1, Ordering::Relaxed);
         stats.submitted.fetch_add(1, Ordering::Relaxed);

@@ -16,13 +16,20 @@
 //! thousands of threads existing (the seed's `par_chunks_mut_exact`
 //! spawned one thread per chunk).
 //!
+//! One job owns the workers at a time. A dispatch that finds the pool
+//! busy with another caller's job does not wait for it to drain: it runs
+//! its own tasks inline on the calling thread, the path nested and
+//! single-thread dispatches already take. Two callers permuting at once
+//! thus each make progress instead of the second sleeping through the
+//! first's whole job.
+//!
 //! Worker panics are caught, the first payload is kept, and the panic
 //! resumes on the **calling** thread once the job drains; the workers
 //! themselves survive and keep serving later jobs.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError, TryLockError};
 use std::thread::JoinHandle;
 
 /// Type-erased pointer to the job closure. The pool guarantees the
@@ -75,7 +82,8 @@ struct Shared {
 pub struct WorkerPool {
     shared: Arc<Shared>,
     threads: usize,
-    /// Serializes dispatches: one job owns the workers at a time.
+    /// Held by the dispatch that owns the workers. Taken with `try_lock`:
+    /// a dispatch that finds it held runs inline instead of waiting.
     run_lock: Mutex<()>,
     handles: Vec<JoinHandle<()>>,
 }
@@ -83,8 +91,8 @@ pub struct WorkerPool {
 thread_local! {
     /// True while this thread is executing pool tasks (worker threads for
     /// their lifetime, the caller during a dispatch). A dispatch from such
-    /// a thread would deadlock on `run_lock`, so nested `run` calls
-    /// execute inline instead.
+    /// a thread executes inline: the task already occupies a core, and
+    /// its own pool is held by the job it belongs to.
     static IN_POOL: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
@@ -133,14 +141,16 @@ impl WorkerPool {
     }
 
     /// Run `f(0..num_tasks)` across the pool, returning when every task
-    /// has finished. Tasks are claimed dynamically, so at most
-    /// [`WorkerPool::threads`] run concurrently. Reentrant calls (from
-    /// inside a task) and single-task jobs execute inline on the calling
-    /// thread.
+    /// has finished. Tasks are claimed dynamically, so one job runs at
+    /// most [`WorkerPool::threads`] tasks concurrently. Reentrant calls
+    /// (from inside a task), single-task jobs, and dispatches that find
+    /// another caller's job holding the pool execute inline on the
+    /// calling thread, in task order.
     ///
     /// # Panics
     /// If any task panics, the first payload is re-raised here after the
-    /// job drains; the pool remains usable.
+    /// job drains; the pool remains usable. On the inline paths the panic
+    /// unwinds straight out of the failing task.
     pub fn run<F>(&self, num_tasks: usize, f: F)
     where
         F: Fn(usize) + Sync,
@@ -148,13 +158,24 @@ impl WorkerPool {
         if num_tasks == 0 {
             return;
         }
-        if num_tasks == 1 || self.threads == 1 || IN_POOL.with(|c| c.get()) {
+        // Inline on this thread: a nested dispatch, a job with nothing to
+        // share, or a pool another caller's job owns (this caller makes
+        // progress rather than sleeping until that job drains).
+        let guard = if num_tasks == 1 || self.threads == 1 || IN_POOL.with(|c| c.get()) {
+            None
+        } else {
+            match self.run_lock.try_lock() {
+                Ok(guard) => Some(guard),
+                Err(TryLockError::Poisoned(e)) => Some(e.into_inner()),
+                Err(TryLockError::WouldBlock) => None,
+            }
+        };
+        let Some(_guard) = guard else {
             for i in 0..num_tasks {
                 f(i);
             }
             return;
-        }
-        let _guard = self.run_lock.lock().unwrap_or_else(PoisonError::into_inner);
+        };
         // SAFETY (lifetime erasure): `job.task` points at `f`, which lives
         // until this function returns; the completion barrier below blocks
         // until every claimed task has finished, and tasks are the only
@@ -383,8 +404,9 @@ mod tests {
     #[test]
     fn concurrent_dispatch_from_many_external_threads() {
         // Several non-pool threads hammer one pool with dispatches at
-        // once: run_lock must serialize jobs without losing or double-
-        // running tasks, and every dispatcher must see its own job drain.
+        // once: whether a job gets the workers or runs inline because the
+        // pool is busy, no task is lost or run twice, and every
+        // dispatcher sees its own job drain.
         let pool = WorkerPool::new(4);
         let total = AtomicUsize::new(0);
         const DISPATCHERS: usize = 6;
@@ -406,6 +428,81 @@ mod tests {
             }
         });
         assert_eq!(total.load(Ordering::SeqCst), DISPATCHERS * ROUNDS * TASKS);
+    }
+
+    /// Run `body` on a thread of its own while another thread's job holds
+    /// `pool` (one of its tasks parked on a barrier), then release that
+    /// job. `body` gets 10 s to report through the channel, so a dispatch
+    /// that blocks on the busy pool fails the test instead of hanging it.
+    fn while_pool_is_held<R: Send>(
+        pool: &WorkerPool,
+        body: impl FnOnce(std::sync::mpsc::Sender<R>) + Send,
+    ) -> Result<R, std::sync::mpsc::RecvTimeoutError> {
+        let entered = std::sync::Barrier::new(2);
+        let release = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                pool.run(2, |i| {
+                    if i == 0 {
+                        entered.wait();
+                        release.wait();
+                    }
+                })
+            });
+            entered.wait();
+            let (tx, rx) = std::sync::mpsc::channel();
+            s.spawn(move || body(tx));
+            let got = rx.recv_timeout(std::time::Duration::from_secs(10));
+            release.wait();
+            got
+        })
+    }
+
+    #[test]
+    fn dispatch_on_a_busy_pool_runs_inline_on_the_caller() {
+        let pool = WorkerPool::new(2);
+        let got = while_pool_is_held(&pool, |tx| {
+            let me = std::thread::current().id();
+            let ran = Mutex::new(Vec::new());
+            pool.run(8, |i| {
+                ran.lock().unwrap().push((i, std::thread::current().id()));
+            });
+            let ran: Vec<(usize, bool)> = ran
+                .into_inner()
+                .unwrap()
+                .into_iter()
+                .map(|(i, t)| (i, t == me))
+                .collect();
+            let _ = tx.send(ran);
+        });
+        // Every task ran once, in order, on the dispatching thread.
+        let want: Vec<(usize, bool)> = (0..8).map(|i| (i, true)).collect();
+        assert_eq!(got, Ok(want), "a busy pool must not block a dispatcher");
+        // The pool still serves jobs afterwards.
+        let count = AtomicUsize::new(0);
+        pool.run(16, |_| {
+            count.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(count.load(Ordering::Relaxed), 16);
+    }
+
+    #[test]
+    fn panic_on_the_busy_inline_path_reaches_the_caller() {
+        let pool = WorkerPool::new(2);
+        let got = while_pool_is_held(&pool, |tx| {
+            let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                pool.run(8, |i| {
+                    if i == 3 {
+                        panic!("inline task 3 exploded");
+                    }
+                });
+            }));
+            let msg = caught
+                .err()
+                .and_then(|p| p.downcast_ref::<&str>().map(|s| s.to_string()));
+            let _ = tx.send(msg);
+        });
+        assert_eq!(got, Ok(Some("inline task 3 exploded".to_string())));
     }
 
     #[test]

@@ -193,8 +193,10 @@ impl<T> JobState<T> {
 /// One enqueued job: the permutation, the buffers, the shared state its
 /// handle waits on, and the submitting handle's scratch pool.
 pub(crate) struct QueuedJob<T> {
-    /// The permutation to apply; shared so batches clone it once.
-    pub(crate) p: Arc<Permutation>,
+    /// The permutation to apply: a clone sharing the submitter's storage
+    /// (O(1)), so the drainer plans with the very object the submitter
+    /// passed and its memoized fingerprint.
+    pub(crate) p: Permutation,
     /// Input, shared so many jobs can read one source cheaply.
     pub(crate) src: Arc<[T]>,
     /// Output buffer, moved back out through the [`JobReport`].
@@ -613,7 +615,7 @@ mod tests {
         let src: Arc<[u32]> = vec![0u32; 4].into();
         stats.submitted.fetch_add(1, Ordering::Relaxed);
         let pushed = q.push(QueuedJob {
-            p: Arc::new(Permutation::identity(4)),
+            p: Permutation::identity(4),
             src,
             dst: vec![0u32; 4],
             state: Arc::clone(&state),

@@ -9,14 +9,56 @@ use crate::error::{PermError, Result};
 use crate::matrix::Bmmc;
 use rand::seq::SliceRandom;
 use rand::Rng;
+use std::sync::{Arc, OnceLock};
 
 /// A validated permutation of `0..n` in destination convention.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The destination map lives in immutable, reference-counted storage,
+/// next to its memoized [`fingerprint`](Permutation::fingerprint).
+/// Cloning shares that storage (O(1)), and no method mutates it, so a
+/// clone is indistinguishable from the original. Equality returns at once
+/// when both sides share storage and compares the full images otherwise.
+#[derive(Clone)]
 pub struct Permutation {
-    map: Vec<usize>,
+    storage: Arc<Storage>,
 }
 
+/// The shared, immutable half of a [`Permutation`].
+struct Storage {
+    map: Vec<usize>,
+    /// [`Permutation::fingerprint`], computed on first use.
+    fingerprint: OnceLock<u64>,
+}
+
+impl core::fmt::Debug for Permutation {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_struct("Permutation")
+            .field("map", &self.storage.map)
+            .finish()
+    }
+}
+
+impl PartialEq for Permutation {
+    /// Shared storage is equal by construction; anything else compares
+    /// the full destination maps.
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.storage, &other.storage) || self.storage.map == other.storage.map
+    }
+}
+
+impl Eq for Permutation {}
+
 impl Permutation {
+    /// Wrap a map already known to be a bijection.
+    fn new(map: Vec<usize>) -> Self {
+        Permutation {
+            storage: Arc::new(Storage {
+                map,
+                fingerprint: OnceLock::new(),
+            }),
+        }
+    }
+
     /// Build from an explicit mapping, validating that it is a bijection.
     pub fn from_vec(map: Vec<usize>) -> Result<Self> {
         let n = map.len();
@@ -30,67 +72,65 @@ impl Permutation {
             }
             seen[dst] = true;
         }
-        Ok(Permutation { map })
+        Ok(Permutation::new(map))
     }
 
     /// Build without validation. The caller must guarantee bijectivity; the
     /// invariant is checked in debug builds.
     pub fn from_vec_unchecked(map: Vec<usize>) -> Self {
         debug_assert!(Self::from_vec(map.clone()).is_ok());
-        Permutation { map }
+        Permutation::new(map)
     }
 
     /// The identity permutation of size `n` ("identical" in the paper).
     pub fn identity(n: usize) -> Self {
-        Permutation {
-            map: (0..n).collect(),
-        }
+        Permutation::new((0..n).collect())
     }
 
     /// A uniformly random permutation of size `n`.
     pub fn random<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Self {
         let mut map: Vec<usize> = (0..n).collect();
         map.shuffle(rng);
-        Permutation { map }
+        Permutation::new(map)
     }
 
     /// Domain size `n`.
     #[inline]
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.storage.map.len()
     }
 
     /// True for the (unique) permutation of the empty set.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.storage.map.is_empty()
     }
 
     /// Destination of source index `i`.
     #[inline]
     pub fn apply(&self, i: usize) -> usize {
-        self.map[i]
+        self.storage.map[i]
     }
 
     /// The raw destination map.
     #[inline]
     pub fn as_slice(&self) -> &[usize] {
-        &self.map
+        &self.storage.map
     }
 
     /// True if `P[i] == i` for all `i`.
     pub fn is_identity(&self) -> bool {
-        self.map.iter().enumerate().all(|(i, &d)| i == d)
+        self.storage.map.iter().enumerate().all(|(i, &d)| i == d)
     }
 
     /// The inverse permutation `P⁻¹` (the paper's `q`, used by the
     /// source-designated algorithm: `b[i] = a[P⁻¹[i]]`).
     pub fn inverse(&self) -> Permutation {
-        let mut inv = vec![0usize; self.map.len()];
-        for (i, &d) in self.map.iter().enumerate() {
+        let mut inv = vec![0usize; self.storage.map.len()];
+        for (i, &d) in self.storage.map.iter().enumerate() {
             inv[d] = i;
         }
-        Permutation { map: inv }
+        Permutation::new(inv)
     }
 
     /// Composition `self ∘ other`: first move along `other`, then along
@@ -105,9 +145,14 @@ impl Permutation {
             other.len(),
             "composing permutations of different sizes"
         );
-        Permutation {
-            map: other.map.iter().map(|&mid| self.map[mid]).collect(),
-        }
+        Permutation::new(
+            other
+                .storage
+                .map
+                .iter()
+                .map(|&mid| self.storage.map[mid])
+                .collect(),
+        )
     }
 
     /// Move `src` into `dst` along the permutation: `dst[P[i]] = src[i]`.
@@ -125,7 +170,7 @@ impl Permutation {
             });
         }
         for (i, &v) in src.iter().enumerate() {
-            dst[self.map[i]] = v;
+            dst[self.storage.map[i]] = v;
         }
         Ok(())
     }
@@ -163,11 +208,11 @@ impl Permutation {
             // Walk the cycle containing `start`: after `data.swap(start,
             // pos)`, slot `pos` holds its final value and slot `start`
             // carries the element still in flight.
-            let mut pos = self.map[start];
+            let mut pos = self.storage.map[start];
             while pos != start {
                 data.swap(start, pos);
                 visited[pos] = true;
-                pos = self.map[pos];
+                pos = self.storage.map[pos];
             }
         }
         Ok(())
@@ -188,7 +233,7 @@ impl Permutation {
             while !visited[i] {
                 visited[i] = true;
                 cycle.push(i);
-                i = self.map[i];
+                i = self.storage.map[i];
             }
             cycles.push(cycle);
         }
@@ -197,7 +242,8 @@ impl Permutation {
 
     /// Number of fixed points (`P[i] == i`).
     pub fn fixed_points(&self) -> usize {
-        self.map
+        self.storage
+            .map
             .iter()
             .enumerate()
             .filter(|&(i, &d)| i == d)
@@ -258,7 +304,11 @@ impl Permutation {
     /// True if `P² = identity` (every cycle has length 1 or 2) — e.g.
     /// bit-reversal and square transpose.
     pub fn is_involution(&self) -> bool {
-        self.map.iter().enumerate().all(|(i, &d)| self.map[d] == i)
+        self.storage
+            .map
+            .iter()
+            .enumerate()
+            .all(|(i, &d)| self.storage.map[d] == i)
     }
 
     /// The `k`-th power `Pᵏ` (repeated application), computed by cycle
@@ -273,7 +323,7 @@ impl Permutation {
                 map[i] = cycle[(pos + shift) % cycle.len()];
             }
         }
-        Permutation { map }
+        Permutation::new(map)
     }
 
     /// A uniformly random **derangement** (no fixed points) of size
@@ -307,8 +357,10 @@ impl Permutation {
             return None;
         }
         let bits = n.trailing_zeros();
-        let offset = self.map[0];
-        let cols: Vec<usize> = (0..bits).map(|j| self.map[1usize << j] ^ offset).collect();
+        let offset = self.storage.map[0];
+        let cols: Vec<usize> = (0..bits)
+            .map(|j| self.storage.map[1usize << j] ^ offset)
+            .collect();
         // Verify the candidate over the full domain.
         let mut val = offset;
         for i in 1..n {
@@ -317,7 +369,7 @@ impl Permutation {
                 val ^= cols[changed.trailing_zeros() as usize];
                 changed &= changed - 1;
             }
-            if self.map[i] != val {
+            if self.storage.map[i] != val {
                 return None;
             }
         }
@@ -358,8 +410,16 @@ impl Permutation {
     /// way. Two distinct permutations colliding on both fingerprint *and*
     /// length is a ~2⁻⁶⁴ event — and every consumer verifies the full
     /// image on use, so a collision costs a rebuild, never a wrong answer.
+    ///
+    /// The value is memoized per storage: the first call on a permutation
+    /// or any of its clones hashes the map, and every later call reads
+    /// the stored value. A deep copy (`from_vec(p.as_slice().to_vec())`)
+    /// has storage of its own and hashes once more, to the same value.
     pub fn fingerprint(&self) -> u64 {
-        crate::hash::hash_words(&self.map)
+        *self
+            .storage
+            .fingerprint
+            .get_or_init(|| crate::hash::hash_words(&self.storage.map))
     }
 }
 
@@ -598,6 +658,34 @@ mod tests {
     }
 
     #[test]
+    fn clones_share_storage_and_deep_copies_do_not() {
+        let mut rng = StdRng::seed_from_u64(61);
+        let p = Permutation::random(1 << 10, &mut rng);
+        let clone = p.clone();
+        let deep = Permutation::from_vec(p.as_slice().to_vec()).unwrap();
+        assert_eq!(clone.as_slice().as_ptr(), p.as_slice().as_ptr());
+        assert_ne!(deep.as_slice().as_ptr(), p.as_slice().as_ptr());
+        assert_eq!(clone, p);
+        assert_eq!(deep, p);
+    }
+
+    #[test]
+    fn memoized_fingerprint_is_the_hash_of_the_map() {
+        let mut rng = StdRng::seed_from_u64(62);
+        for n in [0usize, 1, 7, 1 << 10] {
+            let p = Permutation::random(n, &mut rng);
+            let want = crate::hash::hash_words(p.as_slice());
+            // A clone taken before the first call shares the memo slot.
+            let early = p.clone();
+            assert_eq!(p.fingerprint(), want, "fresh, n = {n}");
+            assert_eq!(early.fingerprint(), want, "early clone, n = {n}");
+            assert_eq!(p.clone().fingerprint(), want, "late clone, n = {n}");
+            let deep = Permutation::from_vec(p.as_slice().to_vec()).unwrap();
+            assert_eq!(deep.fingerprint(), want, "deep copy, n = {n}");
+        }
+    }
+
+    #[test]
     fn display_cycle_notation() {
         let p = Permutation::from_cycles(4, &[&[0, 2, 1]]).unwrap();
         assert_eq!(p.to_string(), "(0 2 1)");
@@ -682,5 +770,32 @@ mod tests {
         let c = swap.compose(&other);
         // c[i] = swap[other[i]]: c[0]=swap[1]=0, c[1]=swap[2]=2, c[2]=swap[0]=1.
         assert_eq!(c.as_slice(), &[0, 2, 1]);
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            /// `==` (pointer check, full compare otherwise) agrees with
+            /// comparing the maps, over two random permutations, their
+            /// clones and their deep copies. Small sizes make equal draws
+            /// common, so both answers are exercised.
+            #[test]
+            fn eq_agrees_with_slice_eq(n in 0usize..5, a in any::<u64>(), b in any::<u64>()) {
+                let p = Permutation::random(n, &mut StdRng::seed_from_u64(a));
+                let q = Permutation::random(n, &mut StdRng::seed_from_u64(b));
+                let deep = |x: &Permutation| Permutation::from_vec(x.as_slice().to_vec()).unwrap();
+                let all = [p.clone(), p.clone(), deep(&p), q.clone(), q.clone(), deep(&q)];
+                for x in &all {
+                    for y in &all {
+                        prop_assert_eq!(x == y, x.as_slice() == y.as_slice());
+                        prop_assert_eq!(x != y, x.as_slice() != y.as_slice());
+                    }
+                }
+            }
+        }
     }
 }

@@ -7,7 +7,9 @@
 //! gets two quotas checked before anything touches the engine:
 //!
 //! * **registered plans** — caps session cache footprint (every handle
-//!   pins an `Arc<Permutation>` and a cached plan slot);
+//!   holds an O(1) clone of its cached plan's `Permutation`, keeping that
+//!   map alive even once the plan is evicted, and claims a cached plan
+//!   slot);
 //! * **in-flight jobs** — caps how much of the shared queue one request
 //!   may claim at once (a `PERMUTE_BATCH` of `k` payloads counts `k`).
 //!

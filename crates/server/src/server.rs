@@ -210,13 +210,24 @@ impl Server {
             )));
         }
         let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
         let engine: SharedEngine<u32> = match &config.store_dir {
             Some(dir) => {
                 SharedEngine::with_store(config.width, dir.clone()).map_err(ServerError::Plan)?
             }
             None => SharedEngine::new(config.width),
         };
+        Self::start(listener, engine, &config)
+    }
+
+    /// Serve `engine` on an already-bound `listener`: open its `u64` view
+    /// and spawn the accept thread. `config` supplies the session limits;
+    /// its `width` and `store_dir` were spent building `engine`.
+    fn start(
+        listener: TcpListener,
+        engine: SharedEngine<u32>,
+        config: &ServerConfig,
+    ) -> Result<Server, ServerError> {
+        let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             addr,
             engine_u64: engine.view(),
@@ -335,7 +346,10 @@ fn accept_loop(shared: Arc<Shared>, listener: TcpListener) {
 
 /// One registered plan in a session's private namespace.
 struct Registered {
-    perm: Arc<Permutation>,
+    /// The cached plan's own permutation (an O(1) clone sharing its
+    /// storage), so every `PERMUTE` hits with a memoized fingerprint and
+    /// verifies by pointer — also when another session registered it.
+    perm: Permutation,
     elem_width: u8,
 }
 
@@ -562,19 +576,16 @@ fn register(
     // Warm the verified plan cache now, so the first PERMUTE is pure
     // execution and registration errors surface at registration time.
     // Plans are element-agnostic: one entry serves both widths.
-    if let Err(e) = shared.engine.plan(&p) {
-        return err(ErrCode::Plan, e.to_string());
-    }
+    let perm = match shared.engine.plan(&p) {
+        Ok(plan) => plan.permutation().clone(),
+        Err(e) => return err(ErrCode::Plan, e.to_string()),
+    };
 
     let handle = session.next_handle;
     session.next_handle += 1;
-    session.plans.insert(
-        handle,
-        Registered {
-            perm: Arc::new(p),
-            elem_width,
-        },
-    );
+    session
+        .plans
+        .insert(handle, Registered { perm, elem_width });
     shared.registered_plans.fetch_add(1, Ordering::Relaxed);
     Frame::Registered { handle }
 }
@@ -637,11 +648,10 @@ fn permute(
         return err(e.code(), e.to_string());
     }
 
-    let perm = Arc::clone(&registered.perm);
     let outcome = if registered.elem_width == 4 {
-        run_jobs::<u32>(&shared.engine, &perm, payloads)
+        run_jobs::<u32>(&shared.engine, &registered.perm, payloads)
     } else {
-        run_jobs::<u64>(&shared.engine_u64, &perm, payloads)
+        run_jobs::<u64>(&shared.engine_u64, &registered.perm, payloads)
     };
     match outcome {
         Ok(mut outputs) => {
@@ -757,5 +767,71 @@ mod tests {
         let src: Vec<u32> = (0..1u32 << 10).collect();
         let out = client.permute(&handle, &src).unwrap();
         assert_eq!(out[p.apply(3)], src[3]);
+    }
+
+    /// Over TCP, on an engine whose fingerprint puts every permutation on
+    /// one cache key: two handles registered on one connection each get
+    /// their own permutation's output, because every hit still compares
+    /// the full image when the storage differs.
+    #[test]
+    fn forced_fingerprint_collisions_over_tcp_keep_each_handle_correct() {
+        let mut engine: SharedEngine<u32> = SharedEngine::new(32);
+        engine.set_fingerprint_fn(|_| 0);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let server = Server::start(listener, engine, &ServerConfig::default()).unwrap();
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        let n = 1 << 10;
+        let perms = [families::random(n, 1), families::random(n, 2)];
+        let handles: Vec<_> = perms
+            .iter()
+            .map(|p| client.register::<u32>(p).unwrap())
+            .collect();
+        let src: Vec<u32> = (0..n as u32).map(|v| v ^ 0x5a5a).collect();
+        for round in 0..2 {
+            for (k, (p, handle)) in perms.iter().zip(&handles).enumerate() {
+                let mut want = vec![0u32; n];
+                p.permute(&src, &mut want).unwrap();
+                let out = client.permute(handle, &src).unwrap();
+                assert_eq!(out, want, "round {round}, handle {k}");
+            }
+        }
+        // The second registration and each of the four permutes found the
+        // other permutation's plan under the shared key.
+        assert_eq!(server.shared.engine.stats().collisions, 5);
+    }
+
+    /// A registration keeps the cached plan's own permutation, so two
+    /// sessions that each decoded their own copy of one map end up
+    /// holding one shared storage — the one the plan verifies against by
+    /// pointer.
+    #[test]
+    fn sessions_share_the_cached_plans_permutation() {
+        let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+        let p = families::random(1 << 10, 5);
+        let register = |session: &mut Session| {
+            let frame = Frame::Register {
+                fingerprint: p.fingerprint(),
+                n: p.len() as u64,
+                elem_width: 4,
+                perm: PermRepr::Index(p.as_slice().iter().map(|&d| d as u32).collect()),
+            };
+            match respond(&server.shared, session, frame, PROTOCOL_VERSION) {
+                Frame::Registered { handle } => session.plans[&handle].perm.as_slice().as_ptr(),
+                other => panic!("{other:?}"),
+            }
+        };
+        let mut sessions: Vec<Session> = (0..2)
+            .map(|_| Session {
+                plans: HashMap::new(),
+                next_handle: 1,
+            })
+            .collect();
+        let first = register(&mut sessions[0]);
+        let second = register(&mut sessions[1]);
+        assert_eq!(first, second);
+        let plan = server.shared.engine.plan(&p).unwrap();
+        assert_eq!(plan.permutation().as_slice().as_ptr(), first);
+        let stats = server.shared.engine.stats();
+        assert_eq!((stats.misses, stats.hits), (1, 2));
     }
 }

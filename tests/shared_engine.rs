@@ -11,7 +11,7 @@
 
 use hmm_native::plan::DEFAULT_CAPACITY;
 use hmm_native::pool::WorkerPool;
-use hmm_native::{JobError, SharedEngine};
+use hmm_native::{JobError, Route, SharedEngine};
 use hmm_perm::families;
 use hmm_perm::Permutation;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -708,4 +708,127 @@ fn plan_cached_at_u32_is_a_verified_hit_at_u64() {
     assert_eq!(s.misses, 1, "one build serves both widths: {s:?}");
     assert_eq!(s.hits, 2);
     assert_eq!(s.collisions, 0);
+}
+
+/// A copy of `p` with storage of its own (a clone would share `p`'s).
+fn deep_copy(p: &Permutation) -> Permutation {
+    Permutation::from_vec(p.as_slice().to_vec()).unwrap()
+}
+
+/// A warm plan re-requested with the planning object itself, a clone
+/// (shared storage: pointer-verified) and a deep copy (own storage: full
+/// compare) is a hit every time, on every route, with reference output.
+#[test]
+fn warm_plan_hits_with_the_same_object_a_clone_and_a_deep_copy() {
+    let n = 1 << 12;
+    let engine: SharedEngine<u32> = SharedEngine::new(W);
+    let src: Vec<u32> = (0..n as u32).map(|v| v.rotate_left(7)).collect();
+    let perms = [
+        families::random(n, 61),            // König build
+        families::bit_reversal(n).unwrap(), // structured build
+        families::identical(n),             // scatter
+    ];
+    for (k, p) in perms.iter().enumerate() {
+        permute_checked(&engine, p, &src, "miss");
+        permute_checked(&engine, p, &src, "same object");
+        permute_checked(&engine, &p.clone(), &src, "clone");
+        permute_checked(&engine, &deep_copy(p), &src, "deep copy");
+        let s = engine.stats();
+        assert_eq!(
+            (s.misses, s.hits),
+            (k as u64 + 1, 3 * (k as u64 + 1)),
+            "{s:?}"
+        );
+    }
+    assert_eq!(engine.stats().collisions, 0);
+}
+
+/// Whichever arm produced it — a König build, a structured build, the
+/// scatter route or a plan-store load — the cached plan holds the
+/// planning caller's own storage rather than a map recomposed from the
+/// IR, and keeps it when a later caller hits with a deep copy.
+#[test]
+fn cached_plans_hold_the_planning_callers_storage() {
+    let n = 1 << 12;
+    let dir = temp_store_dir("caller-storage");
+    let random = families::random(n, 62);
+    let engine: SharedEngine<u32> = SharedEngine::with_store(W, &dir).unwrap();
+    for (p, route) in [
+        (&random, Route::Scheduled),
+        (&families::bit_reversal(n).unwrap(), Route::Scheduled),
+        (&families::identical(n), Route::Scatter),
+    ] {
+        let plan = engine.plan(p).unwrap();
+        assert_eq!(plan.route(), route);
+        assert_eq!(
+            plan.permutation().as_slice().as_ptr(),
+            p.as_slice().as_ptr()
+        );
+        let again = engine.plan(&deep_copy(p)).unwrap();
+        assert_eq!(
+            again.permutation().as_slice().as_ptr(),
+            p.as_slice().as_ptr()
+        );
+    }
+    let s = engine.stats();
+    assert_eq!((s.builds, s.plans_structured), (1, 1), "{s:?}");
+
+    // A cold engine loads the random plan from the store.
+    let cold: SharedEngine<u32> = SharedEngine::with_store(W, &dir).unwrap();
+    let caller = deep_copy(&random);
+    let plan = cold.plan(&caller).unwrap();
+    assert_eq!(cold.stats().store_hits, 1);
+    assert_eq!(
+        plan.permutation().as_slice().as_ptr(),
+        caller.as_slice().as_ptr()
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// With every permutation forced onto one key and every request carrying
+/// a fresh deep copy, no hit check can take the pointer shortcut: equal
+/// maps still hit through the full compare, distinct ones still collide,
+/// and each request gets its own output.
+#[test]
+fn forced_collisions_between_deep_copies_use_the_full_compare() {
+    let n = 1 << 10;
+    let mut engine: SharedEngine<u32> = SharedEngine::with_shards(W, 1, DEFAULT_CAPACITY);
+    engine.set_fingerprint_fn(|_| 0);
+    let perms = [families::random(n, 63), families::random(n, 64)];
+    let src: Vec<u32> = (0..n as u32).map(|v| v ^ 0x00ff_00ff).collect();
+    for k in [0, 0, 1, 1, 0, 1] {
+        permute_checked(&engine, &deep_copy(&perms[k]), &src, "deep copy");
+    }
+    let s = engine.stats();
+    // 0 miss, 0 hit, 1 collision, 1 hit, 0 collision, 1 collision.
+    assert_eq!((s.misses, s.hits, s.collisions), (4, 2, 3), "{s:?}");
+}
+
+/// The memoized fingerprint does not bypass the `set_fingerprint_fn`
+/// seam: the engine calls it once per request — blocking or queued, miss
+/// or hit, same object or copy.
+#[test]
+fn fingerprint_seam_runs_once_per_request() {
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    let n = 1 << 10;
+    let mut engine: SharedEngine<u32> = SharedEngine::new(W);
+    engine.set_fingerprint_fn(|p| {
+        CALLS.fetch_add(1, Ordering::Relaxed);
+        p.len() as u64
+    });
+    let p = families::random(n, 65);
+    let src: Vec<u32> = (0..n as u32).collect();
+    permute_checked(&engine, &p, &src, "miss");
+    permute_checked(&engine, &p, &src, "same object");
+    permute_checked(&engine, &p.clone(), &src, "clone");
+    permute_checked(&engine, &deep_copy(&p), &src, "deep copy");
+    assert_eq!(CALLS.load(Ordering::Relaxed), 4);
+    let report = engine
+        .submit(&p, src.clone(), vec![0u32; n])
+        .wait()
+        .unwrap();
+    assert_eq!(report.dst, reference(&p, &src));
+    assert_eq!(CALLS.load(Ordering::Relaxed), 5);
+    let s = engine.stats();
+    assert_eq!((s.misses, s.hits), (1, 4));
 }
