@@ -44,9 +44,11 @@ pub struct KernelConfig {
     /// Per-worker staging-buffer budget in bytes. Bounds how many input
     /// rows one gather block stages before transposing out.
     pub stage_bytes: usize,
-    /// Blocked-transpose tile side in elements. Also the tile side the
+    /// Blocked-transpose tile side in elements: the tile side the
     /// sweep-kernel IR lowers into [`crate::sweep::SweepKernel`]'s tiled
-    /// transpose (clamped there to the matrix's smaller dimension).
+    /// transpose (clamped there to the matrix's smaller dimension). The
+    /// native CPU sweeps transpose in fixed register tiles and do not
+    /// read it.
     pub tile: usize,
     /// Enable the vectorized kernel tiers: the width-specialized
     /// no-bounds-check chunked paths everywhere, plus the `core::arch`

@@ -24,7 +24,7 @@ use crate::tables::{size_label, TextTable};
 use hmm_native::par::worker_threads;
 use hmm_native::{
     copy_baseline, gather_permute, scatter_permute, Backend, ExecPlan, KernelConfig,
-    NativeScheduled, SharedEngine,
+    NativeScheduled, ScratchBuf, SharedEngine,
 };
 use hmm_offperm::Result;
 use hmm_perm::families::{self, Family};
@@ -112,7 +112,8 @@ pub fn sweeps(sizes: &[usize], reps: usize) -> Result<Vec<SweepRow>> {
         let off = NativeScheduled::from_plan_with(&ir, KernelConfig::scalar())?;
         let src: Vec<u32> = (0..n as u32).collect();
         let mut dst = vec![0u32; n];
-        let mut scratch = vec![0u32; n];
+        // The engine's scratch rule: a window starting on a cache line.
+        let mut scratch = ScratchBuf::new(n);
         let simd_on = median_sweeps(reps, || on.run_sweeps_timed(&src, &mut dst, &mut scratch));
         let simd_off = median_sweeps(reps, || off.run_sweeps_timed(&src, &mut dst, &mut scratch));
         rows.push(SweepRow {
@@ -354,7 +355,7 @@ pub fn computed_index(sizes: &[usize], reps: usize) -> Result<Vec<ComputedRow>> 
             let mut want = vec![0u32; n];
             p.permute(&src, &mut want).expect("reference permute");
             let mut dst = vec![0u32; n];
-            let mut scratch = vec![0u32; n];
+            let mut scratch = ScratchBuf::new(n);
             on.run_with_scratch(&src, &mut dst, &mut scratch);
             assert_eq!(dst, want, "{family} n={n}: computed diverged");
             off.run_with_scratch(&src, &mut dst, &mut scratch);
@@ -393,7 +394,7 @@ pub fn run(sizes: &[usize], reps: usize) -> Result<Vec<NativeRow>> {
     for &n in sizes {
         let src: Vec<u32> = (0..n as u32).collect();
         let mut dst = vec![0u32; n];
-        let mut scratch = vec![0u32; n];
+        let mut scratch = ScratchBuf::new(n);
         for fam in Family::ALL {
             let p = fam.build(n, 5)?;
             let q = p.inverse();
@@ -531,7 +532,7 @@ pub fn backends(sizes: &[usize], reps: usize) -> Result<Vec<BackendRow>> {
             let name = backend.name();
             let exec = backend.prepare(ExecPlan::Scheduled(&ir), KernelConfig::default())?;
             let mut dst = vec![0u32; n];
-            let mut scratch = vec![0u32; exec.scratch_len()];
+            let mut scratch = ScratchBuf::new(exec.scratch_len());
             exec.run(&src, &mut dst, &mut scratch);
             assert_eq!(dst, want, "{name}: backend diverged from the reference");
             let seconds = median_time(reps, || exec.run(&src, &mut dst, &mut scratch));

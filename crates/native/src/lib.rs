@@ -47,7 +47,8 @@
 //! `unsafe` is confined to audited sites, each with a SAFETY comment:
 //! the scatter kernel's disjointness argument (`scatter::ScatterTarget`),
 //! the pool's type-erased task pointer (`pool::RawTask`), the chunk
-//! splitter (`par::SliceParts`), the seed-initialized per-thread staging
+//! splitter (`par::SliceParts`) and the fused sweeps' column-band view
+//! (`par::ColumnBand`), the seed-initialized per-thread staging
 //! arena (`stage`), the clamped-index vector kernels (`simd` — the one
 //! module allowed to touch `core::arch`), the scratch pool's owned
 //! pointers (`scratch`), and the typed face of a cached plan
@@ -81,4 +82,5 @@ pub use plan::{PermutePlan, SharedEngine};
 pub use queue::{BatchHandle, JobError, JobHandle, JobReport, DEFAULT_QUEUE_CAPACITY};
 pub use scatter::{copy_baseline, gather_permute, scatter_permute};
 pub use scheduled::NativeScheduled;
+pub use scratch::ScratchBuf;
 pub use stats::EngineStats;

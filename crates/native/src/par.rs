@@ -9,7 +9,9 @@
 //! workers is bounded by [`worker_threads`] regardless of chunk count.
 
 use crate::pool::WorkerPool;
+use std::marker::PhantomData;
 use std::num::NonZeroUsize;
+use std::ops::Range;
 
 /// Environment variable overriding the worker-thread count: a positive
 /// integer, read once when the global pool is first constructed. An
@@ -63,9 +65,11 @@ pub(crate) fn configured_threads() -> usize {
 /// tasks.
 ///
 /// # Safety contract
-/// Tasks must derive pairwise-disjoint sub-slices. Both users below index
-/// chunks by a task id claimed exactly once from the pool's cursor, with
-/// chunk boundaries computed from that id — so no two tasks overlap.
+/// Tasks must derive pairwise-disjoint regions. Both users below
+/// ([`par_chunks_mut`]'s chunks and [`par_column_bands`]' column bands)
+/// index them by a task id claimed exactly once from the pool's cursor,
+/// with region boundaries computed from that id — so no two tasks
+/// overlap.
 struct SliceParts<T>(*mut T);
 
 impl<T> SliceParts<T> {
@@ -109,47 +113,133 @@ where
     });
 }
 
-/// Like [`par_chunks_mut`], but every chunk (except the last) is *exactly*
-/// `chunk_len` long — required when workers must own whole rows or tiles.
+/// One task's columns of a row-major matrix: columns `cols` of every row
+/// of a `rows × stride` slice. The rows are shared with other bands and
+/// the columns are not, so workers write their own segment of every row
+/// without ever sharing an element — the fused sweeps' output view (a
+/// worker owns input rows, which are output columns).
 ///
-/// Chunks are grouped into at most [`worker_threads`] contiguous tasks, so
-/// a small `chunk_len` on a large slice costs one pool dispatch — the seed
-/// version spawned one OS thread per chunk, which for a 64-row tile band
-/// on a 16M-element array meant thousands of threads.
-pub fn par_chunks_mut_exact<T, F>(data: &mut [T], chunk_len: usize, f: F)
+/// [`ColumnBand::new`] borrows a whole slice for one band;
+/// [`par_column_bands`] hands each pool task its own band of one slice.
+pub(crate) struct ColumnBand<'a, T> {
+    base: *mut T,
+    rows: usize,
+    stride: usize,
+    cols: Range<usize>,
+    _data: PhantomData<&'a mut [T]>,
+}
+
+impl<'a, T> ColumnBand<'a, T> {
+    /// Columns `cols` of `data` viewed as rows of `stride` elements.
+    ///
+    /// # Panics
+    /// Panics unless `stride` divides `data.len()` and `cols` lies in
+    /// `0..=stride`.
+    pub(crate) fn new(data: &'a mut [T], stride: usize, cols: Range<usize>) -> Self {
+        assert!(
+            stride > 0 && data.len().is_multiple_of(stride),
+            "ragged matrix"
+        );
+        assert!(
+            cols.start <= cols.end && cols.end <= stride,
+            "band outside the row"
+        );
+        // SAFETY: `data` is valid for `rows × stride` elements and the
+        // exclusive borrow keeps every other reference off it for `'a`.
+        unsafe { Self::from_raw(data.as_mut_ptr(), data.len() / stride, stride, cols) }
+    }
+
+    /// # Safety
+    /// `base` must be valid for reads and writes of `rows × stride`
+    /// elements for `'a`, `cols.end <= stride`, and for `'a` nothing else
+    /// may access columns `cols` of any row.
+    unsafe fn from_raw(base: *mut T, rows: usize, stride: usize, cols: Range<usize>) -> Self {
+        ColumnBand {
+            base,
+            rows,
+            stride,
+            cols,
+            _data: PhantomData,
+        }
+    }
+
+    /// The columns this band owns.
+    pub(crate) fn columns(&self) -> Range<usize> {
+        self.cols.clone()
+    }
+
+    /// Elements from one row to the next.
+    pub(crate) fn stride(&self) -> usize {
+        self.stride
+    }
+
+    /// The band's segment of row `row`: columns `self.columns()`.
+    ///
+    /// # Panics
+    /// Panics if `row` is past the last row.
+    pub(crate) fn row_mut(&mut self, row: usize) -> &mut [T] {
+        assert!(row < self.rows, "row outside the matrix");
+        // SAFETY: `row < rows` and `cols.end <= stride` keep the segment
+        // inside the matrix, the band owns these columns of every row,
+        // and `&mut self` makes this the only live view of them.
+        unsafe {
+            std::slice::from_raw_parts_mut(
+                self.base.add(row * self.stride + self.cols.start),
+                self.cols.len(),
+            )
+        }
+    }
+
+    /// Pointer to element `(0, cols.start)` of a window the caller is
+    /// about to write: columns `cols` of rows `0..rows`. Element
+    /// `(r, cols.start + c)` is at offset `r × stride + c`.
+    ///
+    /// # Panics
+    /// Panics — before the caller writes anything — unless the window
+    /// lies inside this band's own columns and the matrix's rows. Writes
+    /// through the pointer are sound exactly inside that window, while
+    /// the band is not otherwise used.
+    pub(crate) fn window(&mut self, cols: Range<usize>, rows: usize) -> *mut T {
+        assert!(
+            self.cols.start <= cols.start && cols.start <= cols.end && cols.end <= self.cols.end,
+            "window outside the band's columns"
+        );
+        assert!(rows <= self.rows, "window outside the matrix");
+        self.base.wrapping_add(cols.start)
+    }
+}
+
+/// Run `f(band)` over column bands of the row-major matrix `data` (rows
+/// of `stride` elements) in parallel: band `t` owns columns
+/// `[t·width, min((t+1)·width, stride))` of every row. With a single
+/// worker or a single band the call runs inline on one whole-row band.
+///
+/// # Panics
+/// Panics unless `stride` divides `data.len()`.
+pub(crate) fn par_column_bands<T, F>(data: &mut [T], stride: usize, width: usize, f: F)
 where
     T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
+    F: Fn(ColumnBand<'_, T>) + Sync,
 {
-    let n = data.len();
-    if n == 0 {
+    if data.is_empty() {
         return;
     }
-    let chunk_len = chunk_len.max(1);
+    let width = width.max(1);
     let pool = WorkerPool::global();
-    if pool.threads() == 1 || chunk_len >= n {
-        // Serial, but with the same per-chunk call granularity callers
-        // rely on (each call sees exactly one chunk).
-        for (c, piece) in data.chunks_mut(chunk_len).enumerate() {
-            f(c * chunk_len, piece);
-        }
+    if pool.threads() == 1 || width >= stride {
+        f(ColumnBand::new(data, stride, 0..stride));
         return;
     }
-    let num_chunks = n.div_ceil(chunk_len);
-    let num_tasks = num_chunks.min(pool.threads());
-    let chunks_per_task = num_chunks.div_ceil(num_tasks);
+    assert!(data.len().is_multiple_of(stride), "ragged matrix");
+    let rows = data.len() / stride;
     let parts = SliceParts(data.as_mut_ptr());
-    pool.run(num_tasks, |t| {
-        let first = t * chunks_per_task;
-        let last = ((t + 1) * chunks_per_task).min(num_chunks);
-        for c in first..last {
-            let start = c * chunk_len;
-            let len = chunk_len.min(n - start);
-            // SAFETY: task `t` exclusively owns chunks [first, last); all
-            // derived ranges are pairwise disjoint by construction.
-            let piece = unsafe { std::slice::from_raw_parts_mut(parts.base().add(start), len) };
-            f(start, piece);
-        }
+    pool.run(stride.div_ceil(width), |t| {
+        let cols = t * width..((t + 1) * width).min(stride);
+        // SAFETY: task `t` is claimed exactly once and the column ranges
+        // `[t·width, (t+1)·width)` are pairwise disjoint by construction,
+        // so no two bands share an element; `data` is exclusively
+        // borrowed for the whole dispatch.
+        f(unsafe { ColumnBand::from_raw(parts.base(), rows, stride, cols) });
     });
 }
 
@@ -194,36 +284,40 @@ mod tests {
     }
 
     #[test]
-    fn par_chunks_mut_exact_covers_with_exact_chunks() {
-        // Small chunk_len on a large slice: the seed spawned one thread
-        // per chunk here; now it is one bounded pool dispatch.
-        let n = 64 * 1024;
-        let chunk_len = 64;
-        let mut data = vec![0u32; n];
-        let calls = AtomicUsize::new(0);
-        par_chunks_mut_exact(&mut data, chunk_len, |start, chunk| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            assert_eq!(start % chunk_len, 0);
-            assert!(chunk.len() == chunk_len || start + chunk.len() == n);
-            for (i, v) in chunk.iter_mut().enumerate() {
-                *v = (start + i) as u32;
+    fn par_column_bands_write_every_element_once() {
+        // Widths that split the rows into ragged bands, one band, and
+        // bands narrower than a tile.
+        let (rows, stride) = (37, 100);
+        for width in [1, 3, 16, 33, 99, 100, 1000] {
+            let mut data = vec![0u32; rows * stride];
+            let bands = AtomicUsize::new(0);
+            par_column_bands(&mut data, stride, width, |mut band| {
+                bands.fetch_add(1, Ordering::Relaxed);
+                let cols = band.columns();
+                assert!(!cols.is_empty() && cols.end <= stride);
+                for r in 0..rows {
+                    for (c, v) in cols.clone().zip(band.row_mut(r).iter_mut()) {
+                        *v += (r * stride + c) as u32 + 1;
+                    }
+                }
+            });
+            let calls = bands.load(Ordering::Relaxed);
+            assert!(
+                calls == 1 || calls == stride.div_ceil(width),
+                "width {width}"
+            );
+            for (i, &v) in data.iter().enumerate() {
+                assert_eq!(v, i as u32 + 1, "width {width}");
             }
-        });
-        assert_eq!(calls.load(Ordering::Relaxed), n / chunk_len);
-        for (i, &v) in data.iter().enumerate() {
-            assert_eq!(v, i as u32);
         }
     }
 
     #[test]
-    fn par_chunks_mut_exact_ragged_tail() {
-        let n = 1000;
-        let mut data = vec![0u8; n];
-        par_chunks_mut_exact(&mut data, 333, |start, chunk| {
-            assert!(chunk.len() == 333 || start + chunk.len() == n);
-            chunk.fill(1);
-        });
-        assert!(data.iter().all(|&v| v == 1));
+    #[should_panic(expected = "window outside the band's columns")]
+    fn column_band_window_must_stay_in_its_columns() {
+        let mut data = vec![0u8; 64];
+        let mut band = ColumnBand::new(&mut data, 8, 2..6);
+        band.window(4..7, 8);
     }
 
     #[test]
@@ -240,7 +334,7 @@ mod tests {
     fn empty_inputs_are_noops() {
         let mut empty: Vec<u8> = vec![];
         par_chunks_mut(&mut empty, 8, |_, _| panic!("should not run"));
-        par_chunks_mut_exact(&mut empty, 8, |_, _| panic!("should not run"));
+        par_column_bands(&mut empty, 8, 8, |_| panic!("should not run"));
         par_ranges(0, 8, |_, _| panic!("should not run"));
     }
 

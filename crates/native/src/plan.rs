@@ -1030,7 +1030,7 @@ fn queue_drainer_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scratch::SCRATCH_POOL_CAP;
+    use crate::scratch::{ScratchBuf, SCRATCH_POOL_CAP};
     use hmm_perm::families::{self, Family};
 
     const W: usize = 32;
@@ -1314,7 +1314,7 @@ mod tests {
 
     /// Every buffer parked in `pool` (by data pointer), put back as found.
     fn parked_buffers<T: Copy + Default>(pool: &ScratchPool<T>, n: usize) -> Vec<usize> {
-        let bufs: Vec<Vec<T>> = (0..pool.pooled()).map(|_| pool.take(n)).collect();
+        let bufs: Vec<ScratchBuf<T>> = (0..pool.pooled()).map(|_| pool.take(n)).collect();
         let mut ptrs: Vec<usize> = bufs.iter().map(|b| b.as_ptr() as usize).collect();
         for b in bufs {
             pool.put(b);

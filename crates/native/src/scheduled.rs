@@ -24,21 +24,24 @@
 //!
 //! # The two-stage block pipeline
 //!
-//! Each gather-transpose worker processes its output band in *input-row
-//! blocks* through one per-thread staging buffer (the private `stage`
-//! module — pooled for the life of the worker, replacing the seed's
-//! per-band `to_vec()` copy-allocation):
+//! Each gather-transpose worker owns a band of *input* rows — the same
+//! band of columns in every output row, rounded up to whole cache lines
+//! so no two workers write one line — and processes it in blocks of
+//! whole rows through one per-thread staging buffer (the private
+//! `stage` module, pooled for the life of the worker):
 //!
 //! ```text
-//! input ── gather block k ──► staging buffer ── transpose block k ──► output band
+//! input ── gather block k ──► staging buffer ── transpose block k ──► band columns
 //! ```
 //!
-//! 1. **Gather stage**: block *k*'s rows are gathered into the staging
-//!    buffer (reads stay inside one contiguous row — L1-resident for
-//!    √n-sided shapes — and buffer writes are sequential);
-//! 2. **Transpose stage**: block *k* is transposed out of the buffer into
-//!    the output band (buffer reads hit L2; output writes are contiguous
-//!    runs).
+//! 1. **Gather stage**: block *k*'s rows are gathered whole into the
+//!    staging buffer — exactly a row-pass gather: reads stay inside one
+//!    contiguous row, L1-resident for √n-sided shapes, and each input
+//!    row is read once, by one worker;
+//! 2. **Transpose stage**: block *k* is transposed out of the buffer
+//!    into the band's columns of every output row, through a
+//!    `par::ColumnBand` view (buffer reads hit L2; output writes are
+//!    contiguous runs inside the band).
 //!
 //! The stages strictly alternate over that one buffer. A second buffer
 //! (gathering block *k+1* before transposing block *k*) and software
@@ -46,11 +49,11 @@
 //! (EXPERIMENTS.md, "Knob ablation"): the sweeps are bandwidth-bound, and
 //! neither moves fewer bytes.
 //!
-//! Determinism and parallel safety are unchanged from the seed: workers
-//! own **disjoint output bands** (whole output rows), every output
-//! element is written exactly once, and the block size cannot affect the
-//! value written — so every config point (SIMD on/off, any block size or
-//! tile) produces byte-identical output.
+//! Determinism and parallel safety: workers own **disjoint column bands
+//! of the output** (their own input rows), every output element is
+//! written exactly once, and the block size cannot affect the value
+//! written — so every config point (SIMD on/off, any block size)
+//! produces byte-identical output.
 //!
 //! The inner loops are vectorized per [`KernelConfig::simd`]: clamped,
 //! unrolled width-specialized paths by default and `core::arch` AVX2
@@ -61,7 +64,8 @@
 //! ([`hmm_backend::InterpExec`]).
 
 use crate::config::KernelConfig;
-use crate::par::{par_chunks_mut, par_chunks_mut_exact, worker_threads};
+use crate::par::{par_chunks_mut, par_column_bands, worker_threads, ColumnBand};
+use crate::scratch::{ScratchBuf, CACHE_LINE};
 use crate::simd::{self, Tier};
 use crate::stage;
 use core::mem::size_of;
@@ -202,12 +206,13 @@ impl NativeScheduled {
         self.len()
     }
 
-    /// Execute `dst[P[i]] = src[i]`, allocating one scratch buffer.
+    /// Execute `dst[P[i]] = src[i]`, allocating one cache-line-aligned
+    /// scratch buffer ([`ScratchBuf`]).
     ///
     /// # Panics
     /// Panics if `src` or `dst` length differs from the schedule's `n`.
     pub fn run<T: Copy + Send + Sync + Default>(&self, src: &[T], dst: &mut [T]) {
-        let mut scratch = vec![T::default(); self.scratch_len()];
+        let mut scratch = ScratchBuf::new(self.scratch_len());
         self.run_with_scratch(src, dst, &mut scratch);
     }
 
@@ -272,12 +277,7 @@ enum IndexSrc<'a> {
 }
 
 /// Row-local gather: `out[row][k] = in[row][g[row*cols + k]]`, parallel
-/// over bands of rows.
-///
-/// Band chunks are always whole rows (the band length is a multiple of
-/// `cols`), so the row base is hoisted out of the inner loop — the seed
-/// computed `pos % cols` per element. The inner gather runs the
-/// config-selected kernel tier.
+/// over bands of whole rows.
 fn row_pass<T: Copy + Send + Sync>(
     input: &[T],
     g: IndexSrc<'_>,
@@ -288,45 +288,45 @@ fn row_pass<T: Copy + Send + Sync>(
     debug_assert_eq!(input.len(), out.len());
     debug_assert!(!layout.fused_transpose);
     let cols = layout.cols;
-    let rows = out.len() / cols;
-    debug_assert_eq!(rows, layout.rows);
+    debug_assert_eq!(out.len() / cols, layout.rows);
     let tier = simd::select::<T>(cfg.simd);
-    let band = rows_per_band(rows) * cols;
+    par_chunks_mut(out, rows_per_band(layout.rows) * cols, |start, chunk| {
+        gather_rows(input, g, cols, start / cols, tier, chunk);
+    });
+}
+
+/// Gather whole rows `row0..row0 + out.len() / cols` of the row-major
+/// `input` into `out`: `out[r][k] = input[row0 + r][g(row0 + r, k)]` —
+/// a [`row_pass`] band, and the gather stage of a fused sweep. The row
+/// base is hoisted out of the inner loop, which runs the tier's kernel;
+/// the computed path folds each index in registers, so it has no map
+/// stream to fetch or evict data with.
+fn gather_rows<T: Copy>(
+    input: &[T],
+    g: IndexSrc<'_>,
+    cols: usize,
+    row0: usize,
+    tier: Tier,
+    out: &mut [T],
+) {
+    debug_assert_eq!(out.len() % cols, 0);
+    let span = row0 * cols..row0 * cols + out.len();
+    let rows = input[span.clone()].chunks_exact(cols);
     match g {
         IndexSrc::Map(g) => {
-            debug_assert_eq!(g.len(), out.len());
-            par_chunks_mut(out, band, |start, chunk| {
-                debug_assert_eq!(start % cols, 0);
-                debug_assert_eq!(chunk.len() % cols, 0);
-                for (rr, out_row) in chunk.chunks_exact_mut(cols).enumerate() {
-                    let base = start + rr * cols;
-                    simd::gather_row(
-                        tier,
-                        &input[base..base + cols],
-                        &g[base..base + cols],
-                        out_row,
-                    );
-                }
-            });
+            for ((in_row, g_row), out_row) in rows
+                .zip(g[span].chunks_exact(cols))
+                .zip(out.chunks_exact_mut(cols))
+            {
+                simd::gather_row(tier, in_row, g_row, out_row);
+            }
         }
         IndexSrc::Affine(step) => {
             debug_assert_eq!(step.col_bits(), cols.trailing_zeros());
             let aff = simd::AffineRow::new(step.lo_masks());
-            par_chunks_mut(out, band, |start, chunk| {
-                debug_assert_eq!(start % cols, 0);
-                let row0 = start / cols;
-                for (rr, out_row) in chunk.chunks_exact_mut(cols).enumerate() {
-                    let base = (row0 + rr) * cols;
-                    simd::gather_row_affine(
-                        tier,
-                        &input[base..base + cols],
-                        &aff,
-                        step.row_base(row0 + rr),
-                        0,
-                        out_row,
-                    );
-                }
-            });
+            for (r, (in_row, out_row)) in rows.zip(out.chunks_exact_mut(cols)).enumerate() {
+                simd::gather_row_affine(tier, in_row, &aff, step.row_base(row0 + r), out_row);
+            }
         }
     }
 }
@@ -337,8 +337,10 @@ fn row_pass<T: Copy + Send + Sync>(
 /// one sweep over memory, through the block pipeline described in the
 /// module docs.
 ///
-/// The input and the gather map are streamed from memory exactly once and
-/// the output is written exactly once; the staging buffer
+/// Each worker owns a band of input rows — the same columns of every
+/// output row — rounded to whole cache lines, so no two workers write one
+/// line. The input and the gather map are streamed from memory exactly
+/// once and the output is written exactly once; the staging buffer
 /// (≤ `cfg.stage_bytes`) never leaves the cache.
 fn gather_transpose<T: Copy + Send + Sync>(
     input: &[T],
@@ -347,130 +349,66 @@ fn gather_transpose<T: Copy + Send + Sync>(
     out: &mut [T],
     cfg: &KernelConfig,
 ) {
-    let (rows, cols) = (layout.rows, layout.cols);
+    let rows = layout.rows;
     debug_assert!(layout.fused_transpose);
-    debug_assert_eq!(input.len(), rows * cols);
-    debug_assert_eq!(out.len(), rows * cols);
+    debug_assert_eq!(input.len(), rows * layout.cols);
+    debug_assert_eq!(out.len(), input.len());
     if let IndexSrc::Map(g) = g {
-        debug_assert_eq!(g.len(), rows * cols);
+        debug_assert_eq!(g.len(), input.len());
     }
-    if input.is_empty() {
-        return;
-    }
-    let tile = cfg.tile.max(8);
     let tier = simd::select::<T>(cfg.simd);
-    // Each worker owns a band of output rows that is a multiple of the
-    // tile (or the ragged tail), so tile boundaries never straddle two
-    // workers.
-    let band_rows = rows_per_band(cols).next_multiple_of(tile);
-    let seed = input[0];
-    par_chunks_mut_exact(out, band_rows * rows, |start, chunk| {
-        let out_row0 = start / rows;
-        let out_rows = chunk.len() / rows;
-        // Input rows staged per block: block × out_rows elements, sized
-        // by the plan's layout hint against the staging budget.
-        let block = layout.staging_rows(size_of::<T>(), cfg.stage_bytes, out_rows);
-        stage::with_stage(block * out_rows, seed, |stage_buf| {
-            let mut i0 = 0;
-            while i0 < rows {
-                let imax = (i0 + block).min(rows);
-                let temp = &mut stage_buf[..(imax - i0) * out_rows];
-                gather_block(GatherArgs {
-                    input,
-                    g,
-                    cols,
-                    out_row0,
-                    out_rows,
-                    i0,
-                    imax,
-                    tier,
-                    temp,
-                });
-                transpose_block(temp, out_rows, i0, rows, tile, tier, chunk);
-                i0 = imax;
-            }
-        });
+    let line = (CACHE_LINE / size_of::<T>().max(1)).max(1);
+    let width = rows_per_band(rows).next_multiple_of(line);
+    par_column_bands(out, rows, width, |mut band| {
+        gather_transpose_band(input, g, layout, cfg.stage_bytes, tier, &mut band);
     });
 }
 
-/// Arguments for one gather stage: rows `i0..imax` of the band into the
-/// staging buffer (a struct, because eight positional parameters invite
-/// transposition bugs).
-struct GatherArgs<'a, T> {
-    input: &'a [T],
-    g: IndexSrc<'a>,
-    cols: usize,
-    out_row0: usize,
-    out_rows: usize,
-    i0: usize,
-    imax: usize,
+/// One worker's share of a fused sweep: its input rows (the band's
+/// columns), gathered in blocks of whole rows into the staging buffer,
+/// each block then transposed into the band's columns of every output
+/// row.
+fn gather_transpose_band<T: Copy>(
+    input: &[T],
+    g: IndexSrc<'_>,
+    layout: PassLayout,
+    stage_bytes: usize,
     tier: Tier,
-    temp: &'a mut [T],
+    band: &mut ColumnBand<'_, T>,
+) {
+    let owned = band.columns();
+    let cols = layout.cols;
+    let block = layout.staging_rows(size_of::<T>(), stage_bytes, cols);
+    stage::with_stage(block.min(owned.len()) * cols, input[0], |stage_buf| {
+        for i0 in owned.clone().step_by(block) {
+            let imax = (i0 + block).min(owned.end);
+            let temp = &mut stage_buf[..(imax - i0) * cols];
+            gather_rows(input, g, cols, i0, tier, temp);
+            transpose_block(temp, cols, i0, tier, band);
+        }
+    });
 }
 
-/// Gather stage: stage rows `i0..imax` (this worker's `out_rows`-wide
-/// slice of each) into `temp`, row-major. The computed path folds each
-/// index in registers, so it has no map stream to fetch or evict data
-/// with.
-fn gather_block<T: Copy>(args: GatherArgs<'_, T>) {
-    let GatherArgs {
-        input,
-        g,
-        cols,
-        out_row0,
-        out_rows,
-        i0,
-        imax,
-        tier,
-        temp,
-    } = args;
-    debug_assert_eq!(temp.len(), (imax - i0) * out_rows);
-    match g {
-        IndexSrc::Map(g) => {
-            for i in i0..imax {
-                let in_row = &input[i * cols..(i + 1) * cols];
-                let g_row = &g[i * cols + out_row0..i * cols + out_row0 + out_rows];
-                let t_row = &mut temp[(i - i0) * out_rows..(i - i0 + 1) * out_rows];
-                simd::gather_row(tier, in_row, g_row, t_row);
-            }
-        }
-        IndexSrc::Affine(step) => {
-            let aff = simd::AffineRow::new(step.lo_masks());
-            for i in i0..imax {
-                let in_row = &input[i * cols..(i + 1) * cols];
-                let t_row = &mut temp[(i - i0) * out_rows..(i - i0 + 1) * out_rows];
-                simd::gather_row_affine(tier, in_row, &aff, step.row_base(i), out_row0, t_row);
-            }
-        }
-    }
-}
-
-/// Transpose stage: `blk × out_rows` staging buffer `temp` out into the
-/// band's columns `i0..i0+blk` — vector tiles when the tier has them,
-/// the seed's tile loop otherwise.
+/// Transpose stage: the `blk × cols` staging block `temp` (input rows
+/// `i0..i0 + blk`) out into columns `i0..i0 + blk` of every output row —
+/// vector tiles when the tier has them, a scalar loop otherwise.
 fn transpose_block<T: Copy>(
     temp: &[T],
-    out_rows: usize,
+    cols: usize,
     i0: usize,
-    rows: usize,
-    tile: usize,
     tier: Tier,
-    chunk: &mut [T],
+    band: &mut ColumnBand<'_, T>,
 ) {
-    let blk = temp.len() / out_rows.max(1);
-    if simd::transpose_strided(tier, temp, 0, out_rows, chunk, i0, rows, blk, out_rows) {
+    let blk = temp.len() / cols;
+    if simd::transpose_strided(tier, temp, cols, band, i0, blk, cols) {
         return;
     }
-    let mut jj0 = 0;
-    while jj0 < out_rows {
-        let jjmax = (jj0 + tile).min(out_rows);
-        for jj in jj0..jjmax {
-            let run = &mut chunk[jj * rows + i0..jj * rows + i0 + blk];
-            for (k, slot) in run.iter_mut().enumerate() {
-                *slot = temp[k * out_rows + jj];
-            }
+    let off = i0 - band.columns().start;
+    for j in 0..cols {
+        let run = &mut band.row_mut(j)[off..off + blk];
+        for (k, slot) in run.iter_mut().enumerate() {
+            *slot = temp[k * cols + j];
         }
-        jj0 = jjmax;
     }
 }
 
@@ -693,9 +631,9 @@ mod tests {
 
     #[test]
     fn computed_index_handles_ragged_worker_bands() {
-        // Rectangular shape (r != c) at a size where worker bands and
-        // block tails land on unaligned column offsets — the j0 seams of
-        // the affine gather.
+        // Rectangular shape (r != c) with staging budgets from a few rows
+        // to the whole pass: block tails land on ragged row offsets
+        // inside each worker's band.
         let n = 1 << 11;
         let p = families::shuffle(n).unwrap();
         let ir = PlanIr::build(&p, W).unwrap();
@@ -751,6 +689,96 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Run `sched`'s three sweeps on the calling thread with each fused
+    /// sweep split into the explicit input-row bands `edges` (band `t`
+    /// is rows `edges[t]..edges[t + 1]`), at kernel tier `tier`.
+    fn run_banded<T: Copy + Default>(
+        sched: &NativeScheduled,
+        src: &[T],
+        edges: &[usize],
+        tier: Tier,
+    ) -> Vec<T> {
+        let fused = |input: &[T], g, layout: PassLayout, out: &mut [T]| {
+            for w in edges.windows(2) {
+                let mut band = ColumnBand::new(out, layout.rows, w[0]..w[1]);
+                gather_transpose_band(input, g, layout, sched.config.stage_bytes, tier, &mut band);
+            }
+        };
+        let [s1, s2, s3] = sched.sources();
+        let mut dst = vec![T::default(); src.len()];
+        let mut scratch = vec![T::default(); src.len()];
+        fused(src, s1, sched.layouts[0], &mut dst);
+        fused(&dst, s2, sched.layouts[1], &mut scratch);
+        let cols = sched.layouts[2].cols;
+        gather_rows(&scratch, s3, cols, 0, tier, &mut dst);
+        dst
+    }
+
+    fn tiers() -> Vec<Tier> {
+        let mut tiers = vec![Tier::Scalar, Tier::Unrolled];
+        if let Some(token) = simd::avx2_token() {
+            tiers.push(Tier::Avx2(token));
+        }
+        tiers
+    }
+
+    fn check_ragged_bands<T>(make: impl Fn(u32) -> T)
+    where
+        T: Copy + Default + PartialEq + core::fmt::Debug,
+    {
+        let n = 1 << 12;
+        let src: Vec<T> = (0..n as u32)
+            .map(|v| make(v.wrapping_mul(2654435761)))
+            .collect();
+        // Map sources from a König plan; map and affine sources from a
+        // structured one.
+        let plans = [
+            (families::random(n, 81), false),
+            (families::bit_reversal(n).unwrap(), false),
+            (families::bit_reversal(n).unwrap(), true),
+        ];
+        for (p, computed_index) in plans {
+            let mut want = vec![T::default(); n];
+            p.permute(&src, &mut want).unwrap();
+            let ir = PlanIr::build(&p, W).unwrap();
+            for stage_bytes in [KernelConfig::default().stage_bytes, 3 * 64 * size_of::<T>()] {
+                let cfg = KernelConfig {
+                    stage_bytes,
+                    computed_index,
+                    ..KernelConfig::default()
+                };
+                let sched = NativeScheduled::from_plan_with(&ir, cfg).unwrap();
+                assert_eq!(sched.computed_index(), computed_index);
+                assert_eq!(sched.layouts[0].rows, 64);
+                assert_eq!(sched.layouts[1].rows, 64);
+                // Ragged bands, one whole band, and bands shorter than
+                // one 8-element tile.
+                let splits: [&[usize]; 3] = [&[0, 5, 37, 64], &[0, 64], &[0, 3, 61, 64]];
+                for edges in splits {
+                    for tier in tiers() {
+                        assert_eq!(
+                            run_banded(&sched, &src, edges, tier),
+                            want,
+                            "{edges:?} {tier:?} stage_bytes={stage_bytes} computed={computed_index}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn explicit_ragged_input_row_bands_match_the_reference() {
+        check_ragged_bands(|v| v);
+        check_ragged_bands(|v| (v as u64) << 32 | (v ^ 0xabcd) as u64);
+        check_ragged_bands(|v| {
+            let mut e = [0u8; 16];
+            e[..4].copy_from_slice(&v.to_le_bytes());
+            e[12..].copy_from_slice(&v.rotate_left(9).to_be_bytes());
+            e
+        });
     }
 
     #[test]

@@ -24,8 +24,10 @@
 //!   contract;
 //! * the AVX2 tier is only reachable through [`Tier::Avx2`], whose sole
 //!   constructor is gated on `is_x86_feature_detected!("avx2")`;
-//! * strided-transpose windows are bounds-asserted up front, and tile
-//!   offsets stay inside the asserted window by construction.
+//! * strided-transpose windows are bounds-asserted up front — the
+//!   destination by the [`ColumnBand`] view, which also checks that the
+//!   window lies in the columns its worker owns — and tile offsets stay
+//!   inside the asserted window by construction.
 //!
 //! Non-x86-64 builds compile none of the `core::arch` code: the `Avx2`
 //! tier variant still exists but is never constructed, and the remaining
@@ -34,6 +36,7 @@
 #[cfg(target_arch = "x86_64")]
 use core::arch::x86_64 as arch;
 
+use crate::par::ColumnBand;
 use core::mem::size_of;
 
 /// Proof that the running CPU supports AVX2: the only constructor is
@@ -108,6 +111,7 @@ impl<'a> AffineRow<'a> {
     }
 
     /// Fold of the in-row masks at position `j` (`j < 2^lo.len()`).
+    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
     #[inline]
     fn fold(&self, mut bits: usize) -> u32 {
         let mut v = 0u32;
@@ -132,39 +136,38 @@ impl<'a> AffineRow<'a> {
     }
 }
 
-/// Computed-index row-local gather: `out[j] = in_row[e(j0 + j)]` where
-/// `e` is the affine fold `row_base ⊕ fold(lo, ·)` — the map-free
+/// Computed-index row-local gather: `out[j] = in_row[e(j)]` where `e`
+/// is the affine fold `row_base ⊕ fold(lo, ·)` — the map-free
 /// counterpart of [`gather_row`] for plans that carry verified
 /// descriptors. `row_base` is `AffineStep::row_base(row)` for the row
-/// `in_row` spans and `j0` the first in-row position of this segment
-/// (workers gather column segments of a row, so `j0` is rarely 0 and
-/// need not be aligned to anything).
+/// `in_row` spans; workers gather whole rows, so the walk always starts
+/// at position 0.
 ///
-/// Contract (debug-asserted): `j0 + out.len() <= 2^lo.len() ==
-/// in_row.len()`. A verified descriptor can't produce an out-of-range
-/// index; release builds of the vector tiers clamp anyway, exactly like
-/// the map tiers, so a violated contract mis-gathers but stays in
-/// bounds.
+/// Contract: `out.len() == in_row.len()` (asserted) `== 2^lo.len()`
+/// (debug-asserted). A verified descriptor can't produce an
+/// out-of-range index; release builds of the vector tiers clamp anyway,
+/// exactly like the map tiers, so a violated contract mis-gathers but
+/// stays in bounds.
 pub(crate) fn gather_row_affine<T: Copy>(
     tier: Tier,
     in_row: &[T],
     aff: &AffineRow<'_>,
     row_base: u32,
-    j0: usize,
     out: &mut [T],
 ) {
     assert!(!in_row.is_empty(), "gather from an empty row");
-    debug_assert!(j0 + out.len() <= 1usize << aff.lo.len().min(usize::BITS as usize - 1));
+    assert_eq!(out.len(), in_row.len(), "affine gathers cover whole rows");
+    debug_assert_eq!(Some(in_row.len()), 1usize.checked_shl(aff.lo.len() as u32));
     match tier {
         Tier::Scalar => {
-            let mut idx = row_base ^ aff.fold(j0);
+            let mut idx = row_base;
             for (j, slot) in out.iter_mut().enumerate() {
                 *slot = in_row[idx as usize];
-                idx ^= aff.step(j0 + j + 1);
+                idx ^= aff.step(j + 1);
             }
         }
-        Tier::Unrolled => gather_row_affine_clamped(in_row, aff, row_base, j0, out),
-        Tier::Avx2(token) => gather_row_affine_avx2(token, in_row, aff, row_base, j0, out),
+        Tier::Unrolled => gather_row_affine_clamped(in_row, aff, row_base, out),
+        Tier::Avx2(token) => gather_row_affine_avx2(token, in_row, aff, row_base, out),
     }
 }
 
@@ -176,14 +179,13 @@ fn gather_row_affine_clamped<T: Copy>(
     in_row: &[T],
     aff: &AffineRow<'_>,
     row_base: u32,
-    j0: usize,
     out: &mut [T],
 ) {
     let limit = (in_row.len() - 1) as u32;
     let base = in_row.as_ptr();
     let n = out.len();
     let o = out.as_mut_ptr();
-    let mut idx = row_base ^ aff.fold(j0);
+    let mut idx = row_base;
     let mut j = 0;
     // SAFETY (both loops): indices are clamped to `limit < in_row.len()`
     // before the read; `j + k < n == out.len()` bounds the writes.
@@ -191,10 +193,10 @@ fn gather_row_affine_clamped<T: Copy>(
     unsafe {
         while j + 4 <= n {
             let i0 = idx;
-            let i1 = i0 ^ aff.step(j0 + j + 1);
-            let i2 = i1 ^ aff.step(j0 + j + 2);
-            let i3 = i2 ^ aff.step(j0 + j + 3);
-            idx = i3 ^ aff.step(j0 + j + 4);
+            let i1 = i0 ^ aff.step(j + 1);
+            let i2 = i1 ^ aff.step(j + 2);
+            let i3 = i2 ^ aff.step(j + 3);
+            idx = i3 ^ aff.step(j + 4);
             *o.add(j) = *base.add(i0.min(limit) as usize);
             *o.add(j + 1) = *base.add(i1.min(limit) as usize);
             *o.add(j + 2) = *base.add(i2.min(limit) as usize);
@@ -203,7 +205,7 @@ fn gather_row_affine_clamped<T: Copy>(
         }
         while j < n {
             *o.add(j) = *base.add(idx.min(limit) as usize);
-            idx ^= aff.step(j0 + j + 1);
+            idx ^= aff.step(j + 1);
             j += 1;
         }
     }
@@ -219,7 +221,6 @@ fn gather_row_affine_avx2<T: Copy>(
     in_row: &[T],
     aff: &AffineRow<'_>,
     row_base: u32,
-    j0: usize,
     out: &mut [T],
 ) {
     #[cfg(target_arch = "x86_64")]
@@ -235,7 +236,6 @@ fn gather_row_affine_avx2<T: Copy>(
                     in_row.len(),
                     aff,
                     row_base,
-                    j0,
                     out.as_mut_ptr() as *mut u32,
                     out.len(),
                 );
@@ -248,7 +248,6 @@ fn gather_row_affine_avx2<T: Copy>(
                     in_row.len(),
                     aff,
                     row_base,
-                    j0,
                     out.as_mut_ptr() as *mut u64,
                     out.len(),
                 );
@@ -258,14 +257,14 @@ fn gather_row_affine_avx2<T: Copy>(
         }
     }
     let _ = token;
-    gather_row_affine_clamped(in_row, aff, row_base, j0, out);
+    gather_row_affine_clamped(in_row, aff, row_base, out);
 }
 
-/// `vpgatherdd` with computed indices: the index vector for an 8-aligned
-/// group at position `p` is `splat(e(p)) ⊕ LUT` where `LUT[l] =
-/// fold(lo, l)` (the low three bits of `p + l` are exactly `l`).
-/// Stepping the group base `p → p+8` flips bits `3..=tz(p+8)`, folding
-/// to `prefix[tz(p+8)] ⊕ prefix[2]`.
+/// `vpgatherdd` with computed indices: the walk starts at position 0,
+/// so every group position `p` is 8-aligned and its index vector is
+/// `splat(e(p)) ⊕ LUT` where `LUT[l] = fold(lo, l)` (the low three bits
+/// of `p + l` are exactly `l`). Stepping the group base `p → p+8` flips
+/// bits `3..=tz(p+8)`, folding to `prefix[tz(p+8)] ⊕ prefix[2]`.
 ///
 /// # Safety
 /// Caller proves AVX2 and that `base[0..n_in]` and `out[0..n_out]` are
@@ -277,7 +276,6 @@ unsafe fn gather_row_affine_u32(
     n_in: usize,
     aff: &AffineRow<'_>,
     row_base: u32,
-    j0: usize,
     out: *mut u32,
     n_out: usize,
 ) {
@@ -286,24 +284,18 @@ unsafe fn gather_row_affine_u32(
     let f = |l: usize| aff.fold(l) as i32;
     let lut = arch::_mm256_setr_epi32(f(0), f(1), f(2), f(3), f(4), f(5), f(6), f(7));
     let mut j = 0usize;
-    let mut idx = row_base ^ aff.fold(j0);
-    // SAFETY (all three loops): `j` stays `< n_out`, bounding every
-    // store; scalar reads clamp to `lim` and the vector clamp bounds
-    // every gathered address within `base[0..n_in]`.
+    let mut idx = row_base;
+    // SAFETY (both loops): `j` stays `< n_out`, bounding every store;
+    // scalar reads clamp to `lim` and the vector clamp bounds every
+    // gathered address within `base[0..n_in]`.
     unsafe {
-        // Scalar head until the absolute position is 8-aligned.
-        while j < n_out && !(j0 + j).is_multiple_of(8) {
-            *out.add(j) = *base.add(idx.min(lim) as usize);
-            idx ^= aff.step(j0 + j + 1);
-            j += 1;
-        }
         // Vector body: `idx` is the fold at the group's position.
         while j + 8 <= n_out {
             let iv = arch::_mm256_xor_si256(arch::_mm256_set1_epi32(idx as i32), lut);
             let iv = arch::_mm256_min_epu32(iv, limit_v);
             let v = arch::_mm256_i32gather_epi32::<4>(base as *const i32, iv);
             arch::_mm256_storeu_si256(out.add(j) as *mut arch::__m256i, v);
-            let tz = (j0 + j + 8).trailing_zeros() as usize;
+            let tz = (j + 8).trailing_zeros() as usize;
             if tz < aff.lo.len() {
                 idx ^= aff.prefix[tz] ^ aff.prefix[2];
             }
@@ -312,7 +304,7 @@ unsafe fn gather_row_affine_u32(
         // Scalar tail.
         while j < n_out {
             *out.add(j) = *base.add(idx.min(lim) as usize);
-            idx ^= aff.step(j0 + j + 1);
+            idx ^= aff.step(j + 1);
             j += 1;
         }
     }
@@ -332,7 +324,6 @@ unsafe fn gather_row_affine_u64(
     n_in: usize,
     aff: &AffineRow<'_>,
     row_base: u32,
-    j0: usize,
     out: *mut u64,
     n_out: usize,
 ) {
@@ -341,20 +332,15 @@ unsafe fn gather_row_affine_u64(
     let f = |l: usize| aff.fold(l) as i32;
     let lut = arch::_mm_setr_epi32(f(0), f(1), f(2), f(3));
     let mut j = 0usize;
-    let mut idx = row_base ^ aff.fold(j0);
+    let mut idx = row_base;
     // SAFETY: as in `gather_row_affine_u32`, with 4-lane groups.
     unsafe {
-        while j < n_out && !(j0 + j).is_multiple_of(4) {
-            *out.add(j) = *base.add(idx.min(lim) as usize);
-            idx ^= aff.step(j0 + j + 1);
-            j += 1;
-        }
         while j + 4 <= n_out {
             let iv = arch::_mm_xor_si128(arch::_mm_set1_epi32(idx as i32), lut);
             let iv = arch::_mm_min_epu32(iv, limit_v);
             let v = arch::_mm256_i32gather_epi64::<8>(base as *const i64, iv);
             arch::_mm256_storeu_si256(out.add(j) as *mut arch::__m256i, v);
-            let tz = (j0 + j + 4).trailing_zeros() as usize;
+            let tz = (j + 4).trailing_zeros() as usize;
             if tz < aff.lo.len() {
                 idx ^= aff.prefix[tz] ^ aff.prefix[1];
             }
@@ -362,7 +348,7 @@ unsafe fn gather_row_affine_u64(
         }
         while j < n_out {
             *out.add(j) = *base.add(idx.min(lim) as usize);
-            idx ^= aff.step(j0 + j + 1);
+            idx ^= aff.step(j + 1);
             j += 1;
         }
     }
@@ -569,30 +555,25 @@ unsafe fn gather_row_u64(
     }
 }
 
-/// Strided 2-D transpose, vector tier:
-/// `dst[dst_off + c·dst_stride + r] = src[src_off + r·src_stride + c]`
-/// for `r in 0..nr`, `c in 0..nc`, using 8×8 (4-byte) or 4×4 (8-byte)
+/// Strided 2-D transpose into a column band, vector tier: row `c`,
+/// column `dst_col0 + r` of `dst` receives `src[r·src_stride + c]` for
+/// `r in 0..nr`, `c in 0..nc`, using 8×8 (4-byte) or 4×4 (8-byte)
 /// in-register tiles with scalar edges. Returns `false` without touching
 /// `dst` when the tier has no vector transpose (scalar/unrolled tiers,
 /// or an element width without one) — the caller then runs its own
-/// scalar tile loop.
+/// scalar loop.
 ///
 /// # Panics
-/// Panics if the strided windows don't fit their slices or a stride is
-/// smaller than its row length.
-// The nine parameters are two symmetric (slice, offset, stride) windows
-// plus the tier and extent — a params struct would just rename the same
-// tuple without making call sites harder to transpose-proof, unlike the
-// heterogeneous `GatherArgs` bundle in `scheduled`.
-#[allow(clippy::too_many_arguments)]
+/// Panics, before anything is written, if the source window doesn't
+/// fit `src`, or the destination window — columns
+/// `dst_col0..dst_col0 + nr` of rows `0..nc` — leaves the band's own
+/// columns or the matrix ([`ColumnBand::window`]).
 pub(crate) fn transpose_strided<T: Copy>(
     tier: Tier,
     src: &[T],
-    src_off: usize,
     src_stride: usize,
-    dst: &mut [T],
-    dst_off: usize,
-    dst_stride: usize,
+    dst: &mut ColumnBand<'_, T>,
+    dst_col0: usize,
     nr: usize,
     nc: usize,
 ) -> bool {
@@ -603,15 +584,18 @@ pub(crate) fn transpose_strided<T: Copy>(
     if nr == 0 || nc == 0 {
         return true;
     }
-    assert!(src_stride >= nc && dst_stride >= nr, "stride < row length");
+    assert!(src_stride >= nc, "stride < row length");
     assert!(
-        src_off + (nr - 1) * src_stride + nc <= src.len(),
+        (nr - 1) * src_stride + nc <= src.len(),
         "src window out of bounds"
     );
-    assert!(
-        dst_off + (nc - 1) * dst_stride + nr <= dst.len(),
-        "dst window out of bounds"
-    );
+    let ds = dst.stride();
+    let out = dst.window(dst_col0..dst_col0 + nr, nc);
+    // Edge elements go one at a time through the band's checked rows.
+    let off = dst_col0 - dst.columns().start;
+    let edge = |dst: &mut ColumnBand<'_, T>, c: usize, r: usize| {
+        dst.row_mut(c)[off + r] = src[r * src_stride + c];
+    };
     #[cfg(target_arch = "x86_64")]
     {
         let side = if size_of::<T>() == 4 { 8 } else { 4 };
@@ -619,29 +603,30 @@ pub(crate) fn transpose_strided<T: Copy>(
         let c_full = nc - nc % side;
         for c0 in (0..c_full).step_by(side) {
             for r0 in (0..r_full).step_by(side) {
-                let s = src_off + r0 * src_stride + c0;
-                let d = dst_off + c0 * dst_stride + r0;
-                // SAFETY: the window asserts above bound the whole
-                // region; this tile's farthest element, row `side-1`,
-                // column `side-1` from (r0, c0), stays inside it. The
-                // token proves AVX2, and width 4/8 makes the pointer
-                // casts bit-level reinterpretations read/written only
-                // via unaligned intrinsics.
+                let s = r0 * src_stride + c0;
+                let d = c0 * ds + r0;
+                // SAFETY: the source assert above and the band's window
+                // assert bound both whole windows; this tile's farthest
+                // element, row `side-1`, column `side-1` from (r0, c0),
+                // stays inside them, and the window lies in columns this
+                // band alone writes. The token proves AVX2, and width 4/8
+                // makes the pointer casts bit-level reinterpretations
+                // read/written only via unaligned intrinsics.
                 #[allow(unsafe_code)]
                 unsafe {
                     if size_of::<T>() == 4 {
                         transpose_tile_8x8_u32(
                             src.as_ptr().add(s) as *const u32,
                             src_stride,
-                            dst.as_mut_ptr().add(d) as *mut u32,
-                            dst_stride,
+                            out.add(d) as *mut u32,
+                            ds,
                         );
                     } else {
                         transpose_tile_4x4_u64(
                             src.as_ptr().add(s) as *const u64,
                             src_stride,
-                            dst.as_mut_ptr().add(d) as *mut u64,
-                            dst_stride,
+                            out.add(d) as *mut u64,
+                            ds,
                         );
                     }
                 }
@@ -649,14 +634,14 @@ pub(crate) fn transpose_strided<T: Copy>(
             // r tail for these `side` destination rows.
             for c in c0..c0 + side {
                 for r in r_full..nr {
-                    dst[dst_off + c * dst_stride + r] = src[src_off + r * src_stride + c];
+                    edge(dst, c, r);
                 }
             }
         }
         // c tail across every row.
         for c in c_full..nc {
             for r in 0..nr {
-                dst[dst_off + c * dst_stride + r] = src[src_off + r * src_stride + c];
+                edge(dst, c, r);
             }
         }
         let _ = token;
@@ -666,7 +651,7 @@ pub(crate) fn transpose_strided<T: Copy>(
     {
         // `Avx2` is unconstructible off x86-64 (no token constructor),
         // so this arm is unreachable; keep the fallback honest anyway.
-        let _ = token;
+        let _ = (token, out, ds, edge);
         false
     }
 }
@@ -811,6 +796,8 @@ mod tests {
         // (rows, cols, src stride, dst stride): a deliberately ragged
         // 19×13 window inside larger strides, then whole matrices —
         // square, both rectangles, multi-tile, and odd sides on both axes.
+        // The band is the last `nr` columns of each destination row, so
+        // a stride wider than the window also puts the band off column 0.
         for (nr, nc, ss, ds) in [
             (19usize, 13usize, 23usize, 29usize),
             (64, 64, 64, 64),
@@ -818,21 +805,26 @@ mod tests {
             (128, 64, 64, 128),
             (192, 320, 320, 192),
             (33, 57, 57, 33),
+            (8, 16, 16, 24),
         ] {
             let src: Vec<u32> = (0..(nr * ss) as u32).collect();
+            let col0 = ds - nr;
             for tier in tiers() {
-                let mut dst = vec![u32::MAX; nc * ds + nr];
-                if !transpose_strided(tier, &src, 0, ss, &mut dst, 0, ds, nr, nc) {
+                let mut dst = vec![u32::MAX; nc * ds];
+                let mut band = ColumnBand::new(&mut dst, ds, col0..ds);
+                if !transpose_strided(tier, &src, ss, &mut band, col0, nr, nc) {
                     continue;
                 }
-                for r in 0..nr {
-                    for c in 0..nc {
+                for c in 0..nc {
+                    for r in 0..nr {
                         assert_eq!(
-                            dst[c * ds + r],
+                            dst[c * ds + col0 + r],
                             src[r * ss + c],
                             "({r},{c}) {nr}x{nc} {tier:?}"
                         );
                     }
+                    let outside = &dst[c * ds..c * ds + col0];
+                    assert!(outside.iter().all(|&v| v == u32::MAX), "{tier:?}");
                 }
             }
         }
@@ -844,7 +836,8 @@ mod tests {
         let src: Vec<u64> = (0..(nr * nc) as u64).collect();
         for tier in tiers() {
             let mut dst = vec![0u64; nr * nc];
-            if !transpose_strided(tier, &src, 0, nc, &mut dst, 0, nr, nr, nc) {
+            let mut band = ColumnBand::new(&mut dst, nr, 0..nr);
+            if !transpose_strided(tier, &src, nc, &mut band, 0, nr, nc) {
                 continue;
             }
             for r in 0..nr {
@@ -859,24 +852,23 @@ mod tests {
     fn scalar_tier_never_claims_the_transpose() {
         let src = [1u32, 2, 3, 4];
         let mut dst = [0u32; 4];
+        let mut band = ColumnBand::new(&mut dst, 2, 0..2);
         assert!(!transpose_strided(
             Tier::Scalar,
             &src,
-            0,
             2,
-            &mut dst,
+            &mut band,
             0,
-            2,
             2,
             2
         ));
         assert_eq!(dst, [0; 4], "declined tier must not touch dst");
     }
 
-    /// Materialize `e(j) = row_base ^ fold(lo, j)` for `j` in
-    /// `j0..j0+len` — the map the computed walk must reproduce.
-    fn affine_map(lo: &[u32], row_base: u32, j0: usize, len: usize) -> Vec<u32> {
-        (j0..j0 + len)
+    /// `e(j) = row_base ^ fold(lo, j)` for every `j` of the row — the
+    /// map the computed walk must reproduce.
+    fn affine_map(lo: &[u32], row_base: u32) -> Vec<u32> {
+        (0..1usize << lo.len())
             .map(|j| {
                 let mut v = row_base;
                 let mut bits = j;
@@ -889,56 +881,64 @@ mod tests {
             .collect()
     }
 
+    /// Bit reversal of `bits` in-row bits: a genuinely non-identity fold.
+    fn reversal_masks(bits: u32) -> Vec<u32> {
+        (0..bits).map(|b| 1u32 << (bits - 1 - b)).collect()
+    }
+
     #[test]
     fn gather_row_affine_matches_the_materialized_gather_on_every_tier() {
-        // Bit-reversal-of-6-bits masks: a genuinely non-identity fold.
-        let lo: Vec<u32> = (0..6).map(|b| 1u32 << (5 - b)).collect();
-        let aff = AffineRow::new(&lo);
-        let cols = 1usize << lo.len();
-        let in_row: Vec<u32> = (0..cols as u32)
-            .map(|v| v.wrapping_mul(2654435761))
-            .collect();
-        let row_base = 0b100101u32;
-        // Segments with unaligned starts, short lengths, and the full row.
-        for (j0, len) in [(0, cols), (1, 17), (3, 8), (5, 59), (7, 1), (62, 2), (0, 7)] {
-            let g = affine_map(&lo, row_base, j0, len);
-            let mut want = vec![0u32; len];
+        // Whole rows of 2..=256 elements: below, at and above the AVX2
+        // lane count, so every vector body and fallback runs.
+        for bits in 1..=8u32 {
+            let lo = reversal_masks(bits);
+            let aff = AffineRow::new(&lo);
+            let cols = 1usize << bits;
+            let in_row: Vec<u32> = (0..cols as u32)
+                .map(|v| v.wrapping_mul(2654435761))
+                .collect();
+            let row_base = 0b100101u32 & (cols as u32 - 1);
+            let g = affine_map(&lo, row_base);
+            let mut want = vec![0u32; cols];
             gather_row(Tier::Scalar, &in_row, &g, &mut want);
             for tier in tiers() {
-                let mut got = vec![0u32; len];
-                gather_row_affine(tier, &in_row, &aff, row_base, j0, &mut got);
-                assert_eq!(got, want, "{tier:?} j0={j0} len={len}");
+                let mut got = vec![0u32; cols];
+                gather_row_affine(tier, &in_row, &aff, row_base, &mut got);
+                assert_eq!(got, want, "{tier:?} cols={cols}");
             }
         }
     }
 
     #[test]
     fn gather_row_affine_u64_and_u128_match() {
-        let lo = [2u32, 1, 8, 4]; // swap bit pairs
-        let aff = AffineRow::new(&lo);
-        let cols = 1usize << lo.len();
-        let row64: Vec<u64> = (0..cols as u64).map(|v| v << 32 | v).collect();
-        let row128: Vec<u128> = (0..cols as u128).map(|v| v << 64 | v).collect();
-        for (j0, len) in [(0, cols), (1, 6), (2, 13), (9, 7)] {
-            let g = affine_map(&lo, 0, j0, len);
+        for bits in 1..=6u32 {
+            // Swap adjacent bit pairs (the top bit stays when `bits` is odd).
+            let lo: Vec<u32> = (0..bits)
+                .map(|b| if b ^ 1 < bits { 1 << (b ^ 1) } else { 1 << b })
+                .collect();
+            let aff = AffineRow::new(&lo);
+            let cols = 1usize << bits;
+            let row64: Vec<u64> = (0..cols as u64).map(|v| v << 32 | v).collect();
+            let row128: Vec<u128> = (0..cols as u128).map(|v| v << 64 | v).collect();
+            let g = affine_map(&lo, 1);
             for tier in tiers() {
-                let mut got64 = vec![0u64; len];
-                gather_row_affine(tier, &row64, &aff, 0, j0, &mut got64);
+                let mut got64 = vec![0u64; cols];
+                gather_row_affine(tier, &row64, &aff, 1, &mut got64);
                 assert!(
                     got64
                         .iter()
                         .zip(&g)
                         .all(|(&v, &gi)| v == row64[gi as usize]),
-                    "{tier:?} j0={j0} len={len}"
+                    "{tier:?} cols={cols}"
                 );
-                let mut got128 = vec![0u128; len];
-                gather_row_affine(tier, &row128, &aff, 0, j0, &mut got128);
+                let mut got128 = vec![0u128; cols];
+                gather_row_affine(tier, &row128, &aff, 1, &mut got128);
                 assert!(
                     got128
                         .iter()
                         .zip(&g)
                         .all(|(&v, &gi)| v == row128[gi as usize]),
-                    "{tier:?} j0={j0} len={len}"
+                    "{tier:?} cols={cols}"
                 );
             }
         }
@@ -953,7 +953,7 @@ mod tests {
         let in_row = [10u32, 11, 12, 13];
         for tier in tiers() {
             let mut out = vec![0u32; 4];
-            gather_row_affine(tier, &in_row, &aff, 0, 0, &mut out);
+            gather_row_affine(tier, &in_row, &aff, 0, &mut out);
             assert_eq!(out, &in_row[..], "{tier:?}");
         }
     }
