@@ -951,33 +951,94 @@ impl<T: Copy + Send + Sync + Default + 'static> SharedEngine<T> {
         handle
     }
 
-    /// Drainer-side execution of one claimed job: resolve the plan, run
-    /// it, and resolve the handle — with panics caught so a failed build
-    /// (or an injected fingerprint panic) resolves waiters instead of
-    /// stranding them, and the drainer thread keeps serving.
+    /// Run one job on the calling thread, accounted for exactly like a
+    /// queued one: it counts in [`EngineStats::submitted`] before it
+    /// starts and in [`EngineStats::completed`] once it has finished, so
+    /// [`drain`](SharedEngine::drain) waits for it and the ledger
+    /// `submitted == completed + cancelled` holds whenever no job is
+    /// running. The plan is resolved as [`permute`](SharedEngine::permute)
+    /// resolves it; a build error comes back as [`JobError::Plan`], a
+    /// size mismatch as [`PlanError::SizeMismatch`] and a panic as
+    /// [`JobError::Panicked`], never as an unwind into the caller.
+    ///
+    /// This is the front door for a caller that would block on
+    /// [`submit`](SharedEngine::submit)`(..).wait()` anyway: it skips
+    /// the queue hop and the `Arc` copy of the input.
+    ///
+    /// ```
+    /// use hmm_native::SharedEngine;
+    /// use hmm_perm::families;
+    ///
+    /// let engine: SharedEngine<u32> = SharedEngine::new(32);
+    /// let p = families::random(1 << 10, 1);
+    /// let src: Vec<u32> = (0..1u32 << 10).collect();
+    /// let mut dst = vec![0u32; 1 << 10];
+    /// engine.run_job(&p, &src, &mut dst).unwrap();
+    /// let mut expect = vec![0u32; 1 << 10];
+    /// p.permute(&src, &mut expect).unwrap();
+    /// assert_eq!(dst, expect);
+    /// let stats = engine.stats();
+    /// assert_eq!((stats.submitted, stats.completed), (1, 1));
+    /// ```
+    pub fn run_job(
+        &self,
+        p: &Permutation,
+        src: &[T],
+        dst: &mut [T],
+    ) -> std::result::Result<Route, JobError> {
+        let stats = &self.core.stats;
+        stats.submitted.fetch_add(1, Ordering::Relaxed);
+        let outcome = self.execute(p, src, dst);
+        stats.completed.fetch_add(1, Ordering::Relaxed);
+        outcome
+    }
+
+    /// The one execution path of every job, inline or queued: check the
+    /// sizes, resolve the plan, run it — with panics caught, so a failed
+    /// build (or an injected fingerprint panic) becomes a [`JobError`]
+    /// and the thread that ran it keeps serving.
+    fn execute(
+        &self,
+        p: &Permutation,
+        src: &[T],
+        dst: &mut [T],
+    ) -> std::result::Result<Route, JobError> {
+        if src.len() != p.len() || dst.len() != p.len() {
+            let got = if src.len() != p.len() {
+                src.len()
+            } else {
+                dst.len()
+            };
+            return Err(JobError::Plan(PlanError::SizeMismatch {
+                expected: p.len(),
+                got,
+            }));
+        }
+        catch_unwind(AssertUnwindSafe(|| {
+            let plan = self.plan(p)?;
+            self.run_plan(&plan, src, dst);
+            Ok(plan.route())
+        }))
+        .unwrap_or_else(|panic| Err(JobError::Panicked(panic_message(panic.as_ref()))))
+    }
+
+    /// Drainer-side execution of one claimed job: [`execute`] it and
+    /// resolve the handle.
+    ///
+    /// [`execute`]: SharedEngine::execute
     fn execute_job(&self, p: &Permutation, src: Arc<[T]>, mut dst: Vec<T>, state: &JobState<T>) {
         if !state.begin() {
             // Cancelled while queued; `cancel()` already counted it.
             return;
         }
-        // `move`: the input is released before `finish` wakes the waiter,
-        // so a submitter's next request never overlaps this one's buffer.
-        let outcome = catch_unwind(AssertUnwindSafe(move || {
-            let plan = self.plan(p)?;
-            self.run_plan(&plan, &src, &mut dst);
-            Ok(JobReport {
-                dst,
-                route: plan.route(),
-            })
-        }));
-        let result = match outcome {
-            Ok(done) => done,
-            Err(panic) => Err(JobError::Panicked(panic_message(panic.as_ref()))),
-        };
+        let outcome = self.execute(p, &src, &mut dst);
+        // The input is released before `finish` wakes the waiter, so a
+        // submitter's next request never overlaps this one's buffer.
+        drop(src);
         // Count before notifying, so a waiter that wakes immediately
         // already sees the job accounted for in the stats.
         self.core.stats.completed.fetch_add(1, Ordering::Relaxed);
-        state.finish(result);
+        state.finish(outcome.map(|route| JobReport { dst, route }));
     }
 }
 

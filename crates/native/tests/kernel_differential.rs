@@ -45,8 +45,10 @@ fn config_points() -> Vec<(&'static str, KernelConfig)> {
             },
         ),
         (
-            // Tiny staging budget: every band runs many blocks with a
-            // ragged tail; tile 8 forces non-multiple tile edges too.
+            // Tiny staging budget: every native band runs many blocks
+            // with a ragged tail. The native kernels do not read `tile`;
+            // tile 8 reaches only the sweep-IR lowering (the interpreter
+            // backend's transpose tile).
             "simd-tiny-blocks",
             KernelConfig {
                 stage_bytes: 4096,
@@ -55,7 +57,10 @@ fn config_points() -> Vec<(&'static str, KernelConfig)> {
             },
         ),
         (
-            // Odd tile: bands are padded to a non-power-of-two multiple.
+            // Odd tile: only the sweep-IR lowering reads `tile`, so 48
+            // gives the interpreter's transpose tiles that do not divide
+            // the power-of-two row lengths; on the native kernels, which
+            // ignore `tile`, this cell runs the default config.
             "simd-tile48",
             KernelConfig {
                 tile: 48,

@@ -1,17 +1,21 @@
-//! Per-client admission control, layered *above* the queue's
-//! backpressure.
+//! Per-client admission control.
 //!
-//! The bounded MPMC queue already protects the server as a whole: when
-//! it fills, submitters block. What it cannot do is stop one greedy
-//! session from monopolizing that shared capacity — so each connection
-//! gets two quotas checked before anything touches the engine:
+//! A session runs one request at a time, and a `PERMUTE` runs on the
+//! session's own thread, so the thread-per-connection cap bounds how
+//! many single jobs run at once; a `PERMUTE_BATCH` goes through the
+//! engine's bounded queue, whose backpressure blocks the submitter when
+//! it fills. What neither can do is stop one greedy session from
+//! claiming a large share of the engine with one request or from
+//! pinning many plans — so each connection gets two quotas checked
+//! before anything touches the engine:
 //!
 //! * **registered plans** — caps session cache footprint (every handle
 //!   holds an O(1) clone of its cached plan's `Permutation`, keeping that
 //!   map alive even once the plan is evicted, and claims a cached plan
 //!   slot);
-//! * **in-flight jobs** — caps how much of the shared queue one request
-//!   may claim at once (a `PERMUTE_BATCH` of `k` payloads counts `k`).
+//! * **jobs per request** — caps how many jobs one request may start at
+//!   once (a `PERMUTE` counts 1; a `PERMUTE_BATCH` of `k` payloads
+//!   counts `k`, all of them queued together).
 //!
 //! Rejections are typed ([`Frame::Err`](crate::proto::Frame::Err) with
 //! [`crate::proto::ErrCode::AdmissionPlans`] /
@@ -31,7 +35,8 @@ use crate::proto::ErrCode;
 pub struct AdmissionConfig {
     /// Maximum plans one session may hold registered at once.
     pub max_plans: usize,
-    /// Maximum queue jobs one request may put in flight at once.
+    /// Maximum jobs one request may start at once (a `PERMUTE_BATCH` of
+    /// `k` payloads is `k` jobs).
     pub max_inflight: usize,
 }
 
@@ -54,7 +59,7 @@ pub enum AdmissionError {
         /// The quota.
         max: usize,
     },
-    /// The request would exceed the in-flight job quota.
+    /// The request would exceed the jobs-per-request quota.
     InFlight {
         /// Jobs the request asked to enqueue.
         requested: usize,

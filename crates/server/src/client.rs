@@ -7,15 +7,16 @@
 //! ([`Client::register_bmmc`]) send the O(log² n) matrix instead of the
 //! O(n) map and skip the claim (the server fingerprints the expansion).
 
-use std::io::{BufReader, BufWriter};
+use std::io::BufReader;
 use std::marker::PhantomData;
 use std::net::{TcpStream, ToSocketAddrs};
 
 use hmm_perm::{Bmmc, Permutation};
 
-use crate::framing::{read_frame, write_frame};
+use crate::framing::{read_frame_into, shed, write_frame, write_permute};
 use crate::proto::{
-    bytes_to_elems, elems_to_bytes, Elem, ErrCode, Frame, PermRepr, ProtoError, ServerStats,
+    bytes_to_elems, elems_to_bytes, kind, Elem, ErrCode, Frame, PermRepr, ProtoError, ServerStats,
+    PROTOCOL_VERSION,
 };
 
 /// Client-side errors.
@@ -89,38 +90,56 @@ impl<T> PlanHandle<T> {
 /// One blocking connection to an `hmm-server`.
 pub struct Client {
     reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    /// Unbuffered: the frame writer stages every frame into chunk-sized
+    /// writes.
+    writer: TcpStream,
+    /// The reply body, reused from frame to frame.
+    body: Vec<u8>,
 }
 
 impl Client {
-    /// Connect to a server.
+    /// Connect to a server. The socket is set to `TCP_NODELAY`: frames
+    /// leave in several writes, which Nagle's algorithm would hold back
+    /// for the server's delayed ACK.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client> {
-        let stream = TcpStream::connect(addr).map_err(|e| {
+        let connect_err = |e: std::io::Error| {
             ClientError::Proto(ProtoError::Io {
                 kind: e.kind(),
                 context: "connect",
             })
-        })?;
-        let reader_stream = stream.try_clone().map_err(|e| {
-            ClientError::Proto(ProtoError::Io {
-                kind: e.kind(),
-                context: "connect",
-            })
-        })?;
+        };
+        let stream = TcpStream::connect(addr).map_err(connect_err)?;
+        stream.set_nodelay(true).map_err(connect_err)?;
+        let reader_stream = stream.try_clone().map_err(connect_err)?;
         Ok(Client {
             reader: BufReader::new(reader_stream),
-            writer: BufWriter::new(stream),
+            writer: stream,
+            body: Vec::new(),
         })
+    }
+
+    /// Read one reply into the reused body buffer and return its kind.
+    fn read_reply(&mut self) -> Result<u8> {
+        Ok(read_frame_into(&mut self.reader, &mut self.body)?.0)
+    }
+
+    /// Decode a reply body read by [`Client::read_reply`]; `ERR` frames
+    /// become [`ClientError::Server`].
+    fn decode_reply(&mut self, kind: u8) -> Result<Frame> {
+        let decoded = Frame::decode_body(kind, &self.body);
+        shed(&mut self.body);
+        match decoded? {
+            Frame::Err { code, message } => Err(ClientError::Server { code, message }),
+            reply => Ok(reply),
+        }
     }
 
     /// One request/response round trip; `ERR` frames become
     /// [`ClientError::Server`].
     fn roundtrip(&mut self, request: &Frame) -> Result<Frame> {
         write_frame(&mut self.writer, request)?;
-        match read_frame(&mut self.reader)? {
-            Frame::Err { code, message } => Err(ClientError::Server { code, message }),
-            reply => Ok(reply),
-        }
+        let kind = self.read_reply()?;
+        self.decode_reply(kind)
     }
 
     /// Register an explicit permutation; the fingerprint claim is
@@ -168,22 +187,21 @@ impl Client {
         }
     }
 
-    /// Apply a registered plan to one payload.
+    /// Apply a registered plan to one payload. The request is streamed
+    /// from `src` and the reply decoded straight into the returned
+    /// `Vec`, with no frame-sized copy on either side.
     pub fn permute<T: Elem>(&mut self, handle: &PlanHandle<T>, src: &[T]) -> Result<Vec<T>> {
-        let reply = self.roundtrip(&Frame::Permute {
-            handle: handle.id,
-            payload: elems_to_bytes(src),
-        })?;
-        match reply {
-            Frame::Permuted { payload } => bytes_to_elems(&payload).ok_or_else(|| {
-                ClientError::Proto(ProtoError::Malformed {
-                    reason: "permuted payload length not a multiple of width".into(),
-                })
-            }),
-            other => Err(ClientError::Unexpected {
-                got: other.kind_name(),
-            }),
+        write_permute(&mut self.writer, PROTOCOL_VERSION, handle.id, src)?;
+        let kind = self.read_reply()?;
+        if kind == kind::PERMUTED {
+            let out = bytes_to_elems(&self.body).ok_or_else(malformed_payload);
+            shed(&mut self.body);
+            return out;
         }
+        let other = self.decode_reply(kind)?;
+        Err(ClientError::Unexpected {
+            got: other.kind_name(),
+        })
     }
 
     /// Apply a registered plan to many payloads in one queue batch;
@@ -200,13 +218,7 @@ impl Client {
         match reply {
             Frame::PermutedBatch { payloads } => payloads
                 .iter()
-                .map(|p| {
-                    bytes_to_elems(p).ok_or_else(|| {
-                        ClientError::Proto(ProtoError::Malformed {
-                            reason: "permuted payload length not a multiple of width".into(),
-                        })
-                    })
-                })
+                .map(|p| bytes_to_elems(p).ok_or_else(malformed_payload))
                 .collect(),
             other => Err(ClientError::Unexpected {
                 got: other.kind_name(),
@@ -233,5 +245,25 @@ impl Client {
                 got: other.kind_name(),
             }),
         }
+    }
+}
+
+fn malformed_payload() -> ClientError {
+    ClientError::Proto(ProtoError::Malformed {
+        reason: "permuted payload length not a multiple of width".into(),
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    #[test]
+    fn client_sockets_are_nodelay() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = Client::connect(listener.local_addr().unwrap()).unwrap();
+        assert!(client.writer.nodelay().unwrap());
+        assert!(client.reader.get_ref().nodelay().unwrap());
     }
 }

@@ -15,11 +15,16 @@
 //!   plan files; v1 frames sealed with FNV-1a are still read and
 //!   answered), typed [`ErrCode`]s. Decoding never panics and never
 //!   allocates more than [`proto::MAX_BODY`] on hostile input.
-//! * [`framing`] — streaming frame I/O over `Read`/`Write`.
-//! * [`admission`] — per-session quotas (registered plans, in-flight
-//!   jobs), layered above the queue's global backpressure.
+//! * [`framing`] — streaming frame I/O over `Read`/`Write`: one reader
+//!   into a reused body buffer, one writer that seals and sends a frame
+//!   in fixed chunks, typed `PERMUTE`/`PERMUTED` bodies converted
+//!   straight from `&[T]`.
+//! * [`admission`] — per-session quotas (registered plans, jobs per
+//!   request), checked before anything touches the engine.
 //! * [`server`] — thread-per-connection accept loop; each connection
-//!   gets a private handle namespace and drains into the engine queue.
+//!   gets a private handle namespace. A `PERMUTE` runs on its session's
+//!   thread through the engine's counted, panic-isolated job path; a
+//!   `PERMUTE_BATCH` goes through the engine queue.
 //! * [`client`] — the blocking typed client.
 //!
 //! ```no_run
@@ -46,7 +51,10 @@ pub mod server;
 
 pub use admission::{AdmissionConfig, AdmissionError};
 pub use client::{Client, ClientError, PlanHandle};
-pub use framing::{read_frame, read_frame_versioned, write_frame, write_frame_versioned};
+pub use framing::{
+    read_frame, read_frame_into, read_frame_versioned, write_frame, write_frame_versioned,
+    write_permute, write_permuted,
+};
 pub use proto::{
     bytes_to_elems, elems_to_bytes, Elem, ErrCode, Frame, PermRepr, ProtoError, ServerStats,
     MAX_BATCH, MAX_BODY, MAX_ERR_MSG, PROTOCOL_VERSION,

@@ -35,9 +35,12 @@
 //!   valid-length frame cannot smuggle an absurd element count.
 
 use std::fmt;
+use std::io::Write;
 
 use hmm_perm::hash::Hasher;
 use hmm_plan::{fnv1a_update, FNV_OFFSET};
+
+use crate::framing::FrameWriter;
 
 /// Leading magic of every frame.
 pub const MAGIC: [u8; 4] = *b"HMMS";
@@ -53,16 +56,40 @@ pub(crate) fn speaks(version: u8) -> bool {
     (MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version)
 }
 
-/// The checksum sealing a frame of `version` (one this build speaks)
-/// over its header and body; see the module table.
-pub(crate) fn checksum(version: u8, header: &[u8], body: &[u8]) -> u64 {
-    if version == 1 {
-        return fnv1a_update(fnv1a_update(FNV_OFFSET, header), body);
+/// The running checksum of one frame at a version this build speaks
+/// (see the module table): fed header and body bytes in order, in
+/// pieces of any size, then finished. The streaming reader and writer
+/// in [`framing`](crate::framing) seal with it as the bytes pass.
+pub(crate) enum Seal {
+    /// Version 1: FNV-1a.
+    Fnv(u64),
+    /// Version 2: `hmm_perm::hash`.
+    Hash(Hasher),
+}
+
+impl Seal {
+    pub(crate) fn new(version: u8) -> Seal {
+        debug_assert!(speaks(version), "no checksum for version {version}");
+        if version == 1 {
+            Seal::Fnv(FNV_OFFSET)
+        } else {
+            Seal::Hash(Hasher::new())
+        }
     }
-    let mut h = Hasher::new();
-    h.update(header);
-    h.update(body);
-    h.finish()
+
+    pub(crate) fn update(&mut self, bytes: &[u8]) {
+        match self {
+            Seal::Fnv(h) => *h = fnv1a_update(*h, bytes),
+            Seal::Hash(h) => h.update(bytes),
+        }
+    }
+
+    pub(crate) fn finish(&self) -> u64 {
+        match self {
+            Seal::Fnv(h) => *h,
+            Seal::Hash(h) => h.finish(),
+        }
+    }
 }
 
 /// Fixed header length: magic + version + kind + body length.
@@ -287,38 +314,50 @@ impl std::error::Error for ProtoError {}
 pub trait Elem: Copy + Send + Sync + Default + PartialEq + fmt::Debug + 'static {
     /// Wire width in bytes.
     const WIDTH: usize;
-    /// Append this element's little-endian bytes.
-    fn write_le(self, out: &mut Vec<u8>);
+    /// Write this element's little-endian bytes into exactly `WIDTH`
+    /// bytes.
+    fn write_le(self, out: &mut [u8]);
     /// Read one element from exactly `WIDTH` bytes.
     fn read_le(bytes: &[u8]) -> Self;
 }
 
 impl Elem for u32 {
     const WIDTH: usize = 4;
-    fn write_le(self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
+    #[inline]
+    fn write_le(self, out: &mut [u8]) {
+        out.copy_from_slice(&self.to_le_bytes());
     }
+    #[inline]
     fn read_le(bytes: &[u8]) -> Self {
-        u32::from_le_bytes(bytes[..4].try_into().unwrap())
+        u32::from_le_bytes(bytes.try_into().expect("exactly WIDTH bytes"))
     }
 }
 
 impl Elem for u64 {
     const WIDTH: usize = 8;
-    fn write_le(self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
+    #[inline]
+    fn write_le(self, out: &mut [u8]) {
+        out.copy_from_slice(&self.to_le_bytes());
     }
+    #[inline]
     fn read_le(bytes: &[u8]) -> Self {
-        u64::from_le_bytes(bytes[..8].try_into().unwrap())
+        u64::from_le_bytes(bytes.try_into().expect("exactly WIDTH bytes"))
+    }
+}
+
+/// Write `src`'s wire bytes into `out`, which holds exactly
+/// `src.len() × WIDTH` bytes: one pass, no growth.
+pub(crate) fn put_elems<T: Elem>(src: &[T], out: &mut [u8]) {
+    debug_assert_eq!(out.len(), src.len() * T::WIDTH);
+    for (bytes, &v) in out.chunks_exact_mut(T::WIDTH).zip(src) {
+        v.write_le(bytes);
     }
 }
 
 /// Serialize a typed payload to its wire bytes (little-endian).
 pub fn elems_to_bytes<T: Elem>(src: &[T]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(src.len() * T::WIDTH);
-    for &v in src {
-        v.write_le(&mut out);
-    }
+    let mut out = vec![0u8; src.len() * T::WIDTH];
+    put_elems(src, &mut out);
     out
 }
 
@@ -518,14 +557,6 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
 fn malformed(reason: impl Into<String>) -> ProtoError {
     ProtoError::Malformed {
         reason: reason.into(),
@@ -574,27 +605,54 @@ impl Frame {
     }
 
     /// Encode the complete frame at `version`: how a server answers a
-    /// client in the version the client spoke.
+    /// client in the version the client spoke. The bytes are what
+    /// [`write_frame_versioned`](crate::framing::write_frame_versioned)
+    /// sends: both run the one streaming frame writer.
     ///
     /// # Panics
     /// Panics if this build does not speak `version`.
     pub fn encode_version(&self, version: u8) -> Vec<u8> {
         assert!(speaks(version), "cannot encode protocol version {version}");
-        let body = self.encode_body();
-        debug_assert!(body.len() <= MAX_BODY, "encoder produced oversized body");
-        let mut out = Vec::with_capacity(HEADER_LEN + body.len() + CHECKSUM_LEN);
-        out.extend_from_slice(&MAGIC);
-        out.push(version);
-        out.push(self.kind());
-        put_u32(&mut out, body.len() as u32);
-        out.extend_from_slice(&body);
-        let sum = checksum(version, &out[..HEADER_LEN], &out[HEADER_LEN..]);
-        put_u64(&mut out, sum);
+        let body_len = self.body_len();
+        debug_assert!(body_len <= MAX_BODY, "encoder produced oversized body");
+        let mut out = Vec::with_capacity(HEADER_LEN + body_len + CHECKSUM_LEN);
+        let mut w = FrameWriter::begin(&mut out, version, self.kind(), body_len);
+        self.write_body(&mut w)
+            .and_then(|()| w.finish())
+            .expect("writing to a Vec cannot fail");
         out
     }
 
-    fn encode_body(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+    /// Length of the encoded body, known before a byte of it is written
+    /// (the header carries it).
+    pub(crate) fn body_len(&self) -> usize {
+        let list = |payloads: &[Vec<u8>]| 4 + payloads.iter().map(|p| 4 + p.len()).sum::<usize>();
+        match self {
+            Frame::Register { perm, .. } => {
+                8 + 8
+                    + 1
+                    + match perm {
+                        PermRepr::Index(map) => 1 + 4 * map.len(),
+                        PermRepr::Bmmc { cols, .. } => 1 + 1 + 8 + 8 * cols.len(),
+                    }
+            }
+            Frame::Registered { .. } => 8,
+            Frame::Permute { payload, .. } => 8 + payload.len(),
+            Frame::Permuted { payload } => payload.len(),
+            Frame::PermuteBatch { payloads, .. } => 8 + list(payloads),
+            Frame::PermutedBatch { payloads } => list(payloads),
+            Frame::Stats | Frame::Drain | Frame::DrainOk => 0,
+            Frame::StatsReport(_) => 1 + 8 * usize::from(STATS_FIELDS),
+            Frame::Err { message, .. } => 2 + 4 + message.len().min(MAX_ERR_MSG),
+        }
+    }
+
+    /// Write the body, part by part, into a frame writer begun with
+    /// [`Frame::body_len`].
+    pub(crate) fn write_body<W: Write>(
+        &self,
+        w: &mut FrameWriter<'_, W>,
+    ) -> Result<(), ProtoError> {
         match self {
             Frame::Register {
                 fingerprint,
@@ -602,51 +660,36 @@ impl Frame {
                 elem_width,
                 perm,
             } => {
-                put_u64(&mut out, *fingerprint);
-                put_u64(&mut out, *n);
-                out.push(*elem_width);
+                w.put_u64(*fingerprint)?;
+                w.put_u64(*n)?;
+                w.put(&[*elem_width])?;
                 match perm {
                     PermRepr::Index(map) => {
-                        out.push(0);
-                        for &v in map {
-                            put_u32(&mut out, v);
-                        }
+                        w.put(&[0])?;
+                        w.put_elems(map)?;
                     }
                     PermRepr::Bmmc { bits, offset, cols } => {
-                        out.push(1);
-                        out.push(*bits);
-                        put_u64(&mut out, *offset);
-                        for &c in cols {
-                            put_u64(&mut out, c);
-                        }
+                        w.put(&[1, *bits])?;
+                        w.put_u64(*offset)?;
+                        w.put_elems(cols)?;
                     }
                 }
             }
-            Frame::Registered { handle } => put_u64(&mut out, *handle),
+            Frame::Registered { handle } => w.put_u64(*handle)?,
             Frame::Permute { handle, payload } => {
-                put_u64(&mut out, *handle);
-                out.extend_from_slice(payload);
+                w.put_u64(*handle)?;
+                w.put(payload)?;
             }
-            Frame::Permuted { payload } => out.extend_from_slice(payload),
+            Frame::Permuted { payload } => w.put(payload)?,
             Frame::PermuteBatch { handle, payloads } => {
-                put_u64(&mut out, *handle);
-                put_u32(&mut out, payloads.len() as u32);
-                for p in payloads {
-                    put_u32(&mut out, p.len() as u32);
-                    out.extend_from_slice(p);
-                }
+                w.put_u64(*handle)?;
+                write_payload_list(w, payloads)?;
             }
-            Frame::PermutedBatch { payloads } => {
-                put_u32(&mut out, payloads.len() as u32);
-                for p in payloads {
-                    put_u32(&mut out, p.len() as u32);
-                    out.extend_from_slice(p);
-                }
-            }
+            Frame::PermutedBatch { payloads } => write_payload_list(w, payloads)?,
             Frame::Stats | Frame::Drain | Frame::DrainOk => {}
             Frame::StatsReport(s) => {
-                out.push(STATS_FIELDS);
-                for v in [
+                w.put(&[STATS_FIELDS])?;
+                w.put_elems(&[
                     s.hits,
                     s.misses,
                     s.builds,
@@ -663,19 +706,17 @@ impl Frame {
                     s.registered_plans,
                     s.active_clients,
                     u64::from(s.draining),
-                ] {
-                    put_u64(&mut out, v);
-                }
+                ])?;
             }
             Frame::Err { code, message } => {
-                out.extend_from_slice(&(*code as u16).to_le_bytes());
                 let msg = message.as_bytes();
                 let take = msg.len().min(MAX_ERR_MSG);
-                put_u32(&mut out, take as u32);
-                out.extend_from_slice(&msg[..take]);
+                w.put(&(*code as u16).to_le_bytes())?;
+                w.put_u32(take as u32)?;
+                w.put(&msg[..take])?;
             }
         }
-        out
+        Ok(())
     }
 
     /// Decode a complete frame from a contiguous buffer (header, body,
@@ -720,7 +761,9 @@ impl Frame {
         }
         let sum_at = HEADER_LEN + body_len;
         let stored = u64::from_le_bytes(bytes[sum_at..].try_into().unwrap());
-        let computed = checksum(version, &bytes[..HEADER_LEN], &bytes[HEADER_LEN..sum_at]);
+        let mut seal = Seal::new(version);
+        seal.update(&bytes[..sum_at]);
+        let computed = seal.finish();
         if stored != computed {
             return Err(ProtoError::ChecksumMismatch { stored, computed });
         }
@@ -789,10 +832,10 @@ impl Frame {
                 handle: r.u64("registered handle")?,
             },
             kind::PERMUTE => {
-                let handle = r.u64("permute handle")?;
+                let (handle, payload) = split_permute(r.rest())?;
                 Frame::Permute {
                     handle,
-                    payload: r.rest().to_vec(),
+                    payload: payload.to_vec(),
                 }
             }
             kind::PERMUTED => Frame::Permuted {
@@ -859,6 +902,27 @@ impl Frame {
         r.finish()?;
         Ok(frame)
     }
+}
+
+/// Split a `PERMUTE` body into its handle and payload bytes: the
+/// decoder's own grammar, shared with the server's in-place path so
+/// both refuse a short body with the same error.
+pub(crate) fn split_permute(body: &[u8]) -> Result<(u64, &[u8]), ProtoError> {
+    let mut r = Reader::new(body);
+    let handle = r.u64("permute handle")?;
+    Ok((handle, r.rest()))
+}
+
+fn write_payload_list<W: Write>(
+    w: &mut FrameWriter<'_, W>,
+    payloads: &[Vec<u8>],
+) -> Result<(), ProtoError> {
+    w.put_u32(payloads.len() as u32)?;
+    for p in payloads {
+        w.put_u32(p.len() as u32)?;
+        w.put(p)?;
+    }
+    Ok(())
 }
 
 /// Shared grammar of `PERMUTE_BATCH` / `PERMUTED_BATCH` bodies:

@@ -1,5 +1,5 @@
-//! The server: a thread-per-connection accept loop draining into one
-//! engine's submission queue.
+//! The server: a thread-per-connection accept loop in front of one
+//! engine core.
 //!
 //! Shape of the thing:
 //!
@@ -13,25 +13,32 @@
 //!   *session*: a private handle namespace mapping `u64` handles to
 //!   registered permutations. Handles never leak across connections,
 //!   and a disconnect releases everything the session registered.
-//! * `PERMUTE`/`PERMUTE_BATCH` route through
-//!   [`SharedEngine::submit`]/[`submit_batch`] — the same bounded MPMC
-//!   queue, backpressure, and panic isolation every in-process caller
-//!   gets. A frame is read *completely* before anything is submitted,
-//!   so a client dying mid-payload can never strand a queue slot: the
-//!   partial frame surfaces as an I/O error and the handler just reaps
-//!   the connection.
+//! * A `PERMUTE` runs on the session thread: its payload is decoded
+//!   once from the session's reused request body into the source array,
+//!   the job runs through [`SharedEngine::run_job`] — counted in the
+//!   engine's `submitted`/`completed` ledger and panic-isolated exactly
+//!   as a queued job is — and the `PERMUTED` reply is streamed from the
+//!   output in fixed chunks ([`framing`](crate::framing)). The session
+//!   would only block on a queued job's handle, so the queue hop would
+//!   add a handoff and an `Arc` copy and buy nothing.
+//! * A `PERMUTE_BATCH` goes through [`submit_batch`]: its members
+//!   interleave with every other submitter's jobs under the queue's
+//!   backpressure.
+//! * A frame is read *completely* before anything runs, so a client
+//!   dying mid-payload can never strand a job: the partial frame
+//!   surfaces as an I/O error and the handler just reaps the connection.
 //! * `DRAIN` (or [`Server::drain`]) stops the accept loop, waits for
 //!   `submitted == completed + cancelled` on the engine, then answers
 //!   `DRAIN_OK` and closes. Over the wire it is honoured only from a
 //!   loopback peer; any other peer gets a typed `ERR unsupported` and
 //!   its session keeps serving.
 //!
-//! [`SharedEngine::submit`]: hmm_native::SharedEngine::submit
+//! [`SharedEngine::run_job`]: hmm_native::SharedEngine::run_job
 //! [`submit_batch`]: hmm_native::SharedEngine::submit_batch
 
 use std::collections::HashMap;
 use std::fmt;
-use std::io::{BufReader, BufWriter};
+use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -44,10 +51,10 @@ use hmm_perm::{Bmmc, Permutation};
 use hmm_plan::{fnv1a_update, FNV_OFFSET, FNV_PRIME};
 
 use crate::admission::AdmissionConfig;
-use crate::framing::{read_frame_versioned, write_frame, write_frame_versioned};
+use crate::framing::{read_frame_into, shed, write_frame, write_frame_versioned, write_permuted};
 use crate::proto::{
-    bytes_to_elems, elems_to_bytes, Elem, ErrCode, Frame, PermRepr, ProtoError, ServerStats,
-    MAX_BMMC_BITS, PROTOCOL_VERSION,
+    bytes_to_elems, elems_to_bytes, kind, split_permute, Elem, ErrCode, Frame, PermRepr,
+    ProtoError, ServerStats, MAX_BMMC_BITS, PROTOCOL_VERSION,
 };
 
 /// Server construction / runtime errors.
@@ -368,37 +375,52 @@ fn drain_allowed(peer: SocketAddr) -> bool {
     peer.ip().to_canonical().is_loopback()
 }
 
+/// Set up an accepted connection's socket and split it into the
+/// session's buffered reader and its writer (unbuffered: the frame
+/// writer already stages every frame into chunk-sized writes).
+///
+/// The socket gets `TCP_NODELAY`, because a reply leaves in several
+/// writes (see [`framing`](crate::framing)) and would otherwise wait
+/// out the client's delayed ACK, and the idle read timeout (best
+/// effort, as a zero timeout is refused), which surfaces from
+/// `read_frame_into` as an I/O error with `WouldBlock`/`TimedOut`
+/// (platform-dependent which).
+fn session_streams(
+    stream: TcpStream,
+    idle_timeout: Option<Duration>,
+) -> std::io::Result<(BufReader<TcpStream>, TcpStream)> {
+    stream.set_nodelay(true)?;
+    if let Some(t) = idle_timeout {
+        let _ = stream.set_read_timeout(Some(t));
+    }
+    Ok((BufReader::new(stream.try_clone()?), stream))
+}
+
 fn session_loop(shared: Arc<Shared>, stream: TcpStream) {
     let mut session = Session {
         plans: HashMap::new(),
         next_handle: 1,
     };
     let may_drain = stream.peer_addr().is_ok_and(drain_allowed);
-    // The read timeout is a socket-level option, shared with the clone
-    // below; a tripped timeout surfaces from `read_frame` as an I/O
-    // error with `WouldBlock`/`TimedOut` (platform-dependent which).
-    if let Some(t) = shared.idle_timeout {
-        let _ = stream.set_read_timeout(Some(t));
-    }
-    let reader_stream = match stream.try_clone() {
-        Ok(s) => s,
+    let (mut reader, mut writer) = match session_streams(stream, shared.idle_timeout) {
+        Ok(streams) => streams,
         Err(_) => {
             shared.active_clients.fetch_sub(1, Ordering::Relaxed);
             return;
         }
     };
-    let mut reader = BufReader::new(reader_stream);
-    let mut writer = BufWriter::new(stream);
+    // The request body, reused from frame to frame.
+    let mut body = Vec::new();
     // Every reply goes out in the protocol version of the frame it
     // answers; errors raised before a frame decodes use the version the
     // session last spoke.
     let mut version = PROTOCOL_VERSION;
 
     loop {
-        let frame = match read_frame_versioned(&mut reader) {
-            Ok((f, v)) => {
+        let kind = match read_frame_into(&mut reader, &mut body) {
+            Ok((kind, v)) => {
                 version = v;
-                f
+                kind
             }
             // The idle reap: no complete frame arrived within the
             // timeout. Diagnose with a typed ERR (best effort), count
@@ -422,18 +444,13 @@ fn session_loop(shared: Arc<Shared>, stream: TcpStream) {
                 break;
             }
             // Clean close between frames, or the socket died (including
-            // mid-payload). Nothing was submitted for a partial frame —
-            // frames are fully read before dispatch — so there is no
-            // queue slot to reap; just release the session.
+            // mid-payload). Nothing ran for a partial frame — frames are
+            // fully read before dispatch — so there is no job to reap;
+            // just release the session.
             Err(ProtoError::Closed) | Err(ProtoError::Io { .. }) => break,
             // Stream-level corruption: the byte stream can no longer be
             // trusted to be frame-aligned. Diagnose, then close.
-            Err(
-                e @ (ProtoError::BadMagic
-                | ProtoError::BadVersion { .. }
-                | ProtoError::ChecksumMismatch { .. }
-                | ProtoError::Oversized { .. }),
-            ) => {
+            Err(e) => {
                 let _ = write_frame_versioned(
                     &mut writer,
                     &Frame::Err {
@@ -444,46 +461,46 @@ fn session_loop(shared: Arc<Shared>, stream: TcpStream) {
                 );
                 break;
             }
-            // Body-level violation: the frame was fully consumed, the
-            // stream is still aligned — diagnose and keep serving.
-            Err(e) => {
-                if write_frame_versioned(
-                    &mut writer,
-                    &Frame::Err {
-                        code: ErrCode::Malformed,
-                        message: e.to_string(),
-                    },
-                    version,
-                )
-                .is_err()
-                {
-                    break;
-                }
-                continue;
-            }
         };
 
-        // DRAIN is special-cased so the `DRAIN_OK` is flushed to the
-        // socket *before* `wait_drained` waiters (e.g. the `serve`
-        // binary's main thread) can exit the process. A DRAIN from a
-        // non-loopback peer falls through to `respond`'s refusal.
-        if may_drain && matches!(frame, Frame::Drain) {
-            shared.flush_for_drain();
-            let _ = write_frame_versioned(&mut writer, &Frame::DrainOk, version);
-            shared.mark_drained();
+        let written = if kind == kind::PERMUTE {
+            serve_permute(&shared, &session, &body, version, &mut writer)
+        } else {
+            match Frame::decode_body(kind, &body) {
+                // DRAIN is special-cased so the `DRAIN_OK` is flushed to
+                // the socket *before* `wait_drained` waiters (e.g. the
+                // `serve` binary's main thread) can exit the process. A
+                // DRAIN from a non-loopback peer falls through to
+                // `respond`'s refusal.
+                Ok(Frame::Drain) if may_drain => {
+                    shared.flush_for_drain();
+                    let _ = write_frame_versioned(&mut writer, &Frame::DrainOk, version);
+                    shared.mark_drained();
+                    break;
+                }
+                Ok(frame) => {
+                    let reply = respond(&shared, &mut session, frame, version);
+                    write_frame_versioned(&mut writer, &reply, version)
+                }
+                // Body-level violation: the frame was fully consumed, the
+                // stream is still aligned — diagnose and keep serving.
+                Err(e) => write_frame_versioned(&mut writer, &malformed(&e), version),
+            }
+        };
+        if written.is_err() {
             break;
         }
-
-        let reply = respond(&shared, &mut session, frame, version);
-        if write_frame_versioned(&mut writer, &reply, version).is_err() {
-            break;
-        }
+        shed(&mut body);
     }
 
     shared
         .registered_plans
         .fetch_sub(session.plans.len() as u64, Ordering::Relaxed);
     shared.active_clients.fetch_sub(1, Ordering::Relaxed);
+}
+
+fn malformed(e: &ProtoError) -> Frame {
+    err(ErrCode::Malformed, e.to_string())
 }
 
 fn err(code: ErrCode, message: impl Into<String>) -> Frame {
@@ -501,11 +518,10 @@ fn respond(shared: &Shared, session: &mut Session, frame: Frame, version: u8) ->
             elem_width,
             perm,
         } => register(shared, session, fingerprint, version, n, elem_width, perm),
-        Frame::Permute { handle, payload } => {
-            permute(shared, session, handle, vec![payload], false)
-        }
+        // A PERMUTE never gets here: `session_loop` serves it from its
+        // raw body (`serve_permute`) without decoding it into a `Frame`.
         Frame::PermuteBatch { handle, payloads } => {
-            permute(shared, session, handle, payloads, true)
+            permute_batch(shared, session, handle, payloads)
         }
         Frame::Stats => Frame::StatsReport(shared.stats()),
         // A loopback peer's DRAIN is handled in `session_loop`
@@ -624,45 +640,96 @@ fn build_permutation(n: u64, perm: PermRepr) -> Result<Permutation, (ErrCode, St
     }
 }
 
-fn permute(
+/// The checks every `PERMUTE` and `PERMUTE_BATCH` passes, in order:
+/// not draining, a handle this session registered, and `jobs` within
+/// the session's quota.
+fn admit<'s>(
     shared: &Shared,
-    session: &mut Session,
+    session: &'s Session,
     handle: u64,
-    payloads: Vec<Vec<u8>>,
-    batch: bool,
-) -> Frame {
+    jobs: usize,
+) -> Result<&'s Registered, (ErrCode, String)> {
     if shared.draining.load(Ordering::SeqCst) {
-        return err(ErrCode::Draining, "server is draining");
+        return Err((ErrCode::Draining, "server is draining".into()));
     }
-    let registered = match session.plans.get(&handle) {
-        Some(r) => r,
-        None => {
-            return err(
-                ErrCode::UnknownHandle,
-                format!("handle {handle} is not registered on this connection"),
-            )
-        }
-    };
-    if let Err(e) = shared.admission.admit_jobs(payloads.len()) {
+    let registered = session.plans.get(&handle).ok_or_else(|| {
+        (
+            ErrCode::UnknownHandle,
+            format!("handle {handle} is not registered on this connection"),
+        )
+    })?;
+    if let Err(e) = shared.admission.admit_jobs(jobs) {
         shared.engine.note_admission_reject();
-        return err(e.code(), e.to_string());
+        return Err((e.code(), e.to_string()));
     }
+    Ok(registered)
+}
 
+/// Serve one `PERMUTE` straight from its checked body: decode the
+/// payload into the source, run the job on this session thread
+/// ([`SharedEngine::run_job`]: counted, panic-isolated, drained like a
+/// queued job), and stream the `PERMUTED` reply from the output. The
+/// caller waits for the job anyway, so the queue hop would buy nothing.
+fn serve_permute<W: Write>(
+    shared: &Shared,
+    session: &Session,
+    body: &[u8],
+    version: u8,
+    w: &mut W,
+) -> Result<(), ProtoError> {
+    let (handle, payload) = match split_permute(body) {
+        Ok(parts) => parts,
+        Err(e) => return write_frame_versioned(w, &malformed(&e), version),
+    };
+    let registered = match admit(shared, session, handle, 1) {
+        Ok(r) => r,
+        Err((code, msg)) => return write_frame_versioned(w, &err(code, msg), version),
+    };
+    if registered.elem_width == 4 {
+        permute_inline::<u32, W>(&shared.engine, &registered.perm, payload, version, w)
+    } else {
+        permute_inline::<u64, W>(&shared.engine_u64, &registered.perm, payload, version, w)
+    }
+}
+
+fn permute_inline<T: Elem, W: Write>(
+    engine: &SharedEngine<T>,
+    perm: &Permutation,
+    payload: &[u8],
+    version: u8,
+    w: &mut W,
+) -> Result<(), ProtoError> {
+    let src = match decode_payload::<T>(perm.len(), 0, payload) {
+        Ok(src) => src,
+        Err((code, msg)) => return write_frame_versioned(w, &err(code, msg), version),
+    };
+    let mut dst = vec![T::default(); perm.len()];
+    let outcome = engine.run_job(perm, &src, &mut dst);
+    // One payload-sized buffer fewer while the reply is written.
+    drop(src);
+    match outcome {
+        Ok(_) => write_permuted(w, version, &dst),
+        Err(e) => {
+            let (code, msg) = job_err(e);
+            write_frame_versioned(w, &err(code, msg), version)
+        }
+    }
+}
+
+/// Serve a `PERMUTE_BATCH`: its members go through the engine's
+/// submission queue as one batch.
+fn permute_batch(shared: &Shared, session: &Session, handle: u64, payloads: Vec<Vec<u8>>) -> Frame {
+    let registered = match admit(shared, session, handle, payloads.len()) {
+        Ok(r) => r,
+        Err((code, msg)) => return err(code, msg),
+    };
     let outcome = if registered.elem_width == 4 {
         run_jobs::<u32>(&shared.engine, &registered.perm, payloads)
     } else {
         run_jobs::<u64>(&shared.engine_u64, &registered.perm, payloads)
     };
     match outcome {
-        Ok(mut outputs) => {
-            if batch {
-                Frame::PermutedBatch { payloads: outputs }
-            } else {
-                Frame::Permuted {
-                    payload: outputs.pop().unwrap_or_default(),
-                }
-            }
-        }
+        Ok(payloads) => Frame::PermutedBatch { payloads },
         Err((code, msg)) => err(code, msg),
     }
 }
@@ -671,46 +738,37 @@ fn job_err(e: JobError) -> (ErrCode, String) {
     (ErrCode::Plan, format!("job failed: {e}"))
 }
 
-/// Decode payloads, route them through the engine's submission queue,
-/// and re-encode the outputs. The queue path — not a direct `permute`
-/// call — so network tenants share backpressure, stats, and panic
-/// isolation with every in-process submitter.
+/// Payload `i` of a request as the plan's source, or the size refusal.
+fn decode_payload<T: Elem>(n: usize, i: usize, bytes: &[u8]) -> Result<Vec<T>, (ErrCode, String)> {
+    if bytes.len() != n * T::WIDTH {
+        return Err((
+            ErrCode::SizeMismatch,
+            format!(
+                "payload {i} is {} bytes, plan needs n×width = {}×{} = {}",
+                bytes.len(),
+                n,
+                T::WIDTH,
+                n * T::WIDTH
+            ),
+        ));
+    }
+    Ok(bytes_to_elems::<T>(bytes).expect("length checked above"))
+}
+
+/// Decode a batch's payloads, submit them to the engine's queue as one
+/// batch, and re-encode the outputs, so a batch's members interleave
+/// with every other submitter's jobs under the queue's backpressure.
 fn run_jobs<T: Elem>(
     engine: &SharedEngine<T>,
     perm: &Permutation,
     payloads: Vec<Vec<u8>>,
 ) -> Result<Vec<Vec<u8>>, (ErrCode, String)> {
     let n = perm.len();
-    let mut srcs: Vec<Vec<T>> = Vec::with_capacity(payloads.len());
+    let mut jobs: Vec<(Arc<[T]>, Vec<T>)> = Vec::with_capacity(payloads.len());
     for (i, bytes) in payloads.iter().enumerate() {
-        if bytes.len() != n * T::WIDTH {
-            return Err((
-                ErrCode::SizeMismatch,
-                format!(
-                    "payload {i} is {} bytes, plan needs n×width = {}×{} = {}",
-                    bytes.len(),
-                    n,
-                    T::WIDTH,
-                    n * T::WIDTH
-                ),
-            ));
-        }
-        srcs.push(bytes_to_elems::<T>(bytes).expect("length checked above"));
+        let src = decode_payload::<T>(n, i, bytes)?;
+        jobs.push((Arc::from(src), vec![T::default(); n]));
     }
-
-    if srcs.len() == 1 {
-        let src = srcs.pop().expect("len == 1");
-        let report = engine
-            .submit(perm, src, vec![T::default(); n])
-            .wait()
-            .map_err(job_err)?;
-        return Ok(vec![elems_to_bytes(&report.dst)]);
-    }
-
-    let jobs: Vec<(Arc<[T]>, Vec<T>)> = srcs
-        .into_iter()
-        .map(|s| (Arc::from(s), vec![T::default(); n]))
-        .collect();
     let reports = engine.submit_batch(perm, jobs).wait();
     let mut outputs = Vec::with_capacity(reports.len());
     for report in reports {
@@ -798,6 +856,75 @@ mod tests {
         // The second registration and each of the four permutes found the
         // other permutation's plan under the shared key.
         assert_eq!(server.shared.engine.stats().collisions, 5);
+    }
+
+    /// Both ends of a session's socket, as `session_loop` sets it up,
+    /// run with `TCP_NODELAY`.
+    #[test]
+    fn session_sockets_are_nodelay() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        assert!(
+            !accepted.nodelay().unwrap(),
+            "accepted sockets start with Nagle on"
+        );
+        let (reader, writer) = session_streams(accepted, Some(Duration::from_secs(5))).unwrap();
+        assert!(reader.get_ref().nodelay().unwrap());
+        assert!(writer.nodelay().unwrap());
+        assert_eq!(writer.read_timeout().unwrap(), Some(Duration::from_secs(5)));
+    }
+
+    static PANIC_ARMED: AtomicBool = AtomicBool::new(false);
+
+    fn fingerprint_or_panic(p: &Permutation) -> u64 {
+        if PANIC_ARMED.load(Ordering::SeqCst) {
+            panic!("injected fingerprint panic");
+        }
+        p.fingerprint()
+    }
+
+    /// A job that panics on the session thread is answered with a typed
+    /// `ERR plan` carrying the panic message, counted like a queued job,
+    /// and the same connection keeps serving.
+    #[test]
+    fn a_panicking_inline_job_is_a_typed_error_and_the_session_survives() {
+        let mut engine: SharedEngine<u32> = SharedEngine::new(32);
+        engine.set_fingerprint_fn(fingerprint_or_panic);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let server = Server::start(listener, engine, &ServerConfig::default()).unwrap();
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        let p = families::random(1 << 10, 9);
+        let h32 = client.register::<u32>(&p).unwrap();
+        let h64 = client.register::<u64>(&p).unwrap();
+        PANIC_ARMED.store(true, Ordering::SeqCst);
+        let src32: Vec<u32> = (0..1 << 10).collect();
+        let src64: Vec<u64> = (0..1 << 10).collect();
+        for round in 0..2 {
+            let refusals = [
+                client.permute(&h32, &src32).map(drop),
+                client.permute(&h64, &src64).map(drop),
+            ];
+            for refusal in refusals {
+                match refusal {
+                    Err(crate::ClientError::Server { code, message }) => {
+                        assert_eq!(code, ErrCode::Plan, "round {round}: {message}");
+                        assert!(message.contains("injected fingerprint panic"), "{message}");
+                    }
+                    other => panic!("round {round}: expected ERR plan, got {other:?}"),
+                }
+            }
+        }
+        PANIC_ARMED.store(false, Ordering::SeqCst);
+        let stats = client.stats().unwrap();
+        assert_eq!(stats.submitted, 4, "{stats:?}");
+        assert_eq!(
+            stats.submitted,
+            stats.completed + stats.cancelled,
+            "{stats:?}"
+        );
+        let out = client.permute(&h32, &src32).unwrap();
+        assert_eq!(out[p.apply(5)], src32[5]);
     }
 
     /// A registration keeps the cached plan's own permutation, so two

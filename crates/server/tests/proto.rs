@@ -6,8 +6,8 @@
 use proptest::prelude::*;
 
 use hmm_server::proto::{
-    kind, Frame, PermRepr, ProtoError, ServerStats, CHECKSUM_LEN, HEADER_LEN, MAGIC, MAX_BATCH,
-    MAX_BODY, MAX_ERR_MSG,
+    bytes_to_elems, elems_to_bytes, kind, Frame, PermRepr, ProtoError, ServerStats, CHECKSUM_LEN,
+    HEADER_LEN, MAGIC, MAX_BATCH, MAX_BODY, MAX_ERR_MSG,
 };
 use hmm_server::{read_frame, ErrCode};
 
@@ -406,5 +406,31 @@ proptest! {
         bytes[at] ^= 1 << bit;
         let _ = Frame::decode(&bytes);
         let _ = read_frame(&mut bytes.as_slice());
+    }
+
+    /// The payload conversions round-trip at both widths, and write each
+    /// element's little-endian bytes in order.
+    #[test]
+    fn payload_conversions_round_trip_at_both_widths(seed in any::<u64>(), len in 0usize..5000) {
+        let mut s = seed;
+        let u32s: Vec<u32> = (0..len).map(|_| splitmix(&mut s) as u32).collect();
+        let bytes = elems_to_bytes(&u32s);
+        let longhand: Vec<u8> = u32s.iter().flat_map(|v| v.to_le_bytes()).collect();
+        prop_assert_eq!(&bytes, &longhand);
+        prop_assert_eq!(bytes_to_elems::<u32>(&bytes), Some(u32s));
+
+        let u64s: Vec<u64> = (0..len).map(|_| splitmix(&mut s)).collect();
+        let bytes = elems_to_bytes(&u64s);
+        let longhand: Vec<u8> = u64s.iter().flat_map(|v| v.to_le_bytes()).collect();
+        prop_assert_eq!(&bytes, &longhand);
+        prop_assert_eq!(bytes_to_elems::<u64>(&bytes), Some(u64s));
+
+        // A length that is not a whole number of elements is refused.
+        if len % 4 != 0 {
+            prop_assert_eq!(bytes_to_elems::<u32>(&longhand[..len]), None);
+        }
+        if len % 8 != 0 {
+            prop_assert_eq!(bytes_to_elems::<u64>(&longhand[..len]), None);
+        }
     }
 }

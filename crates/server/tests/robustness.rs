@@ -1,19 +1,20 @@
 //! Robustness suite for the ugly paths: clients dying mid-payload,
 //! hostile bytes on a live socket, slow readers, `DRAIN` racing an
-//! in-flight batch, and admission rejections — each pinned against the
-//! engine-stats ledger (`submitted == completed + cancelled`) so a
-//! leaked queue slot cannot hide — plus a config the engine cannot
-//! build, refused by `Server::bind` with an error instead of a panic.
+//! in-flight batch or racing inline `PERMUTE`s, and admission
+//! rejections — each pinned against the engine-stats ledger
+//! (`submitted == completed + cancelled`) so a leaked queue slot cannot
+//! hide — plus a config the engine cannot build, refused by
+//! `Server::bind` with an error instead of a panic.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use hmm_perm::families;
-use hmm_server::proto::{elems_to_bytes, Frame, ServerStats};
+use hmm_server::proto::{elems_to_bytes, Frame, PermRepr, ServerStats};
 use hmm_server::{
-    read_frame, write_frame, AdmissionConfig, Client, ClientError, ErrCode, Server, ServerConfig,
-    ServerError,
+    read_frame, write_frame, write_permute, AdmissionConfig, Client, ClientError, ErrCode, Server,
+    ServerConfig, ServerError, PROTOCOL_VERSION,
 };
 
 fn server() -> Server {
@@ -477,4 +478,115 @@ fn zero_width_is_a_typed_bind_error_not_a_panic() {
         Err(other) => panic!("expected InvalidInput, got {other}"),
         Ok(_) => panic!("a zero-width server must not bind"),
     }
+}
+
+/// A checksummed `PERMUTE` whose body is too short to hold a handle is a
+/// body-level violation: the session answers `ERR malformed` with the
+/// decoder's own diagnosis and keeps serving the same connection,
+/// including the next `PERMUTE`.
+#[test]
+fn short_permute_body_is_malformed_and_the_session_keeps_serving() {
+    let server = server();
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    let mut reader = raw.try_clone().unwrap();
+
+    // A v2 frame written longhand: header, 5-byte body, checksum.
+    let mut bytes = b"HMMS".to_vec();
+    bytes.extend_from_slice(&[2, hmm_server::proto::kind::PERMUTE]);
+    bytes.extend_from_slice(&5u32.to_le_bytes());
+    bytes.extend_from_slice(&[1, 2, 3, 4, 5]);
+    let sum = hmm_perm::hash::hash_bytes(&bytes);
+    bytes.extend_from_slice(&sum.to_le_bytes());
+    let decoded = Frame::decode(&bytes).unwrap_err();
+    raw.write_all(&bytes).unwrap();
+    match read_frame(&mut reader).unwrap() {
+        Frame::Err { code, message } => {
+            assert_eq!(code, ErrCode::Malformed);
+            assert_eq!(message, decoded.to_string());
+        }
+        other => panic!("expected ERR, got {}", other.kind_name()),
+    }
+
+    let n = 1 << 10;
+    let p = families::random(n, 17);
+    write_frame(
+        &mut raw,
+        &Frame::Register {
+            fingerprint: p.fingerprint(),
+            n: n as u64,
+            elem_width: 4,
+            perm: PermRepr::Index(p.as_slice().iter().map(|&d| d as u32).collect()),
+        },
+    )
+    .unwrap();
+    let Frame::Registered { handle } = read_frame(&mut reader).unwrap() else {
+        panic!("registration refused");
+    };
+    let src: Vec<u32> = (0..n as u32).collect();
+    write_permute(&mut raw, PROTOCOL_VERSION, handle, &src).unwrap();
+    let mut want = vec![0u32; n];
+    p.permute(&src, &mut want).unwrap();
+    assert_eq!(
+        read_frame(&mut reader).unwrap(),
+        Frame::Permuted {
+            payload: elems_to_bytes(&want)
+        }
+    );
+}
+
+/// Two clients loop single `PERMUTE`s (each run on its session thread)
+/// while a third drains: every reply is the right output or a typed
+/// `Draining`, the drain is acknowledged, and once the clients are done
+/// the ledger balances.
+#[test]
+fn inline_permutes_racing_a_drain_are_correct_or_draining() {
+    let server = server();
+    let addr = server.local_addr();
+    let n = 1 << 12;
+    let p = families::random(n, 23);
+    let served = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
+
+    let loops: Vec<_> = (0..2u32)
+        .map(|k| {
+            let (p, served) = (p.clone(), std::sync::Arc::clone(&served));
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr).unwrap();
+                let h = client.register::<u32>(&p).unwrap();
+                let src: Vec<u32> = (0..n as u32).map(|v| v ^ k).collect();
+                let mut want = vec![0u32; n];
+                p.permute(&src, &mut want).unwrap();
+                loop {
+                    match client.permute(&h, &src) {
+                        Ok(out) => {
+                            assert_eq!(out, want, "client {k}");
+                            served.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                        }
+                        Err(ClientError::Server { code, .. }) => {
+                            assert_eq!(code, ErrCode::Draining, "client {k}");
+                            return;
+                        }
+                        Err(other) => panic!("client {k}: {other}"),
+                    }
+                }
+            })
+        })
+        .collect();
+
+    // Drain only once both loops have jobs on the books.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while served.load(std::sync::atomic::Ordering::SeqCst) < 8 {
+        assert!(Instant::now() < deadline, "clients never got going");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let mut drainer = Client::connect(addr).unwrap();
+    drainer.drain().unwrap();
+    server.wait_drained();
+    for l in loops {
+        l.join().unwrap();
+    }
+
+    let stats = server.stats();
+    assert!(stats.draining);
+    assert!(stats.submitted >= 8, "{stats:?}");
+    assert!(ledger_balanced(&stats), "ledger unbalanced: {stats:?}");
 }

@@ -296,7 +296,7 @@ fn registering_one_permutation_at_both_widths_plans_it_once() {
     );
     assert_eq!(
         stats.submitted, 2,
-        "one queue carries both widths: {stats:?}"
+        "one ledger counts both widths: {stats:?}"
     );
     assert_eq!(stats.completed, 2, "{stats:?}");
     server.drain_and_wait();

@@ -531,6 +531,69 @@ fn queued_build_error_resolves_handle_with_plan_error() {
     assert_eq!(queued_err, blocking_err);
 }
 
+/// `run_job` is the queued job run on the calling thread: for the same
+/// job it returns what `submit(..).wait()` resolves to (output and
+/// route, or the same build error, size mismatch or panic message), and
+/// it counts in the same ledger.
+#[test]
+fn inline_jobs_match_queued_jobs_and_share_their_ledger() {
+    let engine: SharedEngine<u32> = SharedEngine::new(W);
+    for (k, n) in [(0u64, 1usize << 10), (1, 1 << 12)] {
+        for p in [
+            families::random(n, 70 + k),
+            families::bit_reversal(n).unwrap(),
+        ] {
+            let src: Vec<u32> = (0..n as u32).map(|v| v.wrapping_mul(0x9e37)).collect();
+            let queued = engine
+                .submit(&p, src.clone(), vec![0u32; n])
+                .wait()
+                .unwrap();
+            let mut dst = vec![0u32; n];
+            let route = engine.run_job(&p, &src, &mut dst).unwrap();
+            assert_eq!(dst, queued.dst);
+            assert_eq!(route, queued.route);
+        }
+    }
+    // A size mismatch is the queued path's immediate resolution.
+    let p = families::random(1 << 10, 3);
+    let src = vec![0u32; 1 << 10];
+    let queued = engine.submit(&p, src.clone(), vec![0u32; 7]).wait();
+    let inline = engine.run_job(&p, &src, &mut [0u32; 7]);
+    assert_eq!(inline.unwrap_err(), queued.unwrap_err());
+    let stats = engine.stats();
+    assert_eq!(stats.submitted, 10, "{stats:?}");
+    assert_eq!(stats.submitted, stats.completed + stats.cancelled);
+
+    // A build error is the blocking path's error.
+    let unschedulable: SharedEngine<u32> = SharedEngine::new(W);
+    unschedulable.set_gamma_threshold(0.0);
+    let p = families::random(100, 61);
+    let src: Vec<u32> = (0..100).collect();
+    let queued = unschedulable
+        .submit(&p, src.clone(), vec![0u32; 100])
+        .wait();
+    let inline = unschedulable.run_job(&p, &src, &mut [0u32; 100]);
+    assert!(matches!(inline, Err(JobError::Plan(_))), "{inline:?}");
+    assert_eq!(inline.unwrap_err(), queued.unwrap_err());
+
+    // A panic is caught, keeps its message, and the engine keeps serving.
+    let mut panicky: SharedEngine<u32> = SharedEngine::new(W);
+    panicky.set_fingerprint_fn(|_| panic!("injected fingerprint panic"));
+    let p = families::random(1 << 10, 52);
+    let src: Vec<u32> = (0..1 << 10).collect();
+    for round in 0..2 {
+        match panicky.run_job(&p, &src, &mut vec![0u32; 1 << 10]) {
+            Err(JobError::Panicked(msg)) => {
+                assert!(msg.contains("injected fingerprint panic"), "{msg}")
+            }
+            other => panic!("round {round}: expected Panicked, got {other:?}"),
+        }
+    }
+    let stats = panicky.stats();
+    assert_eq!((stats.submitted, stats.completed), (2, 2), "{stats:?}");
+    panicky.drain();
+}
+
 /// Deterministic cancellation: a slow fingerprint stalls the single
 /// drainer on job A, so job B is still queued when we cancel it. B's
 /// handle must resolve `Err(Cancelled)` immediately (before A finishes),
