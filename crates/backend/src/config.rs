@@ -4,7 +4,7 @@
 //! transpose tile side (64) for one cache size, and its inner loops were
 //! scalar. This module centralises those constants, adds the SIMD and
 //! computed-index toggles, and gives every front door (the native
-//! executor, the engines, the queue drainers, and every backend) one
+//! executor, the engines, and every backend) one
 //! place to read them from:
 //!
 //! * [`KernelConfig::default`] — the seed's values with SIMD and

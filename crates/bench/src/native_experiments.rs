@@ -13,7 +13,7 @@
 //! `repro backends`, `repro computed` and `repro structured` use the
 //! backend, computed-index, structured-planner and fusion measurements
 //! below. The engine paths above the kernels (plan cache, plan store,
-//! contention, the submission queue, the wire) are measured end to end
+//! contention, the wire) are measured end to end
 //! by the `bench-e2e` workloads, not here.
 //!
 //! [`to_json`] serialises a full report as `BENCH_native.json` (flat rows

@@ -18,16 +18,14 @@
 //!   fallback (the paper's γ_w crossover at a fixed threshold), and an
 //!   optional tier-2 on-disk plan store
 //!   ([`plan::SharedEngine::with_store`]) so a cold process skips the
-//!   König coloring. The engine core is element-agnostic — one cache,
-//!   queue and stats for every element type — and `SharedEngine<T>` is a
-//!   typed handle on it ([`plan::SharedEngine::view`] opens another
-//!   element type);
-//! * [`queue`] — asynchronous queued submission on top of the engine:
-//!   [`plan::SharedEngine::submit`] / [`plan::SharedEngine::submit_batch`]
-//!   enqueue jobs on a bounded MPMC queue and return [`queue::JobHandle`]s
-//!   (`wait` / `try_wait` / `cancel`); plan resolution happens on the
-//!   drainer side, and build failures or panics resolve handles with a
-//!   [`queue::JobError`] instead of hanging waiters;
+//!   König coloring. The engine core is element-agnostic — one cache
+//!   and one stats set for every element type — and `SharedEngine<T>` is
+//!   a typed handle on it ([`plan::SharedEngine::view`] opens another
+//!   element type). Every job runs on its caller's thread through
+//!   [`plan::SharedEngine::run_job`], counted in the engine's
+//!   `submitted`/`completed` ledger, with build failures and panics
+//!   returned as a [`plan::JobError`]; the engine spawns no thread of
+//!   its own beyond the worker pool;
 //! * [`backend`] — the backend registry: [`Backend::Native`] (this
 //!   crate's kernels) and [`Backend::Interp`] (the `hmm-backend` sweep-IR
 //!   interpreter) each prepare a width-free [`Executable`] whose `run` is
@@ -36,8 +34,8 @@
 //! * [`config::KernelConfig`] — the sweep-kernel tuning seam (staging
 //!   block size, tile side, SIMD and computed-index switches; re-exported
 //!   from `hmm-backend`) threaded through every front door: blocking
-//!   calls, the shared engine
-//!   ([`plan::SharedEngine::set_kernel_config`]), and the queue drainers.
+//!   calls and the shared engine
+//!   ([`plan::SharedEngine::set_kernel_config`]).
 //!   Nothing but the worker-pool size is read from the environment
 //!   (`HMM_NATIVE_THREADS`, see [`par`]);
 //! * [`pool`] / [`par`] — a persistent worker pool (created once per
@@ -65,7 +63,6 @@ mod cache;
 pub mod par;
 pub mod plan;
 pub mod pool;
-pub mod queue;
 pub mod scatter;
 pub mod scheduled;
 mod scratch;
@@ -78,8 +75,7 @@ pub use hmm_backend::config;
 pub use hmm_backend::{ExecPlan, KernelConfig, Route};
 pub use hmm_plan::{PlanIr, PlanStore, StoreKey};
 pub use par::THREADS_ENV;
-pub use plan::{PermutePlan, SharedEngine};
-pub use queue::{BatchHandle, JobError, JobHandle, JobReport, DEFAULT_QUEUE_CAPACITY};
+pub use plan::{JobError, JobHandle, JobReport, PermutePlan, SharedEngine};
 pub use scatter::{copy_baseline, gather_permute, scatter_permute};
 pub use scheduled::NativeScheduled;
 pub use scratch::ScratchBuf;

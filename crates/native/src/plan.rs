@@ -11,11 +11,11 @@
 //! Plans are element-agnostic: the paper derives its three-pass schedule
 //! from `P` alone and runs the same schedule on float and double arrays.
 //! So everything above data movement lives in one `T`-free core — the
-//! cache, the γ/kernel/store/fingerprint settings, the submission queue
-//! and the stats — and [`SharedEngine<T>`] is a typed handle on it that
-//! adds only a scratch pool of `T`. [`SharedEngine::view`] opens another
-//! element type on the same core: a permutation planned through a u32
-//! handle is a verified hit through its u64 view.
+//! cache, the γ/kernel/store/fingerprint settings and the stats — and
+//! [`SharedEngine<T>`] is a typed handle on it that adds only a scratch
+//! pool of `T`. [`SharedEngine::view`] opens another element type on the
+//! same core: a permutation planned through a u32 handle is a verified
+//! hit through its u64 view.
 //!
 //! The front door is [`SharedEngine`], the concurrent plan service:
 //! usable as `&self` from any number of threads, with a **sharded**
@@ -60,10 +60,6 @@
 use crate::backend::{Backend, Executable};
 use crate::cache::Shard;
 use crate::config::KernelConfig;
-use crate::queue::{
-    BatchHandle, Bounded, ErasedJob, Job, JobError, JobHandle, JobReport, JobState, QueuedJob,
-    DEFAULT_QUEUE_CAPACITY,
-};
 use crate::scratch::ScratchPool;
 use crate::stats::{AtomicStats, EngineStats};
 use hmm_backend::{ExecPlan, Route};
@@ -74,9 +70,8 @@ use std::collections::HashMap;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock, Weak};
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 /// Default per-shard LRU capacity (plans held at once per shard).
 pub const DEFAULT_CAPACITY: usize = 8;
@@ -254,38 +249,9 @@ impl<T: Copy + Send + Sync + Default> PermutePlan<T> {
     }
 }
 
-/// The engine's queued-submission runtime: a lazily-started bounded MPMC
-/// queue of type-erased jobs plus its drainer threads, shared by every
-/// typed handle on the core. Nothing is spawned until the first queued
-/// job, so engines that only use the blocking `permute` path cost no
-/// threads.
-struct QueueRuntime {
-    /// The queue, once started. Starting it freezes `capacity`/`workers`.
-    slot: OnceLock<Arc<Bounded<ErasedJob>>>,
-    /// Capacity the queue will be created with.
-    capacity: AtomicUsize,
-    /// Drainer-thread count the queue will be started with (0 = match
-    /// the worker pool's thread count).
-    workers: AtomicUsize,
-    /// Monotonic job ids, in submission order.
-    next_job_id: AtomicU64,
-}
-
-impl QueueRuntime {
-    fn new() -> Self {
-        QueueRuntime {
-            slot: OnceLock::new(),
-            capacity: AtomicUsize::new(DEFAULT_QUEUE_CAPACITY),
-            workers: AtomicUsize::new(0),
-            next_job_id: AtomicU64::new(0),
-        }
-    }
-}
-
 /// The concurrent plan service: a typed handle on an element-agnostic
-/// engine core (LRU plan cache, settings, submission queue, stats) plus a
-/// scratch-buffer pool of `T`, usable as `&self` from any number of
-/// threads.
+/// engine core (LRU plan cache, settings, stats) plus a scratch-buffer
+/// pool of `T`, usable as `&self` from any number of threads.
 ///
 /// * **Sharded LRU** — entries are distributed over [`SharedEngine::shards`]
 ///   independent `RwLock`ed maps by fingerprint, so lookups from different
@@ -303,7 +269,7 @@ impl QueueRuntime {
 ///   the entry, so the output is always correct.
 /// * **One core for every element type** — plans carry no `T`, so
 ///   [`SharedEngine::view`] opens a handle of another element type on the
-///   same cache, queue and stats, with its own typed scratch pool.
+///   same cache and stats, with its own typed scratch pool.
 /// * **Lock-free scratch** — scheduled runs borrow scratch from a
 ///   fixed-slot [`AtomicPtr`](std::sync::atomic::AtomicPtr) pool; scatter
 ///   runs skip scratch entirely.
@@ -334,10 +300,7 @@ pub struct SharedEngine<T> {
 }
 
 /// Cloning a [`SharedEngine`] clones a cheap handle to the same engine:
-/// one cache, one scratch pool, one submission queue, one set of
-/// counters. The engine itself shuts down (closing the queue and
-/// resolving still-queued jobs with [`JobError::ShutDown`]) when the last
-/// handle — clones and views alike — drops.
+/// one cache, one scratch pool, one set of counters.
 impl<T> Clone for SharedEngine<T> {
     fn clone(&self) -> Self {
         SharedEngine {
@@ -347,10 +310,7 @@ impl<T> Clone for SharedEngine<T> {
     }
 }
 
-/// The element-agnostic engine state every [`SharedEngine`] handle (and
-/// every queue drainer, via a `Weak`) shares. Dropping the last strong
-/// reference closes the submission queue, which lets the drainer threads
-/// exit after resolving whatever is still queued.
+/// The element-agnostic engine state every [`SharedEngine`] handle shares.
 pub(crate) struct EngineCore {
     pub(crate) width: usize,
     /// The execution backend every plan is prepared on. Fixed per
@@ -369,21 +329,7 @@ pub(crate) struct EngineCore {
     /// tier 1.
     store: Option<PlanStore>,
     pub(crate) clock: AtomicU64,
-    /// Shared with job handles and queue drainers, so completion and
-    /// cancellation counting outlive the engine.
-    pub(crate) stats: Arc<AtomicStats>,
-    queue: QueueRuntime,
-}
-
-impl Drop for EngineCore {
-    fn drop(&mut self) {
-        // Refuse new jobs and wake blocked pushers/poppers; the drainers
-        // (holding only a `Weak` to this core) resolve remaining jobs
-        // with `JobError::ShutDown` and exit.
-        if let Some(q) = self.queue.slot.get() {
-            q.close();
-        }
-    }
+    pub(crate) stats: AtomicStats,
 }
 
 impl EngineCore {
@@ -482,30 +428,6 @@ impl EngineCore {
             self.stats.plans_affine.fetch_add(1, Ordering::Relaxed);
         }
     }
-
-    /// The submission queue, started (with its drainer threads) on first
-    /// use. The drainers hold a `Weak` to the core, so they never keep a
-    /// dropped engine alive — they drain, resolve, and exit.
-    fn queue(self: &Arc<Self>) -> &Arc<Bounded<ErasedJob>> {
-        self.queue.slot.get_or_init(|| {
-            let cap = self.queue.capacity.load(Ordering::Relaxed);
-            let queue = Arc::new(Bounded::new(cap));
-            let drainers = match self.queue.workers.load(Ordering::Relaxed) {
-                0 => crate::par::worker_threads(),
-                w => w,
-            };
-            for i in 0..drainers {
-                let q = Arc::clone(&queue);
-                let weak = Arc::downgrade(self);
-                let stats = Arc::clone(&self.stats);
-                std::thread::Builder::new()
-                    .name(format!("hmm-native-queue-{i}"))
-                    .spawn(move || queue_drainer_loop(&q, &weak, &stats))
-                    .expect("failed to spawn queue drainer");
-            }
-            queue
-        })
-    }
 }
 
 impl<T: Copy + Send + Sync + Default + 'static> SharedEngine<T> {
@@ -550,18 +472,17 @@ impl<T: Copy + Send + Sync + Default + 'static> SharedEngine<T> {
                 fingerprint_fn: default_fingerprint,
                 store: None,
                 clock: AtomicU64::new(0),
-                stats: Arc::new(AtomicStats::default()),
-                queue: QueueRuntime::new(),
+                stats: AtomicStats::default(),
             }),
             scratch: Arc::new(ScratchPool::new()),
         }
     }
 
     /// A handle of element type `U` on this engine's core: the same plan
-    /// cache, settings, submission queue and stats, with a scratch pool of
-    /// its own, so mixed-width traffic never reinterprets or thrashes a
-    /// buffer. A permutation planned through one handle is a verified hit
-    /// through every other.
+    /// cache, settings and stats, with a scratch pool of its own, so
+    /// mixed-width traffic never reinterprets or thrashes a buffer. A
+    /// permutation planned through one handle is a verified hit through
+    /// every other.
     pub fn view<U: Copy + Send + Sync + Default + 'static>(&self) -> SharedEngine<U> {
         SharedEngine {
             core: Arc::clone(&self.core),
@@ -570,13 +491,12 @@ impl<T: Copy + Send + Sync + Default + 'static> SharedEngine<T> {
     }
 
     /// Exclusive access to the core, for the few `&mut self` setters.
-    /// Valid only while this handle is the engine's sole owner — before
-    /// any clone or view, and before the first queued submission starts
-    /// the drainer threads (which hold weak references).
+    /// Valid only while this handle is the engine's sole owner, before
+    /// any clone or view.
     fn core_mut(&mut self) -> &mut EngineCore {
         Arc::get_mut(&mut self.core).expect(
             "engine mutation requires sole ownership: call before cloning \
-             the engine, opening a view, or submitting queued jobs",
+             the engine or opening a view",
         )
     }
 
@@ -595,8 +515,8 @@ impl<T: Copy + Send + Sync + Default + 'static> SharedEngine<T> {
     }
 
     /// Attach (or replace) the on-disk plan store after construction.
-    /// Requires sole ownership (call before cloning the engine, opening a
-    /// view, or submitting queued jobs).
+    /// Requires sole ownership (call before cloning the engine or opening
+    /// a view).
     pub fn set_store(&mut self, store: PlanStore) {
         self.core_mut().store = Some(store);
     }
@@ -634,9 +554,8 @@ impl<T: Copy + Send + Sync + Default + 'static> SharedEngine<T> {
     /// Test seam: replace the fingerprint function (e.g. with a constant
     /// to force collisions, or a panicking one to inject worker-side
     /// failures). Call before caching anything — existing entries were
-    /// keyed with the previous function — and before cloning the engine,
-    /// opening a view, or submitting queued jobs (requires sole
-    /// ownership).
+    /// keyed with the previous function — and before cloning the engine
+    /// or opening a view (requires sole ownership).
     pub fn set_fingerprint_fn(&mut self, f: fn(&Permutation) -> u64) {
         self.core_mut().fingerprint_fn = f;
     }
@@ -661,7 +580,6 @@ impl<T: Copy + Send + Sync + Default + 'static> SharedEngine<T> {
     pub fn stats(&self) -> EngineStats {
         self.core.stats.snapshot(
             self.core.gamma_threshold(),
-            self.queue_depth() as u64,
             self.kernel_config(),
             self.core.backend.name(),
         )
@@ -757,8 +675,6 @@ impl<T: Copy + Send + Sync + Default + 'static> SharedEngine<T> {
     /// Apply one permutation to many `(src, dst)` pairs on the calling
     /// thread: the plan is resolved once, then every member runs through
     /// [`run_plan`](SharedEngine::run_plan). An empty batch plans nothing.
-    /// For members that should run while the caller keeps going, use
-    /// [`submit_batch`](SharedEngine::submit_batch).
     ///
     /// # Panics
     /// Panics if any job's `src.len()` or `dst.len()` differs from
@@ -785,47 +701,12 @@ impl<T: Copy + Send + Sync + Default + 'static> SharedEngine<T> {
         Ok(())
     }
 
-    /// Configure the submission queue **before its first use**: `capacity`
-    /// bounds how many jobs may wait (pushes beyond it block — that is the
-    /// backpressure the stress suite leans on), and `drainers` sets the
-    /// drainer-thread count (`0` = match the worker pool). Returns `false`
-    /// (and changes nothing) once the queue has already started.
-    pub fn set_queue_config(&self, capacity: usize, drainers: usize) -> bool {
-        if self.core.queue.slot.get().is_some() {
-            return false;
-        }
-        self.core
-            .queue
-            .capacity
-            .store(capacity.max(1), Ordering::Relaxed);
-        self.core.queue.workers.store(drainers, Ordering::Relaxed);
-        self.core.queue.slot.get().is_none()
-    }
-
-    /// Jobs currently waiting in the submission queue (a gauge; 0 when
-    /// the queue has never been used). Jobs a drainer has already claimed
-    /// are not counted.
-    pub fn queue_depth(&self) -> usize {
-        self.core.queue.slot.get().map_or(0, |q| q.len())
-    }
-
-    /// The submission queue's bounded capacity (the configured value
-    /// until the queue starts, the frozen one after).
-    pub fn queue_capacity(&self) -> usize {
-        self.core
-            .queue
-            .slot
-            .get()
-            .map(|q| q.capacity())
-            .unwrap_or_else(|| self.core.queue.capacity.load(Ordering::Relaxed))
-    }
-
     /// Record one admission-control rejection in this engine's stats
     /// ([`EngineStats::admission_rejects`]). The engine never rejects
     /// anything itself — this is the reporting seam for front doors that
-    /// gate submissions with their own quotas (the `hmm-server`
-    /// per-client plan and in-flight limits), so operators read one
-    /// counter set for the whole service.
+    /// refuse requests with their own quotas before any job runs (the
+    /// `hmm-server` per-session plan and jobs-per-request limits), so
+    /// operators read one counter set for the whole service.
     pub fn note_admission_reject(&self) {
         self.core
             .stats
@@ -833,137 +714,15 @@ impl<T: Copy + Send + Sync + Default + 'static> SharedEngine<T> {
             .fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Block until every job ever submitted to this engine has resolved
-    /// (`submitted == completed + cancelled`) — the flush half of a
-    /// graceful shutdown: stop feeding the engine, `drain()`, then drop
-    /// it. Returns immediately when the queue was never used. The
-    /// balance is re-read until it holds on two consecutive sleeps, so a
-    /// drainer mid-`finish` cannot satisfy the check transiently.
-    ///
-    /// `drain` only waits for jobs already counted in
-    /// [`EngineStats::submitted`]; the caller owns the guarantee that no
-    /// new `submit` races the drain (in `hmm-server`, the accept loop is
-    /// closed and every connection refuses new work first).
-    pub fn drain(&self) {
-        let mut stable = 0u32;
-        loop {
-            let s = &self.core.stats;
-            let submitted = s.submitted.load(Ordering::Relaxed);
-            let resolved =
-                s.completed.load(Ordering::Relaxed) + s.cancelled.load(Ordering::Relaxed);
-            if submitted == resolved {
-                stable += 1;
-                if stable >= 2 {
-                    return;
-                }
-            } else {
-                stable = 0;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    }
-
-    /// Enqueue one permutation job and return immediately with a
-    /// [`JobHandle`]. The job's plan is resolved **on the drainer side**
-    /// (cache → store → König build, under the engine's single-flight
-    /// machinery), so a dispatcher can enqueue hundreds of heterogeneous
-    /// permutations without ever blocking on a build. `submit` blocks
-    /// only when the bounded queue is full (backpressure).
-    ///
-    /// The handle always resolves: success carries the permuted `dst`
-    /// back in a [`JobReport`]; a failed build, a drainer panic, a
-    /// cancellation, or an engine shutdown resolve it with the matching
-    /// [`JobError`] instead of hanging the waiter. A size mismatch
-    /// between `p`, `src`, and `dst` resolves the handle immediately
-    /// with [`PlanError::SizeMismatch`] (the blocking [`permute`] panics
-    /// instead).
-    ///
-    /// [`permute`]: SharedEngine::permute
-    ///
-    /// ```
-    /// use hmm_native::SharedEngine;
-    /// use hmm_perm::families;
-    ///
-    /// let engine: SharedEngine<u32> = SharedEngine::new(32);
-    /// let p = families::random(1 << 10, 1);
-    /// let src: Vec<u32> = (0..1u32 << 10).collect();
-    /// let handle = engine.submit(&p, src.clone(), vec![0u32; 1 << 10]);
-    /// let report = handle.wait().unwrap();
-    /// let mut expect = vec![0u32; 1 << 10];
-    /// p.permute(&src, &mut expect).unwrap();
-    /// assert_eq!(report.dst, expect);
-    /// ```
-    pub fn submit(&self, p: &Permutation, src: impl Into<Arc<[T]>>, dst: Vec<T>) -> JobHandle<T> {
-        self.submit_job(p.clone(), src.into(), dst)
-    }
-
-    /// Enqueue one permutation applied to many `(src, dst)` pairs and
-    /// return immediately with a [`BatchHandle`] (one [`JobHandle`] per
-    /// member, in submission order). Unlike the blocking
-    /// [`permute_batch`], the caller keeps running while the members
-    /// execute — and members interleave with every other submitter's
-    /// jobs on the same queue.
-    ///
-    /// [`permute_batch`]: SharedEngine::permute_batch
-    pub fn submit_batch<I>(&self, p: &Permutation, jobs: I) -> BatchHandle<T>
-    where
-        I: IntoIterator<Item = (Arc<[T]>, Vec<T>)>,
-    {
-        BatchHandle::new(
-            jobs.into_iter()
-                .map(|(src, dst)| self.submit_job(p.clone(), src, dst))
-                .collect(),
-        )
-    }
-
-    /// Common submission path: count the job, validate sizes, enqueue.
-    fn submit_job(&self, p: Permutation, src: Arc<[T]>, dst: Vec<T>) -> JobHandle<T> {
-        let stats = &self.core.stats;
-        let id = self.core.queue.next_job_id.fetch_add(1, Ordering::Relaxed);
-        stats.submitted.fetch_add(1, Ordering::Relaxed);
-        let state = JobState::new();
-        let handle = JobHandle::new(Arc::clone(&state), Arc::clone(stats), id);
-        let (src_len, dst_len) = (src.len(), dst.len());
-        if src_len != p.len() || dst_len != p.len() {
-            // Resolve without a queue round-trip; counters stay balanced
-            // (`submitted == completed + cancelled`).
-            let got = if src_len != p.len() { src_len } else { dst_len };
-            stats.completed.fetch_add(1, Ordering::Relaxed);
-            state.begin();
-            state.finish(Err(JobError::Plan(PlanError::SizeMismatch {
-                expected: p.len(),
-                got,
-            })));
-            return handle;
-        }
-        let job = Box::new(QueuedJob {
-            p,
-            src,
-            dst,
-            state,
-            scratch: Arc::clone(&self.scratch),
-        });
-        if let Err(job) = self.core.queue().push(job) {
-            // Only reachable if the queue closed mid-push — a teardown
-            // race; resolve the handle instead of losing the job.
-            job.run(None, stats);
-        }
-        handle
-    }
-
-    /// Run one job on the calling thread, accounted for exactly like a
-    /// queued one: it counts in [`EngineStats::submitted`] before it
-    /// starts and in [`EngineStats::completed`] once it has finished, so
-    /// [`drain`](SharedEngine::drain) waits for it and the ledger
-    /// `submitted == completed + cancelled` holds whenever no job is
-    /// running. The plan is resolved as [`permute`](SharedEngine::permute)
-    /// resolves it; a build error comes back as [`JobError::Plan`], a
-    /// size mismatch as [`PlanError::SizeMismatch`] and a panic as
-    /// [`JobError::Panicked`], never as an unwind into the caller.
-    ///
-    /// This is the front door for a caller that would block on
-    /// [`submit`](SharedEngine::submit)`(..).wait()` anyway: it skips
-    /// the queue hop and the `Arc` copy of the input.
+    /// Run one job on the calling thread: the one execution path of every
+    /// job. It counts in [`EngineStats::submitted`] before it starts and
+    /// in [`EngineStats::completed`] once it has finished, so
+    /// `submitted == completed` whenever no job is running. The plan is
+    /// resolved as [`permute`](SharedEngine::permute) resolves it; a
+    /// build error comes back as [`JobError::Plan`], a size mismatch as
+    /// [`PlanError::SizeMismatch`] and a panic as [`JobError::Panicked`],
+    /// never as an unwind into the caller, so the thread that ran it
+    /// keeps serving.
     ///
     /// ```
     /// use hmm_native::SharedEngine;
@@ -988,57 +747,106 @@ impl<T: Copy + Send + Sync + Default + 'static> SharedEngine<T> {
     ) -> std::result::Result<Route, JobError> {
         let stats = &self.core.stats;
         stats.submitted.fetch_add(1, Ordering::Relaxed);
-        let outcome = self.execute(p, src, dst);
-        stats.completed.fetch_add(1, Ordering::Relaxed);
-        outcome
-    }
-
-    /// The one execution path of every job, inline or queued: check the
-    /// sizes, resolve the plan, run it — with panics caught, so a failed
-    /// build (or an injected fingerprint panic) becomes a [`JobError`]
-    /// and the thread that ran it keeps serving.
-    fn execute(
-        &self,
-        p: &Permutation,
-        src: &[T],
-        dst: &mut [T],
-    ) -> std::result::Result<Route, JobError> {
-        if src.len() != p.len() || dst.len() != p.len() {
+        let outcome = if src.len() != p.len() || dst.len() != p.len() {
             let got = if src.len() != p.len() {
                 src.len()
             } else {
                 dst.len()
             };
-            return Err(JobError::Plan(PlanError::SizeMismatch {
+            Err(JobError::Plan(PlanError::SizeMismatch {
                 expected: p.len(),
                 got,
-            }));
-        }
-        catch_unwind(AssertUnwindSafe(|| {
-            let plan = self.plan(p)?;
-            self.run_plan(&plan, src, dst);
-            Ok(plan.route())
-        }))
-        .unwrap_or_else(|panic| Err(JobError::Panicked(panic_message(panic.as_ref()))))
+            }))
+        } else {
+            catch_unwind(AssertUnwindSafe(|| {
+                let plan = self.plan(p)?;
+                self.run_plan(&plan, src, dst);
+                Ok(plan.route())
+            }))
+            .unwrap_or_else(|panic| Err(JobError::Panicked(panic_message(panic.as_ref()))))
+        };
+        stats.completed.fetch_add(1, Ordering::Relaxed);
+        outcome
     }
 
-    /// Drainer-side execution of one claimed job: [`execute`] it and
-    /// resolve the handle.
+    /// [`run_job`](SharedEngine::run_job) with owned buffers, returned as
+    /// an already-resolved [`JobHandle`]. It exists only because the
+    /// end-to-end benchmark's `queue.submit_wait` probe calls
+    /// `engine.submit(p, src, dst).wait()` and reads `.dst`; it goes when
+    /// the benchmark retires its `queue.*` probes.
     ///
-    /// [`execute`]: SharedEngine::execute
-    fn execute_job(&self, p: &Permutation, src: Arc<[T]>, mut dst: Vec<T>, state: &JobState<T>) {
-        if !state.begin() {
-            // Cancelled while queued; `cancel()` already counted it.
-            return;
+    /// ```
+    /// use hmm_native::SharedEngine;
+    /// use hmm_perm::families;
+    ///
+    /// let engine: SharedEngine<u32> = SharedEngine::new(32);
+    /// let p = families::random(1 << 10, 1);
+    /// let src: Vec<u32> = (0..1u32 << 10).collect();
+    /// let report = engine.submit(&p, &src, vec![0u32; 1 << 10]).wait().unwrap();
+    /// let mut expect = vec![0u32; 1 << 10];
+    /// p.permute(&src, &mut expect).unwrap();
+    /// assert_eq!(report.dst, expect);
+    /// ```
+    pub fn submit(&self, p: &Permutation, src: impl AsRef<[T]>, mut dst: Vec<T>) -> JobHandle<T> {
+        let outcome = self.run_job(p, src.as_ref(), &mut dst);
+        JobHandle(outcome.map(|route| JobReport { dst, route }))
+    }
+}
+
+/// Why a job run through [`SharedEngine::run_job`] produced no output.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum JobError {
+    /// Plan resolution failed (build error, store error, unsupported
+    /// size, size mismatch): the error the blocking
+    /// [`permute`](SharedEngine::permute) would have returned.
+    Plan(PlanError),
+    /// The job panicked while resolving or running its plan; the
+    /// payload's message is kept.
+    Panicked(String),
+}
+
+impl std::fmt::Display for JobError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            JobError::Plan(e) => write!(f, "plan resolution failed: {e}"),
+            JobError::Panicked(msg) => write!(f, "worker panicked: {msg}"),
         }
-        let outcome = self.execute(p, &src, &mut dst);
-        // The input is released before `finish` wakes the waiter, so a
-        // submitter's next request never overlaps this one's buffer.
-        drop(src);
-        // Count before notifying, so a waiter that wakes immediately
-        // already sees the job accounted for in the stats.
-        self.core.stats.completed.fetch_add(1, Ordering::Relaxed);
-        state.finish(outcome.map(|route| JobReport { dst, route }));
+    }
+}
+
+impl std::error::Error for JobError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            JobError::Plan(e) => Some(e),
+            JobError::Panicked(_) => None,
+        }
+    }
+}
+
+impl From<PlanError> for JobError {
+    fn from(e: PlanError) -> Self {
+        JobError::Plan(e)
+    }
+}
+
+/// A finished job's output buffer and the route it ran on.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JobReport<T> {
+    /// The permuted output (`dst[P[i]] = src[i]`).
+    pub dst: Vec<T>,
+    /// The route (scatter or scheduled) the plan executed with.
+    pub route: Route,
+}
+
+/// The outcome of [`SharedEngine::submit`], resolved before it is
+/// returned.
+#[derive(Debug)]
+pub struct JobHandle<T>(std::result::Result<JobReport<T>, JobError>);
+
+impl<T> JobHandle<T> {
+    /// The job's outcome.
+    pub fn wait(self) -> std::result::Result<JobReport<T>, JobError> {
+        self.0
     }
 }
 
@@ -1050,41 +858,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_string()
-    }
-}
-
-/// Drainer side of a typed job: run it on the core through a handle with
-/// the submitter's scratch pool, or resolve it as shut down once the core
-/// is gone.
-impl<T: Copy + Send + Sync + Default + 'static> Job for QueuedJob<T> {
-    fn run(self: Box<Self>, core: Option<Arc<EngineCore>>, stats: &AtomicStats) {
-        match core {
-            Some(core) => {
-                let QueuedJob {
-                    p,
-                    src,
-                    dst,
-                    state,
-                    scratch,
-                } = *self;
-                SharedEngine { core, scratch }.execute_job(&p, src, dst, &state);
-            }
-            None => self.resolve_shutdown(stats),
-        }
-    }
-}
-
-/// One queue drainer: claim jobs until the queue closes and drains. The
-/// core is reached through a `Weak` so drainers never keep a dropped
-/// engine alive; once the last handle is gone, remaining jobs resolve
-/// with [`JobError::ShutDown`].
-fn queue_drainer_loop(
-    queue: &Bounded<ErasedJob>,
-    core: &Weak<EngineCore>,
-    stats: &Arc<AtomicStats>,
-) {
-    while let Some(job) = queue.pop() {
-        job.run(core.upgrade(), stats);
     }
 }
 
@@ -1100,6 +873,19 @@ mod tests {
         let mut out = vec![0; src.len()];
         p.permute(src, &mut out).unwrap();
         out
+    }
+
+    #[test]
+    fn job_error_display_and_source() {
+        let e = JobError::Panicked("boom".into());
+        assert!(e.to_string().contains("boom"));
+        assert!(std::error::Error::source(&e).is_none());
+        let p = JobError::Plan(PlanError::UnsupportedSize {
+            n: 96,
+            reason: "not schedulable",
+        });
+        assert!(p.to_string().contains("not schedulable"));
+        assert!(std::error::Error::source(&p).is_some());
     }
 
     #[test]
@@ -1252,7 +1038,7 @@ mod tests {
     #[test]
     fn batch_reuses_one_plan_lookup() {
         // One cache lookup per batch, whatever its width, every member run
-        // on the calling thread (nothing through the queue), and no lookup
+        // on the calling thread (uncounted, like `permute`), and no lookup
         // at all for an empty batch.
         let n = 1 << 11;
         let p = families::random(n, 21);
@@ -1309,7 +1095,7 @@ mod tests {
         let stats = engine.stats();
         assert_eq!((stats.misses, stats.hits), (1, 1), "one plan, both widths");
         assert_eq!(stats.scheduled_runs + stats.scatter_runs, 8);
-        assert_eq!(stats.submitted, 0, "batch members bypass the queue");
+        assert_eq!(stats.submitted, 0, "batch members are not counted jobs");
     }
 
     #[test]
@@ -1385,19 +1171,19 @@ mod tests {
     }
 
     #[test]
-    fn mixed_width_traffic_keeps_scratch_per_view_and_one_queue() {
-        // u32 permute, u64 submit and u32 submit_batch alternate on views
-        // of one core. Every output must match the reference, the one
-        // queue must balance, and each view must reuse its own buffers:
-        // buffers are allocated per concurrent user, never per request.
+    fn mixed_width_traffic_keeps_scratch_per_view_and_one_ledger() {
+        // u32 permute, u64 run_job and u32 permute_batch alternate on
+        // views of one core. Every output must match the reference, the
+        // one ledger must balance, and each view must reuse its own
+        // buffers: buffers are allocated per concurrent user, never per
+        // request.
         let n = 1 << 10;
         let engine: SharedEngine<u32> = SharedEngine::with_shards(W, 1, DEFAULT_CAPACITY);
         engine.set_gamma_threshold(0.0); // scheduled: every run takes scratch
-        assert!(engine.set_queue_config(DEFAULT_QUEUE_CAPACITY, 2));
         let wide = engine.view::<u64>();
         let p = families::random(n, 91);
         let src32: Vec<u32> = (0..n as u32).map(|v| v ^ 0x5a5a_5a5a).collect();
-        let src64: Arc<[u64]> = (0..n as u64).map(|v| v << 32 | v).collect();
+        let src64: Vec<u64> = (0..n as u64).map(|v| v << 32 | v).collect();
         let mut want64 = vec![0u64; n];
         p.permute(&src64, &mut want64).unwrap();
 
@@ -1407,22 +1193,17 @@ mod tests {
             engine.permute(&p, &src32, &mut dst).unwrap();
             assert_eq!(dst, reference(&p, &src32), "round {round}: u32 permute");
 
-            let report = wide.submit(&p, Arc::clone(&src64), vec![0u64; n]);
-            assert_eq!(
-                report.wait().unwrap().dst,
-                want64,
-                "round {round}: u64 submit"
-            );
+            let mut dst64 = vec![0u64; n];
+            let route = wide.run_job(&p, &src64, &mut dst64).unwrap();
+            assert_eq!(route, Route::Scheduled);
+            assert_eq!(dst64, want64, "round {round}: u64 run_job");
 
-            let shared32: Arc<[u32]> = src32.as_slice().into();
-            let batch =
-                engine.submit_batch(&p, (0..3).map(|_| (Arc::clone(&shared32), vec![0u32; n])));
-            for outcome in batch.wait() {
-                assert_eq!(
-                    outcome.unwrap().dst,
-                    reference(&p, &src32),
-                    "round {round}: u32 batch"
-                );
+            let mut dsts = vec![vec![0u32; n]; 3];
+            engine
+                .permute_batch(&p, dsts.iter_mut().map(|d| (&src32[..], &mut d[..])))
+                .unwrap();
+            for d in &dsts {
+                assert_eq!(d, &reference(&p, &src32), "round {round}: u32 batch");
             }
 
             // No parked buffer is ever dropped and replaced: what a view
@@ -1445,7 +1226,7 @@ mod tests {
         assert!((1..=SCRATCH_POOL_CAP).contains(&wide.pooled_scratch_buffers()));
         let stats = engine.stats();
         assert_eq!(stats.submitted, stats.completed, "{stats:?}");
-        assert_eq!(stats.submitted, 6 * 4, "one queue carries both widths");
+        assert_eq!(stats.submitted, 6, "one ledger counts the u64 jobs");
         assert_eq!(stats.misses, 1, "one plan serves both widths");
     }
 

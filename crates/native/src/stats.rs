@@ -53,28 +53,20 @@ pub struct EngineStats {
     /// requested one (a fingerprint collision). Each reject deletes the
     /// file and falls through to a fresh build.
     pub store_rejects: u64,
-    /// Jobs accepted by [`crate::plan::SharedEngine::submit`] /
-    /// [`crate::plan::SharedEngine::submit_batch`]. Every submitted job
-    /// eventually lands in exactly one of [`EngineStats::completed`] or
-    /// [`EngineStats::cancelled`].
+    /// Jobs started by [`crate::plan::SharedEngine::run_job`], counted
+    /// before the job runs.
     pub submitted: u64,
-    /// Queued jobs resolved by a worker — successfully or with an error
-    /// (failed build, panic, shutdown). `submitted == completed +
-    /// cancelled` once every handle has resolved.
+    /// Jobs [`crate::plan::SharedEngine::run_job`] has finished,
+    /// successfully or with an error (failed build, size mismatch,
+    /// panic). `submitted == completed` whenever no job is running.
     pub completed: u64,
-    /// Queued jobs cancelled (via [`crate::JobHandle::cancel`]) before a worker
-    /// began executing them.
-    pub cancelled: u64,
-    /// Jobs or registrations an admission-control layer refused *before*
-    /// submission (never enqueued, so disjoint from every queue counter).
+    /// Jobs or registrations an admission-control layer refused before
+    /// any job ran (so disjoint from `submitted`).
     /// The engine itself admits everything; front doors with quotas —
     /// the `hmm-server` per-client limits — report their rejections here
     /// via [`crate::plan::SharedEngine::note_admission_reject`] so one snapshot tells
     /// the whole story.
     pub admission_rejects: u64,
-    /// Jobs sitting in the submission queue at snapshot time — a gauge,
-    /// not a counter (in-flight jobs a worker has claimed are excluded).
-    pub queue_depth: u64,
     /// The γ_w scatter/scheduled crossover in effect at snapshot time —
     /// [`crate::plan::DEFAULT_GAMMA_THRESHOLD`] or a
     /// [`crate::plan::SharedEngine::set_gamma_threshold`] override.
@@ -95,9 +87,7 @@ pub struct EngineStats {
 }
 
 /// The engine's live counters, on atomics so `&self` paths can bump them
-/// and `stats()` can snapshot without locking. Shared (via `Arc`) with
-/// job handles and queue workers, so cancellation and completion stay
-/// countable after the engine itself is gone.
+/// and `stats()` can snapshot without locking.
 #[derive(Default)]
 pub(crate) struct AtomicStats {
     pub(crate) hits: AtomicU64,
@@ -114,7 +104,6 @@ pub(crate) struct AtomicStats {
     pub(crate) store_rejects: AtomicU64,
     pub(crate) submitted: AtomicU64,
     pub(crate) completed: AtomicU64,
-    pub(crate) cancelled: AtomicU64,
     pub(crate) admission_rejects: AtomicU64,
 }
 
@@ -122,7 +111,6 @@ impl AtomicStats {
     pub(crate) fn snapshot(
         &self,
         gamma_threshold: f64,
-        queue_depth: u64,
         kernel: KernelConfig,
         backend: &'static str,
     ) -> EngineStats {
@@ -141,9 +129,7 @@ impl AtomicStats {
             store_rejects: self.store_rejects.load(Ordering::Relaxed),
             submitted: self.submitted.load(Ordering::Relaxed),
             completed: self.completed.load(Ordering::Relaxed),
-            cancelled: self.cancelled.load(Ordering::Relaxed),
             admission_rejects: self.admission_rejects.load(Ordering::Relaxed),
-            queue_depth,
             gamma_threshold,
             kernel_stage_bytes: kernel.stage_bytes,
             kernel_simd: kernel.simd,

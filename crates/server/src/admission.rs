@@ -1,11 +1,10 @@
 //! Per-client admission control.
 //!
-//! A session runs one request at a time, and a `PERMUTE` runs on the
-//! session's own thread, so the thread-per-connection cap bounds how
-//! many single jobs run at once; a `PERMUTE_BATCH` goes through the
-//! engine's bounded queue, whose backpressure blocks the submitter when
-//! it fills. What neither can do is stop one greedy session from
-//! claiming a large share of the engine with one request or from
+//! A session runs one request at a time, and every job — a `PERMUTE`,
+//! each member of a `PERMUTE_BATCH` — runs on the session's own thread,
+//! so the thread-per-connection cap bounds how many jobs run at once.
+//! What it cannot do is stop one greedy session from holding its thread
+//! (and a share of the engine) for a long time with one request or from
 //! pinning many plans — so each connection gets two quotas checked
 //! before anything touches the engine:
 //!
@@ -15,15 +14,15 @@
 //!   slot);
 //! * **jobs per request** — caps how many jobs one request may start at
 //!   once (a `PERMUTE` counts 1; a `PERMUTE_BATCH` of `k` payloads
-//!   counts `k`, all of them queued together).
+//!   counts `k`, run one after another).
 //!
 //! Rejections are typed ([`Frame::Err`](crate::proto::Frame::Err) with
 //! [`crate::proto::ErrCode::AdmissionPlans`] /
 //! [`crate::proto::ErrCode::AdmissionInFlight`])
 //! and counted in
 //! [`EngineStats::admission_rejects`](hmm_native::EngineStats::admission_rejects),
-//! so an operator can see quota pressure in the same snapshot as queue
-//! pressure.
+//! so an operator can see quota pressure in the same snapshot as the
+//! job ledger.
 
 use std::fmt;
 
@@ -61,7 +60,7 @@ pub enum AdmissionError {
     },
     /// The request would exceed the jobs-per-request quota.
     InFlight {
-        /// Jobs the request asked to enqueue.
+        /// Jobs the request asked to run.
         requested: usize,
         /// The quota.
         max: usize,

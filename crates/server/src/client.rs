@@ -204,7 +204,7 @@ impl Client {
         })
     }
 
-    /// Apply a registered plan to many payloads in one queue batch;
+    /// Apply a registered plan to many payloads in one request;
     /// outputs come back in request order.
     pub fn permute_batch<T: Elem>(
         &mut self,
@@ -236,7 +236,8 @@ impl Client {
         }
     }
 
-    /// Ask the server to drain: stop accepting, flush the queue, close.
+    /// Ask the server to drain: stop accepting, finish the requests in
+    /// flight, close.
     /// Returns once `DRAIN_OK` arrives (the connection is then dead).
     pub fn drain(&mut self) -> Result<()> {
         match self.roundtrip(&Frame::Drain)? {

@@ -14,9 +14,9 @@
 //!   sealing the checksum as the bytes pass, through a fixed 64 KiB
 //!   staging block. [`write_frame_versioned`] and
 //!   [`Frame::encode_version`] run it over a [`Frame`]'s parts;
-//!   [`write_permute`] and [`write_permuted`] run it straight over a
-//!   typed `&[T]`, converting one chunk at a time, so no frame-sized
-//!   buffer exists on the way out.
+//!   [`write_permute`], [`write_permuted`] and the server's
+//!   `write_permuted_batch` run it straight over typed `&[T]` payloads, converting one chunk at
+//!   a time, so no frame-sized buffer exists on the way out.
 //!
 //! A frame larger than one chunk therefore leaves in several `write`s.
 //! On a socket with Nagle's algorithm on, a small write that follows
@@ -179,11 +179,24 @@ pub fn write_frame_versioned<W: Write>(
     frame: &Frame,
     version: u8,
 ) -> Result<(), ProtoError> {
+    write_body_with(w, version, frame.kind(), frame.body_len(), |fw| {
+        frame.write_body(fw)
+    })
+}
+
+/// Write one frame of `kind` whose `body_len`-byte body `body` writes,
+/// and flush; an oversized body is refused before anything is written.
+fn write_body_with<W: Write>(
+    w: &mut W,
+    version: u8,
+    kind: u8,
+    body_len: usize,
+    body: impl FnOnce(&mut FrameWriter<'_, W>) -> Result<(), ProtoError>,
+) -> Result<(), ProtoError> {
     assert!(speaks(version), "cannot encode protocol version {version}");
-    let body_len = frame.body_len();
     check_body_len(body_len)?;
-    let mut fw = FrameWriter::begin(w, version, frame.kind(), body_len);
-    frame.write_body(&mut fw)?;
+    let mut fw = FrameWriter::begin(w, version, kind, body_len);
+    body(&mut fw)?;
     fw.finish()?;
     w.flush().map_err(io_err("flush frame"))
 }
@@ -196,19 +209,16 @@ fn write_typed<W: Write, T: Elem>(
     handle: Option<u64>,
     elems: &[T],
 ) -> Result<(), ProtoError> {
-    assert!(speaks(version), "cannot encode protocol version {version}");
     let body_len = elems
         .len()
         .saturating_mul(T::WIDTH)
         .saturating_add(if handle.is_some() { 8 } else { 0 });
-    check_body_len(body_len)?;
-    let mut fw = FrameWriter::begin(w, version, kind, body_len);
-    if let Some(handle) = handle {
-        fw.put_u64(handle)?;
-    }
-    fw.put_elems(elems)?;
-    fw.finish()?;
-    w.flush().map_err(io_err("flush frame"))
+    write_body_with(w, version, kind, body_len, |fw| {
+        if let Some(handle) = handle {
+            fw.put_u64(handle)?;
+        }
+        fw.put_elems(elems)
+    })
 }
 
 /// Write a `PERMUTE` of `src` under `handle` at `version` and flush:
@@ -237,6 +247,30 @@ pub fn write_permuted<W: Write, T: Elem>(
     dst: &[T],
 ) -> Result<(), ProtoError> {
     write_typed(w, version, kind::PERMUTED, None, dst)
+}
+
+/// Write a `PERMUTED_BATCH` carrying `outputs` at `version` and flush:
+/// the bytes of [`Frame::PermutedBatch`] with each output's wire bytes
+/// as a payload, converted from the outputs chunk by chunk.
+///
+/// # Panics
+/// Panics if this build does not speak `version`.
+pub(crate) fn write_permuted_batch<W: Write, T: Elem>(
+    w: &mut W,
+    version: u8,
+    outputs: &[Vec<T>],
+) -> Result<(), ProtoError> {
+    let body_len = outputs.iter().fold(4usize, |len, o| {
+        len.saturating_add(o.len().saturating_mul(T::WIDTH).saturating_add(4))
+    });
+    write_body_with(w, version, kind::PERMUTED_BATCH, body_len, |fw| {
+        fw.put_u32(outputs.len() as u32)?;
+        for o in outputs {
+            fw.put_u32((o.len() * T::WIDTH) as u32)?;
+            fw.put_elems(o)?;
+        }
+        Ok(())
+    })
 }
 
 /// The one frame reader: read one complete frame of any version this
@@ -353,8 +387,9 @@ mod tests {
             .collect()
     }
 
-    /// The streamed `PERMUTE`/`PERMUTED` writers emit exactly the bytes of
-    /// the `Frame` encoder and of the longhand layout.
+    /// The streamed `PERMUTE`/`PERMUTED`/`PERMUTED_BATCH` writers emit
+    /// exactly the bytes of the `Frame` encoder and of the longhand
+    /// layout.
     fn check_streamed<T: Elem>(version: u8, handle: u64, elems: &[T], le: impl Fn(T) -> Vec<u8>) {
         let payload: Vec<u8> = elems.iter().flat_map(|&v| le(v)).collect();
         let mut permute_body = handle.to_le_bytes().to_vec();
@@ -381,6 +416,38 @@ mod tests {
         .encode_version(version);
         assert_eq!(streamed, framed, "PERMUTED v{version} n={}", elems.len());
         assert_eq!(streamed, reference_frame(version, kind::PERMUTED, &payload));
+
+        // Batches of zero, one and three members, one of them a prefix.
+        let half = elems.len() / 2;
+        for outputs in [
+            vec![],
+            vec![elems.to_vec()],
+            vec![elems.to_vec(), elems[..half].to_vec(), elems.to_vec()],
+        ] {
+            let payloads: Vec<Vec<u8>> = outputs
+                .iter()
+                .map(|o| payload[..o.len() * T::WIDTH].to_vec())
+                .collect();
+            let mut batch_body = (payloads.len() as u32).to_le_bytes().to_vec();
+            for p in &payloads {
+                batch_body.extend_from_slice(&(p.len() as u32).to_le_bytes());
+                batch_body.extend_from_slice(p);
+            }
+            let mut streamed = Vec::new();
+            write_permuted_batch(&mut streamed, version, &outputs).unwrap();
+            let framed = Frame::PermutedBatch { payloads }.encode_version(version);
+            let ctx = format!(
+                "PERMUTED_BATCH v{version} n={} × {}",
+                elems.len(),
+                outputs.len()
+            );
+            assert_eq!(streamed, framed, "{ctx}");
+            assert_eq!(
+                streamed,
+                reference_frame(version, kind::PERMUTED_BATCH, &batch_body),
+                "{ctx}"
+            );
+        }
     }
 
     const SIZES: [usize; 5] = [0, 1, 7, (8 << 10) + 3, 64 << 10];

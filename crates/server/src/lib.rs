@@ -5,7 +5,7 @@
 //! [`SharedEngine`](hmm_native::SharedEngine) already amortizes it
 //! across threads of one process; this crate is the network front door
 //! that amortizes it across *processes* — the fourth front door beside
-//! the blocking API, the submission queue, and the batch path.
+//! the blocking API, the counted `run_job` path, and the batch path.
 //!
 //! Layering (all `std`, no async runtime — the workspace's
 //! vendored-deps constraint):
@@ -17,14 +17,15 @@
 //!   allocates more than [`proto::MAX_BODY`] on hostile input.
 //! * [`framing`] — streaming frame I/O over `Read`/`Write`: one reader
 //!   into a reused body buffer, one writer that seals and sends a frame
-//!   in fixed chunks, typed `PERMUTE`/`PERMUTED` bodies converted
-//!   straight from `&[T]`.
+//!   in fixed chunks, typed `PERMUTE`/`PERMUTED`/`PERMUTED_BATCH` bodies
+//!   converted straight from `&[T]`.
 //! * [`admission`] — per-session quotas (registered plans, jobs per
 //!   request), checked before anything touches the engine.
 //! * [`server`] — thread-per-connection accept loop; each connection
-//!   gets a private handle namespace. A `PERMUTE` runs on its session's
-//!   thread through the engine's counted, panic-isolated job path; a
-//!   `PERMUTE_BATCH` goes through the engine queue.
+//!   gets a private handle namespace. `PERMUTE` and `PERMUTE_BATCH` run
+//!   on their session's thread through the engine's counted,
+//!   panic-isolated job path, served from the request body and streamed
+//!   back.
 //! * [`client`] — the blocking typed client.
 //!
 //! ```no_run

@@ -361,6 +361,15 @@ pub fn elems_to_bytes<T: Elem>(src: &[T]) -> Vec<u8> {
     out
 }
 
+/// Read `out.len()` elements from `bytes`, which holds exactly
+/// `out.len() × WIDTH` bytes: one pass into a caller's buffer.
+pub(crate) fn get_elems<T: Elem>(bytes: &[u8], out: &mut [T]) {
+    debug_assert_eq!(bytes.len(), out.len() * T::WIDTH);
+    for (v, b) in out.iter_mut().zip(bytes.chunks_exact(T::WIDTH)) {
+        *v = T::read_le(b);
+    }
+}
+
 /// Deserialize wire bytes into a typed payload; `None` if the byte
 /// length is not a multiple of the element width.
 pub fn bytes_to_elems<T: Elem>(bytes: &[u8]) -> Option<Vec<T>> {
@@ -408,11 +417,14 @@ pub struct ServerStats {
     pub store_hits: u64,
     /// Store files discarded as corrupt/colliding.
     pub store_rejects: u64,
-    /// Jobs accepted into the queue.
+    /// Jobs started on the engine (each `PERMUTE`, each batch member).
     pub submitted: u64,
-    /// Jobs that ran to completion (success or worker-side error).
+    /// Jobs that finished, successfully or with an error.
+    /// `submitted == completed` whenever no job is running.
     pub completed: u64,
-    /// Jobs cancelled while queued.
+    /// Always 0: jobs run inline and cannot be cancelled. The field
+    /// keeps the 16-field `STATS_REPORT` layout until a protocol bump
+    /// replaces it.
     pub cancelled: u64,
     /// Requests refused by admission control.
     pub admission_rejects: u64,
@@ -469,7 +481,7 @@ pub enum Frame {
         /// The permuted payload, same length as the request's.
         payload: Vec<u8>,
     },
-    /// Apply a registered plan to many payloads in one queue batch.
+    /// Apply a registered plan to many payloads in one request.
     PermuteBatch {
         /// Handle from [`Frame::Registered`].
         handle: u64,
@@ -485,7 +497,8 @@ pub enum Frame {
     Stats,
     /// Stats snapshot response.
     StatsReport(ServerStats),
-    /// Graceful shutdown: stop accepting, flush the queue, then close.
+    /// Graceful shutdown: stop accepting, finish the requests in flight,
+    /// then close.
     /// Servers honour it only from a loopback peer.
     Drain,
     /// Drain completed; the connection closes after this frame.
@@ -842,9 +855,11 @@ impl Frame {
                 payload: r.rest().to_vec(),
             },
             kind::PERMUTE_BATCH => {
-                let handle = r.u64("batch handle")?;
-                let payloads = decode_payload_list(&mut r)?;
-                Frame::PermuteBatch { handle, payloads }
+                let (handle, payloads) = split_permute_batch(r.rest())?;
+                Frame::PermuteBatch {
+                    handle,
+                    payloads: payloads.into_iter().map(<[u8]>::to_vec).collect(),
+                }
             }
             kind::PERMUTED_BATCH => Frame::PermutedBatch {
                 payloads: decode_payload_list(&mut r)?,
@@ -925,10 +940,22 @@ fn write_payload_list<W: Write>(
     Ok(())
 }
 
-/// Shared grammar of `PERMUTE_BATCH` / `PERMUTED_BATCH` bodies:
-/// `count u32`, then `count × (len u32, bytes)`. The count cap plus the
-/// already-capped body length bound total allocation.
-fn decode_payload_list(r: &mut Reader<'_>) -> Result<Vec<Vec<u8>>, ProtoError> {
+/// Split a `PERMUTE_BATCH` body into its handle and its payloads,
+/// borrowed from the body: the decoder's own grammar, shared with the
+/// server's in-place path.
+pub(crate) fn split_permute_batch(body: &[u8]) -> Result<(u64, Vec<&[u8]>), ProtoError> {
+    let mut r = Reader::new(body);
+    let handle = r.u64("batch handle")?;
+    let payloads = split_payload_list(&mut r)?;
+    r.finish()?;
+    Ok((handle, payloads))
+}
+
+/// The one grammar of `PERMUTE_BATCH` / `PERMUTED_BATCH` payload lists:
+/// `count u32`, then `count × (len u32, bytes)`, each payload borrowed.
+/// The count cap plus the already-capped body length bound what a
+/// decoder allocates.
+fn split_payload_list<'a>(r: &mut Reader<'a>) -> Result<Vec<&'a [u8]>, ProtoError> {
     let count = r.u32("batch count")? as usize;
     if count > MAX_BATCH {
         return Err(ProtoError::Oversized {
@@ -939,7 +966,15 @@ fn decode_payload_list(r: &mut Reader<'_>) -> Result<Vec<Vec<u8>>, ProtoError> {
     let mut payloads = Vec::with_capacity(count);
     for _ in 0..count {
         let len = r.u32("batch payload length")? as usize;
-        payloads.push(r.take(len, "batch payload")?.to_vec());
+        payloads.push(r.take(len, "batch payload")?);
     }
     Ok(payloads)
+}
+
+/// A payload list copied out of its body, for the owned [`Frame`].
+fn decode_payload_list(r: &mut Reader<'_>) -> Result<Vec<Vec<u8>>, ProtoError> {
+    Ok(split_payload_list(r)?
+        .into_iter()
+        .map(<[u8]>::to_vec)
+        .collect())
 }

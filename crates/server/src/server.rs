@@ -13,28 +13,25 @@
 //!   *session*: a private handle namespace mapping `u64` handles to
 //!   registered permutations. Handles never leak across connections,
 //!   and a disconnect releases everything the session registered.
-//! * A `PERMUTE` runs on the session thread: its payload is decoded
-//!   once from the session's reused request body into the source array,
-//!   the job runs through [`SharedEngine::run_job`] — counted in the
-//!   engine's `submitted`/`completed` ledger and panic-isolated exactly
-//!   as a queued job is — and the `PERMUTED` reply is streamed from the
-//!   output in fixed chunks ([`framing`](crate::framing)). The session
-//!   would only block on a queued job's handle, so the queue hop would
-//!   add a handoff and an `Arc` copy and buy nothing.
-//! * A `PERMUTE_BATCH` goes through [`submit_batch`]: its members
-//!   interleave with every other submitter's jobs under the queue's
-//!   backpressure.
+//! * `PERMUTE` and `PERMUTE_BATCH` run on the session thread, served
+//!   from the session's reused request body: each payload is decoded
+//!   once into a source array, each job runs through
+//!   [`SharedEngine::run_job`] (counted in the engine's
+//!   `submitted`/`completed` ledger, panics returned as errors), and the
+//!   `PERMUTED` / `PERMUTED_BATCH` reply is streamed from the outputs in
+//!   fixed chunks ([`framing`](crate::framing)). A batch checks every
+//!   member's size before its first member runs.
 //! * A frame is read *completely* before anything runs, so a client
 //!   dying mid-payload can never strand a job: the partial frame
 //!   surfaces as an I/O error and the handler just reaps the connection.
-//! * `DRAIN` (or [`Server::drain`]) stops the accept loop, waits for
-//!   `submitted == completed + cancelled` on the engine, then answers
-//!   `DRAIN_OK` and closes. Over the wire it is honoured only from a
-//!   loopback peer; any other peer gets a typed `ERR unsupported` and
-//!   its session keeps serving.
+//! * Every request but `DRAIN` counts as in flight from before its
+//!   `draining` check until its reply is written. `DRAIN` (or
+//!   [`Server::drain`]) stops the accept loop, waits until no request is
+//!   in flight, then answers `DRAIN_OK` and closes. Over the wire it is
+//!   honoured only from a loopback peer; any other peer gets a typed
+//!   `ERR unsupported` and its session keeps serving.
 //!
 //! [`SharedEngine::run_job`]: hmm_native::SharedEngine::run_job
-//! [`submit_batch`]: hmm_native::SharedEngine::submit_batch
 
 use std::collections::HashMap;
 use std::fmt;
@@ -42,7 +39,7 @@ use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -51,10 +48,12 @@ use hmm_perm::{Bmmc, Permutation};
 use hmm_plan::{fnv1a_update, FNV_OFFSET, FNV_PRIME};
 
 use crate::admission::AdmissionConfig;
-use crate::framing::{read_frame_into, shed, write_frame, write_frame_versioned, write_permuted};
+use crate::framing::{
+    read_frame_into, shed, write_frame, write_frame_versioned, write_permuted, write_permuted_batch,
+};
 use crate::proto::{
-    bytes_to_elems, elems_to_bytes, kind, split_permute, Elem, ErrCode, Frame, PermRepr,
-    ProtoError, ServerStats, MAX_BMMC_BITS, PROTOCOL_VERSION,
+    bytes_to_elems, get_elems, kind, split_permute, split_permute_batch, Elem, ErrCode, Frame,
+    PermRepr, ProtoError, ServerStats, MAX_BMMC_BITS, PROTOCOL_VERSION,
 };
 
 /// Server construction / runtime errors.
@@ -98,7 +97,9 @@ pub struct ServerConfig {
     /// typed `ERR idle-timeout` before the close and counted in
     /// [`ServerStats::idle_disconnects`]. A client trickling bytes
     /// mid-frame slower than this is reaped too — the timeout bounds
-    /// how long a handler thread can be held by one silent peer.
+    /// how long a handler thread can be held by one silent peer. It
+    /// also bounds each reply write, so a peer that stops reading its
+    /// reply is dropped after it, and holds a drain no longer.
     pub idle_timeout: Option<Duration>,
     /// Global cap on concurrently live connections. An accept past the
     /// cap is answered with a typed `ERR busy` and closed immediately,
@@ -131,6 +132,10 @@ struct Shared {
     idle_timeout: Option<Duration>,
     max_connections: usize,
     draining: AtomicBool,
+    /// Requests being served, each counted before its `draining` check
+    /// and released once its reply is written: what a drain waits for.
+    in_flight: Mutex<usize>,
+    in_flight_cv: Condvar,
     drained: Mutex<bool>,
     drained_cv: Condvar,
     registered_plans: AtomicU64,
@@ -153,7 +158,7 @@ impl Shared {
             store_rejects: e.store_rejects,
             submitted: e.submitted,
             completed: e.completed,
-            cancelled: e.cancelled,
+            cancelled: 0,
             admission_rejects: e.admission_rejects,
             idle_disconnects: self.idle_disconnects.load(Ordering::Relaxed),
             conn_rejects: self.conn_rejects.load(Ordering::Relaxed),
@@ -163,13 +168,24 @@ impl Shared {
         }
     }
 
-    /// Stop accepting, then block until the engine queue has fully
-    /// flushed (`submitted == completed + cancelled`). Idempotent; safe
-    /// to call from a handler thread (it joins the *accept* thread, not
-    /// itself). Does NOT signal [`Server::wait_drained`] — callers do
-    /// that via [`Shared::mark_drained`] once any pending `DRAIN_OK`
-    /// reply is on the wire, so a `serve` process cannot exit between
-    /// the flush and the acknowledgement.
+    /// Count a request in flight until the returned guard drops. Take it
+    /// before the request's `draining` check: a drain that finds no
+    /// request in flight then knows every later one sees `draining`.
+    fn begin_request(&self) -> InFlight<'_> {
+        *self
+            .in_flight
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) += 1;
+        InFlight(self)
+    }
+
+    /// Stop accepting, then block until no request is in flight.
+    /// Idempotent; safe to call from a handler thread that holds no
+    /// [`InFlight`] guard (it joins the *accept* thread, not itself).
+    /// Does NOT signal [`Server::wait_drained`] — callers do that via
+    /// [`Shared::mark_drained`] once any pending `DRAIN_OK` reply is on
+    /// the wire, so a `serve` process cannot exit between the flush and
+    /// the acknowledgement.
     fn flush_for_drain(&self) {
         self.draining.store(true, Ordering::SeqCst);
         // The accept thread is parked in `accept()`; a throwaway
@@ -183,7 +199,16 @@ impl Shared {
         {
             let _ = handle.join();
         }
-        self.engine.drain();
+        let mut in_flight = self
+            .in_flight
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        while *in_flight > 0 {
+            in_flight = self
+                .in_flight_cv
+                .wait(in_flight)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
     }
 
     /// Wake [`Server::wait_drained`] waiters. Only call after
@@ -195,6 +220,23 @@ impl Shared {
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         *done = true;
         self.drained_cv.notify_all();
+    }
+}
+
+/// One request in flight on a session; see [`Shared::begin_request`].
+struct InFlight<'a>(&'a Shared);
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        let mut in_flight = self
+            .0
+            .in_flight
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        *in_flight -= 1;
+        if *in_flight == 0 {
+            self.0.in_flight_cv.notify_all();
+        }
     }
 }
 
@@ -243,6 +285,8 @@ impl Server {
             idle_timeout: config.idle_timeout,
             max_connections: config.max_connections.max(1),
             draining: AtomicBool::new(false),
+            in_flight: Mutex::new(0),
+            in_flight_cv: Condvar::new(),
             drained: Mutex::new(false),
             drained_cv: Condvar::new(),
             registered_plans: AtomicU64::new(0),
@@ -273,8 +317,9 @@ impl Server {
         self.shared.stats()
     }
 
-    /// Graceful shutdown: stop accepting, flush the queue, then
-    /// return. Equivalent to a client sending `DRAIN`.
+    /// Graceful shutdown: stop accepting, wait for the requests in
+    /// flight to be answered, then return. Equivalent to a client
+    /// sending `DRAIN`.
     pub fn drain(&self) {
         self.shared.flush_for_drain();
         self.shared.mark_drained();
@@ -381,10 +426,12 @@ fn drain_allowed(peer: SocketAddr) -> bool {
 ///
 /// The socket gets `TCP_NODELAY`, because a reply leaves in several
 /// writes (see [`framing`](crate::framing)) and would otherwise wait
-/// out the client's delayed ACK, and the idle read timeout (best
-/// effort, as a zero timeout is refused), which surfaces from
-/// `read_frame_into` as an I/O error with `WouldBlock`/`TimedOut`
-/// (platform-dependent which).
+/// out the client's delayed ACK, and the idle timeout as its read and
+/// write timeouts (best effort, as a zero timeout is refused). A
+/// tripped read timeout surfaces from `read_frame_into` as an I/O error
+/// with `WouldBlock`/`TimedOut` (platform-dependent which); a tripped
+/// write timeout fails the reply, which ends the session and releases
+/// its in-flight request.
 fn session_streams(
     stream: TcpStream,
     idle_timeout: Option<Duration>,
@@ -392,6 +439,7 @@ fn session_streams(
     stream.set_nodelay(true)?;
     if let Some(t) = idle_timeout {
         let _ = stream.set_read_timeout(Some(t));
+        let _ = stream.set_write_timeout(Some(t));
     }
     Ok((BufReader::new(stream.try_clone()?), stream))
 }
@@ -463,8 +511,13 @@ fn session_loop(shared: Arc<Shared>, stream: TcpStream) {
             }
         };
 
+        // Held until the reply is written. A DRAIN takes none: it waits
+        // for every other request's.
+        let _request = (kind != kind::DRAIN).then(|| shared.begin_request());
         let written = if kind == kind::PERMUTE {
             serve_permute(&shared, &session, &body, version, &mut writer)
+        } else if kind == kind::PERMUTE_BATCH {
+            serve_batch(&shared, &session, &body, version, &mut writer)
         } else {
             match Frame::decode_body(kind, &body) {
                 // DRAIN is special-cased so the `DRAIN_OK` is flushed to
@@ -518,11 +571,8 @@ fn respond(shared: &Shared, session: &mut Session, frame: Frame, version: u8) ->
             elem_width,
             perm,
         } => register(shared, session, fingerprint, version, n, elem_width, perm),
-        // A PERMUTE never gets here: `session_loop` serves it from its
-        // raw body (`serve_permute`) without decoding it into a `Frame`.
-        Frame::PermuteBatch { handle, payloads } => {
-            permute_batch(shared, session, handle, payloads)
-        }
+        // PERMUTE and PERMUTE_BATCH never get here: `session_loop` serves
+        // them from their raw bodies without decoding them into `Frame`s.
         Frame::Stats => Frame::StatsReport(shared.stats()),
         // A loopback peer's DRAIN is handled in `session_loop`
         // (reply-ordering constraint); anyone else's is refused.
@@ -667,9 +717,8 @@ fn admit<'s>(
 
 /// Serve one `PERMUTE` straight from its checked body: decode the
 /// payload into the source, run the job on this session thread
-/// ([`SharedEngine::run_job`]: counted, panic-isolated, drained like a
-/// queued job), and stream the `PERMUTED` reply from the output. The
-/// caller waits for the job anyway, so the queue hop would buy nothing.
+/// ([`SharedEngine::run_job`]: counted, panic-isolated), and stream the
+/// `PERMUTED` reply from the output.
 fn serve_permute<W: Write>(
     shared: &Shared,
     session: &Session,
@@ -699,10 +748,10 @@ fn permute_inline<T: Elem, W: Write>(
     version: u8,
     w: &mut W,
 ) -> Result<(), ProtoError> {
-    let src = match decode_payload::<T>(perm.len(), 0, payload) {
-        Ok(src) => src,
-        Err((code, msg)) => return write_frame_versioned(w, &err(code, msg), version),
-    };
+    if let Err((code, msg)) = check_payload::<T>(perm.len(), 0, payload) {
+        return write_frame_versioned(w, &err(code, msg), version);
+    }
+    let src = bytes_to_elems::<T>(payload).expect("length checked above");
     let mut dst = vec![T::default(); perm.len()];
     let outcome = engine.run_job(perm, &src, &mut dst);
     // One payload-sized buffer fewer while the reply is written.
@@ -716,30 +765,69 @@ fn permute_inline<T: Elem, W: Write>(
     }
 }
 
-/// Serve a `PERMUTE_BATCH`: its members go through the engine's
-/// submission queue as one batch.
-fn permute_batch(shared: &Shared, session: &Session, handle: u64, payloads: Vec<Vec<u8>>) -> Frame {
+/// Serve a `PERMUTE_BATCH` straight from its checked body, as
+/// [`serve_permute`] serves one payload: every member's size is checked
+/// before any member runs, then each member is decoded into one reused
+/// source and run through [`SharedEngine::run_job`], and the
+/// `PERMUTED_BATCH` reply is streamed from the outputs.
+fn serve_batch<W: Write>(
+    shared: &Shared,
+    session: &Session,
+    body: &[u8],
+    version: u8,
+    w: &mut W,
+) -> Result<(), ProtoError> {
+    let (handle, payloads) = match split_permute_batch(body) {
+        Ok(parts) => parts,
+        Err(e) => return write_frame_versioned(w, &malformed(&e), version),
+    };
     let registered = match admit(shared, session, handle, payloads.len()) {
         Ok(r) => r,
-        Err((code, msg)) => return err(code, msg),
+        Err((code, msg)) => return write_frame_versioned(w, &err(code, msg), version),
     };
-    let outcome = if registered.elem_width == 4 {
-        run_jobs::<u32>(&shared.engine, &registered.perm, payloads)
+    if registered.elem_width == 4 {
+        batch_inline::<u32, W>(&shared.engine, &registered.perm, &payloads, version, w)
     } else {
-        run_jobs::<u64>(&shared.engine_u64, &registered.perm, payloads)
-    };
-    match outcome {
-        Ok(payloads) => Frame::PermutedBatch { payloads },
-        Err((code, msg)) => err(code, msg),
+        batch_inline::<u64, W>(&shared.engine_u64, &registered.perm, &payloads, version, w)
     }
+}
+
+fn batch_inline<T: Elem, W: Write>(
+    engine: &SharedEngine<T>,
+    perm: &Permutation,
+    payloads: &[&[u8]],
+    version: u8,
+    w: &mut W,
+) -> Result<(), ProtoError> {
+    let n = perm.len();
+    let checked: Result<(), _> = payloads
+        .iter()
+        .enumerate()
+        .try_for_each(|(i, bytes)| check_payload::<T>(n, i, bytes));
+    if let Err((code, msg)) = checked {
+        return write_frame_versioned(w, &err(code, msg), version);
+    }
+    let mut src = vec![T::default(); n];
+    let mut outputs = Vec::with_capacity(payloads.len());
+    for bytes in payloads {
+        get_elems(bytes, &mut src);
+        let mut dst = vec![T::default(); n];
+        if let Err(e) = engine.run_job(perm, &src, &mut dst) {
+            let (code, msg) = job_err(e);
+            return write_frame_versioned(w, &err(code, msg), version);
+        }
+        outputs.push(dst);
+    }
+    drop(src);
+    write_permuted_batch(w, version, &outputs)
 }
 
 fn job_err(e: JobError) -> (ErrCode, String) {
     (ErrCode::Plan, format!("job failed: {e}"))
 }
 
-/// Payload `i` of a request as the plan's source, or the size refusal.
-fn decode_payload<T: Elem>(n: usize, i: usize, bytes: &[u8]) -> Result<Vec<T>, (ErrCode, String)> {
+/// Refuse payload `i` of a request unless it holds exactly `n` elements.
+fn check_payload<T: Elem>(n: usize, i: usize, bytes: &[u8]) -> Result<(), (ErrCode, String)> {
     if bytes.len() != n * T::WIDTH {
         return Err((
             ErrCode::SizeMismatch,
@@ -752,29 +840,7 @@ fn decode_payload<T: Elem>(n: usize, i: usize, bytes: &[u8]) -> Result<Vec<T>, (
             ),
         ));
     }
-    Ok(bytes_to_elems::<T>(bytes).expect("length checked above"))
-}
-
-/// Decode a batch's payloads, submit them to the engine's queue as one
-/// batch, and re-encode the outputs, so a batch's members interleave
-/// with every other submitter's jobs under the queue's backpressure.
-fn run_jobs<T: Elem>(
-    engine: &SharedEngine<T>,
-    perm: &Permutation,
-    payloads: Vec<Vec<u8>>,
-) -> Result<Vec<Vec<u8>>, (ErrCode, String)> {
-    let n = perm.len();
-    let mut jobs: Vec<(Arc<[T]>, Vec<T>)> = Vec::with_capacity(payloads.len());
-    for (i, bytes) in payloads.iter().enumerate() {
-        let src = decode_payload::<T>(n, i, bytes)?;
-        jobs.push((Arc::from(src), vec![T::default(); n]));
-    }
-    let reports = engine.submit_batch(perm, jobs).wait();
-    let mut outputs = Vec::with_capacity(reports.len());
-    for report in reports {
-        outputs.push(elems_to_bytes(&report.map_err(job_err)?.dst));
-    }
-    Ok(outputs)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -859,7 +925,8 @@ mod tests {
     }
 
     /// Both ends of a session's socket, as `session_loop` sets it up,
-    /// run with `TCP_NODELAY`.
+    /// run with `TCP_NODELAY` and the idle timeout as read and write
+    /// timeouts.
     #[test]
     fn session_sockets_are_nodelay() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -873,9 +940,52 @@ mod tests {
         assert!(reader.get_ref().nodelay().unwrap());
         assert!(writer.nodelay().unwrap());
         assert_eq!(writer.read_timeout().unwrap(), Some(Duration::from_secs(5)));
+        assert_eq!(
+            writer.write_timeout().unwrap(),
+            Some(Duration::from_secs(5))
+        );
+    }
+
+    /// A drain waits for a request counted in flight before it began,
+    /// and a request counted after the flip is refused as draining.
+    #[test]
+    fn drain_waits_for_requests_in_flight() {
+        let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+        let shared = &*server.shared;
+        let session = Session {
+            plans: HashMap::new(),
+            next_handle: 1,
+        };
+        let early = shared.begin_request();
+        let flushed = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                shared.flush_for_drain();
+                flushed.store(true, Ordering::SeqCst);
+            });
+            while !shared.draining.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            let late = shared.begin_request();
+            assert!(matches!(
+                admit(shared, &session, 1, 1),
+                Err((ErrCode::Draining, _))
+            ));
+            drop(late);
+            std::thread::sleep(Duration::from_millis(20));
+            assert!(
+                !flushed.load(Ordering::SeqCst),
+                "drain finished with a request in flight"
+            );
+            drop(early);
+        });
+        assert!(flushed.load(Ordering::SeqCst));
     }
 
     static PANIC_ARMED: AtomicBool = AtomicBool::new(false);
+    /// Held by each test that arms [`PANIC_ARMED`], so one test's
+    /// injected panics never land in another's registrations.
+    static PANIC_TESTS: Mutex<()> = Mutex::new(());
 
     fn fingerprint_or_panic(p: &Permutation) -> u64 {
         if PANIC_ARMED.load(Ordering::SeqCst) {
@@ -885,10 +995,11 @@ mod tests {
     }
 
     /// A job that panics on the session thread is answered with a typed
-    /// `ERR plan` carrying the panic message, counted like a queued job,
-    /// and the same connection keeps serving.
+    /// `ERR plan` carrying the panic message, counted in the ledger, and
+    /// the same connection keeps serving.
     #[test]
     fn a_panicking_inline_job_is_a_typed_error_and_the_session_survives() {
+        let _serial = PANIC_TESTS.lock().unwrap_or_else(PoisonError::into_inner);
         let mut engine: SharedEngine<u32> = SharedEngine::new(32);
         engine.set_fingerprint_fn(fingerprint_or_panic);
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -918,13 +1029,54 @@ mod tests {
         PANIC_ARMED.store(false, Ordering::SeqCst);
         let stats = client.stats().unwrap();
         assert_eq!(stats.submitted, 4, "{stats:?}");
-        assert_eq!(
-            stats.submitted,
-            stats.completed + stats.cancelled,
-            "{stats:?}"
-        );
+        assert_eq!(stats.submitted, stats.completed, "{stats:?}");
         let out = client.permute(&h32, &src32).unwrap();
         assert_eq!(out[p.apply(5)], src32[5]);
+    }
+
+    /// A `PERMUTE_BATCH` whose first member panics is answered with one
+    /// typed `ERR plan` at either width, no later member runs, and the
+    /// session serves its next batch.
+    #[test]
+    fn a_panicking_batch_is_a_typed_error_and_the_session_survives() {
+        let _serial = PANIC_TESTS.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut engine: SharedEngine<u32> = SharedEngine::new(32);
+        engine.set_fingerprint_fn(fingerprint_or_panic);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let server = Server::start(listener, engine, &ServerConfig::default()).unwrap();
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        let n = 1 << 10;
+        let p = families::random(n, 10);
+        let h32 = client.register::<u32>(&p).unwrap();
+        let h64 = client.register::<u64>(&p).unwrap();
+        let srcs32: Vec<Vec<u32>> = (0..3).map(|k| (k..n as u32 + k).collect()).collect();
+        let srcs64: Vec<Vec<u64>> = (0..3).map(|k| (k..n as u64 + k).collect()).collect();
+        PANIC_ARMED.store(true, Ordering::SeqCst);
+        let refusals = [
+            client.permute_batch(&h32, &srcs32).map(drop),
+            client.permute_batch(&h64, &srcs64).map(drop),
+        ];
+        PANIC_ARMED.store(false, Ordering::SeqCst);
+        for refusal in refusals {
+            match refusal {
+                Err(crate::ClientError::Server { code, message }) => {
+                    assert_eq!(code, ErrCode::Plan, "{message}");
+                    assert!(message.contains("injected fingerprint panic"), "{message}");
+                }
+                other => panic!("expected ERR plan, got {other:?}"),
+            }
+        }
+        let stats = client.stats().unwrap();
+        assert_eq!(stats.submitted, 2, "one member per batch ran: {stats:?}");
+        assert_eq!(stats.submitted, stats.completed, "{stats:?}");
+        let outs = client.permute_batch(&h32, &srcs32).unwrap();
+        for (src, out) in srcs32.iter().zip(&outs) {
+            let mut want = vec![0u32; n];
+            p.permute(src, &mut want).unwrap();
+            assert_eq!(out, &want);
+        }
+        let stats = client.stats().unwrap();
+        assert_eq!((stats.submitted, stats.completed), (5, 5), "{stats:?}");
     }
 
     /// A registration keeps the cached plan's own permutation, so two

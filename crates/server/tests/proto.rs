@@ -163,7 +163,7 @@ fn trailing_bytes_are_rejected() {
 }
 
 // ---------------------------------------------------------------------------
-// Bounded allocation: length prefixes cannot drive memory use
+// Allocation bounds: length prefixes cannot drive memory use
 // ---------------------------------------------------------------------------
 
 /// A reader that serves a fixed prefix and then *panics* — proof the

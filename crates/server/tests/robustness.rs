@@ -2,8 +2,7 @@
 //! hostile bytes on a live socket, slow readers, `DRAIN` racing an
 //! in-flight batch or racing inline `PERMUTE`s, and admission
 //! rejections — each pinned against the engine-stats ledger
-//! (`submitted == completed + cancelled`) so a leaked queue slot cannot
-//! hide — plus a config the engine cannot build, refused by
+//! (`submitted == completed`) so a job left running cannot hide — plus a config the engine cannot build, refused by
 //! `Server::bind` with an error instead of a panic.
 
 use std::io::{Read, Write};
@@ -49,7 +48,7 @@ fn wait_for(server: &Server, pred: impl Fn(&ServerStats) -> bool) -> ServerStats
 }
 
 fn ledger_balanced(s: &ServerStats) -> bool {
-    s.submitted == s.completed + s.cancelled
+    s.submitted == s.completed
 }
 
 #[test]
@@ -84,7 +83,7 @@ fn disconnect_mid_payload_leaks_nothing() {
     let after = wait_for(&server, |s| s.active_clients == 1 && ledger_balanced(s));
     assert_eq!(
         after.submitted, before.submitted,
-        "a half-received frame must never reach the queue"
+        "a half-received frame must never reach the engine"
     );
 
     // The engine still serves the well-behaved client.
@@ -200,52 +199,70 @@ fn slow_reader_pipelined_requests_all_complete() {
     assert!(ledger_balanced(&stats), "ledger unbalanced: {stats:?}");
 }
 
+/// A `DRAIN` racing a 48-member batch: the batch is either refused as
+/// `Draining` or completes in full, and the server's stats taken the
+/// moment the drain is acknowledged already agree — `DRAIN_OK` never
+/// goes out while a member is still to run. Round 0 sends the drain at
+/// once, racing the batch to the server; round 1 sends it once the
+/// batch's first member has started.
 #[test]
 fn drain_during_in_flight_batch_flushes_then_acks() {
-    let server = server();
-    let n = 1 << 14;
+    const MEMBERS: usize = 48;
+    let n = 1 << 16;
     let p = families::random(n, 99);
-    let addr = server.local_addr();
-
-    let mut client_a = Client::connect(addr).unwrap();
-    let h = client_a.register::<u32>(&p).unwrap();
-    let srcs: Vec<Vec<u32>> = (0..48)
+    let srcs: Vec<Vec<u32>> = (0..MEMBERS as u32)
         .map(|k| (0..n as u32).map(|v| v.wrapping_add(k)).collect())
         .collect();
+    let mut expect = vec![0u32; n];
+    p.permute(&srcs[0], &mut expect).unwrap();
 
-    // Client A fires a 48-payload batch; client B drains concurrently.
-    let batch_thread = std::thread::spawn(move || client_a.permute_batch(&h, &srcs));
-    let drain_thread = std::thread::spawn(move || {
-        let mut client_b = Client::connect(addr).unwrap();
-        client_b.drain()
-    });
+    for round in 0..2 {
+        let server = server();
+        let addr = server.local_addr();
+        let mut client_a = Client::connect(addr).unwrap();
+        let h = client_a.register::<u32>(&p).unwrap();
 
-    let batch = batch_thread.join().unwrap();
-    drain_thread.join().unwrap().unwrap();
-    server.wait_drained();
+        let (batch, at_drain) = std::thread::scope(|s| {
+            let batch = s.spawn(|| client_a.permute_batch(&h, &srcs));
+            let drain = s.spawn(|| {
+                if round == 1 {
+                    let deadline = Instant::now() + Duration::from_secs(10);
+                    while server.stats().submitted == 0 {
+                        assert!(Instant::now() < deadline, "the batch never started");
+                        std::thread::sleep(Duration::from_micros(200));
+                    }
+                }
+                Client::connect(addr).unwrap().drain().unwrap();
+                server.stats()
+            });
+            (batch.join().unwrap(), drain.join().unwrap())
+        });
+        server.wait_drained();
 
-    // Every batch member either completed (drain flushed it) — the only
-    // acceptable alternative would be a typed Draining refusal if DRAIN
-    // won the race to the dispatcher. A hang or a dropped member is a
-    // failure either way.
-    match batch {
-        Ok(outputs) => {
-            assert_eq!(outputs.len(), 48);
-            let mut expect = vec![0u32; n];
-            let src0: Vec<u32> = (0..n as u32).collect();
-            p.permute(&src0, &mut expect).unwrap();
-            assert_eq!(outputs[0], expect);
+        // A hang or a dropped member is a failure either way.
+        let ran = match batch {
+            Ok(outputs) => {
+                assert_eq!(outputs.len(), MEMBERS, "round {round}");
+                assert_eq!(outputs[0], expect, "round {round}");
+                MEMBERS as u64
+            }
+            Err(ClientError::Server { code, .. }) => {
+                assert_eq!(code, ErrCode::Draining, "round {round}");
+                0
+            }
+            Err(other) => panic!("round {round}: batch neither completed nor refused: {other}"),
+        };
+        if round == 1 {
+            assert_eq!(ran, MEMBERS as u64, "a started batch must finish");
         }
-        Err(ClientError::Server { code, .. }) => assert_eq!(code, ErrCode::Draining),
-        Err(other) => panic!("batch neither completed nor typed-refused: {other}"),
+        assert!(at_drain.draining);
+        assert_eq!(
+            (at_drain.submitted, at_drain.completed),
+            (ran, ran),
+            "round {round}: DRAIN_OK went out with the batch partly done: {at_drain:?}"
+        );
+        assert!(ledger_balanced(&server.stats()));
     }
-
-    let stats = server.stats();
-    assert!(stats.draining);
-    assert!(
-        ledger_balanced(&stats),
-        "drain left the ledger unbalanced: {stats:?}"
-    );
 }
 
 #[test]
@@ -534,6 +551,90 @@ fn short_permute_body_is_malformed_and_the_session_keeps_serving() {
     );
 }
 
+/// Hostile `PERMUTE_BATCH` bodies, each in a checksummed frame: cut
+/// short at every field, with a trailing byte, and with a count past
+/// `MAX_BATCH`. The session answers each with `ERR malformed` carrying
+/// exactly the diagnosis `Frame::decode` gives the same bytes (the
+/// server splits a batch with the decoder's own grammar), runs no job,
+/// and then serves a valid batch on the same connection.
+#[test]
+fn malformed_batch_bodies_get_the_decoders_error_and_the_session_keeps_serving() {
+    let server = server();
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    let mut reader = raw.try_clone().unwrap();
+    let n = 1 << 10;
+    let p = families::random(n, 18);
+    write_frame(
+        &mut raw,
+        &Frame::Register {
+            fingerprint: p.fingerprint(),
+            n: n as u64,
+            elem_width: 4,
+            perm: PermRepr::Index(p.as_slice().iter().map(|&d| d as u32).collect()),
+        },
+    )
+    .unwrap();
+    let Frame::Registered { handle } = read_frame(&mut reader).unwrap() else {
+        panic!("registration refused");
+    };
+    let srcs: Vec<Vec<u32>> = (0..2u32)
+        .map(|k| (0..n as u32).map(|v| v ^ k).collect())
+        .collect();
+    let valid = Frame::PermuteBatch {
+        handle,
+        payloads: srcs.iter().map(|s| elems_to_bytes(s)).collect(),
+    }
+    .encode();
+    let body = &valid[10..valid.len() - 8];
+
+    // handle | count | len0 payload0 | len1 payload1
+    let first_payload = 8 + 4 + 4;
+    let mut hostile: Vec<Vec<u8>> = [5, 8, 10, 12, 14, first_payload + 3, body.len() - 1]
+        .iter()
+        .map(|&cut| body[..cut].to_vec())
+        .collect();
+    let mut trailing = body.to_vec();
+    trailing.push(0);
+    hostile.push(trailing);
+    let mut too_many = body[..8].to_vec();
+    too_many.extend_from_slice(&(hmm_server::MAX_BATCH as u32 + 1).to_le_bytes());
+    hostile.push(too_many);
+
+    for body in &hostile {
+        // A v2 frame written longhand: header, body, checksum.
+        let mut bytes = b"HMMS".to_vec();
+        bytes.extend_from_slice(&[2, hmm_server::proto::kind::PERMUTE_BATCH]);
+        bytes.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(body);
+        let sum = hmm_perm::hash::hash_bytes(&bytes);
+        bytes.extend_from_slice(&sum.to_le_bytes());
+        let decoded = Frame::decode(&bytes).unwrap_err();
+        raw.write_all(&bytes).unwrap();
+        match read_frame(&mut reader).unwrap() {
+            Frame::Err { code, message } => {
+                assert_eq!(code, ErrCode::Malformed, "{} bytes", body.len());
+                assert_eq!(message, decoded.to_string(), "{} bytes", body.len());
+            }
+            other => panic!("expected ERR, got {}", other.kind_name()),
+        }
+    }
+    assert_eq!(
+        server.stats().submitted,
+        0,
+        "no member of a malformed batch ran"
+    );
+
+    raw.write_all(&valid).unwrap();
+    let Frame::PermutedBatch { payloads } = read_frame(&mut reader).unwrap() else {
+        panic!("the valid batch was refused");
+    };
+    for (src, out) in srcs.iter().zip(&payloads) {
+        let mut want = vec![0u32; n];
+        p.permute(src, &mut want).unwrap();
+        assert_eq!(out, &elems_to_bytes(&want));
+    }
+}
+
 /// Two clients loop single `PERMUTE`s (each run on its session thread)
 /// while a third drains: every reply is the right output or a typed
 /// `Draining`, the drain is acknowledged, and once the clients are done
@@ -578,8 +679,8 @@ fn inline_permutes_racing_a_drain_are_correct_or_draining() {
         assert!(Instant::now() < deadline, "clients never got going");
         std::thread::sleep(Duration::from_millis(1));
     }
-    let mut drainer = Client::connect(addr).unwrap();
-    drainer.drain().unwrap();
+    let mut drain_client = Client::connect(addr).unwrap();
+    drain_client.drain().unwrap();
     server.wait_drained();
     for l in loops {
         l.join().unwrap();

@@ -3,8 +3,8 @@
 //! The paper defines offline permutation as `b[P[i]] = a[i]` (equivalently
 //! `b[i] = a[P⁻¹[i]]`); this suite pins all three engine entry points —
 //! blocking [`SharedEngine::permute`], blocking
-//! [`SharedEngine::permute_batch`], and asynchronous
-//! [`SharedEngine::submit`] — against a naive index-loop reference that
+//! [`SharedEngine::permute_batch`], and the counted job path
+//! [`SharedEngine::run_job`] — against a naive index-loop reference that
 //! shares no code with the permutation layer, the plan builder, or the
 //! backends. Coverage is the cross product of:
 //!
@@ -32,7 +32,6 @@
 
 use hmm_native::{forced_engine, Backend, KernelConfig, Route, SharedEngine};
 use hmm_perm::{families, Permutation};
-use std::sync::Arc;
 
 const W: usize = 32;
 
@@ -181,17 +180,11 @@ fn check_cell<T: Elem>(
         );
     }
 
-    // Front door 3: queued submit.
-    let shared: Arc<[T]> = src.clone().into();
-    let report = engine
-        .submit(p, Arc::clone(&shared), vec![T::default(); n])
-        .wait()
-        .unwrap();
-    assert_eq!(report.route, route, "{ctx}: queued job ran off-route");
-    assert_eq!(
-        report.dst, want,
-        "{ctx}: submit diverged from naive reference"
-    );
+    // Front door 3: a counted job.
+    let mut dst = vec![T::default(); n];
+    let ran = engine.run_job(p, &src, &mut dst).unwrap();
+    assert_eq!(ran, route, "{ctx}: job ran off-route");
+    assert_eq!(dst, want, "{ctx}: run_job diverged from naive reference");
 }
 
 /// Full family × size sweep for one route at every `(backend, kernel

@@ -15,9 +15,9 @@
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
 
-use hmm_native::SharedEngine;
+use hmm_native::{Route, SharedEngine};
 use hmm_perm::{families, Permutation};
-use hmm_server::{Client, Elem, PlanHandle};
+use hmm_server::{Client, ClientError, Elem, ErrCode, PlanHandle};
 
 const W: usize = 32;
 
@@ -184,6 +184,76 @@ fn batch_path_matches_naive_over_tcp() {
     for (k, (src, out)) in srcs.iter().zip(&outs).enumerate() {
         assert_eq!(out, &naive_reference(&p, src), "batch member {k}");
     }
+    server.drain_and_wait();
+}
+
+/// One target of the batch differential: a batch of four members equals
+/// the same members sent as single `PERMUTE`s and the naive reference;
+/// an empty batch gets an empty reply; a batch with one short member is
+/// refused with one typed `SizeMismatch` before any member runs.
+fn check_batch<T: Elem + From<u32>>(client: &mut Client, name: &str, p: &Permutation) {
+    let n = p.len();
+    let h = client.register::<T>(p).unwrap();
+    let srcs: Vec<Vec<T>> = (0..4u32)
+        .map(|k| {
+            (0..n as u32)
+                .map(|v| T::from(v.wrapping_mul(2 * k + 1) ^ k))
+                .collect()
+        })
+        .collect();
+    let outs = client.permute_batch(&h, &srcs).unwrap();
+    assert_eq!(outs.len(), srcs.len(), "{name}");
+    for (k, (src, out)) in srcs.iter().zip(&outs).enumerate() {
+        let single = client.permute(&h, src).unwrap();
+        assert_eq!(out, &single, "{name}: batch member {k} vs PERMUTE");
+        assert_eq!(out, &naive_reference(p, src), "{name}: batch member {k}");
+    }
+
+    assert_eq!(
+        client.permute_batch::<T>(&h, &[]).unwrap(),
+        Vec::<Vec<T>>::new(),
+        "{name}: empty batch"
+    );
+
+    let before = client.stats().unwrap();
+    let mut bad = srcs.clone();
+    bad[2].pop();
+    match client.permute_batch(&h, &bad) {
+        Err(ClientError::Server { code, message }) => {
+            assert_eq!(code, ErrCode::SizeMismatch, "{name}: {message}");
+            assert!(message.contains("payload 2"), "{name}: {message}");
+        }
+        other => panic!("{name}: expected SizeMismatch, got {other:?}"),
+    }
+    let after = client.stats().unwrap();
+    assert_eq!(
+        (after.submitted, after.completed),
+        (before.submitted, before.completed),
+        "{name}: a refused batch runs no member"
+    );
+}
+
+/// Batch differential over TCP at u32 and u64, on one scatter-route and
+/// one scheduled-route target.
+#[test]
+fn batch_matches_single_permutes_and_naive_at_both_widths() {
+    let server = ServerProc::spawn(&[]);
+    let mut client = server.client();
+    let n = 1 << 12;
+    let engine: SharedEngine<u32> = SharedEngine::new(W);
+    for (name, p, route) in [
+        ("identity", families::identical(n), Route::Scatter),
+        ("random", families::random(n, 0xba7c), Route::Scheduled),
+    ] {
+        // The server's engine has the same width and γ threshold.
+        assert_eq!(engine.plan(&p).unwrap().route(), route, "{name}");
+        check_batch::<u32>(&mut client, name, &p);
+        check_batch::<u64>(&mut client, name, &p);
+    }
+    let stats = client.stats().unwrap();
+    // Per target and width: 4 batch members and 4 single PERMUTEs.
+    assert_eq!(stats.submitted, 2 * 2 * 8, "{stats:?}");
+    assert_eq!(stats.submitted, stats.completed, "{stats:?}");
     server.drain_and_wait();
 }
 

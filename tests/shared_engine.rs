@@ -4,10 +4,9 @@
 //! collisions injected through the test seam, batch dispatch through
 //! the worker pool under external contention, the on-disk tier-2
 //! plan store (cold-process reuse, corruption and collision rejection),
-//! and the queued submission layer (backpressure without deadlock,
-//! worker-side failures resolving handles instead of hanging them,
-//! cancellation, and batch/single interleaving), and views of one engine
-//! core at other element types sharing its cache.
+//! jobs run inline through `run_job` (many submitters on one ledger,
+//! build errors and panics returned as typed errors), and views of one
+//! engine core at other element types sharing its cache.
 
 use hmm_native::plan::DEFAULT_CAPACITY;
 use hmm_native::pool::WorkerPool;
@@ -415,56 +414,47 @@ fn worker_pool_serves_concurrent_external_dispatchers() {
 }
 
 // ---------------------------------------------------------------------------
-// Queued submission layer
+// Inline jobs
 // ---------------------------------------------------------------------------
 
-/// The queued acceptance stress test: 8 submitter threads hammer one
-/// engine through a bounded queue of capacity **4**, so `submit` spends
-/// most of its life blocked on backpressure while only 2 drainers make
-/// room. The test proves the backpressure path cannot deadlock, every
-/// handle resolves, every output is reference-equal, and the queue
-/// counters balance exactly.
+/// The inline-job stress test: 8 submitter threads run `run_job` on one
+/// engine over mixed permutations (scatter and scheduled) at once. Every
+/// output is reference-equal, every job reports its plan's route, and
+/// the ledger counts each job once.
 #[test]
-fn queued_stress_eight_submitters_bounded_queue_of_four() {
+fn inline_stress_eight_submitters_mixed_permutations() {
     const THREADS: usize = 8;
     const JOBS_PER_THREAD: usize = 16;
     let n = 1 << 11;
     let engine: SharedEngine<u32> = SharedEngine::new(W);
-    assert!(
-        engine.set_queue_config(4, 2),
-        "config must land before the queue spins up"
-    );
     let perms: Vec<Permutation> = vec![
         families::identical(n),             // scatter
         families::random(n, 41),            // scheduled
         families::bit_reversal(n).unwrap(), // scheduled
     ];
     let src: Vec<u32> = (0..n as u32).map(|v| v.wrapping_mul(0x9e37_79b9)).collect();
-    let shared: Arc<[u32]> = src.clone().into();
     let refs: Vec<Vec<u32>> = perms.iter().map(|p| reference(p, &src)).collect();
+    let routes: Vec<Route> = perms
+        .iter()
+        .map(|p| engine.plan(p).unwrap().route())
+        .collect();
+    assert_eq!(routes, [Route::Scatter, Route::Scheduled, Route::Scheduled]);
 
     let barrier = Barrier::new(THREADS);
     std::thread::scope(|s| {
         for t in 0..THREADS {
-            let engine = &engine;
-            let perms = &perms;
-            let refs = &refs;
-            let shared = &shared;
-            let barrier = &barrier;
+            let (engine, perms, refs, routes, src, barrier) =
+                (&engine, &perms, &refs, &routes, &src, &barrier);
             s.spawn(move || {
-                barrier.wait(); // all 8 hit the 4-slot queue at once
-                let handles: Vec<_> = (0..JOBS_PER_THREAD)
-                    .map(|j| {
-                        let k = (t + j) % perms.len();
-                        (
-                            k,
-                            engine.submit(&perms[k], Arc::clone(shared), vec![0u32; n]),
-                        )
-                    })
-                    .collect();
-                for (k, h) in handles {
-                    let report = h.wait().expect("no job may fail or hang");
-                    assert_eq!(report.dst, refs[k], "thread {t} perm {k}");
+                barrier.wait(); // all 8 start at once
+                let mut dst = vec![0u32; n];
+                for j in 0..JOBS_PER_THREAD {
+                    let k = (t + j) % perms.len();
+                    let route = engine
+                        .run_job(&perms[k], src, &mut dst)
+                        .expect("no job may fail");
+                    assert_eq!(route, routes[k], "thread {t} perm {k}");
+                    assert_eq!(dst, refs[k], "thread {t} perm {k}");
                 }
             });
         }
@@ -472,71 +462,19 @@ fn queued_stress_eight_submitters_bounded_queue_of_four() {
 
     let stats = engine.stats();
     let total = (THREADS * JOBS_PER_THREAD) as u64;
-    assert_eq!(engine.queue_capacity(), 4);
     assert_eq!(stats.submitted, total);
     assert_eq!(stats.completed, total);
-    assert_eq!(stats.cancelled, 0);
-    assert_eq!(stats.submitted, stats.completed + stats.cancelled);
-    assert_eq!(stats.queue_depth, 0, "every job was drained");
+    assert_eq!(stats.misses, 3, "one plan per permutation");
 }
 
-/// A worker-side **panic** during plan resolution (injected through the
-/// fingerprint seam) must resolve the handle with
-/// [`JobError::Panicked`] — never hang the waiter, never kill the
-/// drainer: a job submitted afterwards still fails cleanly too.
+/// `run_job` is `permute` with a ledger and typed errors: for the same
+/// job it writes what `permute` writes and reports the plan's route; a
+/// size mismatch and a build error come back as [`JobError::Plan`]
+/// (the build error equal to the blocking path's), and a panic as
+/// [`JobError::Panicked`] with its message while the engine keeps
+/// serving. Every job, failed ones too, counts once in the ledger.
 #[test]
-fn queued_build_panic_resolves_handle_with_error() {
-    let n = 1 << 10;
-    let mut engine: SharedEngine<u32> = SharedEngine::new(W);
-    engine.set_fingerprint_fn(|_| panic!("injected fingerprint panic"));
-    let p = families::random(n, 51);
-    let src: Vec<u32> = (0..n as u32).collect();
-
-    for round in 0..2 {
-        let handle = engine.submit(&p, src.clone(), vec![0u32; n]);
-        match handle.wait() {
-            Err(JobError::Panicked(msg)) => {
-                assert!(
-                    msg.contains("injected fingerprint panic"),
-                    "round {round}: panic message must survive: {msg}"
-                )
-            }
-            other => panic!("round {round}: expected Panicked, got {other:?}"),
-        }
-    }
-    let stats = engine.stats();
-    assert_eq!(stats.submitted, 2);
-    assert_eq!(stats.completed, 2, "failed jobs still count as completed");
-}
-
-/// A worker-side plan **build error** (scheduled backend forced onto an
-/// unschedulable n) must resolve the handle with [`JobError::Plan`],
-/// not hang — the queued twin of `plan()` returning `Err`.
-#[test]
-fn queued_build_error_resolves_handle_with_plan_error() {
-    let n = 100; // no r·c = 100 with both multiples of W = 32
-    let engine: SharedEngine<u32> = SharedEngine::new(W);
-    engine.set_gamma_threshold(0.0); // force the scheduled backend
-    let p = families::random(n, 61);
-    let src: Vec<u32> = (0..n as u32).collect();
-
-    let handle = engine.submit(&p, src, vec![0u32; n]);
-    let queued_err = match handle.wait() {
-        Err(JobError::Plan(e)) => e,
-        other => panic!("expected Plan(_), got {other:?}"),
-    };
-    // The blocking path fails with the *same* error: the queue adds no
-    // new failure mode and hides no existing one.
-    let blocking_err = engine.plan(&p).expect_err("n = 100 is unschedulable");
-    assert_eq!(queued_err, blocking_err);
-}
-
-/// `run_job` is the queued job run on the calling thread: for the same
-/// job it returns what `submit(..).wait()` resolves to (output and
-/// route, or the same build error, size mismatch or panic message), and
-/// it counts in the same ledger.
-#[test]
-fn inline_jobs_match_queued_jobs_and_share_their_ledger() {
+fn run_job_matches_permute_and_shares_its_ledger() {
     let engine: SharedEngine<u32> = SharedEngine::new(W);
     for (k, n) in [(0u64, 1usize << 10), (1, 1 << 12)] {
         for p in [
@@ -544,37 +482,38 @@ fn inline_jobs_match_queued_jobs_and_share_their_ledger() {
             families::bit_reversal(n).unwrap(),
         ] {
             let src: Vec<u32> = (0..n as u32).map(|v| v.wrapping_mul(0x9e37)).collect();
-            let queued = engine
-                .submit(&p, src.clone(), vec![0u32; n])
-                .wait()
-                .unwrap();
+            let mut blocking = vec![0u32; n];
+            engine.permute(&p, &src, &mut blocking).unwrap();
             let mut dst = vec![0u32; n];
             let route = engine.run_job(&p, &src, &mut dst).unwrap();
-            assert_eq!(dst, queued.dst);
-            assert_eq!(route, queued.route);
+            assert_eq!(dst, blocking);
+            assert_eq!(route, engine.plan(&p).unwrap().route());
         }
     }
-    // A size mismatch is the queued path's immediate resolution.
     let p = families::random(1 << 10, 3);
     let src = vec![0u32; 1 << 10];
-    let queued = engine.submit(&p, src.clone(), vec![0u32; 7]).wait();
-    let inline = engine.run_job(&p, &src, &mut [0u32; 7]);
-    assert_eq!(inline.unwrap_err(), queued.unwrap_err());
+    let mismatch = engine.run_job(&p, &src, &mut [0u32; 7]);
+    assert_eq!(
+        mismatch,
+        Err(JobError::Plan(hmm_plan::PlanError::SizeMismatch {
+            expected: 1 << 10,
+            got: 7
+        }))
+    );
     let stats = engine.stats();
-    assert_eq!(stats.submitted, 10, "{stats:?}");
-    assert_eq!(stats.submitted, stats.completed + stats.cancelled);
+    assert_eq!(stats.submitted, 5, "{stats:?}");
+    assert_eq!(stats.submitted, stats.completed);
 
     // A build error is the blocking path's error.
     let unschedulable: SharedEngine<u32> = SharedEngine::new(W);
     unschedulable.set_gamma_threshold(0.0);
-    let p = families::random(100, 61);
+    let p = families::random(100, 61); // no r·c = 100 with both multiples of W
     let src: Vec<u32> = (0..100).collect();
-    let queued = unschedulable
-        .submit(&p, src.clone(), vec![0u32; 100])
-        .wait();
     let inline = unschedulable.run_job(&p, &src, &mut [0u32; 100]);
-    assert!(matches!(inline, Err(JobError::Plan(_))), "{inline:?}");
-    assert_eq!(inline.unwrap_err(), queued.unwrap_err());
+    let blocking = unschedulable
+        .plan(&p)
+        .expect_err("n = 100 is unschedulable");
+    assert_eq!(inline, Err(JobError::Plan(blocking)));
 
     // A panic is caught, keeps its message, and the engine keeps serving.
     let mut panicky: SharedEngine<u32> = SharedEngine::new(W);
@@ -591,98 +530,6 @@ fn inline_jobs_match_queued_jobs_and_share_their_ledger() {
     }
     let stats = panicky.stats();
     assert_eq!((stats.submitted, stats.completed), (2, 2), "{stats:?}");
-    panicky.drain();
-}
-
-/// Deterministic cancellation: a slow fingerprint stalls the single
-/// drainer on job A, so job B is still queued when we cancel it. B's
-/// handle must resolve `Err(Cancelled)` immediately (before A finishes),
-/// A must complete normally, and the counters must balance.
-#[test]
-fn queued_cancel_before_start_resolves_cancelled() {
-    let n = 1 << 10;
-    let mut engine: SharedEngine<u32> = SharedEngine::new(W);
-    engine.set_fingerprint_fn(|p| {
-        std::thread::sleep(std::time::Duration::from_millis(200));
-        p.as_slice()[0] as u64 ^ p.len() as u64
-    });
-    assert!(engine.set_queue_config(4, 1), "one drainer, so A blocks B");
-    let p = families::random(n, 71);
-    let src: Vec<u32> = (0..n as u32).collect();
-    let want = reference(&p, &src);
-
-    let a = engine.submit(&p, src.clone(), vec![0u32; n]);
-    let b = engine.submit(&p, src.clone(), vec![0u32; n]);
-    assert!(b.cancel(), "B has not started: cancellation must win");
-    assert!(!b.cancel(), "second cancel reports it lost");
-    assert_eq!(b.wait(), Err(JobError::Cancelled));
-
-    assert_eq!(
-        a.wait().expect("A unaffected by B's cancellation").dst,
-        want
-    );
-    let stats = engine.stats();
-    assert_eq!(stats.submitted, 2);
-    assert_eq!(stats.completed, 1);
-    assert_eq!(stats.cancelled, 1);
-}
-
-/// `submit_batch` members ride the same queue as everyone else's jobs:
-/// two batch submitters and one single-job submitter interleave on one
-/// engine, and every handle on both sides resolves reference-equal.
-#[test]
-fn queued_batches_interleave_with_single_submitters() {
-    const BATCHERS: usize = 2;
-    const BATCH: usize = 8;
-    const SINGLES: usize = 24;
-    let n = 1 << 11;
-    let engine: SharedEngine<u32> = SharedEngine::new(W);
-    assert!(engine.set_queue_config(4, 2));
-    let p = families::random(n, 81);
-    let src: Vec<u32> = (0..n as u32).map(|v| v.wrapping_mul(0x9e37_79b9)).collect();
-    let shared: Arc<[u32]> = src.clone().into();
-    let want = reference(&p, &src);
-
-    let barrier = Barrier::new(BATCHERS + 1);
-    std::thread::scope(|s| {
-        for _ in 0..BATCHERS {
-            let engine = &engine;
-            let p = &p;
-            let shared = &shared;
-            let want = &want;
-            let barrier = &barrier;
-            s.spawn(move || {
-                barrier.wait();
-                let jobs = (0..BATCH).map(|_| (Arc::clone(shared), vec![0u32; n]));
-                for outcome in engine.submit_batch(p, jobs).wait() {
-                    assert_eq!(&outcome.expect("batch member failed").dst, want);
-                }
-            });
-        }
-        let engine = &engine;
-        let p = &p;
-        let shared = &shared;
-        let want = &want;
-        let barrier = &barrier;
-        s.spawn(move || {
-            barrier.wait();
-            let handles: Vec<_> = (0..SINGLES)
-                .map(|_| engine.submit(p, Arc::clone(shared), vec![0u32; n]))
-                .collect();
-            for h in handles {
-                assert_eq!(&h.wait().expect("single job failed").dst, want);
-            }
-        });
-    });
-
-    let stats = engine.stats();
-    let total = (BATCHERS * BATCH + SINGLES) as u64;
-    assert_eq!(
-        stats.submitted, total,
-        "batch members route through the queue"
-    );
-    assert_eq!(stats.completed, total);
-    assert_eq!(stats.misses, 1, "one König coloring serves all submitters");
 }
 
 /// Permute `src` through `engine` and demand the reference output.
@@ -868,8 +715,8 @@ fn forced_collisions_between_deep_copies_use_the_full_compare() {
 }
 
 /// The memoized fingerprint does not bypass the `set_fingerprint_fn`
-/// seam: the engine calls it once per request — blocking or queued, miss
-/// or hit, same object or copy.
+/// seam: the engine calls it once per request — blocking or `run_job`,
+/// miss or hit, same object or copy.
 #[test]
 fn fingerprint_seam_runs_once_per_request() {
     static CALLS: AtomicUsize = AtomicUsize::new(0);
@@ -886,11 +733,9 @@ fn fingerprint_seam_runs_once_per_request() {
     permute_checked(&engine, &p.clone(), &src, "clone");
     permute_checked(&engine, &deep_copy(&p), &src, "deep copy");
     assert_eq!(CALLS.load(Ordering::Relaxed), 4);
-    let report = engine
-        .submit(&p, src.clone(), vec![0u32; n])
-        .wait()
-        .unwrap();
-    assert_eq!(report.dst, reference(&p, &src));
+    let mut dst = vec![0u32; n];
+    engine.run_job(&p, &src, &mut dst).unwrap();
+    assert_eq!(dst, reference(&p, &src));
     assert_eq!(CALLS.load(Ordering::Relaxed), 5);
     let s = engine.stats();
     assert_eq!((s.misses, s.hits), (1, 4));
