@@ -20,7 +20,7 @@
 use crate::config::KernelConfig;
 use crate::sweep::{BufferId, IndexSource, SweepIr, SweepKernel, SweepStep};
 use hmm_perm::Permutation;
-use hmm_plan::{PlanIr, Result};
+use hmm_plan::PlanIr;
 
 /// A prepared scheduled plan: the lowered program plus the config it was
 /// lowered under.
@@ -31,14 +31,12 @@ pub struct InterpExec {
 }
 
 impl InterpExec {
-    /// Validate `ir` (a corrupt IR is a typed error, never executed) and
-    /// lower it under `config`.
-    pub fn new(ir: &PlanIr, config: KernelConfig) -> Result<Self> {
-        ir.validate()?;
-        Ok(InterpExec {
+    /// Lower `ir` under `config`.
+    pub fn new(ir: &PlanIr, config: KernelConfig) -> Self {
+        InterpExec {
             ir: SweepIr::lower(ir, &config),
             config,
-        })
+        }
     }
 
     /// The lowered program this executable interprets — the seam the
@@ -209,7 +207,7 @@ mod tests {
 
     fn run_scheduled(p: &Permutation, cfg: KernelConfig) -> Vec<u32> {
         let ir = PlanIr::build(p, 32).unwrap();
-        let exec = InterpExec::new(&ir, cfg).unwrap();
+        let exec = InterpExec::new(&ir, cfg);
         let n = p.len();
         let src: Vec<u32> = (0..n as u32).collect();
         let mut dst = vec![0u32; n];
@@ -266,7 +264,7 @@ mod tests {
     fn computed_index_executions_really_lower_map_free() {
         let p = families::bit_reversal(1 << 12).unwrap();
         let ir = PlanIr::build(&p, 32).unwrap();
-        let exec = InterpExec::new(&ir, KernelConfig::default()).unwrap();
+        let exec = InterpExec::new(&ir, KernelConfig::default());
         assert!(exec.sweep_ir().affine().is_some(), "descriptors carried");
         for which in [
             crate::sweep::GatherMap::G1,

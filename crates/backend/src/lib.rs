@@ -10,7 +10,7 @@
 //!    [`hmm_plan::PlanIr`]), and [`Route`] names its two arms. The
 //!    backend registry itself lives in `hmm-native`, a closed enum over
 //!    the native executors and this crate's interpreter.
-//! 2. **Sweep-kernel IR** — [`SweepIr`] lowers a validated `PlanIr` +
+//! 2. **Sweep-kernel IR** — [`SweepIr`] lowers a `PlanIr` +
 //!    its pass layouts into five steps of three kernel kinds
 //!    ([`SweepKernel`]: row-local gather, tiled transpose with an
 //!    explicit bank-offset pad, row permute) over four logical buffers

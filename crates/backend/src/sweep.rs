@@ -1,6 +1,6 @@
 //! The sweep-kernel IR — layer 2 of the backend split.
 //!
-//! [`SweepIr::lower`] turns a validated [`PlanIr`] plus a
+//! [`SweepIr::lower`] turns a [`PlanIr`] plus a
 //! [`KernelConfig`] into an explicit five-step program over four logical
 //! buffers. The steps are the *unfused* form of the paper's three-pass
 //! schedule (the form the seed executed, and the form a GPU executes as
@@ -36,6 +36,7 @@
 
 use crate::config::KernelConfig;
 use hmm_plan::{AffineStep, PlanIr};
+use std::sync::Arc;
 
 /// Smallest tile side the lowering will emit. A degenerate configured
 /// tile (0 or 1) would turn the tiled transpose into a scalar loop with
@@ -142,19 +143,25 @@ pub enum IndexSource<'a> {
 }
 
 /// A lowered sweep program: five [`SweepStep`]s plus the index data the
-/// gather steps reference — owned copies of the three materialized maps
-/// and, for structured plans lowered under a computed-index config, the
-/// three affine descriptors (in which case the map copies are elided:
-/// the program carries O(log² n) bytes of index data instead of O(n)).
+/// gather steps reference — either the plan's three materialized maps,
+/// shared with it, or, for structured plans lowered under a
+/// computed-index config, the three affine descriptors (the program then
+/// carries O(log² n) bytes of index data instead of O(n)).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepIr {
     rows: usize,
     cols: usize,
     steps: [SweepStep; 5],
-    g1: Vec<u32>,
-    g2: Vec<u32>,
-    g3: Vec<u32>,
-    affine: Option<[AffineStep; 3]>,
+    index: Index,
+}
+
+/// The index data of a [`SweepIr`]: one form or the other, never both.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Index {
+    /// The plan's gather maps (`PlanIr::gathers`), order `g1, g2, g3`.
+    Maps([Arc<[u32]>; 3]),
+    /// The plan's verified affine descriptors, order `g1, g2, g3`.
+    Affine([AffineStep; 3]),
 }
 
 impl SweepIr {
@@ -162,23 +169,20 @@ impl SweepIr {
     /// becomes the transpose tile side, clamped to at least
     /// [`MIN_TILE`]; the bank pad is always [`BANK_PAD`].
     ///
-    /// The plan is *not* re-validated here — lowering is pure structure.
-    /// Backends validate (`PlanIr::validate`) in `prepare` before
-    /// lowering, so a corrupt IR is rejected with a typed error rather
-    /// than lowered into a program that would gather out of bounds.
+    /// Lowering is pure structure: a [`PlanIr`] holds its contract by
+    /// construction, so the program gathers in bounds without a check.
     ///
     /// When the plan carries affine descriptors and
-    /// `config.computed_index` is set, the map copies are elided and the
-    /// gather steps resolve to [`IndexSource::Affine`]; otherwise the
-    /// maps are copied and the steps resolve to
+    /// `config.computed_index` is set, the gather steps resolve to
+    /// [`IndexSource::Affine`] and the maps are left out; otherwise the
+    /// program shares the plan's maps and the steps resolve to
     /// [`IndexSource::Materialized`].
     pub fn lower(ir: &PlanIr, config: &KernelConfig) -> Self {
         let shape = ir.shape();
         let (r, c) = (shape.rows, shape.cols);
-        let affine = if config.computed_index {
-            ir.affine().cloned()
-        } else {
-            None
+        let index = match ir.affine() {
+            Some(steps) if config.computed_index => Index::Affine(steps.clone()),
+            _ => Index::Maps(ir.gathers().clone()),
         };
         let tile = config.tile.max(MIN_TILE);
         let transpose = SweepKernel::TiledTranspose {
@@ -221,22 +225,7 @@ impl SweepIr {
                     Output,
                 ),
             ],
-            g1: if affine.is_some() {
-                Vec::new()
-            } else {
-                ir.gather1().to_vec()
-            },
-            g2: if affine.is_some() {
-                Vec::new()
-            } else {
-                ir.gather2().to_vec()
-            },
-            g3: if affine.is_some() {
-                Vec::new()
-            } else {
-                ir.gather3().to_vec()
-            },
-            affine,
+            index,
         }
     }
 
@@ -267,13 +256,12 @@ impl SweepIr {
 
     /// Resolve a [`GatherMap`] name to the materialized map's data.
     /// Empty when the program was lowered computed-index (the maps were
-    /// elided) — consumers that execute either form go through
+    /// left out) — consumers that execute either form go through
     /// [`SweepIr::index_source`] instead.
     pub fn map(&self, which: GatherMap) -> &[u32] {
-        match which {
-            GatherMap::G1 => &self.g1,
-            GatherMap::G2 => &self.g2,
-            GatherMap::G3 => &self.g3,
+        match self.index_source(which) {
+            IndexSource::Materialized(map) => map,
+            IndexSource::Affine(_) => &[],
         }
     }
 
@@ -281,20 +269,20 @@ impl SweepIr {
     /// the affine descriptor when lowered computed-index, the
     /// materialized map otherwise.
     pub fn index_source(&self, which: GatherMap) -> IndexSource<'_> {
-        match &self.affine {
-            Some(steps) => IndexSource::Affine(match which {
-                GatherMap::G1 => &steps[0],
-                GatherMap::G2 => &steps[1],
-                GatherMap::G3 => &steps[2],
-            }),
-            None => IndexSource::Materialized(self.map(which)),
+        let pass = which as usize; // G1, G2, G3 are passes 0, 1, 2
+        match &self.index {
+            Index::Maps(maps) => IndexSource::Materialized(&maps[pass]),
+            Index::Affine(steps) => IndexSource::Affine(&steps[pass]),
         }
     }
 
     /// The affine descriptors the program carries, if it was lowered
     /// computed-index from a structured plan (order `g1, g2, g3`).
     pub fn affine(&self) -> Option<&[AffineStep; 3]> {
-        self.affine.as_ref()
+        match &self.index {
+            Index::Affine(steps) => Some(steps),
+            Index::Maps(_) => None,
+        }
     }
 
     /// The transpose tile side the program was lowered with.
@@ -402,11 +390,10 @@ mod tests {
         // and each descriptor reproduces the plan's gather exactly.
         let computed = SweepIr::lower(&ir, &KernelConfig::default());
         assert!(computed.affine().is_some());
-        for (which, gather) in [
-            (GatherMap::G1, ir.gather1()),
-            (GatherMap::G2, ir.gather2()),
-            (GatherMap::G3, ir.gather3()),
-        ] {
+        for (which, gather) in [GatherMap::G1, GatherMap::G2, GatherMap::G3]
+            .into_iter()
+            .zip(ir.gathers())
+        {
             assert!(computed.map(which).is_empty(), "map copies are elided");
             match computed.index_source(which) {
                 IndexSource::Affine(step) => assert!(step.matches_map(gather)),
@@ -454,7 +441,7 @@ mod tests {
         assert_eq!(lowered.map(GatherMap::G2).len(), n);
         assert_eq!(lowered.map(GatherMap::G3).len(), n);
         // The same lowering is what the `interp` backend executes.
-        let exec = crate::InterpExec::new(&ir, KernelConfig::default()).unwrap();
+        let exec = crate::InterpExec::new(&ir, KernelConfig::default());
         assert_eq!(exec.sweep_ir(), &lowered);
         assert_eq!(exec.scratch_len(), 2 * n, "interp needs two scratch arrays");
     }

@@ -440,7 +440,7 @@ mod tests {
             })
             .collect();
         assert!(!terms.is_empty());
-        for (i, &want) in plan.gather1().iter().enumerate() {
+        for (i, &want) in plan.gathers()[0].iter().enumerate() {
             let mut v = offset;
             for &(m, b) in &terms {
                 v ^= m * ((i as u32 >> b) & 1);

@@ -108,8 +108,8 @@ pub fn sweeps(sizes: &[usize], reps: usize) -> Result<Vec<SweepRow>> {
     for &n in sizes {
         let p = hmm_perm::families::random(n, 5);
         let ir = hmm_plan::PlanIr::build_par(&p, W, worker_threads())?;
-        let on = NativeScheduled::from_plan_with(&ir, KernelConfig::default())?;
-        let off = NativeScheduled::from_plan_with(&ir, KernelConfig::scalar())?;
+        let on = NativeScheduled::from_plan_with(&ir, KernelConfig::default());
+        let off = NativeScheduled::from_plan_with(&ir, KernelConfig::scalar());
         let src: Vec<u32> = (0..n as u32).collect();
         let mut dst = vec![0u32; n];
         // The engine's scratch rule: a window starting on a cache line.
@@ -342,14 +342,14 @@ pub fn computed_index(sizes: &[usize], reps: usize) -> Result<Vec<ComputedRow>> 
                 ir.affine().is_some(),
                 "{family} n={n}: structured plan must carry affine descriptors"
             );
-            let on = NativeScheduled::from_plan_with(&ir, KernelConfig::default())?;
+            let on = NativeScheduled::from_plan_with(&ir, KernelConfig::default());
             let off = NativeScheduled::from_plan_with(
                 &ir,
                 KernelConfig {
                     computed_index: false,
                     ..KernelConfig::default()
                 },
-            )?;
+            );
             assert!(on.computed_index() && !off.computed_index());
             let src: Vec<u32> = (0..n as u32).map(|v| v.wrapping_mul(0x9e37_79b9)).collect();
             let mut want = vec![0u32; n];
@@ -530,7 +530,7 @@ pub fn backends(sizes: &[usize], reps: usize) -> Result<Vec<BackendRow>> {
         p.permute(&src, &mut want).expect("reference permute");
         for backend in Backend::ALL {
             let name = backend.name();
-            let exec = backend.prepare(ExecPlan::Scheduled(&ir), KernelConfig::default())?;
+            let exec = backend.prepare(ExecPlan::Scheduled(&ir), KernelConfig::default());
             let mut dst = vec![0u32; n];
             let mut scratch = ScratchBuf::new(exec.scratch_len());
             exec.run(&src, &mut dst, &mut scratch);

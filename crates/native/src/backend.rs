@@ -19,7 +19,6 @@ use crate::scatter::scatter_permute;
 use crate::scheduled::NativeScheduled;
 use hmm_backend::{serial_scatter, ExecPlan, InterpExec, KernelConfig, Route};
 use hmm_perm::Permutation;
-use hmm_plan::Result;
 
 /// A registered execution backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,20 +45,22 @@ impl Backend {
         }
     }
 
-    /// Compile `plan` into an executable under `config`. Scheduled plans
-    /// are validated first: a corrupt IR is a typed error here, never a
-    /// mis-gather at run time.
-    pub fn prepare(self, plan: ExecPlan<'_>, config: KernelConfig) -> Result<Executable> {
-        Ok(match (self, plan) {
+    /// Compile `plan` into an executable under `config`. Scheduled
+    /// executables share the plan's gather maps, which a [`PlanIr`]
+    /// holds valid by construction, so preparing cannot fail.
+    ///
+    /// [`PlanIr`]: hmm_plan::PlanIr
+    pub fn prepare(self, plan: ExecPlan<'_>, config: KernelConfig) -> Executable {
+        match (self, plan) {
             (Backend::Native, ExecPlan::Scatter(p)) => Executable::NativeScatter(p.clone()),
             (Backend::Interp, ExecPlan::Scatter(p)) => Executable::InterpScatter(p.clone()),
             (Backend::Native, ExecPlan::Scheduled(ir)) => {
-                Executable::Native(NativeScheduled::from_plan_with(ir, config)?)
+                Executable::Native(NativeScheduled::from_plan_with(ir, config))
             }
             (Backend::Interp, ExecPlan::Scheduled(ir)) => {
-                Executable::Interp(InterpExec::new(ir, config)?)
+                Executable::Interp(InterpExec::new(ir, config))
             }
-        })
+        }
     }
 }
 
@@ -194,18 +195,14 @@ mod tests {
         p.permute(&src, &mut want).unwrap();
 
         let backend = Backend::Native;
-        let scatter = backend
-            .prepare(ExecPlan::Scatter(&p), KernelConfig::default())
-            .unwrap();
+        let scatter = backend.prepare(ExecPlan::Scatter(&p), KernelConfig::default());
         let mut dst = vec![0u32; n];
         scatter.run(&src, &mut dst, &mut []);
         assert_eq!(dst, want);
         assert_eq!(scatter.scratch_len(), 0);
 
         let ir = PlanIr::build(&p, 32).unwrap();
-        let sched = backend
-            .prepare(ExecPlan::Scheduled(&ir), KernelConfig::default())
-            .unwrap();
+        let sched = backend.prepare(ExecPlan::Scheduled(&ir), KernelConfig::default());
         let mut scratch = vec![0u32; sched.scratch_len()];
         dst.fill(0);
         sched.run(&src, &mut dst, &mut scratch);

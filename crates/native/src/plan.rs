@@ -124,13 +124,13 @@ pub(crate) struct Plan {
 
 impl Plan {
     /// Prepare the single scattered pass of `p`.
-    fn scatter(backend: Backend, p: &Permutation, gamma: f64) -> Result<Self> {
-        Ok(Plan {
+    fn scatter(backend: Backend, p: &Permutation, gamma: f64) -> Self {
+        Plan {
             gamma,
             // Scatter executables read no kernel config.
-            exec: backend.prepare(ExecPlan::Scatter(p), KernelConfig::default())?,
+            exec: backend.prepare(ExecPlan::Scatter(p), KernelConfig::default()),
             permutation: p.clone(),
-        })
+        }
     }
 
     /// Prepare a scheduled plan for this IR — no König coloring happens
@@ -143,12 +143,12 @@ impl Plan {
         ir: &PlanIr,
         config: KernelConfig,
         permutation: Permutation,
-    ) -> Result<Self> {
-        Ok(Plan {
+    ) -> Self {
+        Plan {
             gamma: ir.gamma(),
-            exec: backend.prepare(ExecPlan::Scheduled(ir), config)?,
+            exec: backend.prepare(ExecPlan::Scheduled(ir), config),
             permutation,
-        })
+        }
     }
 }
 
@@ -176,14 +176,15 @@ impl<T> PermutePlan<T> {
     /// Wrap an already-built backend-neutral [`PlanIr`] as a scheduled
     /// plan on the native backend with an explicit kernel
     /// config — no König coloring happens here, and no cache is touched.
-    /// Fails with a typed error when the IR violates its contract
-    /// (`PlanIr::validate`). The plan's [`permutation`] is recomposed
-    /// from the IR's own three passes.
+    /// The plan's [`permutation`] is recomposed from the IR's own three
+    /// passes. It does not fail: a [`PlanIr`] holds its contract by
+    /// construction, and the `Result` is the signature callers already
+    /// propagate.
     ///
     /// [`permutation`]: PermutePlan::permutation
     pub fn from_ir_with(ir: &PlanIr, config: KernelConfig) -> Result<Self> {
         Ok(PermutePlan {
-            plan: Plan::scheduled(Backend::Native, ir, config, ir.recompose())?,
+            plan: Plan::scheduled(Backend::Native, ir, config, ir.recompose()),
             _elem: PhantomData,
         })
     }
@@ -361,7 +362,7 @@ impl EngineCore {
     pub(crate) fn construct_plan(&self, p: &Permutation, fingerprint: u64) -> Result<Plan> {
         let gamma = distribution(p, self.width);
         if gamma <= self.gamma_threshold() {
-            return Plan::scatter(self.backend, p, gamma);
+            return Ok(Plan::scatter(self.backend, p, gamma));
         }
         if let Some(store) = &self.store {
             let key = StoreKey {
@@ -373,7 +374,7 @@ impl EngineCore {
                 Ok(Some(ir)) if ir.matches(p) => {
                     self.stats.store_hits.fetch_add(1, Ordering::Relaxed);
                     self.note_affine(&ir);
-                    return Plan::scheduled(self.backend, &ir, self.kernel_config(), p.clone());
+                    return Ok(self.scheduled(&ir, p));
                 }
                 Ok(None) => {}
                 // A decodable plan for a *different* permutation (a
@@ -404,7 +405,7 @@ impl EngineCore {
                 // stay store-driven for every family.
                 let _ = store.save(&ir);
             }
-            return Plan::scheduled(self.backend, &ir, self.kernel_config(), p.clone());
+            return Ok(self.scheduled(&ir, p));
         }
         // Cold build: route through the parallel plan compiler on the
         // engine's thread budget. Output is byte-identical to the
@@ -418,7 +419,13 @@ impl EngineCore {
             // Best effort: a failed save must never fail the permute.
             let _ = store.save(&ir);
         }
-        Plan::scheduled(self.backend, &ir, self.kernel_config(), p.clone())
+        Ok(self.scheduled(&ir, p))
+    }
+
+    /// Prepare `ir`, checked to realise `p`, on this engine's backend and
+    /// kernel config.
+    fn scheduled(&self, ir: &PlanIr, p: &Permutation) -> Plan {
+        Plan::scheduled(self.backend, ir, self.kernel_config(), p.clone())
     }
 
     /// Count a prepared IR that carries affine descriptors

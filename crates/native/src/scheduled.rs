@@ -71,23 +71,22 @@ use crate::stage;
 use core::mem::size_of;
 use hmm_perm::{MatrixShape, Permutation};
 use hmm_plan::{AffineStep, PassLayout, PlanIr, Result};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// A CPU-executable scheduled permutation: the three-step decomposition
-/// with per-row *gather* maps (destination-ordered) precomputed, plus
-/// the kernel tuning the sweeps run with.
+/// A CPU-executable scheduled permutation: the plan's three per-row
+/// *gather* maps (destination-ordered), shared with the plan, plus the
+/// kernel tuning the sweeps run with.
 #[derive(Debug, Clone)]
 pub struct NativeScheduled {
     shape: MatrixShape,
     /// Per-pass geometry, derived from the plan (`PlanIr::pass_layouts`).
     layouts: [PassLayout; 3],
-    /// Sweep 1 gather map, flattened `r × c`: row `i` of the intermediate
-    /// is `in[i][g1[i*c + k]]` for `k` in `0..c`.
-    g1: Vec<u32>,
-    /// Sweep 2 gather map on the transposed matrix, flattened `c × r`.
-    g2: Vec<u32>,
-    /// Sweep 3 gather map, flattened `r × c`.
-    g3: Vec<u32>,
+    /// The plan's gather maps (`PlanIr::gathers`), in sweep order: sweep
+    /// 1 reads `g1` (`r × c`: row `i` of the intermediate is
+    /// `in[i][g1[i*c + k]]`), sweep 2 `g2` on the transposed matrix
+    /// (`c × r`), sweep 3 `g3` (`r × c`).
+    gathers: [Arc<[u32]>; 3],
     /// The plan's affine descriptors (order `g1, g2, g3`) when it is
     /// structured. With [`KernelConfig::computed_index`] set, the sweeps
     /// compute gather indices from these in registers instead of loading
@@ -106,7 +105,7 @@ impl NativeScheduled {
     /// with [`KernelConfig::default`].
     pub fn build(p: &Permutation, width: usize) -> Result<Self> {
         let ir = PlanIr::build_par(p, width, worker_threads())?;
-        Self::from_plan(&ir)
+        Ok(Self::from_plan(&ir))
     }
 
     /// Build and also hand back the backend-neutral plan IR, so the caller
@@ -115,16 +114,15 @@ impl NativeScheduled {
     /// — without paying for the König coloring twice.
     pub fn build_shared(p: &Permutation, width: usize) -> Result<(Self, PlanIr)> {
         let ir = PlanIr::build_par(p, width, worker_threads())?;
-        let sched = Self::from_plan(&ir)?;
-        Ok((sched, ir))
+        Ok((Self::from_plan(&ir), ir))
     }
 
     /// Build from an existing plan IR (shared with a simulator run, or
     /// loaded from the on-disk plan store) with
-    /// [`KernelConfig::default`]. The IR already carries the flat gather
-    /// maps, so this is a validation pass plus three copies — no
-    /// coloring, no per-row inversion.
-    pub fn from_plan(ir: &PlanIr) -> Result<Self> {
+    /// [`KernelConfig::default`]. The executor shares the plan's gather
+    /// maps — three reference-count bumps, no copy, no check: a
+    /// [`PlanIr`] holds its contract by construction.
+    pub fn from_plan(ir: &PlanIr) -> Self {
         Self::from_plan_with(ir, KernelConfig::default())
     }
 
@@ -133,23 +131,18 @@ impl NativeScheduled {
     /// SIMD on/off rows, and the differential suite thread their configs
     /// through.
     ///
-    /// The plan contract is checked here (`PlanIr::validate`): the SIMD
-    /// gather tiers *clamp* indices instead of bounds-checking them
-    /// (`crate::simd`), so a corrupted plan that got past the codec and
-    /// store front doors would otherwise mis-gather silently. A violated
-    /// contract is a typed [`PlanError::Invalid`](hmm_plan::PlanError)
-    /// error, never wrong output.
-    pub fn from_plan_with(ir: &PlanIr, config: KernelConfig) -> Result<Self> {
-        ir.validate()?;
-        Ok(NativeScheduled {
+    /// The SIMD gather tiers *clamp* indices instead of bounds-checking
+    /// them (`crate::simd`); that is sound because every gather row of a
+    /// `PlanIr` is a permutation of its row, which the builders emit and
+    /// the codec checks once, as it decodes a file.
+    pub fn from_plan_with(ir: &PlanIr, config: KernelConfig) -> Self {
+        NativeScheduled {
             shape: ir.shape(),
             layouts: ir.pass_layouts(),
-            g1: ir.gather1().to_vec(),
-            g2: ir.gather2().to_vec(),
-            g3: ir.gather3().to_vec(),
+            gathers: ir.gathers().clone(),
             affine: ir.affine().cloned(),
             config,
-        })
+        }
     }
 
     /// True when the sweeps will run the computed-index kernels: the
@@ -167,11 +160,10 @@ impl NativeScheduled {
                 IndexSrc::Affine(&steps[1]),
                 IndexSrc::Affine(&steps[2]),
             ],
-            _ => [
-                IndexSrc::Map(&self.g1),
-                IndexSrc::Map(&self.g2),
-                IndexSrc::Map(&self.g3),
-            ],
+            _ => {
+                let [g1, g2, g3] = &self.gathers;
+                [IndexSrc::Map(g1), IndexSrc::Map(g2), IndexSrc::Map(g3)]
+            }
         }
     }
 
@@ -486,10 +478,10 @@ mod tests {
         for fam in families::Family::ALL {
             let p = fam.build(n, 9).unwrap();
             let ir = PlanIr::build(&p, W).unwrap();
-            let sched = NativeScheduled::from_plan(&ir).unwrap();
+            let sched = NativeScheduled::from_plan(&ir);
             let mut fused = vec![0u32; n];
             sched.run(&src, &mut fused);
-            let interp = InterpExec::new(&ir, sched.kernel_config()).unwrap();
+            let interp = InterpExec::new(&ir, sched.kernel_config());
             let mut unfused = vec![0u32; n];
             let mut scratch = vec![0u32; interp.scratch_len()];
             interp.run(&src, &mut unfused, &mut scratch);
@@ -532,7 +524,7 @@ mod tests {
         let n = 1 << 10;
         let p = families::random(n, 6);
         let ir = PlanIr::build(&p, W).unwrap();
-        let via_plan = NativeScheduled::from_plan(&ir).unwrap();
+        let via_plan = NativeScheduled::from_plan(&ir);
         let src: Vec<u32> = (0..n as u32).collect();
         let mut a = vec![0u32; n];
         let mut b = vec![0u32; n];
@@ -559,7 +551,7 @@ mod tests {
             },
         ];
         for cfg in configs {
-            let sched = NativeScheduled::from_plan_with(&ir, cfg).unwrap();
+            let sched = NativeScheduled::from_plan_with(&ir, cfg);
             assert_eq!(sched.kernel_config(), cfg);
             let mut dst = vec![0u32; n];
             sched.run(&src, &mut dst);
@@ -591,14 +583,14 @@ mod tests {
         for fam in families::Family::ALL {
             let p = fam.build(n, 13).unwrap();
             let ir = PlanIr::build(&p, W).unwrap();
-            let reference = NativeScheduled::from_plan_with(&ir, KernelConfig::scalar()).unwrap();
+            let reference = NativeScheduled::from_plan_with(&ir, KernelConfig::scalar());
             assert!(!reference.computed_index(), "scalar forces map loads");
             let mut want32 = vec![0u32; n];
             reference.run(&src32, &mut want32);
             let mut want64 = vec![0u64; n];
             reference.run(&src64, &mut want64);
             for cfg in configs {
-                let sched = NativeScheduled::from_plan_with(&ir, cfg).unwrap();
+                let sched = NativeScheduled::from_plan_with(&ir, cfg);
                 assert_eq!(sched.computed_index(), ir.affine().is_some());
                 let mut got32 = vec![0u32; n];
                 sched.run(&src32, &mut got32);
@@ -615,7 +607,7 @@ mod tests {
         let p = families::bit_reversal(1 << 10).unwrap();
         let ir = PlanIr::build(&p, W).unwrap();
         assert!(ir.affine().is_some());
-        let on = NativeScheduled::from_plan_with(&ir, KernelConfig::default()).unwrap();
+        let on = NativeScheduled::from_plan_with(&ir, KernelConfig::default());
         assert!(on.computed_index());
         let off = on.clone().with_config(KernelConfig {
             computed_index: false,
@@ -625,7 +617,7 @@ mod tests {
         // Random plans have no descriptors: the flag alone is not enough.
         let pr = families::random(1 << 10, 3);
         let irr = PlanIr::build(&pr, W).unwrap();
-        let sched = NativeScheduled::from_plan_with(&irr, KernelConfig::default()).unwrap();
+        let sched = NativeScheduled::from_plan_with(&irr, KernelConfig::default());
         assert!(!sched.computed_index());
     }
 
@@ -644,7 +636,7 @@ mod tests {
                 stage_bytes,
                 ..KernelConfig::default()
             };
-            let sched = NativeScheduled::from_plan_with(&ir, cfg).unwrap();
+            let sched = NativeScheduled::from_plan_with(&ir, cfg);
             let mut dst = vec![0u32; n];
             sched.run(&src, &mut dst);
             assert_eq!(dst, want, "stage_bytes={stage_bytes}");
@@ -749,7 +741,7 @@ mod tests {
                     computed_index,
                     ..KernelConfig::default()
                 };
-                let sched = NativeScheduled::from_plan_with(&ir, cfg).unwrap();
+                let sched = NativeScheduled::from_plan_with(&ir, cfg);
                 assert_eq!(sched.computed_index(), computed_index);
                 assert_eq!(sched.layouts[0].rows, 64);
                 assert_eq!(sched.layouts[1].rows, 64);

@@ -77,7 +77,7 @@ fn exec_scheduled<T>(backend: Backend, ir: &PlanIr, cfg: KernelConfig, src: &[T]
 where
     T: Copy + Send + Sync + Default + 'static,
 {
-    let exec = backend.prepare(ExecPlan::Scheduled(ir), cfg).unwrap();
+    let exec = backend.prepare(ExecPlan::Scheduled(ir), cfg);
     let mut dst = vec![T::default(); src.len()];
     let mut scratch = vec![T::default(); exec.scratch_len()];
     exec.run(src, &mut dst, &mut scratch);

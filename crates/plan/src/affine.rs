@@ -127,8 +127,7 @@ impl AffineStep {
     }
 
     /// True iff the descriptor reproduces `map` exactly — an O(n)
-    /// incremental Gray-style walk (each step XORs only the masks of the
-    /// changed bits).
+    /// incremental Gray-style walk of the map it folds.
     pub fn matches_map(&self, map: &[u32]) -> bool {
         if self.cols.len() >= usize::BITS as usize || map.len() != 1usize << self.cols.len() {
             return false;
@@ -137,40 +136,23 @@ impl AffineStep {
         if u64::from(self.offset) >= limit || self.cols.iter().any(|&m| u64::from(m) >= limit) {
             return false;
         }
-        let mut val = self.offset;
-        if map[0] != val {
-            return false;
-        }
-        for (i, &entry) in map.iter().enumerate().skip(1) {
-            let mut changed = (i - 1) ^ i;
-            while changed != 0 {
-                val ^= self.cols[changed.trailing_zeros() as usize];
-                changed &= changed - 1;
-            }
-            if entry != val {
-                return false;
-            }
-        }
-        true
+        self.walk().eq(map.iter().copied())
     }
 
-    /// Materialize the full gather map — the lazy-rebuild path for
-    /// consumers that need the `O(n)` array (same Gray-style walk as the
-    /// verifier).
-    pub fn materialize(&self) -> Vec<u32> {
-        let n = 1usize << self.cols.len();
-        let mut out = vec![0u32; n];
+    /// The map's entries in order, by the incremental Gray-style walk
+    /// (each step XORs only the masks of the bits that changed). An
+    /// exact-size iterator over a range, so collecting it allocates once,
+    /// into a `Vec` or straight into an `Arc<[u32]>`.
+    pub(crate) fn walk(&self) -> impl Iterator<Item = u32> + '_ {
         let mut val = self.offset;
-        out[0] = val;
-        for (i, slot) in out.iter_mut().enumerate().skip(1) {
-            let mut changed = (i - 1) ^ i;
+        (0..1usize << self.cols.len()).map(move |i| {
+            let mut changed = if i == 0 { 0 } else { (i - 1) ^ i };
             while changed != 0 {
                 val ^= self.cols[changed.trailing_zeros() as usize];
                 changed &= changed - 1;
             }
-            *slot = val;
-        }
-        out
+            val
+        })
     }
 
     /// Validate the descriptor's geometry against the pass it claims to
@@ -231,7 +213,7 @@ mod tests {
         assert_eq!(step.col_bits(), 3);
         assert_eq!(step.lo_masks(), &masks[..3]);
         assert!(step.matches_map(&map));
-        assert_eq!(step.materialize(), map);
+        assert_eq!(step.walk().collect::<Vec<_>>(), map);
         for (p, &expect) in map.iter().enumerate() {
             assert_eq!(step.eval(p), expect);
             assert_eq!(
@@ -272,7 +254,7 @@ mod tests {
         // A descriptor whose masks exceed the row length cannot claim to
         // match any in-range map.
         let step = AffineStep::from_parts(2, vec![0, 1, 8, 0], 0);
-        let map = step.materialize();
+        let map: Vec<u32> = step.walk().collect();
         assert!(!step.matches_map(&map));
         // And a length mismatch is a clean false, not a panic.
         let id = AffineStep::fit(&(0..16u32).collect::<Vec<_>>(), 16).unwrap();

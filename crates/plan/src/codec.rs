@@ -30,10 +30,11 @@
 //! | 2 | `kind` 0 or 1 | FNV-1a | no, still read |
 //! | 3 | `kind` 0 or 1 | [`hmm_perm::hash::hash_bytes`] | yes |
 //!
-//! The gather maps are *not* serialised: they are per-row inverses of the
-//! steps and are re-derived on decode, which keeps files smaller and means
-//! a corrupt file cannot smuggle in gather entries inconsistent with its
-//! steps. Structured plans go further: their gathers have a verified
+//! A plan holds only its gather maps; a full file carries their per-row
+//! inverses, the step maps, which is the layout every version wrote. The
+//! encoder inverts gather rows into its write buffer, and decode inverts
+//! each step section back into its gather map in one pass that also
+//! checks the section's rows. Structured plans go further: their gathers have a verified
 //! closed form ([`crate::AffineStep`]), so the file stores the three
 //! descriptors — O(log² n) bytes instead of 3 × O(n) maps — and the maps
 //! are rebuilt on decode by the same Gray-style walk that verified the
@@ -117,18 +118,6 @@ fn header_bytes(ir: &PlanIr) -> [u8; 8 + 4 + 5 * 8] {
     h
 }
 
-/// Serialise a u32 slice into a little-endian byte region in bulk. On the
-/// wire this is exactly the old element-at-a-time loop, but one `resize` +
-/// 4-byte `copy_from_slice`s vectorise where 12M `extend_from_slice` calls
-/// did not — this loop was most of the `plan_store_build` > `plan_build`
-/// inversion at 4M elements.
-fn fill_le_u32(dst: &mut [u8], src: &[u32]) {
-    debug_assert_eq!(dst.len(), 4 * src.len());
-    for (d, &v) in dst.chunks_exact_mut(4).zip(src) {
-        d.copy_from_slice(&v.to_le_bytes());
-    }
-}
-
 /// The wire bytes of one affine descriptor (see the module layout).
 fn descriptor_bytes(step: &AffineStep) -> Vec<u8> {
     let masks = step.masks();
@@ -173,13 +162,27 @@ pub fn encode_to<W: Write>(ir: &PlanIr, w: &mut W) -> std::io::Result<()> {
             put(w, &descriptor_bytes(step))?;
         }
     } else {
+        // The file carries the step maps, each the per-row inverse of a
+        // gather map: whole gather rows are inverted straight into the
+        // buffer, one block of rows per flush.
         put(w, &KIND_FULL.to_le_bytes())?;
-        let mut buf = vec![0u8; 4 * CHUNK.min(ir.len().max(1))];
-        for section in [ir.step1(), ir.step2(), ir.step3()] {
-            put(w, &(section.len() as u64).to_le_bytes())?;
-            for chunk in section.chunks(CHUNK) {
-                let bytes = &mut buf[..4 * chunk.len()];
-                fill_le_u32(bytes, chunk);
+        let mut buf = Vec::new();
+        for (gather, layout) in ir.gathers().iter().zip(ir.pass_layouts()) {
+            let cols = layout.cols;
+            // Whole rows per flush: as many as fit the chunk, at least one.
+            let block = cols * (CHUNK / cols).max(1);
+            buf.resize(4 * block.min(gather.len()), 0);
+            put(w, &(gather.len() as u64).to_le_bytes())?;
+            for rows in gather.chunks(block) {
+                let bytes = &mut buf[..4 * rows.len()];
+                for (row, out) in rows
+                    .chunks_exact(cols)
+                    .zip(bytes.chunks_exact_mut(4 * cols))
+                {
+                    for (k, &j) in row.iter().enumerate() {
+                        out[4 * j as usize..][..4].copy_from_slice(&(k as u32).to_le_bytes());
+                    }
+                }
                 put(w, bytes)?;
             }
         }
@@ -238,10 +241,12 @@ fn check_no_trailing(cur: &Cursor<'_>) -> Result<()> {
 }
 
 /// Decode a plan from bytes. Every malformed input — truncated, bit-flipped,
-/// wrong magic or version, inconsistent sections — yields
-/// [`PlanError::Codec`]; a successful decode is internally consistent (each
-/// step row validated as a permutation) but is **not** proof the plan is
-/// the one the caller wants: verify with [`PlanIr::matches`] before use.
+/// wrong magic or version, inconsistent sections, a step row or descriptor
+/// that is not a permutation — yields [`PlanError::Codec`]. This is the one
+/// check a plan file gets: each section is checked in the same pass that
+/// inverts it into its gather map, so a decoded plan holds the [`PlanIr`]
+/// contract and goes to the executors as is. It is **not** proof the plan
+/// is the one the caller wants: verify with [`PlanIr::matches`] before use.
 pub fn decode(bytes: &[u8]) -> Result<PlanIr> {
     // Checksum first: it covers everything, so random corruption is caught
     // before any field is interpreted. The version field only picks which
@@ -304,27 +309,23 @@ pub fn decode(bytes: &[u8]) -> Result<PlanIr> {
     } else {
         cur.u32("section kind")?
     };
-    let ir = match kind {
+    match kind {
         KIND_FULL => {
-            let mut sections: [Vec<u32>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-            for (idx, section) in sections.iter_mut().enumerate() {
-                let name = ["step1", "step2", "step3"][idx];
+            let section_bytes = n.checked_mul(4).ok_or_else(|| PlanError::Codec {
+                reason: format!("a {n}-entry section overflows"),
+            })?;
+            let mut sections: [&[u8]; 3] = [&[]; 3];
+            for (section, name) in sections.iter_mut().zip(["step1", "step2", "step3"]) {
                 let len = cur.usize(name)?;
                 if len != n {
                     return Err(PlanError::Codec {
                         reason: format!("{name} declares {len} entries, shape needs {n}"),
                     });
                 }
-                let raw = cur.take(4 * len, name)?;
-                section.reserve_exact(len);
-                section.extend(
-                    raw.chunks_exact(4)
-                        .map(|c| u32::from_le_bytes(c.try_into().unwrap())),
-                );
+                *section = cur.take(section_bytes, name)?;
             }
             check_no_trailing(&cur)?;
-            let [step1, step2, step3] = sections;
-            PlanIr::from_steps(shape, width, step1, step2, step3, gamma, fingerprint)?
+            PlanIr::from_steps(shape, width, sections, gamma, fingerprint)
         }
         KIND_COMPACT => {
             let mut steps = Vec::with_capacity(3);
@@ -348,22 +349,12 @@ pub fn decode(bytes: &[u8]) -> Result<PlanIr> {
             }
             check_no_trailing(&cur)?;
             let affine: [AffineStep; 3] = steps.try_into().expect("three descriptors");
-            PlanIr::from_affine(shape, width, affine, gamma, fingerprint)?
+            PlanIr::from_affine(shape, width, affine, gamma, fingerprint)
         }
-        other => {
-            return Err(PlanError::Codec {
-                reason: format!("unknown section kind {other}"),
-            })
-        }
-    };
-    // Belt-and-braces: both construction paths have already validated
-    // the step rows (and, for compact files, the descriptor geometry),
-    // so this cannot fail on any byte stream — but decode is a front
-    // door to the clamped gather kernels, and the full contract check is
-    // what keeps "corrupt plan" a typed error rather than silently wrong
-    // output if either invariant ever drifts.
-    ir.validate()?;
-    Ok(ir)
+        other => Err(PlanError::Codec {
+            reason: format!("unknown section kind {other}"),
+        }),
+    }
 }
 
 #[cfg(test)]
@@ -375,6 +366,15 @@ mod tests {
 
     fn sample(n: usize, seed: u64) -> PlanIr {
         PlanIr::build(&families::random(n, seed), W).unwrap()
+    }
+
+    /// Re-seal a current-version file after an edit, so decode gets past
+    /// the checksum.
+    fn reseal(mut bytes: Vec<u8>) -> Vec<u8> {
+        let body_len = bytes.len() - 8;
+        let sum = hash_bytes(&bytes[..body_len]);
+        bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
+        bytes
     }
 
     /// The exact on-disk size a plan encodes to: compact for plans that
@@ -611,12 +611,6 @@ mod tests {
     fn resealed_hostile_descriptors_are_rejected() {
         let ir = PlanIr::build(&families::shuffle(1 << 10).unwrap(), W).unwrap();
         let bytes = encode(&ir);
-        let reseal = |mut b: Vec<u8>| {
-            let body_len = b.len() - 8;
-            let sum = hash_bytes(&b[..body_len]);
-            b[body_len..].copy_from_slice(&sum.to_le_bytes());
-            b
-        };
         let first_mask = 8 + 4 + 5 * 8 + 4 + 4 + 4 + 8;
         // An out-of-range mask fails descriptor geometry.
         let mut oob = bytes.clone();
@@ -640,6 +634,22 @@ mod tests {
             decode(&reseal(degen)),
             Err(PlanError::Codec { .. })
         ));
+    }
+
+    #[test]
+    fn a_shape_too_large_to_address_is_a_clean_error() {
+        // 2^31 × 2^31 entries: the shape multiplies without overflow, but
+        // the section's byte length (4n) does not fit a usize.
+        let ir = sample(256, 8);
+        let mut bytes = encode(&ir)[..8 + 4 + 5 * 8 + 4].to_vec();
+        bytes[20..28].copy_from_slice(&(1u64 << 31).to_le_bytes());
+        bytes[28..36].copy_from_slice(&(1u64 << 31).to_le_bytes());
+        for _ in 0..3 {
+            bytes.extend_from_slice(&(1u64 << 62).to_le_bytes());
+        }
+        bytes.extend_from_slice(&[0; 8]);
+        let err = decode(&reseal(bytes)).unwrap_err();
+        assert!(matches!(err, PlanError::Codec { .. }), "{err}");
     }
 
     #[test]

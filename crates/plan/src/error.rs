@@ -40,11 +40,10 @@ pub enum PlanError {
         /// The underlying I/O failure, rendered.
         reason: String,
     },
-    /// A plan violates its internal contract (step rows or gather maps
-    /// are not the permutations they must be) — raised by
-    /// [`PlanIr::validate`](crate::PlanIr::validate) before a corrupted
-    /// plan can reach the clamped gather kernels and mis-route data
-    /// silently.
+    /// A plan violates its contract: a gather row that is not a
+    /// permutation ([`PlanIr::validate`](crate::PlanIr::validate)), or a
+    /// freshly built plan that does not realise its permutation (the
+    /// engines' check before a build is cached).
     Invalid {
         /// Which invariant failed.
         reason: String,

@@ -6,14 +6,16 @@
 //! conflict-free passes. This crate owns the artifact that asymmetry
 //! produces, independent of any executor:
 //!
-//! * [`PlanIr`] — the backend-neutral plan: matrix shape, the three pass
-//!   permutations from the coloring, derived flat gather maps, the
-//!   measured distribution γ_w(P), and the permutation fingerprint. The
-//!   simulator (`hmm-offperm`) and the CPU backend (`hmm-native`) both
-//!   build *from* it instead of each re-deriving the coloring.
+//! * [`PlanIr`] — the backend-neutral plan: matrix shape, the three
+//!   per-pass gather maps the coloring yields (shared, and valid by
+//!   construction), the measured distribution γ_w(P), and the
+//!   permutation fingerprint. The simulator (`hmm-offperm`) and the CPU
+//!   backend (`hmm-native`) both build *from* it instead of each
+//!   re-deriving the coloring.
 //! * [`codec`] — a versioned, std-only binary format (length-prefixed
 //!   sections, a checksum from `hmm_perm::hash`; older files sealed with
-//!   FNV-1a still decode) that never panics on hostile bytes.
+//!   FNV-1a still decode) that never panics on hostile bytes and checks
+//!   each section once, as it decodes it.
 //! * [`PlanStore`] — a directory of encoded plans keyed by
 //!   `(fingerprint, n, width)`: the cross-process cache tier that lets a
 //!   cold process skip the König build entirely. Loads are verified —

@@ -150,12 +150,14 @@ impl PlanStore {
         Ok(path)
     }
 
-    /// Load the plan filed under `key`. Returns `Ok(None)` when no file
-    /// exists; `Err(PlanError::Codec)` when a file exists but is corrupt,
-    /// truncated, wrong-version, or its decoded identity disagrees with
-    /// `key` (a renamed or colliding file). A decoded plan is internally
-    /// consistent but still **must** be verified against the requested
-    /// permutation with [`PlanIr::matches`] before it is trusted.
+    /// Load the plan filed under `key`: one read and one check, the
+    /// [`codec::decode`] that checks each section as it inverts it.
+    /// Returns `Ok(None)` when no file exists; `Err(PlanError::Codec)`
+    /// when a file exists but is corrupt, truncated, wrong-version, or its
+    /// decoded identity disagrees with `key` (a renamed or colliding
+    /// file). A decoded plan holds the [`PlanIr`] contract but still
+    /// **must** be verified against the requested permutation with
+    /// [`PlanIr::matches`] before it is trusted.
     pub fn load(&self, key: &StoreKey) -> Result<Option<PlanIr>> {
         let path = self.path_for(key);
         let bytes = match fs::read(&path) {
@@ -164,11 +166,6 @@ impl PlanStore {
             Err(e) => return Err(store_err(&path, e)),
         };
         let ir = codec::decode(&bytes)?;
-        // Decode has already re-derived and checked the plan's internals;
-        // validate here as well so the store's contract ("a loaded plan
-        // never reaches the clamped gathers malformed") does not depend
-        // on the codec's.
-        ir.validate()?;
         let found = StoreKey::of(&ir);
         if found != *key {
             return Err(PlanError::Codec {

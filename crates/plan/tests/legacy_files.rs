@@ -1,9 +1,12 @@
-//! Plan files written by earlier codec versions keep decoding. The
-//! fixtures under `tests/fixtures/` were written by the version-2 codec
-//! (the version-1 file by splicing out its `kind` field, as version-1
-//! writers did), both sealed with FNV-1a. They must decode to the same
-//! steps and descriptors the builder produces today, and re-encode as
-//! the current version.
+//! Plan files keep decoding, and the current format stays byte-stable.
+//! The fixtures under `tests/fixtures/` were written by earlier encoders:
+//! the version-2 files by the version-2 codec (the version-1 file by
+//! splicing out its `kind` field, as version-1 writers did), both sealed
+//! with FNV-1a; the version-3 files by the version-3 encoder of a plan
+//! that still stored its step maps next to its gather maps. Each must
+//! decode to the gathers and descriptors the builder produces today. The
+//! version-3 files must also re-encode byte for byte, which pins the
+//! encoder that now derives the step sections from the gathers.
 
 use hmm_perm::families;
 use hmm_perm::Permutation;
@@ -20,8 +23,9 @@ fn fixture(name: &str) -> Vec<u8> {
     std::fs::read(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }
 
-/// Decode `file`, check it against a fresh build for `p`, and return it.
-fn decodes_to_todays_plan(file: &str, version: u32, p: &Permutation) -> PlanIr {
+/// Decode `file`, check it against a fresh build for `p`, and return it
+/// with its bytes.
+fn decodes_to_todays_plan(file: &str, version: u32, p: &Permutation) -> (PlanIr, Vec<u8>) {
     let bytes = fixture(file);
     assert_eq!(bytes[8..12], version.to_le_bytes(), "{file}");
     let old = decode(&bytes).unwrap_or_else(|e| panic!("{file}: {e}"));
@@ -29,26 +33,21 @@ fn decodes_to_todays_plan(file: &str, version: u32, p: &Permutation) -> PlanIr {
     assert_eq!(old.shape(), new.shape(), "{file}");
     assert_eq!(old.width(), new.width(), "{file}");
     assert_eq!(old.gamma().to_bits(), new.gamma().to_bits(), "{file}");
-    assert_eq!(old.step1(), new.step1(), "{file}");
-    assert_eq!(old.step2(), new.step2(), "{file}");
-    assert_eq!(old.step3(), new.step3(), "{file}");
+    assert_eq!(old.gathers(), new.gathers(), "{file}");
     assert_eq!(old.affine(), new.affine(), "{file}");
     assert!(old.matches(p), "{file}");
-    // The header keeps the FNV-1a fingerprint the file was filed under,
-    // which is no longer the permutation's fingerprint.
-    assert_ne!(old.fingerprint(), p.fingerprint(), "{file}");
 
     // Re-encoding writes the current version and checksum.
     let current = encode(&old);
     assert_eq!(current[8..12], FORMAT_VERSION.to_le_bytes(), "{file}");
     assert_eq!(decode(&current).unwrap(), old, "{file}");
 
-    // The legacy checksum is really checked: a flipped byte is refused.
+    // The checksum is really checked: a flipped byte is refused.
     let mut corrupt = bytes.clone();
     let mid = corrupt.len() / 2;
     corrupt[mid] ^= 0x20;
     assert!(decode(&corrupt).is_err(), "{file}");
-    old
+    (old, bytes)
 }
 
 #[test]
@@ -58,8 +57,10 @@ fn version_1_and_2_full_plans_still_decode() {
         ("random-1k-full-v1.hmmplan", 1),
         ("random-1k-full-v2.hmmplan", 2),
     ] {
-        let ir = decodes_to_todays_plan(file, version, &p);
+        let (ir, _) = decodes_to_todays_plan(file, version, &p);
         assert!(ir.affine().is_none(), "{file}");
+        // The header keeps the FNV-1a fingerprint the file was filed
+        // under, which is no longer the permutation's fingerprint.
         assert_eq!(ir.fingerprint(), 0xea05_ce4d_5b38_d991, "{file}");
     }
 }
@@ -67,7 +68,29 @@ fn version_1_and_2_full_plans_still_decode() {
 #[test]
 fn version_2_compact_plan_still_decodes() {
     let p = families::bit_reversal(1 << 10).unwrap();
-    let ir = decodes_to_todays_plan("bitrev-1k-compact-v2.hmmplan", 2, &p);
+    let (ir, _) = decodes_to_todays_plan("bitrev-1k-compact-v2.hmmplan", 2, &p);
     assert!(ir.affine().is_some());
     assert_eq!(ir.fingerprint(), 0x1fb3_ed26_b6b0_dc25);
+}
+
+#[test]
+fn version_3_files_decode_and_re_encode_byte_for_byte() {
+    for (file, p, compact) in [
+        (
+            "random-1k-full-v3.hmmplan",
+            families::random(1 << 10, 1),
+            false,
+        ),
+        (
+            "bitrev-1k-compact-v3.hmmplan",
+            families::bit_reversal(1 << 10).unwrap(),
+            true,
+        ),
+    ] {
+        let (ir, bytes) = decodes_to_todays_plan(file, FORMAT_VERSION, &p);
+        assert_eq!(ir.affine().is_some(), compact, "{file}");
+        assert_eq!(ir.fingerprint(), p.fingerprint(), "{file}");
+        assert_eq!(encode(&ir), bytes, "{file}: encode(decode(f)) != f");
+        assert_eq!(encode(&PlanIr::build(&p, W).unwrap()), bytes, "{file}");
+    }
 }

@@ -13,10 +13,10 @@ use std::net::{TcpStream, ToSocketAddrs};
 
 use hmm_perm::{Bmmc, Permutation};
 
-use crate::framing::{read_frame_into, shed, write_frame, write_permute};
+use crate::framing::{read_frame_into, shed, write_frame, write_permute, write_permute_batch};
 use crate::proto::{
-    bytes_to_elems, elems_to_bytes, kind, Elem, ErrCode, Frame, PermRepr, ProtoError, ServerStats,
-    PROTOCOL_VERSION,
+    bytes_to_elems, kind, split_permuted_batch, Elem, ErrCode, Frame, PermRepr, ProtoError,
+    ServerStats, PROTOCOL_VERSION,
 };
 
 /// Client-side errors.
@@ -205,25 +205,32 @@ impl Client {
     }
 
     /// Apply a registered plan to many payloads in one request;
-    /// outputs come back in request order.
+    /// outputs come back in request order. Like [`Client::permute`], the
+    /// request is streamed from `srcs` and each output decoded straight
+    /// from the reused reply body.
     pub fn permute_batch<T: Elem>(
         &mut self,
         handle: &PlanHandle<T>,
         srcs: &[Vec<T>],
     ) -> Result<Vec<Vec<T>>> {
-        let reply = self.roundtrip(&Frame::PermuteBatch {
-            handle: handle.id,
-            payloads: srcs.iter().map(|s| elems_to_bytes(s)).collect(),
-        })?;
-        match reply {
-            Frame::PermutedBatch { payloads } => payloads
-                .iter()
-                .map(|p| bytes_to_elems(p).ok_or_else(malformed_payload))
-                .collect(),
-            other => Err(ClientError::Unexpected {
-                got: other.kind_name(),
-            }),
+        write_permute_batch(&mut self.writer, PROTOCOL_VERSION, handle.id, srcs)?;
+        let kind = self.read_reply()?;
+        if kind == kind::PERMUTED_BATCH {
+            let outs = split_permuted_batch(&self.body)
+                .map_err(ClientError::from)
+                .and_then(|payloads| {
+                    payloads
+                        .into_iter()
+                        .map(|p| bytes_to_elems(p).ok_or_else(malformed_payload))
+                        .collect()
+                });
+            shed(&mut self.body);
+            return outs;
         }
+        let other = self.decode_reply(kind)?;
+        Err(ClientError::Unexpected {
+            got: other.kind_name(),
+        })
     }
 
     /// Fetch the server's aggregated counters.

@@ -14,9 +14,10 @@
 //!   sealing the checksum as the bytes pass, through a fixed 64 KiB
 //!   staging block. [`write_frame_versioned`] and
 //!   [`Frame::encode_version`] run it over a [`Frame`]'s parts;
-//!   [`write_permute`], [`write_permuted`] and the server's
-//!   `write_permuted_batch` run it straight over typed `&[T]` payloads, converting one chunk at
-//!   a time, so no frame-sized buffer exists on the way out.
+//!   [`write_permute`], [`write_permuted`] and the crate's
+//!   `write_permute_batch` (the client's) and `write_permuted_batch` (the
+//!   server's) run it straight over typed `&[T]` payloads, converting one
+//!   chunk at a time, so no frame-sized buffer exists on the way out.
 //!
 //! A frame larger than one chunk therefore leaves in several `write`s.
 //! On a socket with Nagle's algorithm on, a small write that follows
@@ -249,6 +250,47 @@ pub fn write_permuted<W: Write, T: Elem>(
     write_typed(w, version, kind::PERMUTED, None, dst)
 }
 
+/// A typed `PERMUTE_BATCH`/`PERMUTED_BATCH` frame, streamed from
+/// `members`, one payload per member.
+fn write_typed_batch<W: Write, T: Elem>(
+    w: &mut W,
+    version: u8,
+    kind: u8,
+    handle: Option<u64>,
+    members: &[Vec<T>],
+) -> Result<(), ProtoError> {
+    let head: usize = if handle.is_some() { 8 + 4 } else { 4 };
+    let body_len = members.iter().fold(head, |len, m| {
+        len.saturating_add(m.len().saturating_mul(T::WIDTH).saturating_add(4))
+    });
+    write_body_with(w, version, kind, body_len, |fw| {
+        if let Some(handle) = handle {
+            fw.put_u64(handle)?;
+        }
+        fw.put_u32(members.len() as u32)?;
+        for m in members {
+            fw.put_u32((m.len() * T::WIDTH) as u32)?;
+            fw.put_elems(m)?;
+        }
+        Ok(())
+    })
+}
+
+/// Write a `PERMUTE_BATCH` of `srcs` under `handle` at `version` and
+/// flush: the bytes of [`Frame::PermuteBatch`] with each source's wire
+/// bytes as a payload, converted from the sources chunk by chunk.
+///
+/// # Panics
+/// Panics if this build does not speak `version`.
+pub(crate) fn write_permute_batch<W: Write, T: Elem>(
+    w: &mut W,
+    version: u8,
+    handle: u64,
+    srcs: &[Vec<T>],
+) -> Result<(), ProtoError> {
+    write_typed_batch(w, version, kind::PERMUTE_BATCH, Some(handle), srcs)
+}
+
 /// Write a `PERMUTED_BATCH` carrying `outputs` at `version` and flush:
 /// the bytes of [`Frame::PermutedBatch`] with each output's wire bytes
 /// as a payload, converted from the outputs chunk by chunk.
@@ -260,17 +302,7 @@ pub(crate) fn write_permuted_batch<W: Write, T: Elem>(
     version: u8,
     outputs: &[Vec<T>],
 ) -> Result<(), ProtoError> {
-    let body_len = outputs.iter().fold(4usize, |len, o| {
-        len.saturating_add(o.len().saturating_mul(T::WIDTH).saturating_add(4))
-    });
-    write_body_with(w, version, kind::PERMUTED_BATCH, body_len, |fw| {
-        fw.put_u32(outputs.len() as u32)?;
-        for o in outputs {
-            fw.put_u32((o.len() * T::WIDTH) as u32)?;
-            fw.put_elems(o)?;
-        }
-        Ok(())
-    })
+    write_typed_batch(w, version, kind::PERMUTED_BATCH, None, outputs)
 }
 
 /// The one frame reader: read one complete frame of any version this
@@ -387,9 +419,9 @@ mod tests {
             .collect()
     }
 
-    /// The streamed `PERMUTE`/`PERMUTED`/`PERMUTED_BATCH` writers emit
-    /// exactly the bytes of the `Frame` encoder and of the longhand
-    /// layout.
+    /// The streamed `PERMUTE`/`PERMUTED`/`PERMUTE_BATCH`/`PERMUTED_BATCH`
+    /// writers emit exactly the bytes of the `Frame` encoder and of the
+    /// longhand layout.
     fn check_streamed<T: Elem>(version: u8, handle: u64, elems: &[T], le: impl Fn(T) -> Vec<u8>) {
         let payload: Vec<u8> = elems.iter().flat_map(|&v| le(v)).collect();
         let mut permute_body = handle.to_le_bytes().to_vec();
@@ -435,7 +467,10 @@ mod tests {
             }
             let mut streamed = Vec::new();
             write_permuted_batch(&mut streamed, version, &outputs).unwrap();
-            let framed = Frame::PermutedBatch { payloads }.encode_version(version);
+            let framed = Frame::PermutedBatch {
+                payloads: payloads.clone(),
+            }
+            .encode_version(version);
             let ctx = format!(
                 "PERMUTED_BATCH v{version} n={} × {}",
                 elems.len(),
@@ -447,6 +482,33 @@ mod tests {
                 reference_frame(version, kind::PERMUTED_BATCH, &batch_body),
                 "{ctx}"
             );
+
+            let mut streamed = Vec::new();
+            write_permute_batch(&mut streamed, version, handle, &outputs).unwrap();
+            let framed = Frame::PermuteBatch { handle, payloads }.encode_version(version);
+            let mut request_body = handle.to_le_bytes().to_vec();
+            request_body.extend_from_slice(&batch_body);
+            assert_eq!(streamed, framed, "PERMUTE_BATCH: {ctx}");
+            assert_eq!(
+                streamed,
+                reference_frame(version, kind::PERMUTE_BATCH, &request_body),
+                "PERMUTE_BATCH: {ctx}"
+            );
+        }
+    }
+
+    /// The client's streamed `PERMUTE_BATCH` request is byte-identical to
+    /// the owned `Frame` encoding at both protocol versions and both
+    /// element widths, across the staging-chunk boundary.
+    #[test]
+    fn streamed_permute_batch_request_matches_the_frame_encoder() {
+        for version in [1u8, 2] {
+            for n in [1usize, (16 << 10) + 5] {
+                let u32s = random_elems(n, 7, |z| z as u32);
+                check_streamed(version, 0xfeed, &u32s, |v: u32| v.to_le_bytes().to_vec());
+                let u64s = random_elems(n, 7, |z| z);
+                check_streamed(version, 0xfeed, &u64s, |v: u64| v.to_le_bytes().to_vec());
+            }
         }
     }
 

@@ -862,7 +862,10 @@ impl Frame {
                 }
             }
             kind::PERMUTED_BATCH => Frame::PermutedBatch {
-                payloads: decode_payload_list(&mut r)?,
+                payloads: split_permuted_batch(r.rest())?
+                    .into_iter()
+                    .map(<[u8]>::to_vec)
+                    .collect(),
             },
             kind::STATS => Frame::Stats,
             kind::STATS_REPORT => {
@@ -971,10 +974,12 @@ fn split_payload_list<'a>(r: &mut Reader<'a>) -> Result<Vec<&'a [u8]>, ProtoErro
     Ok(payloads)
 }
 
-/// A payload list copied out of its body, for the owned [`Frame`].
-fn decode_payload_list(r: &mut Reader<'_>) -> Result<Vec<Vec<u8>>, ProtoError> {
-    Ok(split_payload_list(r)?
-        .into_iter()
-        .map(<[u8]>::to_vec)
-        .collect())
+/// Split a `PERMUTED_BATCH` body into its payloads, borrowed from the
+/// body: the decoder's own grammar, shared with the client's in-place
+/// path.
+pub(crate) fn split_permuted_batch(body: &[u8]) -> Result<Vec<&[u8]>, ProtoError> {
+    let mut r = Reader::new(body);
+    let payloads = split_payload_list(&mut r)?;
+    r.finish()?;
+    Ok(payloads)
 }

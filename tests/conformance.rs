@@ -22,7 +22,11 @@
 //!   `kernel_differential`);
 //! * u32 elements through the engine and u64 elements through a
 //!   [`SharedEngine::view`] of the same engine, so the u64 cells run the
-//!   plans the u32 cells cached.
+//!   plans the u32 cells cached;
+//! * on scheduled cells, a fourth front door: a second forced engine
+//!   that loads the plan the first one saved to a warm [`PlanStore`], so
+//!   decoded full (König) and compact (structured) files are checked
+//!   against the naive reference like freshly built plans.
 //!
 //! Every run also asserts the plan actually executed on the forced route,
 //! backend and kernel config, and that structured families were planned
@@ -30,7 +34,7 @@
 //! hide. The whole matrix runs in one process; only the worker-pool size
 //! (`HMM_NATIVE_THREADS`) is left to the environment.
 
-use hmm_native::{forced_engine, Backend, KernelConfig, Route, SharedEngine};
+use hmm_native::{forced_engine, Backend, KernelConfig, PlanStore, Route, SharedEngine};
 use hmm_perm::{families, Permutation};
 
 const W: usize = 32;
@@ -189,28 +193,56 @@ fn check_cell<T: Elem>(
 
 /// Full family × size sweep for one route at every `(backend, kernel
 /// config)` point: each cell on a fresh forced engine, at u32 and —
-/// through a view of the same engine — at u64.
+/// through a view of the same engine — at u64. Scheduled cells run a
+/// second time on a fresh engine that loads the plan the first engine
+/// saved to a warm [`PlanStore`]: full files for König plans, compact
+/// ones for structured plans, so the decode path is held to the same
+/// reference as the builder.
 fn run_route(route: Route) {
     for (backend, config) in points(route) {
+        let dir = std::env::temp_dir().join(format!(
+            "hmm-conformance-{}-{route:?}-{backend:?}-{}-{}",
+            std::process::id(),
+            config.simd,
+            config.computed_index
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = PlanStore::open(&dir).unwrap();
         for n in SIZES {
             for (name, p) in paper_families(n) {
-                let engine = forced_engine::<u32>(backend, W, route);
+                let mut engine = forced_engine::<u32>(backend, W, route);
+                engine.set_store(store.clone());
                 engine.set_kernel_config(config);
                 check_cell(&engine, name, &p, route, config);
                 check_cell(&engine.view::<u64>(), name, &p, route, config);
-                if route == Route::Scheduled {
-                    // Structured families must plan with affine
-                    // descriptors, or the computed-index axis would run
-                    // the map-load kernels at every point.
-                    let affine = engine.stats().plans_affine;
-                    if name == "random" {
-                        assert_eq!(affine, 0, "{name} n={n} {backend:?}: König plan");
-                    } else {
-                        assert!(affine > 0, "{name} n={n} {backend:?}: no descriptors");
-                    }
+                if route == Route::Scatter {
+                    continue;
                 }
+                // Structured families must plan with affine
+                // descriptors, or the computed-index axis would run
+                // the map-load kernels at every point.
+                let affine = engine.stats().plans_affine;
+                if name == "random" {
+                    assert_eq!(affine, 0, "{name} n={n} {backend:?}: König plan");
+                } else {
+                    assert!(affine > 0, "{name} n={n} {backend:?}: no descriptors");
+                }
+
+                // Front door 4: the same cell from the warm store.
+                let mut loaded = forced_engine::<u32>(backend, W, route);
+                loaded.set_store(store.clone());
+                loaded.set_kernel_config(config);
+                check_cell(&loaded, name, &p, route, config);
+                check_cell(&loaded.view::<u64>(), name, &p, route, config);
+                let s = loaded.stats();
+                assert_eq!(
+                    (s.store_hits, s.builds, s.plans_structured, s.store_rejects),
+                    (1, 0, 0, 0),
+                    "{name} n={n} {backend:?} {config:?}: not served from the store"
+                );
             }
         }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 

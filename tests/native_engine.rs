@@ -85,7 +85,7 @@ fn one_plan_ir_drives_simulator_and_native_identically() {
     let (_, simulated) = run_scheduled_decomposition(&mut hmm, &d, &input).unwrap();
 
     // ...and the native backend directly, with no second coloring.
-    let native_plan = NativeScheduled::from_plan(&ir).unwrap();
+    let native_plan = NativeScheduled::from_plan(&ir);
     let mut native_out = vec![0 as Word; n];
     native_plan.run(&input, &mut native_out);
 

@@ -14,14 +14,14 @@
 //! * **Fusion** — a fused 2-chain executes as ONE scheduled plan (three
 //!   sweeps, observed via `run_sweeps_timed`) where the unfused pair
 //!   pays six, with identical bytes.
-//! * **Corruption rejection** — a bit-flipped gather map is refused with
+//! * **Corruption rejection** — a re-sealed plan file with a repeated or
+//!   out-of-range entry in any step section or descriptor is refused with
 //!   a typed error at every front door: `decode`, `PlanStore::load`, and
-//!   `NativeScheduled::from_plan`; a compact (descriptor-form) store
-//!   entry truncated, bit-flipped or re-sealed on disk is a typed
-//!   `PlanStore::load` error, and an engine over that store counts the
-//!   reject, rebuilds, and still matches the oracle.
+//!   a store-backed engine, which counts the reject and still matches the
+//!   oracle; a compact (descriptor-form) store entry truncated or
+//!   bit-flipped on disk is refused the same way.
 
-use hmm_native::{as_native_scheduled, Backend, NativeScheduled, Route, SharedEngine};
+use hmm_native::{as_native_scheduled, Backend, Route, SharedEngine};
 use hmm_perm::{families, Permutation};
 use hmm_plan::{PlanError, PlanIr, PlanStore, StoreKey};
 
@@ -239,51 +239,95 @@ fn structured_store_entries_are_descriptor_sized_and_cold_load_clean() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Satellite-1 regression: a bit-flipped gather map entry must be
-/// rejected with a typed error on every front door, never mis-gathered
-/// silently by the clamped SIMD tiers.
+/// Re-seal a plan file after an edit, so the checksum passes and the
+/// section check itself must refuse the bytes.
+fn reseal(mut bytes: Vec<u8>) -> Vec<u8> {
+    let body = bytes.len() - 8;
+    let sum = hmm_perm::hash::hash_bytes(&bytes[..body]);
+    bytes[body..].copy_from_slice(&sum.to_le_bytes());
+    bytes
+}
+
+/// Corrupted plan files are refused at every front door. For a full
+/// (random, König) file, each of the three step sections gets a repeated
+/// entry and an out-of-range entry; for a compact (bit-reversal) file,
+/// each of the three descriptors gets a repeated mask and an
+/// out-of-range mask. Every file is re-sealed, so only the section check
+/// stands between it and the clamped SIMD gathers. Each one must be a
+/// `PlanError::Codec` through `decode` and through `PlanStore::load`, and
+/// a store-backed engine must count one `store_rejects`, rebuild, and
+/// match the naive reference.
 #[test]
 fn corrupted_plans_are_rejected_at_every_front_door() {
-    let n = 1 << 10;
-    let p = families::random(n, 2024);
-    let ir = PlanIr::build(&p, W).unwrap();
-
-    // Front door 1: `NativeScheduled::from_plan` — in-memory corruption
-    // of each pass's gather map yields `PlanError::Invalid`.
-    for pass in 1..=3 {
-        let mut bad = ir.clone();
-        bad.corrupt_gather_entry_for_tests(pass, 17);
-        let err = NativeScheduled::from_plan(&bad).unwrap_err();
-        assert!(
-            matches!(err, PlanError::Invalid { .. }),
-            "pass {pass}: {err}"
-        );
-        assert!(!err.to_string().is_empty());
-    }
-
-    // Front door 2: `decode` — wire corruption (even a single flipped
-    // bit) is caught before a plan object exists.
-    let bytes = hmm_plan::encode(&ir);
-    let mut corrupt = bytes.clone();
-    corrupt[bytes.len() / 2] ^= 0x04;
-    assert!(matches!(
-        hmm_plan::decode(&corrupt),
-        Err(PlanError::Codec { .. })
-    ));
-
-    // Front door 3: `PlanStore::load` — the same corruption on disk.
+    let n: usize = 1 << 10;
+    let k = n.trailing_zeros() as usize;
+    let header = 8 + 4 + 5 * 8 + 4; // through the section kind
     let dir = std::env::temp_dir().join(format!("hmm-structured-corrupt-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let store = PlanStore::open(&dir).unwrap();
-    store.save(&ir).unwrap();
-    let key = StoreKey::of(&ir);
-    let path = store.path_for(&key);
-    let mut on_disk = std::fs::read(&path).unwrap();
-    let mid = on_disk.len() / 2;
-    on_disk[mid] ^= 0x04;
-    std::fs::write(&path, &on_disk).unwrap();
-    let err = store.load(&key).unwrap_err();
-    assert!(matches!(err, PlanError::Codec { .. }), "{err}");
+    let src = input(n);
+    for p in [
+        families::random(n, 2024),
+        families::bit_reversal(n).unwrap(),
+    ] {
+        let ir = PlanIr::build(&p, W).unwrap();
+        let want = naive_reference(&p, &src);
+        let key = StoreKey::of(&ir);
+        let path = store.save(&ir).unwrap();
+        let good = std::fs::read(&path).unwrap();
+        let (r, c) = (ir.shape().rows, ir.shape().cols);
+
+        // (label, byte offset of the first u32 to edit, its row length).
+        let sections: Vec<(String, usize, usize)> = if ir.affine().is_none() {
+            (0..3)
+                .map(|s| {
+                    (
+                        format!("step{}", s + 1),
+                        header + 8 + s * (8 + 4 * n),
+                        [c, r, c][s],
+                    )
+                })
+                .collect()
+        } else {
+            (0..3)
+                .map(|d| {
+                    (
+                        format!("affine{}", d + 1),
+                        header + 16 + d * (16 + 4 * k),
+                        [c, r, c][d],
+                    )
+                })
+                .collect()
+        };
+        let mut cases = Vec::new();
+        for (name, at, cols) in sections {
+            let mut repeated = good.clone();
+            let first = good[at..at + 4].to_vec();
+            repeated[at + 4..at + 8].copy_from_slice(&first);
+            cases.push((format!("{name}: repeated entry"), reseal(repeated)));
+            let mut out_of_range = good.clone();
+            out_of_range[at..at + 4].copy_from_slice(&(cols as u32).to_le_bytes());
+            cases.push((format!("{name}: out-of-range entry"), reseal(out_of_range)));
+        }
+        assert_eq!(cases.len(), 6);
+
+        for (label, bytes) in cases {
+            let err = hmm_plan::decode(&bytes).unwrap_err();
+            assert!(matches!(err, PlanError::Codec { .. }), "{label}: {err}");
+
+            std::fs::write(&path, &bytes).unwrap();
+            let err = store.load(&key).unwrap_err();
+            assert!(matches!(err, PlanError::Codec { .. }), "{label}: {err}");
+
+            let engine: SharedEngine<u32> = SharedEngine::with_store(W, &dir).unwrap();
+            let mut dst = vec![0u32; n];
+            engine.permute(&p, &src, &mut dst).unwrap();
+            assert_eq!(dst, want, "{label}: output must match the oracle");
+            let s = engine.stats();
+            assert_eq!(s.store_rejects, 1, "{label}: the damaged file is counted");
+            assert_eq!(s.store_hits, 0, "{label}");
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
