@@ -7,8 +7,27 @@
 //! implementation — which spawned a fresh scoped OS thread per chunk per
 //! call — no thread is ever created on these paths, and the number of live
 //! workers is bounded by [`worker_threads`] regardless of chunk count.
+//!
+//! # When a job fans out
+//!
+//! The paper charges one round `p/w + l − 1` time units (DESIGN.md §5).
+//! Splitting a round over more units shrinks only the `p/w` term; the
+//! latency `l` is paid again by every round, however little it moves. On
+//! the CPU, waking the parked workers and waiting at the job's completion
+//! barrier play the part of `l`, and every sweep of every permute pays
+//! them. A job moving a few hundred KiB finishes inline in about the time
+//! the wake-up and barrier take, while a second caller may already be
+//! running on the other core, so fanning it out buys nothing.
+//!
+//! So one rule, [`participants`], decides every split here, from the bytes
+//! a job moves: `clamp(bytes / PARTICIPANT_BYTES, 1, threads)`. All three
+//! helpers ([`par_chunks_mut`], [`par_ranges`] and the fused sweeps'
+//! column bands) use it. Below the floor of `2 × PARTICIPANT_BYTES` a job
+//! runs on the calling thread as one chunk or band, and never touches the
+//! pool; above it, each participant gets at least `PARTICIPANT_BYTES`.
 
 use crate::pool::WorkerPool;
+use core::mem::size_of_val;
 use std::marker::PhantomData;
 use std::num::NonZeroUsize;
 use std::ops::Range;
@@ -61,15 +80,39 @@ pub(crate) fn configured_threads() -> usize {
     })
 }
 
-/// Shared base pointer for handing disjoint chunks of one slice to pool
-/// tasks.
+/// Bytes a job must move per participant before it fans out to one more:
+/// a job moving `bytes` runs on [`participants`]`(bytes, threads)` of
+/// them. `run_plan` medians on a 2-core host place it between 512 KiB and
+/// 1 MiB: from 1 MiB a job gains 27–36% from fanning out with the host to
+/// itself, and breaks even or better with two callers; at 256–512 KiB
+/// it gains at most 18% alone and loses up to 15% to a second caller
+/// (EXPERIMENTS.md, "Fan out only when it pays").
+pub const PARTICIPANT_BYTES: usize = 512 << 10;
+
+/// How many participants a job that moves `bytes` bytes splits into on a
+/// pool of `threads`: `clamp(bytes / PARTICIPANT_BYTES, 1, threads)`. One
+/// means the job runs inline on the calling thread.
+pub fn participants(bytes: usize, threads: usize) -> usize {
+    (bytes / PARTICIPANT_BYTES).clamp(1, threads.max(1))
+}
+
+/// Length of each piece when `len` items of a job moving `bytes` bytes
+/// are split among [`participants`]`(bytes, threads)`, rounded up to a
+/// whole number of `align` items. A piece of `len` or more means the job
+/// runs as one piece.
+fn piece_len(len: usize, bytes: usize, align: usize, threads: usize) -> usize {
+    len.div_ceil(participants(bytes, threads))
+        .next_multiple_of(align.max(1))
+}
+
+/// Shared base pointer for handing disjoint column bands of one slice to
+/// pool tasks.
 ///
 /// # Safety contract
-/// Tasks must derive pairwise-disjoint regions. Both users below
-/// ([`par_chunks_mut`]'s chunks and [`par_column_bands`]' column bands)
-/// index them by a task id claimed exactly once from the pool's cursor,
-/// with region boundaries computed from that id — so no two tasks
-/// overlap.
+/// Tasks must derive pairwise-disjoint regions. The one user below,
+/// [`par_column_bands`], indexes them by a task id claimed exactly once
+/// from the pool's cursor, with band boundaries computed from that id —
+/// so no two tasks overlap.
 struct SliceParts<T>(*mut T);
 
 impl<T> SliceParts<T> {
@@ -83,33 +126,17 @@ impl<T> SliceParts<T> {
 unsafe impl<T: Send> Sync for SliceParts<T> {}
 
 /// Run `f(chunk_start, chunk)` over contiguous chunks of `data` in
-/// parallel. Chunks are at least `min_chunk` long (except possibly the
-/// last); with a single worker or a small slice the call degenerates to a
-/// plain loop with no dispatch.
-pub fn par_chunks_mut<T, F>(data: &mut [T], min_chunk: usize, f: F)
+/// parallel, one chunk per [`participants`] of the bytes `data` holds.
+/// Below the fan-out floor the call is `f(0, data)` on the calling thread.
+pub fn par_chunks_mut<T, F>(data: &mut [T], f: F)
 where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
-    let n = data.len();
-    if n == 0 {
-        return;
-    }
-    let pool = WorkerPool::global();
-    let chunk = n.div_ceil(pool.threads()).max(min_chunk.max(1));
-    if pool.threads() == 1 || chunk >= n {
-        f(0, data);
-        return;
-    }
-    let num_chunks = n.div_ceil(chunk);
-    let parts = SliceParts(data.as_mut_ptr());
-    pool.run(num_chunks, |i| {
-        let start = i * chunk;
-        let len = chunk.min(n - start);
-        // SAFETY: task `i` is claimed exactly once and chunks
-        // `[start, start + len)` are pairwise disjoint by construction.
-        let piece = unsafe { std::slice::from_raw_parts_mut(parts.base().add(start), len) };
-        f(start, piece);
+    // `data` as one row of `len` columns: each column band is a chunk.
+    let len = data.len();
+    par_column_bands(data, len, 1, |mut band| {
+        f(band.columns().start, band.row_mut(0))
     });
 }
 
@@ -210,13 +237,15 @@ impl<'a, T> ColumnBand<'a, T> {
 }
 
 /// Run `f(band)` over column bands of the row-major matrix `data` (rows
-/// of `stride` elements) in parallel: band `t` owns columns
-/// `[t·width, min((t+1)·width, stride))` of every row. With a single
-/// worker or a single band the call runs inline on one whole-row band.
+/// of `stride` elements) in parallel, one band per [`participants`] of
+/// the bytes `data` holds: band `t` owns columns
+/// `[t·width, min((t+1)·width, stride))` of every row, with `width` a
+/// whole number of `align` columns. Below the fan-out floor the call
+/// runs inline on one whole-row band.
 ///
 /// # Panics
 /// Panics unless `stride` divides `data.len()`.
-pub(crate) fn par_column_bands<T, F>(data: &mut [T], stride: usize, width: usize, f: F)
+pub(crate) fn par_column_bands<T, F>(data: &mut [T], stride: usize, align: usize, f: F)
 where
     T: Send,
     F: Fn(ColumnBand<'_, T>) + Sync,
@@ -224,9 +253,9 @@ where
     if data.is_empty() {
         return;
     }
-    let width = width.max(1);
     let pool = WorkerPool::global();
-    if pool.threads() == 1 || width >= stride {
+    let width = piece_len(stride, size_of_val(data), align, pool.threads());
+    if width >= stride {
         f(ColumnBand::new(data, stride, 0..stride));
         return;
     }
@@ -243,8 +272,11 @@ where
     });
 }
 
-/// Run `f(start, end)` over contiguous sub-ranges of `0..n` in parallel.
-pub fn par_ranges<F>(n: usize, min_chunk: usize, f: F)
+/// Run `f(start, end)` over contiguous sub-ranges of `0..n` in parallel,
+/// one range per [`participants`] of `bytes`, the bytes the whole job
+/// moves (the ranges carry no element type to size them from). Below the
+/// fan-out floor the call is `f(0, n)` on the calling thread.
+pub fn par_ranges<F>(n: usize, bytes: usize, f: F)
 where
     F: Fn(usize, usize) + Sync,
 {
@@ -252,8 +284,8 @@ where
         return;
     }
     let pool = WorkerPool::global();
-    let chunk = n.div_ceil(pool.threads()).max(min_chunk.max(1));
-    if pool.threads() == 1 || chunk >= n {
+    let chunk = piece_len(n, bytes, 1, pool.threads());
+    if chunk >= n {
         f(0, n);
         return;
     }
@@ -270,14 +302,63 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    const B: usize = PARTICIPANT_BYTES;
+
+    #[test]
+    fn participants_follow_the_byte_rule() {
+        for threads in 1..=4 {
+            for bytes in [0, 1, B - 1, B, B + 1, 2 * B - 1] {
+                assert_eq!(
+                    participants(bytes, threads),
+                    1,
+                    "{bytes} B, {threads} threads"
+                );
+            }
+            assert_eq!(participants(2 * B, threads), threads.min(2));
+            assert_eq!(participants(3 * B, threads), threads.min(3));
+            assert_eq!(participants(64 * B, threads), threads);
+            assert_eq!(participants(usize::MAX, threads), threads);
+        }
+        assert_eq!(
+            participants(64 * B, 0),
+            1,
+            "a zero-thread pool has one participant"
+        );
+    }
+
+    #[test]
+    fn four_mib_jobs_split_evenly_across_every_thread() {
+        // A 1M-element u32 job (4 MiB, the `hit-random-1m` workload) on
+        // up to 4 threads gets one equal piece per thread: the fused
+        // sweeps' 1024-row bands in whole 64-byte lines, the row pass in
+        // whole 1024-element rows, and the one-pass kernels' ranges.
+        let (n, rows, bytes) = (1 << 20, 1 << 10, 4 << 20);
+        for threads in 1..=4 {
+            assert_eq!(participants(bytes, threads), threads);
+            assert_eq!(
+                piece_len(rows, bytes, 16, threads),
+                rows.div_ceil(threads).next_multiple_of(16)
+            );
+            assert_eq!(
+                piece_len(n, bytes, rows, threads),
+                rows.div_ceil(threads) * rows
+            );
+            assert_eq!(piece_len(n, bytes, 1, threads), n.div_ceil(threads));
+        }
+    }
+
     #[test]
     fn par_chunks_mut_touches_every_element_once() {
-        let mut data = vec![0u64; 100_000];
-        par_chunks_mut(&mut data, 1, |start, chunk| {
+        // 4 MiB + 24 bytes: every thread gets a chunk, the last one short.
+        let mut data = vec![0u64; (1 << 19) + 3];
+        let chunks = AtomicUsize::new(0);
+        par_chunks_mut(&mut data, |start, chunk| {
+            chunks.fetch_add(1, Ordering::Relaxed);
             for (i, v) in chunk.iter_mut().enumerate() {
                 *v += (start + i) as u64;
             }
         });
+        assert_eq!(chunks.load(Ordering::Relaxed), worker_threads().min(8));
         for (i, &v) in data.iter().enumerate() {
             assert_eq!(v, i as u64);
         }
@@ -285,13 +366,15 @@ mod tests {
 
     #[test]
     fn par_column_bands_write_every_element_once() {
-        // Widths that split the rows into ragged bands, one band, and
-        // bands narrower than a tile.
-        let (rows, stride) = (37, 100);
-        for width in [1, 3, 16, 33, 99, 100, 1000] {
+        // 2.4 MB, so one band per thread up to four; alignments that
+        // leave a short last band, and ones that round the split up to a
+        // single whole-row band.
+        let (rows, stride) = (37, 16_411);
+        let bytes = rows * stride * size_of::<u32>();
+        for align in [1, 3, 16, 33, 99, 4_100, 16_411, 20_000] {
             let mut data = vec![0u32; rows * stride];
             let bands = AtomicUsize::new(0);
-            par_column_bands(&mut data, stride, width, |mut band| {
+            par_column_bands(&mut data, stride, align, |mut band| {
                 bands.fetch_add(1, Ordering::Relaxed);
                 let cols = band.columns();
                 assert!(!cols.is_empty() && cols.end <= stride);
@@ -301,13 +384,15 @@ mod tests {
                     }
                 }
             });
-            let calls = bands.load(Ordering::Relaxed);
-            assert!(
-                calls == 1 || calls == stride.div_ceil(width),
-                "width {width}"
+            let width = piece_len(stride, bytes, align, worker_threads());
+            assert_eq!(width % align, 0, "align {align}");
+            assert_eq!(
+                bands.load(Ordering::Relaxed),
+                stride.div_ceil(width),
+                "align {align}"
             );
             for (i, &v) in data.iter().enumerate() {
-                assert_eq!(v, i as u32 + 1, "width {width}");
+                assert_eq!(v, i as u32 + 1, "align {align}");
             }
         }
     }
@@ -323,31 +408,52 @@ mod tests {
     #[test]
     fn par_ranges_covers_exactly() {
         let n = 12_345;
-        let hits = AtomicUsize::new(0);
-        par_ranges(n, 1, |s, e| {
-            hits.fetch_add(e - s, Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), n);
+        for bytes in [0, 2 * B, 64 * B] {
+            let hits = AtomicUsize::new(0);
+            let calls = AtomicUsize::new(0);
+            par_ranges(n, bytes, |s, e| {
+                hits.fetch_add(e - s, Ordering::Relaxed);
+                calls.fetch_add(1, Ordering::Relaxed);
+            });
+            assert_eq!(hits.load(Ordering::Relaxed), n);
+            assert_eq!(
+                calls.load(Ordering::Relaxed),
+                participants(bytes, worker_threads())
+            );
+        }
     }
 
     #[test]
     fn empty_inputs_are_noops() {
         let mut empty: Vec<u8> = vec![];
-        par_chunks_mut(&mut empty, 8, |_, _| panic!("should not run"));
+        par_chunks_mut(&mut empty, |_, _| panic!("should not run"));
         par_column_bands(&mut empty, 8, 8, |_| panic!("should not run"));
-        par_ranges(0, 8, |_, _| panic!("should not run"));
+        par_ranges(0, 64 * B, |_, _| panic!("should not run"));
     }
 
     #[test]
-    fn min_chunk_respected() {
-        // With min_chunk = n the closure runs exactly once, inline.
-        let n = 1000;
+    fn jobs_below_the_floor_run_inline_as_one_piece() {
+        // One byte short of two participants' worth: one call, on the
+        // calling thread, over the whole job.
+        let caller = std::thread::current().id();
+        let mut data = vec![0u8; 2 * B - 1];
         let calls = AtomicUsize::new(0);
-        par_ranges(n, n, |s, e| {
+        par_chunks_mut(&mut data, |start, chunk| {
             calls.fetch_add(1, Ordering::Relaxed);
-            assert_eq!((s, e), (0, n));
+            assert_eq!((start, chunk.len()), (0, 2 * B - 1));
+            assert_eq!(std::thread::current().id(), caller);
         });
-        assert_eq!(calls.load(Ordering::Relaxed), 1);
+        par_column_bands(&mut data, 2 * B - 1, 1, |band| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            assert_eq!(band.columns(), 0..2 * B - 1);
+            assert_eq!(std::thread::current().id(), caller);
+        });
+        par_ranges(1000, 2 * B - 1, |s, e| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            assert_eq!((s, e), (0, 1000));
+            assert_eq!(std::thread::current().id(), caller);
+        });
+        assert_eq!(calls.load(Ordering::Relaxed), 3);
     }
 
     #[test]
@@ -372,9 +478,10 @@ mod tests {
 
     #[test]
     fn panic_in_chunk_propagates() {
-        let mut data = vec![0u8; 1 << 20];
+        // 4 MiB: above the floor, so the chunks go through the pool.
+        let mut data = vec![0u8; 4 << 20];
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            par_chunks_mut(&mut data, 1, |start, _| {
+            par_chunks_mut(&mut data, |start, _| {
                 if start == 0 {
                     panic!("chunk panicked");
                 }
@@ -382,7 +489,7 @@ mod tests {
         }));
         assert!(caught.is_err());
         // The pool keeps serving jobs after the panic.
-        par_chunks_mut(&mut data, 1, |_, chunk| chunk.fill(7));
+        par_chunks_mut(&mut data, |_, chunk| chunk.fill(7));
         assert!(data.iter().all(|&v| v == 7));
     }
 }

@@ -23,6 +23,13 @@
 //! thus each make progress instead of the second sleeping through the
 //! first's whole job.
 //!
+//! Most jobs never get here. `crate::par` sizes every split by the bytes
+//! a job moves, and a job below its fan-out floor (1 MiB) runs on the
+//! calling thread without a dispatch. Two callers permuting 64K-element
+//! arrays at once (256–512 KiB per sweep) therefore both run inline, one
+//! per core, and neither wakes a worker; only a larger job takes the
+//! workers.
+//!
 //! Worker panics are caught, the first payload is kept, and the panic
 //! resumes on the **calling** thread once the job drains; the workers
 //! themselves survive and keep serving later jobs.

@@ -16,14 +16,15 @@
 //! extracts the available memory-level parallelism from the simple loop,
 //! and the hint's address computation is pure overhead on top. The sweep
 //! kernels in `scheduled` do not prefetch either.
+//!
+//! All three kernels split by `crate::par`'s byte-size rule, from the
+//! bytes the output holds: a 64K-element permute (256–512 KiB) runs on
+//! the calling thread, and a 1M-element one splits across the pool.
 
 use crate::par::{par_chunks_mut, par_ranges};
 use crate::simd;
+use core::mem::size_of_val;
 use hmm_perm::Permutation;
-
-/// Minimum elements per worker chunk; below this, threading overhead
-/// dominates.
-const MIN_CHUNK: usize = 1 << 14;
 
 /// A shared mutable pointer for the scatter kernel.
 ///
@@ -49,7 +50,7 @@ pub fn scatter_permute<T: Copy + Send + Sync>(src: &[T], p: &Permutation, dst: &
     }
     let target = ScatterTarget(dst.as_mut_ptr());
     let map = p.as_slice();
-    par_ranges(src.len(), MIN_CHUNK, |start, end| {
+    par_ranges(src.len(), size_of_val(dst), |start, end| {
         let target = &target;
         for i in start..end {
             // SAFETY: `p` is a bijection on 0..n (validated at
@@ -77,7 +78,7 @@ pub fn gather_permute<T: Copy + Send + Sync>(src: &[T], q: &Permutation, dst: &m
     }
     let map = q.as_slice();
     let tier = simd::select::<T>(true);
-    par_chunks_mut(dst, MIN_CHUNK, |start, chunk| {
+    par_chunks_mut(dst, |start, chunk| {
         simd::gather_map_usize(tier, src, &map[start..start + chunk.len()], chunk);
     });
 }
@@ -86,7 +87,7 @@ pub fn gather_permute<T: Copy + Send + Sync>(src: &[T], q: &Permutation, dst: &m
 /// are measured (the paper's "identical" row).
 pub fn copy_baseline<T: Copy + Send + Sync>(src: &[T], dst: &mut [T]) {
     assert_eq!(src.len(), dst.len());
-    par_chunks_mut(dst, MIN_CHUNK, |start, chunk| {
+    par_chunks_mut(dst, |start, chunk| {
         chunk.copy_from_slice(&src[start..start + chunk.len()]);
     });
 }
@@ -104,7 +105,9 @@ mod tests {
 
     #[test]
     fn scatter_matches_reference_for_all_families() {
-        let n = 1 << 16; // above MIN_CHUNK: exercises real parallelism
+        // 2 MiB of u32: above the fan-out floor, so the job splits across
+        // the pool whenever it has more than one thread.
+        let n = 1 << 19;
         let src: Vec<u32> = (0..n as u32).collect();
         for fam in families::Family::ALL {
             let p = fam.build(n, 61).unwrap();
@@ -116,7 +119,7 @@ mod tests {
 
     #[test]
     fn gather_matches_reference_for_all_families() {
-        let n = 1 << 16;
+        let n = 1 << 19; // above the fan-out floor, as for scatter
         let src: Vec<u32> = (0..n as u32).map(|v| v ^ 0xabcd).collect();
         for fam in families::Family::ALL {
             let p = fam.build(n, 62).unwrap();
@@ -129,7 +132,9 @@ mod tests {
 
     #[test]
     fn scatter_and_gather_agree() {
-        let n = 50_000; // odd size, partial chunks
+        // Odd size just past three participants' worth: a short last
+        // chunk on a pool of three or more threads.
+        let n = 3 * crate::par::PARTICIPANT_BYTES / 4 + 7;
         let p = families::random(n, 63);
         let src: Vec<u32> = (0..n as u32).collect();
         let mut a = vec![0u32; n];
@@ -141,7 +146,7 @@ mod tests {
 
     #[test]
     fn copy_baseline_copies() {
-        let src: Vec<u64> = (0..100_000).collect();
+        let src: Vec<u64> = (0..300_007).collect(); // 2.4 MB: fans out
         let mut dst = vec![0u64; src.len()];
         copy_baseline(&src, &mut dst);
         assert_eq!(dst, src);

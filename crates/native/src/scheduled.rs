@@ -24,11 +24,16 @@
 //!
 //! # The two-stage block pipeline
 //!
-//! Each gather-transpose worker owns a band of *input* rows — the same
-//! band of columns in every output row, rounded up to whole cache lines
-//! so no two workers write one line — and processes it in blocks of
-//! whole rows through one per-thread staging buffer (the private
-//! `stage` module, pooled for the life of the worker):
+//! Each gather-transpose participant owns a band of *input* rows — the
+//! same band of columns in every output row, rounded up to whole cache
+//! lines so no two participants write one line — and processes it in
+//! blocks of whole rows through one per-thread staging buffer (the
+//! private `stage` module, pooled for the life of the worker). How many
+//! bands a sweep has is `crate::par`'s one byte-size rule, the same for
+//! both fused sweeps and the row pass: a sweep that moves less than the
+//! fan-out floor (1 MiB; a 64K-element permute's sweeps move 256–512 KiB)
+//! is one band on the calling thread, and a larger one gets one band per
+//! participant, up to the pool's thread count:
 //!
 //! ```text
 //! input ── gather block k ──► staging buffer ── transpose block k ──► band columns
@@ -64,7 +69,7 @@
 //! ([`hmm_backend::InterpExec`]).
 
 use crate::config::KernelConfig;
-use crate::par::{par_chunks_mut, par_column_bands, worker_threads, ColumnBand};
+use crate::par::{par_column_bands, worker_threads, ColumnBand};
 use crate::scratch::{ScratchBuf, CACHE_LINE};
 use crate::simd::{self, Tier};
 use crate::stage;
@@ -269,7 +274,8 @@ enum IndexSrc<'a> {
 }
 
 /// Row-local gather: `out[row][k] = in[row][g[row*cols + k]]`, parallel
-/// over bands of whole rows.
+/// over bands of whole rows when the sweep is large enough to fan out
+/// (`crate::par`).
 fn row_pass<T: Copy + Send + Sync>(
     input: &[T],
     g: IndexSrc<'_>,
@@ -282,8 +288,11 @@ fn row_pass<T: Copy + Send + Sync>(
     let cols = layout.cols;
     debug_assert_eq!(out.len() / cols, layout.rows);
     let tier = simd::select::<T>(cfg.simd);
-    par_chunks_mut(out, rows_per_band(layout.rows) * cols, |start, chunk| {
-        gather_rows(input, g, cols, start / cols, tier, chunk);
+    // `out` as one row of `n` columns, banded in whole matrix rows.
+    let n = out.len();
+    par_column_bands(out, n, cols, |mut band| {
+        let row0 = band.columns().start / cols;
+        gather_rows(input, g, cols, row0, tier, band.row_mut(0));
     });
 }
 
@@ -329,9 +338,9 @@ fn gather_rows<T: Copy>(
 /// one sweep over memory, through the block pipeline described in the
 /// module docs.
 ///
-/// Each worker owns a band of input rows — the same columns of every
-/// output row — rounded to whole cache lines, so no two workers write one
-/// line. The input and the gather map are streamed from memory exactly
+/// Each participant owns a band of input rows — the same columns of every
+/// output row — rounded to whole cache lines, so no two write one line.
+/// Below the fan-out floor the calling thread owns them all. The input and the gather map are streamed from memory exactly
 /// once and the output is written exactly once; the staging buffer
 /// (≤ `cfg.stage_bytes`) never leaves the cache.
 fn gather_transpose<T: Copy + Send + Sync>(
@@ -350,8 +359,7 @@ fn gather_transpose<T: Copy + Send + Sync>(
     }
     let tier = simd::select::<T>(cfg.simd);
     let line = (CACHE_LINE / size_of::<T>().max(1)).max(1);
-    let width = rows_per_band(rows).next_multiple_of(line);
-    par_column_bands(out, rows, width, |mut band| {
+    par_column_bands(out, rows, line, |mut band| {
         gather_transpose_band(input, g, layout, cfg.stage_bytes, tier, &mut band);
     });
 }
@@ -402,12 +410,6 @@ fn transpose_block<T: Copy>(
             *slot = temp[k * cols + j];
         }
     }
-}
-
-/// Rows per parallel band: enough rows that each worker gets a contiguous,
-/// reasonably large piece.
-fn rows_per_band(rows: usize) -> usize {
-    rows.div_ceil(worker_threads()).max(1)
 }
 
 #[cfg(test)]
@@ -623,10 +625,11 @@ mod tests {
 
     #[test]
     fn computed_index_handles_ragged_worker_bands() {
-        // Rectangular shape (r != c) with staging budgets from a few rows
-        // to the whole pass: block tails land on ragged row offsets
-        // inside each worker's band.
-        let n = 1 << 11;
+        // Rectangular shape (r != c, 2 MiB of u32, so above the fan-out
+        // floor) with staging budgets from a few rows to a whole band:
+        // block tails land on ragged row offsets inside each
+        // participant's band.
+        let n = 1 << 19;
         let p = families::shuffle(n).unwrap();
         let ir = PlanIr::build(&p, W).unwrap();
         let src: Vec<u32> = (0..n as u32).collect();

@@ -15,8 +15,14 @@
 //!
 //! All four `(simd, computed_index)` points are iterated in process; the
 //! structured families carry affine descriptors, so both index forms run.
-//! Only the worker count (`HMM_NATIVE_THREADS`) varies between CI legs.
+//! The matrix cells are small, so `hmm_native::par`'s byte-size rule runs
+//! each of their sweeps on the calling thread, at any worker count.
+//! [`jobs_that_fan_out_match_the_oracle`] is the cell that splits into
+//! three or more participants when the pool has them (the CI leg at
+//! `HMM_NATIVE_THREADS=3` and the one at 4).
 
+use hmm_native::par::{participants, worker_threads, PARTICIPANT_BYTES};
+use hmm_native::{copy_baseline, gather_permute, scatter_permute};
 use hmm_native::{Backend, ExecPlan, KernelConfig, PlanIr};
 use hmm_perm::{families, Permutation};
 use proptest::prelude::*;
@@ -169,6 +175,63 @@ fn tiny_matrices_every_width() {
             }
         }
     }
+}
+
+/// At the smallest sizes that split into three or more participants
+/// (`3 × PARTICIPANT_BYTES`), every native kernel that fans out agrees
+/// with the oracle: the scheduled sweeps with map-loaded and with computed
+/// indices (a power-of-two `n`), and scatter, gather and copy (a ragged
+/// `n` just past the boundary, so the last chunk is short).
+fn check_fan_out<T>(make: impl Fn(usize) -> T)
+where
+    T: Copy + Send + Sync + Default + PartialEq + std::fmt::Debug + 'static,
+{
+    let size = std::mem::size_of::<T>();
+    let threads = worker_threads();
+    let ragged = 3 * PARTICIPANT_BYTES / size + 7;
+    let pow2 = (3 * PARTICIPANT_BYTES / size).next_power_of_two();
+    for n in [ragged, pow2] {
+        assert!(participants(n * size, threads) >= threads.min(3), "n = {n}");
+    }
+
+    let p = families::bit_reversal(pow2).unwrap();
+    let src: Vec<T> = (0..pow2).map(&make).collect();
+    let mut want = vec![T::default(); pow2];
+    p.permute(&src, &mut want).unwrap();
+    let ir = PlanIr::build(&p, W).unwrap();
+    assert!(ir.affine().is_some(), "bit reversal has computed indices");
+    for computed_index in [false, true] {
+        let cfg = KernelConfig {
+            computed_index,
+            ..KernelConfig::default()
+        };
+        let dst = exec_scheduled(Backend::Native, &ir, cfg, &src);
+        assert!(
+            dst == want,
+            "scheduled, computed={computed_index}, n = {pow2}"
+        );
+    }
+
+    let p = families::random(ragged, 0xfa17);
+    let src: Vec<T> = (0..ragged).map(&make).collect();
+    let mut want = vec![T::default(); ragged];
+    p.permute(&src, &mut want).unwrap();
+    let mut dst = vec![T::default(); ragged];
+    scatter_permute(&src, &p, &mut dst);
+    assert!(dst == want, "scatter, n = {ragged}");
+    dst.fill(T::default());
+    gather_permute(&src, &p.inverse(), &mut dst);
+    assert!(dst == want, "gather, n = {ragged}");
+    dst.fill(T::default());
+    copy_baseline(&src, &mut dst);
+    assert!(dst == src, "copy, n = {ragged}");
+}
+
+#[test]
+fn jobs_that_fan_out_match_the_oracle() {
+    check_fan_out(|i| (i as u32).wrapping_mul(2654435761));
+    check_fan_out(|i| (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+    check_fan_out(|i| ((i as u128).wrapping_mul(0x0123_4567_89ab_cdef)).to_le_bytes());
 }
 
 proptest! {

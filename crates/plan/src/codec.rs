@@ -46,6 +46,7 @@
 use crate::affine::AffineStep;
 use crate::error::{PlanError, Result};
 use crate::ir::PlanIr;
+use crate::store::StoreKey;
 use hmm_perm::hash::{hash_bytes, Hasher};
 use hmm_perm::MatrixShape;
 use std::io::Write;
@@ -59,6 +60,12 @@ pub const FORMAT_VERSION: u32 = 3;
 const KIND_FULL: u32 = 0;
 /// Section kind: three compact affine descriptors follow the header.
 const KIND_COMPACT: u32 = 1;
+
+/// Most entries a plan file may declare: 2^32, the index space of the
+/// plans' `u32` maps and of the WGSL kernels. Decode refuses a larger
+/// header before it allocates anything sized from it, so a few hostile
+/// bytes cannot ask for terabytes.
+const MAX_ENTRIES: u64 = 1 << 32;
 
 /// The 8-byte file magic.
 pub const MAGIC: [u8; 8] = *b"HMMPLAN\0";
@@ -247,7 +254,21 @@ fn check_no_trailing(cur: &Cursor<'_>) -> Result<()> {
 /// inverts it into its gather map, so a decoded plan holds the [`PlanIr`]
 /// contract and goes to the executors as is. It is **not** proof the plan
 /// is the one the caller wants: verify with [`PlanIr::matches`] before use.
+///
+/// A header that declares more than 2^32 entries is refused before
+/// anything is allocated.
 pub fn decode(bytes: &[u8]) -> Result<PlanIr> {
+    decode_as(bytes, |_| Ok(()))
+}
+
+/// [`decode`], handing the identity the header declares to `check`
+/// before any section is materialized: an `Err` from `check` is returned
+/// as is. [`crate::PlanStore::load`] uses it to refuse a file filed under
+/// another key without building the plan it describes.
+pub(crate) fn decode_as(
+    bytes: &[u8],
+    check: impl FnOnce(StoreKey) -> Result<()>,
+) -> Result<PlanIr> {
     // Checksum first: it covers everything, so random corruption is caught
     // before any field is interpreted. The version field only picks which
     // checksum to compute.
@@ -297,6 +318,16 @@ pub fn decode(bytes: &[u8]) -> Result<PlanIr> {
     if rows == 0 || cols == 0 || width == 0 {
         return Err(PlanError::Codec {
             reason: format!("degenerate header: {rows}×{cols}, width {width}"),
+        });
+    }
+    check(StoreKey {
+        fingerprint,
+        n,
+        width,
+    })?;
+    if n as u64 > MAX_ENTRIES {
+        return Err(PlanError::Codec {
+            reason: format!("header declares {rows}×{cols} entries, more than 2^32"),
         });
     }
     let shape = MatrixShape::new(rows, cols).map_err(|_| PlanError::Codec {
@@ -639,7 +670,8 @@ mod tests {
     #[test]
     fn a_shape_too_large_to_address_is_a_clean_error() {
         // 2^31 × 2^31 entries: the shape multiplies without overflow, but
-        // the section's byte length (4n) does not fit a usize.
+        // it is past the 2^32-entry bound (and its 4n section bytes would
+        // not fit a usize).
         let ir = sample(256, 8);
         let mut bytes = encode(&ir)[..8 + 4 + 5 * 8 + 4].to_vec();
         bytes[20..28].copy_from_slice(&(1u64 << 31).to_le_bytes());

@@ -7,9 +7,9 @@
 //! previous process already planned. The store is deliberately paranoid
 //! at the trust boundary:
 //!
-//! * **loads never trust the file name** — the decoded header's
-//!   fingerprint/shape/width must agree with the requested key, or the
-//!   load reports a mismatch;
+//! * **loads never trust the file name** — the header's
+//!   fingerprint/shape/width must agree with the requested key before any
+//!   section is decoded, or the load reports a mismatch;
 //! * **saves are atomic** — encode to a temp file in the same directory,
 //!   then rename over the target, so a crashed writer can never leave a
 //!   half-written plan where a reader will find it;
@@ -153,11 +153,13 @@ impl PlanStore {
     /// Load the plan filed under `key`: one read and one check, the
     /// [`codec::decode`] that checks each section as it inverts it.
     /// Returns `Ok(None)` when no file exists; `Err(PlanError::Codec)`
-    /// when a file exists but is corrupt, truncated, wrong-version, or its
-    /// decoded identity disagrees with `key` (a renamed or colliding
-    /// file). A decoded plan holds the [`PlanIr`] contract but still
-    /// **must** be verified against the requested permutation with
-    /// [`PlanIr::matches`] before it is trusted.
+    /// when a file exists but is corrupt, truncated, wrong-version, or the
+    /// identity its header declares disagrees with `key` (a renamed or
+    /// colliding file). The identity is compared before any section is
+    /// materialized, so a file cannot make a load allocate more than the
+    /// requested plan needs. A decoded plan holds the [`PlanIr`] contract
+    /// but still **must** be verified against the requested permutation
+    /// with [`PlanIr::matches`] before it is trusted.
     pub fn load(&self, key: &StoreKey) -> Result<Option<PlanIr>> {
         let path = self.path_for(key);
         let bytes = match fs::read(&path) {
@@ -165,17 +167,18 @@ impl PlanStore {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(store_err(&path, e)),
         };
-        let ir = codec::decode(&bytes)?;
-        let found = StoreKey::of(&ir);
-        if found != *key {
-            return Err(PlanError::Codec {
+        let ir = codec::decode_as(&bytes, |found| {
+            if found == *key {
+                return Ok(());
+            }
+            Err(PlanError::Codec {
                 reason: format!(
                     "plan identity mismatch: file holds (fp {:#018x}, n {}, w {}), \
                      requested (fp {:#018x}, n {}, w {})",
                     found.fingerprint, found.n, found.width, key.fingerprint, key.n, key.width
                 ),
-            });
-        }
+            })
+        })?;
         Ok(Some(ir))
     }
 

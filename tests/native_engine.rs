@@ -151,10 +151,11 @@ fn engine_batch_applies_one_plan_to_many_arrays() {
 
 #[test]
 fn pool_survives_task_panics_and_keeps_serving() {
-    // A panic inside a parallel region must surface on the caller...
+    // A panic inside a parallel region (4 MiB, so above the fan-out
+    // floor: the chunks go through the pool) must surface on the caller...
     let mut data = vec![0u32; 1 << 20];
     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        par_chunks_mut(&mut data, 1, |start, _| {
+        par_chunks_mut(&mut data, |start, _| {
             if start == 0 {
                 panic!("deliberate test panic");
             }

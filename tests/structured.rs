@@ -19,7 +19,9 @@
 //!   a typed error at every front door: `decode`, `PlanStore::load`, and
 //!   a store-backed engine, which counts the reject and still matches the
 //!   oracle; a compact (descriptor-form) store entry truncated or
-//!   bit-flipped on disk is refused the same way.
+//!   bit-flipped on disk is refused the same way, and so is one whose
+//!   header claims more entries than any plan may have, before anything
+//!   is allocated.
 
 use hmm_native::{as_native_scheduled, Backend, Route, SharedEngine};
 use hmm_perm::{families, Permutation};
@@ -328,6 +330,69 @@ fn corrupted_plans_are_rejected_at_every_front_door() {
             assert_eq!(s.store_hits, 0, "{label}");
         }
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A 592-byte re-sealed compact (kind 1) file whose header claims
+/// 2^20 × 2^20 entries, with descriptor geometry that is valid for that
+/// shape (each row the identity): materializing it would take 4 TiB per
+/// gather map. It must be a `PlanError::Codec` from `decode` and from
+/// `PlanStore::load`, and never reach an allocation: as is (the 2^32-entry
+/// bound), and filed under the real 64K key whose fingerprint and width
+/// it copies (the header identity check). A store-backed engine asking
+/// for that key counts one `store_rejects` and still matches the oracle.
+#[test]
+fn an_oversized_compact_header_is_refused_before_it_allocates() {
+    let n: usize = 1 << 16;
+    let p = families::bit_reversal(n).unwrap();
+    let ir = PlanIr::build(&p, W).unwrap();
+    let key = StoreKey::of(&ir);
+    let side: u64 = 1 << 20;
+    let bits = 2 * side.trailing_zeros();
+    let mut bytes = Vec::new();
+    bytes.extend_from_slice(&hmm_plan::codec::MAGIC);
+    bytes.extend_from_slice(&hmm_plan::FORMAT_VERSION.to_le_bytes());
+    for field in [W as u64, side, side, ir.gamma().to_bits(), key.fingerprint] {
+        bytes.extend_from_slice(&field.to_le_bytes());
+    }
+    bytes.extend_from_slice(&1u32.to_le_bytes()); // kind: compact
+    for _ in 0..3 {
+        bytes.extend_from_slice(&(bits / 2).to_le_bytes()); // col_bits
+        bytes.extend_from_slice(&0u32.to_le_bytes()); // offset
+        bytes.extend_from_slice(&(bits as u64).to_le_bytes()); // mask count
+        for j in 0..bits {
+            let mask: u32 = if j < bits / 2 { 1 << j } else { 0 };
+            bytes.extend_from_slice(&mask.to_le_bytes());
+        }
+    }
+    bytes.extend_from_slice(&[0; 8]);
+    let bytes = reseal(bytes);
+    assert_eq!(bytes.len(), 592);
+
+    let err = hmm_plan::decode(&bytes).unwrap_err();
+    assert!(matches!(err, PlanError::Codec { .. }), "{err}");
+
+    let dir = std::env::temp_dir().join(format!("hmm-oversized-header-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = PlanStore::open(&dir).unwrap();
+    let own_key = StoreKey {
+        n: 1 << bits,
+        ..key
+    };
+    for (label, k) in [("its own key", own_key), ("the 64K key", key)] {
+        std::fs::write(store.path_for(&k), &bytes).unwrap();
+        let err = store.load(&k).unwrap_err();
+        assert!(matches!(err, PlanError::Codec { .. }), "{label}: {err}");
+    }
+
+    let src = input(n);
+    let engine: SharedEngine<u32> = SharedEngine::with_store(W, &dir).unwrap();
+    let mut dst = vec![0u32; n];
+    engine.permute(&p, &src, &mut dst).unwrap();
+    assert_eq!(dst, naive_reference(&p, &src));
+    let s = engine.stats();
+    assert_eq!(s.store_rejects, 1, "the oversized file is counted");
+    assert_eq!(s.store_hits, 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
