@@ -45,7 +45,9 @@
 //! entirely ([`EngineStats::builds`] stays 0). Disk is never trusted:
 //! every load re-verifies the decoded plan against the requested
 //! permutation, and corrupt or colliding files are counted
-//! ([`EngineStats::store_rejects`]), deleted, and rebuilt.
+//! ([`EngineStats::store_rejects`]), deleted, and rebuilt. A miss
+//! consults the store first: a verified hit is one file read, one decode
+//! and one `matches` walk, and routes on the γ_w the file records.
 //!
 //! The engine also chooses the backend per plan: the paper's Table II shows
 //! the conventional (scatter) kernel beating the scheduled one when the
@@ -56,6 +58,11 @@
 //! a measured-γ decision: `γ_w(P) ≤ threshold` → scatter, else scheduled.
 //! The threshold is the fixed [`DEFAULT_GAMMA_THRESHOLD`];
 //! [`SharedEngine::set_gamma_threshold`] overrides it per engine.
+//!
+//! A miss therefore resolves in this order: the store (when attached),
+//! then γ_w, then the structured fast path, then a König build. A store
+//! hit takes γ_w from the file's header (the value its builder measured)
+//! instead of measuring it again; every other miss measures it.
 
 use crate::backend::{Backend, Executable};
 use crate::cache::Shard;
@@ -205,7 +212,9 @@ impl<T> PermutePlan<T> {
         self.plan.exec.route()
     }
 
-    /// The measured distribution γ_w(P) the decision was based on.
+    /// The distribution γ_w(P) the route decision was based on: measured
+    /// when the plan was built, or recorded at build time and read from
+    /// the file on a store hit.
     pub fn gamma(&self) -> f64 {
         self.plan.gamma
     }
@@ -342,10 +351,9 @@ impl EngineCore {
         *self.kernel.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Produce the plan for `p` at this engine's width: the γ decision
-    /// first (scatter plans are cheap and never touch the store), then
-    /// the tier-2 store when attached, then the structured (BMMC) fast
-    /// path — a closed-form plan counted in
+    /// Produce the plan for `p` at this engine's width: the tier-2 store
+    /// first when one is attached, then the γ decision, then the
+    /// structured (BMMC) fast path — a closed-form plan counted in
     /// [`EngineStats::plans_structured`] — and only for genuinely
     /// unstructured permutations a fresh König build, counted in
     /// [`EngineStats::builds`]. Both kinds of built plan are saved back
@@ -354,16 +362,23 @@ impl EngineCore {
     /// hashes `p` once and the store is looked up under the same key the
     /// cache uses.
     ///
+    /// A verified store hit routes on the γ_w its file records — the
+    /// value the build-time decision measured, since every builder
+    /// records `distribution(p, w)` — so it skips the O(n) distribution
+    /// pass. Only a store miss or reject, or an engine without a store,
+    /// measures γ_w. The recorded γ only picks between two routes that
+    /// are both correct for every `p`: a lying header can cost speed,
+    /// never correctness. The price of the order is one failed file open
+    /// (a few µs) per miss of a `γ ≤ threshold` permutation on a
+    /// store-backed engine, against the ~0.6–0.8 ms pass a hit skips at
+    /// 64K.
+    ///
     /// Every scheduled arm checks its IR against `p` once (`ir.matches`)
     /// and the plan then holds `p` itself — a clone sharing the caller's
     /// storage — rather than a map recomposed from the IR. A built IR
     /// that does not realise `p` fails with [`PlanError::Invalid`]
     /// instead of being cached.
     pub(crate) fn construct_plan(&self, p: &Permutation, fingerprint: u64) -> Result<Plan> {
-        let gamma = distribution(p, self.width);
-        if gamma <= self.gamma_threshold() {
-            return Ok(Plan::scatter(self.backend, p, gamma));
-        }
         if let Some(store) = &self.store {
             let key = StoreKey {
                 fingerprint,
@@ -373,6 +388,9 @@ impl EngineCore {
             match store.load(&key) {
                 Ok(Some(ir)) if ir.matches(p) => {
                     self.stats.store_hits.fetch_add(1, Ordering::Relaxed);
+                    if ir.gamma() <= self.gamma_threshold() {
+                        return Ok(Plan::scatter(self.backend, p, ir.gamma()));
+                    }
                     self.note_affine(&ir);
                     return Ok(self.scheduled(&ir, p));
                 }
@@ -386,6 +404,10 @@ impl EngineCore {
                     let _ = store.remove(&key);
                 }
             }
+        }
+        let gamma = distribution(p, self.width);
+        if gamma <= self.gamma_threshold() {
+            return Ok(Plan::scatter(self.backend, p, gamma));
         }
         // Structured fast path: affine/BMMC permutations (transpose,
         // bit-reversal, shuffle, hypercube, ...) get their pass

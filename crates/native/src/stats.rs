@@ -45,8 +45,10 @@ pub struct EngineStats {
     /// maps from the descriptors, so a warm-store cold start is still
     /// descriptor-backed); König-colored plans never carry descriptors.
     pub plans_affine: u64,
-    /// Scheduled plans served from the on-disk store, each verified
-    /// against the requested permutation before use.
+    /// Plans served from the on-disk store, each verified against the
+    /// requested permutation before use. A hit routes on the γ_w its
+    /// file records, so one recorded at or below the threshold is served
+    /// as a scatter plan.
     pub store_hits: u64,
     /// Store files discarded: unreadable, corrupt, wrong format version,
     /// or decoded fine but encoding a *different* permutation than the

@@ -20,23 +20,34 @@ use crate::permutation::Permutation;
 /// The distribution `γ_w(P)` (average distinct destination groups per
 /// warp). Returns 0.0 for an empty permutation.
 pub fn distribution(p: &Permutation, width: usize) -> f64 {
-    assert!(width > 0, "width must be positive");
-    let n = p.len();
-    if n == 0 {
-        return 0.0;
-    }
     let mut total_groups = 0usize;
     let mut warps = 0usize;
+    for groups in warp_group_counts(p.as_slice(), width) {
+        total_groups += groups;
+        warps += 1;
+    }
+    if warps == 0 {
+        return 0.0;
+    }
+    total_groups as f64 / warps as f64
+}
+
+/// The per-warp counter every distribution statistic folds: for each
+/// warp of `dests` (consecutive `width`-element chunks, the last one
+/// possibly partial), the number of distinct destination groups
+/// `⌊d/width⌋` it writes to. A caller that splits the map on warp
+/// boundaries and sums the counts of its pieces gets exactly the
+/// counts of the whole.
+pub fn warp_group_counts(dests: &[usize], width: usize) -> impl Iterator<Item = usize> + '_ {
+    assert!(width > 0, "width must be positive");
     let mut scratch: Vec<usize> = Vec::with_capacity(width);
-    for warp in p.as_slice().chunks(width) {
+    dests.chunks(width).map(move |warp| {
         scratch.clear();
         scratch.extend(warp.iter().map(|&d| d / width));
         scratch.sort_unstable();
         scratch.dedup();
-        total_groups += scratch.len();
-        warps += 1;
-    }
-    total_groups as f64 / warps as f64
+        scratch.len()
+    })
 }
 
 /// The normalized distribution `ρ_w(P) = γ_w(P)/w ∈ [1/w, 1]`, the quantity
@@ -52,15 +63,9 @@ pub fn normalized_distribution(p: &Permutation, width: usize) -> f64 {
 /// itself shows whether a permutation is uniformly bad (bit-reversal: all
 /// warps at `w`) or mixed.
 pub fn warp_group_histogram(p: &Permutation, width: usize) -> Vec<usize> {
-    assert!(width > 0, "width must be positive");
     let mut hist = vec![0usize; width];
-    let mut scratch: Vec<usize> = Vec::with_capacity(width);
-    for warp in p.as_slice().chunks(width) {
-        scratch.clear();
-        scratch.extend(warp.iter().map(|&d| d / width));
-        scratch.sort_unstable();
-        scratch.dedup();
-        hist[scratch.len() - 1] += 1;
+    for groups in warp_group_counts(p.as_slice(), width) {
+        hist[groups - 1] += 1;
     }
     hist
 }
@@ -69,16 +74,10 @@ pub fn warp_group_histogram(p: &Permutation, width: usize) -> Vec<usize> {
 /// its group count — the straggler that bounds the casual round under a
 /// max-based (rather than sum-based) dispatch model.
 pub fn worst_warp(p: &Permutation, width: usize) -> Option<(usize, usize)> {
-    assert!(width > 0, "width must be positive");
     let mut best: Option<(usize, usize)> = None;
-    let mut scratch: Vec<usize> = Vec::with_capacity(width);
-    for (w_idx, warp) in p.as_slice().chunks(width).enumerate() {
-        scratch.clear();
-        scratch.extend(warp.iter().map(|&d| d / width));
-        scratch.sort_unstable();
-        scratch.dedup();
-        if best.map(|(_, g)| scratch.len() > g).unwrap_or(true) {
-            best = Some((w_idx, scratch.len()));
+    for (w_idx, groups) in warp_group_counts(p.as_slice(), width).enumerate() {
+        if best.is_none_or(|(_, g)| groups > g) {
+            best = Some((w_idx, groups));
         }
     }
     best
@@ -197,6 +196,26 @@ mod tests {
                 fam.name()
             );
         }
+    }
+
+    #[test]
+    fn warp_counts_split_on_warp_boundaries_sum_to_the_whole() {
+        // n = 1000 is not a multiple of w: the last warp is partial.
+        let p = families::random(1000, 4);
+        let whole: Vec<usize> = warp_group_counts(p.as_slice(), W).collect();
+        assert_eq!(whole.len(), 1000usize.div_ceil(W));
+        for cut in [0usize, 1, 7, whole.len()] {
+            let at = (cut * W).min(1000);
+            let (a, b) = p.as_slice().split_at(at);
+            let pieces: Vec<usize> = warp_group_counts(a, W)
+                .chain(warp_group_counts(b, W))
+                .collect();
+            assert_eq!(pieces, whole, "cut after warp {cut}");
+        }
+        assert_eq!(
+            distribution(&p, W),
+            whole.iter().sum::<usize>() as f64 / whole.len() as f64
+        );
     }
 
     #[test]

@@ -31,8 +31,8 @@ pub mod permutation;
 pub mod tensor;
 
 pub use distribution::{
-    distribution, expected_random_distribution, normalized_distribution, warp_group_histogram,
-    worst_warp,
+    distribution, expected_random_distribution, normalized_distribution, warp_group_counts,
+    warp_group_histogram, worst_warp,
 };
 pub use error::{PermError, Result};
 pub use families::Family;

@@ -14,9 +14,17 @@
 //! of the `O(n)` materialized map — and is what the computed-index
 //! kernels evaluate in registers instead of loading `g[p]` from memory.
 //! Descriptors are **fit from the materialized map and verified against
-//! every entry** (the same probe-then-Gray-walk scheme as
-//! `Permutation::as_bmmc`), so an attached descriptor is exact by
+//! every entry** (probe the basis as `Permutation::as_bmmc` does, then
+//! compare every entry), so an attached descriptor is exact by
 //! construction, never a heuristic.
+//!
+//! One materializer turns a descriptor back into its map, and the same
+//! one checks a map against it: within a row the fold is a row constant
+//! XORed into one shared table of the in-row part (the XOR-mask view of
+//! an affine index map, as in Bouverot-Dupuis & Sheeran's GPU affine
+//! permutations), so a map costs one XOR per entry. The same view decides
+//! from the masks alone whether every row is a permutation: exactly when
+//! the in-row masks are linearly independent over GF(2).
 //!
 //! Geometry: a descriptor belongs to one pass whose matrix view has
 //! `2^col_bits` columns. Gather indices live in `0..2^col_bits`, and the
@@ -26,6 +34,7 @@
 //! index (folded once per row into [`AffineStep::row_base`]).
 
 use crate::error::{PlanError, Result};
+use std::sync::Arc;
 
 /// The affine closed form of one pass's gather map (see module docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -126,32 +135,91 @@ impl AffineStep {
         v
     }
 
-    /// True iff the descriptor reproduces `map` exactly — an O(n)
-    /// incremental Gray-style walk of the map it folds.
+    /// True iff the descriptor reproduces `map` exactly: every entry is
+    /// compared with the value the descriptor's materializer writes
+    /// there (its row constant XOR the shared in-row table), without
+    /// allocating the map.
     pub fn matches_map(&self, map: &[u32]) -> bool {
-        if self.cols.len() >= usize::BITS as usize || map.len() != 1usize << self.cols.len() {
+        let bits = self.cols.len();
+        if bits >= usize::BITS as usize
+            || map.len() != 1usize << bits
+            || self.col_bits as usize > bits
+        {
             return false;
         }
-        let limit = 1u64 << self.col_bits.min(32);
+        let limit = 1u64 << self.col_bits;
         if u64::from(self.offset) >= limit || self.cols.iter().any(|&m| u64::from(m) >= limit) {
             return false;
         }
-        self.walk().eq(map.iter().copied())
+        let low = self.low_table();
+        map.chunks_exact(low.len()).enumerate().all(|(row, got)| {
+            let base = self.row_base(row);
+            // OR of the differences: a branch-free pass per row.
+            got.iter()
+                .zip(&low)
+                .fold(0, |acc, (&g, &l)| acc | (g ^ base ^ l))
+                == 0
+        })
     }
 
-    /// The map's entries in order, by the incremental Gray-style walk
-    /// (each step XORs only the masks of the bits that changed). An
-    /// exact-size iterator over a range, so collecting it allocates once,
-    /// into a `Vec` or straight into an `Arc<[u32]>`.
-    pub(crate) fn walk(&self) -> impl Iterator<Item = u32> + '_ {
-        let mut val = self.offset;
-        (0..1usize << self.cols.len()).map(move |i| {
-            let mut changed = if i == 0 { 0 } else { (i - 1) ^ i };
-            while changed != 0 {
-                val ^= self.cols[changed.trailing_zeros() as usize];
-                changed &= changed - 1;
+    /// The gather map this descriptor folds, allocated once into shared
+    /// storage. Within a row the fold is `row_base(row) ⊕ low[j]`, where
+    /// `low` is the same `2^col_bits`-entry table for every row
+    /// ([`AffineStep::low_table`]), so each row is one XOR of a constant
+    /// into that table — no per-entry bit walk. The geometry must hold
+    /// (`col_bits ≤` the mask count): [`AffineStep::fit`] only returns
+    /// such descriptors, and decode runs
+    /// [`AffineStep::check_geometry`] first.
+    pub(crate) fn materialize(&self) -> Arc<[u32]> {
+        let low = self.low_table();
+        let mut map: Arc<[u32]> = std::iter::repeat_n(0, 1usize << self.cols.len()).collect();
+        let out = Arc::get_mut(&mut map).expect("a fresh map is unshared");
+        for (row, chunk) in out.chunks_exact_mut(low.len()).enumerate() {
+            let base = self.row_base(row);
+            for (slot, &l) in chunk.iter_mut().zip(&low) {
+                *slot = base ^ l;
             }
-            val
+        }
+        map
+    }
+
+    /// The in-row part of the fold, `low[j] = XOR of lo_masks[b] over the
+    /// set bits b of j` for `j` in `0..2^col_bits`, built by doubling:
+    /// the second half of each prefix is the first half XOR the next
+    /// mask.
+    fn low_table(&self) -> Vec<u32> {
+        let mut low = Vec::with_capacity(1usize << self.col_bits);
+        low.push(0);
+        for &m in self.lo_masks() {
+            low.extend_from_within(..);
+            let half = low.len() / 2;
+            low[half..].iter_mut().for_each(|v| *v ^= m);
+        }
+        low
+    }
+
+    /// True iff every row of the materialized map is a permutation of
+    /// `0..2^col_bits`, decided from the masks alone. A row is
+    /// `row_base(row) ⊕ low[j]`, and XOR by a constant is a bijection,
+    /// so every row is a permutation exactly when `j ↦ low[j]` is, that
+    /// is when the `col_bits` low masks are linearly independent over
+    /// GF(2) — an O(col_bits²) rank check in place of an O(n) pass over
+    /// the map. Exact only once [`AffineStep::check_geometry`] has
+    /// bounded every mask and the offset below `2^col_bits`.
+    pub(crate) fn rows_are_permutations(&self) -> bool {
+        // Leading-bit echelon basis: by_msb[b] has highest set bit b.
+        let mut by_msb = [0u32; 32];
+        self.lo_masks().iter().all(|&m| {
+            let mut v = m;
+            while v != 0 {
+                let top = v.ilog2() as usize;
+                if by_msb[top] == 0 {
+                    by_msb[top] = v;
+                    return true;
+                }
+                v ^= by_msb[top];
+            }
+            false
         })
     }
 
@@ -213,7 +281,7 @@ mod tests {
         assert_eq!(step.col_bits(), 3);
         assert_eq!(step.lo_masks(), &masks[..3]);
         assert!(step.matches_map(&map));
-        assert_eq!(step.walk().collect::<Vec<_>>(), map);
+        assert_eq!(&step.materialize()[..], &map[..]);
         for (p, &expect) in map.iter().enumerate() {
             assert_eq!(step.eval(p), expect);
             assert_eq!(
@@ -235,6 +303,9 @@ mod tests {
         assert!(AffineStep::fit(&[0u32; 12], 4).is_none());
         assert!(AffineStep::fit(&(0..16u32).collect::<Vec<_>>(), 12).is_none());
         assert!(AffineStep::fit(&[], 4).is_none());
+        // Rows longer than the map: no descriptor whose in-row masks
+        // outnumber its masks.
+        assert!(AffineStep::fit(&(0..16u32).collect::<Vec<_>>(), 32).is_none());
     }
 
     #[test]
@@ -254,10 +325,121 @@ mod tests {
         // A descriptor whose masks exceed the row length cannot claim to
         // match any in-range map.
         let step = AffineStep::from_parts(2, vec![0, 1, 8, 0], 0);
-        let map: Vec<u32> = step.walk().collect();
+        let map: Vec<u32> = (0..16).map(|p| step.eval(p)).collect();
         assert!(!step.matches_map(&map));
         // And a length mismatch is a clean false, not a panic.
         let id = AffineStep::fit(&(0..16u32).collect::<Vec<_>>(), 16).unwrap();
         assert!(!id.matches_map(&[0, 1, 2]));
+    }
+
+    #[test]
+    fn rank_check_refuses_dependent_low_masks() {
+        // Rows of 8, 32 positions. Independent low masks: permutations.
+        let ok = AffineStep::from_parts(3, vec![0b001, 0b011, 0b110, 0b101, 0b010], 0b100);
+        ok.check_geometry("g", 32, 8).unwrap();
+        assert!(ok.rows_are_permutations());
+        assert!(crate::ir::rows_are_permutations(&ok.materialize(), 8));
+        // Two equal low masks, a zero low mask, and a low mask that is
+        // the XOR of the other two: each repeats entries in every row.
+        for lo in [
+            [0b001, 0b001, 0b100],
+            [0b001, 0, 0b100],
+            [0b011, 0b110, 0b101],
+        ] {
+            let mut masks = lo.to_vec();
+            masks.extend([0b111, 0b001]);
+            let bad = AffineStep::from_parts(3, masks, 0);
+            bad.check_geometry("g", 32, 8).unwrap();
+            assert!(!bad.rows_are_permutations(), "{lo:?}");
+            assert!(!crate::ir::rows_are_permutations(&bad.materialize(), 8));
+        }
+    }
+
+    /// The table materializer equals the per-position fold on the
+    /// descriptors of every closed-form plan pass.
+    #[test]
+    fn materializer_equals_eval_on_random_bmmc_plans() {
+        for (k, seed) in [(6u32, 1u64), (9, 2), (11, 3), (12, 4)] {
+            let n = 1usize << k;
+            let p = hmm_perm::families::random_bmmc(n, seed).unwrap();
+            let ir = crate::PlanIr::build(&p, 8).unwrap();
+            let affine = ir.affine().expect("BMMC plans carry descriptors");
+            for (step, gather) in affine.iter().zip(ir.gathers()) {
+                let map = step.materialize();
+                assert_eq!(&map[..], &gather[..], "k={k}");
+                assert!(map.iter().enumerate().all(|(p, &v)| v == step.eval(p)));
+            }
+        }
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A descriptor over `2^bits` positions in rows of `2^col_bits`,
+        /// every mask and the offset in range, drawn from `seed`. `dep`
+        /// picks how the low masks are drawn: 0 at random (dependent or
+        /// not), 1 with one low mask copied from another, 2 with one low
+        /// mask the XOR of two others.
+        fn descriptor(bits: u32, col_frac: f64, dep: u8, seed: u64) -> AffineStep {
+            let col_bits = ((f64::from(bits + 1) * col_frac) as u32).min(bits);
+            let cols = 1u64 << col_bits;
+            let mut state = seed;
+            let mut draw = || {
+                // splitmix64
+                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                ((z ^ (z >> 31)) % cols) as u32
+            };
+            let mut masks: Vec<u32> = (0..bits).map(|_| draw()).collect();
+            let lo = col_bits as usize;
+            if dep == 1 && lo >= 2 {
+                masks[lo - 1] = masks[0];
+            } else if dep == 2 && lo >= 3 {
+                masks[lo - 1] = masks[0] ^ masks[1];
+            }
+            AffineStep::from_parts(col_bits, masks, draw())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// The rank check decides exactly what a row-by-row scan of
+            /// the materialized map decides.
+            #[test]
+            fn rank_check_equals_the_row_scan(
+                bits in 1u32..=10,
+                col_frac in 0.0f64..1.0,
+                dep in 0u8..3,
+                seed in any::<u64>(),
+            ) {
+                let step = descriptor(bits, col_frac, dep, seed);
+                let col_bits = step.col_bits();
+                step.check_geometry("g", 1 << bits, 1 << col_bits).unwrap();
+                prop_assert_eq!(
+                    step.rows_are_permutations(),
+                    crate::ir::rows_are_permutations(&step.materialize(), 1 << col_bits)
+                );
+            }
+
+            /// The table materializer equals the per-position fold.
+            #[test]
+            fn materializer_equals_eval(
+                bits in 1u32..=10,
+                col_frac in 0.0f64..1.0,
+                dep in 0u8..3,
+                seed in any::<u64>(),
+            ) {
+                let step = descriptor(bits, col_frac, dep, seed);
+                let map = step.materialize();
+                prop_assert_eq!(map.len(), 1usize << bits);
+                for (p, &v) in map.iter().enumerate() {
+                    prop_assert_eq!(v, step.eval(p), "position {}", p);
+                }
+                prop_assert!(step.matches_map(&map));
+            }
+        }
     }
 }

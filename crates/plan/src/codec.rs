@@ -37,11 +37,13 @@
 //! checks the section's rows. Structured plans go further: their gathers have a verified
 //! closed form ([`crate::AffineStep`]), so the file stores the three
 //! descriptors — O(log² n) bytes instead of 3 × O(n) maps — and the maps
-//! are rebuilt on decode by the same Gray-style walk that verified the
-//! fit. Decoding never panics: truncation, a flipped byte, an unknown
-//! version or kind, inconsistent section lengths, out-of-range
-//! descriptors, or non-permutation rows all surface as
-//! [`PlanError::Codec`].
+//! are rebuilt on decode by the same table materializer that verified the
+//! fit, after a GF(2) rank check of each descriptor's in-row masks
+//! decides, from the masks alone, that every row is a permutation.
+//! Decoding never panics: truncation, a flipped byte, an unknown
+//! version or kind, a recorded γ_w outside `[1, width]`, inconsistent
+//! section lengths, out-of-range descriptors, or non-permutation rows all
+//! surface as [`PlanError::Codec`].
 
 use crate::affine::AffineStep;
 use crate::error::{PlanError, Result};
@@ -248,7 +250,8 @@ fn check_no_trailing(cur: &Cursor<'_>) -> Result<()> {
 }
 
 /// Decode a plan from bytes. Every malformed input — truncated, bit-flipped,
-/// wrong magic or version, inconsistent sections, a step row or descriptor
+/// wrong magic or version, a recorded γ_w that is not finite or lies
+/// outside `[1, width]`, inconsistent sections, a step row or descriptor
 /// that is not a permutation — yields [`PlanError::Codec`]. This is the one
 /// check a plan file gets: each section is checked in the same pass that
 /// inverts it into its gather map, so a decoded plan holds the [`PlanIr`]
@@ -318,6 +321,13 @@ pub(crate) fn decode_as(
     if rows == 0 || cols == 0 || width == 0 {
         return Err(PlanError::Codec {
             reason: format!("degenerate header: {rows}×{cols}, width {width}"),
+        });
+    }
+    // Every builder records a γ_w in [1, w], and engines route on the
+    // recorded value, so a file claiming anything else is refused.
+    if !(1.0..=width as f64).contains(&gamma) {
+        return Err(PlanError::Codec {
+            reason: format!("recorded γ_w {gamma} lies outside [1, {width}]"),
         });
     }
     check(StoreKey {
@@ -665,6 +675,31 @@ mod tests {
             decode(&reseal(degen)),
             Err(PlanError::Codec { .. })
         ));
+    }
+
+    /// Engines route a store hit on the recorded γ_w, so a value no
+    /// builder writes — not finite, below 1, above the width — is a
+    /// codec error, in full and compact files alike.
+    #[test]
+    fn recorded_gamma_outside_one_to_width_is_refused() {
+        let full = sample(256, 9);
+        let compact = PlanIr::build(&families::shuffle(1 << 10).unwrap(), W).unwrap();
+        for ir in [full, compact] {
+            let with_gamma = |g: f64| {
+                let mut bytes = encode(&ir);
+                bytes[36..44].copy_from_slice(&g.to_bits().to_le_bytes());
+                reseal(bytes)
+            };
+            for bad in [f64::NAN, f64::INFINITY, 0.5, 0.0, -1.0, W as f64 + 1.0] {
+                let err = decode(&with_gamma(bad)).unwrap_err();
+                assert!(matches!(err, PlanError::Codec { .. }), "{bad}: {err}");
+                assert!(err.to_string().contains("γ_w"), "{bad}: {err}");
+            }
+            // The ends of the range are values builders do write.
+            for good in [1.0, W as f64] {
+                assert_eq!(decode(&with_gamma(good)).unwrap().gamma(), good);
+            }
+        }
     }
 
     #[test]

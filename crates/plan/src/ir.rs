@@ -31,7 +31,7 @@
 use crate::affine::AffineStep;
 use crate::error::{PlanError, Result};
 use hmm_graph::{edge_color_par, edge_color_with, Parallelism, RegularBipartite, Strategy};
-use hmm_perm::distribution::distribution;
+use hmm_perm::distribution::{distribution, warp_group_counts};
 use hmm_perm::{scheduled_shape, Bmmc, MatrixShape, Permutation};
 use std::sync::Arc;
 
@@ -477,8 +477,9 @@ impl PlanIr {
     /// decode path for structured plan files, which carry only the three
     /// [`AffineStep`]s (O(log² n) bytes) instead of the maps. Each
     /// descriptor's geometry is checked *before* any size-`n` allocation,
-    /// then its gather map is materialized and its rows checked as
-    /// permutations, so hostile descriptor bytes yield
+    /// then its rows are checked as permutations from the masks alone (a
+    /// GF(2) rank check, exact once the geometry holds) and only then is
+    /// its gather map materialized, so hostile descriptor bytes yield
     /// [`PlanError::Codec`], never a panic or an invalid plan. Fitting on
     /// the encode side verified the descriptors against the built maps
     /// entry-by-entry, so this reconstruction is field-identical to the
@@ -493,13 +494,12 @@ impl PlanIr {
         let n = shape.len();
         let materialize = |name: &str, step: &AffineStep, cols: usize| -> Result<Arc<[u32]>> {
             step.check_geometry(name, n, cols)?;
-            let gather: Arc<[u32]> = step.walk().collect();
-            if !rows_are_permutations(&gather, cols) {
+            if !step.rows_are_permutations() {
                 return Err(PlanError::Codec {
                     reason: format!("{name} does not materialize row permutations of 0..{cols}"),
                 });
             }
-            Ok(gather)
+            Ok(step.materialize())
         };
         let [l1, l2, l3] = pass_layouts(shape);
         let gathers = [
@@ -537,7 +537,9 @@ impl PlanIr {
         self.len() == 0
     }
 
-    /// The measured distribution γ_w(P) recorded at build time.
+    /// The measured distribution γ_w(P) recorded at build time, in
+    /// `[1, width]` (decode refuses a file that records anything else).
+    /// Engines route a verified store hit on it.
     pub fn gamma(&self) -> f64 {
         self.gamma
     }
@@ -578,16 +580,16 @@ impl PlanIr {
         pass_layouts(self.shape)
     }
 
-    /// Flat source index of destination `dest`: the three gathers walked
-    /// back from the output. Destination `(di, dj)` holds the color
-    /// `k = g3[di][dj]` element of source row `i = g2[k][di]`, which
-    /// started at column `g1[i][k]`.
+    /// Flat source index of the element destination row `di` takes as
+    /// color `k` (`k = g3[di][dj]` for its destination column `dj`): it
+    /// sits in source row `i = g2[k][di]`, which it left from column
+    /// `g1[i][k]`. Callers walk destination rows and columns directly,
+    /// so no destination is ever divided into its row and column.
     #[inline]
-    fn src_of(&self, dest: usize) -> usize {
+    fn source_of(&self, di: usize, k: u32) -> usize {
         let (r, c) = (self.shape.rows, self.shape.cols);
-        let [g1, g2, g3] = &self.gathers;
-        let (di, dj) = (dest / c, dest % c);
-        let k = g3[di * c + dj] as usize;
+        let [g1, g2, _] = &self.gathers;
+        let k = k as usize;
         let i = g2[k * r + di] as usize;
         i * c + g1[i * c + k] as usize
     }
@@ -595,18 +597,33 @@ impl PlanIr {
     /// Compose the three passes back into the flat permutation the plan
     /// realises.
     pub fn recompose(&self) -> Permutation {
+        let c = self.shape.cols;
         let mut map = vec![0usize; self.len()];
-        for dest in 0..self.len() {
-            map[self.src_of(dest)] = dest;
+        for (di, row) in self.gathers[2].chunks_exact(c).enumerate() {
+            for (dj, &k) in row.iter().enumerate() {
+                map[self.source_of(di, k)] = di * c + dj;
+            }
         }
         Permutation::from_vec_unchecked(map)
     }
 
     /// True iff this plan realises exactly `p` — the collision check every
-    /// store hit runs before a decoded plan is trusted (an O(n) walk, no
-    /// allocation).
+    /// store hit runs before a decoded plan is trusted: the same walk as
+    /// [`PlanIr::recompose`], comparing every destination with `p`
+    /// instead of writing it (O(n), no allocation, one branch per row).
     pub fn matches(&self, p: &Permutation) -> bool {
-        self.len() == p.len() && (0..self.len()).all(|dest| p.apply(self.src_of(dest)) == dest)
+        let p = p.as_slice();
+        let c = self.shape.cols;
+        self.len() == p.len()
+            && self.gathers[2]
+                .chunks_exact(c)
+                .enumerate()
+                .all(|(di, row)| {
+                    let diff = row.iter().enumerate().fold(0, |diff, (dj, &k)| {
+                        diff | (p[self.source_of(di, k)] ^ (di * c + dj))
+                    });
+                    diff == 0
+                })
     }
 
     /// Re-check the plan's contract: three gather maps sized to the
@@ -891,9 +908,9 @@ fn par_rows3(
     );
 }
 
-/// γ_w(P) over a thread budget: per-warp distinct-group counts are
-/// independent, so chunk sums (integers, summed in range order) combine
-/// into exactly the sequential [`distribution`] value.
+/// γ_w(P) over a thread budget: each range of warps is counted by the
+/// same [`warp_group_counts`] that [`distribution`] folds, and the
+/// integer chunk sums combine into exactly the sequential value.
 fn distribution_par(p: &Permutation, width: usize, par: Parallelism) -> f64 {
     let n = p.len();
     if n == 0 {
@@ -902,24 +919,14 @@ fn distribution_par(p: &Permutation, width: usize, par: Parallelism) -> f64 {
     let warps = n.div_ceil(width);
     let slice = p.as_slice();
     let parts = par.map_ranges(warps, 256, |w0, w1| {
-        let mut groups = 0usize;
-        let mut scratch: Vec<usize> = Vec::with_capacity(width);
-        for w in w0..w1 {
-            let warp = &slice[w * width..((w + 1) * width).min(n)];
-            scratch.clear();
-            scratch.extend(warp.iter().map(|&d| d / width));
-            scratch.sort_unstable();
-            scratch.dedup();
-            groups += scratch.len();
-        }
-        groups
+        warp_group_counts(&slice[w0 * width..(w1 * width).min(n)], width).sum::<usize>()
     });
     let total: usize = parts.iter().sum();
     total as f64 / warps as f64
 }
 
 /// True iff every `cols`-chunk of `flat` is a permutation of `0..cols`.
-fn rows_are_permutations(flat: &[u32], cols: usize) -> bool {
+pub(crate) fn rows_are_permutations(flat: &[u32], cols: usize) -> bool {
     let mut seen = vec![false; cols];
     for row in flat.chunks_exact(cols) {
         seen.iter_mut().for_each(|s| *s = false);
@@ -996,6 +1003,73 @@ mod tests {
         let ir = PlanIr::build(&families::random(n, 1), W).unwrap();
         assert!(!ir.matches(&families::random(n, 2)));
         assert!(!ir.matches(&families::random(n * 2, 1)));
+    }
+
+    /// `matches` walks destination rows and columns where the code it
+    /// replaced divided each destination; the check must stay exactly
+    /// "the plan recomposes to `q`", on square and rectangular shapes,
+    /// for the plan's own permutation and for near misses.
+    #[test]
+    fn matches_is_exactly_recompose_equality() {
+        for n in [1usize << 10, 1 << 11] {
+            for fam in families::Family::ALL {
+                let p = fam.build(n, 23).unwrap();
+                let ir = PlanIr::build(&p, W).unwrap();
+                if n == 1 << 11 {
+                    assert_ne!(ir.shape().rows, ir.shape().cols);
+                }
+                let mut swapped = p.as_slice().to_vec();
+                swapped.swap(3, n - 5);
+                let swapped = Permutation::from_vec(swapped).unwrap();
+                let candidates = [
+                    p.clone(),
+                    swapped,
+                    families::random(n, 24),
+                    p.inverse(),
+                    Permutation::identity(n),
+                ];
+                let recomposed = ir.recompose();
+                for (k, q) in candidates.iter().enumerate() {
+                    assert_eq!(
+                        ir.matches(q),
+                        recomposed == *q,
+                        "{} n={n} candidate {k}",
+                        fam.name()
+                    );
+                }
+                assert!(ir.matches(&p), "{} n={n}", fam.name());
+                assert!(!ir.matches(&candidates[1]), "{} n={n}", fam.name());
+            }
+        }
+    }
+
+    /// Every builder records the γ_w the sequential `distribution`
+    /// measures, bit for bit — engines route store hits on it.
+    #[test]
+    fn every_builder_records_the_sequential_gamma() {
+        for n in [1usize << 10, 1 << 11] {
+            for fam in families::Family::ALL {
+                let p = fam.build(n, 25).unwrap();
+                let want = distribution(&p, W).to_bits();
+                for t in [1usize, 2, 3] {
+                    let ir = PlanIr::build_par(&p, W, t).unwrap();
+                    assert_eq!(ir.gamma().to_bits(), want, "{} n={n} t={t}", fam.name());
+                }
+                let shape = scheduled_shape(n, W).unwrap();
+                let general = PlanIr::build_for_shape(&p, shape, W, Strategy::Hybrid).unwrap();
+                assert_eq!(general.gamma().to_bits(), want, "{} n={n}", fam.name());
+            }
+        }
+        // The range split also agrees off the warp grid: a length that is
+        // not a multiple of the width, at budgets that split unevenly.
+        for (n, width) in [(1000usize, 32usize), (100_003, 32), (4097, 7)] {
+            let p = families::random(n, 26);
+            let want = distribution(&p, width).to_bits();
+            for t in [1usize, 2, 3, 5] {
+                let got = distribution_par(&p, width, Parallelism::threads(t));
+                assert_eq!(got.to_bits(), want, "n={n} w={width} t={t}");
+            }
+        }
     }
 
     #[test]
@@ -1172,7 +1246,7 @@ mod tests {
                 ("g3", &aff[2], &ir.gathers()[2][..], c),
             ] {
                 assert!(step.matches_map(map), "{name}/{which}");
-                assert!(step.walk().eq(map.iter().copied()), "{name}/{which}");
+                assert_eq!(&step.materialize()[..], map, "{name}/{which}");
                 assert_eq!(step.col_bits(), cols.trailing_zeros(), "{name}/{which}");
                 for p in [0usize, 1, 7, n / 2, n - 1] {
                     assert_eq!(step.eval(p), map[p], "{name}/{which} at {p}");

@@ -19,7 +19,7 @@
 //!
 //! Structured plans persist in **compact descriptor form** (the codec's
 //! kind-1 section): a few hundred bytes per plan instead of 3 × O(n)
-//! maps, with the maps rebuilt on load by the verified Gray-style walk.
+//! maps, with the maps rebuilt on load by the descriptors' table materializer.
 //! A store mixing structured and König plans therefore mixes ~300-byte
 //! and ~12n-byte files; [`PlanStore::prune`] sizes both from disk.
 //!
@@ -151,15 +151,19 @@ impl PlanStore {
     }
 
     /// Load the plan filed under `key`: one read and one check, the
-    /// [`codec::decode`] that checks each section as it inverts it.
-    /// Returns `Ok(None)` when no file exists; `Err(PlanError::Codec)`
-    /// when a file exists but is corrupt, truncated, wrong-version, or the
-    /// identity its header declares disagrees with `key` (a renamed or
+    /// [`codec::decode`] that checks each full section as it inverts it
+    /// and each compact descriptor's rows by a rank check before it
+    /// materializes the map. Returns `Ok(None)` when no file exists;
+    /// `Err(PlanError::Codec)` when a file exists but is corrupt,
+    /// truncated, wrong-version, records a γ_w outside `[1, width]`, or
+    /// the identity its header declares disagrees with `key` (a renamed or
     /// colliding file). The identity is compared before any section is
     /// materialized, so a file cannot make a load allocate more than the
     /// requested plan needs. A decoded plan holds the [`PlanIr`] contract
     /// but still **must** be verified against the requested permutation
-    /// with [`PlanIr::matches`] before it is trusted.
+    /// with [`PlanIr::matches`] before it is trusted. Its
+    /// [`PlanIr::gamma`] is the γ_w recorded at build time, which an
+    /// engine routes a verified hit on without measuring it again.
     pub fn load(&self, key: &StoreKey) -> Result<Option<PlanIr>> {
         let path = self.path_for(key);
         let bytes = match fs::read(&path) {
@@ -315,6 +319,35 @@ mod tests {
             std::env::temp_dir().join(format!("hmm-plan-store-test-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         PlanStore::open(dir).unwrap()
+    }
+
+    /// A file whose re-sealed header records a γ_w no builder writes is
+    /// refused by `load` as a codec error, like any other hostile file.
+    #[test]
+    fn load_refuses_a_recorded_gamma_outside_one_to_width() {
+        let store = tmp_store("gamma");
+        for p in [
+            families::random(1 << 10, 8),
+            families::bit_reversal(1 << 10).unwrap(),
+        ] {
+            let ir = PlanIr::build(&p, W).unwrap();
+            let key = StoreKey::of(&ir);
+            let path = store.save(&ir).unwrap();
+            let good = fs::read(&path).unwrap();
+            for bad in [f64::NAN, 0.5, W as f64 + 1.0] {
+                let mut bytes = good.clone();
+                bytes[36..44].copy_from_slice(&bad.to_bits().to_le_bytes());
+                let body = bytes.len() - 8;
+                let sum = hmm_perm::hash::hash_bytes(&bytes[..body]);
+                bytes[body..].copy_from_slice(&sum.to_le_bytes());
+                fs::write(&path, &bytes).unwrap();
+                assert!(
+                    matches!(store.load(&key), Err(PlanError::Codec { .. })),
+                    "γ {bad}"
+                );
+            }
+        }
+        let _ = fs::remove_dir_all(store.dir());
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! collisions injected through the test seam, batch dispatch through
 //! the worker pool under external contention, the on-disk tier-2
 //! plan store (cold-process reuse, corruption and collision rejection),
-//! jobs run inline through `run_job` (many submitters on one ledger,
+//! store hits routed on the γ_w their files record and hostile store
+//! files refused, jobs run inline through `run_job` (many submitters on one ledger,
 //! build errors and panics returned as typed errors), and views of one
 //! engine core at other element types sharing its cache.
 
@@ -13,6 +14,8 @@ use hmm_native::pool::WorkerPool;
 use hmm_native::{JobError, Route, SharedEngine};
 use hmm_perm::families;
 use hmm_perm::Permutation;
+use hmm_plan::{decode, PlanError, StoreKey};
+use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 
@@ -384,6 +387,206 @@ fn concurrent_cold_start_loads_from_store_once() {
         stats.store_hits, 1,
         "single-flight covers the disk load too"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The store key a plan for `p` at width `W` is filed under.
+fn store_key(p: &Permutation) -> StoreKey {
+    StoreKey {
+        fingerprint: p.fingerprint(),
+        n: p.len(),
+        width: W,
+    }
+}
+
+/// Byte offset of the recorded γ_w in a plan file's header.
+const GAMMA_AT: usize = 36;
+/// Byte offset of the first mask of a compact file's first descriptor.
+const FIRST_MASK_AT: usize = 8 + 4 + 5 * 8 + 4 + 4 + 4 + 8;
+
+/// Rewrite the plan file at `path` with `edit` applied and its checksum
+/// re-sealed, so decode gets past the checksum to the edited field.
+fn reseal_file(path: &Path, edit: impl FnOnce(&mut [u8])) -> Vec<u8> {
+    let mut bytes = std::fs::read(path).unwrap();
+    edit(&mut bytes);
+    let body = bytes.len() - 8;
+    let sum = hmm_perm::hash::hash_bytes(&bytes[..body]);
+    bytes[body..].copy_from_slice(&sum.to_le_bytes());
+    std::fs::write(path, &bytes).unwrap();
+    bytes
+}
+
+/// Plan `p` through `engine`, run it, and check the output against the
+/// naive reference; returns the plan's route.
+fn run_checked(engine: &SharedEngine<u32>, p: &Permutation, ctx: &str) -> Route {
+    let src: Vec<u32> = (0..p.len() as u32)
+        .map(|v| v.wrapping_mul(0x9e37_79b9))
+        .collect();
+    let plan = engine.plan(p).unwrap();
+    let mut dst = vec![0u32; p.len()];
+    engine.run_plan(&plan, &src, &mut dst);
+    assert_eq!(dst, reference(p, &src), "{ctx}");
+    plan.route()
+}
+
+/// A verified store hit routes on the γ_w its file records instead of
+/// measuring it again: with the true γ the hit is scheduled and nothing
+/// is built; with the header re-sealed to γ = 1 the same hit routes
+/// scatter. Either route is correct for every permutation, so the lying
+/// header costs speed, never output.
+#[test]
+fn store_hit_routes_on_the_recorded_gamma() {
+    let n = 1 << 12;
+    let dir = temp_store_dir("recorded-gamma");
+    let p = families::random(n, 41);
+    let warm: SharedEngine<u32> = SharedEngine::with_store(W, &dir).unwrap();
+    assert_eq!(run_checked(&warm, &p, "warm"), Route::Scheduled);
+    let built_gamma = warm.plan(&p).unwrap().gamma();
+
+    let cold: SharedEngine<u32> = SharedEngine::with_store(W, &dir).unwrap();
+    assert_eq!(run_checked(&cold, &p, "true γ"), Route::Scheduled);
+    assert_eq!(cold.plan(&p).unwrap().gamma(), built_gamma);
+    let s = cold.stats();
+    assert_eq!((s.store_hits, s.builds, s.plans_structured), (1, 0, 0));
+    assert_eq!(s.store_rejects, 0);
+
+    reseal_file(&warm.store().unwrap().path_for(&store_key(&p)), |b| {
+        b[GAMMA_AT..GAMMA_AT + 8].copy_from_slice(&1.0f64.to_bits().to_le_bytes())
+    });
+    let lied: SharedEngine<u32> = SharedEngine::with_store(W, &dir).unwrap();
+    assert_eq!(run_checked(&lied, &p, "γ re-sealed to 1"), Route::Scatter);
+    assert_eq!(lied.plan(&p).unwrap().gamma(), 1.0);
+    let s = lied.stats();
+    assert_eq!((s.store_hits, s.builds, s.store_rejects), (1, 0, 0));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The threshold still decides over a warm store: ∞ forces scatter and
+/// 0 forces the scheduled route on a store hit, and a low-γ plan filed
+/// under a 0 threshold is served as scatter at the default one.
+#[test]
+fn threshold_overrides_still_force_a_route_over_a_warm_store() {
+    let n = 1 << 12;
+    let dir = temp_store_dir("threshold-warm");
+    let p = families::random(n, 42);
+    let q = families::identical(n); // γ_w = 1
+    let warm: SharedEngine<u32> = SharedEngine::with_store(W, &dir).unwrap();
+    warm.set_gamma_threshold(0.0);
+    assert_eq!(run_checked(&warm, &p, "warm p"), Route::Scheduled);
+    assert_eq!(run_checked(&warm, &q, "warm q"), Route::Scheduled);
+    assert_eq!(warm.store().unwrap().entries().unwrap().len(), 2);
+
+    let scatter: SharedEngine<u32> = SharedEngine::with_store(W, &dir).unwrap();
+    scatter.set_gamma_threshold(f64::INFINITY);
+    assert_eq!(run_checked(&scatter, &p, "∞"), Route::Scatter);
+    let scheduled: SharedEngine<u32> = SharedEngine::with_store(W, &dir).unwrap();
+    scheduled.set_gamma_threshold(0.0);
+    assert_eq!(run_checked(&scheduled, &p, "0"), Route::Scheduled);
+    assert_eq!(run_checked(&scheduled, &q, "0, low γ"), Route::Scheduled);
+    let default: SharedEngine<u32> = SharedEngine::with_store(W, &dir).unwrap();
+    assert_eq!(run_checked(&default, &q, "default, low γ"), Route::Scatter);
+    for (engine, hits) in [(&scatter, 1), (&scheduled, 2), (&default, 1)] {
+        let s = engine.stats();
+        assert_eq!((s.store_hits, s.builds, s.plans_structured), (hits, 0, 0));
+        assert_eq!(s.store_rejects, 0);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A permutation that routes scatter on a store-backed engine only pays
+/// the failed lookup: it is never built, saved or counted as a reject.
+#[test]
+fn low_gamma_permutations_on_a_store_backed_engine_write_no_file() {
+    let n = 1 << 12;
+    let dir = temp_store_dir("low-gamma");
+    let engine: SharedEngine<u32> = SharedEngine::with_store(W, &dir).unwrap();
+    let perms = [
+        families::identical(n),
+        families::rotation(n, 5),
+        families::shuffle(n).unwrap(),
+    ];
+    for (k, p) in perms.iter().enumerate() {
+        assert_eq!(
+            run_checked(&engine, p, &format!("perm {k}")),
+            Route::Scatter
+        );
+    }
+    assert!(engine.store().unwrap().entries().unwrap().is_empty());
+    let s = engine.stats();
+    assert_eq!((s.store_hits, s.store_rejects), (0, 0));
+    assert_eq!((s.builds, s.plans_structured), (0, 0));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A file whose re-sealed header records a γ_w no builder writes (not
+/// finite, below 1, above the width) is a codec error through `decode`
+/// and `PlanStore::load`; the engine counts a reject, rebuilds, and
+/// serves the naive reference's output.
+#[test]
+fn recorded_gamma_outside_one_to_width_is_a_store_reject() {
+    let n = 1 << 12;
+    let dir = temp_store_dir("bad-gamma");
+    let p = families::random(n, 43);
+    let warm: SharedEngine<u32> = SharedEngine::with_store(W, &dir).unwrap();
+    run_checked(&warm, &p, "warm");
+    for bad in [f64::NAN, 0.5, W as f64 + 1.0] {
+        let bytes = reseal_file(&warm.store().unwrap().path_for(&store_key(&p)), |b| {
+            b[GAMMA_AT..GAMMA_AT + 8].copy_from_slice(&bad.to_bits().to_le_bytes())
+        });
+        assert!(
+            matches!(decode(&bytes), Err(PlanError::Codec { .. })),
+            "{bad}"
+        );
+        assert!(
+            matches!(
+                warm.store().unwrap().load(&store_key(&p)),
+                Err(PlanError::Codec { .. })
+            ),
+            "{bad}"
+        );
+        let cold: SharedEngine<u32> = SharedEngine::with_store(W, &dir).unwrap();
+        assert_eq!(run_checked(&cold, &p, "rebuilt"), Route::Scheduled);
+        let s = cold.stats();
+        assert_eq!(
+            (s.store_rejects, s.store_hits, s.builds),
+            (1, 0, 1),
+            "{bad}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A compact (descriptor-form) file whose re-sealed descriptor repeats a
+/// low mask would materialize rows that are not permutations. The rank
+/// check refuses it through `decode` and `PlanStore::load`, the engine
+/// counts a reject and rebuilds the closed-form plan, and the re-saved
+/// file is a clean hit for the next engine.
+#[test]
+fn compact_file_with_dependent_low_masks_is_a_store_reject() {
+    let n = 1 << 12;
+    let dir = temp_store_dir("dependent-masks");
+    let p = families::bit_reversal(n).unwrap();
+    let warm: SharedEngine<u32> = SharedEngine::with_store(W, &dir).unwrap();
+    run_checked(&warm, &p, "warm");
+    let bytes = reseal_file(&warm.store().unwrap().path_for(&store_key(&p)), |b| {
+        let first: [u8; 4] = b[FIRST_MASK_AT..FIRST_MASK_AT + 4].try_into().unwrap();
+        assert_ne!(b[FIRST_MASK_AT + 4..FIRST_MASK_AT + 8], first);
+        b[FIRST_MASK_AT + 4..FIRST_MASK_AT + 8].copy_from_slice(&first);
+    });
+    assert!(matches!(decode(&bytes), Err(PlanError::Codec { .. })));
+    assert!(matches!(
+        warm.store().unwrap().load(&store_key(&p)),
+        Err(PlanError::Codec { .. })
+    ));
+
+    let cold: SharedEngine<u32> = SharedEngine::with_store(W, &dir).unwrap();
+    assert_eq!(run_checked(&cold, &p, "rebuilt"), Route::Scheduled);
+    let s = cold.stats();
+    assert_eq!((s.store_rejects, s.store_hits), (1, 0));
+    assert_eq!((s.plans_structured, s.builds), (1, 0));
+    let again: SharedEngine<u32> = SharedEngine::with_store(W, &dir).unwrap();
+    run_checked(&again, &p, "re-saved");
+    assert_eq!(again.stats().store_hits, 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
