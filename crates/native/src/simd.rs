@@ -227,8 +227,11 @@ fn gather_row_affine_avx2<T: Copy>(
     {
         match size_of::<T>() {
             // SAFETY: the token proves AVX2; width 4/8 makes the pointer
-            // reinterpretations plain bit copies (unaligned intrinsics
-            // only); indices are clamped inside.
+            // reinterpretations plain bit copies, and the kernels reach
+            // them only through unaligned accesses (vector loads, stores
+            // and gathers, `read_unaligned`/`write_unaligned` tails), so
+            // `T`'s alignment — 1 for byte lanes — is never assumed;
+            // indices are clamped inside.
             #[allow(unsafe_code)]
             4 if aff.lo.len() >= 3 => unsafe {
                 gather_row_affine_u32(
@@ -268,7 +271,8 @@ fn gather_row_affine_avx2<T: Copy>(
 ///
 /// # Safety
 /// Caller proves AVX2 and that `base[0..n_in]` and `out[0..n_out]` are
-/// valid with `n_in > 0` and `aff.lo.len() >= 3`.
+/// valid with `n_in > 0` and `aff.lo.len() >= 3`. Neither pointer need
+/// be aligned for `u32`: every access through them is unaligned.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn gather_row_affine_u32(
@@ -301,9 +305,10 @@ unsafe fn gather_row_affine_u32(
             }
             j += 8;
         }
-        // Scalar tail.
+        // Scalar tail, unaligned like the vector body.
         while j < n_out {
-            *out.add(j) = *base.add(idx.min(lim) as usize);
+            out.add(j)
+                .write_unaligned(base.add(idx.min(lim) as usize).read_unaligned());
             idx ^= aff.step(j + 1);
             j += 1;
         }
@@ -347,7 +352,8 @@ unsafe fn gather_row_affine_u64(
             j += 4;
         }
         while j < n_out {
-            *out.add(j) = *base.add(idx.min(lim) as usize);
+            out.add(j)
+                .write_unaligned(base.add(idx.min(lim) as usize).read_unaligned());
             idx ^= aff.step(j + 1);
             j += 1;
         }
@@ -445,8 +451,11 @@ fn gather_row_avx2<T: Copy>(token: Avx2Token, in_row: &[T], g_row: &[u32], out: 
     {
         match size_of::<T>() {
             // SAFETY: the token proves AVX2; width 4/8 makes the
-            // pointer reinterpretations plain bit copies (all accesses
-            // use unaligned intrinsics); indices are clamped inside.
+            // pointer reinterpretations plain bit copies, and the kernels
+            // reach them only through unaligned accesses (vector loads,
+            // stores and gathers, `read_unaligned`/`write_unaligned`
+            // tails), so `T`'s alignment — 1 for byte lanes — is never
+            // assumed; indices are clamped inside.
             #[allow(unsafe_code)]
             4 => unsafe {
                 gather_row_u32(
@@ -482,7 +491,8 @@ fn gather_row_avx2<T: Copy>(token: Avx2Token, in_row: &[T], g_row: &[u32], out: 
 /// # Safety
 /// Caller proves AVX2 (token upstream) and that `base[0..n_in]` and
 /// `out[0..n_out]` are valid, with `g_row.len() == n_out` and
-/// `n_in > 0`.
+/// `n_in > 0`. Neither pointer need be aligned for `u32`: every access
+/// through them is unaligned.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn gather_row_u32(
@@ -509,9 +519,11 @@ unsafe fn gather_row_u32(
     }
     let lim = (n_in - 1) as u32;
     while j < n_out {
-        // SAFETY: clamped index, `j < n_out`.
+        // SAFETY: clamped index, `j < n_out`; `base` and `out` may be
+        // misaligned for `u32`, so both accesses are unaligned.
         unsafe {
-            *out.add(j) = *base.add((*g.add(j)).min(lim) as usize);
+            let v = base.add((*g.add(j)).min(lim) as usize).read_unaligned();
+            out.add(j).write_unaligned(v);
         }
         j += 1;
     }
@@ -547,9 +559,11 @@ unsafe fn gather_row_u64(
     }
     let lim = (n_in - 1) as u32;
     while j < n_out {
-        // SAFETY: clamped index, `j < n_out`.
+        // SAFETY: clamped index, `j < n_out`; `base` and `out` may be
+        // misaligned for `u64`, so both accesses are unaligned.
         unsafe {
-            *out.add(j) = *base.add((*g.add(j)).min(lim) as usize);
+            let v = base.add((*g.add(j)).min(lim) as usize).read_unaligned();
+            out.add(j).write_unaligned(v);
         }
         j += 1;
     }
@@ -942,6 +956,91 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Lanes of `W` bytes starting `off` bytes into a fresh buffer (so
+    /// misaligned for `u32`/`u64` whenever `off` is not a multiple of 4
+    /// or 8), each lane's bytes distinct from its neighbours'.
+    fn lanes_at<const W: usize>(off: usize, len: usize) -> Vec<u8> {
+        (0..off + len * W)
+            .map(|b| ((b as u32).wrapping_mul(2654435761) >> 24) as u8)
+            .collect()
+    }
+
+    /// Byte lanes, `[u8; 4]` and `[u8; 8]`, at byte offsets 1–7 on both
+    /// sides, through every tier. The AVX2 kernels run them through
+    /// `u32`/`u64` pointers; rows whose lengths are not a multiple of the
+    /// vector width run the scalar tails too, and a tail that
+    /// dereferenced those pointers instead of reading and writing them
+    /// unaligned would trip the misaligned-dereference check this debug-
+    /// assertion build compiles in.
+    #[test]
+    fn byte_lane_rows_at_every_misalignment_match_the_scalar_tier() {
+        fn check<const W: usize>() {
+            for len in [6usize, 13, 77, 301] {
+                let g_row: Vec<u32> = (0..len as u32).map(|j| (j * 7 + 3) % len as u32).collect();
+                let map: Vec<usize> = g_row.iter().map(|&g| g as usize).collect();
+                for off in 1..8 {
+                    let in_bytes = lanes_at::<W>(off, len);
+                    let in_row = in_bytes[off..].as_chunks::<W>().0;
+                    let want: Vec<[u8; W]> = g_row.iter().map(|&g| in_row[g as usize]).collect();
+                    for tier in tiers() {
+                        let mut out_bytes = vec![0u8; 8 - off + len * W];
+                        let out = out_bytes[8 - off..].as_chunks_mut::<W>().0;
+                        gather_row(tier, in_row, &g_row, out);
+                        assert_eq!(out, &want[..], "gather_row W={W} off={off} {tier:?}");
+                        out.fill([0; W]);
+                        gather_map_usize(tier, in_row, &map, out);
+                        assert_eq!(out, &want[..], "gather_map W={W} off={off} {tier:?}");
+                    }
+                }
+            }
+            // Computed-index rows are whole rows of 2^bits lanes.
+            for bits in 1..=8u32 {
+                let lo = reversal_masks(bits);
+                let aff = AffineRow::new(&lo);
+                let cols = 1usize << bits;
+                let row_base = 0b100101u32 & (cols as u32 - 1);
+                let g = affine_map(&lo, row_base);
+                for off in 1..8 {
+                    let in_bytes = lanes_at::<W>(off, cols);
+                    let in_row = in_bytes[off..].as_chunks::<W>().0;
+                    let want: Vec<[u8; W]> = g.iter().map(|&gi| in_row[gi as usize]).collect();
+                    for tier in tiers() {
+                        let mut out_bytes = vec![0u8; 8 - off + cols * W];
+                        let out = out_bytes[8 - off..].as_chunks_mut::<W>().0;
+                        gather_row_affine(tier, in_row, &aff, row_base, out);
+                        assert_eq!(out, &want[..], "affine W={W} off={off} {tier:?}");
+                    }
+                }
+            }
+            // A ragged strided transpose: tiles plus both edges.
+            let (nr, nc, ss, ds) = (19usize, 13usize, 23usize, 29usize);
+            let col0 = ds - nr;
+            for off in 1..8 {
+                let src_bytes = lanes_at::<W>(off, nr * ss);
+                let src = src_bytes[off..].as_chunks::<W>().0;
+                for tier in tiers() {
+                    let mut dst_bytes = vec![0u8; 8 - off + nc * ds * W];
+                    let dst = dst_bytes[8 - off..].as_chunks_mut::<W>().0;
+                    let mut band = ColumnBand::new(dst, ds, col0..ds);
+                    if !transpose_strided(tier, src, ss, &mut band, col0, nr, nc) {
+                        continue;
+                    }
+                    for c in 0..nc {
+                        for r in 0..nr {
+                            assert_eq!(
+                                dst[c * ds + col0 + r],
+                                src[r * ss + c],
+                                "transpose W={W} off={off} ({r},{c}) {tier:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        check::<4>();
+        check::<8>();
     }
 
     #[test]

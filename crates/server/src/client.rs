@@ -13,7 +13,9 @@ use std::net::{TcpStream, ToSocketAddrs};
 
 use hmm_perm::{Bmmc, Permutation};
 
-use crate::framing::{read_frame_into, shed, write_frame, write_permute, write_permute_batch};
+use crate::framing::{
+    check_body_len, encode_permute, encode_permute_batch, read_frame_into, send, shed,
+};
 use crate::proto::{
     bytes_to_elems, kind, split_permuted_batch, Elem, ErrCode, Frame, PermRepr, ProtoError,
     ServerStats, PROTOCOL_VERSION,
@@ -90,17 +92,20 @@ impl<T> PlanHandle<T> {
 /// One blocking connection to an `hmm-server`.
 pub struct Client {
     reader: BufReader<TcpStream>,
-    /// Unbuffered: the frame writer stages every frame into chunk-sized
-    /// writes.
+    /// Unbuffered: every request is built whole in `request` and sent in
+    /// one write.
     writer: TcpStream,
+    /// The request frame, reused from request to request.
+    request: Vec<u8>,
     /// The reply body, reused from frame to frame.
     body: Vec<u8>,
 }
 
 impl Client {
-    /// Connect to a server. The socket is set to `TCP_NODELAY`: frames
-    /// leave in several writes, which Nagle's algorithm would hold back
-    /// for the server's delayed ACK.
+    /// Connect to a server. The socket is set to `TCP_NODELAY`: a request
+    /// leaves in one write, but Nagle's algorithm would still hold its
+    /// last, partial segment for the server's delayed ACK (see
+    /// [`framing`](crate::framing)).
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client> {
         let connect_err = |e: std::io::Error| {
             ClientError::Proto(ProtoError::Io {
@@ -114,16 +119,22 @@ impl Client {
         Ok(Client {
             reader: BufReader::new(reader_stream),
             writer: stream,
+            request: Vec::new(),
             body: Vec::new(),
         })
     }
 
-    /// Read one reply into the reused body buffer and return its kind.
-    fn read_reply(&mut self) -> Result<u8> {
+    /// Send the request built in the reused request buffer, in one
+    /// write, then read one reply into the reused body buffer and return
+    /// its kind.
+    fn exchange(&mut self) -> Result<u8> {
+        let sent = send(&mut self.writer, &self.request);
+        shed(&mut self.request);
+        sent?;
         Ok(read_frame_into(&mut self.reader, &mut self.body)?.0)
     }
 
-    /// Decode a reply body read by [`Client::read_reply`]; `ERR` frames
+    /// Decode a reply body read by [`Client::exchange`]; `ERR` frames
     /// become [`ClientError::Server`].
     fn decode_reply(&mut self, kind: u8) -> Result<Frame> {
         let decoded = Frame::decode_body(kind, &self.body);
@@ -137,8 +148,9 @@ impl Client {
     /// One request/response round trip; `ERR` frames become
     /// [`ClientError::Server`].
     fn roundtrip(&mut self, request: &Frame) -> Result<Frame> {
-        write_frame(&mut self.writer, request)?;
-        let kind = self.read_reply()?;
+        check_body_len(request.body_len())?;
+        request.encode_into(PROTOCOL_VERSION, &mut self.request);
+        let kind = self.exchange()?;
         self.decode_reply(kind)
     }
 
@@ -187,12 +199,13 @@ impl Client {
         }
     }
 
-    /// Apply a registered plan to one payload. The request is streamed
-    /// from `src` and the reply decoded straight into the returned
-    /// `Vec`, with no frame-sized copy on either side.
+    /// Apply a registered plan to one payload. The request is built from
+    /// `src` in one pass into the reused request buffer and sent in one
+    /// write; the reply is decoded from the reused body buffer into the
+    /// returned `Vec` in one pass.
     pub fn permute<T: Elem>(&mut self, handle: &PlanHandle<T>, src: &[T]) -> Result<Vec<T>> {
-        write_permute(&mut self.writer, PROTOCOL_VERSION, handle.id, src)?;
-        let kind = self.read_reply()?;
+        encode_permute(&mut self.request, PROTOCOL_VERSION, handle.id, src)?;
+        let kind = self.exchange()?;
         if kind == kind::PERMUTED {
             let out = bytes_to_elems(&self.body).ok_or_else(malformed_payload);
             shed(&mut self.body);
@@ -206,15 +219,15 @@ impl Client {
 
     /// Apply a registered plan to many payloads in one request;
     /// outputs come back in request order. Like [`Client::permute`], the
-    /// request is streamed from `srcs` and each output decoded straight
-    /// from the reused reply body.
+    /// request is built in the reused buffer and sent in one write, and
+    /// each output is decoded straight from the reused reply body.
     pub fn permute_batch<T: Elem>(
         &mut self,
         handle: &PlanHandle<T>,
         srcs: &[Vec<T>],
     ) -> Result<Vec<Vec<T>>> {
-        write_permute_batch(&mut self.writer, PROTOCOL_VERSION, handle.id, srcs)?;
-        let kind = self.read_reply()?;
+        encode_permute_batch(&mut self.request, PROTOCOL_VERSION, handle.id, srcs)?;
+        let kind = self.exchange()?;
         if kind == kind::PERMUTED_BATCH {
             let outs = split_permuted_batch(&self.body)
                 .map_err(ClientError::from)

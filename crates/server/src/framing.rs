@@ -1,4 +1,4 @@
-//! Streaming frame I/O over any `Read`/`Write` pair.
+//! Frame I/O over any `Read`/`Write` pair.
 //!
 //! One reader and one writer carry every frame:
 //!
@@ -10,23 +10,28 @@
 //!   exactly the bytes received, catching both corruption and
 //!   desynchronization. [`read_frame_versioned`] is that reader plus
 //!   [`Frame::decode_body`].
-//! * The frame writer writes the header, then the body part by part,
-//!   sealing the checksum as the bytes pass, through a fixed 64 KiB
-//!   staging block. [`write_frame_versioned`] and
-//!   [`Frame::encode_version`] run it over a [`Frame`]'s parts;
-//!   [`write_permute`], [`write_permuted`] and the crate's
-//!   `write_permute_batch` (the client's) and `write_permuted_batch` (the
-//!   server's) run it straight over typed `&[T]` payloads, converting one
-//!   chunk at a time, so no frame-sized buffer exists on the way out.
+//! * Every frame is built whole in a byte buffer, then sent in **one**
+//!   `write_all`. The crate's `lay_out` writes the header into a buffer
+//!   the caller reuses from frame to frame and hands back the body
+//!   region; the caller fills it; `seal` writes the checksum over header
+//!   and body into the last eight bytes; `send` writes the frame.
+//!   [`Frame::encode_version`], [`write_frame_versioned`],
+//!   [`write_permute`], the [`Client`](crate::Client)'s requests and
+//!   every server reply take this path. A served `PERMUTED` body is
+//!   written by the permutation kernel itself, straight from the
+//!   request's payload bytes.
 //!
-//! A frame larger than one chunk therefore leaves in several `write`s.
-//! On a socket with Nagle's algorithm on, a small write that follows
-//! one not yet acknowledged waits for the peer's ACK, and the peer
-//! delays that ACK for up to 40 ms. Both ends of the protocol
-//! ([`Client`](crate::Client) and every server session) set
-//! `TCP_NODELAY`. Without it, `serve-2c` of the end-to-end benchmark
-//! (two clients, 64K-element requests, 2-core host) ran at 80.7
-//! Melem/s instead of ~160: some replies stall on a delayed ACK.
+//! One write per frame leaves `TCP_NODELAY` one job. A frame larger
+//! than a segment still leaves as several segments, and with Nagle's
+//! algorithm on, the last, partial one waits until the segments before
+//! it are acknowledged; the peer may delay that ACK for up to 40 ms. A
+//! small frame that follows one not yet acknowledged (a pipelined
+//! request, a reply after a large one) waits the same way. Both ends of
+//! the protocol ([`Client`](crate::Client) and every server session) set
+//! `TCP_NODELAY`. Without it, `serve-2c` of the end-to-end benchmark (two
+//! clients, 64K-element requests, 2-core host) ran at 80.7 Melem/s
+//! instead of ~160, when frames left in several writes: some replies
+//! stalled on a delayed ACK.
 
 use std::io::{self, Read, Write};
 
@@ -35,13 +40,6 @@ use crate::proto::{
     MAX_BODY, PROTOCOL_VERSION,
 };
 
-/// Bytes the frame writer stages before each `write` to the sink: the
-/// unit in which a typed payload is converted, sealed and sent. On the
-/// 2-core bench host, `serve-2c` (64K-element requests) ran ~15% faster
-/// with 64 KiB than with 16 KiB and ~5% slower than with 128 KiB, which
-/// would double the staging block every writer holds on its stack.
-pub(crate) const CHUNK: usize = 64 << 10;
-
 fn io_err(context: &'static str) -> impl FnOnce(io::Error) -> ProtoError {
     move |e| ProtoError::Io {
         kind: e.kind(),
@@ -49,112 +47,80 @@ fn io_err(context: &'static str) -> impl FnOnce(io::Error) -> ProtoError {
     }
 }
 
-/// The one frame writer: header first, then body parts in order, then
-/// the checksum, sealed as the bytes pass and sent through a fixed
-/// staging block, so the sink sees `write`s of [`CHUNK`] bytes (larger
-/// parts pass straight through) and a last partial one from
-/// [`finish`](FrameWriter::finish).
-pub(crate) struct FrameWriter<'w, W: Write> {
-    out: &'w mut W,
-    seal: Seal,
-    stage: [u8; CHUNK],
-    staged: usize,
-    /// Body bytes promised by the header and not yet written.
-    owed: usize,
+/// Lay out one frame of `kind` at `version` with a `body_len`-byte body
+/// in `frame`, reusing its allocation: the header is written, the
+/// buffer sized to header, body and checksum, and the body region
+/// returned, for the caller to fill completely before [`seal`]. Bytes an
+/// earlier frame left in the body region are not cleared first, so a
+/// caller that writes every body byte (the server's permutation kernel)
+/// pays no pass for it. The caller keeps `body_len` within
+/// [`MAX_BODY`] (see [`check_body_len`]).
+pub(crate) fn lay_out(frame: &mut Vec<u8>, version: u8, kind: u8, body_len: usize) -> &mut [u8] {
+    debug_assert!(speaks(version) && body_len <= MAX_BODY);
+    frame.resize(HEADER_LEN + body_len + CHECKSUM_LEN, 0);
+    frame[..4].copy_from_slice(&MAGIC);
+    frame[4] = version;
+    frame[5] = kind;
+    frame[6..HEADER_LEN].copy_from_slice(&(body_len as u32).to_le_bytes());
+    &mut frame[HEADER_LEN..HEADER_LEN + body_len]
 }
 
-impl<'w, W: Write> FrameWriter<'w, W> {
-    /// Start a frame of `kind` at `version` whose body will be exactly
-    /// `body_len` bytes (≤ [`MAX_BODY`], a version this build speaks).
-    pub(crate) fn begin(out: &'w mut W, version: u8, kind: u8, body_len: usize) -> Self {
-        debug_assert!(speaks(version) && body_len <= MAX_BODY);
-        let mut w = FrameWriter {
-            out,
-            seal: Seal::new(version),
-            stage: [0; CHUNK],
-            staged: HEADER_LEN,
-            owed: body_len,
-        };
-        let header = &mut w.stage[..HEADER_LEN];
-        header[..4].copy_from_slice(&MAGIC);
-        header[4] = version;
-        header[5] = kind;
-        header[6..].copy_from_slice(&(body_len as u32).to_le_bytes());
-        w.seal.update(&w.stage[..HEADER_LEN]);
-        w
+/// Seal a frame [`lay_out`] laid out and the caller filled: the
+/// checksum of the frame's version over header and body goes into its
+/// last [`CHECKSUM_LEN`] bytes.
+pub(crate) fn seal(frame: &mut [u8]) {
+    let (covered, sum) = frame.split_at_mut(frame.len() - CHECKSUM_LEN);
+    let mut seal = Seal::new(covered[4]);
+    seal.update(covered);
+    sum.copy_from_slice(&seal.finish().to_le_bytes());
+}
+
+/// Send a sealed frame in one `write_all`, then flush the sink.
+pub(crate) fn send<W: Write>(w: &mut W, frame: &[u8]) -> Result<(), ProtoError> {
+    w.write_all(frame).map_err(io_err("write frame"))?;
+    w.flush().map_err(io_err("flush frame"))
+}
+
+/// A cursor that fills a laid-out body front to back.
+pub(crate) struct Put<'a>(&'a mut [u8]);
+
+impl<'a> Put<'a> {
+    pub(crate) fn new(body: &'a mut [u8]) -> Self {
+        Put(body)
     }
 
-    fn flush_stage(&mut self) -> Result<(), ProtoError> {
-        self.out
-            .write_all(&self.stage[..self.staged])
-            .map_err(io_err("write frame"))?;
-        self.staged = 0;
-        Ok(())
+    /// The next `len` body bytes, for the caller to fill.
+    pub(crate) fn take(&mut self, len: usize) -> &'a mut [u8] {
+        let (head, rest) = std::mem::take(&mut self.0).split_at_mut(len);
+        self.0 = rest;
+        head
     }
 
-    /// Write body bytes.
-    pub(crate) fn put(&mut self, bytes: &[u8]) -> Result<(), ProtoError> {
-        debug_assert!(bytes.len() <= self.owed, "body longer than its header says");
-        self.owed -= bytes.len();
-        self.seal.update(bytes);
-        if self.staged + bytes.len() > CHUNK {
-            self.flush_stage()?;
-        }
-        if bytes.len() >= CHUNK {
-            return self.out.write_all(bytes).map_err(io_err("write frame"));
-        }
-        self.stage[self.staged..self.staged + bytes.len()].copy_from_slice(bytes);
-        self.staged += bytes.len();
-        Ok(())
+    pub(crate) fn bytes(&mut self, bytes: &[u8]) {
+        self.take(bytes.len()).copy_from_slice(bytes);
     }
 
-    pub(crate) fn put_u32(&mut self, v: u32) -> Result<(), ProtoError> {
-        self.put(&v.to_le_bytes())
+    pub(crate) fn u32(&mut self, v: u32) {
+        self.bytes(&v.to_le_bytes());
     }
 
-    pub(crate) fn put_u64(&mut self, v: u64) -> Result<(), ProtoError> {
-        self.put(&v.to_le_bytes())
+    pub(crate) fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
     }
 
-    /// Write `src`'s little-endian bytes, converted straight into the
-    /// staging block one chunk at a time.
-    pub(crate) fn put_elems<T: Elem>(&mut self, mut src: &[T]) -> Result<(), ProtoError> {
-        debug_assert!(
-            src.len() * T::WIDTH <= self.owed,
-            "body longer than its header says"
-        );
-        self.owed -= src.len() * T::WIDTH;
-        while !src.is_empty() {
-            if CHUNK - self.staged < T::WIDTH {
-                self.flush_stage()?;
-            }
-            let take = ((CHUNK - self.staged) / T::WIDTH).min(src.len());
-            let (now, rest) = src.split_at(take);
-            let bytes = &mut self.stage[self.staged..self.staged + take * T::WIDTH];
-            put_elems(now, bytes);
-            self.seal.update(bytes);
-            self.staged += bytes.len();
-            src = rest;
-        }
-        Ok(())
+    /// `src`'s little-endian bytes, converted in one pass.
+    pub(crate) fn elems<T: Elem>(&mut self, src: &[T]) {
+        put_elems(src, self.take(src.len() * T::WIDTH));
     }
 
-    /// Append the checksum and hand every staged byte to the sink (the
-    /// sink itself is not flushed).
-    pub(crate) fn finish(mut self) -> Result<(), ProtoError> {
-        debug_assert_eq!(self.owed, 0, "body shorter than its header says");
-        if self.staged + CHECKSUM_LEN > CHUNK {
-            self.flush_stage()?;
-        }
-        let sum = self.seal.finish().to_le_bytes();
-        self.stage[self.staged..self.staged + CHECKSUM_LEN].copy_from_slice(&sum);
-        self.staged += CHECKSUM_LEN;
-        self.flush_stage()
+    /// Whether every body byte has been written.
+    pub(crate) fn is_full(&self) -> bool {
+        self.0.is_empty()
     }
 }
 
 /// Refuse a body the peer's reader would refuse, before writing a byte.
-fn check_body_len(body_len: usize) -> Result<(), ProtoError> {
+pub(crate) fn check_body_len(body_len: usize) -> Result<(), ProtoError> {
     if body_len > MAX_BODY {
         return Err(ProtoError::Oversized {
             len: body_len as u64,
@@ -169,8 +135,8 @@ pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> Result<(), ProtoError>
     write_frame_versioned(w, frame, PROTOCOL_VERSION)
 }
 
-/// Write one complete frame at protocol `version` and flush. A frame
-/// whose body exceeds [`MAX_BODY`] is refused with
+/// Write one complete frame at protocol `version`, in one write, and
+/// flush. A frame whose body exceeds [`MAX_BODY`] is refused with
 /// [`ProtoError::Oversized`] before anything is written.
 ///
 /// # Panics
@@ -180,51 +146,59 @@ pub fn write_frame_versioned<W: Write>(
     frame: &Frame,
     version: u8,
 ) -> Result<(), ProtoError> {
-    write_body_with(w, version, frame.kind(), frame.body_len(), |fw| {
-        frame.write_body(fw)
-    })
-}
-
-/// Write one frame of `kind` whose `body_len`-byte body `body` writes,
-/// and flush; an oversized body is refused before anything is written.
-fn write_body_with<W: Write>(
-    w: &mut W,
-    version: u8,
-    kind: u8,
-    body_len: usize,
-    body: impl FnOnce(&mut FrameWriter<'_, W>) -> Result<(), ProtoError>,
-) -> Result<(), ProtoError> {
     assert!(speaks(version), "cannot encode protocol version {version}");
-    check_body_len(body_len)?;
-    let mut fw = FrameWriter::begin(w, version, kind, body_len);
-    body(&mut fw)?;
-    fw.finish()?;
-    w.flush().map_err(io_err("flush frame"))
+    check_body_len(frame.body_len())?;
+    let mut bytes = Vec::new();
+    frame.encode_into(version, &mut bytes);
+    send(w, &bytes)
 }
 
-/// A typed `PERMUTE`/`PERMUTED` frame, streamed from `elems`.
-fn write_typed<W: Write, T: Elem>(
-    w: &mut W,
+/// Build a `PERMUTE` of `src` under `handle` at `version` in `frame`,
+/// reusing its allocation: the bytes of [`Frame::Permute`] with `src`'s
+/// wire bytes as payload, converted from `src` in one pass. An oversized
+/// body is refused before `frame` is touched.
+pub(crate) fn encode_permute<T: Elem>(
+    frame: &mut Vec<u8>,
     version: u8,
-    kind: u8,
-    handle: Option<u64>,
-    elems: &[T],
+    handle: u64,
+    src: &[T],
 ) -> Result<(), ProtoError> {
-    let body_len = elems
-        .len()
-        .saturating_mul(T::WIDTH)
-        .saturating_add(if handle.is_some() { 8 } else { 0 });
-    write_body_with(w, version, kind, body_len, |fw| {
-        if let Some(handle) = handle {
-            fw.put_u64(handle)?;
-        }
-        fw.put_elems(elems)
-    })
+    let body_len = src.len().saturating_mul(T::WIDTH).saturating_add(8);
+    check_body_len(body_len)?;
+    let mut body = Put::new(lay_out(frame, version, kind::PERMUTE, body_len));
+    body.u64(handle);
+    body.elems(src);
+    seal(frame);
+    Ok(())
 }
 
-/// Write a `PERMUTE` of `src` under `handle` at `version` and flush:
-/// the bytes of [`Frame::Permute`] with `src`'s wire bytes as payload,
-/// converted from `src` chunk by chunk.
+/// Build a `PERMUTE_BATCH` of `srcs` under `handle` at `version` in
+/// `frame`, as [`encode_permute`] builds one payload: the bytes of
+/// [`Frame::PermuteBatch`], each source converted in one pass.
+pub(crate) fn encode_permute_batch<T: Elem>(
+    frame: &mut Vec<u8>,
+    version: u8,
+    handle: u64,
+    srcs: &[Vec<T>],
+) -> Result<(), ProtoError> {
+    let body_len = srcs.iter().fold(8 + 4, |len: usize, s| {
+        len.saturating_add(s.len().saturating_mul(T::WIDTH).saturating_add(4))
+    });
+    check_body_len(body_len)?;
+    let mut body = Put::new(lay_out(frame, version, kind::PERMUTE_BATCH, body_len));
+    body.u64(handle);
+    body.u32(srcs.len() as u32);
+    for src in srcs {
+        body.u32((src.len() * T::WIDTH) as u32);
+        body.elems(src);
+    }
+    seal(frame);
+    Ok(())
+}
+
+/// Write a `PERMUTE` of `src` under `handle` at `version`, in one write,
+/// and flush: the bytes of [`Frame::Permute`] with `src`'s wire bytes as
+/// payload.
 ///
 /// # Panics
 /// Panics if this build does not speak `version`.
@@ -234,75 +208,10 @@ pub fn write_permute<W: Write, T: Elem>(
     handle: u64,
     src: &[T],
 ) -> Result<(), ProtoError> {
-    write_typed(w, version, kind::PERMUTE, Some(handle), src)
-}
-
-/// Write a `PERMUTED` carrying `dst` at `version` and flush: the bytes
-/// of [`Frame::Permuted`], converted from `dst` chunk by chunk.
-///
-/// # Panics
-/// Panics if this build does not speak `version`.
-pub fn write_permuted<W: Write, T: Elem>(
-    w: &mut W,
-    version: u8,
-    dst: &[T],
-) -> Result<(), ProtoError> {
-    write_typed(w, version, kind::PERMUTED, None, dst)
-}
-
-/// A typed `PERMUTE_BATCH`/`PERMUTED_BATCH` frame, streamed from
-/// `members`, one payload per member.
-fn write_typed_batch<W: Write, T: Elem>(
-    w: &mut W,
-    version: u8,
-    kind: u8,
-    handle: Option<u64>,
-    members: &[Vec<T>],
-) -> Result<(), ProtoError> {
-    let head: usize = if handle.is_some() { 8 + 4 } else { 4 };
-    let body_len = members.iter().fold(head, |len, m| {
-        len.saturating_add(m.len().saturating_mul(T::WIDTH).saturating_add(4))
-    });
-    write_body_with(w, version, kind, body_len, |fw| {
-        if let Some(handle) = handle {
-            fw.put_u64(handle)?;
-        }
-        fw.put_u32(members.len() as u32)?;
-        for m in members {
-            fw.put_u32((m.len() * T::WIDTH) as u32)?;
-            fw.put_elems(m)?;
-        }
-        Ok(())
-    })
-}
-
-/// Write a `PERMUTE_BATCH` of `srcs` under `handle` at `version` and
-/// flush: the bytes of [`Frame::PermuteBatch`] with each source's wire
-/// bytes as a payload, converted from the sources chunk by chunk.
-///
-/// # Panics
-/// Panics if this build does not speak `version`.
-pub(crate) fn write_permute_batch<W: Write, T: Elem>(
-    w: &mut W,
-    version: u8,
-    handle: u64,
-    srcs: &[Vec<T>],
-) -> Result<(), ProtoError> {
-    write_typed_batch(w, version, kind::PERMUTE_BATCH, Some(handle), srcs)
-}
-
-/// Write a `PERMUTED_BATCH` carrying `outputs` at `version` and flush:
-/// the bytes of [`Frame::PermutedBatch`] with each output's wire bytes
-/// as a payload, converted from the outputs chunk by chunk.
-///
-/// # Panics
-/// Panics if this build does not speak `version`.
-pub(crate) fn write_permuted_batch<W: Write, T: Elem>(
-    w: &mut W,
-    version: u8,
-    outputs: &[Vec<T>],
-) -> Result<(), ProtoError> {
-    write_typed_batch(w, version, kind::PERMUTED_BATCH, None, outputs)
+    assert!(speaks(version), "cannot encode protocol version {version}");
+    let mut frame = Vec::new();
+    encode_permute(&mut frame, version, handle, src)?;
+    send(w, &frame)
 }
 
 /// The one frame reader: read one complete frame of any version this
@@ -353,15 +262,17 @@ pub fn read_frame_into<R: Read>(r: &mut R, body: &mut Vec<u8>) -> Result<(u8, u8
     Ok((kind, version))
 }
 
-/// Largest body allocation a reused buffer keeps between frames (4 MiB:
-/// a `PERMUTE` of 2^20 `u32`s).
-const MAX_RETAINED_BODY: usize = 4 << 20;
+/// Largest allocation a reused body or frame buffer keeps between
+/// frames: a whole `PERMUTE` frame of 2^20 `u32`s (4 MiB of payload plus
+/// header, handle and checksum), so a 1M-element session keeps both its
+/// request body and its reply frame.
+const MAX_RETAINED: usize = (4 << 20) + HEADER_LEN + 8 + CHECKSUM_LEN;
 
-/// Free a reused body buffer once a frame is done with it if it grew
-/// past [`MAX_RETAINED_BODY`], so an idle connection never pins a
-/// once-huge body; a typical body's allocation is kept.
+/// Free a reused body or frame buffer once a frame is done with it if it
+/// grew past [`MAX_RETAINED`], so an idle connection never pins a
+/// once-huge frame; a typical frame's allocation is kept.
 pub(crate) fn shed(body: &mut Vec<u8>) {
-    if body.capacity() > MAX_RETAINED_BODY {
+    if body.capacity() > MAX_RETAINED {
         *body = Vec::new();
     }
 }
@@ -419,87 +330,109 @@ mod tests {
             .collect()
     }
 
-    /// The streamed `PERMUTE`/`PERMUTED`/`PERMUTE_BATCH`/`PERMUTED_BATCH`
-    /// writers emit exactly the bytes of the `Frame` encoder and of the
-    /// longhand layout.
+    /// Reused frame buffers as a session or client holds them: bytes of
+    /// an earlier frame, longer and shorter than the next, which the
+    /// next frame must not let through.
+    fn reused(len: usize) -> [Vec<u8>; 2] {
+        [vec![0xa5; len + 77], vec![0x5a; 3]]
+    }
+
+    /// The typed `PERMUTE`/`PERMUTE_BATCH` request builders, and a
+    /// `PERMUTED`/`PERMUTED_BATCH` reply laid out and filled in place as
+    /// a session builds it, emit exactly the bytes of the `Frame` encoder
+    /// and of the longhand layout, also in a reused buffer.
     fn check_streamed<T: Elem>(version: u8, handle: u64, elems: &[T], le: impl Fn(T) -> Vec<u8>) {
         let payload: Vec<u8> = elems.iter().flat_map(|&v| le(v)).collect();
         let mut permute_body = handle.to_le_bytes().to_vec();
         permute_body.extend_from_slice(&payload);
+        let ctx = format!("v{version} n={}", elems.len());
 
-        let mut streamed = Vec::new();
-        write_permute(&mut streamed, version, handle, elems).unwrap();
         let framed = Frame::Permute {
             handle,
             payload: payload.clone(),
         }
         .encode_version(version);
-        assert_eq!(streamed, framed, "PERMUTE v{version} n={}", elems.len());
         assert_eq!(
-            streamed,
-            reference_frame(version, kind::PERMUTE, &permute_body)
+            framed,
+            reference_frame(version, kind::PERMUTE, &permute_body),
+            "PERMUTE {ctx}"
         );
+        let mut written = Vec::new();
+        write_permute(&mut written, version, handle, elems).unwrap();
+        assert_eq!(written, framed, "PERMUTE {ctx}");
+        for mut frame in reused(framed.len()) {
+            encode_permute(&mut frame, version, handle, elems).unwrap();
+            assert_eq!(frame, framed, "PERMUTE {ctx}");
+        }
 
-        let mut streamed = Vec::new();
-        write_permuted(&mut streamed, version, elems).unwrap();
         let framed = Frame::Permuted {
             payload: payload.clone(),
         }
         .encode_version(version);
-        assert_eq!(streamed, framed, "PERMUTED v{version} n={}", elems.len());
-        assert_eq!(streamed, reference_frame(version, kind::PERMUTED, &payload));
+        assert_eq!(framed, reference_frame(version, kind::PERMUTED, &payload));
+        for mut frame in reused(framed.len()) {
+            lay_out(&mut frame, version, kind::PERMUTED, payload.len()).copy_from_slice(&payload);
+            seal(&mut frame);
+            assert_eq!(frame, framed, "PERMUTED {ctx}");
+        }
 
         // Batches of zero, one and three members, one of them a prefix.
         let half = elems.len() / 2;
-        for outputs in [
+        for members in [
             vec![],
             vec![elems.to_vec()],
             vec![elems.to_vec(), elems[..half].to_vec(), elems.to_vec()],
         ] {
-            let payloads: Vec<Vec<u8>> = outputs
+            let payloads: Vec<Vec<u8>> = members
                 .iter()
-                .map(|o| payload[..o.len() * T::WIDTH].to_vec())
+                .map(|m| payload[..m.len() * T::WIDTH].to_vec())
                 .collect();
             let mut batch_body = (payloads.len() as u32).to_le_bytes().to_vec();
             for p in &payloads {
                 batch_body.extend_from_slice(&(p.len() as u32).to_le_bytes());
                 batch_body.extend_from_slice(p);
             }
-            let mut streamed = Vec::new();
-            write_permuted_batch(&mut streamed, version, &outputs).unwrap();
+            let ctx = format!("{ctx} × {}", members.len());
             let framed = Frame::PermutedBatch {
                 payloads: payloads.clone(),
             }
             .encode_version(version);
-            let ctx = format!(
-                "PERMUTED_BATCH v{version} n={} × {}",
-                elems.len(),
-                outputs.len()
-            );
-            assert_eq!(streamed, framed, "{ctx}");
             assert_eq!(
-                streamed,
+                framed,
                 reference_frame(version, kind::PERMUTED_BATCH, &batch_body),
-                "{ctx}"
+                "PERMUTED_BATCH {ctx}"
             );
+            for mut frame in reused(framed.len()) {
+                let body = lay_out(&mut frame, version, kind::PERMUTED_BATCH, batch_body.len());
+                let mut body = Put::new(body);
+                body.u32(payloads.len() as u32);
+                for p in &payloads {
+                    body.u32(p.len() as u32);
+                    body.take(p.len()).copy_from_slice(p);
+                }
+                assert!(body.is_full());
+                seal(&mut frame);
+                assert_eq!(frame, framed, "PERMUTED_BATCH {ctx}");
+            }
 
-            let mut streamed = Vec::new();
-            write_permute_batch(&mut streamed, version, handle, &outputs).unwrap();
             let framed = Frame::PermuteBatch { handle, payloads }.encode_version(version);
             let mut request_body = handle.to_le_bytes().to_vec();
             request_body.extend_from_slice(&batch_body);
-            assert_eq!(streamed, framed, "PERMUTE_BATCH: {ctx}");
             assert_eq!(
-                streamed,
+                framed,
                 reference_frame(version, kind::PERMUTE_BATCH, &request_body),
-                "PERMUTE_BATCH: {ctx}"
+                "PERMUTE_BATCH {ctx}"
             );
+            for mut frame in reused(framed.len()) {
+                encode_permute_batch(&mut frame, version, handle, &members).unwrap();
+                assert_eq!(frame, framed, "PERMUTE_BATCH {ctx}");
+            }
         }
     }
 
-    /// The client's streamed `PERMUTE_BATCH` request is byte-identical to
-    /// the owned `Frame` encoding at both protocol versions and both
-    /// element widths, across the staging-chunk boundary.
+    /// The client's `PERMUTE_BATCH` request is byte-identical to the
+    /// owned `Frame` encoding at both protocol versions and both element
+    /// widths, small and past 64 KiB.
     #[test]
     fn streamed_permute_batch_request_matches_the_frame_encoder() {
         for version in [1u8, 2] {
@@ -542,7 +475,7 @@ mod tests {
                 message: "x".repeat(crate::MAX_ERR_MSG + 9),
             },
             Frame::PermutedBatch {
-                payloads: vec![vec![1; CHUNK + 5], vec![], vec![2; 3]],
+                payloads: vec![vec![1; (64 << 10) + 5], vec![], vec![2; 3]],
             },
         ];
         for version in [1, 2] {
@@ -560,17 +493,29 @@ mod tests {
 
     #[test]
     fn a_payload_past_max_body_is_refused_before_any_byte_is_written() {
-        let too_many = vec![0u64; MAX_BODY / 8 + 1];
+        let too_many = vec![0u64; MAX_BODY / 8];
         let mut out = Vec::new();
         assert!(matches!(
-            write_permuted(&mut out, PROTOCOL_VERSION, &too_many),
+            write_permute(&mut out, PROTOCOL_VERSION, 1, &too_many),
             Err(ProtoError::Oversized { .. })
         ));
         assert!(matches!(
-            write_permute(&mut out, PROTOCOL_VERSION, 1, &too_many[1..]),
+            write_frame(
+                &mut out,
+                &Frame::Permuted {
+                    payload: vec![0; MAX_BODY + 1]
+                }
+            ),
             Err(ProtoError::Oversized { .. })
         ));
         assert!(out.is_empty());
+        // A reused frame buffer is left as it was.
+        let mut frame = vec![7u8; 5];
+        assert!(matches!(
+            encode_permute(&mut frame, PROTOCOL_VERSION, 1, &too_many),
+            Err(ProtoError::Oversized { .. })
+        ));
+        assert_eq!(frame, [7; 5]);
     }
 
     /// Hostile frames through one reused body buffer, each one after a
@@ -580,8 +525,9 @@ mod tests {
     /// contiguous decoder agrees wherever it can tell the same story.
     #[test]
     fn hostile_frames_through_a_reused_buffer_fail_as_with_a_fresh_one() {
+        const BIG: usize = 3 << 16;
         let big = Frame::Permuted {
-            payload: vec![0xa5; 3 * CHUNK],
+            payload: vec![0xa5; BIG],
         }
         .encode();
         let valid = Frame::Registered { handle: 3 }.encode();
@@ -640,7 +586,7 @@ mod tests {
         let mut body = Vec::new();
         for (name, bytes, want, same_as_buffer_decode) in corpus {
             let (kind, _) = read_frame_into(&mut &big[..], &mut body).unwrap();
-            assert_eq!(body.len(), 3 * CHUNK);
+            assert_eq!(body.len(), BIG);
             assert_eq!(Frame::decode_body(kind, &body).unwrap().kind(), kind);
 
             let reused = read_frame_into(&mut &bytes[..], &mut body)
@@ -663,10 +609,10 @@ mod tests {
 
     #[test]
     fn shed_keeps_typical_buffers_and_frees_huge_ones() {
-        let mut body = Vec::with_capacity(MAX_RETAINED_BODY);
+        let mut body = Vec::with_capacity(MAX_RETAINED);
         shed(&mut body);
-        assert_eq!(body.capacity(), MAX_RETAINED_BODY);
-        let mut body = Vec::with_capacity(MAX_RETAINED_BODY + 1);
+        assert_eq!(body.capacity(), MAX_RETAINED);
+        let mut body = Vec::with_capacity(MAX_RETAINED + 1);
         shed(&mut body);
         assert_eq!(body.capacity(), 0);
     }

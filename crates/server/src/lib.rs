@@ -15,17 +15,16 @@
 //!   plan files; v1 frames sealed with FNV-1a are still read and
 //!   answered), typed [`ErrCode`]s. Decoding never panics and never
 //!   allocates more than [`proto::MAX_BODY`] on hostile input.
-//! * [`framing`] — streaming frame I/O over `Read`/`Write`: one reader
-//!   into a reused body buffer, one writer that seals and sends a frame
-//!   in fixed chunks, typed `PERMUTE`/`PERMUTED`/`PERMUTED_BATCH` bodies
-//!   converted straight from `&[T]`.
+//! * [`framing`] — frame I/O over `Read`/`Write`: one reader into a
+//!   reused body buffer, one writer that builds a whole frame in a
+//!   reused buffer, seals it and sends it in one write.
 //! * [`admission`] — per-session quotas (registered plans, jobs per
 //!   request), checked before anything touches the engine.
 //! * [`server`] — thread-per-connection accept loop; each connection
 //!   gets a private handle namespace. `PERMUTE` and `PERMUTE_BATCH` run
 //!   on their session's thread through the engine's counted,
-//!   panic-isolated job path, served from the request body and streamed
-//!   back.
+//!   panic-isolated job path, permuting the request body's wire bytes
+//!   as byte lanes straight into the reply frame.
 //! * [`client`] — the blocking typed client.
 //!
 //! ```no_run
@@ -54,7 +53,7 @@ pub use admission::{AdmissionConfig, AdmissionError};
 pub use client::{Client, ClientError, PlanHandle};
 pub use framing::{
     read_frame, read_frame_into, read_frame_versioned, write_frame, write_frame_versioned,
-    write_permute, write_permuted,
+    write_permute,
 };
 pub use proto::{
     bytes_to_elems, elems_to_bytes, Elem, ErrCode, Frame, PermRepr, ProtoError, ServerStats,

@@ -35,12 +35,11 @@
 //!   valid-length frame cannot smuggle an absurd element count.
 
 use std::fmt;
-use std::io::Write;
 
 use hmm_perm::hash::Hasher;
 use hmm_plan::{fnv1a_update, FNV_OFFSET};
 
-use crate::framing::FrameWriter;
+use crate::framing::{lay_out, seal, Put};
 
 /// Leading magic of every frame.
 pub const MAGIC: [u8; 4] = *b"HMMS";
@@ -58,8 +57,8 @@ pub(crate) fn speaks(version: u8) -> bool {
 
 /// The running checksum of one frame at a version this build speaks
 /// (see the module table): fed header and body bytes in order, in
-/// pieces of any size, then finished. The streaming reader and writer
-/// in [`framing`](crate::framing) seal with it as the bytes pass.
+/// pieces of any size, then finished. The frame reader and writer in
+/// [`framing`](crate::framing) seal with it.
 pub(crate) enum Seal {
     /// Version 1: FNV-1a.
     Fnv(u64),
@@ -361,15 +360,6 @@ pub fn elems_to_bytes<T: Elem>(src: &[T]) -> Vec<u8> {
     out
 }
 
-/// Read `out.len()` elements from `bytes`, which holds exactly
-/// `out.len() × WIDTH` bytes: one pass into a caller's buffer.
-pub(crate) fn get_elems<T: Elem>(bytes: &[u8], out: &mut [T]) {
-    debug_assert_eq!(bytes.len(), out.len() * T::WIDTH);
-    for (v, b) in out.iter_mut().zip(bytes.chunks_exact(T::WIDTH)) {
-        *v = T::read_le(b);
-    }
-}
-
 /// Deserialize wire bytes into a typed payload; `None` if the byte
 /// length is not a multiple of the element width.
 pub fn bytes_to_elems<T: Elem>(bytes: &[u8]) -> Option<Vec<T>> {
@@ -620,20 +610,28 @@ impl Frame {
     /// Encode the complete frame at `version`: how a server answers a
     /// client in the version the client spoke. The bytes are what
     /// [`write_frame_versioned`](crate::framing::write_frame_versioned)
-    /// sends: both run the one streaming frame writer.
+    /// sends: both build the frame with the one frame writer.
     ///
     /// # Panics
     /// Panics if this build does not speak `version`.
     pub fn encode_version(&self, version: u8) -> Vec<u8> {
         assert!(speaks(version), "cannot encode protocol version {version}");
-        let body_len = self.body_len();
-        debug_assert!(body_len <= MAX_BODY, "encoder produced oversized body");
-        let mut out = Vec::with_capacity(HEADER_LEN + body_len + CHECKSUM_LEN);
-        let mut w = FrameWriter::begin(&mut out, version, self.kind(), body_len);
-        self.write_body(&mut w)
-            .and_then(|()| w.finish())
-            .expect("writing to a Vec cannot fail");
+        debug_assert!(
+            self.body_len() <= MAX_BODY,
+            "encoder produced oversized body"
+        );
+        let mut out = Vec::new();
+        self.encode_into(version, &mut out);
         out
+    }
+
+    /// Encode the complete frame at `version` into `frame`, reusing its
+    /// allocation (a session's reply buffer, a client's request buffer).
+    pub(crate) fn encode_into(&self, version: u8, frame: &mut Vec<u8>) {
+        let mut body = Put::new(lay_out(frame, version, self.kind(), self.body_len()));
+        self.write_body(&mut body);
+        debug_assert!(body.is_full(), "body shorter than body_len");
+        seal(frame);
     }
 
     /// Length of the encoded body, known before a byte of it is written
@@ -660,12 +658,9 @@ impl Frame {
         }
     }
 
-    /// Write the body, part by part, into a frame writer begun with
-    /// [`Frame::body_len`].
-    pub(crate) fn write_body<W: Write>(
-        &self,
-        w: &mut FrameWriter<'_, W>,
-    ) -> Result<(), ProtoError> {
+    /// Write the body, part by part, into a body region of
+    /// [`Frame::body_len`] bytes.
+    fn write_body(&self, w: &mut Put<'_>) {
         match self {
             Frame::Register {
                 fingerprint,
@@ -673,36 +668,36 @@ impl Frame {
                 elem_width,
                 perm,
             } => {
-                w.put_u64(*fingerprint)?;
-                w.put_u64(*n)?;
-                w.put(&[*elem_width])?;
+                w.u64(*fingerprint);
+                w.u64(*n);
+                w.bytes(&[*elem_width]);
                 match perm {
                     PermRepr::Index(map) => {
-                        w.put(&[0])?;
-                        w.put_elems(map)?;
+                        w.bytes(&[0]);
+                        w.elems(map);
                     }
                     PermRepr::Bmmc { bits, offset, cols } => {
-                        w.put(&[1, *bits])?;
-                        w.put_u64(*offset)?;
-                        w.put_elems(cols)?;
+                        w.bytes(&[1, *bits]);
+                        w.u64(*offset);
+                        w.elems(cols);
                     }
                 }
             }
-            Frame::Registered { handle } => w.put_u64(*handle)?,
+            Frame::Registered { handle } => w.u64(*handle),
             Frame::Permute { handle, payload } => {
-                w.put_u64(*handle)?;
-                w.put(payload)?;
+                w.u64(*handle);
+                w.bytes(payload);
             }
-            Frame::Permuted { payload } => w.put(payload)?,
+            Frame::Permuted { payload } => w.bytes(payload),
             Frame::PermuteBatch { handle, payloads } => {
-                w.put_u64(*handle)?;
-                write_payload_list(w, payloads)?;
+                w.u64(*handle);
+                write_payload_list(w, payloads);
             }
-            Frame::PermutedBatch { payloads } => write_payload_list(w, payloads)?,
+            Frame::PermutedBatch { payloads } => write_payload_list(w, payloads),
             Frame::Stats | Frame::Drain | Frame::DrainOk => {}
             Frame::StatsReport(s) => {
-                w.put(&[STATS_FIELDS])?;
-                w.put_elems(&[
+                w.bytes(&[STATS_FIELDS]);
+                w.elems(&[
                     s.hits,
                     s.misses,
                     s.builds,
@@ -719,17 +714,16 @@ impl Frame {
                     s.registered_plans,
                     s.active_clients,
                     u64::from(s.draining),
-                ])?;
+                ]);
             }
             Frame::Err { code, message } => {
                 let msg = message.as_bytes();
                 let take = msg.len().min(MAX_ERR_MSG);
-                w.put(&(*code as u16).to_le_bytes())?;
-                w.put_u32(take as u32)?;
-                w.put(&msg[..take])?;
+                w.bytes(&(*code as u16).to_le_bytes());
+                w.u32(take as u32);
+                w.bytes(&msg[..take]);
             }
         }
-        Ok(())
     }
 
     /// Decode a complete frame from a contiguous buffer (header, body,
@@ -931,16 +925,12 @@ pub(crate) fn split_permute(body: &[u8]) -> Result<(u64, &[u8]), ProtoError> {
     Ok((handle, r.rest()))
 }
 
-fn write_payload_list<W: Write>(
-    w: &mut FrameWriter<'_, W>,
-    payloads: &[Vec<u8>],
-) -> Result<(), ProtoError> {
-    w.put_u32(payloads.len() as u32)?;
+fn write_payload_list(w: &mut Put<'_>, payloads: &[Vec<u8>]) {
+    w.u32(payloads.len() as u32);
     for p in payloads {
-        w.put_u32(p.len() as u32)?;
-        w.put(p)?;
+        w.u32(p.len() as u32);
+        w.bytes(p);
     }
-    Ok(())
 }
 
 /// Split a `PERMUTE_BATCH` body into its handle and its payloads,

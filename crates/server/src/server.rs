@@ -5,22 +5,27 @@
 //!
 //! * [`Server::bind`] binds a `TcpListener`, builds one engine core
 //!   (optionally over an on-disk [`PlanStore`](hmm_plan::PlanStore)
-//!   directory) with a `SharedEngine<u32>` handle and a
-//!   `SharedEngine<u64>` view of it, and spawns the accept thread. Plans
-//!   are element-agnostic, so a permutation registered at both widths is
-//!   planned and cached once, and one stats snapshot covers both.
+//!   directory), opens two *byte-lane* views of it,
+//!   `SharedEngine<[u8; 4]>` and `SharedEngine<[u8; 8]>`, and spawns the
+//!   accept thread. Plans are element-agnostic, so a permutation
+//!   registered at both widths is planned and cached once, and one stats
+//!   snapshot covers both.
 //! * Each accepted connection gets its own handler thread and its own
 //!   *session*: a private handle namespace mapping `u64` handles to
 //!   registered permutations. Handles never leak across connections,
 //!   and a disconnect releases everything the session registered.
-//! * `PERMUTE` and `PERMUTE_BATCH` run on the session thread, served
-//!   from the session's reused request body: each payload is decoded
-//!   once into a source array, each job runs through
+//! * `PERMUTE` and `PERMUTE_BATCH` run on the session thread and move
+//!   each payload's bytes once. Moving whole elements does not depend
+//!   on their byte order, so the kernel permutes the wire bytes
+//!   themselves, as lanes of the registered width: it reads the payload
+//!   in the session's reused request body and writes into the body of
+//!   the `PERMUTED` / `PERMUTED_BATCH` frame laid out in the session's
+//!   reused reply buffer. Each job runs through
 //!   [`SharedEngine::run_job`] (counted in the engine's
-//!   `submitted`/`completed` ledger, panics returned as errors), and the
-//!   `PERMUTED` / `PERMUTED_BATCH` reply is streamed from the outputs in
-//!   fixed chunks ([`framing`](crate::framing)). A batch checks every
-//!   member's size before its first member runs.
+//!   `submitted`/`completed` ledger, panics returned as errors). The
+//!   reply is then sealed and sent in one write
+//!   ([`framing`](crate::framing)). Every payload's size is checked
+//!   before any kernel runs.
 //! * A frame is read *completely* before anything runs, so a client
 //!   dying mid-payload can never strand a job: the partial frame
 //!   surfaces as an I/O error and the handler just reaps the connection.
@@ -35,7 +40,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -48,12 +53,10 @@ use hmm_perm::{Bmmc, Permutation};
 use hmm_plan::{fnv1a_update, FNV_OFFSET, FNV_PRIME};
 
 use crate::admission::AdmissionConfig;
-use crate::framing::{
-    read_frame_into, shed, write_frame, write_frame_versioned, write_permuted, write_permuted_batch,
-};
+use crate::framing::{lay_out, read_frame_into, seal, send, shed, write_frame, Put};
 use crate::proto::{
-    bytes_to_elems, get_elems, kind, split_permute, split_permute_batch, Elem, ErrCode, Frame,
-    PermRepr, ProtoError, ServerStats, MAX_BMMC_BITS, PROTOCOL_VERSION,
+    kind, split_permute, split_permute_batch, ErrCode, Frame, PermRepr, ProtoError, ServerStats,
+    MAX_BMMC_BITS, PROTOCOL_VERSION,
 };
 
 /// Server construction / runtime errors.
@@ -124,10 +127,11 @@ impl Default for ServerConfig {
 /// owning [`Server`] handle.
 struct Shared {
     addr: SocketAddr,
-    /// The engine, seen through a u32 handle; `engine_u64` is a view of
-    /// the same core.
-    engine: SharedEngine<u32>,
-    engine_u64: SharedEngine<u64>,
+    /// The engine, seen through 4-byte lanes; `engine8` is a view of the
+    /// same core through 8-byte lanes. Sessions permute wire bytes with
+    /// them, never typed elements.
+    engine: SharedEngine<[u8; 4]>,
+    engine8: SharedEngine<[u8; 8]>,
     admission: AdmissionConfig,
     idle_timeout: Option<Duration>,
     max_connections: usize,
@@ -268,9 +272,10 @@ impl Server {
         Self::start(listener, engine, &config)
     }
 
-    /// Serve `engine` on an already-bound `listener`: open its `u64` view
-    /// and spawn the accept thread. `config` supplies the session limits;
-    /// its `width` and `store_dir` were spent building `engine`.
+    /// Serve `engine` on an already-bound `listener`: open its two
+    /// byte-lane views and spawn the accept thread. `config` supplies the
+    /// session limits; its `width` and `store_dir` were spent building
+    /// `engine`.
     fn start(
         listener: TcpListener,
         engine: SharedEngine<u32>,
@@ -279,8 +284,8 @@ impl Server {
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             addr,
-            engine_u64: engine.view(),
-            engine,
+            engine: engine.view(),
+            engine8: engine.view(),
             admission: config.admission,
             idle_timeout: config.idle_timeout,
             max_connections: config.max_connections.max(1),
@@ -375,9 +380,9 @@ fn accept_loop(shared: Arc<Shared>, listener: TcpListener) {
         // best-effort — a peer that already vanished just loses it.
         if shared.active_clients.load(Ordering::Relaxed) >= shared.max_connections as u64 {
             shared.conn_rejects.fetch_add(1, Ordering::Relaxed);
-            let mut writer = BufWriter::new(stream);
+            let mut stream = stream;
             let _ = write_frame(
-                &mut writer,
+                &mut stream,
                 &Frame::Err {
                     code: ErrCode::Busy,
                     message: format!("server at its connection cap ({})", shared.max_connections),
@@ -421,12 +426,12 @@ fn drain_allowed(peer: SocketAddr) -> bool {
 }
 
 /// Set up an accepted connection's socket and split it into the
-/// session's buffered reader and its writer (unbuffered: the frame
-/// writer already stages every frame into chunk-sized writes).
+/// session's buffered reader and its writer (unbuffered: every reply is
+/// built whole and sent in one write).
 ///
-/// The socket gets `TCP_NODELAY`, because a reply leaves in several
-/// writes (see [`framing`](crate::framing)) and would otherwise wait
-/// out the client's delayed ACK, and the idle timeout as its read and
+/// The socket gets `TCP_NODELAY`, because the last, partial segment of
+/// a reply would otherwise wait out the client's delayed ACK (see
+/// [`framing`](crate::framing)), and the idle timeout as its read and
 /// write timeouts (best effort, as a zero timeout is refused). A
 /// tripped read timeout surfaces from `read_frame_into` as an I/O error
 /// with `WouldBlock`/`TimedOut` (platform-dependent which); a tripped
@@ -459,6 +464,9 @@ fn session_loop(shared: Arc<Shared>, stream: TcpStream) {
     };
     // The request body, reused from frame to frame.
     let mut body = Vec::new();
+    // The reply frame, reused the same way: every reply is built whole in
+    // it and sent in one write.
+    let mut reply = Vec::new();
     // Every reply goes out in the protocol version of the frame it
     // answers; errors raised before a frame decodes use the version the
     // session last spoke.
@@ -478,17 +486,14 @@ fn session_loop(shared: Arc<Shared>, stream: TcpStream) {
                 ..
             }) if shared.idle_timeout.is_some() => {
                 shared.idle_disconnects.fetch_add(1, Ordering::Relaxed);
-                let _ = write_frame_versioned(
-                    &mut writer,
-                    &Frame::Err {
-                        code: ErrCode::IdleTimeout,
-                        message: format!(
-                            "connection idle past the {:?} read timeout",
-                            shared.idle_timeout.unwrap_or_default()
-                        ),
-                    },
-                    version,
+                let idle = err(
+                    ErrCode::IdleTimeout,
+                    format!(
+                        "connection idle past the {:?} read timeout",
+                        shared.idle_timeout.unwrap_or_default()
+                    ),
                 );
+                let _ = send_frame(&mut writer, &mut reply, &idle, version);
                 break;
             }
             // Clean close between frames, or the socket died (including
@@ -499,14 +504,8 @@ fn session_loop(shared: Arc<Shared>, stream: TcpStream) {
             // Stream-level corruption: the byte stream can no longer be
             // trusted to be frame-aligned. Diagnose, then close.
             Err(e) => {
-                let _ = write_frame_versioned(
-                    &mut writer,
-                    &Frame::Err {
-                        code: ErrCode::BadFrame,
-                        message: e.to_string(),
-                    },
-                    version,
-                );
+                let bad = err(ErrCode::BadFrame, e.to_string());
+                let _ = send_frame(&mut writer, &mut reply, &bad, version);
                 break;
             }
         };
@@ -514,10 +513,17 @@ fn session_loop(shared: Arc<Shared>, stream: TcpStream) {
         // Held until the reply is written. A DRAIN takes none: it waits
         // for every other request's.
         let _request = (kind != kind::DRAIN).then(|| shared.begin_request());
-        let written = if kind == kind::PERMUTE {
-            serve_permute(&shared, &session, &body, version, &mut writer)
+        // `PERMUTE` and `PERMUTE_BATCH` build their reply in `reply`
+        // themselves and hand back only a refusal; every other reply is a
+        // `Frame`, encoded into `reply` below.
+        let to_encode = if kind == kind::PERMUTE {
+            serve_permute(&shared, &session, &body, version, &mut reply)
+                .err()
+                .map(|(code, message)| err(code, message))
         } else if kind == kind::PERMUTE_BATCH {
-            serve_batch(&shared, &session, &body, version, &mut writer)
+            serve_batch(&shared, &session, &body, version, &mut reply)
+                .err()
+                .map(|(code, message)| err(code, message))
         } else {
             match Frame::decode_body(kind, &body) {
                 // DRAIN is special-cased so the `DRAIN_OK` is flushed to
@@ -527,23 +533,25 @@ fn session_loop(shared: Arc<Shared>, stream: TcpStream) {
                 // `respond`'s refusal.
                 Ok(Frame::Drain) if may_drain => {
                     shared.flush_for_drain();
-                    let _ = write_frame_versioned(&mut writer, &Frame::DrainOk, version);
+                    let _ = send_frame(&mut writer, &mut reply, &Frame::DrainOk, version);
                     shared.mark_drained();
                     break;
                 }
-                Ok(frame) => {
-                    let reply = respond(&shared, &mut session, frame, version);
-                    write_frame_versioned(&mut writer, &reply, version)
-                }
+                Ok(frame) => Some(respond(&shared, &mut session, frame, version)),
                 // Body-level violation: the frame was fully consumed, the
                 // stream is still aligned — diagnose and keep serving.
-                Err(e) => write_frame_versioned(&mut writer, &malformed(&e), version),
+                Err(e) => Some(malformed(&e)),
             }
         };
+        if let Some(frame) = to_encode {
+            frame.encode_into(version, &mut reply);
+        }
+        let written = send(&mut writer, &reply);
+        shed(&mut reply);
+        shed(&mut body);
         if written.is_err() {
             break;
         }
-        shed(&mut body);
     }
 
     shared
@@ -552,9 +560,24 @@ fn session_loop(shared: Arc<Shared>, stream: TcpStream) {
     shared.active_clients.fetch_sub(1, Ordering::Relaxed);
 }
 
+/// Encode `frame` into the session's reply buffer and send it.
+fn send_frame<W: Write>(
+    w: &mut W,
+    reply: &mut Vec<u8>,
+    frame: &Frame,
+    version: u8,
+) -> Result<(), ProtoError> {
+    frame.encode_into(version, reply);
+    send(w, reply)
+}
+
 fn malformed(e: &ProtoError) -> Frame {
     err(ErrCode::Malformed, e.to_string())
 }
+
+/// A refused `PERMUTE` or `PERMUTE_BATCH`: the code and message of the
+/// `ERR` frame that answers it.
+type Refusal = (ErrCode, String);
 
 fn err(code: ErrCode, message: impl Into<String>) -> Frame {
     Frame::Err {
@@ -698,7 +721,7 @@ fn admit<'s>(
     session: &'s Session,
     handle: u64,
     jobs: usize,
-) -> Result<&'s Registered, (ErrCode, String)> {
+) -> Result<&'s Registered, Refusal> {
     if shared.draining.load(Ordering::SeqCst) {
         return Err((ErrCode::Draining, "server is draining".into()));
     }
@@ -715,128 +738,101 @@ fn admit<'s>(
     Ok(registered)
 }
 
-/// Serve one `PERMUTE` straight from its checked body: decode the
-/// payload into the source, run the job on this session thread
-/// ([`SharedEngine::run_job`]: counted, panic-isolated), and stream the
-/// `PERMUTED` reply from the output.
-fn serve_permute<W: Write>(
+/// Serve one `PERMUTE` from its checked body: the payload's size is
+/// checked, then the kernel reads the payload's lanes and writes them
+/// into the body of a `PERMUTED` frame laid out in `reply`, which is
+/// sealed for [`send`].
+fn serve_permute(
     shared: &Shared,
     session: &Session,
     body: &[u8],
     version: u8,
-    w: &mut W,
-) -> Result<(), ProtoError> {
-    let (handle, payload) = match split_permute(body) {
-        Ok(parts) => parts,
-        Err(e) => return write_frame_versioned(w, &malformed(&e), version),
-    };
-    let registered = match admit(shared, session, handle, 1) {
-        Ok(r) => r,
-        Err((code, msg)) => return write_frame_versioned(w, &err(code, msg), version),
-    };
-    if registered.elem_width == 4 {
-        permute_inline::<u32, W>(&shared.engine, &registered.perm, payload, version, w)
-    } else {
-        permute_inline::<u64, W>(&shared.engine_u64, &registered.perm, payload, version, w)
-    }
+    reply: &mut Vec<u8>,
+) -> Result<(), Refusal> {
+    let (handle, payload) = split_permute(body).map_err(|e| (ErrCode::Malformed, e.to_string()))?;
+    let registered = admit(shared, session, handle, 1)?;
+    check_payload(registered, 0, payload)?;
+    let out = lay_out(reply, version, kind::PERMUTED, payload.len());
+    run_lanes(shared, registered, payload, out)?;
+    seal(reply);
+    Ok(())
 }
 
-fn permute_inline<T: Elem, W: Write>(
-    engine: &SharedEngine<T>,
-    perm: &Permutation,
-    payload: &[u8],
-    version: u8,
-    w: &mut W,
-) -> Result<(), ProtoError> {
-    if let Err((code, msg)) = check_payload::<T>(perm.len(), 0, payload) {
-        return write_frame_versioned(w, &err(code, msg), version);
-    }
-    let src = bytes_to_elems::<T>(payload).expect("length checked above");
-    let mut dst = vec![T::default(); perm.len()];
-    let outcome = engine.run_job(perm, &src, &mut dst);
-    // One payload-sized buffer fewer while the reply is written.
-    drop(src);
-    match outcome {
-        Ok(_) => write_permuted(w, version, &dst),
-        Err(e) => {
-            let (code, msg) = job_err(e);
-            write_frame_versioned(w, &err(code, msg), version)
-        }
-    }
-}
-
-/// Serve a `PERMUTE_BATCH` straight from its checked body, as
-/// [`serve_permute`] serves one payload: every member's size is checked
-/// before any member runs, then each member is decoded into one reused
-/// source and run through [`SharedEngine::run_job`], and the
-/// `PERMUTED_BATCH` reply is streamed from the outputs.
-fn serve_batch<W: Write>(
+/// Serve a `PERMUTE_BATCH` as [`serve_permute`] serves one payload:
+/// every member's size is checked before any member runs, then each
+/// member runs straight into its slot of the `PERMUTED_BATCH` frame laid
+/// out in `reply`.
+fn serve_batch(
     shared: &Shared,
     session: &Session,
     body: &[u8],
     version: u8,
-    w: &mut W,
-) -> Result<(), ProtoError> {
-    let (handle, payloads) = match split_permute_batch(body) {
-        Ok(parts) => parts,
-        Err(e) => return write_frame_versioned(w, &malformed(&e), version),
-    };
-    let registered = match admit(shared, session, handle, payloads.len()) {
-        Ok(r) => r,
-        Err((code, msg)) => return write_frame_versioned(w, &err(code, msg), version),
-    };
-    if registered.elem_width == 4 {
-        batch_inline::<u32, W>(&shared.engine, &registered.perm, &payloads, version, w)
+    reply: &mut Vec<u8>,
+) -> Result<(), Refusal> {
+    let (handle, payloads) =
+        split_permute_batch(body).map_err(|e| (ErrCode::Malformed, e.to_string()))?;
+    let registered = admit(shared, session, handle, payloads.len())?;
+    for (i, payload) in payloads.iter().enumerate() {
+        check_payload(registered, i, payload)?;
+    }
+    // Shorter than the request body, so within `MAX_BODY`.
+    let body_len = 4 + payloads.iter().map(|p| 4 + p.len()).sum::<usize>();
+    let mut out = Put::new(lay_out(reply, version, kind::PERMUTED_BATCH, body_len));
+    out.u32(payloads.len() as u32);
+    for payload in &payloads {
+        out.u32(payload.len() as u32);
+        run_lanes(shared, registered, payload, out.take(payload.len()))?;
+    }
+    debug_assert!(out.is_full());
+    seal(reply);
+    Ok(())
+}
+
+/// Run one job on this thread ([`SharedEngine::run_job`]: counted,
+/// panic-isolated): `out[P[i]] = src[i]` over lanes of the registered
+/// width. Both slices hold exactly `n × width` bytes ([`check_payload`]).
+fn run_lanes(
+    shared: &Shared,
+    registered: &Registered,
+    src: &[u8],
+    out: &mut [u8],
+) -> Result<(), Refusal> {
+    let ran = if registered.elem_width == 4 {
+        lanes_job(&shared.engine, &registered.perm, src, out)
     } else {
-        batch_inline::<u64, W>(&shared.engine_u64, &registered.perm, &payloads, version, w)
-    }
+        lanes_job(&shared.engine8, &registered.perm, src, out)
+    };
+    ran.map_err(|e| (ErrCode::Plan, format!("job failed: {e}")))
 }
 
-fn batch_inline<T: Elem, W: Write>(
-    engine: &SharedEngine<T>,
+/// [`SharedEngine::run_job`] over `W`-byte lanes of `src` and `out`. The
+/// `Default` bound is spelled out because `std` implements it for arrays
+/// one length at a time, not for every `W`.
+fn lanes_job<const W: usize>(
+    engine: &SharedEngine<[u8; W]>,
     perm: &Permutation,
-    payloads: &[&[u8]],
-    version: u8,
-    w: &mut W,
-) -> Result<(), ProtoError> {
-    let n = perm.len();
-    let checked: Result<(), _> = payloads
-        .iter()
-        .enumerate()
-        .try_for_each(|(i, bytes)| check_payload::<T>(n, i, bytes));
-    if let Err((code, msg)) = checked {
-        return write_frame_versioned(w, &err(code, msg), version);
-    }
-    let mut src = vec![T::default(); n];
-    let mut outputs = Vec::with_capacity(payloads.len());
-    for bytes in payloads {
-        get_elems(bytes, &mut src);
-        let mut dst = vec![T::default(); n];
-        if let Err(e) = engine.run_job(perm, &src, &mut dst) {
-            let (code, msg) = job_err(e);
-            return write_frame_versioned(w, &err(code, msg), version);
-        }
-        outputs.push(dst);
-    }
-    drop(src);
-    write_permuted_batch(w, version, &outputs)
+    src: &[u8],
+    out: &mut [u8],
+) -> Result<(), JobError>
+where
+    [u8; W]: Default,
+{
+    engine
+        .run_job(perm, src.as_chunks().0, out.as_chunks_mut().0)
+        .map(drop)
 }
 
-fn job_err(e: JobError) -> (ErrCode, String) {
-    (ErrCode::Plan, format!("job failed: {e}"))
-}
-
-/// Refuse payload `i` of a request unless it holds exactly `n` elements.
-fn check_payload<T: Elem>(n: usize, i: usize, bytes: &[u8]) -> Result<(), (ErrCode, String)> {
-    if bytes.len() != n * T::WIDTH {
+/// Refuse payload `i` of a request unless it holds exactly `n` elements
+/// of the registered width.
+fn check_payload(registered: &Registered, i: usize, bytes: &[u8]) -> Result<(), Refusal> {
+    let (n, width) = (registered.perm.len(), usize::from(registered.elem_width));
+    if bytes.len() != n * width {
         return Err((
             ErrCode::SizeMismatch,
             format!(
-                "payload {i} is {} bytes, plan needs n×width = {}×{} = {}",
+                "payload {i} is {} bytes, plan needs n×width = {n}×{width} = {}",
                 bytes.len(),
-                n,
-                T::WIDTH,
-                n * T::WIDTH
+                n * width
             ),
         ));
     }

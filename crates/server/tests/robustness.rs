@@ -12,8 +12,8 @@ use std::time::{Duration, Instant};
 use hmm_perm::families;
 use hmm_server::proto::{elems_to_bytes, Frame, PermRepr, ServerStats};
 use hmm_server::{
-    read_frame, write_frame, write_permute, AdmissionConfig, Client, ClientError, ErrCode, Server,
-    ServerConfig, ServerError, PROTOCOL_VERSION,
+    read_frame, write_frame, write_frame_versioned, write_permute, AdmissionConfig, Client,
+    ClientError, Elem, ErrCode, Server, ServerConfig, ServerError, PROTOCOL_VERSION,
 };
 
 fn server() -> Server {
@@ -549,6 +549,142 @@ fn short_permute_body_is_malformed_and_the_session_keeps_serving() {
             payload: elems_to_bytes(&want)
         }
     );
+}
+
+/// Register `p` at `T`'s width on a raw session, at protocol `version`,
+/// with no fingerprint claim; returns the handle.
+fn register_raw<T: Elem>(
+    raw: &mut TcpStream,
+    reader: &mut TcpStream,
+    version: u8,
+    p: &hmm_perm::Permutation,
+) -> u64 {
+    let register = Frame::Register {
+        fingerprint: 0,
+        n: p.len() as u64,
+        elem_width: T::WIDTH as u8,
+        perm: PermRepr::Index(p.as_slice().iter().map(|&d| d as u32).collect()),
+    };
+    write_frame_versioned(raw, &register, version).unwrap();
+    match read_frame(reader).unwrap() {
+        Frame::Registered { handle } => handle,
+        other => panic!("registration refused: {other:?}"),
+    }
+}
+
+/// A `PERMUTE` whose payload is not exactly `n × width` bytes — short or
+/// long, by a whole element or by one byte — is refused with `ERR
+/// size-mismatch` before any kernel runs (the engine's `submitted` and
+/// `completed` do not move), at both widths, and the same session then
+/// serves a correct `PERMUTE`.
+#[test]
+fn wrong_length_permute_bodies_are_refused_before_any_kernel_runs() {
+    fn check<T: Elem>(server: &Server, from: fn(u64) -> T) {
+        let n = 1 << 10;
+        let p = families::random(n, 23);
+        let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+        let mut reader = raw.try_clone().unwrap();
+        let handle = register_raw::<T>(&mut raw, &mut reader, PROTOCOL_VERSION, &p);
+        let before = server.stats();
+        let w = T::WIDTH;
+        for len in [0, n * w - w, n * w - 1, n * w + 1, n * w + w] {
+            let refused = Frame::Permute {
+                handle,
+                payload: vec![0x5a; len],
+            };
+            write_frame(&mut raw, &refused).unwrap();
+            match read_frame(&mut reader).unwrap() {
+                Frame::Err { code, message } => {
+                    assert_eq!(
+                        code,
+                        ErrCode::SizeMismatch,
+                        "{len} bytes at width {w}: {message}"
+                    )
+                }
+                other => panic!("{len} bytes at width {w}: expected ERR, got {other:?}"),
+            }
+        }
+        let after = server.stats();
+        assert_eq!(
+            (after.submitted, after.completed),
+            (before.submitted, before.completed),
+            "a refused payload reached the engine at width {w}"
+        );
+
+        let src: Vec<T> = (0..n as u64).map(|v| from(v * 7 + 1)).collect();
+        write_permute(&mut raw, PROTOCOL_VERSION, handle, &src).unwrap();
+        let mut want = vec![T::default(); n];
+        p.permute(&src, &mut want).unwrap();
+        assert_eq!(
+            read_frame(&mut reader).unwrap(),
+            Frame::Permuted {
+                payload: elems_to_bytes(&want)
+            },
+            "width {w}"
+        );
+    }
+    let server = server();
+    check::<u32>(&server, |v| v as u32);
+    check::<u64>(&server, |v| v << 32 | v);
+}
+
+/// A served `PERMUTED` reply — the kernel's output written straight into
+/// the reply frame — is byte for byte `Frame::Permuted { .. }
+/// .encode_version(v)`, and a served `PERMUTED_BATCH` is the encoder's
+/// `Frame::PermutedBatch`, at v1 (FNV-1a) and v2, for `u32` and `u64`.
+/// A larger reply first leaves stale bytes in the session's reused reply
+/// buffer, which the smaller ones must not carry.
+#[test]
+fn served_replies_are_the_frame_encoders_bytes() {
+    fn read_exactly(reader: &mut TcpStream, len: usize) -> Vec<u8> {
+        let mut got = vec![0u8; len];
+        reader.read_exact(&mut got).unwrap();
+        got
+    }
+    fn check<T: Elem>(server: &Server, version: u8, from: fn(u64) -> T) {
+        let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+        let mut reader = raw.try_clone().unwrap();
+        for (n, seed) in [(1usize << 12, 3u64), (1 << 10, 4), (1 << 6, 5)] {
+            let p = families::random(n, seed);
+            let handle = register_raw::<T>(&mut raw, &mut reader, version, &p);
+            let srcs: Vec<Vec<T>> = (0..3u64)
+                .map(|k| (0..n as u64).map(|v| from(v ^ k << 20 ^ seed)).collect())
+                .collect();
+            let wants: Vec<Vec<u8>> = srcs
+                .iter()
+                .map(|src| {
+                    let mut want = vec![T::default(); n];
+                    p.permute(src, &mut want).unwrap();
+                    elems_to_bytes(&want)
+                })
+                .collect();
+            let ctx = format!("v{version} width {} n={n}", T::WIDTH);
+
+            write_permute(&mut raw, version, handle, &srcs[0]).unwrap();
+            let expected = Frame::Permuted {
+                payload: wants[0].clone(),
+            }
+            .encode_version(version);
+            assert_eq!(read_exactly(&mut reader, expected.len()), expected, "{ctx}");
+
+            let batch = Frame::PermuteBatch {
+                handle,
+                payloads: srcs.iter().map(|s| elems_to_bytes(s)).collect(),
+            };
+            write_frame_versioned(&mut raw, &batch, version).unwrap();
+            let expected = Frame::PermutedBatch { payloads: wants }.encode_version(version);
+            assert_eq!(
+                read_exactly(&mut reader, expected.len()),
+                expected,
+                "batch {ctx}"
+            );
+        }
+    }
+    let server = server();
+    for version in [1, 2] {
+        check::<u32>(&server, version, |v| v as u32);
+        check::<u64>(&server, version, |v| v.rotate_left(29) ^ v);
+    }
 }
 
 /// Hostile `PERMUTE_BATCH` bodies, each in a checksummed frame: cut

@@ -27,6 +27,9 @@
 //!   that loads the plan the first one saved to a warm [`PlanStore`], so
 //!   decoded full (König) and compact (structured) files are checked
 //!   against the naive reference like freshly built plans.
+//! * byte lanes, `[u8; 4]` and `[u8; 8]` through views of a native
+//!   engine, at aligned and odd byte offsets — how `hmm-server` permutes
+//!   wire bytes — checked against the typed output and the reference.
 //!
 //! Every run also asserts the plan actually executed on the forced route,
 //! backend and kernel config, and that structured families were planned
@@ -281,5 +284,76 @@ fn conformance_default_gamma_decision_is_correct() {
                 );
             }
         }
+    }
+}
+
+/// Byte lanes ≡ typed elements ≡ naive. A server permutes wire bytes as
+/// `[u8; 4]` / `[u8; 8]` lanes through views of one engine, so on every
+/// family and size, on both forced routes and at every native kernel
+/// config (map-load and computed-index, SIMD on and off), the lane
+/// output must be the little-endian bytes of the typed `u32` / `u64`
+/// output and of the naive reference. Source and destination lanes also
+/// sit at odd byte offsets of their buffers, as a request body and a
+/// reply frame place them.
+#[test]
+fn byte_lanes_match_typed_elements_and_the_naive_reference() {
+    for route in [Route::Scatter, Route::Scheduled] {
+        let configs = match route {
+            Route::Scheduled => kernel_configs().to_vec(),
+            Route::Scatter => vec![KernelConfig::default()],
+        };
+        for config in configs {
+            for n in SIZES {
+                for (name, p) in paper_families(n) {
+                    let engine = forced_engine::<u32>(Backend::Native, W, route);
+                    engine.set_kernel_config(config);
+                    let ctx = format!("{name} n={n} route={route:?} config={config:?}");
+                    let plan = engine.plan(&p).unwrap();
+                    assert_eq!(plan.route(), route, "{ctx}: forcing seam regressed");
+                    assert_eq!(
+                        plan.executable().kernel_config(),
+                        (route == Route::Scheduled).then_some(config),
+                        "{ctx}: plan prepared off-config"
+                    );
+                    check_lanes(&engine, &engine.view(), &p, &ctx, u32::to_le_bytes);
+                    check_lanes(&engine.view(), &engine.view(), &p, &ctx, u64::to_le_bytes);
+                }
+            }
+        }
+    }
+}
+
+/// One cell of the byte-lane differential: typed `T` through `typed`,
+/// then `B`-byte lanes through `lanes` at several source/destination
+/// byte offsets, each against the naive reference's bytes.
+fn check_lanes<T: Elem, const B: usize>(
+    typed: &SharedEngine<T>,
+    lanes: &SharedEngine<[u8; B]>,
+    p: &Permutation,
+    ctx: &str,
+    le: fn(T) -> [u8; B],
+) where
+    [u8; B]: Default,
+{
+    let n = p.len();
+    let src = input::<T>(n, 0);
+    let want: Vec<[u8; B]> = naive_reference(p, &src).into_iter().map(le).collect();
+    let mut typed_out = vec![T::default(); n];
+    let route = typed.run_job(p, &src, &mut typed_out).unwrap();
+    let typed_out: Vec<[u8; B]> = typed_out.into_iter().map(le).collect();
+    assert_eq!(typed_out, want, "{ctx}: typed {B}-byte output");
+    for (src_off, dst_off) in [(0, 0), (1, 7), (3, 2), (6, 5)] {
+        let mut src_bytes = vec![0u8; src_off];
+        src_bytes.extend(src.iter().flat_map(|&v| le(v)));
+        let src_lanes = src_bytes[src_off..].as_chunks::<B>().0;
+        let mut dst_bytes = vec![0xa5u8; dst_off + n * B];
+        let dst_lanes = dst_bytes[dst_off..].as_chunks_mut::<B>().0;
+        let ran = lanes.run_job(p, src_lanes, dst_lanes).unwrap();
+        assert_eq!(ran, route, "{ctx}: lanes ran off-route");
+        assert_eq!(
+            dst_lanes,
+            &want[..],
+            "{ctx}: [u8; {B}] lanes at byte offsets {src_off}/{dst_off}"
+        );
     }
 }
