@@ -55,10 +55,13 @@ pub struct KernelConfig {
     /// AVX2 paths on x86-64 hosts that support them (runtime-detected).
     /// `false` selects the scalar reference kernels.
     pub simd: bool,
-    /// Compute gather indices in registers (the affine XOR-fold) for
-    /// plans that carry verified descriptors, instead of loading the
-    /// materialized map alongside the data. Plans without descriptors
-    /// (König-colored) always use map loads regardless of this flag.
+    /// Map-free kernels for structured plans (those that carry verified
+    /// affine descriptors): the native backend runs such a plan as one
+    /// tiled pass over its BMMC instead of the three map-load sweeps, and
+    /// the sweep-IR lowering folds each gather index from its descriptor
+    /// instead of loading the materialized map. Plans without
+    /// descriptors (König-colored) always run the map-load sweeps
+    /// regardless of this flag.
     pub computed_index: bool,
 }
 

@@ -479,10 +479,11 @@ fn run(cmd: &str, args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             let rows = native_experiments::computed_index(&sizes, reps)?;
             print!("{}", native_experiments::render_computed(&rows));
             println!(
-                "\n(Both arms run the identical fused three-sweep plan; the computed arm\n\
-                 evaluates the affine GF(2) fold in registers and never reads the 4n-byte\n\
-                 gather maps, the map-load arm streams them. Outputs are asserted\n\
-                 byte-identical to the reference before timing.)"
+                "\n(Both arms run the same structured plan: the computed arm as one tiled\n\
+                 pass that reads and writes whole 128-byte lines through the plan's BMMC\n\
+                 (no scratch, no gather maps), the map-load arm as the three fused sweeps\n\
+                 streaming the 4n-byte gather maps. Outputs are asserted byte-identical\n\
+                 to the reference before timing.)"
             );
             if args.json {
                 let dir = std::path::Path::new("results");

@@ -23,8 +23,8 @@
 use crate::tables::{size_label, TextTable};
 use hmm_native::par::worker_threads;
 use hmm_native::{
-    copy_baseline, gather_permute, scatter_permute, Backend, ExecPlan, KernelConfig,
-    NativeScheduled, ScratchBuf, SharedEngine,
+    as_native_scheduled, copy_baseline, gather_permute, scatter_permute, Backend, ExecPlan,
+    KernelConfig, NativeScheduled, PermutePlan, ScratchBuf, SharedEngine,
 };
 use hmm_offperm::Result;
 use hmm_perm::families::{self, Family};
@@ -47,6 +47,12 @@ fn median_time(reps: usize, mut f: impl FnMut()) -> Duration {
     times[times.len() / 2]
 }
 
+/// Passes over the array one run of `plan` makes (three when it is not
+/// a native scheduled plan).
+fn passes<T>(plan: &PermutePlan<T>) -> usize {
+    as_native_scheduled(plan).map_or(3, NativeScheduled::passes)
+}
+
 /// One row of the native kernel comparison.
 #[derive(Debug, Clone)]
 pub struct NativeRow {
@@ -58,7 +64,9 @@ pub struct NativeRow {
     pub scatter: Duration,
     /// Parallel gather (`dst[i] = src[q[i]]`).
     pub gather: Duration,
-    /// Fused three-sweep scheduled permutation (scratch reused).
+    /// Scheduled permutation with the default config (scratch reused):
+    /// one tiled pass on structured families, three fused sweeps on
+    /// random.
     pub scheduled: Duration,
     /// Plain parallel copy (bandwidth ceiling).
     pub copy: Duration,
@@ -236,17 +244,17 @@ pub fn structured_plan_build(sizes: &[usize], reps: usize) -> Result<Vec<Structu
 }
 
 /// One row of the fusion comparison: a bit-reversal → transpose pipeline
-/// executed as one fused plan (three sweeps, one memory round trip)
-/// versus the unfused two-plan chain (six sweeps, an intermediate
-/// buffer).
+/// executed as one fused plan (one memory round trip) versus the unfused
+/// two-plan chain (two round trips and an intermediate buffer).
 #[derive(Debug, Clone)]
 pub struct FusedRow {
     /// Array size.
     pub n: usize,
-    /// Scheduled sweeps the fused plan executes (always 3).
-    pub fused_sweeps: usize,
-    /// Scheduled sweeps the unfused chain executes (3 per link).
-    pub chained_sweeps: usize,
+    /// Passes over the array the fused plan executes (1: BMMC∘BMMC is one
+    /// BMMC, which runs as one tiled pass).
+    pub fused_passes: usize,
+    /// Passes the unfused chain executes (one per link).
+    pub chained_passes: usize,
     /// One `permute_fused` of the 2-chain, plan warm.
     pub fused: Duration,
     /// The two `permute` calls plus the intermediate buffer, plans warm.
@@ -254,9 +262,10 @@ pub struct FusedRow {
 }
 
 /// Measure plan fusion on the bit-reversal → transpose 2-chain (the
-/// six-step FFT's reorder). Sweep counts are taken from the engine's
-/// `scheduled_runs` counter — 1 plan × 3 sweeps fused vs 2 × 3 chained —
-/// and outputs are checked equal before any time is reported.
+/// six-step FFT's reorder). Pass counts are the engine's `scheduled_runs`
+/// counter times each plan's [`NativeScheduled::passes`] — one plan of
+/// one pass fused, two chained — and outputs are checked equal before any
+/// time is reported.
 pub fn fused_chain(sizes: &[usize], reps: usize) -> Result<Vec<FusedRow>> {
     let mut rows = Vec::new();
     for &n in sizes {
@@ -286,8 +295,8 @@ pub fn fused_chain(sizes: &[usize], reps: usize) -> Result<Vec<FusedRow>> {
         });
         rows.push(FusedRow {
             n,
-            fused_sweeps: fused_runs as usize * 3,
-            chained_sweeps: chained_runs as usize * 3,
+            fused_passes: fused_runs as usize * passes(&*engine.plan_fused(&chain)?),
+            chained_passes: chained_runs as usize * passes(&*engine.plan(&p1)?),
             fused,
             chained,
         });
@@ -296,9 +305,9 @@ pub fn fused_chain(sizes: &[usize], reps: usize) -> Result<Vec<FusedRow>> {
 }
 
 /// One row of the computed-index kernel comparison: the same structured
-/// plan executed with the affine fold evaluated in registers (map-free
-/// gathers) against the materialized gather-map loads, over the fused
-/// three-sweep pipeline.
+/// plan executed as the one tiled pass over whole lines (map-free, no
+/// scratch) against the three fused sweeps loading the materialized
+/// gather maps.
 #[derive(Debug, Clone)]
 pub struct ComputedRow {
     /// Permutation family (affine — only structured plans carry the
@@ -306,10 +315,10 @@ pub struct ComputedRow {
     pub family: &'static str,
     /// Array size.
     pub n: usize,
-    /// Fused three-sweep run with computed-index kernels (the default).
+    /// The one tiled pass (`computed_index` on, the default).
     pub computed: Duration,
-    /// The same plan with `computed_index` off: gather indices loaded
-    /// from the materialized maps.
+    /// The same plan with `computed_index` off: the three fused sweeps,
+    /// gather indices loaded from the materialized maps.
     pub map_load: Duration,
 }
 
@@ -320,11 +329,10 @@ impl ComputedRow {
     }
 }
 
-/// Measure the computed-index kernels against the map-load kernels over
-/// the same structured plans: per affine family and size, one
-/// `NativeScheduled` prepared with the default config (descriptors
-/// carried, fold in registers, maps never read) and one with
-/// `computed_index` off. Outputs are asserted byte-identical to the
+/// Measure the one tiled pass against the map-load sweeps over the same
+/// structured plans: per affine family and size, one `NativeScheduled`
+/// prepared with the default config (one pass through the plan's BMMC,
+/// maps never read) and one with `computed_index` off (three sweeps). Outputs are asserted byte-identical to the
 /// `Permutation::permute` reference — and to each other — before any
 /// time is reported, and both executions are checked to actually take
 /// the kernel form their row claims.
@@ -350,7 +358,7 @@ pub fn computed_index(sizes: &[usize], reps: usize) -> Result<Vec<ComputedRow>> 
                     ..KernelConfig::default()
                 },
             );
-            assert!(on.computed_index() && !off.computed_index());
+            assert_eq!((on.passes(), off.passes()), (1, 3));
             let src: Vec<u32> = (0..n as u32).map(|v| v.wrapping_mul(0x9e37_79b9)).collect();
             let mut want = vec![0u32; n];
             p.permute(&src, &mut want).expect("reference permute");
@@ -615,8 +623,8 @@ pub fn render_structured(rows: &[StructuredRow]) -> String {
 pub fn render_fused(rows: &[FusedRow]) -> String {
     let mut t = TextTable::new(vec![
         "n",
-        "fused sweeps",
-        "chained sweeps",
+        "fused passes",
+        "chained passes",
         "fused wall",
         "chained wall",
         "speedup",
@@ -625,8 +633,8 @@ pub fn render_fused(rows: &[FusedRow]) -> String {
         let speedup = r.chained.as_secs_f64() / r.fused.as_secs_f64().max(1e-12);
         t.row(vec![
             size_label(r.n),
-            r.fused_sweeps.to_string(),
-            r.chained_sweeps.to_string(),
+            r.fused_passes.to_string(),
+            r.chained_passes.to_string(),
             format!("{:.2?}", r.fused),
             format!("{:.2?}", r.chained),
             format!("{speedup:.2}x"),

@@ -58,7 +58,7 @@ impl Backend {
                 Executable::Native(NativeScheduled::from_plan_with(ir, config))
             }
             (Backend::Interp, ExecPlan::Scheduled(ir)) => {
-                Executable::Interp(InterpExec::new(ir, config))
+                Executable::Interp(Box::new(InterpExec::new(ir, config)))
             }
         }
     }
@@ -71,12 +71,14 @@ impl Backend {
 /// concurrently from many threads with distinct buffer triples.
 #[derive(Debug)]
 pub enum Executable {
-    /// Native fused three-sweep executor.
+    /// Native scheduled executor: the one tiled pass for structured
+    /// plans, the three fused sweeps otherwise.
     Native(NativeScheduled),
     /// Native parallel scatter kernel over this permutation.
     NativeScatter(Permutation),
-    /// Sweep-IR interpreter.
-    Interp(InterpExec),
+    /// Sweep-IR interpreter (boxed: its lowered program is the largest
+    /// variant by far).
+    Interp(Box<InterpExec>),
     /// Interpreter's serial scatter loop over this permutation.
     InterpScatter(Permutation),
 }
@@ -103,8 +105,9 @@ impl Executable {
         }
     }
 
-    /// Scratch elements `run` requires: 0 for scatter executables, `n`
-    /// for the native fused executor, `2n` for the IR interpreter.
+    /// Scratch elements `run` requires: 0 for scatter executables and the
+    /// native one-pass route, `n` for the native fused sweeps, `2n` for
+    /// the IR interpreter.
     pub fn scratch_len(&self) -> usize {
         match self {
             Executable::Native(s) => s.scratch_len(),

@@ -9,8 +9,10 @@
 //!   conventional D-/S-designated kernels (one scattered pass);
 //! * [`scheduled::NativeScheduled`] — the scheduled permutation executed
 //!   as three fused memory sweeps (gather-transpose, gather-transpose,
-//!   row gather), built from the backend-neutral [`hmm_plan::PlanIr`]
-//!   shared with the simulator and the on-disk plan store;
+//!   row gather), or, for a structured (BMMC) plan, as one tiled pass
+//!   that reads and writes whole lines, built from the backend-neutral
+//!   [`hmm_plan::PlanIr`] shared with the simulator and the on-disk plan
+//!   store;
 //! * [`plan::SharedEngine`] — the concurrent front door: a thread-safe
 //!   plan service (`&self` from any number of threads) with a sharded LRU
 //!   cache, single-flight plan construction, verified (collision-proof)

@@ -1,5 +1,7 @@
 //! The scheduled permutation on a real CPU, executed as **three fused
-//! memory sweeps**.
+//! memory sweeps** — or, for a structured (BMMC) plan with
+//! [`KernelConfig::computed_index`] set, as **one tiled pass** (see "The
+//! one-pass structured route" below).
 //!
 //! The GPU implementation (and the simulator) run five passes: row gather,
 //! transpose, row gather, transpose, row gather. On the CPU the transposes
@@ -60,6 +62,22 @@
 //! written — so every config point (SIMD on/off, any block size)
 //! produces byte-identical output.
 //!
+//! # The one-pass structured route
+//!
+//! A structured plan is one gather BMMC `G` (`PlanIr::gather_bmmc`,
+//! derived from the plan's three affine descriptors in O(log² n)). Its
+//! [`LineTiles`] cut the array into tiles of at most `2^t` whole lines of
+//! [`LINE_BYTES`] on each side, so one pass `src → dst` reads and writes
+//! every line once, with no scratch:
+//!
+//! ```text
+//! dst[ybase ⊕ h_j + l] = src[G(ybase) ⊕ off[j·2^t + l]]
+//! ```
+//!
+//! Above the fan-out floor, each participant owns a contiguous,
+//! line-aligned range of `dst` and runs the lines of every tile that fall
+//! in it. [`NativeScheduled::passes`] says which route a schedule runs.
+//!
 //! The inner loops are vectorized per [`KernelConfig::simd`]: clamped,
 //! unrolled width-specialized paths by default and `core::arch` AVX2
 //! gathers/tile-transposes behind runtime detection, with the scalar
@@ -74,10 +92,20 @@ use crate::scratch::{ScratchBuf, CACHE_LINE};
 use crate::simd::{self, Tier};
 use crate::stage;
 use core::mem::size_of;
-use hmm_perm::{MatrixShape, Permutation};
-use hmm_plan::{AffineStep, PassLayout, PlanIr, Result};
-use std::sync::Arc;
+use hmm_perm::{Bmmc, LineTiles, MatrixShape, Permutation};
+use hmm_plan::{PassLayout, PlanIr, Result};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
+
+/// Bytes per line of the one-pass structured route: a tile reads and
+/// writes whole lines of `LINE_BYTES / size_of::<T>()` elements. Two
+/// 64-byte cache lines beat one on most plans (EXPERIMENTS.md, "One
+/// tiled pass for structured plans").
+pub const LINE_BYTES: usize = 128;
+
+/// `log2` of the largest line, in elements (1-byte elements): the
+/// number of line tilings a structured schedule may derive, less one.
+const MAX_LINE_BITS: usize = LINE_BYTES.ilog2() as usize;
 
 /// A CPU-executable scheduled permutation: the plan's three per-row
 /// *gather* maps (destination-ordered), shared with the plan, plus the
@@ -92,13 +120,13 @@ pub struct NativeScheduled {
     /// `in[i][g1[i*c + k]]`), sweep 2 `g2` on the transposed matrix
     /// (`c × r`), sweep 3 `g3` (`r × c`).
     gathers: [Arc<[u32]>; 3],
-    /// The plan's affine descriptors (order `g1, g2, g3`) when it is
-    /// structured. With [`KernelConfig::computed_index`] set, the sweeps
-    /// compute gather indices from these in registers instead of loading
-    /// the materialized maps — the maps are still kept (the map-load
-    /// config point executes them), so the flag alone decides the kernel
-    /// form at run time.
-    affine: Option<[AffineStep; 3]>,
+    /// The plan as one gather BMMC when it is structured. With
+    /// [`KernelConfig::computed_index`] set, runs take the one tiled pass
+    /// over it instead of the three sweeps — the maps are still kept
+    /// (the sweeps' config point executes them), so the flag alone
+    /// decides the route at run time. Shared by clones, so a tiling is
+    /// derived once per plan and line length.
+    tiled: Option<Arc<TiledBmmc>>,
     /// Kernel tuning (block size, tile, SIMD, computed-index).
     config: KernelConfig,
 }
@@ -145,31 +173,36 @@ impl NativeScheduled {
             shape: ir.shape(),
             layouts: ir.pass_layouts(),
             gathers: ir.gathers().clone(),
-            affine: ir.affine().cloned(),
+            tiled: ir.gather_bmmc().map(|gather| {
+                Arc::new(TiledBmmc {
+                    gather,
+                    tilings: Default::default(),
+                })
+            }),
             config,
         }
     }
 
-    /// True when the sweeps will run the computed-index kernels: the
-    /// plan carries verified affine descriptors *and* the config has
-    /// them enabled.
+    /// True when runs take the map-free one tiled pass: the plan is
+    /// structured (it carries verified affine descriptors) *and* the
+    /// config has [`KernelConfig::computed_index`] set.
     pub fn computed_index(&self) -> bool {
-        self.affine.is_some() && self.config.computed_index
+        self.one_pass().is_some()
     }
 
-    /// The per-pass index sources the sweeps run with.
-    fn sources(&self) -> [IndexSrc<'_>; 3] {
-        match &self.affine {
-            Some(steps) if self.config.computed_index => [
-                IndexSrc::Affine(&steps[0]),
-                IndexSrc::Affine(&steps[1]),
-                IndexSrc::Affine(&steps[2]),
-            ],
-            _ => {
-                let [g1, g2, g3] = &self.gathers;
-                [IndexSrc::Map(g1), IndexSrc::Map(g2), IndexSrc::Map(g3)]
-            }
+    /// Passes a run makes over the array: 1 on the tiled structured
+    /// route ([`NativeScheduled::computed_index`]), 3 for the fused
+    /// sweeps.
+    pub fn passes(&self) -> usize {
+        if self.computed_index() {
+            1
+        } else {
+            3
         }
+    }
+
+    fn one_pass(&self) -> Option<&TiledBmmc> {
+        self.tiled.as_deref().filter(|_| self.config.computed_index)
     }
 
     /// This schedule with a different kernel config.
@@ -198,9 +231,14 @@ impl NativeScheduled {
         self.len() == 0
     }
 
-    /// Required scratch length for [`run_with_scratch`](Self::run_with_scratch).
+    /// Required scratch length for [`run_with_scratch`](Self::run_with_scratch):
+    /// `n` for the three sweeps, 0 on the one-pass route.
     pub fn scratch_len(&self) -> usize {
-        self.len()
+        if self.computed_index() {
+            0
+        } else {
+            self.len()
+        }
     }
 
     /// Execute `dst[P[i]] = src[i]`, allocating one cache-line-aligned
@@ -213,8 +251,11 @@ impl NativeScheduled {
         self.run_with_scratch(src, dst, &mut scratch);
     }
 
-    /// Execute with a caller-provided scratch buffer of length `n`,
-    /// allocation-free after worker warm-up: three fused sweeps,
+    /// Execute with a caller-provided scratch buffer of
+    /// [`scratch_len`](Self::scratch_len) elements, allocation-free after
+    /// worker warm-up: the one tiled pass `src → dst` on structured plans
+    /// with [`KernelConfig::computed_index`] set (which reads no scratch,
+    /// so any length is accepted), otherwise three fused sweeps,
     /// `src → dst → scratch → dst`.
     pub fn run_with_scratch<T: Copy + Send + Sync>(
         &self,
@@ -222,55 +263,94 @@ impl NativeScheduled {
         dst: &mut [T],
         scratch: &mut [T],
     ) {
-        self.check_lengths(src, dst, scratch);
-        let [s1, s2, s3] = self.sources();
-        // Sweep 1: row gather (g1) fused with transpose; r×c -> c×r in dst.
-        gather_transpose(src, s1, self.layouts[0], dst, &self.config);
-        // Sweep 2: row gather (g2) fused with transpose; c×r -> r×c.
-        gather_transpose(dst, s2, self.layouts[1], scratch, &self.config);
-        // Sweep 3: plain row gather (g3) on the r×c matrix.
-        row_pass(scratch, s3, self.layouts[2], dst, &self.config);
+        self.run_sweeps_timed(src, dst, scratch);
     }
 
-    /// [`run_with_scratch`](Self::run_with_scratch), timing each of the
-    /// three sweeps: `[gather-transpose 1, gather-transpose 2, row pass]`.
-    /// The output is identical; the bench's `sweep_gather` /
-    /// `sweep_transpose` / `sweep_row` rows come from here.
+    /// [`run_with_scratch`](Self::run_with_scratch), timing each pass:
+    /// `[gather-transpose 1, gather-transpose 2, row pass]` for the three
+    /// sweeps. A one-pass run ([`passes`](Self::passes) of 1) reports its
+    /// tiled pass as sweep 1 and zero for sweeps 2 and 3. The output is
+    /// identical; the bench's `sweep_gather` / `sweep_transpose` /
+    /// `sweep_row` rows come from here.
     pub fn run_sweeps_timed<T: Copy + Send + Sync>(
         &self,
         src: &[T],
         dst: &mut [T],
         scratch: &mut [T],
     ) -> [Duration; 3] {
-        self.check_lengths(src, dst, scratch);
-        let [s1, s2, s3] = self.sources();
-        let t0 = Instant::now();
-        gather_transpose(src, s1, self.layouts[0], dst, &self.config);
-        let t1 = Instant::now();
-        gather_transpose(dst, s2, self.layouts[1], scratch, &self.config);
-        let t2 = Instant::now();
-        row_pass(scratch, s3, self.layouts[2], dst, &self.config);
-        [t1 - t0, t2 - t1, t2.elapsed()]
-    }
-
-    fn check_lengths<T>(&self, src: &[T], dst: &[T], scratch: &[T]) {
         let n = self.len();
         assert_eq!(src.len(), n, "src length mismatch");
         assert_eq!(dst.len(), n, "dst length mismatch");
+        let t0 = Instant::now();
+        if let Some(tiled) = self.one_pass() {
+            tiled.run(src, dst, self.config.simd);
+            return [t0.elapsed(), Duration::ZERO, Duration::ZERO];
+        }
         assert_eq!(scratch.len(), n, "scratch length mismatch");
+        let [g1, g2, g3] = &self.gathers;
+        // Sweep 1: row gather (g1) fused with transpose; r×c -> c×r in dst.
+        gather_transpose(src, g1, self.layouts[0], dst, &self.config);
+        let t1 = Instant::now();
+        // Sweep 2: row gather (g2) fused with transpose; c×r -> r×c.
+        gather_transpose(dst, g2, self.layouts[1], scratch, &self.config);
+        let t2 = Instant::now();
+        // Sweep 3: plain row gather (g3) on the r×c matrix.
+        row_pass(scratch, g3, self.layouts[2], dst, &self.config);
+        [t1 - t0, t2 - t1, t2.elapsed()]
     }
 }
 
-/// How a sweep's gather indices reach the kernels: loaded from a
-/// materialized flat map, or computed in registers from the plan's
-/// affine descriptor. Mirrors `hmm_backend::IndexSource`, kept local so
-/// the hot paths stay free of cross-crate enum matching concerns.
-#[derive(Clone, Copy)]
-enum IndexSrc<'a> {
-    /// Plan-sized flat map, one entry per element.
-    Map(&'a [u32]),
-    /// Affine descriptor: O(log n) masks folded per element.
-    Affine(&'a AffineStep),
+/// A structured plan's one-pass form: its gather BMMC `G`
+/// (`dst[y] = src[G(y)]`) and, per line length, the line tiling of `G`
+/// ([`LineTiles`]), derived on the first run at that element width.
+#[derive(Debug)]
+struct TiledBmmc {
+    gather: Bmmc,
+    /// `tilings[t]`: the tiling over lines of `2^t` elements.
+    tilings: [OnceLock<LineTiles>; MAX_LINE_BITS + 1],
+}
+
+impl TiledBmmc {
+    /// The one tiled pass, `dst[y] = src[G(y)]`: every tile gathers each
+    /// of its whole destination lines from its whole source lines
+    /// through the tiling's offset table. Above the fan-out floor each
+    /// participant owns a contiguous, line-aligned range of `dst`
+    /// (`crate::par`'s byte rule, as for the sweeps) and runs the lines
+    /// of every tile that fall in it.
+    fn run<T: Copy + Send + Sync>(&self, src: &[T], dst: &mut [T], simd: bool) {
+        let tiles = self.tiling::<T>();
+        let tier = simd::select::<T>(simd);
+        let n = dst.len();
+        par_column_bands(dst, n, tiles.line_len(), |mut band| {
+            let start = band.columns().start;
+            tile_lines(tiles, src, tier, start, band.row_mut(0));
+        });
+    }
+
+    /// The tiling over lines of [`LINE_BYTES`] of `T` (fewer bytes for
+    /// elements that do not divide it; one element for larger ones).
+    fn tiling<T>(&self) -> &LineTiles {
+        let t = (LINE_BYTES / size_of::<T>().max(1)).max(1).ilog2();
+        self.tilings[t as usize].get_or_init(|| LineTiles::new(&self.gather, t))
+    }
+}
+
+/// One participant's share of the tiled pass: `out` is
+/// `dst[start..start + out.len()]`, line-aligned, and receives the lines
+/// of every tile that fall in it, `dst[ybase ⊕ h_j + l] =
+/// src[G(ybase) ⊕ off[j·2^t + l]]`.
+fn tile_lines<T: Copy>(tiles: &LineTiles, src: &[T], tier: Tier, start: usize, out: &mut [T]) {
+    let line = tiles.line_len();
+    let owned = start..start + out.len();
+    for (ybase, xbase) in tiles.tiles() {
+        for (&h, off) in tiles.spans().iter().zip(tiles.offsets().chunks_exact(line)) {
+            let y = ybase ^ h;
+            if owned.contains(&y) {
+                let at = y - start;
+                simd::gather_row(tier, src, xbase as u32, off, &mut out[at..at + line]);
+            }
+        }
+    }
 }
 
 /// Row-local gather: `out[row][k] = in[row][g[row*cols + k]]`, parallel
@@ -278,7 +358,7 @@ enum IndexSrc<'a> {
 /// (`crate::par`).
 fn row_pass<T: Copy + Send + Sync>(
     input: &[T],
-    g: IndexSrc<'_>,
+    g: &[u32],
     layout: PassLayout,
     out: &mut [T],
     cfg: &KernelConfig,
@@ -297,14 +377,12 @@ fn row_pass<T: Copy + Send + Sync>(
 }
 
 /// Gather whole rows `row0..row0 + out.len() / cols` of the row-major
-/// `input` into `out`: `out[r][k] = input[row0 + r][g(row0 + r, k)]` —
-/// a [`row_pass`] band, and the gather stage of a fused sweep. The row
-/// base is hoisted out of the inner loop, which runs the tier's kernel;
-/// the computed path folds each index in registers, so it has no map
-/// stream to fetch or evict data with.
+/// `input` into `out`: `out[r][k] = input[row0 + r][g[(row0 + r)·cols + k]]`
+/// — a [`row_pass`] band, and the gather stage of a fused sweep. The row
+/// base is hoisted out of the inner loop, which runs the tier's kernel.
 fn gather_rows<T: Copy>(
     input: &[T],
-    g: IndexSrc<'_>,
+    g: &[u32],
     cols: usize,
     row0: usize,
     tier: Tier,
@@ -312,23 +390,12 @@ fn gather_rows<T: Copy>(
 ) {
     debug_assert_eq!(out.len() % cols, 0);
     let span = row0 * cols..row0 * cols + out.len();
-    let rows = input[span.clone()].chunks_exact(cols);
-    match g {
-        IndexSrc::Map(g) => {
-            for ((in_row, g_row), out_row) in rows
-                .zip(g[span].chunks_exact(cols))
-                .zip(out.chunks_exact_mut(cols))
-            {
-                simd::gather_row(tier, in_row, g_row, out_row);
-            }
-        }
-        IndexSrc::Affine(step) => {
-            debug_assert_eq!(step.col_bits(), cols.trailing_zeros());
-            let aff = simd::AffineRow::new(step.lo_masks());
-            for (r, (in_row, out_row)) in rows.zip(out.chunks_exact_mut(cols)).enumerate() {
-                simd::gather_row_affine(tier, in_row, &aff, step.row_base(row0 + r), out_row);
-            }
-        }
+    for ((in_row, g_row), out_row) in input[span.clone()]
+        .chunks_exact(cols)
+        .zip(g[span].chunks_exact(cols))
+        .zip(out.chunks_exact_mut(cols))
+    {
+        simd::gather_row(tier, in_row, 0, g_row, out_row);
     }
 }
 
@@ -345,7 +412,7 @@ fn gather_rows<T: Copy>(
 /// (≤ `cfg.stage_bytes`) never leaves the cache.
 fn gather_transpose<T: Copy + Send + Sync>(
     input: &[T],
-    g: IndexSrc<'_>,
+    g: &[u32],
     layout: PassLayout,
     out: &mut [T],
     cfg: &KernelConfig,
@@ -354,9 +421,7 @@ fn gather_transpose<T: Copy + Send + Sync>(
     debug_assert!(layout.fused_transpose);
     debug_assert_eq!(input.len(), rows * layout.cols);
     debug_assert_eq!(out.len(), input.len());
-    if let IndexSrc::Map(g) = g {
-        debug_assert_eq!(g.len(), input.len());
-    }
+    debug_assert_eq!(g.len(), input.len());
     let tier = simd::select::<T>(cfg.simd);
     let line = (CACHE_LINE / size_of::<T>().max(1)).max(1);
     par_column_bands(out, rows, line, |mut band| {
@@ -370,7 +435,7 @@ fn gather_transpose<T: Copy + Send + Sync>(
 /// row.
 fn gather_transpose_band<T: Copy>(
     input: &[T],
-    g: IndexSrc<'_>,
+    g: &[u32],
     layout: PassLayout,
     stage_bytes: usize,
     tier: Tier,
@@ -625,25 +690,42 @@ mod tests {
 
     #[test]
     fn computed_index_handles_ragged_worker_bands() {
-        // Rectangular shape (r != c, 2 MiB of u32, so above the fan-out
-        // floor) with staging budgets from a few rows to a whole band:
-        // block tails land on ragged row offsets inside each
-        // participant's band.
-        let n = 1 << 19;
-        let p = families::shuffle(n).unwrap();
-        let ir = PlanIr::build(&p, W).unwrap();
-        let src: Vec<u32> = (0..n as u32).collect();
-        let want = reference(&p, &src);
-        for stage_bytes in [1 << 9, 1 << 12, 1 << 18] {
-            let cfg = KernelConfig {
-                stage_bytes,
-                ..KernelConfig::default()
-            };
-            let sched = NativeScheduled::from_plan_with(&ir, cfg);
-            let mut dst = vec![0u32; n];
-            sched.run(&src, &mut dst);
-            assert_eq!(dst, want, "stage_bytes={stage_bytes}");
+        // 256K–1M elements of u32 and u64 (1–8 MiB): above the fan-out
+        // floor, so at 3 worker threads the line-aligned `dst` ranges are
+        // ragged and every tile's lines are split between participants.
+        for n in [1 << 18, 1 << 19, 1 << 20] {
+            let plans = [
+                families::bit_reversal(n).unwrap(),
+                families::random_bmmc(n, 21).unwrap(),
+                families::transpose(1 << 9, n >> 9, n).unwrap(),
+            ];
+            let src32: Vec<u32> = (0..n as u32).map(|v| v.wrapping_mul(2654435761)).collect();
+            let src64: Vec<u64> = (0..n as u64).map(|v| v << 32 | v ^ 0xabcd).collect();
+            for p in plans {
+                let sched = NativeScheduled::build(&p, W).unwrap();
+                assert_eq!(sched.passes(), 1);
+                let mut got32 = vec![0u32; n];
+                sched.run(&src32, &mut got32);
+                assert_eq!(got32, reference(&p, &src32), "n={n}");
+                let mut got64 = vec![0u64; n];
+                sched.run(&src64, &mut got64);
+                assert_eq!(got64, reference_u64(&p, &src64), "n={n}");
+            }
         }
+    }
+
+    #[test]
+    fn one_pass_timing_reports_one_sweep() {
+        let n = 1 << 12;
+        let p = families::random_bmmc(n, 79).unwrap();
+        let sched = NativeScheduled::build(&p, W).unwrap();
+        assert_eq!((sched.passes(), sched.scratch_len()), (1, 0));
+        let src: Vec<u32> = (0..n as u32).collect();
+        let mut dst = vec![0u32; n];
+        let [pass, s2, s3] = sched.run_sweeps_timed(&src, &mut dst, &mut []);
+        assert_eq!(dst, reference(&p, &src));
+        assert!(pass > Duration::ZERO);
+        assert_eq!((s2, s3), (Duration::ZERO, Duration::ZERO));
     }
 
     #[test]
@@ -666,13 +748,7 @@ mod tests {
                 let input: Vec<u32> = (0..(r * c) as u32).collect();
                 let identity: Vec<u32> = (0..r).flat_map(|_| 0..c as u32).collect();
                 let mut fused = vec![0u32; r * c];
-                gather_transpose(
-                    &input,
-                    IndexSrc::Map(&identity),
-                    fused_layout(r, c),
-                    &mut fused,
-                    &cfg,
-                );
+                gather_transpose(&input, &identity, fused_layout(r, c), &mut fused, &cfg);
                 for i in 0..r {
                     for j in 0..c {
                         assert_eq!(
@@ -686,28 +762,39 @@ mod tests {
         }
     }
 
-    /// Run `sched`'s three sweeps on the calling thread with each fused
-    /// sweep split into the explicit input-row bands `edges` (band `t`
-    /// is rows `edges[t]..edges[t + 1]`), at kernel tier `tier`.
+    /// Run `sched` on the calling thread split at the explicit `edges`
+    /// (out of 64), at kernel tier `tier`. The three sweeps split each
+    /// fused sweep into the input-row bands `edges[t]..edges[t + 1]`; the
+    /// one pass splits `dst` into the line ranges at those fractions.
     fn run_banded<T: Copy + Default>(
         sched: &NativeScheduled,
         src: &[T],
         edges: &[usize],
         tier: Tier,
     ) -> Vec<T> {
+        let mut dst = vec![T::default(); src.len()];
+        if let Some(tiled) = sched.one_pass() {
+            let tiles = tiled.tiling::<T>();
+            let lines = src.len() / tiles.line_len();
+            let at = |e: usize| e * lines / 64 * tiles.line_len();
+            for w in edges.windows(2) {
+                let out = &mut dst[at(w[0])..at(w[1])];
+                tile_lines(tiles, src, tier, at(w[0]), out);
+            }
+            return dst;
+        }
         let fused = |input: &[T], g, layout: PassLayout, out: &mut [T]| {
             for w in edges.windows(2) {
                 let mut band = ColumnBand::new(out, layout.rows, w[0]..w[1]);
                 gather_transpose_band(input, g, layout, sched.config.stage_bytes, tier, &mut band);
             }
         };
-        let [s1, s2, s3] = sched.sources();
-        let mut dst = vec![T::default(); src.len()];
+        let [g1, g2, g3] = &sched.gathers;
         let mut scratch = vec![T::default(); src.len()];
-        fused(src, s1, sched.layouts[0], &mut dst);
-        fused(&dst, s2, sched.layouts[1], &mut scratch);
+        fused(src, g1, sched.layouts[0], &mut dst);
+        fused(&dst, g2, sched.layouts[1], &mut scratch);
         let cols = sched.layouts[2].cols;
-        gather_rows(&scratch, s3, cols, 0, tier, &mut dst);
+        gather_rows(&scratch, g3, cols, 0, tier, &mut dst);
         dst
     }
 
@@ -727,12 +814,13 @@ mod tests {
         let src: Vec<T> = (0..n as u32)
             .map(|v| make(v.wrapping_mul(2654435761)))
             .collect();
-        // Map sources from a König plan; map and affine sources from a
-        // structured one.
+        // The three sweeps on a König plan and a structured one; the one
+        // pass on two structured ones.
         let plans = [
             (families::random(n, 81), false),
             (families::bit_reversal(n).unwrap(), false),
             (families::bit_reversal(n).unwrap(), true),
+            (families::random_bmmc(n, 82).unwrap(), true),
         ];
         for (p, computed_index) in plans {
             let mut want = vec![T::default(); n];
@@ -749,7 +837,7 @@ mod tests {
                 assert_eq!(sched.layouts[0].rows, 64);
                 assert_eq!(sched.layouts[1].rows, 64);
                 // Ragged bands, one whole band, and bands shorter than
-                // one 8-element tile.
+                // one 8-element tile (a few lines, on the one pass).
                 let splits: [&[usize]; 3] = [&[0, 5, 37, 64], &[0, 64], &[0, 3, 61, 64]];
                 for edges in splits {
                     for tier in tiers() {

@@ -1,5 +1,6 @@
-//! Vector micro-kernels for the sweep pipelines — the **only** module in
-//! the crate that touches `core::arch`.
+//! Vector micro-kernels for the sweep pipelines and the one-pass
+//! structured route — the **only** module in the crate that touches
+//! `core::arch`.
 //!
 //! Three tiers, selected once per sweep by [`select`]:
 //!
@@ -13,13 +14,18 @@
 //!   feature detection: hardware gathers (`vpgatherdd`/`vpgatherdq`) for
 //!   4-/8-byte elements and 8×8 / 4×4 in-register tile transposes.
 //!
+//! One gather kernel, [`gather_row`], serves both routes: it takes an XOR
+//! base, `out[j] = src[base ⊕ idx[j]]`, so a sweep's row gather (base 0,
+//! a map row) and a line of the one-pass route (the tile's source base,
+//! a row of its offset table) are the same kernel.
+//!
 //! # Safety
 //!
 //! Every public-to-the-crate entry point here is a *safe* function:
 //!
 //! * gather indices are clamped into range before any unchecked access,
-//!   so a contract violation (an index ≥ the row length — impossible for
-//!   the validated plan rows the callers pass) yields a wrong element,
+//!   so a contract violation (an index past the source — impossible for
+//!   the validated plans the callers run) yields a wrong element,
 //!   never an out-of-bounds access. Debug builds still assert the
 //!   contract;
 //! * the AVX2 tier is only reachable through [`Tier::Avx2`], whose sole
@@ -84,301 +90,32 @@ pub(crate) fn select<T>(simd: bool) -> Tier {
     Tier::Unrolled
 }
 
-/// Per-pass state for computed-index gathers: the plan descriptor's
-/// in-row masks plus the inclusive XOR-prefix table that drives the
-/// sequential walk. Incrementing the in-row position `j → j+1` flips
-/// bits `0..=tz(j+1)`, whose masks fold to `prefix[tz(j+1)]` — so the
-/// walk costs one `trailing_zeros`, one table load, and one XOR per
-/// element instead of a map load.
-pub(crate) struct AffineRow<'a> {
-    /// Masks of the in-row coordinate bits (`AffineStep::lo_masks`).
-    lo: &'a [u32],
-    /// `prefix[t] = lo[0] ^ … ^ lo[t]`.
-    prefix: [u32; 32],
-}
-
-impl<'a> AffineRow<'a> {
-    /// Build the walk state from a descriptor's in-row masks.
-    pub(crate) fn new(lo: &'a [u32]) -> Self {
-        assert!(lo.len() <= 32, "in-row masks exceed u32 index space");
-        let mut prefix = [0u32; 32];
-        let mut acc = 0u32;
-        for (t, &m) in lo.iter().enumerate() {
-            acc ^= m;
-            prefix[t] = acc;
-        }
-        AffineRow { lo, prefix }
-    }
-
-    /// Fold of the in-row masks at position `j` (`j < 2^lo.len()`).
-    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
-    #[inline]
-    fn fold(&self, mut bits: usize) -> u32 {
-        let mut v = 0u32;
-        while bits != 0 {
-            v ^= self.lo[bits.trailing_zeros() as usize];
-            bits &= bits - 1;
-        }
-        v
-    }
-
-    /// XOR-delta advancing the walk onto position `next` (= old `j + 1`).
-    /// `next == 2^lo.len()` (one past the row) folds to 0 so the final
-    /// step of a full row is harmless.
-    #[inline]
-    fn step(&self, next: usize) -> u32 {
-        let tz = next.trailing_zeros() as usize;
-        if tz < self.lo.len() {
-            self.prefix[tz]
-        } else {
-            0
-        }
-    }
-}
-
-/// Computed-index row-local gather: `out[j] = in_row[e(j)]` where `e`
-/// is the affine fold `row_base ⊕ fold(lo, ·)` — the map-free
-/// counterpart of [`gather_row`] for plans that carry verified
-/// descriptors. `row_base` is `AffineStep::row_base(row)` for the row
-/// `in_row` spans; workers gather whole rows, so the walk always starts
-/// at position 0.
+/// The clamped gather, with an XOR base: `out[j] = src[base ⊕ idx[j]]`.
+/// One kernel serves both structured and map-loaded plans:
 ///
-/// Contract: `out.len() == in_row.len()` (asserted) `== 2^lo.len()`
-/// (debug-asserted). A verified descriptor can't produce an
-/// out-of-range index; release builds of the vector tiers clamp anyway,
-/// exactly like the map tiers, so a violated contract mis-gathers but
-/// stays in bounds.
-pub(crate) fn gather_row_affine<T: Copy>(
-    tier: Tier,
-    in_row: &[T],
-    aff: &AffineRow<'_>,
-    row_base: u32,
-    out: &mut [T],
-) {
-    assert!(!in_row.is_empty(), "gather from an empty row");
-    assert_eq!(out.len(), in_row.len(), "affine gathers cover whole rows");
-    debug_assert_eq!(Some(in_row.len()), 1usize.checked_shl(aff.lo.len() as u32));
+/// * a sweep's row gather passes one input row as `src`, that row's
+///   gather-map entries as `idx` and a zero `base`;
+/// * a line of the one-pass BMMC route (`crate::scheduled`) passes the
+///   whole source array, the tile's source base `G(ybase)` and one row
+///   of the tile's offset table (`hmm_perm::LineTiles`).
+///
+/// Contract (debug-asserted; every index comes from a validated plan,
+/// so it holds by construction): `idx.len() == out.len()`, `src`
+/// non-empty, and every `base ⊕ idx[j] < src.len()`. Release builds
+/// clamp indices instead of checking them, so a violated contract
+/// mis-gathers but stays in bounds.
+pub(crate) fn gather_row<T: Copy>(tier: Tier, src: &[T], base: u32, idx: &[u32], out: &mut [T]) {
+    assert_eq!(idx.len(), out.len(), "gather index / output length");
+    assert!(!src.is_empty(), "gather from an empty slice");
+    debug_assert!(idx.iter().all(|&i| ((base ^ i) as usize) < src.len()));
     match tier {
         Tier::Scalar => {
-            let mut idx = row_base;
-            for (j, slot) in out.iter_mut().enumerate() {
-                *slot = in_row[idx as usize];
-                idx ^= aff.step(j + 1);
+            for (slot, &i) in out.iter_mut().zip(idx) {
+                *slot = src[(base ^ i) as usize];
             }
         }
-        Tier::Unrolled => gather_row_affine_clamped(in_row, aff, row_base, out),
-        Tier::Avx2(token) => gather_row_affine_avx2(token, in_row, aff, row_base, out),
-    }
-}
-
-/// The clamped walk tier: four chained index computations per iteration
-/// (the XOR chain is latency-bound at ~2 cycles per element, still far
-/// ahead of a dependent map load), loads/stores unchecked with clamped
-/// indices.
-fn gather_row_affine_clamped<T: Copy>(
-    in_row: &[T],
-    aff: &AffineRow<'_>,
-    row_base: u32,
-    out: &mut [T],
-) {
-    let limit = (in_row.len() - 1) as u32;
-    let base = in_row.as_ptr();
-    let n = out.len();
-    let o = out.as_mut_ptr();
-    let mut idx = row_base;
-    let mut j = 0;
-    // SAFETY (both loops): indices are clamped to `limit < in_row.len()`
-    // before the read; `j + k < n == out.len()` bounds the writes.
-    #[allow(unsafe_code)]
-    unsafe {
-        while j + 4 <= n {
-            let i0 = idx;
-            let i1 = i0 ^ aff.step(j + 1);
-            let i2 = i1 ^ aff.step(j + 2);
-            let i3 = i2 ^ aff.step(j + 3);
-            idx = i3 ^ aff.step(j + 4);
-            *o.add(j) = *base.add(i0.min(limit) as usize);
-            *o.add(j + 1) = *base.add(i1.min(limit) as usize);
-            *o.add(j + 2) = *base.add(i2.min(limit) as usize);
-            *o.add(j + 3) = *base.add(i3.min(limit) as usize);
-            j += 4;
-        }
-        while j < n {
-            *o.add(j) = *base.add(idx.min(limit) as usize);
-            idx ^= aff.step(j + 1);
-            j += 1;
-        }
-    }
-}
-
-/// AVX2 computed-index dispatch: 8-lane u32 / 4-lane u64 kernels that
-/// form each index vector as `splat(group base) ⊕ LUT` — the LUT holds
-/// the folds of the low lane bits, valid whenever the group's absolute
-/// position is lane-aligned. Falls back to the clamped walk for other
-/// widths or rows too short to have the lane bits.
-fn gather_row_affine_avx2<T: Copy>(
-    token: Avx2Token,
-    in_row: &[T],
-    aff: &AffineRow<'_>,
-    row_base: u32,
-    out: &mut [T],
-) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        match size_of::<T>() {
-            // SAFETY: the token proves AVX2; width 4/8 makes the pointer
-            // reinterpretations plain bit copies, and the kernels reach
-            // them only through unaligned accesses (vector loads, stores
-            // and gathers, `read_unaligned`/`write_unaligned` tails), so
-            // `T`'s alignment — 1 for byte lanes — is never assumed;
-            // indices are clamped inside.
-            #[allow(unsafe_code)]
-            4 if aff.lo.len() >= 3 => unsafe {
-                gather_row_affine_u32(
-                    in_row.as_ptr() as *const u32,
-                    in_row.len(),
-                    aff,
-                    row_base,
-                    out.as_mut_ptr() as *mut u32,
-                    out.len(),
-                );
-                return;
-            },
-            #[allow(unsafe_code)]
-            8 if aff.lo.len() >= 2 => unsafe {
-                gather_row_affine_u64(
-                    in_row.as_ptr() as *const u64,
-                    in_row.len(),
-                    aff,
-                    row_base,
-                    out.as_mut_ptr() as *mut u64,
-                    out.len(),
-                );
-                return;
-            },
-            _ => {}
-        }
-    }
-    let _ = token;
-    gather_row_affine_clamped(in_row, aff, row_base, out);
-}
-
-/// `vpgatherdd` with computed indices: the walk starts at position 0,
-/// so every group position `p` is 8-aligned and its index vector is
-/// `splat(e(p)) ⊕ LUT` where `LUT[l] = fold(lo, l)` (the low three bits
-/// of `p + l` are exactly `l`). Stepping the group base `p → p+8` flips
-/// bits `3..=tz(p+8)`, folding to `prefix[tz(p+8)] ⊕ prefix[2]`.
-///
-/// # Safety
-/// Caller proves AVX2 and that `base[0..n_in]` and `out[0..n_out]` are
-/// valid with `n_in > 0` and `aff.lo.len() >= 3`. Neither pointer need
-/// be aligned for `u32`: every access through them is unaligned.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn gather_row_affine_u32(
-    base: *const u32,
-    n_in: usize,
-    aff: &AffineRow<'_>,
-    row_base: u32,
-    out: *mut u32,
-    n_out: usize,
-) {
-    let lim = (n_in - 1) as u32;
-    let limit_v = arch::_mm256_set1_epi32(lim as i32);
-    let f = |l: usize| aff.fold(l) as i32;
-    let lut = arch::_mm256_setr_epi32(f(0), f(1), f(2), f(3), f(4), f(5), f(6), f(7));
-    let mut j = 0usize;
-    let mut idx = row_base;
-    // SAFETY (both loops): `j` stays `< n_out`, bounding every store;
-    // scalar reads clamp to `lim` and the vector clamp bounds every
-    // gathered address within `base[0..n_in]`.
-    unsafe {
-        // Vector body: `idx` is the fold at the group's position.
-        while j + 8 <= n_out {
-            let iv = arch::_mm256_xor_si256(arch::_mm256_set1_epi32(idx as i32), lut);
-            let iv = arch::_mm256_min_epu32(iv, limit_v);
-            let v = arch::_mm256_i32gather_epi32::<4>(base as *const i32, iv);
-            arch::_mm256_storeu_si256(out.add(j) as *mut arch::__m256i, v);
-            let tz = (j + 8).trailing_zeros() as usize;
-            if tz < aff.lo.len() {
-                idx ^= aff.prefix[tz] ^ aff.prefix[2];
-            }
-            j += 8;
-        }
-        // Scalar tail, unaligned like the vector body.
-        while j < n_out {
-            out.add(j)
-                .write_unaligned(base.add(idx.min(lim) as usize).read_unaligned());
-            idx ^= aff.step(j + 1);
-            j += 1;
-        }
-    }
-}
-
-/// `vpgatherdq` with computed indices: four 64-bit elements per step,
-/// `LUT[l] = fold(lo, l)` over the low two lane bits, group delta
-/// `prefix[tz(p+4)] ⊕ prefix[1]`.
-///
-/// # Safety
-/// As [`gather_row_affine_u32`], with 8-byte elements and
-/// `aff.lo.len() >= 2`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn gather_row_affine_u64(
-    base: *const u64,
-    n_in: usize,
-    aff: &AffineRow<'_>,
-    row_base: u32,
-    out: *mut u64,
-    n_out: usize,
-) {
-    let lim = (n_in - 1) as u32;
-    let limit_v = arch::_mm_set1_epi32(lim as i32);
-    let f = |l: usize| aff.fold(l) as i32;
-    let lut = arch::_mm_setr_epi32(f(0), f(1), f(2), f(3));
-    let mut j = 0usize;
-    let mut idx = row_base;
-    // SAFETY: as in `gather_row_affine_u32`, with 4-lane groups.
-    unsafe {
-        while j + 4 <= n_out {
-            let iv = arch::_mm_xor_si128(arch::_mm_set1_epi32(idx as i32), lut);
-            let iv = arch::_mm_min_epu32(iv, limit_v);
-            let v = arch::_mm256_i32gather_epi64::<8>(base as *const i64, iv);
-            arch::_mm256_storeu_si256(out.add(j) as *mut arch::__m256i, v);
-            let tz = (j + 4).trailing_zeros() as usize;
-            if tz < aff.lo.len() {
-                idx ^= aff.prefix[tz] ^ aff.prefix[1];
-            }
-            j += 4;
-        }
-        while j < n_out {
-            out.add(j)
-                .write_unaligned(base.add(idx.min(lim) as usize).read_unaligned());
-            idx ^= aff.step(j + 1);
-            j += 1;
-        }
-    }
-}
-
-/// Row-local gather: `out[j] = in_row[g_row[j]]`.
-///
-/// Contract (debug-asserted; the callers' maps are rows of a validated
-/// permutation plan, so it holds by construction): `g_row.len() ==
-/// out.len()`, `in_row` non-empty, and every index `< in_row.len()`.
-/// Release builds clamp indices instead of checking them, so a violated
-/// contract mis-gathers but stays in bounds.
-pub(crate) fn gather_row<T: Copy>(tier: Tier, in_row: &[T], g_row: &[u32], out: &mut [T]) {
-    assert_eq!(g_row.len(), out.len(), "gather map / output length");
-    assert!(!in_row.is_empty(), "gather from an empty row");
-    debug_assert!(g_row.iter().all(|&gi| (gi as usize) < in_row.len()));
-    match tier {
-        Tier::Scalar => {
-            for (slot, &gi) in out.iter_mut().zip(g_row) {
-                *slot = in_row[gi as usize];
-            }
-        }
-        Tier::Unrolled => gather_row_clamped(in_row, g_row, out),
-        Tier::Avx2(token) => gather_row_avx2(token, in_row, g_row, out),
+        Tier::Unrolled => gather_row_clamped(src, base, idx, out),
+        Tier::Avx2(token) => gather_row_avx2(token, src, base, idx, out),
     }
 }
 
@@ -413,55 +150,58 @@ pub(crate) fn gather_map_usize<T: Copy>(tier: Tier, src: &[T], map: &[usize], ou
 
 /// The clamped, unrolled gather tier: four independent load/store chains
 /// per iteration, no bounds-check branches in the loop body.
-fn gather_row_clamped<T: Copy>(in_row: &[T], g_row: &[u32], out: &mut [T]) {
-    let limit = (in_row.len() - 1) as u32;
-    let base = in_row.as_ptr();
+fn gather_row_clamped<T: Copy>(src: &[T], base: u32, idx: &[u32], out: &mut [T]) {
+    // Truncation only lowers the clamp, which stays in bounds.
+    let limit = (src.len() - 1) as u32;
+    let s = src.as_ptr();
     let n = out.len();
     let o = out.as_mut_ptr();
-    let g = g_row.as_ptr();
+    let g = idx.as_ptr();
     let mut j = 0;
-    // SAFETY (both loops): indices are clamped to `limit < in_row.len()`
-    // before the read; `j + k < n == out.len() == g_row.len()` bounds
-    // the map reads and output writes.
+    // SAFETY (both loops): indices are clamped to `limit < src.len()`
+    // before the read; `j + k < n == out.len() == idx.len()` bounds the
+    // index reads and output writes.
     #[allow(unsafe_code)]
     unsafe {
         while j + 4 <= n {
-            let i0 = (*g.add(j)).min(limit) as usize;
-            let i1 = (*g.add(j + 1)).min(limit) as usize;
-            let i2 = (*g.add(j + 2)).min(limit) as usize;
-            let i3 = (*g.add(j + 3)).min(limit) as usize;
-            *o.add(j) = *base.add(i0);
-            *o.add(j + 1) = *base.add(i1);
-            *o.add(j + 2) = *base.add(i2);
-            *o.add(j + 3) = *base.add(i3);
+            let i0 = (base ^ *g.add(j)).min(limit) as usize;
+            let i1 = (base ^ *g.add(j + 1)).min(limit) as usize;
+            let i2 = (base ^ *g.add(j + 2)).min(limit) as usize;
+            let i3 = (base ^ *g.add(j + 3)).min(limit) as usize;
+            *o.add(j) = *s.add(i0);
+            *o.add(j + 1) = *s.add(i1);
+            *o.add(j + 2) = *s.add(i2);
+            *o.add(j + 3) = *s.add(i3);
             j += 4;
         }
         while j < n {
-            *o.add(j) = *base.add((*g.add(j)).min(limit) as usize);
+            *o.add(j) = *s.add((base ^ *g.add(j)).min(limit) as usize);
             j += 1;
         }
     }
 }
 
 /// AVX2 gather dispatch on the element width. Widths other than 4/8
-/// can't reach here ([`select`] routes them to [`Tier::Unrolled`]), but
-/// fall back to the clamped tier defensively.
-fn gather_row_avx2<T: Copy>(token: Avx2Token, in_row: &[T], g_row: &[u32], out: &mut [T]) {
+/// can't reach here ([`select`] routes them to [`Tier::Unrolled`]), and
+/// sources past 2^31 elements take the clamped tier too (the hardware
+/// gathers take signed 32-bit indices).
+fn gather_row_avx2<T: Copy>(token: Avx2Token, src: &[T], base: u32, idx: &[u32], out: &mut [T]) {
     #[cfg(target_arch = "x86_64")]
-    {
+    if src.len() <= 1 << 31 {
         match size_of::<T>() {
             // SAFETY: the token proves AVX2; width 4/8 makes the
             // pointer reinterpretations plain bit copies, and the kernels
             // reach them only through unaligned accesses (vector loads,
             // stores and gathers, `read_unaligned`/`write_unaligned`
             // tails), so `T`'s alignment — 1 for byte lanes — is never
-            // assumed; indices are clamped inside.
+            // assumed; indices are clamped inside, below `2^31`.
             #[allow(unsafe_code)]
             4 => unsafe {
                 gather_row_u32(
-                    in_row.as_ptr() as *const u32,
-                    in_row.len(),
-                    g_row,
+                    src.as_ptr() as *const u32,
+                    src.len(),
+                    base,
+                    idx,
                     out.as_mut_ptr() as *mut u32,
                     out.len(),
                 );
@@ -470,9 +210,10 @@ fn gather_row_avx2<T: Copy>(token: Avx2Token, in_row: &[T], g_row: &[u32], out: 
             #[allow(unsafe_code)]
             8 => unsafe {
                 gather_row_u64(
-                    in_row.as_ptr() as *const u64,
-                    in_row.len(),
-                    g_row,
+                    src.as_ptr() as *const u64,
+                    src.len(),
+                    base,
+                    idx,
                     out.as_mut_ptr() as *mut u64,
                     out.len(),
                 );
@@ -482,47 +223,52 @@ fn gather_row_avx2<T: Copy>(token: Avx2Token, in_row: &[T], g_row: &[u32], out: 
         }
     }
     let _ = token;
-    gather_row_clamped(in_row, g_row, out);
+    gather_row_clamped(src, base, idx, out);
 }
 
-/// `vpgatherdd`: eight 32-bit elements per step, indices clamped in the
-/// vector domain so the hardware gather never leaves `base[0..n_in]`.
+/// `vpgatherdd`: eight 32-bit elements per step, each index vector
+/// `splat(base) ⊕ idx[j..j + 8]` clamped in the vector domain so the
+/// hardware gather never leaves `src[0..n_in]`.
 ///
 /// # Safety
-/// Caller proves AVX2 (token upstream) and that `base[0..n_in]` and
-/// `out[0..n_out]` are valid, with `g_row.len() == n_out` and
-/// `n_in > 0`. Neither pointer need be aligned for `u32`: every access
-/// through them is unaligned.
+/// Caller proves AVX2 (token upstream) and that `src[0..n_in]` and
+/// `out[0..n_out]` are valid, with `idx.len() == n_out` and
+/// `0 < n_in ≤ 2^31`. Neither pointer need be aligned for `u32`: every
+/// access through them is unaligned.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn gather_row_u32(
-    base: *const u32,
+    src: *const u32,
     n_in: usize,
-    g_row: &[u32],
+    base: u32,
+    idx: &[u32],
     out: *mut u32,
     n_out: usize,
 ) {
-    let limit = arch::_mm256_set1_epi32((n_in - 1) as i32);
-    let g = g_row.as_ptr();
+    let lim = (n_in - 1) as u32;
+    let limit = arch::_mm256_set1_epi32(lim as i32);
+    let base_v = arch::_mm256_set1_epi32(base as i32);
+    let g = idx.as_ptr();
     let mut j = 0;
     while j + 8 <= n_out {
-        // SAFETY: `j + 8 <= n_out == g_row.len()` bounds the index load
-        // and the store; `min_epu32` against `n_in - 1` bounds every
-        // gathered address within `base[0..n_in]`.
+        // SAFETY: `j + 8 <= n_out == idx.len()` bounds the index load
+        // and the store; `min_epu32` against `n_in - 1 < 2^31` bounds
+        // every gathered address within `src[0..n_in]`.
         unsafe {
-            let idx = arch::_mm256_loadu_si256(g.add(j) as *const arch::__m256i);
-            let idx = arch::_mm256_min_epu32(idx, limit);
-            let v = arch::_mm256_i32gather_epi32::<4>(base as *const i32, idx);
+            let iv = arch::_mm256_loadu_si256(g.add(j) as *const arch::__m256i);
+            let iv = arch::_mm256_min_epu32(arch::_mm256_xor_si256(iv, base_v), limit);
+            let v = arch::_mm256_i32gather_epi32::<4>(src as *const i32, iv);
             arch::_mm256_storeu_si256(out.add(j) as *mut arch::__m256i, v);
         }
         j += 8;
     }
-    let lim = (n_in - 1) as u32;
     while j < n_out {
-        // SAFETY: clamped index, `j < n_out`; `base` and `out` may be
+        // SAFETY: clamped index, `j < n_out`; `src` and `out` may be
         // misaligned for `u32`, so both accesses are unaligned.
         unsafe {
-            let v = base.add((*g.add(j)).min(lim) as usize).read_unaligned();
+            let v = src
+                .add((base ^ *g.add(j)).min(lim) as usize)
+                .read_unaligned();
             out.add(j).write_unaligned(v);
         }
         j += 1;
@@ -530,39 +276,43 @@ unsafe fn gather_row_u32(
 }
 
 /// `vpgatherdq`: four 64-bit elements per step (32-bit indices), same
-/// clamping contract as [`gather_row_u32`].
+/// XOR base and clamping contract as [`gather_row_u32`].
 ///
 /// # Safety
 /// As [`gather_row_u32`], with 8-byte elements.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn gather_row_u64(
-    base: *const u64,
+    src: *const u64,
     n_in: usize,
-    g_row: &[u32],
+    base: u32,
+    idx: &[u32],
     out: *mut u64,
     n_out: usize,
 ) {
-    let limit = arch::_mm_set1_epi32((n_in - 1) as i32);
-    let g = g_row.as_ptr();
+    let lim = (n_in - 1) as u32;
+    let limit = arch::_mm_set1_epi32(lim as i32);
+    let base_v = arch::_mm_set1_epi32(base as i32);
+    let g = idx.as_ptr();
     let mut j = 0;
     while j + 4 <= n_out {
         // SAFETY: `j + 4 <= n_out` bounds the index load and the store;
         // the epu32 clamp bounds every gathered address.
         unsafe {
-            let idx = arch::_mm_loadu_si128(g.add(j) as *const arch::__m128i);
-            let idx = arch::_mm_min_epu32(idx, limit);
-            let v = arch::_mm256_i32gather_epi64::<8>(base as *const i64, idx);
+            let iv = arch::_mm_loadu_si128(g.add(j) as *const arch::__m128i);
+            let iv = arch::_mm_min_epu32(arch::_mm_xor_si128(iv, base_v), limit);
+            let v = arch::_mm256_i32gather_epi64::<8>(src as *const i64, iv);
             arch::_mm256_storeu_si256(out.add(j) as *mut arch::__m256i, v);
         }
         j += 4;
     }
-    let lim = (n_in - 1) as u32;
     while j < n_out {
-        // SAFETY: clamped index, `j < n_out`; `base` and `out` may be
+        // SAFETY: clamped index, `j < n_out`; `src` and `out` may be
         // misaligned for `u64`, so both accesses are unaligned.
         unsafe {
-            let v = base.add((*g.add(j)).min(lim) as usize).read_unaligned();
+            let v = src
+                .add((base ^ *g.add(j)).min(lim) as usize)
+                .read_unaligned();
             out.add(j).write_unaligned(v);
         }
         j += 1;
@@ -755,6 +505,7 @@ unsafe fn transpose_tile_4x4_u64(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hmm_perm::{families, Bmmc, LineTiles};
 
     fn tiers() -> Vec<Tier> {
         let mut tiers = vec![Tier::Scalar, Tier::Unrolled];
@@ -769,10 +520,10 @@ mod tests {
         let in_row: Vec<u32> = (0..301u32).map(|v| v.wrapping_mul(2654435761)).collect();
         let g_row: Vec<u32> = (0..301u32).map(|j| (j * 7 + 3) % 301).collect();
         let mut want = vec![0u32; 301];
-        gather_row(Tier::Scalar, &in_row, &g_row, &mut want);
+        gather_row(Tier::Scalar, &in_row, 0, &g_row, &mut want);
         for tier in tiers() {
             let mut got = vec![0u32; 301];
-            gather_row(tier, &in_row, &g_row, &mut got);
+            gather_row(tier, &in_row, 0, &g_row, &mut got);
             assert_eq!(got, want, "{tier:?}");
         }
     }
@@ -784,10 +535,10 @@ mod tests {
         let g_row: Vec<u32> = (0..77u32).map(|j| 76 - j).collect();
         for tier in tiers() {
             let mut got64 = vec![0u64; 77];
-            gather_row(tier, &row64, &g_row, &mut got64);
+            gather_row(tier, &row64, 0, &g_row, &mut got64);
             assert!(got64.iter().enumerate().all(|(j, &v)| v == row64[76 - j]));
             let mut got128 = vec![0u128; 77];
-            gather_row(tier, &row128, &g_row, &mut got128);
+            gather_row(tier, &row128, 0, &g_row, &mut got128);
             assert!(got128.iter().enumerate().all(|(j, &v)| v == row128[76 - j]));
         }
     }
@@ -879,82 +630,62 @@ mod tests {
         assert_eq!(dst, [0; 4], "declined tier must not touch dst");
     }
 
-    /// `e(j) = row_base ^ fold(lo, j)` for every `j` of the row — the
-    /// map the computed walk must reproduce.
-    fn affine_map(lo: &[u32], row_base: u32) -> Vec<u32> {
-        (0..1usize << lo.len())
-            .map(|j| {
-                let mut v = row_base;
-                let mut bits = j;
-                while bits != 0 {
-                    v ^= lo[bits.trailing_zeros() as usize];
-                    bits &= bits - 1;
-                }
-                v
-            })
-            .collect()
+    /// Run every line of `tiles` through `gather_row` at `tier`:
+    /// `dst[ybase ⊕ h_j + l] = src[G(ybase) ⊕ off[j·2^t + l]]`.
+    fn run_tiles<T: Copy>(tier: Tier, tiles: &LineTiles, src: &[T], dst: &mut [T]) {
+        let line = tiles.line_len();
+        for (ybase, xbase) in tiles.tiles() {
+            for (&h, off) in tiles.spans().iter().zip(tiles.offsets().chunks_exact(line)) {
+                let y = ybase ^ h;
+                gather_row(tier, src, xbase as u32, off, &mut dst[y..y + line]);
+            }
+        }
     }
 
-    /// Bit reversal of `bits` in-row bits: a genuinely non-identity fold.
-    fn reversal_masks(bits: u32) -> Vec<u32> {
-        (0..bits).map(|b| 1u32 << (bits - 1 - b)).collect()
+    /// `want[y] = src[g(y)]`.
+    fn gathered<T: Copy>(g: &Bmmc, src: &[T]) -> Vec<T> {
+        (0..src.len()).map(|y| src[g.apply(y)]).collect()
     }
 
+    /// The one-pass route's lines on every tier: a random BMMC over 4K
+    /// elements at lines of 1 to 32 elements — below, at and above the
+    /// AVX2 lane counts, so every vector body and scalar tail runs — at
+    /// 4-, 8- and 16-byte elements.
     #[test]
-    fn gather_row_affine_matches_the_materialized_gather_on_every_tier() {
-        // Whole rows of 2..=256 elements: below, at and above the AVX2
-        // lane count, so every vector body and fallback runs.
-        for bits in 1..=8u32 {
-            let lo = reversal_masks(bits);
-            let aff = AffineRow::new(&lo);
-            let cols = 1usize << bits;
-            let in_row: Vec<u32> = (0..cols as u32)
-                .map(|v| v.wrapping_mul(2654435761))
-                .collect();
-            let row_base = 0b100101u32 & (cols as u32 - 1);
-            let g = affine_map(&lo, row_base);
-            let mut want = vec![0u32; cols];
-            gather_row(Tier::Scalar, &in_row, &g, &mut want);
-            for tier in tiers() {
-                let mut got = vec![0u32; cols];
-                gather_row_affine(tier, &in_row, &aff, row_base, &mut got);
-                assert_eq!(got, want, "{tier:?} cols={cols}");
+    fn tile_lines_match_the_gather_on_every_tier() {
+        let n = 1 << 12;
+        for seed in 1..=3 {
+            let g = families::random_bmmc_matrix(n, seed).unwrap();
+            let src32: Vec<u32> = (0..n as u32).map(|v| v.wrapping_mul(2654435761)).collect();
+            let src64: Vec<u64> = (0..n as u64).map(|v| v << 32 | v ^ 0xabc).collect();
+            let src128: Vec<u128> = (0..n as u128).map(|v| v << 64 | v).collect();
+            for t in 0..=5 {
+                let tiles = LineTiles::new(&g, t);
+                for tier in tiers() {
+                    let mut got32 = vec![0u32; n];
+                    run_tiles(tier, &tiles, &src32, &mut got32);
+                    assert_eq!(got32, gathered(&g, &src32), "u32 t={t} {tier:?}");
+                    let mut got64 = vec![0u64; n];
+                    run_tiles(tier, &tiles, &src64, &mut got64);
+                    assert_eq!(got64, gathered(&g, &src64), "u64 t={t} {tier:?}");
+                    let mut got128 = vec![0u128; n];
+                    run_tiles(tier, &tiles, &src128, &mut got128);
+                    assert_eq!(got128, gathered(&g, &src128), "u128 t={t} {tier:?}");
+                }
             }
         }
     }
 
     #[test]
-    fn gather_row_affine_u64_and_u128_match() {
-        for bits in 1..=6u32 {
-            // Swap adjacent bit pairs (the top bit stays when `bits` is odd).
-            let lo: Vec<u32> = (0..bits)
-                .map(|b| if b ^ 1 < bits { 1 << (b ^ 1) } else { 1 << b })
-                .collect();
-            let aff = AffineRow::new(&lo);
-            let cols = 1usize << bits;
-            let row64: Vec<u64> = (0..cols as u64).map(|v| v << 32 | v).collect();
-            let row128: Vec<u128> = (0..cols as u128).map(|v| v << 64 | v).collect();
-            let g = affine_map(&lo, 1);
-            for tier in tiers() {
-                let mut got64 = vec![0u64; cols];
-                gather_row_affine(tier, &row64, &aff, 1, &mut got64);
-                assert!(
-                    got64
-                        .iter()
-                        .zip(&g)
-                        .all(|(&v, &gi)| v == row64[gi as usize]),
-                    "{tier:?} cols={cols}"
-                );
-                let mut got128 = vec![0u128; cols];
-                gather_row_affine(tier, &row128, &aff, 1, &mut got128);
-                assert!(
-                    got128
-                        .iter()
-                        .zip(&g)
-                        .all(|(&v, &gi)| v == row128[gi as usize]),
-                    "{tier:?} cols={cols}"
-                );
-            }
+    fn xor_base_reaches_the_whole_source() {
+        // Indices below the base's bits: every tier must XOR the base in
+        // before clamping, not clamp the row index alone.
+        let src: Vec<u32> = (0..64).collect();
+        let idx = [0u32, 1, 2, 3, 4, 5, 6, 7, 9];
+        for tier in tiers() {
+            let mut out = [0u32; 9];
+            gather_row(tier, &src, 0b110000, &idx, &mut out);
+            assert_eq!(out, [48, 49, 50, 51, 52, 53, 54, 55, 57], "{tier:?}");
         }
     }
 
@@ -968,7 +699,8 @@ mod tests {
     }
 
     /// Byte lanes, `[u8; 4]` and `[u8; 8]`, at byte offsets 1–7 on both
-    /// sides, through every tier. The AVX2 kernels run them through
+    /// sides, through every tier: map rows, `usize` maps, one-pass tile
+    /// lines and strided transposes. The AVX2 kernels run them through
     /// `u32`/`u64` pointers; rows whose lengths are not a multiple of the
     /// vector width run the scalar tails too, and a tail that
     /// dereferenced those pointers instead of reading and writing them
@@ -987,7 +719,7 @@ mod tests {
                     for tier in tiers() {
                         let mut out_bytes = vec![0u8; 8 - off + len * W];
                         let out = out_bytes[8 - off..].as_chunks_mut::<W>().0;
-                        gather_row(tier, in_row, &g_row, out);
+                        gather_row(tier, in_row, 0, &g_row, out);
                         assert_eq!(out, &want[..], "gather_row W={W} off={off} {tier:?}");
                         out.fill([0; W]);
                         gather_map_usize(tier, in_row, &map, out);
@@ -995,22 +727,21 @@ mod tests {
                     }
                 }
             }
-            // Computed-index rows are whole rows of 2^bits lanes.
-            for bits in 1..=8u32 {
-                let lo = reversal_masks(bits);
-                let aff = AffineRow::new(&lo);
-                let cols = 1usize << bits;
-                let row_base = 0b100101u32 & (cols as u32 - 1);
-                let g = affine_map(&lo, row_base);
+            // One-pass tile lines: whole-array gathers with an XOR base,
+            // lines of 4 to 32 lanes.
+            let n = 1 << 10;
+            let g = families::random_bmmc_matrix(n, 5).unwrap();
+            for t in [2, 3, 5] {
+                let tiles = LineTiles::new(&g, t);
                 for off in 1..8 {
-                    let in_bytes = lanes_at::<W>(off, cols);
-                    let in_row = in_bytes[off..].as_chunks::<W>().0;
-                    let want: Vec<[u8; W]> = g.iter().map(|&gi| in_row[gi as usize]).collect();
+                    let src_bytes = lanes_at::<W>(off, n);
+                    let src = src_bytes[off..].as_chunks::<W>().0;
+                    let want = gathered(&g, src);
                     for tier in tiers() {
-                        let mut out_bytes = vec![0u8; 8 - off + cols * W];
+                        let mut out_bytes = vec![0u8; 8 - off + n * W];
                         let out = out_bytes[8 - off..].as_chunks_mut::<W>().0;
-                        gather_row_affine(tier, in_row, &aff, row_base, out);
-                        assert_eq!(out, &want[..], "affine W={W} off={off} {tier:?}");
+                        run_tiles(tier, &tiles, src, out);
+                        assert_eq!(out, &want[..], "tile lines W={W} off={off} t={t} {tier:?}");
                     }
                 }
             }
@@ -1041,19 +772,5 @@ mod tests {
         }
         check::<4>();
         check::<8>();
-    }
-
-    #[test]
-    fn gather_row_affine_short_rows_fall_back_cleanly() {
-        // 2 in-row bits: below the AVX2 lane minimum for u32, so every
-        // tier must take a working path.
-        let lo = [1u32, 2];
-        let aff = AffineRow::new(&lo);
-        let in_row = [10u32, 11, 12, 13];
-        for tier in tiers() {
-            let mut out = vec![0u32; 4];
-            gather_row_affine(tier, &in_row, &aff, 0, &mut out);
-            assert_eq!(out, &in_row[..], "{tier:?}");
-        }
     }
 }

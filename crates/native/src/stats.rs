@@ -38,9 +38,9 @@ pub struct EngineStats {
     /// coloring. Disjoint from [`EngineStats::builds`].
     pub plans_structured: u64,
     /// Scheduled plans prepared from an IR carrying verified affine
-    /// descriptors — the plans whose gather sweeps run the
-    /// computed-index kernels when
-    /// [`EngineStats::kernel_computed_index`] is set. Counts structured
+    /// descriptors — the plans that run map-free (on the native backend,
+    /// as one tiled pass) when [`EngineStats::kernel_computed_index`] is
+    /// set. Counts structured
     /// builds and store loads alike (a compact store entry rebuilds its
     /// maps from the descriptors, so a warm-store cold start is still
     /// descriptor-backed); König-colored plans never carry descriptors.
@@ -79,8 +79,9 @@ pub struct EngineStats {
     pub kernel_stage_bytes: usize,
     /// Whether the kernel config enables the vectorized sweep tiers.
     pub kernel_simd: bool,
-    /// Whether the kernel config enables the computed-index (affine
-    /// fold) gather kernels for plans that carry descriptors.
+    /// Whether the kernel config enables the map-free kernels (on the
+    /// native backend, the one tiled pass) for plans that carry
+    /// descriptors.
     pub kernel_computed_index: bool,
     /// Registry name of the backend this engine prepares plans on
     /// (`"native"`, `"interp"`, ...). Empty in a default-constructed

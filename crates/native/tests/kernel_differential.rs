@@ -3,8 +3,8 @@
 //! expose.
 //!
 //! The contract under test is the one DESIGN.md's determinism argument
-//! makes: for a fixed plan, **every** kernel config — SIMD on or off,
-//! computed or map-loaded indices, any block size or tile — produces output
+//! makes: for a fixed plan, **every** kernel config — SIMD on or off, the
+//! one tiled pass or the three sweeps, any block size or tile — produces output
 //! byte-identical to the `Permutation::permute` oracle, over all five
 //! paper families × element widths {u32, u64, [u8; 16]} × ragged shapes
 //! (non-multiple bands, block tails, n smaller than one block). Every
@@ -14,7 +14,9 @@
 //! interpreter are pinned to the oracle at once.
 //!
 //! All four `(simd, computed_index)` points are iterated in process; the
-//! structured families carry affine descriptors, so both index forms run.
+//! structured families carry affine descriptors, so on `native` both
+//! kernel forms run (one tiled pass with `computed_index`, three sweeps
+//! without).
 //! The matrix cells are small, so `hmm_native::par`'s byte-size rule runs
 //! each of their sweeps on the calling thread, at any worker count.
 //! [`jobs_that_fan_out_match_the_oracle`] is the cell that splits into

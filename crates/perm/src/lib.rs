@@ -14,7 +14,8 @@
 //!   (or `r × 2r`) matrix the scheduled algorithm operates on, and the
 //!   affine bit-matrix [`Bmmc`] family (with the
 //!   [`Permutation::as_bmmc`] recognizer) behind the structured-plan
-//!   fast paths in `hmm-plan`;
+//!   fast paths in `hmm-plan`, and the [`LineTiles`] geometry that runs
+//!   a BMMC as one pass over whole lines;
 //! * the workspace's one word-wise [`hash`], behind
 //!   [`Permutation::fingerprint`] and the plan-file and wire-frame
 //!   checksums.
@@ -29,6 +30,7 @@ pub mod hash;
 pub mod matrix;
 pub mod permutation;
 pub mod tensor;
+pub mod tile;
 
 pub use distribution::{
     distribution, expected_random_distribution, normalized_distribution, warp_group_counts,
@@ -39,3 +41,4 @@ pub use families::Family;
 pub use matrix::{scheduled_shape, Bmmc, MatrixShape};
 pub use permutation::Permutation;
 pub use tensor::{direct_sum, stride, tensor};
+pub use tile::LineTiles;

@@ -568,6 +568,36 @@ impl PlanIr {
         self.affine.as_ref()
     }
 
+    /// The whole plan as one gather-direction BMMC `G`, with
+    /// `dst[y] = src[G(y)]` — the inverse of the permutation the plan
+    /// realises — or `None` for König-colored plans.
+    ///
+    /// Derived from the three verified descriptors alone, never from the
+    /// maps: destination `y = di·c + dj` takes color `k = g3(y)` from
+    /// source row `i = g2(k·r + di)`, which it left from column
+    /// `g1(i·c + k)`. Each step is affine, so their composition is, and
+    /// evaluating it at `0` and at every unit vector reads off the offset
+    /// and the columns: `log n + 1` evaluations of `O(log n)` each, so a
+    /// store hit gains no `O(n)` pass by asking.
+    pub fn gather_bmmc(&self) -> Option<Bmmc> {
+        let [a1, a2, a3] = self.affine.as_ref()?;
+        let rb = self.shape.rows.trailing_zeros();
+        let cb = self.shape.cols.trailing_zeros();
+        let g = |y: usize| {
+            let k = a3.eval(y) as usize;
+            let i = a2.eval(k << rb | y >> cb) as usize;
+            i << cb | a1.eval(i << cb | k) as usize
+        };
+        let offset = g(0);
+        let cols = (0..rb + cb).map(|b| g(1 << b) ^ offset).collect();
+        let bmmc = Bmmc::from_cols(cols, offset).ok();
+        debug_assert!(
+            bmmc.is_some(),
+            "verified descriptors compose to a bijection"
+        );
+        bmmc
+    }
+
     /// Per-pass geometry hints for sweep executors: the matrix view each
     /// of the three passes runs over, in execution order (pass 2 runs on
     /// the transposed matrix), and whether a fused executor folds a

@@ -13,7 +13,9 @@
 //! `serve` prints exactly one `LISTENING <addr>` line once the port is
 //! bound (machine-readable: spawners parse it to learn the OS-assigned
 //! port), then blocks until a `DRAIN` arrives from a loopback peer and
-//! prints `DRAINED`.
+//! prints `DRAINED`. A spawner that has closed its end of stdout by then
+//! (it read only the `LISTENING` line) does not turn the drain into a
+//! failure: the line is dropped and the exit code is still 0.
 
 use std::io::Write as _;
 use std::process::ExitCode;
@@ -114,8 +116,11 @@ fn serve(args: &[String]) -> ExitCode {
         println!("LISTENING {}", server.local_addr());
         std::io::stdout().flush().ok();
         server.wait_drained();
-        println!("DRAINED");
-        Ok(())
+        let mut out = std::io::stdout().lock();
+        match writeln!(out, "DRAINED").and_then(|()| out.flush()) {
+            Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => Err(e.to_string()),
+            _ => Ok(()),
+        }
     };
     match run() {
         Ok(()) => ExitCode::SUCCESS,

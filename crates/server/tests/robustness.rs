@@ -3,7 +3,9 @@
 //! in-flight batch or racing inline `PERMUTE`s, and admission
 //! rejections — each pinned against the engine-stats ledger
 //! (`submitted == completed`) so a job left running cannot hide — plus a config the engine cannot build, refused by
-//! `Server::bind` with an error instead of a panic.
+//! `Server::bind` with an error instead of a panic, and a `serve`
+//! process whose spawner closed stdout before the drain, which still
+//! exits 0.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -826,4 +828,36 @@ fn inline_permutes_racing_a_drain_are_correct_or_draining() {
     assert!(stats.draining);
     assert!(stats.submitted >= 8, "{stats:?}");
     assert!(ledger_balanced(&stats), "ledger unbalanced: {stats:?}");
+}
+
+/// A spawner that reads only the `LISTENING` line and then closes its
+/// end of stdout: `serve` drains and exits 0, rather than panicking on
+/// the `DRAINED` line it can no longer print.
+#[test]
+fn serve_exits_cleanly_when_stdout_is_closed_before_the_drain() {
+    use std::io::{BufRead, BufReader};
+    use std::process::{Command, Stdio};
+    let mut child = Command::new(env!("CARGO_BIN_EXE_hmm-server"))
+        .arg("serve")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn hmm-server");
+    let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+    let mut line = String::new();
+    stdout.read_line(&mut line).expect("read LISTENING line");
+    let addr = line
+        .strip_prefix("LISTENING ")
+        .unwrap_or_else(|| panic!("unexpected banner: {line:?}"))
+        .trim()
+        .to_string();
+    drop(stdout);
+    Client::connect(addr.as_str()).unwrap().drain().unwrap();
+    let out = child.wait_with_output().expect("wait for server exit");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 }

@@ -32,12 +32,16 @@
 //!   wire bytes — checked against the typed output and the reference.
 //!
 //! Every run also asserts the plan actually executed on the forced route,
-//! backend and kernel config, and that structured families were planned
-//! with affine descriptors, so a regression in the forcing seams cannot
-//! hide. The whole matrix runs in one process; only the worker-pool size
+//! backend and kernel config, that structured families were planned with
+//! affine descriptors, and which native kernel a scheduled cell runs: the
+//! one tiled pass for a structured plan with `computed_index` set, the
+//! three fused sweeps otherwise. So a regression in the forcing seams
+//! cannot hide. The whole matrix runs in one process; only the worker-pool size
 //! (`HMM_NATIVE_THREADS`) is left to the environment.
 
-use hmm_native::{forced_engine, Backend, KernelConfig, PlanStore, Route, SharedEngine};
+use hmm_native::{
+    as_native_scheduled, forced_engine, Backend, KernelConfig, PlanStore, Route, SharedEngine,
+};
 use hmm_perm::{families, Permutation};
 
 const W: usize = 32;
@@ -162,6 +166,7 @@ fn check_cell<T: Elem>(
         want_config,
         "{ctx}: plan prepared off-config"
     );
+    assert_native_kernel(&plan, name, config, &ctx);
 
     // Front door 1: blocking permute.
     let mut dst = vec![T::default(); n];
@@ -192,6 +197,26 @@ fn check_cell<T: Elem>(
     let ran = engine.run_job(p, &src, &mut dst).unwrap();
     assert_eq!(ran, route, "{ctx}: job ran off-route");
     assert_eq!(dst, want, "{ctx}: run_job diverged from naive reference");
+}
+
+/// On a native scheduled plan, the kernel that runs: one tiled pass for
+/// every structured family (all but `random`) with `computed_index` set,
+/// the three fused sweeps for König plans or with it off.
+fn assert_native_kernel<T>(
+    plan: &hmm_native::PermutePlan<T>,
+    name: &str,
+    config: KernelConfig,
+    ctx: &str,
+) {
+    if let Some(sched) = as_native_scheduled(plan) {
+        let one_pass = name != "random" && config.computed_index;
+        assert_eq!(
+            sched.passes(),
+            if one_pass { 1 } else { 3 },
+            "{ctx}: wrong kernel"
+        );
+        assert_eq!(sched.computed_index(), one_pass, "{ctx}");
+    }
 }
 
 /// Full family × size sweep for one route at every `(backend, kernel
@@ -257,8 +282,9 @@ fn conformance_scatter_route_all_backends_all_families_all_sizes() {
 }
 
 /// Scheduled route, same matrix: γ threshold 0 forces the three-pass
-/// scheduled plan even for identity/shuffle — executed as the fused
-/// sweeps on `native` at all four kernel configs and as the five-step
+/// scheduled plan even for identity/shuffle — executed on `native` at all
+/// four kernel configs (the one tiled pass for structured plans with
+/// `computed_index` set, the fused sweeps otherwise) and as the five-step
 /// sweep IR on `interp`.
 #[test]
 fn conformance_scheduled_route_all_backends_all_families_all_sizes() {
@@ -315,6 +341,7 @@ fn byte_lanes_match_typed_elements_and_the_naive_reference() {
                         (route == Route::Scheduled).then_some(config),
                         "{ctx}: plan prepared off-config"
                     );
+                    assert_native_kernel(&plan, name, config, &ctx);
                     check_lanes(&engine, &engine.view(), &p, &ctx, u32::to_le_bytes);
                     check_lanes(&engine.view(), &engine.view(), &p, &ctx, u64::to_le_bytes);
                 }

@@ -86,7 +86,10 @@ impl Drop for ServerProc {
     }
 }
 
-/// The five paper families at size `n`.
+/// The five paper families at size `n`, plus a random invertible BMMC.
+/// The structured ones the server routes scheduled run the one tiled
+/// pass on byte lanes straight out of the request body, which sits at a
+/// byte offset that aligns neither `u32` nor `u64` lanes.
 fn paper_families(n: usize) -> Vec<(&'static str, Permutation)> {
     vec![
         ("identity", families::identical(n)),
@@ -94,6 +97,10 @@ fn paper_families(n: usize) -> Vec<(&'static str, Permutation)> {
         ("transpose", families::transpose_square(n).unwrap()),
         ("bit-reversal", families::bit_reversal(n).unwrap()),
         ("random", families::random(n, 0xc0ffee ^ n as u64)),
+        (
+            "random-bmmc",
+            families::random_bmmc(n, 0xb117 ^ n as u64).unwrap(),
+        ),
     ]
 }
 
