@@ -38,7 +38,7 @@ pub mod route;
 pub mod sweep;
 pub mod wgsl;
 
-pub use config::{KernelConfig, DEFAULT_STAGE_BYTES, DEFAULT_TILE};
+pub use config::{KernelConfig, DEFAULT_TILE};
 pub use interp::{serial_scatter, InterpExec};
 pub use route::{ExecPlan, Route};
 pub use sweep::{BufferId, GatherMap, IndexSource, SweepIr, SweepKernel, SweepStep};

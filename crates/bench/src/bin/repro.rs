@@ -419,7 +419,7 @@ fn run(cmd: &str, args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             let plan_threads = args.plan_threads.unwrap_or(4);
             let report = native_experiments::report(&sizes, 5, plan_threads)?;
             print!("{}", native_experiments::render(&report.rows));
-            println!("\n=== Per-sweep: SIMD pipeline vs scalar (random) ===\n");
+            println!("\n=== Per-sweep: SIMD vs scalar (random) ===\n");
             print!("{}", native_experiments::render_sweeps(&report.sweep_rows));
             if !report.plan_build_rows.is_empty() {
                 println!("\n=== Plan compiler: sequential vs parallel König build ===\n");

@@ -5,7 +5,7 @@
 //! `repro native` measures three groups, all at the kernel layer:
 //! * **kernels** — scatter / gather / fused 3-sweep scheduled / copy, per
 //!   family and size;
-//! * **per-sweep** — each of the three fused sweeps, SIMD pipeline
+//! * **per-sweep** — each of the three fused sweeps, SIMD kernels
 //!   against the scalar reference config;
 //! * **plan compiler** — the sequential König build against the parallel
 //!   one.
@@ -72,22 +72,25 @@ pub struct NativeRow {
     pub copy: Duration,
 }
 
-/// One row of the per-sweep kernel comparison: the three fused sweeps of
-/// the scheduled path timed individually (`NativeScheduled::
-/// run_sweeps_timed`), once with the vectorized pipeline and once with the scalar reference config, over the same plan.
+/// One row of the per-sweep kernel comparison: the three sweeps of the
+/// scheduled path timed individually (`NativeScheduled::
+/// run_sweeps_timed`), once with the vectorized kernels and once with
+/// the scalar reference config, over the same plan. The JSON rows are
+/// `sweep1` / `sweep2` / `sweep3` (the two fused gather-transpose sweeps,
+/// then the row pass), with `_scalar` for the reference config.
 #[derive(Debug, Clone)]
 pub struct SweepRow {
     /// Array size (family: random — the scheduled backend's workload).
     pub n: usize,
-    /// `[gather-transpose 1, gather-transpose 2, row pass]` with the
-    /// default (SIMD) config.
+    /// `[sweep 1, sweep 2, sweep 3]` — gather-transpose, gather-transpose,
+    /// row pass — with the default (SIMD) config.
     pub simd_on: [Duration; 3],
     /// The same sweeps with `KernelConfig::scalar()`.
     pub simd_off: [Duration; 3],
 }
 
 impl SweepRow {
-    /// Total fused-path time with the vectorized pipeline.
+    /// Total fused-path time with the vectorized kernels.
     pub fn total_on(&self) -> Duration {
         self.simd_on.iter().sum()
     }
@@ -108,7 +111,7 @@ fn median_sweeps(reps: usize, mut f: impl FnMut() -> [Duration; 3]) -> [Duration
     })
 }
 
-/// Time each of the three sweeps with the SIMD pipeline on and off, per
+/// Time each of the three sweeps with the SIMD kernels on and off, per
 /// size, over one shared plan (random family) — the before/after data
 /// behind EXPERIMENTS.md's per-sweep table.
 pub fn sweeps(sizes: &[usize], reps: usize) -> Result<Vec<SweepRow>> {
@@ -469,7 +472,7 @@ pub fn render(rows: &[NativeRow]) -> String {
 
 /// Render the per-sweep SIMD on/off comparison table.
 pub fn render_sweeps(rows: &[SweepRow]) -> String {
-    let mut t = TextTable::new(vec!["n", "sweep", "simd+pipeline", "scalar", "speedup"]);
+    let mut t = TextTable::new(vec!["n", "sweep", "simd", "scalar", "speedup"]);
     for r in rows {
         for (k, sweep) in ["gather-transpose-1", "gather-transpose-2", "row-pass"]
             .iter()
@@ -672,12 +675,12 @@ pub fn to_json(report: &NativeReport) -> String {
     }
     for r in &report.sweep_rows {
         for (backend, d) in [
-            ("sweep_gather", r.simd_on[0]),
-            ("sweep_transpose", r.simd_on[1]),
-            ("sweep_row", r.simd_on[2]),
-            ("sweep_gather_scalar", r.simd_off[0]),
-            ("sweep_transpose_scalar", r.simd_off[1]),
-            ("sweep_row_scalar", r.simd_off[2]),
+            ("sweep1", r.simd_on[0]),
+            ("sweep2", r.simd_on[1]),
+            ("sweep3", r.simd_on[2]),
+            ("sweep1_scalar", r.simd_off[0]),
+            ("sweep2_scalar", r.simd_off[1]),
+            ("sweep3_scalar", r.simd_off[2]),
             ("engine_simd_on", r.total_on()),
             ("engine_simd_off", r.total_off()),
         ] {
@@ -799,9 +802,9 @@ mod tests {
             "\"threads\"",
             "\"elements_per_sec\"",
             "\"backend\": \"scheduled\"",
-            "\"sweep_gather\"",
-            "\"sweep_transpose_scalar\"",
-            "\"sweep_row\"",
+            "\"sweep1\"",
+            "\"sweep2_scalar\"",
+            "\"sweep3\"",
             "\"engine_simd_on\"",
             "\"engine_simd_off\"",
             "\"plan_build_1t\"",

@@ -19,6 +19,7 @@ use crate::scatter::scatter_permute;
 use crate::scheduled::NativeScheduled;
 use hmm_backend::{serial_scatter, ExecPlan, InterpExec, KernelConfig, Route};
 use hmm_perm::Permutation;
+use hmm_plan::PlanIr;
 
 /// A registered execution backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,20 +47,25 @@ impl Backend {
     }
 
     /// Compile `plan` into an executable under `config`. Scheduled
-    /// executables share the plan's gather maps, which a [`PlanIr`]
-    /// holds valid by construction, so preparing cannot fail.
-    ///
-    /// [`PlanIr`]: hmm_plan::PlanIr
+    /// executables read the plan's gather maps, which a [`PlanIr`] holds
+    /// valid by construction, so preparing cannot fail.
     pub fn prepare(self, plan: ExecPlan<'_>, config: KernelConfig) -> Executable {
-        match (self, plan) {
-            (Backend::Native, ExecPlan::Scatter(p)) => Executable::NativeScatter(p.clone()),
-            (Backend::Interp, ExecPlan::Scatter(p)) => Executable::InterpScatter(p.clone()),
-            (Backend::Native, ExecPlan::Scheduled(ir)) => {
-                Executable::Native(NativeScheduled::from_plan_with(ir, config))
-            }
-            (Backend::Interp, ExecPlan::Scheduled(ir)) => {
-                Executable::Interp(Box::new(InterpExec::new(ir, config)))
-            }
+        match plan {
+            ExecPlan::Scatter(p) => match self {
+                Backend::Native => Executable::NativeScatter(p.clone()),
+                Backend::Interp => Executable::InterpScatter(p.clone()),
+            },
+            ExecPlan::Scheduled(ir) => self.prepare_scheduled(ir.clone(), config),
+        }
+    }
+
+    /// [`prepare`](Self::prepare) a scheduled plan the caller hands over,
+    /// so the native executor can lay the maps only the plan holds out in
+    /// place ([`NativeScheduled::from_owned_plan`]).
+    pub fn prepare_scheduled(self, ir: PlanIr, config: KernelConfig) -> Executable {
+        match self {
+            Backend::Native => Executable::Native(NativeScheduled::from_owned_plan(ir, config)),
+            Backend::Interp => Executable::Interp(Box::new(InterpExec::new(&ir, config))),
         }
     }
 }

@@ -33,8 +33,8 @@
 //!   interpreter) each prepare a width-free [`Executable`] whose `run` is
 //!   generic per call; [`forced_engine`] pins an engine to one backend
 //!   and route, the seam the test suites iterate [`Backend::ALL`] with;
-//! * [`config::KernelConfig`] — the sweep-kernel tuning seam (staging
-//!   block size, tile side, SIMD and computed-index switches; re-exported
+//! * [`config::KernelConfig`] — the sweep-kernel tuning seam (the
+//!   sweep-IR tile side, SIMD and computed-index switches; re-exported
 //!   from `hmm-backend`) threaded through every front door: blocking
 //!   calls and the shared engine
 //!   ([`plan::SharedEngine::set_kernel_config`]).
@@ -48,9 +48,8 @@
 //! the scatter kernel's disjointness argument (`scatter::ScatterTarget`),
 //! the pool's type-erased task pointer (`pool::RawTask`), the chunk
 //! splitter (`par::SliceParts`) and the fused sweeps' column-band view
-//! (`par::ColumnBand`), the seed-initialized per-thread staging
-//! arena (`stage`), the clamped-index vector kernels (`simd` — the one
-//! module allowed to touch `core::arch`), the scratch pool's owned
+//! (`par::ColumnBand`), the clamped-index vector kernels (`simd` — the
+//! one module allowed to touch `core::arch`), the scratch pool's owned
 //! pointers (`scratch`), and the typed face of a cached plan
 //! (`plan::PermutePlan`, a `repr(transparent)` cast of the cached `Arc`).
 //!
@@ -69,7 +68,6 @@ pub mod scatter;
 pub mod scheduled;
 mod scratch;
 mod simd;
-mod stage;
 mod stats;
 
 pub use backend::{as_native_scheduled, forced_engine, Backend, Executable};

@@ -147,13 +147,13 @@ impl Plan {
     /// object verifies by pointer.
     fn scheduled(
         backend: Backend,
-        ir: &PlanIr,
+        ir: PlanIr,
         config: KernelConfig,
         permutation: Permutation,
     ) -> Self {
         Plan {
             gamma: ir.gamma(),
-            exec: backend.prepare(ExecPlan::Scheduled(ir), config),
+            exec: backend.prepare_scheduled(ir, config),
             permutation,
         }
     }
@@ -191,7 +191,7 @@ impl<T> PermutePlan<T> {
     /// [`permutation`]: PermutePlan::permutation
     pub fn from_ir_with(ir: &PlanIr, config: KernelConfig) -> Result<Self> {
         Ok(PermutePlan {
-            plan: Plan::scheduled(Backend::Native, ir, config, ir.recompose()),
+            plan: Plan::scheduled(Backend::Native, ir.clone(), config, ir.recompose()),
             _elem: PhantomData,
         })
     }
@@ -392,7 +392,7 @@ impl EngineCore {
                         return Ok(Plan::scatter(self.backend, p, ir.gamma()));
                     }
                     self.note_affine(&ir);
-                    return Ok(self.scheduled(&ir, p));
+                    return Ok(self.scheduled(ir, p));
                 }
                 Ok(None) => {}
                 // A decodable plan for a *different* permutation (a
@@ -427,7 +427,7 @@ impl EngineCore {
                 // stay store-driven for every family.
                 let _ = store.save(&ir);
             }
-            return Ok(self.scheduled(&ir, p));
+            return Ok(self.scheduled(ir, p));
         }
         // Cold build: route through the parallel plan compiler on the
         // engine's thread budget. Output is byte-identical to the
@@ -441,12 +441,12 @@ impl EngineCore {
             // Best effort: a failed save must never fail the permute.
             let _ = store.save(&ir);
         }
-        Ok(self.scheduled(&ir, p))
+        Ok(self.scheduled(ir, p))
     }
 
     /// Prepare `ir`, checked to realise `p`, on this engine's backend and
     /// kernel config.
-    fn scheduled(&self, ir: &PlanIr, p: &Permutation) -> Plan {
+    fn scheduled(&self, ir: PlanIr, p: &Permutation) -> Plan {
         Plan::scheduled(self.backend, ir, self.kernel_config(), p.clone())
     }
 
@@ -555,8 +555,8 @@ impl<T: Copy + Send + Sync + Default + 'static> SharedEngine<T> {
         self.core.store.as_ref()
     }
 
-    /// Override the kernel config scheduled plans are built with (block
-    /// size, tile, SIMD, computed-index). Affects plans built after the
+    /// Override the kernel config scheduled plans are built with (tile,
+    /// SIMD, computed-index). Affects plans built after the
     /// call; already-cached plans keep the config they were built with.
     pub fn set_kernel_config(&self, config: KernelConfig) {
         *self
@@ -1045,7 +1045,7 @@ mod tests {
         let engine: SharedEngine<u32> = SharedEngine::with_shards(W, 1, DEFAULT_CAPACITY);
         engine.set_gamma_threshold(0.0); // force the scheduled backend
         let cfg = KernelConfig {
-            stage_bytes: 8192,
+            tile: 16,
             simd: false,
             ..KernelConfig::default()
         };
@@ -1054,7 +1054,7 @@ mod tests {
         let plan = engine.plan(&p).unwrap();
         assert_eq!(plan.executable().kernel_config(), Some(cfg));
         let stats = engine.stats();
-        assert_eq!(stats.kernel_stage_bytes, 8192);
+        assert_eq!(stats.kernel_stage_bytes, 0, "retired: nothing stages");
         assert!(!stats.kernel_simd);
         // The snapshot names the backend the plan was prepared on.
         assert_eq!(stats.backend, plan.executable().backend().name());

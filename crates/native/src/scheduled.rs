@@ -19,47 +19,18 @@
 //! gather_transpose(g1); gather_transpose(g2); row(g3) (3 sweeps, 1 scratch)
 //! ```
 //!
-//! Every sweep still writes memory sequentially (within a blocked tile),
-//! and reads stay within one matrix row at a time — a row of a √n-sided
-//! matrix fits in L1/L2 — so cache-line and TLB behaviour remains the CPU
-//! analog of coalesced access.
+//! # The band kernel
 //!
-//! # The two-stage block pipeline
-//!
-//! Each gather-transpose participant owns a band of *input* rows — the
-//! same band of columns in every output row, rounded up to whole cache
-//! lines so no two participants write one line — and processes it in
-//! blocks of whole rows through one per-thread staging buffer (the
-//! private `stage` module, pooled for the life of the worker). How many
-//! bands a sweep has is `crate::par`'s one byte-size rule, the same for
-//! both fused sweeps and the row pass: a sweep that moves less than the
-//! fan-out floor (1 MiB; a 64K-element permute's sweeps move 256–512 KiB)
-//! is one band on the calling thread, and a larger one gets one band per
-//! participant, up to the pool's thread count:
-//!
-//! ```text
-//! input ── gather block k ──► staging buffer ── transpose block k ──► band columns
-//! ```
-//!
-//! 1. **Gather stage**: block *k*'s rows are gathered whole into the
-//!    staging buffer — exactly a row-pass gather: reads stay inside one
-//!    contiguous row, L1-resident for √n-sided shapes, and each input
-//!    row is read once, by one worker;
-//! 2. **Transpose stage**: block *k* is transposed out of the buffer
-//!    into the band's columns of every output row, through a
-//!    `par::ColumnBand` view (buffer reads hit L2; output writes are
-//!    contiguous runs inside the band).
-//!
-//! The stages strictly alternate over that one buffer. A second buffer
-//! (gathering block *k+1* before transposing block *k*) and software
-//! prefetch of the gather map were both measured and neither beat noise
-//! (EXPERIMENTS.md, "Knob ablation"): the sweeps are bandwidth-bound, and
-//! neither moves fewer bytes.
-//!
-//! Determinism and parallel safety: workers own **disjoint column bands
-//! of the output** (their own input rows), every output element is
-//! written exactly once, and the block size cannot affect the value
-//! written — so every config point (SIMD on/off, any block size)
+//! A fused sweep's input rows fall into bands of `B = min(32, rows)`
+//! rows; a band's input stays in L2 (the CPU's version of the paper's
+//! `w`-bank shared-memory tile) and is the output columns `[b·B,
+//! (b+1)·B)` of every output row. So nothing is staged: one
+//! `simd::gather_band` call gathers every output row's run of the band
+//! straight into place through the sweep's band-major absolute index
+//! map, `idx[(b·cols + j)·B + k] = (b·B + k)·cols + g[(b·B + k)·cols +
+//! j]`, laid out once per plan in place of `g1`/`g2` (DESIGN.md §11).
+//! Participants own whole bands by `crate::par`'s byte rule; every output
+//! element is written once, so every config point and thread count
 //! produces byte-identical output.
 //!
 //! # The one-pass structured route
@@ -68,7 +39,7 @@
 //! derived from the plan's three affine descriptors in O(log² n)). Its
 //! [`LineTiles`] cut the array into tiles of at most `2^t` whole lines of
 //! [`LINE_BYTES`] on each side, so one pass `src → dst` reads and writes
-//! every line once, with no scratch:
+//! every line once, with no scratch, reading no maps:
 //!
 //! ```text
 //! dst[ybase ⊕ h_j + l] = src[G(ybase) ⊕ off[j·2^t + l]]
@@ -80,17 +51,15 @@
 //!
 //! The inner loops are vectorized per [`KernelConfig::simd`]: clamped,
 //! unrolled width-specialized paths by default and `core::arch` AVX2
-//! gathers/tile-transposes behind runtime detection, with the scalar
-//! loops kept as the always-available reference (the private `simd`
-//! module, the only one that touches `core::arch`). The unfused five-pass
-//! reference is the `hmm-backend` sweep-IR interpreter
-//! ([`hmm_backend::InterpExec`]).
+//! gathers behind runtime detection, with the scalar loops kept as the
+//! always-available reference (the private `simd` module, the only one
+//! that touches `core::arch`). The unfused five-pass reference is the
+//! `hmm-backend` sweep-IR interpreter ([`hmm_backend::InterpExec`]).
 
 use crate::config::KernelConfig;
 use crate::par::{par_column_bands, worker_threads, ColumnBand};
-use crate::scratch::{ScratchBuf, CACHE_LINE};
+use crate::scratch::ScratchBuf;
 use crate::simd::{self, Tier};
-use crate::stage;
 use core::mem::size_of;
 use hmm_perm::{Bmmc, LineTiles, MatrixShape, Permutation};
 use hmm_plan::{PassLayout, PlanIr, Result};
@@ -107,28 +76,36 @@ pub const LINE_BYTES: usize = 128;
 /// number of line tilings a structured schedule may derive, less one.
 const MAX_LINE_BITS: usize = LINE_BYTES.ilog2() as usize;
 
-/// A CPU-executable scheduled permutation: the plan's three per-row
-/// *gather* maps (destination-ordered), shared with the plan, plus the
-/// kernel tuning the sweeps run with.
+/// Input rows per band of a fused sweep (fewer when the matrix has fewer
+/// rows). Heights of 16–64 tied; 8 and 128 lost (EXPERIMENTS.md, "König
+/// sweeps without a staging buffer").
+const BAND_ROWS: usize = 32;
+
+/// The band height of a fused sweep over `rows` input rows.
+fn band_height(rows: usize) -> usize {
+    rows.min(BAND_ROWS)
+}
+
+/// A CPU-executable scheduled permutation: the route its config picked
+/// for the plan, plus the kernel tuning.
 #[derive(Debug, Clone)]
 pub struct NativeScheduled {
     shape: MatrixShape,
     /// Per-pass geometry, derived from the plan (`PlanIr::pass_layouts`).
     layouts: [PassLayout; 3],
-    /// The plan's gather maps (`PlanIr::gathers`), in sweep order: sweep
-    /// 1 reads `g1` (`r × c`: row `i` of the intermediate is
-    /// `in[i][g1[i*c + k]]`), sweep 2 `g2` on the transposed matrix
-    /// (`c × r`), sweep 3 `g3` (`r × c`).
-    gathers: [Arc<[u32]>; 3],
-    /// The plan as one gather BMMC when it is structured. With
-    /// [`KernelConfig::computed_index`] set, runs take the one tiled pass
-    /// over it instead of the three sweeps — the maps are still kept
-    /// (the sweeps' config point executes them), so the flag alone
-    /// decides the route at run time. Shared by clones, so a tiling is
-    /// derived once per plan and line length.
-    tiled: Option<Arc<TiledBmmc>>,
-    /// Kernel tuning (block size, tile, SIMD, computed-index).
+    route: Passes,
+    /// Kernel tuning (SIMD, computed-index; `tile` is read only by the
+    /// sweep-IR lowering).
     config: KernelConfig,
+}
+
+/// What a run executes.
+#[derive(Debug, Clone)]
+enum Passes {
+    /// The one tiled pass of a structured plan, shared by clones.
+    Tiled(Arc<TiledBmmc>),
+    /// The band-major maps of `g1` and `g2`, then the plan's `g3`.
+    Sweeps([Arc<[u32]>; 3]),
 }
 
 impl NativeScheduled {
@@ -152,9 +129,8 @@ impl NativeScheduled {
 
     /// Build from an existing plan IR (shared with a simulator run, or
     /// loaded from the on-disk plan store) with
-    /// [`KernelConfig::default`]. The executor shares the plan's gather
-    /// maps — three reference-count bumps, no copy, no check: a
-    /// [`PlanIr`] holds its contract by construction.
+    /// [`KernelConfig::default`]. No check runs: a [`PlanIr`] holds its
+    /// contract by construction.
     pub fn from_plan(ir: &PlanIr) -> Self {
         Self::from_plan_with(ir, KernelConfig::default())
     }
@@ -162,23 +138,46 @@ impl NativeScheduled {
     /// Build from an existing plan IR with an explicit kernel config —
     /// the seam the engines ([`crate::plan::SharedEngine`]), the bench's
     /// SIMD on/off rows, and the differential suite thread their configs
-    /// through.
+    /// through. The config picks the route once: a structured plan with
+    /// [`KernelConfig::computed_index`] set runs the tiled pass over its
+    /// BMMC; any other lays copies of `g1`/`g2` out band-major and shares
+    /// `g3`.
     ///
     /// The SIMD gather tiers *clamp* indices instead of bounds-checking
     /// them (`crate::simd`); that is sound because every gather row of a
     /// `PlanIr` is a permutation of its row, which the builders emit and
     /// the codec checks once, as it decodes a file.
     pub fn from_plan_with(ir: &PlanIr, config: KernelConfig) -> Self {
+        Self::from_owned_plan(ir.clone(), config)
+    }
+
+    /// [`from_plan_with`](Self::from_plan_with), taking the plan: when it
+    /// holds the only reference to `g1`/`g2` (a plan just built or read
+    /// from the store), they are laid out in place, so preparing it
+    /// allocates no second pair of maps.
+    pub fn from_owned_plan(ir: PlanIr, config: KernelConfig) -> Self {
+        let (shape, layouts) = (ir.shape(), ir.pass_layouts());
+        let route = match ir.gather_bmmc().filter(|_| config.computed_index) {
+            Some(gather) => Passes::Tiled(Arc::new(TiledBmmc {
+                gather,
+                tilings: Default::default(),
+                _plan_maps: ir.gathers().clone(),
+            })),
+            None => {
+                let [g1, g2, g3] = ir.gathers().clone();
+                drop(ir);
+                let tier = simd::select::<u32>(config.simd);
+                Passes::Sweeps([
+                    band_major(g1, layouts[0], tier),
+                    band_major(g2, layouts[1], tier),
+                    g3,
+                ])
+            }
+        };
         NativeScheduled {
-            shape: ir.shape(),
-            layouts: ir.pass_layouts(),
-            gathers: ir.gathers().clone(),
-            tiled: ir.gather_bmmc().map(|gather| {
-                Arc::new(TiledBmmc {
-                    gather,
-                    tilings: Default::default(),
-                })
-            }),
+            shape,
+            layouts,
+            route,
             config,
         }
     }
@@ -187,7 +186,7 @@ impl NativeScheduled {
     /// structured (it carries verified affine descriptors) *and* the
     /// config has [`KernelConfig::computed_index`] set.
     pub fn computed_index(&self) -> bool {
-        self.one_pass().is_some()
+        matches!(self.route, Passes::Tiled(_))
     }
 
     /// Passes a run makes over the array: 1 on the tiled structured
@@ -199,16 +198,6 @@ impl NativeScheduled {
         } else {
             3
         }
-    }
-
-    fn one_pass(&self) -> Option<&TiledBmmc> {
-        self.tiled.as_deref().filter(|_| self.config.computed_index)
-    }
-
-    /// This schedule with a different kernel config.
-    pub fn with_config(mut self, config: KernelConfig) -> Self {
-        self.config = config;
-        self
     }
 
     /// The kernel config the sweeps run with.
@@ -252,10 +241,10 @@ impl NativeScheduled {
     }
 
     /// Execute with a caller-provided scratch buffer of
-    /// [`scratch_len`](Self::scratch_len) elements, allocation-free after
-    /// worker warm-up: the one tiled pass `src → dst` on structured plans
-    /// with [`KernelConfig::computed_index`] set (which reads no scratch,
-    /// so any length is accepted), otherwise three fused sweeps,
+    /// [`scratch_len`](Self::scratch_len) elements, allocation-free: the
+    /// one tiled pass `src → dst` on structured plans with
+    /// [`KernelConfig::computed_index`] set (which reads no scratch, so
+    /// any length is accepted), otherwise three fused sweeps,
     /// `src → dst → scratch → dst`.
     pub fn run_with_scratch<T: Copy + Send + Sync>(
         &self,
@@ -267,11 +256,11 @@ impl NativeScheduled {
     }
 
     /// [`run_with_scratch`](Self::run_with_scratch), timing each pass:
-    /// `[gather-transpose 1, gather-transpose 2, row pass]` for the three
-    /// sweeps. A one-pass run ([`passes`](Self::passes) of 1) reports its
-    /// tiled pass as sweep 1 and zero for sweeps 2 and 3. The output is
-    /// identical; the bench's `sweep_gather` / `sweep_transpose` /
-    /// `sweep_row` rows come from here.
+    /// `[sweep 1, sweep 2, sweep 3]` — the two fused gather-transpose
+    /// sweeps, then the row pass. A one-pass run ([`passes`](Self::passes)
+    /// of 1) reports its tiled pass as sweep 1 and zero for sweeps 2 and
+    /// 3. The output is identical; the bench's `sweep1` / `sweep2` /
+    /// `sweep3` rows come from here.
     pub fn run_sweeps_timed<T: Copy + Send + Sync>(
         &self,
         src: &[T],
@@ -282,20 +271,23 @@ impl NativeScheduled {
         assert_eq!(src.len(), n, "src length mismatch");
         assert_eq!(dst.len(), n, "dst length mismatch");
         let t0 = Instant::now();
-        if let Some(tiled) = self.one_pass() {
-            tiled.run(src, dst, self.config.simd);
-            return [t0.elapsed(), Duration::ZERO, Duration::ZERO];
-        }
+        let [m1, m2, g3] = match &self.route {
+            Passes::Tiled(tiled) => {
+                tiled.run(src, dst, self.config.simd);
+                return [t0.elapsed(), Duration::ZERO, Duration::ZERO];
+            }
+            Passes::Sweeps(maps) => maps,
+        };
         assert_eq!(scratch.len(), n, "scratch length mismatch");
-        let [g1, g2, g3] = &self.gathers;
+        let tier = simd::select::<T>(self.config.simd);
         // Sweep 1: row gather (g1) fused with transpose; r×c -> c×r in dst.
-        gather_transpose(src, g1, self.layouts[0], dst, &self.config);
+        band_sweep(src, m1, self.layouts[0], dst, tier);
         let t1 = Instant::now();
         // Sweep 2: row gather (g2) fused with transpose; c×r -> r×c.
-        gather_transpose(dst, g2, self.layouts[1], scratch, &self.config);
+        band_sweep(dst, m2, self.layouts[1], scratch, tier);
         let t2 = Instant::now();
         // Sweep 3: plain row gather (g3) on the r×c matrix.
-        row_pass(scratch, g3, self.layouts[2], dst, &self.config);
+        row_pass(scratch, g3, self.layouts[2], dst, tier);
         [t1 - t0, t2 - t1, t2.elapsed()]
     }
 }
@@ -308,6 +300,11 @@ struct TiledBmmc {
     gather: Bmmc,
     /// `tilings[t]`: the tiling over lines of `2^t` elements.
     tilings: [OnceLock<LineTiles>; MAX_LINE_BITS + 1],
+    /// The plan's maps, which the pass never reads. Held for the plan's
+    /// life all the same: dropping them as soon as a store hit was
+    /// prepared let the allocator trim them off the heap and fault them
+    /// back in on the next request (`miss-churn` p95 +17%, EXPERIMENTS.md).
+    _plan_maps: [Arc<[u32]>; 3],
 }
 
 impl TiledBmmc {
@@ -361,13 +358,12 @@ fn row_pass<T: Copy + Send + Sync>(
     g: &[u32],
     layout: PassLayout,
     out: &mut [T],
-    cfg: &KernelConfig,
+    tier: Tier,
 ) {
     debug_assert_eq!(input.len(), out.len());
     debug_assert!(!layout.fused_transpose);
     let cols = layout.cols;
     debug_assert_eq!(out.len() / cols, layout.rows);
-    let tier = simd::select::<T>(cfg.simd);
     // `out` as one row of `n` columns, banded in whole matrix rows.
     let n = out.len();
     par_column_bands(out, n, cols, |mut band| {
@@ -378,8 +374,8 @@ fn row_pass<T: Copy + Send + Sync>(
 
 /// Gather whole rows `row0..row0 + out.len() / cols` of the row-major
 /// `input` into `out`: `out[r][k] = input[row0 + r][g[(row0 + r)·cols + k]]`
-/// — a [`row_pass`] band, and the gather stage of a fused sweep. The row
-/// base is hoisted out of the inner loop, which runs the tier's kernel.
+/// — a [`row_pass`] band. The row base is hoisted out of the inner loop,
+/// which runs the tier's kernel.
 fn gather_rows<T: Copy>(
     input: &[T],
     g: &[u32],
@@ -399,81 +395,79 @@ fn gather_rows<T: Copy>(
     }
 }
 
-/// Fused row-gather + transpose: for a `rows × cols` input,
-/// `out[j*rows + i] = input[i*cols + g[i*cols + j]]` — i.e. apply the
-/// per-row gather `g` and store the result transposed (`cols × rows`), in
-/// one sweep over memory, through the block pipeline described in the
-/// module docs.
-///
-/// Each participant owns a band of input rows — the same columns of every
-/// output row — rounded to whole cache lines, so no two write one line.
-/// Below the fan-out floor the calling thread owns them all. The input and the gather map are streamed from memory exactly
-/// once and the output is written exactly once; the staging buffer
-/// (≤ `cfg.stage_bytes`) never leaves the cache.
-fn gather_transpose<T: Copy + Send + Sync>(
+/// The band-major absolute index map of one fused sweep's row-local map
+/// `g` (module docs), laid out in `g`'s own storage when nothing else
+/// holds it (a copy otherwise): each `B × cols` band is copied aside and
+/// transposed back into its `cols × B` block, every source row offset by
+/// its base (8×8 register tiles on the AVX2 tier add the bases as they
+/// store). Absolute indices fit in `u32`: plans index in `u32` (`n ≤
+/// 2^32`), as the one-pass route's source bases do.
+fn band_major(mut g: Arc<[u32]>, layout: PassLayout, tier: Tier) -> Arc<[u32]> {
+    let (rows, cols) = (layout.rows, layout.cols);
+    let height = band_height(rows);
+    let span = height * cols;
+    debug_assert_eq!(g.len(), rows * cols);
+    debug_assert!(rows.is_multiple_of(height), "ragged band");
+    let mut band = vec![0; span];
+    let mut bases = [0u32; BAND_ROWS];
+    let bases = &mut bases[..height];
+    for (b, idx_band) in Arc::make_mut(&mut g).chunks_exact_mut(span).enumerate() {
+        band.copy_from_slice(idx_band);
+        for (k, base) in bases.iter_mut().enumerate() {
+            *base = ((b * height + k) * cols) as u32;
+        }
+        let mut view = ColumnBand::new(idx_band, height, 0..height);
+        if !simd::transpose_strided(tier, &band, cols, bases, &mut view, 0, cols) {
+            for (j, run) in idx_band.chunks_exact_mut(height).enumerate() {
+                for (k, slot) in run.iter_mut().enumerate() {
+                    *slot = band[k * cols + j] + bases[k];
+                }
+            }
+        }
+    }
+    g
+}
+
+/// Fused row-gather + transpose over the band-major map `idx` of the
+/// sweep's `g` ([`band_major`]): for a `rows × cols` input,
+/// `out[j*rows + i] = input[i*cols + g[i*cols + j]]`. Each participant
+/// owns whole bands of input rows, the same columns of every output row.
+fn band_sweep<T: Copy + Send + Sync>(
     input: &[T],
-    g: &[u32],
+    idx: &[u32],
     layout: PassLayout,
     out: &mut [T],
-    cfg: &KernelConfig,
+    tier: Tier,
 ) {
-    let rows = layout.rows;
     debug_assert!(layout.fused_transpose);
-    debug_assert_eq!(input.len(), rows * layout.cols);
+    debug_assert_eq!(input.len(), layout.rows * layout.cols);
     debug_assert_eq!(out.len(), input.len());
-    debug_assert_eq!(g.len(), input.len());
-    let tier = simd::select::<T>(cfg.simd);
-    let line = (CACHE_LINE / size_of::<T>().max(1)).max(1);
-    par_column_bands(out, rows, line, |mut band| {
-        gather_transpose_band(input, g, layout, cfg.stage_bytes, tier, &mut band);
+    debug_assert_eq!(idx.len(), input.len());
+    par_column_bands(out, layout.rows, band_height(layout.rows), |mut band| {
+        gather_bands(input, idx, layout, tier, &mut band);
     });
 }
 
-/// One worker's share of a fused sweep: its input rows (the band's
-/// columns), gathered in blocks of whole rows into the staging buffer,
-/// each block then transposed into the band's columns of every output
-/// row.
-fn gather_transpose_band<T: Copy>(
+/// One participant's share of a fused sweep: for every band of input
+/// rows in its columns — or part of one, at an edge that does not fall
+/// on a band boundary — one [`simd::gather_band`] call writes the band's
+/// run of every output row.
+fn gather_bands<T: Copy>(
     input: &[T],
-    g: &[u32],
+    idx: &[u32],
     layout: PassLayout,
-    stage_bytes: usize,
     tier: Tier,
     band: &mut ColumnBand<'_, T>,
 ) {
+    let height = band_height(layout.rows);
+    let span = height * layout.cols;
     let owned = band.columns();
-    let cols = layout.cols;
-    let block = layout.staging_rows(size_of::<T>(), stage_bytes, cols);
-    stage::with_stage(block.min(owned.len()) * cols, input[0], |stage_buf| {
-        for i0 in owned.clone().step_by(block) {
-            let imax = (i0 + block).min(owned.end);
-            let temp = &mut stage_buf[..(imax - i0) * cols];
-            gather_rows(input, g, cols, i0, tier, temp);
-            transpose_block(temp, cols, i0, tier, band);
-        }
-    });
-}
-
-/// Transpose stage: the `blk × cols` staging block `temp` (input rows
-/// `i0..i0 + blk`) out into columns `i0..i0 + blk` of every output row —
-/// vector tiles when the tier has them, a scalar loop otherwise.
-fn transpose_block<T: Copy>(
-    temp: &[T],
-    cols: usize,
-    i0: usize,
-    tier: Tier,
-    band: &mut ColumnBand<'_, T>,
-) {
-    let blk = temp.len() / cols;
-    if simd::transpose_strided(tier, temp, cols, band, i0, blk, cols) {
-        return;
-    }
-    let off = i0 - band.columns().start;
-    for j in 0..cols {
-        let run = &mut band.row_mut(j)[off..off + blk];
-        for (k, slot) in run.iter_mut().enumerate() {
-            *slot = temp[k * cols + j];
-        }
+    let mut c = owned.start;
+    while c < owned.end {
+        let b = c / height;
+        let end = ((b + 1) * height).min(owned.end);
+        simd::gather_band(tier, input, &idx[b * span..][..span], height, band, c..end);
+        c = end;
     }
 }
 
@@ -612,8 +606,7 @@ mod tests {
             KernelConfig::scalar(),
             KernelConfig::default(),
             KernelConfig {
-                stage_bytes: 4096, // many block tails
-                tile: 8,
+                tile: 8, // read only by the sweep-IR lowering
                 ..Default::default()
             },
         ];
@@ -629,9 +622,9 @@ mod tests {
     #[test]
     fn computed_index_is_byte_identical_across_configs_and_widths() {
         // The full computed-index differential: for every structured
-        // family that carries descriptors, the computed kernels (every
-        // tier, ragged block shapes) must reproduce
-        // the map-loaded scalar reference byte for byte, at u32 and u64.
+        // family that carries descriptors, the one tiled pass (SIMD on
+        // and off) must reproduce the map-loaded scalar reference byte
+        // for byte, at u32 and u64.
         let n = 1 << 13;
         let src32: Vec<u32> = (0..n as u32).map(|v| v.wrapping_mul(2654435761)).collect();
         let src64: Vec<u64> = (0..n as u64).map(|v| v << 32 | v ^ 0xabcd).collect();
@@ -642,7 +635,6 @@ mod tests {
                 ..KernelConfig::default()
             },
             KernelConfig {
-                stage_bytes: 4096,
                 tile: 8,
                 ..KernelConfig::default()
             },
@@ -676,11 +668,18 @@ mod tests {
         assert!(ir.affine().is_some());
         let on = NativeScheduled::from_plan_with(&ir, KernelConfig::default());
         assert!(on.computed_index());
-        let off = on.clone().with_config(KernelConfig {
-            computed_index: false,
-            ..KernelConfig::default()
-        });
+        let off = NativeScheduled::from_plan_with(
+            &ir,
+            KernelConfig {
+                computed_index: false,
+                ..KernelConfig::default()
+            },
+        );
         assert!(!off.computed_index());
+        let src: Vec<u32> = (0..1 << 10).collect();
+        let mut dst = vec![0u32; 1 << 10];
+        off.run(&src, &mut dst);
+        assert_eq!(dst, reference(&p, &src));
         // Random plans have no descriptors: the flag alone is not enough.
         let pr = families::random(1 << 10, 3);
         let irr = PlanIr::build(&pr, W).unwrap();
@@ -743,18 +742,21 @@ mod tests {
 
     #[test]
     fn gather_transpose_with_identity_gather_is_transpose() {
-        for cfg in [KernelConfig::scalar(), KernelConfig::default()] {
-            for (r, c) in [(64, 64), (64, 128), (192, 320)] {
+        // Square, both rectangles, and fewer rows than one band.
+        for tier in tiers() {
+            for (r, c) in [(64, 64), (64, 128), (192, 320), (8, 16), (16, 8)] {
                 let input: Vec<u32> = (0..(r * c) as u32).collect();
                 let identity: Vec<u32> = (0..r).flat_map(|_| 0..c as u32).collect();
+                let layout = fused_layout(r, c);
+                let idx = band_major(identity.into(), layout, tier);
                 let mut fused = vec![0u32; r * c];
-                gather_transpose(&input, &identity, fused_layout(r, c), &mut fused, &cfg);
+                band_sweep(&input, &idx, layout, &mut fused, tier);
                 for i in 0..r {
                     for j in 0..c {
                         assert_eq!(
                             fused[j * r + i],
                             input[i * c + j],
-                            "({i},{j}) r={r} c={c} {cfg:?}"
+                            "({i},{j}) r={r} c={c} {tier:?}"
                         );
                     }
                 }
@@ -762,10 +764,98 @@ mod tests {
         }
     }
 
+    /// The band-major map by its defining formula.
+    fn naive_band_major(g: &[u32], rows: usize, cols: usize) -> Vec<u32> {
+        let h = band_height(rows);
+        let mut idx = vec![0u32; g.len()];
+        for b in 0..rows / h {
+            for j in 0..cols {
+                for k in 0..h {
+                    let i = b * h + k;
+                    idx[(b * cols + j) * h + k] = (i * cols) as u32 + g[i * cols + j];
+                }
+            }
+        }
+        idx
+    }
+
+    #[test]
+    fn band_major_matches_the_formula_on_every_tier() {
+        // Bands of 32 rows over square and rectangular maps, columns
+        // that are not a multiple of the 8×8 tile, and fewer rows than
+        // one band (a width-8 plan's 8 and 16 rows).
+        for (rows, cols) in [
+            (64, 64),
+            (64, 128),
+            (128, 64),
+            (96, 20),
+            (8, 16),
+            (16, 8),
+            (8, 8),
+        ] {
+            let g: Vec<u32> = (0..rows * cols)
+                .map(|e| ((e / cols * 7 + e % cols * 5) % cols) as u32)
+                .collect();
+            let want = naive_band_major(&g, rows, cols);
+            for tier in tiers() {
+                // Laid out in place (the only reference) and from a
+                // shared map, which stays as it was.
+                let shared: Arc<[u32]> = g.clone().into();
+                let copied = band_major(shared.clone(), fused_layout(rows, cols), tier);
+                let in_place = band_major(g.clone().into(), fused_layout(rows, cols), tier);
+                assert_eq!(&copied[..], &want[..], "{rows}x{cols} {tier:?}");
+                assert_eq!(&in_place[..], &want[..], "{rows}x{cols} {tier:?}");
+                assert_eq!(&shared[..], &g[..], "a shared map is copied, not changed");
+            }
+        }
+    }
+
+    #[test]
+    fn an_owned_plan_is_laid_out_in_its_own_maps() {
+        let p = families::random(1 << 12, 86);
+        let ir = PlanIr::build(&p, W).unwrap();
+        let src: Vec<u32> = (0..1 << 12).collect();
+        let [g1, g2, _] = ir.gathers().clone().map(|g| g.as_ptr());
+        // A shared plan is copied: its maps stay as they were.
+        let copied = NativeScheduled::from_plan_with(&ir, KernelConfig::default());
+        let owned = NativeScheduled::from_owned_plan(ir, KernelConfig::default());
+        for (sched, same) in [(copied, false), (owned, true)] {
+            let Passes::Sweeps([m1, m2, _]) = &sched.route else {
+                panic!("a König plan runs the sweeps");
+            };
+            assert_eq!((m1.as_ptr() == g1, m2.as_ptr() == g2), (same, same));
+            let mut dst = vec![0u32; 1 << 12];
+            sched.run(&src, &mut dst);
+            assert_eq!(dst, reference(&p, &src));
+        }
+    }
+
+    #[test]
+    fn konig_sweeps_handle_ragged_worker_bands() {
+        // 256K–1M elements of u32 and u64 (1–8 MiB): above the fan-out
+        // floor, so at 3 worker threads the fused sweeps' whole 32-row
+        // bands split unevenly between participants (1M u32: 352, 352
+        // and 320 of 1024 input rows).
+        for n in [1 << 18, 1 << 20] {
+            let p = families::random(n, 83);
+            let sched = NativeScheduled::build(&p, W).unwrap();
+            assert_eq!(sched.passes(), 3);
+            let src32: Vec<u32> = (0..n as u32).map(|v| v.wrapping_mul(2654435761)).collect();
+            let mut got32 = vec![0u32; n];
+            sched.run(&src32, &mut got32);
+            assert_eq!(got32, reference(&p, &src32), "n={n}");
+            let src64: Vec<u64> = (0..n as u64).map(|v| v << 32 | v ^ 0xabcd).collect();
+            let mut got64 = vec![0u64; n];
+            sched.run(&src64, &mut got64);
+            assert_eq!(got64, reference_u64(&p, &src64), "n={n}");
+        }
+    }
+
     /// Run `sched` on the calling thread split at the explicit `edges`
     /// (out of 64), at kernel tier `tier`. The three sweeps split each
-    /// fused sweep into the input-row bands `edges[t]..edges[t + 1]`; the
-    /// one pass splits `dst` into the line ranges at those fractions.
+    /// fused sweep's input rows at those fractions, wherever they fall
+    /// in a band; the one pass splits `dst` into the line ranges at
+    /// those fractions.
     fn run_banded<T: Copy + Default>(
         sched: &NativeScheduled,
         src: &[T],
@@ -773,26 +863,29 @@ mod tests {
         tier: Tier,
     ) -> Vec<T> {
         let mut dst = vec![T::default(); src.len()];
-        if let Some(tiled) = sched.one_pass() {
-            let tiles = tiled.tiling::<T>();
-            let lines = src.len() / tiles.line_len();
-            let at = |e: usize| e * lines / 64 * tiles.line_len();
-            for w in edges.windows(2) {
-                let out = &mut dst[at(w[0])..at(w[1])];
-                tile_lines(tiles, src, tier, at(w[0]), out);
-            }
-            return dst;
-        }
-        let fused = |input: &[T], g, layout: PassLayout, out: &mut [T]| {
-            for w in edges.windows(2) {
-                let mut band = ColumnBand::new(out, layout.rows, w[0]..w[1]);
-                gather_transpose_band(input, g, layout, sched.config.stage_bytes, tier, &mut band);
+        let [m1, m2, g3] = match &sched.route {
+            Passes::Sweeps(maps) => maps,
+            Passes::Tiled(tiled) => {
+                let tiles = tiled.tiling::<T>();
+                let lines = src.len() / tiles.line_len();
+                let at = |e: usize| e * lines / 64 * tiles.line_len();
+                for w in edges.windows(2) {
+                    let out = &mut dst[at(w[0])..at(w[1])];
+                    tile_lines(tiles, src, tier, at(w[0]), out);
+                }
+                return dst;
             }
         };
-        let [g1, g2, g3] = &sched.gathers;
+        let fused = |input: &[T], idx, layout: PassLayout, out: &mut [T]| {
+            let at = |e: usize| e * layout.rows / 64;
+            for w in edges.windows(2) {
+                let mut band = ColumnBand::new(out, layout.rows, at(w[0])..at(w[1]));
+                gather_bands(input, idx, layout, tier, &mut band);
+            }
+        };
         let mut scratch = vec![T::default(); src.len()];
-        fused(src, g1, sched.layouts[0], &mut dst);
-        fused(&dst, g2, sched.layouts[1], &mut scratch);
+        fused(src, m1, sched.layouts[0], &mut dst);
+        fused(&dst, m2, sched.layouts[1], &mut scratch);
         let cols = sched.layouts[2].cols;
         gather_rows(&scratch, g3, cols, 0, tier, &mut dst);
         dst
@@ -806,47 +899,48 @@ mod tests {
         tiers
     }
 
+    /// Every split of every route on every tier, at element type `T`:
+    /// the three sweeps on König plans at square and rectangular shapes
+    /// (and one with fewer rows than a band, from a width-8 plan) and on
+    /// a structured plan with `computed_index` off; the one pass on two
+    /// structured plans.
     fn check_ragged_bands<T>(make: impl Fn(u32) -> T)
     where
         T: Copy + Default + PartialEq + core::fmt::Debug,
     {
         let n = 1 << 12;
-        let src: Vec<T> = (0..n as u32)
-            .map(|v| make(v.wrapping_mul(2654435761)))
-            .collect();
-        // The three sweeps on a König plan and a structured one; the one
-        // pass on two structured ones.
         let plans = [
-            (families::random(n, 81), false),
-            (families::bit_reversal(n).unwrap(), false),
-            (families::bit_reversal(n).unwrap(), true),
-            (families::random_bmmc(n, 82).unwrap(), true),
+            (families::random(n, 81), W, false),
+            (families::random(2 * n, 84), W, false),
+            (families::random(1 << 7, 85), 8, false),
+            (families::bit_reversal(n).unwrap(), W, false),
+            (families::bit_reversal(n).unwrap(), W, true),
+            (families::random_bmmc(n, 82).unwrap(), W, true),
         ];
-        for (p, computed_index) in plans {
-            let mut want = vec![T::default(); n];
+        for (p, width, computed_index) in plans {
+            let src: Vec<T> = (0..p.len() as u32)
+                .map(|v| make(v.wrapping_mul(2654435761)))
+                .collect();
+            let mut want = vec![T::default(); p.len()];
             p.permute(&src, &mut want).unwrap();
-            let ir = PlanIr::build(&p, W).unwrap();
-            for stage_bytes in [KernelConfig::default().stage_bytes, 3 * 64 * size_of::<T>()] {
-                let cfg = KernelConfig {
-                    stage_bytes,
-                    computed_index,
-                    ..KernelConfig::default()
-                };
-                let sched = NativeScheduled::from_plan_with(&ir, cfg);
-                assert_eq!(sched.computed_index(), computed_index);
-                assert_eq!(sched.layouts[0].rows, 64);
-                assert_eq!(sched.layouts[1].rows, 64);
-                // Ragged bands, one whole band, and bands shorter than
-                // one 8-element tile (a few lines, on the one pass).
-                let splits: [&[usize]; 3] = [&[0, 5, 37, 64], &[0, 64], &[0, 3, 61, 64]];
-                for edges in splits {
-                    for tier in tiers() {
-                        assert_eq!(
-                            run_banded(&sched, &src, edges, tier),
-                            want,
-                            "{edges:?} {tier:?} stage_bytes={stage_bytes} computed={computed_index}"
-                        );
-                    }
+            let ir = PlanIr::build(&p, width).unwrap();
+            let cfg = KernelConfig {
+                computed_index,
+                ..KernelConfig::default()
+            };
+            let sched = NativeScheduled::from_plan_with(&ir, cfg);
+            assert_eq!(sched.computed_index(), computed_index);
+            // Edges inside a band, one whole split, and splits shorter
+            // than one 8-element vector (a few lines, on the one pass).
+            let splits: [&[usize]; 3] = [&[0, 5, 37, 64], &[0, 64], &[0, 3, 61, 64]];
+            for edges in splits {
+                for tier in tiers() {
+                    assert_eq!(
+                        run_banded(&sched, &src, edges, tier),
+                        want,
+                        "n={} {edges:?} {tier:?} computed={computed_index}",
+                        p.len()
+                    );
                 }
             }
         }
@@ -882,9 +976,9 @@ mod tests {
         assert!(!sched.is_empty());
         assert_eq!(sched.shape().len(), 1 << 10);
         assert_eq!(sched.scratch_len(), 1 << 10);
-        let cfg = sched.kernel_config();
-        let scalar = sched.clone().with_config(KernelConfig::scalar());
+        assert_eq!(sched.kernel_config(), KernelConfig::default());
+        let ir = PlanIr::build(&p, W).unwrap();
+        let scalar = NativeScheduled::from_plan_with(&ir, KernelConfig::scalar());
         assert_eq!(scalar.kernel_config(), KernelConfig::scalar());
-        assert_eq!(cfg, KernelConfig::default());
     }
 }

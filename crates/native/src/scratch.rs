@@ -7,14 +7,14 @@ use std::ptr;
 use std::sync::atomic::{AtomicPtr, Ordering};
 
 /// Bytes per cache line on the hosts the kernels target.
-pub(crate) const CACHE_LINE: usize = 64;
+const CACHE_LINE: usize = 64;
 
 /// A scratch buffer of `len` elements (each `T::default()` when
 /// allocated) whose first element starts a 64-byte cache line: the
 /// backing `Vec` is over-allocated by one line, and the buffer is the
 /// aligned window inside it (`align_offset`). Large allocations land
-/// 16 bytes past a line, so without the window half of the 32-byte
-/// tiles a fused sweep transposes into scratch would split a line.
+/// 16 bytes past a line, so without the window every 128-byte band run
+/// a fused sweep gathers into scratch would touch three lines, not two.
 /// Engine scratch and [`NativeScheduled::run`](crate::NativeScheduled::run)
 /// allocate through this type; it dereferences to `[T]`.
 pub struct ScratchBuf<T> {

@@ -1,6 +1,5 @@
-//! Vector micro-kernels for the sweep pipelines and the one-pass
-//! structured route — the **only** module in the crate that touches
-//! `core::arch`.
+//! Vector micro-kernels for the sweeps and the one-pass structured
+//! route — the **only** module in the crate that touches `core::arch`.
 //!
 //! Three tiers, selected once per sweep by [`select`]:
 //!
@@ -12,12 +11,13 @@
 //!   LLVM unrolls the load/store chain. Works on every architecture;
 //! * [`Tier::Avx2`] — `core::arch` x86-64 paths behind **runtime**
 //!   feature detection: hardware gathers (`vpgatherdd`/`vpgatherdq`) for
-//!   4-/8-byte elements and 8×8 / 4×4 in-register tile transposes.
+//!   4-/8-byte elements, and the 8×8 `u32` in-register tile transpose
+//!   that lays a fused sweep's map out band-major.
 //!
-//! One gather kernel, [`gather_row`], serves both routes: it takes an XOR
-//! base, `out[j] = src[base ⊕ idx[j]]`, so a sweep's row gather (base 0,
-//! a map row) and a line of the one-pass route (the tile's source base,
-//! a row of its offset table) are the same kernel.
+//! One family of gather kernels writes *runs*, `out[j][k] = src[base ⊕
+//! idx[j][k]]`: one into a slice ([`gather_row`]: a row-pass row or a
+//! one-pass tile line) or one per output row into a [`ColumnBand`]
+//! ([`gather_band`]: a fused sweep's whole band, in one call).
 //!
 //! # Safety
 //!
@@ -30,10 +30,10 @@
 //!   contract;
 //! * the AVX2 tier is only reachable through [`Tier::Avx2`], whose sole
 //!   constructor is gated on `is_x86_feature_detected!("avx2")`;
-//! * strided-transpose windows are bounds-asserted up front — the
-//!   destination by the [`ColumnBand`] view, which also checks that the
-//!   window lies in the columns its worker owns — and tile offsets stay
-//!   inside the asserted window by construction.
+//! * output windows are bounds-asserted up front — a slice's by its
+//!   length, a band's by the [`ColumnBand`] view, which also checks that
+//!   the window lies in the columns its worker owns — and every write
+//!   stays inside the asserted window by construction.
 //!
 //! Non-x86-64 builds compile none of the `core::arch` code: the `Avx2`
 //! tier variant still exists but is never constructed, and the remaining
@@ -43,7 +43,9 @@
 use core::arch::x86_64 as arch;
 
 use crate::par::ColumnBand;
+use core::marker::PhantomData;
 use core::mem::size_of;
+use core::ops::Range;
 
 /// Proof that the running CPU supports AVX2: the only constructor is
 /// [`avx2_token`], which consults runtime feature detection. Carrying the
@@ -93,8 +95,8 @@ pub(crate) fn select<T>(simd: bool) -> Tier {
 /// The clamped gather, with an XOR base: `out[j] = src[base ⊕ idx[j]]`.
 /// One kernel serves both structured and map-loaded plans:
 ///
-/// * a sweep's row gather passes one input row as `src`, that row's
-///   gather-map entries as `idx` and a zero `base`;
+/// * a row-pass row passes one input row as `src`, that row's gather-map
+///   entries as `idx` and a zero `base`;
 /// * a line of the one-pass BMMC route (`crate::scheduled`) passes the
 ///   whole source array, the tile's source base `G(ybase)` and one row
 ///   of the tile's offset table (`hmm_perm::LineTiles`).
@@ -108,15 +110,46 @@ pub(crate) fn gather_row<T: Copy>(tier: Tier, src: &[T], base: u32, idx: &[u32],
     assert_eq!(idx.len(), out.len(), "gather index / output length");
     assert!(!src.is_empty(), "gather from an empty slice");
     debug_assert!(idx.iter().all(|&i| ((base ^ i) as usize) < src.len()));
-    match tier {
-        Tier::Scalar => {
-            for (slot, &i) in out.iter_mut().zip(idx) {
-                *slot = src[(base ^ i) as usize];
+    if let Tier::Scalar = tier {
+        for (slot, &i) in out.iter_mut().zip(idx) {
+            *slot = src[(base ^ i) as usize];
+        }
+        return;
+    }
+    gather_runs::<T, true>(tier, src, base, Runs::row(idx, out));
+}
+
+/// A fused sweep's banded gather: columns `cols` of every row `j` of
+/// `dst` receive `src[idx[j·height + k0 + k]]`, `k < cols.len()`, where
+/// `idx` is the band-major map of the band of `height` input rows that
+/// holds `cols` (`k0 = cols.start % height`), one `height`-entry run per
+/// output row. Same clamping contract as [`gather_row`], with absolute
+/// indices.
+///
+/// # Panics
+/// Panics if `idx` is not whole runs, `cols` spans two bands, or the
+/// window leaves the band's own columns or the matrix.
+pub(crate) fn gather_band<T: Copy>(
+    tier: Tier,
+    src: &[T],
+    idx: &[u32],
+    height: usize,
+    dst: &mut ColumnBand<'_, T>,
+    cols: Range<usize>,
+) {
+    assert!(!src.is_empty(), "gather from an empty slice");
+    debug_assert!(idx.iter().all(|&i| (i as usize) < src.len()));
+    if let Tier::Scalar = tier {
+        let (k0, off) = (cols.start % height, cols.start - dst.columns().start);
+        for (j, idx_run) in idx.chunks_exact(height).enumerate() {
+            let out = &mut dst.row_mut(j)[off..off + cols.len()];
+            for (slot, &i) in out.iter_mut().zip(&idx_run[k0..k0 + cols.len()]) {
+                *slot = src[i as usize];
             }
         }
-        Tier::Unrolled => gather_row_clamped(src, base, idx, out),
-        Tier::Avx2(token) => gather_row_avx2(token, src, base, idx, out),
+        return;
     }
+    gather_runs::<T, false>(tier, src, 0, Runs::band(idx, height, dst, cols));
 }
 
 /// Full-slice gather with a `usize` map: `out[j] = src[map[j]]` — the
@@ -148,48 +181,119 @@ pub(crate) fn gather_map_usize<T: Copy>(tier: Tier, src: &[T], map: &[usize], ou
     }
 }
 
+/// `rows` runs of `run` elements: run `j` reads the indices
+/// `idx[j·idx_stride..][..run]` and writes from `out + j·out_stride`.
+/// Built only by the two safe constructors, which assert that every run
+/// lies in the output they borrow, so the kernels write it unchecked.
+struct Runs<'a, T> {
+    idx: &'a [u32],
+    idx_stride: usize,
+    run: usize,
+    rows: usize,
+    out: *mut T,
+    out_stride: usize,
+    _out: PhantomData<&'a mut [T]>,
+}
+
+impl<'a, T> Runs<'a, T> {
+    /// One run: `idx` into all of `out` (same lengths, caller-asserted).
+    fn row(idx: &'a [u32], out: &'a mut [T]) -> Self {
+        Runs {
+            idx,
+            idx_stride: idx.len(),
+            run: out.len(),
+            rows: 1,
+            out: out.as_mut_ptr(),
+            out_stride: 0,
+            _out: PhantomData,
+        }
+    }
+
+    /// One run per `height` entries of `idx`: columns `cols` of that many
+    /// rows of `dst` (see [`gather_band`]).
+    fn band(
+        idx: &'a [u32],
+        height: usize,
+        dst: &'a mut ColumnBand<'_, T>,
+        cols: Range<usize>,
+    ) -> Self {
+        let k0 = cols.start % height;
+        assert!(k0 + cols.len() <= height, "columns span two bands");
+        assert!(
+            idx.len().is_multiple_of(height),
+            "band map is not whole runs"
+        );
+        let rows = idx.len() / height;
+        Runs {
+            idx: &idx[k0..],
+            idx_stride: height,
+            run: cols.len(),
+            rows,
+            out_stride: dst.stride(),
+            out: dst.window(cols, rows),
+            _out: PhantomData,
+        }
+    }
+
+    /// Run `j`'s indices.
+    fn idx_run(&self, j: usize) -> &'a [u32] {
+        &self.idx[j * self.idx_stride..][..self.run]
+    }
+
+    /// Where run `j`'s output starts (in the window for `j < rows`).
+    fn out_run(&self, j: usize) -> *mut T {
+        self.out.wrapping_add(j * self.out_stride)
+    }
+}
+
 /// The clamped, unrolled gather tier: four independent load/store chains
 /// per iteration, no bounds-check branches in the loop body.
-fn gather_row_clamped<T: Copy>(src: &[T], base: u32, idx: &[u32], out: &mut [T]) {
+fn gather_runs_clamped<T: Copy>(src: &[T], base: u32, runs: Runs<'_, T>) {
     // Truncation only lowers the clamp, which stays in bounds.
     let limit = (src.len() - 1) as u32;
     let s = src.as_ptr();
-    let n = out.len();
-    let o = out.as_mut_ptr();
-    let g = idx.as_ptr();
-    let mut j = 0;
-    // SAFETY (both loops): indices are clamped to `limit < src.len()`
-    // before the read; `j + k < n == out.len() == idx.len()` bounds the
-    // index reads and output writes.
-    #[allow(unsafe_code)]
-    unsafe {
-        while j + 4 <= n {
-            let i0 = (base ^ *g.add(j)).min(limit) as usize;
-            let i1 = (base ^ *g.add(j + 1)).min(limit) as usize;
-            let i2 = (base ^ *g.add(j + 2)).min(limit) as usize;
-            let i3 = (base ^ *g.add(j + 3)).min(limit) as usize;
-            *o.add(j) = *s.add(i0);
-            *o.add(j + 1) = *s.add(i1);
-            *o.add(j + 2) = *s.add(i2);
-            *o.add(j + 3) = *s.add(i3);
-            j += 4;
-        }
-        while j < n {
-            *o.add(j) = *s.add((base ^ *g.add(j)).min(limit) as usize);
-            j += 1;
+    let n = runs.run;
+    for j in 0..runs.rows {
+        let g = runs.idx_run(j).as_ptr();
+        let o = runs.out_run(j);
+        let mut k = 0;
+        // SAFETY (both loops): indices are clamped to `limit < src.len()`
+        // before the read; `k < n` bounds the index reads (run `j` of
+        // `idx` has `n` entries) and the writes (run `j` of the window
+        // `Runs` asserted, `j < rows`).
+        #[allow(unsafe_code)]
+        unsafe {
+            while k + 4 <= n {
+                let i0 = (base ^ *g.add(k)).min(limit) as usize;
+                let i1 = (base ^ *g.add(k + 1)).min(limit) as usize;
+                let i2 = (base ^ *g.add(k + 2)).min(limit) as usize;
+                let i3 = (base ^ *g.add(k + 3)).min(limit) as usize;
+                *o.add(k) = *s.add(i0);
+                *o.add(k + 1) = *s.add(i1);
+                *o.add(k + 2) = *s.add(i2);
+                *o.add(k + 3) = *s.add(i3);
+                k += 4;
+            }
+            while k < n {
+                *o.add(k) = *s.add((base ^ *g.add(k)).min(limit) as usize);
+                k += 1;
+            }
         }
     }
 }
 
-/// AVX2 gather dispatch on the element width. Widths other than 4/8
-/// can't reach here ([`select`] routes them to [`Tier::Unrolled`]), and
-/// sources past 2^31 elements take the clamped tier too (the hardware
-/// gathers take signed 32-bit indices).
-fn gather_row_avx2<T: Copy>(token: Avx2Token, src: &[T], base: u32, idx: &[u32], out: &mut [T]) {
+/// The vector tiers' gather over `runs`: `out[j][k] = src[base ⊕
+/// idx[j][k]]`, indices clamped into `src`. The AVX2 tier dispatches on
+/// the element width; other widths can't reach it ([`select`] routes
+/// them to [`Tier::Unrolled`]), and sources past 2^31 elements take the
+/// clamped tier too (the hardware gathers take signed 32-bit indices).
+/// `ONE` marks a single run ([`gather_row`]) so the row loop compiles away
+/// (its setup cost the one-pass route's 32-element lines ~8% at 64K).
+fn gather_runs<T: Copy, const ONE: bool>(tier: Tier, src: &[T], base: u32, runs: Runs<'_, T>) {
     #[cfg(target_arch = "x86_64")]
-    if src.len() <= 1 << 31 {
+    if matches!(tier, Tier::Avx2(_)) && src.len() <= 1 << 31 {
         match size_of::<T>() {
-            // SAFETY: the token proves AVX2; width 4/8 makes the
+            // SAFETY: the tier's token proves AVX2; width 4/8 makes the
             // pointer reinterpretations plain bit copies, and the kernels
             // reach them only through unaligned accesses (vector loads,
             // stores and gathers, `read_unaligned`/`write_unaligned`
@@ -197,154 +301,146 @@ fn gather_row_avx2<T: Copy>(token: Avx2Token, src: &[T], base: u32, idx: &[u32],
             // assumed; indices are clamped inside, below `2^31`.
             #[allow(unsafe_code)]
             4 => unsafe {
-                gather_row_u32(
-                    src.as_ptr() as *const u32,
-                    src.len(),
-                    base,
-                    idx,
-                    out.as_mut_ptr() as *mut u32,
-                    out.len(),
-                );
+                gather_runs_u32::<T, ONE>(src.as_ptr().cast(), src.len(), base, &runs);
                 return;
             },
             #[allow(unsafe_code)]
             8 => unsafe {
-                gather_row_u64(
-                    src.as_ptr() as *const u64,
-                    src.len(),
-                    base,
-                    idx,
-                    out.as_mut_ptr() as *mut u64,
-                    out.len(),
-                );
+                gather_runs_u64::<T, ONE>(src.as_ptr().cast(), src.len(), base, &runs);
                 return;
             },
             _ => {}
         }
     }
-    let _ = token;
-    gather_row_clamped(src, base, idx, out);
+    let _ = tier;
+    gather_runs_clamped(src, base, runs);
 }
 
 /// `vpgatherdd`: eight 32-bit elements per step, each index vector
-/// `splat(base) ⊕ idx[j..j + 8]` clamped in the vector domain so the
+/// `splat(base) ⊕ idx[j][k..k + 8]` clamped in the vector domain so the
 /// hardware gather never leaves `src[0..n_in]`.
 ///
 /// # Safety
-/// Caller proves AVX2 (token upstream) and that `src[0..n_in]` and
-/// `out[0..n_out]` are valid, with `idx.len() == n_out` and
-/// `0 < n_in ≤ 2^31`. Neither pointer need be aligned for `u32`: every
-/// access through them is unaligned.
+/// Caller proves AVX2 (token upstream), that `src[0..n_in]` is valid,
+/// with `0 < n_in ≤ 2^31`, and that `T` is 4 bytes wide; `runs` holds its
+/// window by construction. Neither `src` nor the window need be aligned
+/// for `u32`: every access through them is unaligned.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn gather_row_u32(
+unsafe fn gather_runs_u32<T, const ONE: bool>(
     src: *const u32,
     n_in: usize,
     base: u32,
-    idx: &[u32],
-    out: *mut u32,
-    n_out: usize,
+    runs: &Runs<'_, T>,
 ) {
     let lim = (n_in - 1) as u32;
     let limit = arch::_mm256_set1_epi32(lim as i32);
     let base_v = arch::_mm256_set1_epi32(base as i32);
-    let g = idx.as_ptr();
-    let mut j = 0;
-    while j + 8 <= n_out {
-        // SAFETY: `j + 8 <= n_out == idx.len()` bounds the index load
-        // and the store; `min_epu32` against `n_in - 1 < 2^31` bounds
-        // every gathered address within `src[0..n_in]`.
-        unsafe {
-            let iv = arch::_mm256_loadu_si256(g.add(j) as *const arch::__m256i);
-            let iv = arch::_mm256_min_epu32(arch::_mm256_xor_si256(iv, base_v), limit);
-            let v = arch::_mm256_i32gather_epi32::<4>(src as *const i32, iv);
-            arch::_mm256_storeu_si256(out.add(j) as *mut arch::__m256i, v);
+    let n = runs.run;
+    for j in 0..if ONE { 1 } else { runs.rows } {
+        let g = runs.idx_run(j).as_ptr();
+        let o = runs.out_run(j).cast::<u32>();
+        let mut k = 0;
+        while k + 8 <= n {
+            // SAFETY: `k + 8 <= n` bounds the index load (run `j` has `n`
+            // entries) and the store (run `j` of the asserted window);
+            // `min_epu32` against `n_in - 1 < 2^31` bounds every gathered
+            // address within `src[0..n_in]`.
+            unsafe {
+                let iv = arch::_mm256_loadu_si256(g.add(k) as *const arch::__m256i);
+                let iv = arch::_mm256_min_epu32(arch::_mm256_xor_si256(iv, base_v), limit);
+                let v = arch::_mm256_i32gather_epi32::<4>(src as *const i32, iv);
+                arch::_mm256_storeu_si256(o.add(k) as *mut arch::__m256i, v);
+            }
+            k += 8;
         }
-        j += 8;
-    }
-    while j < n_out {
-        // SAFETY: clamped index, `j < n_out`; `src` and `out` may be
-        // misaligned for `u32`, so both accesses are unaligned.
-        unsafe {
-            let v = src
-                .add((base ^ *g.add(j)).min(lim) as usize)
-                .read_unaligned();
-            out.add(j).write_unaligned(v);
+        while k < n {
+            // SAFETY: clamped index, `k < n`; `src` and the window may be
+            // misaligned for `u32`, so both accesses are unaligned.
+            unsafe {
+                let v = src
+                    .add((base ^ *g.add(k)).min(lim) as usize)
+                    .read_unaligned();
+                o.add(k).write_unaligned(v);
+            }
+            k += 1;
         }
-        j += 1;
     }
 }
 
 /// `vpgatherdq`: four 64-bit elements per step (32-bit indices), same
-/// XOR base and clamping contract as [`gather_row_u32`].
+/// XOR base and clamping contract as [`gather_runs_u32`].
 ///
 /// # Safety
-/// As [`gather_row_u32`], with 8-byte elements.
+/// As [`gather_runs_u32`], with 8-byte elements.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn gather_row_u64(
+unsafe fn gather_runs_u64<T, const ONE: bool>(
     src: *const u64,
     n_in: usize,
     base: u32,
-    idx: &[u32],
-    out: *mut u64,
-    n_out: usize,
+    runs: &Runs<'_, T>,
 ) {
     let lim = (n_in - 1) as u32;
     let limit = arch::_mm_set1_epi32(lim as i32);
     let base_v = arch::_mm_set1_epi32(base as i32);
-    let g = idx.as_ptr();
-    let mut j = 0;
-    while j + 4 <= n_out {
-        // SAFETY: `j + 4 <= n_out` bounds the index load and the store;
-        // the epu32 clamp bounds every gathered address.
-        unsafe {
-            let iv = arch::_mm_loadu_si128(g.add(j) as *const arch::__m128i);
-            let iv = arch::_mm_min_epu32(arch::_mm_xor_si128(iv, base_v), limit);
-            let v = arch::_mm256_i32gather_epi64::<8>(src as *const i64, iv);
-            arch::_mm256_storeu_si256(out.add(j) as *mut arch::__m256i, v);
+    let n = runs.run;
+    for j in 0..if ONE { 1 } else { runs.rows } {
+        let g = runs.idx_run(j).as_ptr();
+        let o = runs.out_run(j).cast::<u64>();
+        let mut k = 0;
+        while k + 4 <= n {
+            // SAFETY: `k + 4 <= n` bounds the index load and the store;
+            // the epu32 clamp bounds every gathered address.
+            unsafe {
+                let iv = arch::_mm_loadu_si128(g.add(k) as *const arch::__m128i);
+                let iv = arch::_mm_min_epu32(arch::_mm_xor_si128(iv, base_v), limit);
+                let v = arch::_mm256_i32gather_epi64::<8>(src as *const i64, iv);
+                arch::_mm256_storeu_si256(o.add(k) as *mut arch::__m256i, v);
+            }
+            k += 4;
         }
-        j += 4;
-    }
-    while j < n_out {
-        // SAFETY: clamped index, `j < n_out`; `src` and `out` may be
-        // misaligned for `u64`, so both accesses are unaligned.
-        unsafe {
-            let v = src
-                .add((base ^ *g.add(j)).min(lim) as usize)
-                .read_unaligned();
-            out.add(j).write_unaligned(v);
+        while k < n {
+            // SAFETY: clamped index, `k < n`; `src` and the window may be
+            // misaligned for `u64`, so both accesses are unaligned.
+            unsafe {
+                let v = src
+                    .add((base ^ *g.add(k)).min(lim) as usize)
+                    .read_unaligned();
+                o.add(k).write_unaligned(v);
+            }
+            k += 1;
         }
-        j += 1;
     }
 }
 
-/// Strided 2-D transpose into a column band, vector tier: row `c`,
-/// column `dst_col0 + r` of `dst` receives `src[r·src_stride + c]` for
-/// `r in 0..nr`, `c in 0..nc`, using 8×8 (4-byte) or 4×4 (8-byte)
-/// in-register tiles with scalar edges. Returns `false` without touching
-/// `dst` when the tier has no vector transpose (scalar/unrolled tiers,
-/// or an element width without one) — the caller then runs its own
-/// scalar loop.
+/// Strided 2-D transpose of a `u32` map into a column band, each source
+/// row offset by its base, vector tier: row `c`, column `dst_col0 + r` of
+/// `dst` receives `src[r·src_stride + c] + row_bases[r]` (wrapping) for
+/// `r < nr = row_bases.len()`, `c < nc`, using 8×8 in-register tiles
+/// with scalar edges — how a fused sweep's row-local gather map is laid
+/// out band-major with absolute indices. Returns `false` without
+/// touching `dst` when the tier has no vector transpose (scalar/unrolled
+/// tiers) — the caller then runs its own scalar loop.
 ///
 /// # Panics
 /// Panics, before anything is written, if the source window doesn't
 /// fit `src`, or the destination window — columns
 /// `dst_col0..dst_col0 + nr` of rows `0..nc` — leaves the band's own
 /// columns or the matrix ([`ColumnBand::window`]).
-pub(crate) fn transpose_strided<T: Copy>(
+pub(crate) fn transpose_strided(
     tier: Tier,
-    src: &[T],
+    src: &[u32],
     src_stride: usize,
-    dst: &mut ColumnBand<'_, T>,
+    row_bases: &[u32],
+    dst: &mut ColumnBand<'_, u32>,
     dst_col0: usize,
-    nr: usize,
     nc: usize,
 ) -> bool {
-    let token = match tier {
-        Tier::Avx2(token) if size_of::<T>() == 4 || size_of::<T>() == 8 => token,
-        _ => return false,
+    let Tier::Avx2(token) = tier else {
+        return false;
     };
+    let nr = row_bases.len();
     if nr == 0 || nc == 0 {
         return true;
     }
@@ -357,46 +453,35 @@ pub(crate) fn transpose_strided<T: Copy>(
     let out = dst.window(dst_col0..dst_col0 + nr, nc);
     // Edge elements go one at a time through the band's checked rows.
     let off = dst_col0 - dst.columns().start;
-    let edge = |dst: &mut ColumnBand<'_, T>, c: usize, r: usize| {
-        dst.row_mut(c)[off + r] = src[r * src_stride + c];
+    let edge = |dst: &mut ColumnBand<'_, u32>, c: usize, r: usize| {
+        dst.row_mut(c)[off + r] = src[r * src_stride + c].wrapping_add(row_bases[r]);
     };
     #[cfg(target_arch = "x86_64")]
     {
-        let side = if size_of::<T>() == 4 { 8 } else { 4 };
-        let r_full = nr - nr % side;
-        let c_full = nc - nc % side;
-        for c0 in (0..c_full).step_by(side) {
-            for r0 in (0..r_full).step_by(side) {
-                let s = r0 * src_stride + c0;
-                let d = c0 * ds + r0;
+        let r_full = nr - nr % 8;
+        let c_full = nc - nc % 8;
+        for c0 in (0..c_full).step_by(8) {
+            for r0 in (0..r_full).step_by(8) {
                 // SAFETY: the source assert above and the band's window
                 // assert bound both whole windows; this tile's farthest
-                // element, row `side-1`, column `side-1` from (r0, c0),
-                // stays inside them, and the window lies in columns this
-                // band alone writes. The token proves AVX2, and width 4/8
-                // makes the pointer casts bit-level reinterpretations
-                // read/written only via unaligned intrinsics.
+                // element, row 7, column 7 from (r0, c0), stays inside
+                // them, and the window lies in columns this band alone
+                // writes; `r0 + 8 <= nr` bounds the eight bases. The token
+                // proves AVX2; the tile reads and writes through
+                // unaligned intrinsics.
                 #[allow(unsafe_code)]
                 unsafe {
-                    if size_of::<T>() == 4 {
-                        transpose_tile_8x8_u32(
-                            src.as_ptr().add(s) as *const u32,
-                            src_stride,
-                            out.add(d) as *mut u32,
-                            ds,
-                        );
-                    } else {
-                        transpose_tile_4x4_u64(
-                            src.as_ptr().add(s) as *const u64,
-                            src_stride,
-                            out.add(d) as *mut u64,
-                            ds,
-                        );
-                    }
+                    transpose_tile_8x8_u32(
+                        src.as_ptr().add(r0 * src_stride + c0),
+                        src_stride,
+                        row_bases.as_ptr().add(r0),
+                        out.add(c0 * ds + r0),
+                        ds,
+                    );
                 }
             }
-            // r tail for these `side` destination rows.
-            for c in c0..c0 + side {
+            // r tail for these 8 destination rows.
+            for c in c0..c0 + 8 {
                 for r in r_full..nr {
                     edge(dst, c, r);
                 }
@@ -421,16 +506,20 @@ pub(crate) fn transpose_strided<T: Copy>(
 }
 
 /// 8×8 u32 tile transpose through ymm registers: unpack 32-bit pairs,
-/// unpack 64-bit pairs, then recombine 128-bit halves.
+/// unpack 64-bit pairs, then recombine 128-bit halves. Source row `k` is
+/// offset by `bases[k]`: after the transpose, that is one vector add on
+/// every destination row.
 ///
 /// # Safety
 /// Caller proves AVX2 and that rows `src + k·src_stride` (8 elements
-/// each) and `dst + k·dst_stride` for `k in 0..8` are all in bounds.
+/// each), `dst + k·dst_stride` for `k in 0..8`, and `bases[0..8]` are
+/// all in bounds.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn transpose_tile_8x8_u32(
     src: *const u32,
     src_stride: usize,
+    bases: *const u32,
     dst: *mut u32,
     dst_stride: usize,
 ) {
@@ -457,7 +546,9 @@ unsafe fn transpose_tile_8x8_u32(
         let u5 = arch::_mm256_unpackhi_epi64(t4, t6);
         let u6 = arch::_mm256_unpacklo_epi64(t5, t7);
         let u7 = arch::_mm256_unpackhi_epi64(t5, t7);
+        let base = arch::_mm256_loadu_si256(bases as *const arch::__m256i);
         let st = |k: usize, v: arch::__m256i| {
+            let v = arch::_mm256_add_epi32(v, base);
             arch::_mm256_storeu_si256(dst.add(k * dst_stride) as *mut arch::__m256i, v)
         };
         st(0, arch::_mm256_permute2x128_si256::<0x20>(u0, u4));
@@ -468,37 +559,6 @@ unsafe fn transpose_tile_8x8_u32(
         st(5, arch::_mm256_permute2x128_si256::<0x31>(u1, u5));
         st(6, arch::_mm256_permute2x128_si256::<0x31>(u2, u6));
         st(7, arch::_mm256_permute2x128_si256::<0x31>(u3, u7));
-    }
-}
-
-/// 4×4 u64 tile transpose through ymm registers.
-///
-/// # Safety
-/// As [`transpose_tile_8x8_u32`], with 4-element rows of u64.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn transpose_tile_4x4_u64(
-    src: *const u64,
-    src_stride: usize,
-    dst: *mut u64,
-    dst_stride: usize,
-) {
-    // SAFETY: row pointers in bounds per the function contract.
-    unsafe {
-        let ld =
-            |k: usize| arch::_mm256_loadu_si256(src.add(k * src_stride) as *const arch::__m256i);
-        let (r0, r1, r2, r3) = (ld(0), ld(1), ld(2), ld(3));
-        let t0 = arch::_mm256_unpacklo_epi64(r0, r1);
-        let t1 = arch::_mm256_unpackhi_epi64(r0, r1);
-        let t2 = arch::_mm256_unpacklo_epi64(r2, r3);
-        let t3 = arch::_mm256_unpackhi_epi64(r2, r3);
-        let st = |k: usize, v: arch::__m256i| {
-            arch::_mm256_storeu_si256(dst.add(k * dst_stride) as *mut arch::__m256i, v)
-        };
-        st(0, arch::_mm256_permute2x128_si256::<0x20>(t0, t2));
-        st(1, arch::_mm256_permute2x128_si256::<0x20>(t1, t3));
-        st(2, arch::_mm256_permute2x128_si256::<0x31>(t0, t2));
-        st(3, arch::_mm256_permute2x128_si256::<0x31>(t1, t3));
     }
 }
 
@@ -573,18 +633,21 @@ mod tests {
             (8, 16, 16, 24),
         ] {
             let src: Vec<u32> = (0..(nr * ss) as u32).collect();
+            let bases: Vec<u32> = (0..nr as u32)
+                .map(|r| r.wrapping_mul(0x9e37_79b9))
+                .collect();
             let col0 = ds - nr;
             for tier in tiers() {
                 let mut dst = vec![u32::MAX; nc * ds];
                 let mut band = ColumnBand::new(&mut dst, ds, col0..ds);
-                if !transpose_strided(tier, &src, ss, &mut band, col0, nr, nc) {
+                if !transpose_strided(tier, &src, ss, &bases, &mut band, col0, nc) {
                     continue;
                 }
                 for c in 0..nc {
                     for r in 0..nr {
                         assert_eq!(
                             dst[c * ds + col0 + r],
-                            src[r * ss + c],
+                            src[r * ss + c].wrapping_add(bases[r]),
                             "({r},{c}) {nr}x{nc} {tier:?}"
                         );
                     }
@@ -595,22 +658,78 @@ mod tests {
         }
     }
 
+    /// `want` for [`gather_band`]: columns `cols` of every row of a
+    /// `rows × stride` matrix from the band map `idx` of `height`-entry
+    /// runs, by the definition.
+    fn banded<T: Copy>(src: &[T], idx: &[u32], height: usize, cols: &Range<usize>) -> Vec<T> {
+        let k0 = cols.start % height;
+        idx.chunks_exact(height)
+            .flat_map(|run| run[k0..k0 + cols.len()].iter().map(|&i| src[i as usize]))
+            .collect()
+    }
+
+    /// A band map of `rows` runs of `height` absolute indices into `n`
+    /// elements, scattered over the whole source.
+    fn band_map(rows: usize, height: usize, n: usize) -> Vec<u32> {
+        (0..rows * height)
+            .map(|e| ((e as u64 * 2654435761) % n as u64) as u32)
+            .collect()
+    }
+
+    /// Band gathers on every tier at 4-, 8- and 16-byte elements: whole
+    /// bands of 8, 16 and 32 rows, a band's columns split at an edge that
+    /// falls inside it, and runs shorter than one vector — every vector
+    /// body and scalar tail — written into a band that is not the
+    /// matrix's first, with the columns outside it left alone.
     #[test]
-    fn transpose_strided_u64_tiles() {
-        let (nr, nc) = (12usize, 20usize);
-        let src: Vec<u64> = (0..(nr * nc) as u64).collect();
-        for tier in tiers() {
-            let mut dst = vec![0u64; nr * nc];
-            let mut band = ColumnBand::new(&mut dst, nr, 0..nr);
-            if !transpose_strided(tier, &src, nc, &mut band, 0, nr, nc) {
-                continue;
-            }
-            for r in 0..nr {
-                for c in 0..nc {
-                    assert_eq!(dst[c * nr + r], src[r * nc + c], "({r},{c}) {tier:?}");
+    fn gather_band_matches_the_definition_on_every_tier() {
+        fn check<T: Copy + PartialEq + core::fmt::Debug>(make: impl Fn(usize) -> T, fill: T) {
+            let n = 4096;
+            let src: Vec<T> = (0..n).map(&make).collect();
+            let rows = 24;
+            for height in [8usize, 16, 32] {
+                let idx = band_map(rows, height, n);
+                let stride = 3 * height;
+                for cols in [
+                    height..2 * height,
+                    height + 3..2 * height - 1,
+                    height + 5..height + 7,
+                ] {
+                    let want = banded(&src, &idx, height, &cols);
+                    for tier in tiers() {
+                        let mut dst = vec![fill; rows * stride];
+                        let mut band = ColumnBand::new(&mut dst, stride, height..2 * height);
+                        gather_band(tier, &src, &idx, height, &mut band, cols.clone());
+                        for (j, row) in dst.chunks_exact(stride).enumerate() {
+                            let (w, run) = (cols.len(), cols.clone());
+                            assert_eq!(
+                                &row[run.clone()],
+                                &want[j * w..(j + 1) * w],
+                                "h={height} {cols:?} row {j} {tier:?}"
+                            );
+                            let outside = row.iter().enumerate().filter(|(c, _)| !run.contains(c));
+                            assert!(outside.into_iter().all(|(_, &v)| v == fill), "{tier:?}");
+                        }
+                    }
                 }
             }
         }
+        check(|i| (i as u32).wrapping_mul(2654435761), u32::MAX);
+        check(|i| (i as u64) << 32 | i as u64 ^ 0xabc, u64::MAX);
+        check(
+            |i| ((i as u128) << 64 | i as u128).to_le_bytes(),
+            [0xff; 16],
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "columns span two bands")]
+    fn gather_band_refuses_columns_across_two_bands() {
+        let src = [0u32; 64];
+        let idx = band_map(4, 8, 64);
+        let mut dst = vec![0u32; 4 * 16];
+        let mut band = ColumnBand::new(&mut dst, 16, 0..16);
+        gather_band(Tier::Unrolled, &src, &idx, 8, &mut band, 6..10);
     }
 
     #[test]
@@ -622,9 +741,9 @@ mod tests {
             Tier::Scalar,
             &src,
             2,
+            &[0, 0],
             &mut band,
             0,
-            2,
             2
         ));
         assert_eq!(dst, [0; 4], "declined tier must not touch dst");
@@ -700,7 +819,7 @@ mod tests {
 
     /// Byte lanes, `[u8; 4]` and `[u8; 8]`, at byte offsets 1–7 on both
     /// sides, through every tier: map rows, `usize` maps, one-pass tile
-    /// lines and strided transposes. The AVX2 kernels run them through
+    /// lines and band gathers. The AVX2 kernels run them through
     /// `u32`/`u64` pointers; rows whose lengths are not a multiple of the
     /// vector width run the scalar tails too, and a tail that
     /// dereferenced those pointers instead of reading and writing them
@@ -745,27 +864,25 @@ mod tests {
                     }
                 }
             }
-            // A ragged strided transpose: tiles plus both edges.
-            let (nr, nc, ss, ds) = (19usize, 13usize, 23usize, 29usize);
-            let col0 = ds - nr;
+            // Band gathers: runs of a band map into a band of a wider
+            // matrix, whole and split inside the band.
+            let (rows, height, stride) = (13usize, 32usize, 96usize);
+            let idx = band_map(rows, height, n);
             for off in 1..8 {
-                let src_bytes = lanes_at::<W>(off, nr * ss);
+                let src_bytes = lanes_at::<W>(off, n);
                 let src = src_bytes[off..].as_chunks::<W>().0;
-                for tier in tiers() {
-                    let mut dst_bytes = vec![0u8; 8 - off + nc * ds * W];
-                    let dst = dst_bytes[8 - off..].as_chunks_mut::<W>().0;
-                    let mut band = ColumnBand::new(dst, ds, col0..ds);
-                    if !transpose_strided(tier, src, ss, &mut band, col0, nr, nc) {
-                        continue;
-                    }
-                    for c in 0..nc {
-                        for r in 0..nr {
-                            assert_eq!(
-                                dst[c * ds + col0 + r],
-                                src[r * ss + c],
-                                "transpose W={W} off={off} ({r},{c}) {tier:?}"
-                            );
-                        }
+                for cols in [32..64, 37..59] {
+                    let want = banded(src, &idx, height, &cols);
+                    for tier in tiers() {
+                        let mut dst_bytes = vec![0u8; 8 - off + rows * stride * W];
+                        let dst = dst_bytes[8 - off..].as_chunks_mut::<W>().0;
+                        let mut band = ColumnBand::new(dst, stride, 32..64);
+                        gather_band(tier, src, &idx, height, &mut band, cols.clone());
+                        let got: Vec<[u8; W]> = dst
+                            .chunks_exact(stride)
+                            .flat_map(|row| row[cols.clone()].to_vec())
+                            .collect();
+                        assert_eq!(got, want, "band W={W} off={off} {cols:?} {tier:?}");
                     }
                 }
             }

@@ -73,9 +73,9 @@ pub struct EngineStats {
     /// [`crate::plan::DEFAULT_GAMMA_THRESHOLD`] or a
     /// [`crate::plan::SharedEngine::set_gamma_threshold`] override.
     pub gamma_threshold: f64,
-    /// Staging-block budget (bytes) of the kernel config scheduled plans
-    /// are built with at snapshot time — the default or a
-    /// [`crate::plan::SharedEngine::set_kernel_config`] override.
+    /// Retired: always 0 — the fused sweeps stage nothing, so there is no
+    /// staging budget. Kept because `bench-e2e`'s provenance block reads
+    /// it.
     pub kernel_stage_bytes: usize,
     /// Whether the kernel config enables the vectorized sweep tiers.
     pub kernel_simd: bool,
@@ -134,7 +134,7 @@ impl AtomicStats {
             completed: self.completed.load(Ordering::Relaxed),
             admission_rejects: self.admission_rejects.load(Ordering::Relaxed),
             gamma_threshold,
-            kernel_stage_bytes: kernel.stage_bytes,
+            kernel_stage_bytes: 0,
             kernel_simd: kernel.simd,
             kernel_computed_index: kernel.computed_index,
             backend,

@@ -1,13 +1,13 @@
-//! Kernel differential suite: the vectorized sweep pipeline against the
+//! Kernel differential suite: the vectorized sweep kernels against the
 //! retained scalar reference, across every config point the seams
 //! expose.
 //!
 //! The contract under test is the one DESIGN.md's determinism argument
 //! makes: for a fixed plan, **every** kernel config — SIMD on or off, the
-//! one tiled pass or the three sweeps, any block size or tile — produces output
+//! one tiled pass or the three sweeps, any tile — produces output
 //! byte-identical to the `Permutation::permute` oracle, over all five
-//! paper families × element widths {u32, u64, [u8; 16]} × ragged shapes
-//! (non-multiple bands, block tails, n smaller than one block). Every
+//! paper families × element widths {u32, u64, [u8; 16]} × shapes (square
+//! and rectangular, and matrices with fewer rows than one 32-row band). Every
 //! (config, plan) cell runs on **every registered backend** in
 //! [`Backend::ALL`] — the same registry the conformance suite forces
 //! routes through — so the native fused pipeline and the sweep-IR
@@ -53,13 +53,11 @@ fn config_points() -> Vec<(&'static str, KernelConfig)> {
             },
         ),
         (
-            // Tiny staging budget: every native band runs many blocks
-            // with a ragged tail. The native kernels do not read `tile`;
-            // tile 8 reaches only the sweep-IR lowering (the interpreter
-            // backend's transpose tile).
-            "simd-tiny-blocks",
+            // The native kernels do not read `tile`; tile 8 reaches only
+            // the sweep-IR lowering (the interpreter backend's smallest
+            // transpose tile), and native runs the default config.
+            "simd-tile8",
             KernelConfig {
-                stage_bytes: 4096,
                 tile: 8,
                 ..KernelConfig::default()
             },
@@ -138,8 +136,8 @@ fn all_families_u64() {
 
 #[test]
 fn all_families_16_byte_elements() {
-    // 16-byte elements have no AVX2 gather/transpose — they exercise the
-    // unrolled clamped tier and the widest staging-arena stride.
+    // 16-byte elements have no AVX2 gather — they exercise the unrolled
+    // clamped tier, band runs of the widest stride included.
     for n in [1 << 10, 1 << 11] {
         for fam in families::Family::ALL {
             let p = fam.build(n, 0xd1ff).unwrap();
@@ -152,8 +150,8 @@ fn all_families_16_byte_elements() {
 
 #[test]
 fn n_smaller_than_one_block() {
-    // With the default 256 KB budget a whole 2^10-element matrix fits in
-    // one staging block: each band runs a single gather/transpose pair.
+    // A 2^10-element matrix is 32×32: each fused sweep is a single band
+    // of 32 input rows, gathered by one kernel call.
     let n = 1 << 10;
     let p = families::random(n, 99);
     check_all_configs(&p, "random-small", |i| i as u32);
@@ -161,8 +159,9 @@ fn n_smaller_than_one_block() {
 
 #[test]
 fn tiny_matrices_every_width() {
-    // 2^6..2^9: rows smaller than a tile, bands smaller than a block —
-    // the all-edges regime. Width 8 keeps these schedulable.
+    // 2^6..2^9: fewer rows than one 32-row band (band heights of 8 and
+    // 16), rows shorter than one 8-element vector — the all-edges
+    // regime. Width 8 keeps these schedulable.
     for exp in 6..=9 {
         let n = 1usize << exp;
         let p = families::random(n, exp as u64);

@@ -750,17 +750,6 @@ pub struct PassLayout {
     pub fused_transpose: bool,
 }
 
-impl PassLayout {
-    /// How many of this pass's input rows a staging buffer of
-    /// `stage_bytes` holds, when each staged row carries `band_cols`
-    /// elements of `elem_bytes` bytes (a fused executor stages only its
-    /// worker's band of the row): as many as fit, clamped to
-    /// `1..=rows`.
-    pub fn staging_rows(&self, elem_bytes: usize, stage_bytes: usize, band_cols: usize) -> usize {
-        (stage_bytes / (band_cols * elem_bytes).max(1)).clamp(1, self.rows.max(1))
-    }
-}
-
 /// Derive the γ×ρ color mixer `G` of the closed-form BMMC plan (see
 /// [`PlanIr::build_bmmc`]): one γ-bit column per row bit, chosen so that
 /// `A ⊕ B·G` is invertible, where `A`/`B` are the row-part blocks of the
@@ -1372,20 +1361,5 @@ mod tests {
         let mut one_step = vec![0u32; n];
         fused.recompose().permute(&src, &mut one_step).unwrap();
         assert_eq!(one_step, two_step);
-    }
-
-    #[test]
-    fn staging_rows_fills_the_budget() {
-        let layout = PassLayout {
-            rows: 2048,
-            cols: 2048,
-            fused_transpose: true,
-        };
-        // 256 KB of 1024-element u32 band rows: 64 fit.
-        assert_eq!(layout.staging_rows(4, 262_144, 1024), 64);
-        // Never more rows than the pass has...
-        assert_eq!(layout.staging_rows(4, usize::MAX, 1), 2048);
-        // ...and always at least one, even when a row outsizes the budget.
-        assert_eq!(layout.staging_rows(8, 1024, 1 << 20), 1);
     }
 }
