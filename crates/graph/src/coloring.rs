@@ -4,8 +4,9 @@
 //! A regular bipartite multigraph of degree `Δ` is `Δ`-edge-colorable. The
 //! constructive proof implemented here combines two classic ingredients:
 //!
-//! * **even degree** — an Euler partition splits the graph into two halves
-//!   of degree `Δ/2`, which are colored recursively with disjoint palettes;
+//! * **even degree** — an Euler partition (in its pairing form, see
+//!   [`crate::euler`]) splits the graph into two halves of degree `Δ/2`,
+//!   which are colored recursively with disjoint palettes;
 //! * **odd degree** — a perfect matching (Hopcroft–Karp; it exists by
 //!   regularity) is peeled off as one color class, leaving an even-degree
 //!   graph.
@@ -13,29 +14,30 @@
 //! For the power-of-two degrees arising in the scheduled permutation the
 //! odd branch never triggers and the total cost is `O(E log Δ)`.
 //!
-//! ## The plan-compiler rewrite: in-place, scratch-backed, forkable
+//! ## The block layout: in place, grouped by left vertex, forkable
 //!
-//! The recursion operates on a single edge-id buffer that is partitioned
-//! **in place**: an Euler split reorders a slice into its two halves, a
-//! matching peel moves the matched color class to the tail of the slice.
-//! On return the buffer holds `Δ` contiguous blocks of `nodes` edges each
-//! — block `k` *is* color class `k` — and one sequential pass converts
-//! blocks into the per-edge color array. Temporaries (CSR adjacency,
-//! visited flags, Hierholzer stack, matching state) live in a reusable
-//! `ColorScratch`, so the ~`2Δ` recursion nodes perform no per-level
-//! `O(E)` allocations.
+//! The recursion works on one edge-id buffer and a parallel buffer of
+//! each edge's right vertex, kept **grouped by left vertex** in ascending
+//! order. In a slice of degree `d` left vertex `u` owns positions
+//! `u·d .. (u+1)·d`, so no left endpoint is ever looked up. An Euler split
+//! writes its two halves in place, each grouped the same way; a matching
+//! peel moves the matched color class, in left-vertex order, to the end
+//! (or the front) of the slice and keeps the order of the rest. On return
+//! the buffer holds `Δ` contiguous blocks of `nodes` edges: block `k` *is*
+//! color class `k`, and its entry `u` is left vertex `u`'s color-`k` edge
+//! ([`ColorBlocks`]). Temporaries (pending slots, partner links, matching
+//! state) live in a reusable `ColorScratch`, so the ~`2Δ` recursion nodes
+//! perform no per-level `O(E)` allocations.
 //!
 //! Because the two halves of a split are disjoint sub-slices, they can be
 //! colored by different threads with `split_at_mut` — no locks, no
-//! `unsafe`. [`edge_color_par`] additionally colors connected components
-//! independently (a component of a `d`-regular bipartite graph is itself
-//! `d`-regular, so each gets the full palette). The thread budget decides
-//! only *where* a sub-slice is colored, never how it is partitioned, so
-//! the coloring is byte-identical at every thread count — the property
-//! `hmm-plan` relies on for deterministic plan bytes.
+//! `unsafe`. The thread budget decides only *where* a sub-slice is
+//! colored, never how it is partitioned, so the coloring is
+//! byte-identical at every thread count — the property `hmm-plan` relies
+//! on for deterministic plan bytes.
 
 use crate::error::{GraphError, Result};
-use crate::euler::{euler_split_in_place, EulerScratch};
+use crate::euler::{split_in_place, SplitScratch};
 use crate::exec::Parallelism;
 use crate::matching::{hopcroft_karp_core, MatchScratch, UNMATCHED};
 use crate::multigraph::RegularBipartite;
@@ -50,6 +52,18 @@ pub struct EdgeColoring {
     pub num_colors: usize,
 }
 
+/// A proper edge coloring in the colorer's own block layout (see the
+/// module docs): for left vertex `u` and color `k`, `ids[k·nodes + u]` is
+/// `u`'s color-`k` edge and `rights[k·nodes + u]` its right vertex, so
+/// block `k` of `rights` is a permutation of `0..nodes`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ColorBlocks {
+    /// Edge ids, block by block.
+    pub ids: Vec<u32>,
+    /// The right vertex of each entry of `ids`.
+    pub rights: Vec<u32>,
+}
+
 /// Strategy selection for [`edge_color_with`]; [`edge_color`] picks
 /// [`Strategy::Hybrid`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,8 +72,8 @@ pub enum Strategy {
     Hybrid,
     /// Peel one perfect matching per color, `Δ` times. Simpler and slower;
     /// kept as the baseline for the coloring ablation bench. Matchings
-    /// are inherently sequential, so only the per-component fan-out of
-    /// [`edge_color_par`] applies to this strategy.
+    /// are inherently sequential, so this strategy ignores the thread
+    /// budget.
     MatchingOnly,
 }
 
@@ -77,295 +91,161 @@ pub fn edge_color_with(g: &RegularBipartite, strategy: Strategy) -> Result<EdgeC
     edge_color_par(g, strategy, Parallelism::sequential())
 }
 
-/// Properly color the edges of `g`, forking the coloring recursion (and
-/// the independent connected components) across the scoped-thread budget
-/// `par`. The result is **identical** to [`edge_color_with`] for every
-/// budget: parallelism only relocates work, it never reorders the
-/// deterministic split/peel partitions.
+/// Properly color the edges of `g`, forking the coloring recursion across
+/// the scoped-thread budget `par`. The result is **identical** to
+/// [`edge_color_with`] for every budget: parallelism only relocates work,
+/// it never reorders the deterministic split/peel partitions.
 pub fn edge_color_par(
     g: &RegularBipartite,
     strategy: Strategy,
     par: Parallelism,
 ) -> Result<EdgeColoring> {
-    let degree = g.degree();
-    let m = g.num_edges();
-    let mut colors = vec![usize::MAX; m];
-    if m > 0 {
-        assert!(
-            2 * m <= u32::MAX as usize && 2 * g.nodes() <= u32::MAX as usize,
-            "graph exceeds u32 index space"
-        );
-        let mut cg = split_components(g);
-        let cx = Ctx {
-            left_of: &cg.left_of,
-            right_of: &cg.right_of,
-            degree,
-            strategy,
-        };
-        color_components(&cx, par, &cg.spans, &mut cg.ids)?;
-        // Blocks -> colors: block `k` of each component is color class `k`.
-        for span in &cg.spans {
-            for k in 0..degree {
-                let s = span.start + k * span.nodes;
-                for &e in &cg.ids[s..s + span.nodes] {
-                    colors[e as usize] = k;
-                }
-            }
+    let (r, degree) = (g.nodes(), g.degree());
+    let edges = g.edges();
+    check_index_space(r, edges.len());
+    // Stable counting sort of the edges by left vertex: the recursion's
+    // input layout. Left vertex `u` owns positions `u·degree..`.
+    let mut next: Vec<usize> = (0..r).map(|u| u * degree).collect();
+    let mut ids = vec![0u32; edges.len()];
+    let mut rights = vec![0u32; edges.len()];
+    for (e, &(u, v)) in edges.iter().enumerate() {
+        ids[next[u]] = e as u32;
+        rights[next[u]] = v as u32;
+        next[u] += 1;
+    }
+    color_grouped(r, degree, &mut ids, &mut rights, strategy, par)?;
+    let mut colors = vec![0usize; edges.len()];
+    for (k, block) in ids.chunks_exact(r).enumerate() {
+        for &e in block {
+            colors[e as usize] = k;
         }
     }
-    debug_assert!(colors.iter().all(|&c| c < degree));
     Ok(EdgeColoring {
         colors,
         num_colors: degree,
     })
 }
 
-/// Shared read-only context for the coloring recursion. `left_of[e]` /
-/// `right_of[e]` are the **component-local** endpoint ids of global edge
-/// `e`, so every component is a self-contained subproblem with scratch
-/// sized to the component, not to the whole graph.
-struct Ctx<'a> {
-    left_of: &'a [u32],
-    right_of: &'a [u32],
-    degree: usize,
-    strategy: Strategy,
-}
-
-/// One connected component: it owns `ids[start..end]` of the partitioned
-/// edge-id buffer and has `nodes` vertices per side.
-struct CompSpan {
-    start: usize,
-    end: usize,
+/// Color the regular bipartite multigraph on `nodes` vertices per side
+/// whose edge `e` joins left vertex `e / degree` to right vertex
+/// `rights[e]` — edges given in left-major order, as a transfer graph's
+/// rows list their elements — and return the coloring in block form.
+/// The degree is `rights.len() / nodes`; a right vertex out of range or
+/// of another degree is an error. Byte-identical at every budget `par`.
+pub fn color_blocks(
     nodes: usize,
-}
-
-/// The component-partitioned graph: edge ids grouped by component
-/// (discovery order, stable by edge id within a component) plus the
-/// component-local endpoint tables.
-struct CompGraph {
-    left_of: Vec<u32>,
-    right_of: Vec<u32>,
-    ids: Vec<u32>,
-    spans: Vec<CompSpan>,
-}
-
-/// Discover connected components (BFS from left vertices in ascending
-/// order — deterministic) and relabel each component's vertices with
-/// local ids `0..nodes` per side.
-fn split_components(g: &RegularBipartite) -> CompGraph {
-    let r = g.nodes();
-    let total = 2 * r;
-    let edges = g.edges();
-    let m = edges.len();
-
-    // Full CSR adjacency (vertex -> neighbour vertex), used only for the
-    // component BFS; the recursion rebuilds per-slice CSRs from scratch.
-    let mut off = vec![0u32; total + 1];
-    for &(u, v) in edges {
-        off[u + 1] += 1;
-        off[v + r + 1] += 1;
+    mut rights: Vec<u32>,
+    strategy: Strategy,
+    par: Parallelism,
+) -> Result<ColorBlocks> {
+    let m = rights.len();
+    if nodes == 0 || m == 0 || !m.is_multiple_of(nodes) {
+        return Err(GraphError::DegenerateGraph { nodes, edges: m });
     }
-    for i in 0..total {
-        off[i + 1] += off[i];
-    }
-    let mut cur: Vec<u32> = off[..total].to_vec();
-    let mut adj = vec![0u32; 2 * m];
-    for &(u, v) in edges {
-        adj[cur[u] as usize] = (v + r) as u32;
-        cur[u] += 1;
-        adj[cur[v + r] as usize] = u as u32;
-        cur[v + r] += 1;
-    }
-
-    let mut comp = vec![u32::MAX; total];
-    let mut local = vec![0u32; total];
-    let mut queue: Vec<u32> = Vec::new();
-    let mut comp_nodes: Vec<usize> = Vec::new();
-    for u0 in 0..r {
-        if comp[u0] != u32::MAX {
-            continue;
-        }
-        let cid = comp_nodes.len() as u32;
-        let (mut nl, mut nr) = (0u32, 0u32);
-        comp[u0] = cid;
-        local[u0] = nl;
-        nl += 1;
-        queue.clear();
-        queue.push(u0 as u32);
-        let mut head = 0;
-        while head < queue.len() {
-            let w = queue[head] as usize;
-            head += 1;
-            for t in off[w]..off[w + 1] {
-                let x = adj[t as usize] as usize;
-                if comp[x] == u32::MAX {
-                    comp[x] = cid;
-                    if x < r {
-                        local[x] = nl;
-                        nl += 1;
-                    } else {
-                        local[x] = nr;
-                        nr += 1;
-                    }
-                    queue.push(x as u32);
-                }
+    check_index_space(nodes, m);
+    let degree = m / nodes;
+    let mut right_deg = vec![0usize; nodes];
+    for &v in &rights {
+        match right_deg.get_mut(v as usize) {
+            Some(d) => *d += 1,
+            None => {
+                return Err(GraphError::NodeOutOfRange {
+                    node: v as usize,
+                    nodes,
+                })
             }
         }
-        debug_assert_eq!(nl, nr, "regular component must be balanced");
-        comp_nodes.push(nl as usize);
     }
-
-    // Stable counting sort of edge ids by component, and the local
-    // endpoint tables.
-    let ncomp = comp_nodes.len();
-    let mut counts = vec![0usize; ncomp + 1];
-    for &(u, _) in edges {
-        counts[comp[u] as usize + 1] += 1;
+    if let Some(node) = right_deg.iter().position(|&d| d != degree) {
+        return Err(GraphError::NotRegular {
+            node,
+            degree: right_deg[node],
+            expected: degree,
+        });
     }
-    for i in 0..ncomp {
-        counts[i + 1] += counts[i];
-    }
-    let starts = counts.clone();
-    let mut pos = counts;
-    let mut ids = vec![0u32; m];
-    let mut left_of = vec![0u32; m];
-    let mut right_of = vec![0u32; m];
-    for (e, &(u, v)) in edges.iter().enumerate() {
-        left_of[e] = local[u];
-        right_of[e] = local[v + r];
-        let c = comp[u] as usize;
-        ids[pos[c]] = e as u32;
-        pos[c] += 1;
-    }
-    let spans = (0..ncomp)
-        .map(|c| CompSpan {
-            start: starts[c],
-            end: starts[c + 1],
-            nodes: comp_nodes[c],
-        })
-        .collect();
-    CompGraph {
-        left_of,
-        right_of,
-        ids,
-        spans,
-    }
+    let mut ids: Vec<u32> = (0..m as u32).collect();
+    color_grouped(nodes, degree, &mut ids, &mut rights, strategy, par)?;
+    Ok(ColorBlocks { ids, rights })
 }
 
-/// Color a run of components. `ids` covers exactly
-/// `spans[0].start..spans.last().end` of the partitioned buffer. A
-/// parallel budget splits the run at an edge-weighted midpoint and forks;
-/// a single component spends the whole budget inside its own recursion
-/// tree. Sequential execution reuses one [`ColorScratch`] across the
-/// entire run.
-fn color_components(
-    cx: &Ctx<'_>,
-    par: Parallelism,
-    spans: &[CompSpan],
-    ids: &mut [u32],
-) -> Result<()> {
-    if spans.is_empty() {
-        return Ok(());
-    }
-    if spans.len() > 1 && par.is_parallel() && ids.len() >= FORK_MIN_EDGES {
-        let offset = spans[0].start;
-        let total = ids.len();
-        let mut cut = 1;
-        let mut acc = spans[0].end - spans[0].start;
-        while cut < spans.len() - 1 && acc * 2 < total {
-            acc += spans[cut].end - spans[cut].start;
-            cut += 1;
-        }
-        let la = spans[cut].start - offset;
-        let (a, b) = ids.split_at_mut(la);
-        let (ra, rb) = par.join_weighted(
-            la,
-            total - la,
-            |p| color_components(cx, p, &spans[..cut], a),
-            |p| color_components(cx, p, &spans[cut..], b),
-        );
-        ra?;
-        return rb;
-    }
-    let mut scratch = ColorScratch::default();
-    let single = spans.len() == 1;
-    let mut rest = ids;
-    for span in spans {
-        let (head, tail) = std::mem::take(&mut rest).split_at_mut(span.end - span.start);
-        rest = tail;
-        let p = if single {
-            par
-        } else {
-            Parallelism::sequential()
-        };
-        color_comp(cx, p, span.nodes, head, &mut scratch)?;
-    }
-    Ok(())
+/// Edge positions and vertices are `u32`s, and `u32::MAX` marks an empty
+/// pending slot.
+fn check_index_space(nodes: usize, edges: usize) {
+    assert!(
+        edges < u32::MAX as usize && nodes < u32::MAX as usize,
+        "graph exceeds u32 index space"
+    );
 }
 
-/// Color one component according to the strategy.
-fn color_comp(
-    cx: &Ctx<'_>,
-    par: Parallelism,
+/// Color a left-grouped `degree`-regular edge buffer into its blocks.
+fn color_grouped(
     nodes: usize,
+    degree: usize,
     ids: &mut [u32],
-    scratch: &mut ColorScratch,
+    rights: &mut [u32],
+    strategy: Strategy,
+    par: Parallelism,
 ) -> Result<()> {
-    match cx.strategy {
-        Strategy::Hybrid => color_slice(cx, par, nodes, ids, cx.degree, scratch),
+    let mut scratch = ColorScratch::default();
+    match strategy {
+        Strategy::Hybrid => color_slice(par, nodes, degree, ids, rights, &mut scratch),
         Strategy::MatchingOnly => {
-            let mut rest = ids;
-            let mut d = cx.degree;
-            // Peel color class d..1 off the front; a 1-regular remainder
-            // already is its own (final) color block.
-            while d > 1 {
-                peel_matching_in_place(cx, nodes, rest, scratch, MatchBlock::Front)?;
-                rest = &mut std::mem::take(&mut rest)[nodes..];
-                d -= 1;
+            // Peel color classes 0, 1, .. off the front; a 1-regular
+            // remainder already is its own (final) color block.
+            for d in (2..=degree).rev() {
+                let start = (degree - d) * nodes;
+                let (ids, rights) = (&mut ids[start..], &mut rights[start..]);
+                peel_matching_in_place(nodes, d, ids, rights, &mut scratch, MatchBlock::Front)?;
             }
             Ok(())
         }
     }
 }
 
-/// The hybrid recursion over one slice of the edge-id buffer. On success
-/// the slice is partitioned into `degree` blocks of `nodes` edges; block
-/// `k` is relative color `k`. Fork points hand the first half a fresh
-/// scratch (at most `budget - 1` extra scratches ever exist) and keep the
-/// caller's scratch on the second half.
+/// The hybrid recursion over one left-grouped slice of degree `degree`.
+/// On success the slice is partitioned into `degree` blocks of `nodes`
+/// edges; block `k` is relative color `k`. Fork points hand the first
+/// half a fresh scratch (at most `budget - 1` extra scratches ever exist)
+/// and keep the caller's scratch on the second half.
 fn color_slice(
-    cx: &Ctx<'_>,
     par: Parallelism,
     nodes: usize,
-    ids: &mut [u32],
     degree: usize,
+    ids: &mut [u32],
+    rights: &mut [u32],
     scratch: &mut ColorScratch,
 ) -> Result<()> {
     if degree <= 1 {
         return Ok(());
     }
+    let m = ids.len();
     if degree.is_multiple_of(2) {
-        euler_split_in_place(cx.left_of, cx.right_of, nodes, ids, &mut scratch.euler);
-        let m = ids.len();
-        let (a, b) = ids.split_at_mut(m / 2);
+        split_in_place(nodes, ids, rights, &mut scratch.split)?;
+        let (ia, ib) = ids.split_at_mut(m / 2);
+        let (ra, rb) = rights.split_at_mut(m / 2);
+        let d = degree / 2;
         if par.is_parallel() && m >= FORK_MIN_EDGES {
-            let (ra, rb) = par.join(
-                |p| {
-                    let mut fresh = ColorScratch::default();
-                    color_slice(cx, p, nodes, a, degree / 2, &mut fresh)
-                },
-                |p| color_slice(cx, p, nodes, b, degree / 2, scratch),
+            let (a, b) = par.join(
+                |p| color_slice(p, nodes, d, ia, ra, &mut ColorScratch::default()),
+                |p| color_slice(p, nodes, d, ib, rb, scratch),
             );
-            ra?;
-            rb
+            a?;
+            b
         } else {
-            color_slice(cx, par, nodes, a, degree / 2, scratch)?;
-            color_slice(cx, par, nodes, b, degree / 2, scratch)
+            color_slice(par, nodes, d, ia, ra, scratch)?;
+            color_slice(par, nodes, d, ib, rb, scratch)
         }
     } else {
-        peel_matching_in_place(cx, nodes, ids, scratch, MatchBlock::Tail)?;
-        let m = ids.len();
-        color_slice(cx, par, nodes, &mut ids[..m - nodes], degree - 1, scratch)
+        peel_matching_in_place(nodes, degree, ids, rights, scratch, MatchBlock::Tail)?;
+        let keep = m - nodes;
+        color_slice(
+            par,
+            nodes,
+            degree - 1,
+            &mut ids[..keep],
+            &mut rights[..keep],
+            scratch,
+        )
     }
 }
 
@@ -383,67 +263,45 @@ enum MatchBlock {
 /// sequential task; capacity persists across every recursion level.
 #[derive(Debug, Default)]
 struct ColorScratch {
-    euler: EulerScratch,
+    split: SplitScratch,
     matching: MatchScratch,
     peel: PeelScratch,
 }
 
-/// Matching-peel staging: slice-local edge buckets by left vertex, the
-/// deduplicated CSR handed to Hopcroft–Karp, and the partition state.
+/// Matching-peel staging: the deduplicated CSR handed to Hopcroft–Karp
+/// and the matched class.
 #[derive(Debug, Default)]
 struct PeelScratch {
-    /// Bucket offsets per left vertex (plus sentinel); `cursor` is the
-    /// bucket fill pointer.
-    bucket_off: Vec<u32>,
-    cursor: Vec<u32>,
-    /// Slice-local edge indices grouped by left vertex, slice order within.
-    bucket_edge: Vec<u32>,
     /// Dedup CSR: one entry per distinct (u, v); `adj_rep` remembers the
-    /// representative slice-local edge so color classes name real edges.
+    /// representative slice position so color classes name real edges.
     adj_off: Vec<u32>,
     adj_v: Vec<u32>,
     adj_rep: Vec<u32>,
     /// Last left vertex that saw right vertex `v` (dedup stamp).
     stamp: Vec<u32>,
-    /// Matched flag per slice-local edge.
-    matched: Vec<bool>,
-    /// Matched global edge ids in left-vertex order.
+    /// The matched slice position of each left vertex.
+    pick: Vec<u32>,
+    /// The matched class in left-vertex order.
     matched_ids: Vec<u32>,
+    matched_rights: Vec<u32>,
 }
 
-/// Extract a perfect matching from the sub-multigraph `ids` and move it —
-/// as a contiguous block in left-vertex order — to the front or tail of
-/// the slice; the unmatched edges keep their relative order. Parallel
-/// edges are deduplicated for the matching itself via a representative
-/// per (u, v).
+/// Extract a perfect matching from the left-grouped `degree`-regular
+/// slice and move it — as a contiguous block in left-vertex order — to
+/// the front or tail of the slice; the unmatched edges keep their
+/// relative order, so the rest stays grouped with degree `degree - 1`.
+/// Parallel edges are deduplicated for the matching itself via a
+/// representative per (u, v).
 fn peel_matching_in_place(
-    cx: &Ctx<'_>,
     nodes: usize,
+    degree: usize,
     ids: &mut [u32],
+    rights: &mut [u32],
     scratch: &mut ColorScratch,
     place: MatchBlock,
 ) -> Result<()> {
     let m = ids.len();
     let p = &mut scratch.peel;
-
-    // Bucket slice-local edges by left vertex.
-    p.bucket_off.clear();
-    p.bucket_off.resize(nodes + 1, 0);
-    for &e in ids.iter() {
-        p.bucket_off[cx.left_of[e as usize] as usize + 1] += 1;
-    }
-    for u in 0..nodes {
-        p.bucket_off[u + 1] += p.bucket_off[u];
-    }
-    p.cursor.clear();
-    p.cursor.extend_from_slice(&p.bucket_off[..nodes]);
-    p.bucket_edge.clear();
-    p.bucket_edge.resize(m, 0);
-    for (i, &e) in ids.iter().enumerate() {
-        let u = cx.left_of[e as usize] as usize;
-        p.bucket_edge[p.cursor[u] as usize] = i as u32;
-        p.cursor[u] += 1;
-    }
 
     // Dedup adjacency: left vertices ascend, so a stamp of the last left
     // vertex that saw each right vertex suffices (no per-call clearing of
@@ -451,21 +309,19 @@ fn peel_matching_in_place(
     p.stamp.clear();
     p.stamp.resize(nodes, u32::MAX);
     p.adj_off.clear();
-    p.adj_off.resize(nodes + 1, 0);
+    p.adj_off.push(0);
     p.adj_v.clear();
     p.adj_rep.clear();
-    for u in 0..nodes {
-        for t in p.bucket_off[u]..p.bucket_off[u + 1] {
-            let le = p.bucket_edge[t as usize];
-            let v = cx.right_of[ids[le as usize] as usize];
+    for (u, group) in rights.chunks_exact(degree).enumerate() {
+        for (t, &v) in group.iter().enumerate() {
             if p.stamp[v as usize] == u as u32 {
                 continue;
             }
             p.stamp[v as usize] = u as u32;
             p.adj_v.push(v);
-            p.adj_rep.push(le);
+            p.adj_rep.push((u * degree + t) as u32);
         }
-        p.adj_off[u + 1] = p.adj_v.len() as u32;
+        p.adj_off.push(p.adj_v.len() as u32);
     }
 
     let size = hopcroft_karp_core(nodes, nodes, &p.adj_off, &p.adj_v, &mut scratch.matching);
@@ -476,48 +332,51 @@ fn peel_matching_in_place(
         });
     }
 
-    // Collect the class in left-vertex order and flag its edges.
-    p.matched.clear();
-    p.matched.resize(m, false);
+    // Collect the class in left-vertex order.
+    p.pick.clear();
     p.matched_ids.clear();
+    p.matched_rights.clear();
     for u in 0..nodes {
         let v = scratch.matching.pair_left[u];
         debug_assert_ne!(v, UNMATCHED);
-        let mut rep = u32::MAX;
-        for t in p.adj_off[u]..p.adj_off[u + 1] {
-            if p.adj_v[t as usize] == v {
-                rep = p.adj_rep[t as usize];
-                break;
-            }
-        }
-        let le = rep as usize;
-        p.matched[le] = true;
-        p.matched_ids.push(ids[le]);
+        let (lo, hi) = (p.adj_off[u] as usize, p.adj_off[u + 1] as usize);
+        let t = lo
+            + p.adj_v[lo..hi]
+                .iter()
+                .position(|&x| x == v)
+                .expect("matched edge");
+        let pos = p.adj_rep[t];
+        p.pick.push(pos);
+        p.matched_ids.push(ids[pos as usize]);
+        p.matched_rights.push(rights[pos as usize]);
     }
 
-    // Stable in-place partition around the matched block.
+    // Stable in-place partition around the matched block: one position
+    // per left group leaves, so the rest compacts towards the kept end.
     match place {
         MatchBlock::Tail => {
             let mut w = 0usize;
             for i in 0..m {
-                if !p.matched[i] {
+                if i as u32 != p.pick[i / degree] {
                     ids[w] = ids[i];
+                    rights[w] = rights[i];
                     w += 1;
                 }
             }
-            debug_assert_eq!(w, m - nodes);
             ids[w..].copy_from_slice(&p.matched_ids);
+            rights[w..].copy_from_slice(&p.matched_rights);
         }
         MatchBlock::Front => {
             let mut w = m;
             for i in (0..m).rev() {
-                if !p.matched[i] {
+                if i as u32 != p.pick[i / degree] {
                     w -= 1;
                     ids[w] = ids[i];
+                    rights[w] = rights[i];
                 }
             }
-            debug_assert_eq!(w, nodes);
-            ids[..nodes].copy_from_slice(&p.matched_ids);
+            ids[..w].copy_from_slice(&p.matched_ids);
+            rights[..w].copy_from_slice(&p.matched_rights);
         }
     }
     Ok(())
@@ -653,6 +512,23 @@ mod tests {
     }
 
     #[test]
+    fn color_blocks_rejects_irregular_input() {
+        let seq = Parallelism::sequential();
+        assert!(matches!(
+            color_blocks(2, vec![0, 0, 0, 1], Strategy::Hybrid, seq),
+            Err(GraphError::NotRegular { node: 0, .. })
+        ));
+        assert!(matches!(
+            color_blocks(2, vec![0, 2, 1, 0], Strategy::Hybrid, seq),
+            Err(GraphError::NodeOutOfRange { node: 2, .. })
+        ));
+        assert!(matches!(
+            color_blocks(2, vec![0, 1, 0], Strategy::Hybrid, seq),
+            Err(GraphError::DegenerateGraph { .. })
+        ));
+    }
+
+    #[test]
     fn verify_rejects_improper() {
         let g = RegularBipartite::new(2, vec![(0, 0), (0, 1), (1, 0), (1, 1)]).unwrap();
         let bad = EdgeColoring {
@@ -695,8 +571,8 @@ mod tests {
 
     #[test]
     fn parallel_colors_disconnected_components() {
-        // Many small components (identity-style): exercises the
-        // per-component fan-out and local vertex relabeling.
+        // Many small components (identity-style): every right pairing is
+        // a parallel edge of one left vertex.
         let nodes = 64;
         let deg = 4;
         let mut edges = Vec::new();

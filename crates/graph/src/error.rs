@@ -38,6 +38,16 @@ pub enum GraphError {
         /// Nodes per side.
         nodes: usize,
     },
+    /// A vertex of an edge set handed to the Euler split has odd degree,
+    /// so its edges cannot be paired. The coloring only splits slices of
+    /// even degree, so this indicates a bug, never expected for validated
+    /// inputs; it is reported rather than looped on.
+    OddDegree {
+        /// The vertex.
+        vertex: usize,
+        /// True for a right-side vertex, false for a left-side one.
+        right: bool,
+    },
 }
 
 impl fmt::Display for GraphError {
@@ -60,6 +70,11 @@ impl fmt::Display for GraphError {
             GraphError::MatchingFailed { matched, nodes } => write!(
                 f,
                 "internal error: perfect matching not found ({matched}/{nodes} matched)"
+            ),
+            GraphError::OddDegree { vertex, right } => write!(
+                f,
+                "{} vertex {vertex} has odd degree in an Euler split",
+                if *right { "right" } else { "left" }
             ),
         }
     }
@@ -92,5 +107,11 @@ mod tests {
         }
         .to_string()
         .contains("matching"));
+        assert!(GraphError::OddDegree {
+            vertex: 5,
+            right: true
+        }
+        .to_string()
+        .contains("right vertex 5 has odd degree"));
     }
 }

@@ -43,21 +43,11 @@ impl Parallelism {
         self.threads > 1
     }
 
-    /// Divide the budget for an even two-way fork: `(ceil, floor)`.
+    /// Divide the budget for an even two-way fork: `(floor, ceil)`, each
+    /// side at least one thread.
     pub fn split(self) -> (Self, Self) {
-        self.split_weighted(1, 1)
-    }
-
-    /// Divide the budget for a two-way fork whose sides carry `wa` and
-    /// `wb` units of work; each side gets at least one thread.
-    pub fn split_weighted(self, wa: usize, wb: usize) -> (Self, Self) {
         let t = self.threads;
-        if t <= 1 {
-            return (Parallelism::sequential(), Parallelism::sequential());
-        }
-        let w = wa.max(1) + wb.max(1);
-        let ta = (t * wa.max(1) / w).clamp(1, t - 1);
-        (Parallelism::threads(ta), Parallelism::threads(t - ta))
+        (Parallelism::threads(t / 2), Parallelism::threads(t - t / 2))
     }
 
     /// Run `a` and `b`, on two scoped threads when the budget allows,
@@ -70,23 +60,12 @@ impl Parallelism {
         FA: FnOnce(Parallelism) -> RA + Send,
         FB: FnOnce(Parallelism) -> RB + Send,
     {
-        self.join_weighted(1, 1, a, b)
-    }
-
-    /// [`join`](Self::join) with a work-proportional budget split.
-    pub fn join_weighted<RA, RB, FA, FB>(self, wa: usize, wb: usize, a: FA, b: FB) -> (RA, RB)
-    where
-        RA: Send,
-        RB: Send,
-        FA: FnOnce(Parallelism) -> RA + Send,
-        FB: FnOnce(Parallelism) -> RB + Send,
-    {
         if !self.is_parallel() {
             let ra = a(Parallelism::sequential());
             let rb = b(Parallelism::sequential());
             return (ra, rb);
         }
-        let (pa, pb) = self.split_weighted(wa, wb);
+        let (pa, pb) = self.split();
         std::thread::scope(|s| {
             let ha = s.spawn(move || a(pa));
             let rb = b(pb);
@@ -195,18 +174,9 @@ mod tests {
         for t in 2..=16 {
             let (a, b) = Parallelism::threads(t).split();
             assert_eq!(a.available() + b.available(), t);
-            let (a, b) = Parallelism::threads(t).split_weighted(3, 1);
-            assert_eq!(a.available() + b.available(), t);
             assert!(a.available() >= 1 && b.available() >= 1);
+            assert!(b.available() - a.available() <= 1);
         }
-    }
-
-    #[test]
-    fn weighted_split_tracks_work() {
-        let (a, b) = Parallelism::threads(8).split_weighted(3, 1);
-        assert!(a.available() >= b.available());
-        let (a, b) = Parallelism::threads(8).split_weighted(1, 7);
-        assert!(b.available() > a.available());
     }
 
     #[test]

@@ -8,12 +8,17 @@
 //!
 //! * [`RegularBipartite`] — validated regular bipartite multigraphs with
 //!   edge identities (parallel edges matter: one edge per data element);
-//! * [`euler::euler_split`] — Euler-partition degree halving;
+//! * [`euler::euler_split`] — Euler-partition degree halving, in the
+//!   pairing form (no adjacency lists, no circuit walk);
 //! * [`matching::hopcroft_karp`] — maximum matching for odd-degree peeling;
 //! * [`edge_color`] — the hybrid `Δ`-coloring, plus a matching-only
 //!   baseline strategy for the ablation bench, and [`verify_coloring`];
 //! * [`edge_color_par`] — the same coloring fanned out over scoped
-//!   threads ([`exec::Parallelism`]), byte-identical at any thread count.
+//!   threads ([`exec::Parallelism`]), byte-identical at any thread count;
+//! * [`color_blocks`] — the coloring of a graph given in left-major
+//!   order, returned in the colorer's own block layout (block `k` lists
+//!   every left vertex's color-`k` edge), which the plan compiler reads
+//!   directly.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -26,7 +31,8 @@ pub mod matching;
 pub mod multigraph;
 
 pub use coloring::{
-    edge_color, edge_color_par, edge_color_with, verify_coloring, EdgeColoring, Strategy,
+    color_blocks, edge_color, edge_color_par, edge_color_with, verify_coloring, ColorBlocks,
+    EdgeColoring, Strategy,
 };
 pub use error::{GraphError, Result};
 pub use exec::Parallelism;

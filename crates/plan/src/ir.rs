@@ -30,8 +30,8 @@
 
 use crate::affine::AffineStep;
 use crate::error::{PlanError, Result};
-use hmm_graph::{edge_color_par, edge_color_with, Parallelism, RegularBipartite, Strategy};
-use hmm_perm::distribution::{distribution, warp_group_counts};
+use hmm_graph::{color_blocks, ColorBlocks, Parallelism, Strategy};
+use hmm_perm::distribution::warp_group_counts;
 use hmm_perm::{scheduled_shape, Bmmc, MatrixShape, Permutation};
 use std::sync::Arc;
 
@@ -80,14 +80,13 @@ impl PlanIr {
 
     /// The parallel plan compiler: [`PlanIr::build`] fanned out over a
     /// scoped-thread budget of `threads`. Every stage parallelises — the
-    /// König coloring forks its split tree (and colors connected
-    /// components of the transfer graph independently), and the step
-    /// fills, row inversions, and γ_w measurement chunk over rows. The
-    /// result is **byte-identical** to the sequential builder at any
-    /// thread count: the budget relocates work, it never reorders the
-    /// deterministic partitions (pinned by `tests/parallel.rs` and the
-    /// `hmm-graph` determinism suite). `threads <= 1` *is* the sequential
-    /// builder.
+    /// König coloring forks its split tree, and the gather fills (read
+    /// straight from the colorer's color blocks), row inversions, and γ_w
+    /// measurement chunk over rows. The result is **byte-identical** to
+    /// the sequential builder at any thread count: the budget relocates
+    /// work, it never reorders the deterministic partitions (pinned by
+    /// `tests/parallel.rs` and the `hmm-graph` determinism suite).
+    /// `threads <= 1` *is* the sequential builder.
     /// Like [`PlanIr::build`], the recognizer runs first: structured
     /// permutations take the closed-form path (also fanned out over the
     /// budget) and skip the coloring entirely.
@@ -96,7 +95,13 @@ impl PlanIr {
             return plan;
         }
         let shape = scheduled_shape(p.len(), width)?;
-        Self::build_for_shape_par(p, shape, width, Strategy::Hybrid, threads)
+        Self::build_koenig(
+            p,
+            shape,
+            width,
+            Strategy::Hybrid,
+            Parallelism::threads(threads),
+        )
     }
 
     /// The structured fast path alone: `Some(plan)` when `p` is a BMMC
@@ -281,116 +286,6 @@ impl PlanIr {
         Self::build_par(&p2.compose(&p1), self.width, threads)
     }
 
-    /// [`PlanIr::build_par`] on an explicit shape with an explicit
-    /// strategy — the parallel analogue of [`PlanIr::build_for_shape`].
-    pub fn build_for_shape_par(
-        p: &Permutation,
-        shape: MatrixShape,
-        width: usize,
-        strategy: Strategy,
-        threads: usize,
-    ) -> Result<Self> {
-        if threads <= 1 {
-            return Self::build_for_shape(p, shape, width, strategy);
-        }
-        let n = p.len();
-        if shape.len() != n {
-            return Err(PlanError::SizeMismatch {
-                expected: n,
-                got: shape.len(),
-            });
-        }
-        let (r, c) = (shape.rows, shape.cols);
-        let par = Parallelism::threads(threads);
-
-        let mut edges: Vec<(usize, usize)> = vec![(0, 0); n];
-        par.run_rows(&mut edges, c, |first_row, chunk| {
-            let base = first_row * c;
-            for (off, e) in chunk.iter_mut().enumerate() {
-                let idx = base + off;
-                *e = (idx / c, p.apply(idx) / c);
-            }
-        });
-        let graph = RegularBipartite::new(r, edges)?;
-        let coloring = edge_color_par(&graph, strategy, par)?;
-        debug_assert_eq!(coloring.num_colors, c);
-
-        // The sequential fill scatters into step2 (`c × r`) and step3
-        // (`r × c`) from a single walk of the source rows. To keep the
-        // parallel fill free of cross-chunk writes (and of `unsafe`), it
-        // instead stages two row-major `r × c` temporaries — `s2t[i][k] =
-        // destination row` and `dcol[i][k] = destination column` of row
-        // `i`'s color-`k` element — whose writes stay inside the walked
-        // row (each row's colors are a permutation of `0..c`), then
-        // derives step2/step3 with chunk-owned transposing passes.
-        let mut step1 = vec![0u32; n];
-        let mut s2t = vec![0u32; n];
-        let mut dcol = vec![0u32; n];
-        let colors = &coloring.colors;
-        par_rows3(
-            par,
-            0,
-            c,
-            &mut step1,
-            &mut s2t,
-            &mut dcol,
-            &|first_row, s1, s2, dc| {
-                let rows = s1.len() / c;
-                for rr in 0..rows {
-                    let i = first_row + rr;
-                    for j in 0..c {
-                        let idx = i * c + j;
-                        let dest = p.apply(idx);
-                        let k = colors[idx];
-                        s1[rr * c + j] = k as u32;
-                        s2[rr * c + k] = (dest / c) as u32;
-                        dc[rr * c + k] = (dest % c) as u32;
-                    }
-                }
-            },
-        );
-
-        let mut step2 = vec![0u32; n];
-        {
-            let s2t = &s2t;
-            par.run_rows(&mut step2, r, |first_k, chunk| {
-                for (kk, row) in chunk.chunks_exact_mut(r).enumerate() {
-                    let k = first_k + kk;
-                    for (i, slot) in row.iter_mut().enumerate() {
-                        *slot = s2t[i * c + k];
-                    }
-                }
-            });
-        }
-        drop(s2t);
-        let g2 = invert_rows(&step2, r, par);
-        drop(step2);
-
-        let mut step3 = vec![0u32; n];
-        {
-            let (g2, dcol) = (&g2, &dcol);
-            par.run_rows(&mut step3, c, |first_di, chunk| {
-                for (dd, row) in chunk.chunks_exact_mut(c).enumerate() {
-                    let di = first_di + dd;
-                    for (k, slot) in row.iter_mut().enumerate() {
-                        let i = g2[k * r + di] as usize;
-                        *slot = dcol[i * c + k];
-                    }
-                }
-            });
-        }
-        drop(dcol);
-
-        Ok(PlanIr {
-            shape,
-            width,
-            gathers: [invert_rows(&step1, c, par), g2, invert_rows(&step3, c, par)],
-            gamma: distribution_par(p, width, par),
-            fingerprint: p.fingerprint(),
-            affine: None,
-        })
-    }
-
     /// Build on an explicit matrix shape (exposed for tests with
     /// non-default shapes; `shape.len()` must equal `p.len()`).
     pub fn build_for_shape(
@@ -398,6 +293,20 @@ impl PlanIr {
         shape: MatrixShape,
         width: usize,
         strategy: Strategy,
+    ) -> Result<Self> {
+        Self::build_koenig(p, shape, width, strategy, Parallelism::sequential())
+    }
+
+    /// The general pipeline on a thread budget: König-color the transfer
+    /// graph and fill the three gathers straight from the colorer's blocks.
+    /// Every fill owns whole output rows, so the plan does not depend on
+    /// the budget.
+    fn build_koenig(
+        p: &Permutation,
+        shape: MatrixShape,
+        width: usize,
+        strategy: Strategy,
+        par: Parallelism,
     ) -> Result<Self> {
         let n = p.len();
         if shape.len() != n {
@@ -409,35 +318,54 @@ impl PlanIr {
         let (r, c) = (shape.rows, shape.cols);
 
         // Bipartite multigraph: source row -> destination row, one edge per
-        // element; c-regular since each row holds c elements and receives c.
-        let edges: Vec<(usize, usize)> = (0..n).map(|idx| (idx / c, p.apply(idx) / c)).collect();
-        let graph = RegularBipartite::new(r, edges)?;
-        let coloring = edge_color_with(&graph, strategy)?;
-        debug_assert_eq!(coloring.num_colors, c);
-
-        let mut step1 = vec![0u32; n];
-        let mut step2 = vec![0u32; n];
-        let mut step3 = vec![0u32; n];
-        for (idx, slot1) in step1.iter_mut().enumerate() {
-            let i = idx / c;
-            let dest = p.apply(idx);
-            let (di, dj) = (dest / c, dest % c);
-            let k = coloring.colors[idx];
-            *slot1 = k as u32;
-            step2[k * r + i] = di as u32;
-            step3[di * c + k] = dj as u32;
-        }
-        let seq = Parallelism::sequential();
+        // element; c-regular since each row holds c elements and receives
+        // c. Its edges are the elements in row-major order.
+        let mut dest_rows = vec![0u32; n];
+        par.run_rows(&mut dest_rows, c, |first_row, chunk| {
+            let base = first_row * c;
+            for (off, v) in chunk.iter_mut().enumerate() {
+                *v = (p.apply(base + off) / c) as u32;
+            }
+        });
+        // Block `k` lists every row's color-`k` element: `ids[k·r + i]` is
+        // the source index of row `i`'s, and `rights[k·r + i]` its
+        // destination row, which is step 2 as it stands.
+        let ColorBlocks { mut ids, rights } = color_blocks(r, dest_rows, strategy, par)?;
+        let g1 = shared_map(n, c, par, |first_i, rows| {
+            transpose_rows(&ids, r, first_i, rows, c, |row, k, id| {
+                row[k] = id % c as u32;
+            });
+        });
+        let g2 = invert_rows(&rights, r, par);
+        drop(rights);
+        // Destination row `di` receives its color-`k` element from row
+        // `g2[k·r + di]`; that element's destination column takes `k`.
+        // Each block of `ids` becomes its elements' destination columns,
+        // then is gathered into destination-row order through its row of
+        // `g2`, so `ids[k·r + di]` is step 3 transposed.
+        par.run_rows(&mut ids, r, |first_k, blocks| {
+            let mut cols = vec![0u32; r];
+            for (kk, block) in blocks.chunks_exact_mut(r).enumerate() {
+                let k = first_k + kk;
+                for (col, &id) in cols.iter_mut().zip(block.iter()) {
+                    *col = (p.apply(id as usize) % c) as u32;
+                }
+                for (slot, &i) in block.iter_mut().zip(&g2[k * r..(k + 1) * r]) {
+                    *slot = cols[i as usize];
+                }
+            }
+        });
+        let g3 = shared_map(n, c, par, |first_di, rows| {
+            transpose_rows(&ids, r, first_di, rows, c, |row, k, dj| {
+                row[dj as usize] = k as u32;
+            });
+        });
 
         Ok(PlanIr {
             shape,
             width,
-            gathers: [
-                invert_rows(&step1, c, seq),
-                invert_rows(&step2, r, seq),
-                invert_rows(&step3, c, seq),
-            ],
-            gamma: distribution(p, width),
+            gathers: [g1, g2, g3],
+            gamma: distribution_par(p, width, par),
             fingerprint: p.fingerprint(),
             affine: None,
         })
@@ -858,6 +786,40 @@ fn invert_rows(flat: &[u32], cols: usize, par: Parallelism) -> Arc<[u32]> {
     })
 }
 
+/// Walk the rows `first_row..` of an `r × cols` output held in `rows`
+/// against the transposed source `src` (`cols × r`, so row `i`'s column
+/// `k` is `src[k·r + i]`), calling `put(row, k, src[k·r + i])` for each.
+/// The walk goes in 16 × 16 tiles staged on the stack, so every source
+/// line is read whole once instead of once per output row: rows of `src`
+/// lie a power of two apart and would otherwise evict each other.
+fn transpose_rows(
+    src: &[u32],
+    r: usize,
+    first_row: usize,
+    rows: &mut [u32],
+    cols: usize,
+    put: impl Fn(&mut [u32], usize, u32),
+) {
+    const T: usize = 16;
+    let mut tile = [[0u32; T]; T];
+    for (t, band) in rows.chunks_mut(T * cols).enumerate() {
+        let i0 = first_row + t * T;
+        let ti = band.len() / cols;
+        for k0 in (0..cols).step_by(T) {
+            let tk = T.min(cols - k0);
+            for (kk, line) in tile[..tk].iter_mut().enumerate() {
+                let s = (k0 + kk) * r + i0;
+                line[..ti].copy_from_slice(&src[s..s + ti]);
+            }
+            for (ii, row) in band.chunks_exact_mut(cols).enumerate() {
+                for (kk, line) in tile[..tk].iter().enumerate() {
+                    put(row, k0 + kk, line[ii]);
+                }
+            }
+        }
+    }
+}
+
 /// Invert one step section of a plan file (`n` little-endian `u32`s in
 /// rows of `cols`, `cols` dividing `n`) into its gather map, checking every row as it goes:
 /// each entry must lie in `0..cols` and appear once in its row.
@@ -891,40 +853,6 @@ fn invert_checked(name: &str, bytes: &[u8], n: usize, cols: usize) -> Result<Arc
         }
     }
     Ok(gather)
-}
-
-/// The filler a [`par_rows3`] pass runs on each aligned three-buffer row
-/// chunk: `(first_row, rows_of_a, rows_of_b, rows_of_c)`.
-type Rows3Fill<'a> = &'a (dyn Fn(usize, &mut [u32], &mut [u32], &mut [u32]) + Sync);
-
-/// Fork/join three equally-shaped row-major buffers into aligned row
-/// chunks, so one pass can fill all three without cross-thread writes.
-fn par_rows3(
-    par: Parallelism,
-    first_row: usize,
-    cols: usize,
-    a: &mut [u32],
-    b: &mut [u32],
-    c: &mut [u32],
-    f: Rows3Fill<'_>,
-) {
-    let rows = a.len() / cols;
-    debug_assert!(b.len() == a.len() && c.len() == a.len());
-    if !par.is_parallel() || rows <= 1 {
-        if rows > 0 {
-            f(first_row, a, b, c);
-        }
-        return;
-    }
-    let cut = (rows / 2) * cols;
-    let (a1, a2) = a.split_at_mut(cut);
-    let (b1, b2) = b.split_at_mut(cut);
-    let (c1, c2) = c.split_at_mut(cut);
-    let mid = first_row + rows / 2;
-    par.join(
-        |p| par_rows3(p, first_row, cols, a1, b1, c1, f),
-        |p| par_rows3(p, mid, cols, a2, b2, c2, f),
-    );
 }
 
 /// γ_w(P) over a thread budget: each range of warps is counted by the
@@ -977,6 +905,7 @@ fn inverse_row_perms(gather: &[u32], cols: usize) -> Vec<Permutation> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hmm_perm::distribution::distribution;
     use hmm_perm::families;
 
     const W: usize = 8;

@@ -47,6 +47,17 @@ fn parallel_builder_is_byte_identical_at_256k_random() {
 }
 
 #[test]
+fn parallel_builder_is_byte_identical_at_64k_random_on_two_and_three_threads() {
+    // Odd budgets split unevenly at every fork; the plan must not notice.
+    let p = Family::Random.build(1 << 16, 5).unwrap();
+    let seq_bytes = encode(&PlanIr::build(&p, W).unwrap());
+    for threads in [2usize, 3] {
+        let par_bytes = encode(&PlanIr::build_par(&p, W, threads).unwrap());
+        assert_eq!(par_bytes, seq_bytes, "threads={threads}");
+    }
+}
+
+#[test]
 fn parallel_builder_matches_the_permutation() {
     let n = 1usize << 12;
     for fam in Family::ALL {
